@@ -11,7 +11,7 @@ one-sided SCI remote memory access.
 
 Two parts:
 
-* a hand-rolled session against :class:`repro.svc.RmaKvStore` showing
+* a hand-rolled session against :class:`repro.svc.KvStore` showing
   the primitive operations (put / get / incr) and the metrics they
   leave behind;
 * a seeded zipfian workload pushed through :func:`repro.svc.run_service`,
@@ -25,9 +25,9 @@ Run with::
 
 from repro import Cluster
 from repro.svc import (
-    RmaKvStore,
+    KvStore,
+    ReplicaMap,
     ServiceConfig,
-    ShardMap,
     SvcInstruments,
     WorkloadSpec,
     run_service,
@@ -59,8 +59,9 @@ def session(store):
 
 def hand_rolled() -> None:
     cluster = Cluster(n_nodes=N_SERVERS + 1)
-    shards = ShardMap(list(range(N_SERVERS)), SLOTS,
-                      counter_slots=COUNTER_SLOTS)
+    # Unreplicated: every shard is a chain of one server rank.
+    shards = ReplicaMap([[rank] for rank in range(N_SERVERS)], SLOTS,
+                        counter_slots=COUNTER_SLOTS, tables_per_server=1)
     instruments = SvcInstruments.standalone()
 
     def program(ctx):
@@ -73,8 +74,8 @@ def hand_rolled() -> None:
         yield from win.fence()
         result = None
         if not is_server:
-            store = RmaKvStore(win, shards, VALUE_SIZE,
-                               instruments=instruments)
+            store = KvStore(win, shards, VALUE_SIZE,
+                            instruments=instruments)
             result = yield from session(store)
         yield from win.fence()
         return result

@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..mpi.flatten import reset_plan_cache
-from ..svc.repl import OpenLoopSpec, ReplicatedServiceConfig, run_replicated_service
-from ..svc.workload import WorkloadSpec
+from ..svc import (OpenLoopSpec, ReplicatedServiceConfig, WorkloadSpec,
+                   run_replicated_service)
 
 __all__ = ["run_overload_point", "OverloadPoint", "OVERLOAD_FACTOR"]
 

@@ -39,6 +39,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Instruments",
     "MetricError",
     "MetricsRegistry",
 ]
@@ -199,6 +200,52 @@ class Histogram(_Instrument):
         return out
 
 
+class Instruments:
+    """One subsystem's counters and histograms under a common prefix.
+
+    A subclass is its name tuples plus its domain verbs: it sets
+    ``prefix`` / ``owner`` / ``counter_names`` / ``histogram_names`` and
+    adds methods like ``observe`` or ``payload`` over ``self.counters``
+    and ``self.histograms`` (both keyed by the *unprefixed* name).
+    :meth:`registered` creates the family inside a registry as
+    ``<prefix>.<name>``; :meth:`standalone` makes the same instruments
+    free-floating, for unit tests without a cluster registry.
+    """
+
+    prefix = ""
+    owner = ""
+    counter_names: tuple[str, ...] = ()
+    histogram_names: tuple[str, ...] = ()
+    #: Reporting unit of the counters that do not count events ("1").
+    counter_units: dict[str, str] = {}
+
+    def __init__(self, counters: dict[str, Counter],
+                 histograms: dict[str, Histogram]):
+        self.counters = counters
+        self.histograms = histograms
+
+    @classmethod
+    def registered(cls, registry: "MetricsRegistry"):
+        return cls(
+            {name: registry.counter(f"{cls.prefix}.{name}",
+                                    unit=cls.counter_units.get(name, "1"),
+                                    owner=cls.owner)
+             for name in cls.counter_names},
+            {name: registry.histogram(f"{cls.prefix}.{name}", unit="us",
+                                      owner=cls.owner)
+             for name in cls.histogram_names},
+        )
+
+    @classmethod
+    def standalone(cls):
+        return cls(
+            {name: Counter(f"{cls.prefix}.{name}")
+             for name in cls.counter_names},
+            {name: Histogram(f"{cls.prefix}.{name}")
+             for name in cls.histogram_names},
+        )
+
+
 class MetricsRegistry:
     """A flat, collision-checked namespace of instruments and collectors."""
 
@@ -210,14 +257,14 @@ class MetricsRegistry:
 
     # -- registration ---------------------------------------------------------
 
-    def _claim(self, names: Iterable[str]) -> None:
+    def _reserve(self, names: Iterable[str]) -> None:
         for name in names:
             if name in self._claimed:
                 raise MetricError(f"metric name collision: {name!r}")
         self._claimed.update(names)
 
     def _register(self, instrument: _Instrument) -> _Instrument:
-        self._claim(instrument.sample_names())
+        self._reserve(instrument.sample_names())
         self._instruments[instrument.name] = instrument
         return instrument
 
@@ -242,7 +289,7 @@ class MetricsRegistry:
         increments: ``collect()`` reads the live values on demand.
         """
         declared = tuple(_check_name(n) for n in names)
-        self._claim(declared)
+        self._reserve(declared)
         self._collectors.append((declared, collect))
 
     # -- introspection --------------------------------------------------------

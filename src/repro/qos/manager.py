@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..hardware.sci.faults import FaultKind
+from ..obs.metrics import Instruments
 from .admission import AdmissionController, AdmissionDenied
 from .lanes import DEFAULT_LANES, LANE_BEST_EFFORT, LANE_RESERVED, QosLanePolicy
 from .reservation import Reservation, ReservationState
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.builder import Cluster
     from ..hardware.sci.fabric import SCIFabric
     from ..hardware.sci.topology import Route
-    from ..obs.metrics import Counter, Histogram, MetricsRegistry
+    from ..obs.metrics import MetricsRegistry
 
 __all__ = [
     "QOS_COUNTERS",
@@ -74,29 +75,12 @@ QOS_GAUGES = ("active_reservations", "reserved_share_peak", "tenants")
 QOS_HISTOGRAMS = ("reserved_latency_us", "besteffort_latency_us")
 
 
-class QosInstruments:
-    """The per-lane latency histograms scenario programs feed.
+class QosInstruments(Instruments):
+    """The per-lane latency histograms scenario programs feed."""
 
-    Mirrors the ``SvcInstruments`` / ``ScenarioInstruments`` pattern:
-    ``registered`` binds into a cluster's registry, ``standalone`` makes
-    free-floating instruments for unit tests.
-    """
-
-    def __init__(self, histograms: dict[str, "Histogram"]):
-        self.histograms = histograms
-
-    @classmethod
-    def registered(cls, registry: "MetricsRegistry") -> "QosInstruments":
-        return cls({name: registry.histogram(f"qos.{name}", unit="us",
-                                             owner="repro.qos")
-                    for name in QOS_HISTOGRAMS})
-
-    @classmethod
-    def standalone(cls) -> "QosInstruments":
-        from ..obs.metrics import Histogram
-
-        return cls({name: Histogram(f"qos.{name}")
-                    for name in QOS_HISTOGRAMS})
+    prefix = "qos"
+    owner = "repro.qos"
+    histogram_names = QOS_HISTOGRAMS
 
     def observe(self, lane: str, latency_us: float) -> None:
         name = ("reserved_latency_us" if lane == LANE_RESERVED

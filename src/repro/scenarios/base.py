@@ -39,17 +39,15 @@ from __future__ import annotations
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..cluster import Cluster
 from ..hardware.sci.faults import FaultPlan
 from ..hardware.sci.topology import Topology
 from ..mpi.flatten import reset_plan_cache
 from ..obs.hooks import attach_span_metrics
+from ..obs.metrics import Instruments
 from ..trace import Tracer, attach_tracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "SCENARIO_COUNTERS",
@@ -111,7 +109,7 @@ SCENARIO_COUNTERS = ("steps", "ops", "payload_bytes")
 SCENARIO_HISTOGRAMS = ("step_time_us",)
 
 
-class ScenarioInstruments:
+class ScenarioInstruments(Instruments):
     """The ``scenario.*`` instruments every scenario program feeds.
 
     * ``scenario.steps`` — application iterations completed (training
@@ -125,30 +123,11 @@ class ScenarioInstruments:
       rank, as a histogram.
     """
 
-    def __init__(self, counters: dict[str, "Counter"],
-                 histograms: dict[str, "Histogram"]):
-        self.counters = counters
-        self.histograms = histograms
-
-    @classmethod
-    def registered(cls, registry: "MetricsRegistry") -> "ScenarioInstruments":
-        return cls(
-            {name: registry.counter(f"scenario.{name}", unit="1" if name != "payload_bytes" else "B",
-                                    owner="repro.scenarios")
-             for name in SCENARIO_COUNTERS},
-            {name: registry.histogram(f"scenario.{name}", unit="us",
-                                      owner="repro.scenarios")
-             for name in SCENARIO_HISTOGRAMS},
-        )
-
-    @classmethod
-    def standalone(cls) -> "ScenarioInstruments":
-        from ..obs.metrics import Counter, Histogram
-
-        return cls(
-            {name: Counter(f"scenario.{name}") for name in SCENARIO_COUNTERS},
-            {name: Histogram(f"scenario.{name}") for name in SCENARIO_HISTOGRAMS},
-        )
+    prefix = "scenario"
+    owner = "repro.scenarios"
+    counter_names = SCENARIO_COUNTERS
+    histogram_names = SCENARIO_HISTOGRAMS
+    counter_units = {"payload_bytes": "B"}
 
     def ops(self, n: int = 1) -> None:
         self.counters["ops"].inc(n)

@@ -39,9 +39,9 @@ import numpy as np
 from ..apps.halo import HaloExchanger
 from ..cluster import Cluster
 from ..hardware.sci.topology import RingOfRings, Topology
-from ..svc.shard import ShardMap
-from ..svc.store import RmaKvStore, SvcInstruments, slot_bytes
-from ..svc.workload import WorkloadSpec, client_ops, replay
+from ..svc import (KvStore, ReplicaMap, SvcInstruments, WorkloadSpec,
+                   client_ops, replay, slot_bytes)
+from ..svc.load import closed_loop_client
 from .base import (Scenario, ScenarioError, ScenarioInstruments,
                    ScenarioParams, register_scenario)
 
@@ -240,8 +240,9 @@ class ColocationScenario(Scenario):
         spec = self._workload(params)
         config = self._halo_config(params)
 
-        shards = ShardMap(list(range(N_SERVERS)), slots_per_shard=64,
-                          counter_slots=16)
+        shards = ReplicaMap([[rank] for rank in range(N_SERVERS)],
+                            slots_per_shard=64, counter_slots=16,
+                            tables_per_server=1)
         svc_inst = SvcInstruments.registered(cluster.metrics)
         streams = [client_ops(spec, cid,
                               max_counter_keys=shards.max_counter_keys)
@@ -249,6 +250,12 @@ class ColocationScenario(Scenario):
         expected = replay(streams)
         shard_bytes = 64 * slot_bytes(spec.value_size)
         mismatches: list[dict] = []
+
+        def account(op):
+            # Application payload by op kind (a counter delta is one
+            # 8-byte word) — not the store's wire-level on_payload.
+            inst.payload(8 if op.kind == "incr" else spec.value_size)
+            inst.ops()
 
         def kv_program(sub, ctx):
             srank = sub.rank
@@ -261,37 +268,15 @@ class ColocationScenario(Scenario):
 
             ops_done = 0
             if not is_server:
-                store = RmaKvStore(win, shards, spec.value_size,
-                                   instruments=svc_inst)
-                for op in streams[srank - N_SERVERS]:
-                    if op.kind == "get":
-                        yield from store.get(op.key)
-                        inst.payload(spec.value_size)
-                    elif op.kind == "put":
-                        yield from store.put(op.key, op.value)
-                        inst.payload(spec.value_size)
-                    else:
-                        yield from store.incr(op.counter_id, op.delta)
-                        inst.payload(8)
-                    inst.ops()
-                    ops_done += 1
+                store = KvStore(win, shards, spec.value_size,
+                                instruments=svc_inst)
+                ops_done, _ = yield from closed_loop_client(
+                    store, streams[srank - N_SERVERS], on_done=account)
             yield from win.fence()
 
             if srank == N_SERVERS:  # first client checks the oracle
-                store = RmaKvStore(win, shards, spec.value_size,
-                                   instruments=svc_inst)
-                for counter_id in sorted(expected):
-                    target = shards.rank_of(
-                        shards.locate_counter(counter_id)[0])
-                    yield from win.lock(target, exclusive=False)
-                    actual = yield from store.get_counter(counter_id)
-                    yield from win.unlock(target)
-                    if actual != expected[counter_id]:
-                        mismatches.append({
-                            "actual": actual,
-                            "counter": counter_id,
-                            "expected": expected[counter_id],
-                        })
+                mismatches.extend(
+                    (yield from store.check_counters(expected)))
             yield from win.fence()
             return {"kv_ops": ops_done}
 

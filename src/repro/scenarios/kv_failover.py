@@ -7,7 +7,7 @@ routes to it pays the failure-detector timeout, fails the chain over to
 the backup and replays its in-flight write — tag-deduped, so the apply
 stays exactly-once.  The cell's oracle is structural:
 
-* the :class:`~repro.svc.repl.ApplyLedger` version-vector check — no
+* the :class:`~repro.svc.failover.ApplyLedger` version-vector check — no
   tag applied twice to any replica, every live chain member holds the
   same per-slot apply sequence, and the physical tag words in the
   window memory match the ledger tails;
@@ -23,9 +23,8 @@ fault plan on top of the kill, proving recovery and failover compose.
 from __future__ import annotations
 
 from ..cluster import Cluster
-from ..svc.repl import (FailoverPlan, ReplicatedServiceConfig,
-                        execute_replicated)
-from ..svc.workload import WorkloadSpec
+from ..svc import (FailoverPlan, ReplicatedServiceConfig, WorkloadSpec,
+                   execute_service)
 from .base import (Scenario, ScenarioInstruments, ScenarioParams,
                    register_scenario)
 
@@ -102,8 +101,7 @@ class KvFailoverScenario(Scenario):
             n_clients=_N_CLIENTS, slots_per_shard=_SLOTS_PER_SHARD,
             failover=plan, workload=spec,
         )
-        out = execute_replicated(cluster, config, scenario_inst=inst)
-        report = out.report
+        report = execute_service(cluster, config, scenario_inst=inst)
         checks = {
             "exactly_once": {
                 "ok": report["checks"]["ledger"]["ok"],

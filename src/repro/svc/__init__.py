@@ -9,45 +9,55 @@ gets, ``fetch_and_op`` claim/publish writes, handler-serialized
 accumulates), with passive-target reader–writer locks as the contention
 fallback.
 
-Layers:
+Modules:
 
-* :mod:`repro.svc.shard` — deterministic key -> (shard, slot) placement
-  plus hot-shard accounting;
-* :mod:`repro.svc.store` — the :class:`RmaKvStore` slot protocol;
+* :mod:`repro.svc.shard` — deterministic key -> shard -> replica-chain
+  placement (:class:`ReplicaMap`) plus hot-shard accounting;
+* :mod:`repro.svc.store` — the :class:`KvStore` slot protocol over a
+  chain of >= 1 placements, and the ``svc.*`` / ``repl.*`` instruments;
 * :mod:`repro.svc.workload` — seeded uniform/zipfian op streams and the
   host-side replay oracle;
-* :mod:`repro.svc.driver` — cluster assembly, metrics wiring,
-  verification, and the JSON report;
-* :mod:`repro.svc.repl` — chain replication, failover, live shard
-  migration / key-range splitting, and open-loop load generation
-  (``docs/REPLICATION.md``);
+* :mod:`repro.svc.load` — the closed-loop and open-loop clients;
+* :mod:`repro.svc.failover` — deterministic rank loss and the
+  exactly-once :class:`ApplyLedger` oracle;
+* :mod:`repro.svc.rebalance` — live shard migration / key-range
+  splitting;
+* :mod:`repro.svc.driver` — the one driver body (cluster program, QoS
+  reservation, verification, JSON report) behind :func:`run_service`
+  and :func:`run_replicated_service`;
+* :mod:`repro.svc.repl` — the chain entry point under its historical
+  import path (``docs/REPLICATION.md``);
 * :mod:`repro.svc.cli` — the ``repro-svc`` command.
 
 See ``docs/SERVICE.md`` for the slot layout and consistency story.
 """
 
-from .driver import ServiceConfig, run_service
-from .repl import (FailoverPlan, OpenLoopSpec, Rebalancer, ReplicaMap,
-                   ReplicatedKvStore, ReplicatedServiceConfig,
-                   run_replicated_service)
-from .shard import ShardMap, hash_key, hot_shard_indices, mix64
-from .store import RmaKvStore, SvcInstruments, slot_bytes
+from .driver import (ReplicatedServiceConfig, ServiceConfig, execute_service,
+                     run_replicated_service, run_service)
+from .failover import ApplyLedger, FailoverPlan
+from .load import OpenLoopSpec
+from .rebalance import Rebalancer
+from .shard import (Placement, ReplicaMap, hash_key, hot_shard_indices,
+                    mix64)
+from .store import KvStore, ReplInstruments, SvcInstruments, slot_bytes
 from .workload import Op, WorkloadSpec, client_ops, replay
 
 __all__ = [
+    "ApplyLedger",
     "FailoverPlan",
+    "KvStore",
     "Op",
     "OpenLoopSpec",
+    "Placement",
     "Rebalancer",
+    "ReplInstruments",
     "ReplicaMap",
-    "ReplicatedKvStore",
     "ReplicatedServiceConfig",
-    "RmaKvStore",
     "ServiceConfig",
-    "ShardMap",
     "SvcInstruments",
     "WorkloadSpec",
     "client_ops",
+    "execute_service",
     "hash_key",
     "hot_shard_indices",
     "mix64",

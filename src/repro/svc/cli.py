@@ -14,8 +14,9 @@ Examples::
     repro-svc --faults-seed 7 --json -           # faulty run, JSON to stdout
 
 With ``--json -`` stdout carries exactly one JSON document (pipeable into
-``jq``); the human summary moves to stderr.  Exit status is nonzero if
-the in-run counter verification failed.
+``jq``); the human summary moves to stderr.  Exit status: 0 verified,
+1 the in-run counter verification failed, 2 the flags describe no valid
+service (one line on stderr) or the QoS reservation was denied.
 """
 
 from __future__ import annotations
@@ -87,27 +88,31 @@ def _fault_plan(seed: int) -> FaultPlan:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = WorkloadSpec(
-        n_keys=args.keys,
-        n_counter_keys=args.counter_keys,
-        read_fraction=args.read_frac,
-        incr_fraction=args.incr_frac,
-        dist=args.dist,
-        zipf_s=args.zipf_s,
-        ops_per_client=args.ops,
-        value_size=args.value_size,
-        seed=args.seed,
-        think_time=args.think_time,
-    )
-    config = ServiceConfig(
-        n_servers=args.servers,
-        n_clients=args.clients,
-        slots_per_shard=args.slots,
-        counter_slots=args.counter_slots,
-        qos_reserve=args.qos_reserve,
-        workload=spec,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = WorkloadSpec(
+            n_keys=args.keys,
+            n_counter_keys=args.counter_keys,
+            read_fraction=args.read_frac,
+            incr_fraction=args.incr_frac,
+            dist=args.dist,
+            zipf_s=args.zipf_s,
+            ops_per_client=args.ops,
+            value_size=args.value_size,
+            seed=args.seed,
+            think_time=args.think_time,
+        )
+        config = ServiceConfig(
+            n_servers=args.servers,
+            n_clients=args.clients,
+            slots_per_shard=args.slots,
+            counter_slots=args.counter_slots,
+            qos_reserve=args.qos_reserve,
+            workload=spec,
+        )
+    except ValueError as exc:  # the configs validate the whole shape
+        parser.error(str(exc))
     faults = _fault_plan(args.faults_seed) if args.faults_seed is not None else None
     try:
         report = run_service(config, faults=faults)

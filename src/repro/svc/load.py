@@ -1,32 +1,36 @@
-"""Open-loop (arrival-rate) load generation with bounded queues.
+"""Load generation: the closed-loop and the open-loop client.
 
-The closed-loop driver (`repro.svc.driver`) issues the next op only
-when the previous one completes — under overload the offered rate falls
-to match capacity and the latency tail quietly disappears (coordinated
-omission).  An open-loop client instead draws *arrival times* from a
-seeded Poisson process at a fixed rate; ops that arrive while the
-service is behind wait in a bounded client queue, and the latency that
-matters is the **sojourn** time (completion - arrival), not the service
-time.  Beyond ``max_queue`` pending ops the client *sheds* the arrival
+A closed-loop client (:func:`closed_loop_client`) issues the next op
+only when the previous one completes — under overload the offered rate
+falls to match capacity and the latency tail quietly disappears
+(coordinated omission).  An open-loop client
+(:func:`open_loop_client`) instead draws *arrival times* from a seeded
+Poisson process at a fixed rate; ops that arrive while the service is
+behind wait in a bounded client queue, and the latency that matters is
+the **sojourn** time (completion - arrival), not the service time.
+Beyond ``max_queue`` pending ops the client *sheds* the arrival
 (``repl.shed_ops``) — explicit backpressure accounting instead of an
 unbounded queue that would hide saturation as memory growth.
 
-The generator is deterministic: arrivals come from
+Both are deterministic: arrivals come from
 ``SeedSequence([seed, client_id, _ARRIVAL_STREAM])`` and never consult
-the wall clock, so open-loop reports are byte-identical per seed like
-everything else in the repo.
+the wall clock, so reports are byte-identical per seed like everything
+else in the repo.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
+from typing import Callable, ContextManager, Optional
 
 import numpy as np
 
-from ..workload import Op
+from .workload import Op
 
-__all__ = ["OpenLoopSpec", "arrival_times", "open_loop_client"]
+__all__ = ["OpenLoopSpec", "arrival_times", "closed_loop_client",
+           "open_loop_client"]
 
 #: Seed-stream discriminator so arrival draws never alias the op draws.
 _ARRIVAL_STREAM = 7
@@ -52,10 +56,7 @@ class OpenLoopSpec:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
 
     def describe(self) -> dict:
-        return {
-            "mean_interarrival_us": self.mean_interarrival_us,
-            "max_queue": self.max_queue,
-        }
+        return asdict(self)
 
 
 def arrival_times(spec: OpenLoopSpec, seed: int, client_id: int,
@@ -65,6 +66,29 @@ def arrival_times(spec: OpenLoopSpec, seed: int, client_id: int,
         np.random.SeedSequence([seed, client_id, _ARRIVAL_STREAM]))
     gaps = rng.exponential(spec.mean_interarrival_us, n_ops)
     return np.cumsum(gaps)
+
+
+def closed_loop_client(store, ops: list[Op], think_time: float = 0.0,
+                       span: Optional[Callable[[int], ContextManager]] = None,
+                       on_done: Optional[Callable[[Op], None]] = None):
+    """Drive ``store`` closed-loop; returns (served, shed) = (n, 0).
+
+    ``think_time`` is the client's pause before each op (µs);
+    ``span(index)`` wraps each op in a context manager (step spans) and
+    ``on_done(op)`` runs after each op (application accounting).
+    """
+    engine = store.engine
+    for index, op in enumerate(ops):
+        if think_time > 0.0:
+            yield engine.timeout(think_time)
+        t_service = engine.now
+        with span(index) if span is not None else nullcontext():
+            yield from store.apply(op)
+        store.m.histograms["service_latency_us"].observe(
+            engine.now - t_service)
+        if on_done is not None:
+            on_done(op)
+    return len(ops), 0
 
 
 def open_loop_client(store, ops: list[Op], arrivals: np.ndarray,
@@ -91,10 +115,7 @@ def open_loop_client(store, ops: list[Op], arrivals: np.ndarray,
             shed += 1
             continue
         t_service = engine.now
-        if op.kind == "get":
-            yield from store.get(op.key)
-        else:
-            yield from store.put(op.key, op.value)
+        yield from store.apply(op)
         m.histograms["service_latency_us"].observe(engine.now - t_service)
         m.histograms["sojourn_latency_us"].observe(engine.now - t_arrival)
         done_times.append(engine.now)

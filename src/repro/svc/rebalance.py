@@ -38,15 +38,17 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .chain import ApplyLedger, Placement, ReplicaMap, repl_slot_bytes
+from .failover import ApplyLedger
+from .shard import Placement, ReplicaMap
+from .store import slot_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...mpi.osc.window import Win
+    from ..mpi.osc.window import Win
 
 __all__ = ["Rebalancer", "REBALANCE_COLLECTOR_METRICS"]
 
-#: Rebalance metrics pulled by the driver's registry collector — from
-#: the :class:`ReplicaMap` (epoch bookkeeping) and the
+#: Rebalance metrics pulled by :meth:`Rebalancer.register_metrics` —
+#: from the :class:`ReplicaMap` (epoch bookkeeping) and the
 #: :class:`Rebalancer` (copy accounting).
 REBALANCE_COLLECTOR_METRICS = (
     "rebalance.migrations", "rebalance.splits", "rebalance.migrated_bytes",
@@ -58,14 +60,14 @@ REBALANCE_COLLECTOR_METRICS = (
 class Rebalancer:
     """Watches hot-shard accounting; migrates or splits hot shards."""
 
-    def __init__(self, win: "Win", replicas: ReplicaMap, value_size: int,
+    def __init__(self, replicas: ReplicaMap, value_size: int,
                  ledger: Optional[ApplyLedger] = None,
                  interval_us: float = 200.0, max_moves: int = 4,
                  split_hot_imbalance: Optional[float] = None,
                  drain_poll_us: float = 5.0):
-        self.win = win
         self.replicas = replicas
-        self.slot_size = repl_slot_bytes(value_size)
+        # Migration is a chain-driver feature, and chain stores are tagged.
+        self.slot_size = slot_bytes(value_size, tagged=True)
         self.table_span = replicas.slots_per_shard * self.slot_size
         self.ledger = ledger
         self.interval_us = interval_us
@@ -75,7 +77,6 @@ class Rebalancer:
         #: determinism oracle requires move-only runs).
         self.split_hot_imbalance = split_hot_imbalance
         self.drain_poll_us = drain_poll_us
-        self.engine = win.engine
         # -- copy accounting (pulled by the rebalance collector) --------------
         self.migrations = 0
         self.splits = 0
@@ -86,9 +87,30 @@ class Rebalancer:
     def moves(self) -> int:
         return self.migrations + self.splits
 
-    def run(self, ctx, stop: dict):
-        """The rebalancer rank's program body: poll until the clients
-        flag ``stop["done"]``, acting on hot-shard evidence."""
+    def register_metrics(self, registry) -> None:
+        """Register the ``rebalance.*`` collector (all zero if no rank
+        ever runs this rebalancer)."""
+        replicas = self.replicas
+        registry.register_collector(
+            list(REBALANCE_COLLECTOR_METRICS),
+            lambda: {
+                "rebalance.migrations": self.migrations,
+                "rebalance.splits": self.splits,
+                "rebalance.migrated_bytes": self.migrated_bytes,
+                "rebalance.migrated_slots": self.migrated_slots,
+                "rebalance.epoch_flips": replicas.epoch_flips,
+                "rebalance.blocked_ops": replicas.blocked_ops,
+                "rebalance.drained_ops": replicas.drained_ops,
+                "rebalance.epoch": replicas.epoch,
+            },
+        )
+
+    def run(self, win: "Win", stop: dict):
+        """The rebalancer rank's program body, over that rank's window
+        handle: poll until the clients flag ``stop["done"]``, acting on
+        hot-shard evidence."""
+        self.win = win
+        self.engine = win.engine
         while not stop.get("done"):
             yield self.engine.timeout(self.interval_us)
             if self.moves >= self.max_moves:

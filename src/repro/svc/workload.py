@@ -20,7 +20,7 @@ driver checks the simulated cluster's final counter state against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,18 +74,7 @@ class WorkloadSpec:
 
     def describe(self) -> dict:
         """JSON-ready spec dump (embedded in the driver report)."""
-        return {
-            "n_keys": self.n_keys,
-            "n_counter_keys": self.n_counter_keys,
-            "read_fraction": self.read_fraction,
-            "incr_fraction": self.incr_fraction,
-            "dist": self.dist,
-            "zipf_s": self.zipf_s,
-            "ops_per_client": self.ops_per_client,
-            "value_size": self.value_size,
-            "seed": self.seed,
-            "think_time": self.think_time,
-        }
+        return asdict(self)
 
 
 def _key_cdf(spec: WorkloadSpec) -> np.ndarray:

@@ -18,9 +18,18 @@ _TRACE_RE = re.compile(r'_trace\(\s*"([a-z_.]+)"')
 
 
 def traced_kinds() -> set[str]:
+    from repro.svc.store import (KV_INSTANTS, KV_SPANS, ReplInstruments,
+                                 SvcInstruments)
+
     kinds = set()
     for path in (ROOT / "src").rglob("*.py"):
         kinds.update(_TRACE_RE.findall(path.read_text()))
+    # The one KV store prefixes its events with its instruments'
+    # namespace at run time, so no literal exists to grep for.
+    for ns in (SvcInstruments.prefix, ReplInstruments.prefix):
+        kinds.update(f"{ns}.{span}.{edge}" for span in KV_SPANS
+                     for edge in ("begin", "end"))
+        kinds.update(f"{ns}.{instant}" for instant in KV_INSTANTS)
     return kinds
 
 
@@ -76,23 +85,35 @@ class TestMetricNames:
         for name in SMOKE_METRICS:
             assert f"`{name}`" in DOC, name
 
-    def test_every_svc_metric_documented(self):
+    def test_every_kv_service_metric_documented(self):
         """The service registers its instruments outside build_registry,
         so the cluster-registry guard above never sees them — enumerate
-        them from the svc name tuples instead."""
+        both namespaces of the one store's instruments plus the three
+        collector families from the svc name tuples instead."""
         from repro.obs.metrics import _HISTOGRAM_FIELDS
-        from repro.svc.driver import SVC_COLLECTOR_METRICS
-        from repro.svc.store import SVC_COUNTERS, SVC_HISTOGRAMS
+        from repro.svc.driver import (REPL_COLLECTOR_METRICS,
+                                      SVC_COLLECTOR_METRICS)
+        from repro.svc.rebalance import REBALANCE_COLLECTOR_METRICS
+        from repro.svc.store import ReplInstruments, SvcInstruments
 
-        names = [f"svc.{counter}" for counter in SVC_COUNTERS]
-        names += [f"svc.{hist}.{field}" for hist in SVC_HISTOGRAMS
-                  for field in _HISTOGRAM_FIELDS]
+        names = []
+        for cls in (SvcInstruments, ReplInstruments):
+            names += [f"{cls.prefix}.{counter}"
+                      for counter in cls.counter_names]
+            names += [f"{cls.prefix}.{hist}.{field}"
+                      for hist in cls.histogram_names
+                      for field in _HISTOGRAM_FIELDS]
+        # The two bugfix names of ISSUE 12 are visible in both.
+        assert {"svc.read_giveups", "repl.read_giveups",
+                "svc.write_fast", "repl.write_fast"} <= set(names)
         names += list(SVC_COLLECTOR_METRICS)
-        assert len(names) >= 35
+        names += list(REPL_COLLECTOR_METRICS)
+        names += list(REBALANCE_COLLECTOR_METRICS)
+        assert len(names) >= 35 + 55
         for name in names:
             assert f"`{name}`" in DOC, (
-                f"svc metric {name!r} is registered by run_service but "
-                "missing from docs/OBSERVABILITY.md"
+                f"service metric {name!r} is registered by execute_service "
+                "but missing from docs/OBSERVABILITY.md"
             )
 
     def test_every_scenario_metric_documented(self):
@@ -126,27 +147,6 @@ class TestMetricNames:
             assert f"`{name}`" in DOC, (
                 f"qos metric {name!r} is registered by QosManager but "
                 "missing from docs/OBSERVABILITY.md"
-            )
-
-    def test_every_repl_metric_documented(self):
-        """The replication layer registers its instruments outside
-        build_registry — enumerate counters, histograms and the two
-        collector families from the repl name tuples."""
-        from repro.obs.metrics import _HISTOGRAM_FIELDS
-        from repro.svc.repl import (REBALANCE_COLLECTOR_METRICS,
-                                    REPL_COLLECTOR_METRICS, REPL_COUNTERS,
-                                    REPL_HISTOGRAMS)
-
-        names = [f"repl.{counter}" for counter in REPL_COUNTERS]
-        names += [f"repl.{hist}.{field}" for hist in REPL_HISTOGRAMS
-                  for field in _HISTOGRAM_FIELDS]
-        names += list(REPL_COLLECTOR_METRICS)
-        names += list(REBALANCE_COLLECTOR_METRICS)
-        assert len(names) >= 55
-        for name in names:
-            assert f"`{name}`" in DOC, (
-                f"repl metric {name!r} is registered by execute_replicated "
-                "but missing from docs/OBSERVABILITY.md"
             )
 
     def test_every_scenario_headline_gauge_documented(self):

@@ -1,10 +1,11 @@
-"""Tests for repro.svc.repl: chain replication, failover, rebalancing,
+"""Tests for the chain service of repro.svc: chain replication, failover, rebalancing,
 and open-loop load generation.
 
-The unit half exercises the host-side control plane (ReplicaMap routing
-and reconfiguration, FailoverPlan's deterministic kill, the ApplyLedger
-exactly-once oracle, open-loop arrival draws).  The integration half
-runs full replicated-service cells and checks the driver's own oracles:
+The unit half exercises the host-side control plane (FailoverPlan's
+deterministic kill, the ApplyLedger exactly-once oracle, open-loop
+arrival draws; the ReplicaMap and the chain-walking store protocol are
+covered per chain depth in ``tests/test_kv_store.py``).  The integration
+half runs full chain-service cells and checks the driver's own oracles:
 ledger + physical-tag verification, availability through a primary
 kill, replay exactly-once-ness, byte-identical reports per seed, and
 the open- vs. closed-loop tail-latency relationship.
@@ -16,11 +17,10 @@ import pytest
 
 from repro.bench.kv import run_overload_point
 from repro.mpi.flatten import reset_plan_cache
-from repro.svc.repl import (ApplyLedger, FailoverPlan, OpenLoopSpec,
-                            Placement, ReplicaMap, ReplicatedServiceConfig,
-                            arrival_times, repl_slot_bytes,
-                            run_replicated_service)
-from repro.svc.workload import WorkloadSpec
+from repro.svc import (ApplyLedger, FailoverPlan, OpenLoopSpec, ReplicaMap,
+                       ReplicatedServiceConfig, WorkloadSpec,
+                       run_replicated_service)
+from repro.svc.load import arrival_times
 
 
 def small_spec(seed=1, ops=40, read_fraction=0.5, dist="uniform",
@@ -36,96 +36,6 @@ def run_cell(**overrides):
     defaults.update(overrides)
     reset_plan_cache()
     return run_replicated_service(ReplicatedServiceConfig(**defaults))
-
-
-# -- ReplicaMap -----------------------------------------------------------------
-
-
-class TestReplicaMap:
-    def make(self, **kw):
-        return ReplicaMap([[0, 1], [2, 3]], slots_per_shard=8, **kw)
-
-    def test_slot_layout(self):
-        assert repl_slot_bytes(0) == 24
-        assert repl_slot_bytes(1) == 32
-        assert repl_slot_bytes(8) == 32
-        assert repl_slot_bytes(9) == 40
-
-    def test_routing_is_stable_and_in_range(self):
-        rm = self.make()
-        for key in ("a", "b", "k17", "x" * 40):
-            shard, slot, h = rm.locate(key)
-            assert (shard, slot, h) == rm.locate(key)
-            assert 0 <= shard < rm.n_shards
-            assert 0 <= slot < rm.slots_per_shard
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReplicaMap([], slots_per_shard=8)
-        with pytest.raises(ValueError):
-            ReplicaMap([[0, 0]], slots_per_shard=8)
-        with pytest.raises(ValueError):
-            ReplicaMap([[0]], slots_per_shard=8, hot_factor=1.0)
-        with pytest.raises(ValueError):
-            ReplicaMap([[0]], slots_per_shard=8, tables_per_server=0)
-
-    def test_table_allocation_is_bounded(self):
-        rm = self.make(tables_per_server=2)
-        assert rm.free_tables(0) == 1  # one taken by shard 0's primary
-        extra = rm.take_table(0)
-        assert rm.free_tables(0) == 0
-        with pytest.raises(ValueError):
-            rm.take_table(0)
-        rm.release_table(0, extra)
-        assert rm.free_tables(0) == 1
-
-    def test_dead_rank_keeps_routes_until_failover(self):
-        rm = self.make()
-        rm.mark_dead(0)
-        # Routing is deliberately blind to the silent death...
-        assert [p.rank for p in rm.chain(0)] == [0, 1]
-        # ...but the verification view already excludes it.
-        assert [p.rank for p in rm.live_chain(0)] == [1]
-        assert rm.chain_depth() == 1
-
-    def test_fail_over_promotes_and_is_idempotent(self):
-        rm = self.make()
-        rm.mark_dead(0)
-        assert rm.fail_over(0) == [0]
-        assert [p.rank for p in rm.chain(0)] == [1]
-        assert (rm.epoch, rm.failovers) == (1, 1)
-        assert rm.fail_over(0) == []  # late detector: no double count
-        assert (rm.epoch, rm.failovers) == (1, 1)
-
-    def test_losing_the_last_replica_raises(self):
-        rm = ReplicaMap([[0]], slots_per_shard=8)
-        rm.mark_dead(0)
-        with pytest.raises(RuntimeError, match="last replica"):
-            rm.fail_over(0)
-
-    def test_split_routes_top_bit_keys_to_child(self):
-        rm = self.make(tables_per_server=2)
-        placements = [Placement(1, rm.take_table(1)),
-                      Placement(3, rm.take_table(3))]
-        child = rm.add_split(0, placements)
-        assert child == 2
-        assert rm.group[child] == rm.group[0]
-        routed = {rm.locate(f"key{i}")[0] for i in range(200)}
-        assert child in routed  # some top-bit keys actually moved
-        for i in range(200):
-            shard, _, h = rm.locate(f"key{i}")
-            if shard == child:
-                assert (h >> 63) & 1 and h % rm.n_base_shards == 0
-        with pytest.raises(ValueError):
-            rm.add_split(0, placements)
-
-    def test_epoch_flip_counts_mid_flight_ops_as_drained(self):
-        rm = self.make()
-        epoch0 = rm.begin_op(0)
-        rm.thaw(0)  # an epoch flip lands mid-op
-        rm.end_op(0, epoch0)
-        assert rm.drained_ops == 1
-        assert rm.epoch_flips == 1
 
 
 class TestFailoverPlan:
@@ -235,11 +145,20 @@ class TestReplicatedServiceConfig:
                                     workload=small_spec())
 
     def test_counters_are_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="incr_fraction"):
             ReplicatedServiceConfig(
                 n_groups=2, replication=2,
                 workload=WorkloadSpec(n_keys=8, incr_fraction=0.5,
                                       ops_per_client=10))
+
+    @pytest.mark.parametrize("bad", [
+        dict(n_groups=0), dict(replication=0), dict(n_clients=0),
+        dict(slots_per_shard=0), dict(tables_per_server=0),
+        dict(hot_factor=1.0), dict(qos_reserve=-0.1),
+    ])
+    def test_bad_shapes_raise_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            ReplicatedServiceConfig(workload=small_spec(), **bad)
 
 
 # -- full cells -----------------------------------------------------------------

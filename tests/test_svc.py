@@ -1,106 +1,27 @@
-"""Tests for the RMA key-value service (repro.svc).
+"""Tests for the RMA key-value service (repro.svc): workload and driver.
 
-Covers the deterministic placement layer, the seeded workload generator,
-the slot protocol's semantics under concurrent clients (torn-read
-detection, counter exactness), and the driver's headline guarantee: the
+Covers the seeded workload generator, boundary validation of the service
+shape, the CLI's exit codes, and the driver's headline guarantee: the
 full JSON report is bit-identical across repeated runs for a given
 (workload, fault plan) pair — uniform and zipfian, faults on and off.
+The placement map and the slot protocol under concurrent clients live
+in ``tests/test_kv_store.py`` (one module for every chain depth).
 """
 
 import json
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.hardware.sci.faults import FaultPlan
 from repro.mpi.flatten import reset_plan_cache
 from repro.svc import (
     Op,
-    RmaKvStore,
     ServiceConfig,
-    ShardMap,
-    SvcInstruments,
     WorkloadSpec,
     client_ops,
-    hash_key,
-    mix64,
     replay,
     run_service,
-    slot_bytes,
 )
-
-
-class TestShardMap:
-    def test_hash_is_stable_and_nonzero(self):
-        assert hash_key("alpha") == hash_key("alpha")
-        assert hash_key("alpha") != hash_key("beta")
-        for i in range(200):
-            assert hash_key(f"k{i}") != 0
-
-    def test_mix64_avalanche(self):
-        # Neighbouring inputs land far apart (no low-bit clustering).
-        outs = {mix64(i) & 0xFF for i in range(64)}
-        assert len(outs) > 40
-
-    def test_blob_placement_in_bounds(self):
-        shards = ShardMap([0, 1, 2], slots_per_shard=16, counter_slots=4)
-        for i in range(300):
-            shard, slot = shards.locate_blob(f"key-{i}")
-            assert 0 <= shard < 3
-            assert 4 <= slot < 16  # never a counter slot
-
-    def test_counter_placement_exact_and_disjoint(self):
-        shards = ShardMap([0, 1], slots_per_shard=8, counter_slots=3)
-        assert shards.max_counter_keys == 6
-        seen = set()
-        for cid in range(shards.max_counter_keys):
-            loc = shards.locate_counter(cid)
-            assert loc not in seen  # no aliasing below the cap
-            seen.add(loc)
-            assert loc[1] < 3
-
-    def test_load_accounting(self):
-        shards = ShardMap([0, 1], slots_per_shard=8, counter_slots=2,
-                          hot_factor=1.5)
-        assert shards.imbalance() == 0.0 and shards.hot_shards() == []
-        for _ in range(9):
-            shards.record(0)
-        shards.record(1)
-        assert shards.total_ops() == 10
-        assert shards.imbalance() == pytest.approx(1.8)
-        assert shards.hot_shards() == [0]
-
-    def test_hot_shard_degenerate_cases(self):
-        """The module-level helper must stay quiet on inputs where
-        "hot" is meaningless: a single shard, no traffic at all, or so
-        little traffic that one op can tip the threshold."""
-        from repro.svc import hot_shard_indices
-
-        assert hot_shard_indices([], 1.5) == []
-        assert hot_shard_indices([7], 1.5) == []          # n < 2
-        assert hot_shard_indices([0, 0], 1.5) == []       # no traffic
-        assert hot_shard_indices([1, 0], 1.5) == []       # below min_total
-        assert hot_shard_indices([1, 0], 1.5, min_total=1) == [0]
-        assert hot_shard_indices([9, 1], 1.5) == [0]
-        # A perfectly balanced load is never hot, whatever the volume.
-        assert hot_shard_indices([100, 100], 1.5) == []
-
-    def test_hot_shard_threshold_is_strict(self):
-        from repro.svc import hot_shard_indices
-
-        # threshold = 1.5 * 12 / 2 = 9: count 9 is NOT hot, 10 is.
-        assert hot_shard_indices([9, 3], 1.5) == []
-        assert hot_shard_indices([10, 2], 1.5) == [0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardMap([], 8)
-        with pytest.raises(ValueError):
-            ShardMap([0], slots_per_shard=4, counter_slots=4)
-        with pytest.raises(ValueError):
-            ShardMap([0], 8, hot_factor=1.0)
-        with pytest.raises(ValueError):
-            ShardMap([0], 8).locate_counter(-1)
 
 
 class TestWorkload:
@@ -147,153 +68,6 @@ class TestWorkload:
             WorkloadSpec(read_fraction=0.9, incr_fraction=0.2)
         with pytest.raises(ValueError):
             WorkloadSpec(n_keys=0)
-
-
-VALUE_SIZE = 16
-
-
-def fill(byte: int) -> bytes:
-    return bytes([byte]) * VALUE_SIZE
-
-
-def run_store_program(client_bodies, n_servers=1, slots_per_shard=8,
-                      counter_slots=4, faults=None):
-    """Run one generator body per client rank against passive servers."""
-    n_clients = len(client_bodies)
-    cluster = Cluster(n_nodes=n_servers + n_clients, faults=faults)
-    shards = ShardMap(list(range(n_servers)), slots_per_shard,
-                      counter_slots=counter_slots)
-    instruments = SvcInstruments.standalone()
-
-    def program(ctx):
-        rank = ctx.comm.rank
-        is_server = rank < n_servers
-        size = (slots_per_shard * slot_bytes(VALUE_SIZE)
-                if is_server else 8)
-        win = yield from ctx.comm.win_create(size, shared=True)
-        if is_server:
-            win.local_view()[:] = 0
-        yield from win.fence()
-        out = None
-        if not is_server:
-            store = RmaKvStore(win, shards, VALUE_SIZE,
-                               instruments=instruments)
-            out = yield from client_bodies[rank - n_servers](store, ctx)
-        yield from win.fence()
-        return out
-
-    run = Cluster.run(cluster, program)
-    return run.results[n_servers:], instruments
-
-
-class TestStoreSemantics:
-    def test_put_then_get_roundtrip(self):
-        def body(store, ctx):
-            yield from store.put("alpha", fill(7))
-            value = yield from store.get("alpha")
-            return value
-
-        results, m = run_store_program([body])
-        assert results[0] == fill(7)
-        assert m.counters["write_fast"].value == 1
-        assert m.counters["read_misses"].value == 0
-
-    def test_get_missing_key_is_a_miss(self):
-        def body(store, ctx):
-            value = yield from store.get("never-written")
-            return value
-
-        results, m = run_store_program([body])
-        assert results[0] is None
-        assert m.counters["read_misses"].value == 1
-
-    def test_overwrite_wins(self):
-        def body(store, ctx):
-            yield from store.put("k", fill(1))
-            yield from store.put("k", fill(2))
-            return (yield from store.get("k"))
-
-        results, _ = run_store_program([body])
-        assert results[0] == fill(2)
-
-    def test_hash_collision_evicts_previous_key(self):
-        """Two keys in the same slot: the table is a cache, last wins."""
-        shards = ShardMap([0], slots_per_shard=4, counter_slots=2)
-        seen: dict[tuple, str] = {}
-        pair = None
-        for i in range(1000):
-            key = f"collide-{i}"
-            loc = shards.locate_blob(key)
-            if loc in seen:
-                pair = (seen[loc], key)
-                break
-            seen[loc] = key
-        assert pair is not None, "no collision in 1000 keys over 2 slots?"
-        first, second = pair
-
-        def body(store, ctx):
-            yield from store.put(first, fill(3))
-            yield from store.put(second, fill(4))
-            a = yield from store.get(first)
-            b = yield from store.get(second)
-            return a, b
-
-        results, m = run_store_program([body], slots_per_shard=4,
-                                       counter_slots=2)
-        assert results[0] == (None, fill(4))  # first evicted, hash mismatch
-        assert m.counters["read_misses"].value == 1
-
-    def test_concurrent_writers_never_expose_torn_values(self):
-        """Clients hammer one key; every successful read is a uniform
-        byte fill (any mix of two writes would not be)."""
-
-        def writer(byte):
-            def body(store, ctx):
-                for i in range(6):
-                    yield from store.put("hot", fill(byte + i))
-                return None
-            return body
-
-        def reader(store, ctx):
-            observed = []
-            for _ in range(12):
-                value = yield from store.get("hot")
-                if value is not None:
-                    observed.append(value)
-            return observed
-
-        results, m = run_store_program([writer(10), writer(40), reader])
-        for value in results[2]:
-            assert len(set(value)) == 1, f"torn read: {value!r}"
-        # Every put resolved through exactly one of the two paths.
-        assert (m.counters["write_fast"].value
-                + m.counters["write_fallbacks"].value) == 12
-
-    def test_counter_increments_are_exact(self):
-        """Two clients increment disjoint counters concurrently; each
-        reads its own back exactly (shared-counter exactness is covered
-        by the driver's replay oracle)."""
-
-        def client(cid, deltas):
-            def body(store, ctx):
-                for delta in deltas:
-                    yield from store.incr(cid, delta)
-                return (yield from store.get_counter(cid))
-            return body
-
-        results, m = run_store_program(
-            [client(0, [1, 5, 2]), client(1, [10, 1, -4])], n_servers=2)
-        assert results == [8, 7]
-        assert m.counters["incrs"].value == 6
-
-    def test_value_size_enforced(self):
-        def body(store, ctx):
-            with pytest.raises(ValueError):
-                yield from store.put("k", b"wrong size")
-            return "ok"
-
-        results, _ = run_store_program([body])
-        assert results[0] == "ok"
 
 
 class TestDriver:
@@ -375,7 +149,67 @@ def test_svc_storm_under_faults_stays_exact(seed):
     assert report["faults"]["injected"] > 0
 
 
+class TestConfigValidation:
+    """The whole shape is rejected at construction — before a cluster
+    exists, not deep inside the placement map mid-run."""
+
+    @pytest.mark.parametrize("bad", [
+        dict(n_servers=0),
+        dict(n_clients=0),
+        dict(slots_per_shard=0, counter_slots=0),
+        dict(slots_per_shard=64, counter_slots=64),
+        dict(counter_slots=-1),
+        dict(hot_factor=1.0),
+        dict(qos_reserve=1.0),
+        # Increments need somewhere to land.
+        dict(counter_slots=0, workload=WorkloadSpec(incr_fraction=0.2)),
+    ])
+    def test_bad_shapes_raise(self, bad):
+        with pytest.raises(ValueError):
+            ServiceConfig(**bad)
+
+    def test_blob_only_service_needs_no_counter_slots(self):
+        config = ServiceConfig(
+            counter_slots=0,
+            workload=WorkloadSpec(incr_fraction=0.0, ops_per_client=10))
+        report = run_service(config)
+        assert report["verified"] and report["counters_checked"] == 0
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["--counter-slots", "64", "--slots", "64"],
+        ["--servers", "0"],
+        ["--clients", "0"],
+        ["--value-size", "0"],
+        ["--read-frac", "0.9", "--incr-frac", "0.2"],
+        ["--counter-slots", "0"],  # default --incr-frac 0.2 has no home
+    ])
+    def test_invalid_shape_is_a_usage_error(self, argv, capsys):
+        """Exit code 2 and one line on stderr — code 1 is reserved for
+        "verification failed"."""
+        from repro.svc.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines()[-1].startswith("repro-svc: error: ")
+
+    def test_failed_verification_exits_one(self, monkeypatch, capsys):
+        from repro.svc import cli
+
+        real = cli.run_service
+
+        def corrupted(config, faults=None):
+            report = real(config, faults=faults)
+            return {**report, "verified": False}
+
+        monkeypatch.setattr(cli, "run_service", corrupted)
+        assert cli.main(["--ops", "5"]) == 1
+        assert "COUNTER MISMATCH" in capsys.readouterr().out
+
     def test_json_file_output(self, tmp_path, capsys):
         from repro.svc.cli import main
 
