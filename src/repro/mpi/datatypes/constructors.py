@@ -16,7 +16,7 @@ Strides and displacements follow MPI conventions:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .base import Datatype, DatatypeError
 
@@ -32,26 +32,43 @@ __all__ = [
 ]
 
 
-def _span(parts: list[tuple[int, Datatype, int]]) -> tuple[int, int]:
+def _span(parts: Iterable[tuple[int, Datatype, int]]) -> tuple[int, int]:
     """(lb, ub) over (displacement, type, replication) parts.
 
     Each part occupies [disp + lb, disp + lb + repl*extent) in the usual
-    MPI sense (replication advances by the type extent).
+    MPI sense (replication advances by the type extent, which is never
+    negative); parts replicated zero times occupy nothing.
     """
-    lbs: list[int] = []
-    ubs: list[int] = []
+    lo = hi = None
     for disp, dtype, repl in parts:
         if repl == 0:
             continue
-        lbs.append(disp + dtype.lb)
-        ubs.append(disp + dtype.lb + repl * dtype.extent)
-        # With negative extent-like layouts (lb > 0 etc.) the raw bounds
-        # still apply:
-        lbs.append(disp + dtype.lb)
-        ubs.append(disp + dtype.ub)
-    if not lbs:
+        first = disp + dtype.lb
+        last = first + repl * dtype.extent
+        if lo is None:
+            lo, hi = first, last
+        else:
+            if first < lo:
+                lo = first
+            if last > hi:
+                hi = last
+    return (0, 0) if lo is None else (lo, hi)
+
+
+def _strided_span(
+    count: int, blocklength: int, stride_bytes: int, oldtype: Datatype
+) -> tuple[int, int]:
+    """(lb, ub) of ``count`` blocks ``stride_bytes`` apart, in closed form.
+
+    All blocks have the same shape, so the first and the last one decide:
+    whichever lies lower sets lb, the other ub.
+    """
+    if count == 0 or blocklength == 0:
         return (0, 0)
-    return (min(lbs), max(ubs))
+    last = (count - 1) * stride_bytes
+    lb = oldtype.lb + min(0, last)
+    ub = oldtype.lb + blocklength * oldtype.extent + max(0, last)
+    return (lb, ub)
 
 
 class Contiguous(Datatype):
@@ -64,7 +81,8 @@ class Contiguous(Datatype):
             raise DatatypeError(f"negative count: {count}")
         self.count = count
         self.oldtype = oldtype
-        lb, ub = _span([(0, oldtype, count)])
+        # One block of ``count`` oldtypes.
+        lb, ub = _strided_span(1, count, 0, oldtype)
         super().__init__(size=count * oldtype.size, lb=lb, ub=ub)
 
     def children(self) -> tuple[Datatype, ...]:
@@ -83,8 +101,7 @@ class Hvector(Datatype):
         self.blocklength = blocklength
         self.stride_bytes = stride_bytes
         self.oldtype = oldtype
-        parts = [(i * stride_bytes, oldtype, blocklength) for i in range(count)]
-        lb, ub = _span(parts)
+        lb, ub = _strided_span(count, blocklength, stride_bytes, oldtype)
         super().__init__(size=count * blocklength * oldtype.size, lb=lb, ub=ub)
 
     def children(self) -> tuple[Datatype, ...]:
@@ -122,11 +139,10 @@ class Hindexed(Datatype):
         self.blocklengths = tuple(blocklengths)
         self.displacements_bytes = tuple(displacements_bytes)
         self.oldtype = oldtype
-        parts = [
+        lb, ub = _span(
             (disp, oldtype, blk)
             for disp, blk in zip(self.displacements_bytes, self.blocklengths)
-        ]
-        lb, ub = _span(parts)
+        )
         super().__init__(
             size=sum(self.blocklengths) * oldtype.size, lb=lb, ub=ub
         )
@@ -172,8 +188,9 @@ class Struct(Datatype):
         self.blocklengths = tuple(blocklengths)
         self.displacements_bytes = tuple(displacements_bytes)
         self.types = tuple(types)
-        parts = list(zip(self.displacements_bytes, self.types, self.blocklengths))
-        lb, ub = _span(parts)
+        lb, ub = _span(
+            zip(self.displacements_bytes, self.types, self.blocklengths)
+        )
         size = sum(b * t.size for b, t in zip(self.blocklengths, self.types))
         super().__init__(size=size, lb=lb, ub=ub)
 

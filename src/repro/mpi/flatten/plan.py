@@ -16,10 +16,12 @@ the fully resolved run table of the whole packed stream:
   commit-time merge of :mod:`build` only fuses leaves with *identical*
   stacks; the plan catches the rest, e.g. a vector leaf whose last block
   abuts the next instance's first block);
-* a prefix-sum table mapping packed-stream byte offsets to runs, so
-  ``execute_pack``/``execute_unpack`` resume at arbitrary byte offsets
-  with one ``searchsorted`` instead of per-call ``find_position``
-  arithmetic.
+* a prefix-sum table mapping packed-stream byte offsets to runs;
+* the same table run-length-encoded into *segments* — stretches of
+  equal-length runs a constant stride apart — with their own prefix sum,
+  so ``execute_pack``/``execute_unpack``/``groups_in_range`` resume at
+  arbitrary byte offsets with one ``searchsorted`` over the segments and
+  copy a segment as one strided view, never expanding it into indices.
 
 Coalescing is sound because runs are merged only when they are adjacent
 in *both* the packed stream and memory — the byte order of the stream is
@@ -94,16 +96,106 @@ def _materialize_runs(ft: FlattenedType, count: int) -> tuple[np.ndarray, np.nda
     return offs[starts], np.add.reduceat(lens, starts)
 
 
+#: A constant-stride stretch shorter than this many bytes is not worth a
+#: copy of its own when its neighbours are equally short: a strided copy
+#: costs about 1 us of fixed host work plus the bytes, one index gather
+#: over all of them about 1.8 ns per byte (64-byte blocks, numpy 2.x), so
+#: the two cross between 0.5 and 1 KiB.
+_MIN_STRIDED_BYTES = 1024
+
+
+def _segment_runs(
+    offs: np.ndarray, lens: np.ndarray, run_starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run-length-encode the run table into strided segments.
+
+    Returns ``(segments, seg_starts)``: one ``(first_run, first_offset,
+    run_length, stride, n_runs)`` row per segment and the packed-stream
+    prefix sum over segments (``n_segments + 1`` entries).
+
+    A run joins the segment before it while it has the same length and
+    keeps that segment's constant *positive* stride (the second run of a
+    segment sets the stride).  Neighbouring stretches of one run length
+    that each stay below ``_MIN_STRIDED_BYTES`` — equal-length runs at
+    irregular displacements, short inner rows of nested vectors — are
+    then folded into one *irregular* segment, marked ``stride == 0``,
+    whose offsets stay in the run table.
+    """
+    n = len(offs)
+    if n < 2:
+        segments = np.empty((n, 5), dtype=np.int64)
+        if n:
+            segments[0] = (0, offs[0], lens[0], 0, 1)
+        return segments, run_starts
+
+    # Gap i separates run i from run i + 1.  A hard gap always ends a
+    # stretch; a soft one (stride differs from the gap before) ends it
+    # only if the gap before did not, because the run after a break is a
+    # fresh start whose stride is still free:
+    #     breaks[i] = hard[i] | (soft[i] & ~breaks[i-1]).
+    # Inside a stretch of soft gaps the value alternates, so it follows
+    # from the last non-soft gap (the anchor) and the distance to it.
+    step = offs[1:] - offs[:-1]
+    breaks = hard = (lens[1:] != lens[:-1]) | (step <= 0)
+    soft = np.zeros(n - 1, dtype=bool)
+    np.not_equal(step[1:], step[:-1], out=soft[1:])
+    soft &= ~hard
+    if soft.any():
+        gap = np.arange(n - 1)
+        anchor = np.maximum.accumulate(np.where(soft, -1, gap))
+        odd = (gap - anchor) & 1 == 1
+        breaks = np.where(soft, hard[anchor] ^ odd, hard)
+
+    first = np.concatenate(([0], np.flatnonzero(breaks) + 1))
+    n_runs = np.append(first[1:], n) - first
+    length = lens[first]
+    stride = step[np.minimum(first, n - 2)]
+    stride[n_runs == 1] = 0
+
+    # Fold neighbouring short stretches of equal run length.
+    short = n_runs * length < _MIN_STRIDED_BYTES
+    fold = short[1:] & short[:-1] & (length[1:] == length[:-1])
+    if fold.any():
+        heads = np.flatnonzero(np.concatenate(([True], ~fold)))
+        stride = stride[heads]
+        stride[np.append(heads[1:], len(first)) - heads > 1] = 0
+        n_runs = np.add.reduceat(n_runs, heads)
+        first, length = first[heads], length[heads]
+    segments = np.stack((first, offs[first], length, stride, n_runs), axis=1)
+    return segments, run_starts[np.append(first, n)]
+
+
+def _strided_view(
+    mem: np.ndarray, start: int, n_runs: int, length: int, stride: int
+) -> np.ndarray:
+    """``n_runs`` rows of ``length`` bytes, ``stride`` apart, as a 2-D
+    view of ``mem``.  Unlike ``as_strided``, the constructor checks the
+    view's extent against the buffer."""
+    try:
+        return np.ndarray((n_runs, length), np.uint8, mem, start, (stride, 1))
+    except (TypeError, ValueError) as exc:
+        raise PackError(
+            f"{n_runs} runs of {length} B, {stride} B apart at {start} "
+            f"do not fit {mem.nbytes} B of memory"
+        ) from exc
+
+
 class PackPlan:
     """The resolved run table of ``count`` instances of one datatype.
 
     ``run_offsets``/``run_lengths`` hold the coalesced runs in packed
     order (offsets relative to the base address the plan is executed at);
     ``run_starts`` is the packed-stream prefix-sum table (length
-    ``n_runs + 1``, ending at :attr:`total`).
+    ``n_runs + 1``, ending at :attr:`total`).  ``segments``/``seg_starts``
+    are the same table run-length-encoded (see :func:`_segment_runs`) —
+    what range lookups and copies walk.  ``bounds`` is the base-relative
+    ``(low, high)`` byte range all runs together touch.
     """
 
-    __slots__ = ("ft", "count", "total", "run_offsets", "run_lengths", "run_starts")
+    __slots__ = (
+        "ft", "count", "total", "run_offsets", "run_lengths", "run_starts",
+        "segments", "seg_starts", "bounds",
+    )
 
     def __init__(self, ft: FlattenedType, count: int):
         if count < 0:
@@ -117,6 +209,13 @@ class PackPlan:
         self.run_starts = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(self.run_lengths))
         )
+        self.segments, self.seg_starts = _segment_runs(
+            self.run_offsets, self.run_lengths, self.run_starts
+        )
+        self.bounds = (0, 0)
+        if self.n_runs:
+            ends = self.run_offsets + self.run_lengths
+            self.bounds = (int(self.run_offsets.min()), int(ends.max()))
 
     @property
     def n_runs(self) -> int:
@@ -125,7 +224,7 @@ class PackPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<PackPlan count={self.count} total={self.total} "
-            f"runs={self.n_runs}>"
+            f"runs={self.n_runs} segments={len(self.segments)}>"
         )
 
     # -- range walking ---------------------------------------------------------------
@@ -139,47 +238,62 @@ class PackPlan:
                 f"size {self.total}"
             )
 
+    def _offset_at(self, first: int, offset: int, stride: int, run: int) -> int:
+        """Offset of run ``run`` of the segment starting at ``offset``."""
+        if stride or not run:
+            return offset + run * stride
+        return int(self.run_offsets[first + run])
+
     def run_groups(
         self, byte_offset: int, nbytes: int
-    ) -> Iterator[tuple[np.ndarray, int]]:
-        """(base-relative offsets, length) groups covering a packed range.
+    ) -> Iterator[tuple[int, int, int, int, int]]:
+        """``(first_run, offset, length, stride, n_runs)`` groups covering
+        a packed range, in stream order.
 
-        The plan-backed equivalent of :func:`engine.block_runs`: an
-        optional split head run, the fully covered runs grouped by equal
-        length (each group one vectorized copy), and an optional split
-        tail run.
+        The plan-backed equivalent of :func:`engine.block_runs`: per
+        touched segment its whole runs as one group, around them an
+        optional split head and split tail run (``n_runs == 1``,
+        ``length`` the bytes taken).  ``offset`` is base-relative;
+        ``stride == 0`` with ``n_runs > 1`` marks an irregular group,
+        whose offsets are ``run_offsets[first_run : first_run + n_runs]``.
         """
         self._check_range(byte_offset, nbytes)
         if nbytes == 0:
             return
-        starts = self.run_starts
-        end = byte_offset + nbytes
-        pos = byte_offset
-        i = int(np.searchsorted(starts, pos, side="right")) - 1
-
-        if pos > starts[i]:
-            # Split head run.
-            take = int(min(end, starts[i + 1])) - pos
-            head = self.run_offsets[i] + (pos - starts[i])
-            yield (np.array([head], dtype=np.int64), take)
-            pos += take
-            i += 1
-        if pos >= end:
-            return
-
-        j = int(np.searchsorted(starts, end, side="right")) - 1
-        if j > i:
-            # Fully covered runs, grouped by equal length.
-            lens = self.run_lengths[i:j]
-            bounds = np.flatnonzero(np.diff(lens)) + 1
-            for a, b in zip(
-                np.concatenate(([0], bounds)), np.concatenate((bounds, [len(lens)]))
-            ):
-                yield (self.run_offsets[i + a : i + b], int(lens[a]))
-            pos = int(starts[j])
-        if pos < end:
-            # Split tail run (starts exactly at a run boundary).
-            yield (self.run_offsets[j : j + 1], end - pos)
+        # Segments lo..hi-1 overlap the range: lo holds byte_offset, hi
+        # counts the segments that start at or before its last byte.
+        lo, hi = self.seg_starts.searchsorted(
+            (byte_offset, byte_offset + nbytes - 1), side="right"
+        )
+        lo -= 1
+        skip = byte_offset - int(self.seg_starts[lo])
+        left = nbytes
+        for first, offset, length, stride, n_runs in self.segments[lo:hi].tolist():
+            if not skip and left >= n_runs * length:
+                # Wholly covered: every segment but the first and last.
+                yield (first, offset, length, stride, n_runs)
+                left -= n_runs * length
+                continue
+            # Resume ``skip`` bytes into the first segment.
+            run, into = divmod(skip, length)
+            skip = 0
+            if into:
+                take = min(length - into, left)
+                at = self._offset_at(first, offset, stride, run) + into
+                yield (first + run, at, take, 0, 1)
+                left -= take
+                run += 1
+            whole = min(n_runs - run, left // length)
+            if whole:
+                at = self._offset_at(first, offset, stride, run)
+                yield (first + run, at, length, stride, whole)
+                left -= whole * length
+                run += whole
+            if left and run < n_runs:
+                # Split tail run (starts exactly at a run boundary).
+                at = self._offset_at(first, offset, stride, run)
+                yield (first + run, at, left, 0, 1)
+                return
 
     def groups_in_range(
         self, byte_offset: int, nbytes: Optional[int] = None
@@ -189,11 +303,11 @@ class PackPlan:
         if nbytes is None:
             nbytes = self.total - byte_offset
         groups: list[tuple[int, int]] = []
-        for offsets, length in self.run_groups(byte_offset, nbytes):
+        for _, _, length, _, n_runs in self.run_groups(byte_offset, nbytes):
             if groups and groups[-1][0] == length:
-                groups[-1] = (length, groups[-1][1] + len(offsets))
+                groups[-1] = (length, groups[-1][1] + n_runs)
             else:
-                groups.append((length, len(offsets)))
+                groups.append((length, n_runs))
         return groups
 
     # -- execution -------------------------------------------------------------------
@@ -210,13 +324,20 @@ class PackPlan:
             nbytes = self.total - byte_offset
         out = np.empty(nbytes, dtype=np.uint8)
         pos = 0
-        for offsets, length in self.run_groups(byte_offset, nbytes):
-            span = len(offsets) * length
-            if len(offsets) == 1:
-                start = base + int(offsets[0])
+        for first, offset, length, stride, n_runs in self.run_groups(
+            byte_offset, nbytes
+        ):
+            span = n_runs * length
+            start = base + offset
+            if n_runs == 1:
                 out[pos : pos + span] = mem[start : start + span]
+            elif stride:
+                out[pos : pos + span].reshape(n_runs, length)[...] = _strided_view(
+                    mem, start, n_runs, length, stride
+                )
             else:
-                out[pos : pos + span] = _gather(mem, offsets + base, length).reshape(-1)
+                offsets = self.run_offsets[first : first + n_runs] + base
+                out[pos : pos + span] = _gather(mem, offsets, length).reshape(-1)
             pos += span
         if pos != nbytes:  # pragma: no cover - invariant
             raise AssertionError(f"packed {pos} of {nbytes} bytes")
@@ -233,13 +354,23 @@ class PackPlan:
         if data.dtype != np.uint8:
             data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         pos = 0
-        for offsets, length in self.run_groups(byte_offset, data.nbytes):
-            span = len(offsets) * length
-            if len(offsets) == 1:
-                start = base + int(offsets[0])
+        for first, offset, length, stride, n_runs in self.run_groups(
+            byte_offset, data.nbytes
+        ):
+            span = n_runs * length
+            start = base + offset
+            if n_runs == 1:
                 mem[start : start + span] = data[pos : pos + span]
+            elif stride >= length:
+                _strided_view(mem, start, n_runs, length, stride)[...] = data[
+                    pos : pos + span
+                ].reshape(n_runs, length)
             else:
-                _scatter(mem, offsets + base, length, data[pos : pos + span])
+                # Irregular offsets, or rows that overlap (stride <
+                # length): the index scatter writes in stream order, so
+                # the later run wins as in engine.unpack_range.
+                offsets = self.run_offsets[first : first + n_runs] + base
+                _scatter(mem, offsets, length, data[pos : pos + span])
             pos += span
         if pos != data.nbytes:  # pragma: no cover - invariant
             raise AssertionError(f"unpacked {pos} of {data.nbytes} bytes")

@@ -51,9 +51,19 @@ class LeafSpec:
     #: Repeat levels, outermost first (empty = a single block).
     levels: tuple[Level, ...] = ()
 
+    #: hash((offset, size, levels)), computed once: leaves key the plan
+    #: cache through their FlattenedType on every message.
+    _hash: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"negative leaf size: {self.size}")
+        object.__setattr__(
+            self, "_hash", hash((self.offset, self.size, self.levels))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def block_count(self) -> int:
@@ -151,6 +161,11 @@ class FlattenedType:
     #: Packed-stream start offset of each leaf within one instance.
     leaf_starts: tuple[int, ...] = field(init=False)
 
+    #: hash of the defining fields, computed once (``leaf_starts`` is
+    #: derived from ``leaves``): the plan cache hashes its
+    #: ``(FlattenedType, count)`` key on every message.
+    _hash: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         starts = []
         acc = 0
@@ -162,6 +177,12 @@ class FlattenedType:
                 f"leaves pack {acc} bytes but datatype size is {self.size}"
             )
         object.__setattr__(self, "leaf_starts", tuple(starts))
+        object.__setattr__(
+            self, "_hash", hash((self.leaves, self.size, self.extent, self.lb))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def block_count(self) -> int:

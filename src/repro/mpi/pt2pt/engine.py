@@ -212,6 +212,12 @@ class RankDevice:
                 raise MPIError("count is required for non-contiguous datatypes")
             count = buf.nbytes // dtype.size if dtype.size else 0
         plan = get_plan(ft, count)
+        low, high = plan.bounds
+        if low < 0 or high > buf.nbytes:
+            raise MPIError(
+                f"{count} x {dtype!r} touches bytes [{low}, {high}) of a "
+                f"{buf.nbytes} B buffer"
+            )
         seg_off, total = self._resolve_segment(plan, segment)
         return dtype, ft, count, plan, seg_off, total
 

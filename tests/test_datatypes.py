@@ -1,5 +1,8 @@
 """Tests for MPI datatype construction, commit and flattening."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,62 @@ class TestVector:
         leaf = outer.commit().flattened.leaves[0]
         assert leaf.levels == (Level(3, 256), Level(4, 16))
         assert outer.depth == 3
+
+
+class TestClosedFormBounds:
+    """``Contiguous``/``Hvector``/``Vector`` take lb/ub from their first
+    and last block; a per-block min/max must agree."""
+
+    @staticmethod
+    def _brute(count, blocklength, stride_bytes, old):
+        if count == 0 or blocklength == 0:
+            return 0, 0
+        lows = [i * stride_bytes + old.lb for i in range(count)]
+        highs = [low + blocklength * old.extent for low in lows]
+        return min(lows), max(highs)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_block_bounds(self, seed):
+        rng = random.Random(seed)
+        olds = [
+            BYTE,
+            DOUBLE,
+            Resized(INT, lb=-3, extent=9),
+            Resized(Vector(2, 1, 3, INT), lb=5, extent=40),
+            Hvector(2, 1, -12, DOUBLE),
+        ]
+        for _ in range(25):
+            old = rng.choice(olds)
+            count = rng.randint(0, 40)
+            blocklength = rng.randint(0, 5)
+            stride = rng.randint(-9, 9)
+            cases = [
+                (Hvector(count, blocklength, stride, old), stride),
+                (Vector(count, blocklength, stride, old), stride * old.extent),
+            ]
+            for dtype, stride_bytes in cases:
+                lb, ub = self._brute(count, blocklength, stride_bytes, old)
+                assert (dtype.lb, dtype.ub, dtype.extent) == (lb, ub, ub - lb)
+                assert dtype.size == count * blocklength * old.size
+            contig = Contiguous(count, old)
+            lb, ub = self._brute(1, count, 0, old)
+            assert (contig.lb, contig.ub, contig.extent) == (lb, ub, ub - lb)
+            assert contig.size == count * old.size
+
+    def test_commit_cost_does_not_grow_with_count(self):
+        """Constructing and committing a vector allocates nothing per
+        block: the closed-form bounds and the ff-stack are O(1) in
+        ``count``."""
+        Vector(4, 1, 2, DOUBLE).commit()  # imports and caches out of the way
+        tracemalloc.start()
+        try:
+            vec = Vector(2**20, 1, 2, DOUBLE).commit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vec.extent == (2**20 - 1) * 16 + 8
+        # One entry per block would be >= 8 MiB for the list alone.
+        assert peak < 64 * 1024
 
 
 class TestIndexed:

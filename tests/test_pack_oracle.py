@@ -17,6 +17,12 @@ of nested vector/indexed/struct/resized datatype trees:
   byte-for-byte stream.  ``pack``, ``pack_range``, ``unpack_range`` and
   the plan-backed ``PackPlan.execute_*`` must agree with it exactly,
   including ranges split at block boundaries +/- 1.
+
+The same trees then drive the plan's **segment executor**: ranges split at
+every segment boundary +/- 1, ``groups_in_range`` against a run-by-run
+derivation from the plan's run table (the chunk cost model's contract),
+and hand-built layouts for each copy kernel — uniform stride, irregular
+displacements, negative and zero stride, rows that overlap.
 """
 
 import random
@@ -272,6 +278,145 @@ def test_differential_oracle(seed):
 def test_oracle_case_count():
     """The differential suite covers at least the 200 cases ISSUE asks for."""
     assert N_CASES >= 200
+
+
+# -- the segment executor -----------------------------------------------------------
+
+
+def naive_groups(plan, byte_offset, nbytes) -> list[tuple[int, int]]:
+    """``groups_in_range`` derived run by run from the plan's run table:
+    the bytes each run contributes to the range, equal neighbours merged."""
+    groups: list[tuple[int, int]] = []
+    pos = 0
+    for length in plan.run_lengths.tolist():
+        take = min(pos + length, byte_offset + nbytes) - max(pos, byte_offset)
+        pos += length
+        if take <= 0:
+            continue
+        if groups and groups[-1][0] == take:
+            groups[-1] = (take, groups[-1][1] + 1)
+        else:
+            groups.append((take, 1))
+    return groups
+
+
+def check_segment_executor(plan, ft, count, base, mem, expected, ranges):
+    """Plan pack vs the oracle stream, plan unpack vs ``engine.unpack_range``
+    and the cost groups vs the run table, for every ``(start, nbytes)``."""
+    blank = np.zeros_like(mem)
+    for s, n in ranges:
+        payload = expected[s : s + n]
+        assert np.array_equal(plan.execute_pack(mem, base, s, n), payload), (s, n)
+        assert plan.groups_in_range(s, n) == naive_groups(plan, s, n), (s, n)
+        scratch_engine, scratch_plan = blank.copy(), blank.copy()
+        unpack_range(scratch_engine, base, ft, count, s, payload)
+        plan.execute_unpack(scratch_plan, base, s, payload)
+        assert np.array_equal(scratch_plan, scratch_engine), ("unpack", s, n)
+
+
+def segment_ranges(plan, rng) -> list[tuple[int, int]]:
+    """Ranges starting and ending at every segment boundary +/- 1, plus
+    random ones."""
+    total = plan.total
+    edges = sorted(
+        {
+            e
+            for b in plan.seg_starts.tolist()
+            for e in (b - 1, b, b + 1)
+            if 0 <= e <= total
+        }
+    )
+    ranges = [(s, rng.choice([e for e in edges if e >= s]) - s) for s in edges]
+    ranges += [(s, rng.randint(0, total - s)) for s in edges]
+    for _ in range(20):
+        s = rng.randint(0, total)
+        ranges.append((s, rng.randint(0, total - s)))
+    return ranges
+
+
+@pytest.mark.parametrize("seed", range(N_CASES))
+def test_segment_executor(seed):
+    rng = random.Random(1000 + seed)
+    dtype = random_dtype(rng).commit()
+    count = rng.randint(1, 8)
+    ft = dtype.flattened
+    plan = PackPlan(ft, count)
+
+    # The segments tile the run table, which stays the plan's definition.
+    segments = plan.segments.tolist()
+    assert sum(seg[4] for seg in segments) == plan.n_runs
+    assert plan.seg_starts[-1] == plan.total
+    for first, offset, length, stride, n_runs in segments:
+        assert plan.run_offsets[first] == offset
+        assert (plan.run_lengths[first : first + n_runs] == length).all()
+        if stride:
+            steps = np.diff(plan.run_offsets[first : first + n_runs])
+            assert stride > 0 and (steps == stride).all()
+
+    base, mem = _base_and_mem(ft, count, seed)
+    expected = oracle_pack(mem, base, dtype, count, oracle_offsets(ft))
+    check_segment_executor(
+        plan, ft, count, base, mem, expected, segment_ranges(plan, rng)
+    )
+
+
+class TestSegmentKernels:
+    """One hand-built layout per copy kernel and per reason to leave it."""
+
+    @staticmethod
+    def _check(dtype, count, seed=5):
+        ft = dtype.commit().flattened
+        plan = PackPlan(ft, count)
+        base, mem = _base_and_mem(ft, count, seed)
+        expected = oracle_pack(mem, base, dtype, count, oracle_offsets(ft))
+        assert np.array_equal(pack(mem, base, ft, count), expected)
+        check_segment_executor(
+            plan, ft, count, base, mem, expected,
+            segment_ranges(plan, random.Random(seed)),
+        )
+        return plan
+
+    def test_uniform_stride_is_one_segment(self):
+        plan = self._check(Vector(300, 4, 8, DOUBLE), 1)
+        assert plan.segments.tolist() == [[0, 0, 32, 64, 300]]
+
+    def test_long_rows_are_one_segment_each(self):
+        plan = self._check(Hvector(3, 1, 9000, Vector(40, 4, 8, DOUBLE)), 1)
+        assert [seg[3:] for seg in plan.segments.tolist()] == [[64, 40]] * 3
+
+    def test_short_rows_fold_into_an_irregular_segment(self):
+        plan = self._check(Hvector(30, 1, 500, Vector(3, 1, 2, DOUBLE)), 1)
+        assert plan.segments.tolist() == [[0, 0, 8, 0, 90]]
+
+    def test_irregular_displacements_keep_the_index_path(self):
+        plan = self._check(Indexed([2] * 40, [7 * k * k for k in range(40)], INT), 2)
+        assert (plan.segments[:, 3] == 0).all()
+
+    @pytest.mark.parametrize("stride", [-64, 0])
+    def test_negative_and_zero_stride(self, stride):
+        """Not a positive stride: every run is its own stretch, folded
+        into the index path (zero stride rewrites one block in order)."""
+        plan = self._check(Hvector(20, 2, stride, DOUBLE), 3)
+        assert (plan.segments[:, 3] == 0).all()
+
+    def test_overlapping_rows_unpack_in_stream_order(self):
+        """Stride below the run length: the strided pack is legal, the
+        unpack must let the later run win, as ``engine.unpack_range``."""
+        plan = self._check(Hvector(20, 4, 8, DOUBLE), 1)
+        assert plan.segments.tolist() == [[0, 0, 32, 8, 20]]
+
+    def test_overlapping_instances(self):
+        self._check(Resized(Vector(300, 4, 8, DOUBLE), lb=0, extent=64), 4)
+
+    def test_count_zero(self):
+        ft = Vector(4, 1, 2, DOUBLE).commit().flattened
+        plan = PackPlan(ft, 0)
+        mem = np.zeros(64, dtype=np.uint8)
+        assert plan.segments.shape == (0, 5)
+        assert plan.seg_starts.tolist() == [0]
+        assert plan.groups_in_range(0, 0) == []
+        assert plan.execute_pack(mem, 0).nbytes == 0
+        plan.execute_unpack(mem, 0, 0, np.empty(0, dtype=np.uint8))
 
 
 class TestShrunkResizedPackOnly:

@@ -5,8 +5,8 @@ import pytest
 
 from repro._units import KiB, MiB
 from repro.cluster import Cluster
-from repro.mpi import ANY_SOURCE, ANY_TAG, MessageTruncated
-from repro.mpi.datatypes import BYTE, DOUBLE, INT, Struct, Vector
+from repro.mpi import ANY_SOURCE, ANY_TAG, MessageTruncated, MPIError
+from repro.mpi.datatypes import BYTE, DOUBLE, INT, Hvector, Resized, Struct, Vector
 from repro.mpi.pt2pt import NonContigMode, ProtocolConfig
 
 
@@ -128,6 +128,52 @@ class TestDataIntegrity:
 
         with pytest.raises(MessageTruncated):
             Cluster(n_nodes=2).run(program)
+
+
+class TestBufferExtent:
+    """``count`` instances of the datatype must fit the buffer: the check
+    is made once per message, before any byte moves."""
+
+    @staticmethod
+    def _exchange(datatype, count, nbytes, offset=0):
+        """Rank 0 sends, rank 1 receives ``count`` x ``datatype`` in an
+        ``nbytes`` buffer cut ``offset`` bytes into an allocation, with a
+        guard allocation behind it; returns rank 1's (guard, buffer)."""
+
+        def program(ctx):
+            comm = ctx.comm
+            buf = ctx.alloc(offset + nbytes).slice(offset, nbytes)
+            guard = ctx.alloc(256)
+            guard.fill(0xEE)
+            if comm.rank == 0:
+                buf.fill(0x11)
+                yield from comm.send(buf, dest=1, datatype=datatype, count=count)
+                return None
+            yield from comm.recv(buf, source=0, datatype=datatype, count=count)
+            return guard.tobytes(), buf.tobytes()
+
+        return Cluster(n_nodes=2).run(program).results[1]
+
+    def test_overrun_rejected(self):
+        vec = Vector(4, 1, 2, DOUBLE).commit()  # touches [0, 56), extent 56
+        with pytest.raises(MPIError, match=r"\[0, 168\) of a 120 B buffer"):
+            self._exchange(vec, 3, 120)
+
+    def test_negative_lb_underrun_rejected(self):
+        back = Hvector(3, 1, -16, DOUBLE).commit()  # touches [-32, 8)
+        assert back.lb == -32
+        with pytest.raises(MPIError, match=r"\[-32, 8\)"):
+            self._exchange(back, 1, 64, offset=64)
+
+    def test_exact_fit_with_trailing_gap_accepted(self):
+        """The last instance need not bring its trailing gap along: three
+        instances of extent 64 that each touch 56 bytes fit 184 bytes."""
+        padded = Resized(Vector(4, 1, 2, DOUBLE), 0, 64).commit()
+        guard, data = self._exchange(padded, 3, 2 * 64 + 56)
+        assert guard == bytes([0xEE]) * 256
+        assert data[-8:] == bytes([0x11]) * 8
+        with pytest.raises(MPIError):
+            self._exchange(padded, 3, 2 * 64 + 55)
 
 
 class TestNoncontiguous:
