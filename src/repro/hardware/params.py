@@ -23,7 +23,9 @@ Times are µs, sizes bytes, bandwidths B/µs (see :mod:`repro._units`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .._units import KiB, mib_s
 
@@ -214,6 +216,18 @@ class NodeParams:
     pci: PCIParams = field(default_factory=PCIParams)
     link: SCILinkParams = field(default_factory=SCILinkParams)
     adapter: SCIAdapterParams = field(default_factory=SCIAdapterParams)
+
+    @cached_property
+    def write_alignment(self) -> int:
+        """Modulus under which equal-geometry remote writes cost the same.
+
+        Store decomposition, WC-line flushes and stream-window gathering
+        see a target address only modulo these three widths, so cost
+        memos key on ``offset % write_alignment``, not on the offset.
+        """
+        return math.lcm(self.adapter.stream_txn_size,
+                        self.write_combine.line_size,
+                        self.write_combine.store_width)
 
     def with_link_mhz(self, mhz: float) -> "NodeParams":
         """The paper's software link-frequency switch (166 -> 200 MHz)."""

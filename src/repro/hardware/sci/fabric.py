@@ -21,6 +21,7 @@ from .flows import FlowNetwork
 from .topology import Route, Topology
 from .transactions import (
     AccessRun,
+    CostTable,
     dma_cost,
     remote_read_txns,
     remote_write_cost,
@@ -88,6 +89,8 @@ class SCIFabric:
         #: installed manager with no ACTIVE reservation — leave every
         #: duration untouched.
         self.qos = None
+        #: PIO write costs by (origin node, target alignment, run geometry).
+        self._write_costs = CostTable()
         self._ringlet_ids: dict = {}
         #: Dense ringlet id -> human-readable track name, for topologies
         #: that name their rings (the timeline exporter falls back to
@@ -211,9 +214,10 @@ class SCIFabric:
 
     def _trace_xfer(self, op: str, src: int, dst: int, nbytes: int,
                     start: float, route: Route) -> None:
-        self._trace("fabric.xfer", op=op, src=src, dst=dst, nbytes=nbytes,
-                    start=start, duration=self.engine.now - start,
-                    ringlet=self._ringlet_of(route))
+        if self.tracer is not None:
+            self._trace("fabric.xfer", op=op, src=src, dst=dst, nbytes=nbytes,
+                        start=start, duration=self.engine.now - start,
+                        ringlet=self._ringlet_of(route))
 
     def _draw_fault(self, src: int, dst: int, nbytes: int,
                     tearable: bool = False):
@@ -266,7 +270,8 @@ class SCIFabric:
         if src in self._failed_nodes:
             raise SCIConnectionError(f"origin node {src} is down")
         route = self.topology.route(src, dst)
-        broken = self._failed_segments.intersection(
+        # A healthy fabric (the empty set) builds nothing per call.
+        broken = self._failed_segments and self._failed_segments.intersection(
             route.data_segments + route.echo_segments
         )
         if broken:
@@ -301,7 +306,10 @@ class SCIFabric:
             raise ValueError("pio_write is for remote targets; use the memory model locally")
         route = self._check_route(src, dst)
         params = self.params_for(src)
-        cost = remote_write_cost(run, params, src_cached=src_cached)
+        cost = self._write_costs.lookup(
+            (src, run.base % params.write_alignment, run.size, run.stride,
+             run.count, src_cached),
+            lambda: remote_write_cost(run, params, src_cached=src_cached))
         duration = max(cost.cpu_time + cpu_extra, cost.pci_time, cost.sci_time, cost.src_read_time)
         duration += params.adapter.pio_op_overhead
         duration *= self._retry_factor()

@@ -5,7 +5,8 @@ as a *fluid flow* with a per-flow injection-rate cap (set by the PIO/DMA
 cost model) routed over a set of links (the topology's hashable link ids —
 ring segments, torus ringlet arcs, crossbar egress ports, fat-tree
 up/down cables alike).  Whenever a flow starts or finishes, every flow's
-rate is recomputed:
+rate is recomputed — at a cost proportional to the links of the active
+routes, not to the size of the fabric:
 
     rate_i = cap_i * min over links l on i's data route of frac(load_l)
 
@@ -37,11 +38,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ...sim.events import Event, Timeout
 from ..params import congestion_fraction
 from .topology import Route
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...sim import Engine, Event
+    from ...sim import Engine
 
 __all__ = ["Flow", "FlowNetwork", "fair_share"]
 
@@ -56,7 +58,7 @@ class Flow:
 
     __slots__ = ("flow_id", "route", "remaining", "rate_cap", "rate", "done", "version")
 
-    def __init__(self, flow_id: int, route: Route, nbytes: float, rate_cap: float, done: "Event"):
+    def __init__(self, flow_id: int, route: Route, nbytes: float, rate_cap: float, done: Event):
         self.flow_id = flow_id
         self.route = route
         self.remaining = float(nbytes)
@@ -89,6 +91,8 @@ class FlowNetwork:
         self.capacities = dict(capacities)
         self.echo_ratio = echo_ratio
         self.name = name
+        self._done_name = f"{name}:flow-done"
+        self._timer_name = f"{name}:flow-timer"
         self.response = response if response is not None else congestion_fraction
         self._flows: dict[int, Flow] = {}
         self._next_id = 0
@@ -100,19 +104,15 @@ class FlowNetwork:
     def active_flows(self) -> int:
         return len(self._flows)
 
-    def transfer(self, route: Route, nbytes: float, rate_cap: float) -> "Event":
+    def transfer(self, route: Route, nbytes: float, rate_cap: float) -> Event:
         """Start a flow; the returned event fires when all bytes are delivered."""
-        from ...sim import Event
-
-        done = Event(self.engine, name=f"{self.name}:flow-done")
-        if nbytes <= 0:
-            done.succeed()
-            return done
-        if rate_cap <= 0:
+        done = Event(self.engine, self._done_name)
+        if nbytes > 0 and rate_cap <= 0:
             raise ValueError(f"non-positive rate cap: {rate_cap}")
-        if not route.data_segments:
-            # Same-node "transfer": no ring involvement, instantaneous at
-            # this layer (the caller accounts for local-copy time).
+        if nbytes <= 0 or not route.data_segments:
+            # Nothing to move, or a same-node "transfer": no ring
+            # involvement, instantaneous at this layer (the caller
+            # accounts for local-copy time).
             done.succeed()
             return done
         for seg in route.data_segments + route.echo_segments:
@@ -127,19 +127,12 @@ class FlowNetwork:
 
     def link_demand(self) -> dict[object, float]:
         """Current demand (B/µs) per link, data + echo."""
-        demand: dict[object, float] = {seg: 0.0 for seg in self.capacities}
-        for flow in self._flows.values():
-            for seg in flow.route.data_segments:
-                demand[seg] += flow.rate_cap
-            for seg in flow.route.echo_segments:
-                demand[seg] += flow.rate_cap * self.echo_ratio
-        return demand
+        flows = ((f.route, f.rate_cap) for f in self._flows.values())
+        return {**dict.fromkeys(self.capacities, 0.0), **self._demand(flows)}
 
     def link_load(self) -> dict[object, float]:
         """Demand relative to capacity per link."""
-        return {
-            seg: d / self.capacities[seg] for seg, d in self.link_demand().items()
-        }
+        return {seg: d / self.capacities[seg] for seg, d in self.link_demand().items()}
 
     def link_peak(self) -> dict[object, float]:
         """Highest relative load each link has seen so far."""
@@ -153,26 +146,61 @@ class FlowNetwork:
     segment_demand = link_demand
     segment_load = link_load
 
+    # -- demand -> delivered fraction: the one copy of the sharing arithmetic --
+
+    def _demand(self, flows) -> dict[object, float]:
+        """Demand (B/µs) on each link that carries one of ``flows``.
+
+        ``flows`` yields ``(route, rate_cap)`` pairs.  Per link the terms
+        are added in flow order — the cap on a flow's data links, then
+        ``cap * echo_ratio`` on its echo links — so each sum is the float
+        an all-links table would hold; a link no flow touches is absent.
+        """
+        demand: dict[object, float] = {}
+        for route, cap in flows:
+            for seg in route.data_segments:
+                demand[seg] = demand.get(seg, 0.0) + cap
+            echo = cap * self.echo_ratio
+            for seg in route.echo_segments:
+                demand[seg] = demand.get(seg, 0.0) + echo
+        return demand
+
+    def _throttles(self, flows: list, record_peak: bool = True) -> list[float]:
+        """Delivered fraction of each of ``flows`` (``(route, rate_cap)`` pairs):
+        the congestion response of its most affected data link.
+
+        Costs O(links of the given routes).  An idle link has load 0.0 —
+        it raises no peak and nobody reads its fraction — and the response
+        is evaluated once per distinct load of a *data* link.
+        ``record_peak`` folds the loads into :meth:`link_peak`.
+        """
+        loads = self._demand(flows)
+        for seg, d in loads.items():
+            load = loads[seg] = d / self.capacities[seg]
+            if record_peak and load > self._peak_load[seg]:
+                self._peak_load[seg] = load
+        frac: dict[float, float] = {}  # by load: the links of a ring share it
+        throttles = []
+        for route, _ in flows:
+            worst = None
+            for seg in route.data_segments:
+                load = loads[seg]
+                f = frac.get(load)
+                if f is None:
+                    f = frac[load] = self.response(load)
+                if worst is None or f < worst:
+                    worst = f
+            throttles.append(worst)
+        return throttles
+
     # -- analytic replay (the closed-form fast path) ---------------------------
 
     def exclusive_rate(self, route: Route, rate_cap: float) -> float:
-        """Delivered rate of a single flow on an otherwise idle network.
-
-        Computes exactly what :meth:`_recompute` would for one flow —
-        demand is the flow's own cap on its data links (plus echo-ratio
-        demand on its echo links), throttled by the congestion response of
-        the most loaded data link — without touching any state.
-        """
-        demand: dict[object, float] = {}
-        for seg in route.data_segments:
-            demand[seg] = demand.get(seg, 0.0) + rate_cap
-        for seg in route.echo_segments:
-            demand[seg] = demand.get(seg, 0.0) + rate_cap * self.echo_ratio
-        frac = {
-            seg: self.response(d / self.capacities[seg])
-            for seg, d in demand.items()
-        }
-        return rate_cap * min(frac[s] for s in route.data_segments)
+        """Delivered rate of a single flow on an otherwise idle network:
+        exactly what :meth:`_recompute` computes for one flow, without
+        touching any state."""
+        return rate_cap * self._throttles([(route, rate_cap)],
+                                          record_peak=False)[0]
 
     def replay_exclusive(self, route: Route, nbytes: int, rate_cap: float,
                          start: float) -> float:
@@ -185,18 +213,7 @@ class FlowNetwork:
         The engine clock is *not* touched — the caller owns the window's
         clock sequence (see ``docs/ENGINE.md``).
         """
-        demand: dict[object, float] = {}
-        for seg in route.data_segments:
-            demand[seg] = demand.get(seg, 0.0) + rate_cap
-        for seg in route.echo_segments:
-            demand[seg] = demand.get(seg, 0.0) + rate_cap * self.echo_ratio
-        frac = {}
-        for seg, d in demand.items():
-            load = d / self.capacities[seg]
-            frac[seg] = self.response(load)
-            if load > self._peak_load[seg]:
-                self._peak_load[seg] = load
-        rate = rate_cap * min(frac[s] for s in route.data_segments)
+        rate = rate_cap * self._throttles([(route, rate_cap)])[0]
         remaining = float(nbytes)
         delay = remaining / rate
         end = start + delay
@@ -205,11 +222,10 @@ class FlowNetwork:
         elapsed = end - start
         delivered = min(remaining, rate * elapsed)
         remaining -= delivered
-        if delivered > 0:
-            for seg in route.data_segments:
+        for seg in route.data_segments:
+            if delivered > 0:
                 self._link_bytes[seg] += delivered
-        if remaining > 0:
-            for seg in route.data_segments:
+            if remaining > 0:
                 self._link_bytes[seg] += remaining
         self._next_id += 1
         self._last_update = end
@@ -228,16 +244,7 @@ class FlowNetwork:
         into each data link with one sequential ``np.add.accumulate``
         pass, bit-identical to the event-stepped per-flow adds.
         """
-        rate = self.exclusive_rate(route, rate_cap)
-        demand: dict[object, float] = {}
-        for seg in route.data_segments:
-            demand[seg] = demand.get(seg, 0.0) + rate_cap
-        for seg in route.echo_segments:
-            demand[seg] = demand.get(seg, 0.0) + rate_cap * self.echo_ratio
-        for seg, d in demand.items():
-            load = d / self.capacities[seg]
-            if load > self._peak_load[seg]:
-                self._peak_load[seg] = load
+        rate = rate_cap * self._throttles([(route, rate_cap)])[0]
         total = float(nbytes)
         elapsed = np.asarray(t2, dtype=np.float64) - np.asarray(t1, dtype=np.float64)
         delivered = np.minimum(total, rate * elapsed)
@@ -271,29 +278,21 @@ class FlowNetwork:
         self._last_update = self.engine.now
 
     def _recompute(self) -> None:
-        """Recompute every flow's rate and (re)schedule completions."""
-        demand = self.link_demand()
-        frac = {
-            seg: self.response(d / self.capacities[seg])
-            for seg, d in demand.items()
-        }
-        for seg, d in demand.items():
-            load = d / self.capacities[seg]
-            if load > self._peak_load[seg]:
-                self._peak_load[seg] = load
-        for flow in self._flows.values():
-            throttle = min(frac[s] for s in flow.route.data_segments)
+        """Recompute every flow's rate and (re)schedule every completion:
+        a flow's finish is the float ``now + remaining / rate``, so it is
+        re-timed whether or not its rate changed."""
+        flows = list(self._flows.values())
+        throttles = self._throttles([(f.route, f.rate_cap) for f in flows])
+        for flow, throttle in zip(flows, throttles):
             flow.rate = flow.rate_cap * throttle
             flow.version += 1
-            self._schedule_completion(flow)
+            # The timer's value names the rate epoch of the flow it ends.
+            timer = Timeout(self.engine, flow.remaining / flow.rate,
+                            (flow, flow.version), self._timer_name)
+            timer.callbacks.append(self._on_timer)
 
-    def _schedule_completion(self, flow: Flow) -> None:
-        delay = flow.remaining / flow.rate
-        version = flow.version
-        timer = self.engine.timeout(delay, name=f"{self.name}:flow-{flow.flow_id}")
-        timer.callbacks.append(lambda _ev, f=flow, v=version: self._on_timer(f, v))
-
-    def _on_timer(self, flow: Flow, version: int) -> None:
+    def _on_timer(self, timer: Timeout) -> None:
+        flow, version = timer._value
         if flow.version != version or flow.flow_id not in self._flows:
             return  # stale timer from before a rate change
         self._advance()

@@ -75,11 +75,15 @@ class Topology:
     """The common protocol every fabric topology implements.
 
     Subclasses must provide ``n_nodes``, :meth:`segments` and
-    :meth:`route`; everything else has a single-ring default so a
-    minimal topology is still a complete one.
+    :meth:`_compute_route`; everything else has a single-ring default.
+    A topology is immutable once built — :meth:`route` relies on it.
     """
 
     n_nodes: int
+
+    def __init__(self) -> None:
+        #: Routes resolved so far, by ``(src, dst)`` (used pairs only).
+        self._routes: dict[tuple[int, int], Route] = {}
 
     # -- routing (required) ----------------------------------------------------
 
@@ -88,7 +92,16 @@ class Topology:
         raise NotImplementedError
 
     def route(self, src: int, dst: int) -> Route:
-        """Data and echo links of a transfer ``src -> dst``."""
+        """Data and echo links of a transfer ``src -> dst``, resolved once
+        (invalid endpoints raise on every call: a failure is not stored)."""
+        try:
+            return self._routes[src, dst]
+        except KeyError:
+            route = self._routes[src, dst] = self._compute_route(src, dst)
+            return route
+
+    def _compute_route(self, src: int, dst: int) -> Route:
+        """Validate the endpoints and build the route ``src -> dst``."""
         raise NotImplementedError
 
     def distance(self, src: int, dst: int) -> int:
@@ -170,6 +183,7 @@ class RingTopology(Topology):
     def __init__(self, n_nodes: int):
         if n_nodes < 1:
             raise ValueError(f"need at least 1 node, got {n_nodes}")
+        super().__init__()
         self.n_nodes = n_nodes
 
     def segments(self) -> list[int]:
@@ -181,7 +195,7 @@ class RingTopology(Topology):
         self._check(dst)
         return (dst - src) % self.n_nodes
 
-    def route(self, src: int, dst: int) -> Route:
+    def _compute_route(self, src: int, dst: int) -> Route:
         self._check(src)
         self._check(dst)
         if src == dst:
@@ -209,6 +223,7 @@ class TorusTopology(Topology):
     def __init__(self, dims: tuple[int, ...]):
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid torus dims: {dims}")
+        super().__init__()
         self.dims = tuple(dims)
         self.n_nodes = 1
         for d in self.dims:
@@ -250,7 +265,7 @@ class TorusTopology(Topology):
         cs, cd = self.coords(src), self.coords(dst)
         return sum((cd[i] - cs[i]) % self.dims[i] for i in range(len(self.dims)))
 
-    def route(self, src: int, dst: int) -> Route:
+    def _compute_route(self, src: int, dst: int) -> Route:
         cs, cd = self.coords(src), self.coords(dst)
         data: list[tuple] = []
         echo: list[tuple] = []
@@ -316,6 +331,7 @@ class RingOfRings(Topology):
             )
         if switch_capacity <= 0:
             raise ValueError(f"non-positive switch capacity: {switch_capacity}")
+        super().__init__()
         self.n_ringlets = n_ringlets
         self.ringlet_size = ringlet_size
         self.switch_capacity = switch_capacity
@@ -340,7 +356,7 @@ class RingOfRings(Topology):
             out.extend(("x", r) for r in range(self.n_ringlets))
         return out
 
-    def route(self, src: int, dst: int) -> Route:
+    def _compute_route(self, src: int, dst: int) -> Route:
         self._check(src)
         self._check(dst)
         if src == dst:
@@ -415,6 +431,7 @@ class FatTree(Topology):
             raise ValueError(
                 f"need >= 1 leaf of >= 1 host, got {n_leaves} x {arity}"
             )
+        super().__init__()
         self.n_leaves = n_leaves
         self.arity = arity
         self.fat_factor = float(fat_factor if fat_factor is not None else arity)
@@ -436,7 +453,7 @@ class FatTree(Topology):
                 out.append(("l", s, "dn"))
         return out
 
-    def route(self, src: int, dst: int) -> Route:
+    def _compute_route(self, src: int, dst: int) -> Route:
         self._check(src)
         self._check(dst)
         if src == dst:

@@ -85,7 +85,7 @@ class OSCEngine:
     def handle(self, msg: Any):
         if isinstance(msg, OSCNotice):
             win = self.windows[msg.win_id]
-            win.notice_channel(self.device.rank, msg.kind, msg.source).put(True)
+            win.notice_channel(self.device.rank, msg.kind, msg.source).try_put(True)
             return None
         if isinstance(msg, (OSCPut, OSCGet, OSCAccumulate)):
             return self._serve(msg)
@@ -279,9 +279,11 @@ class Win:
                 f"{part.nbytes} B at world rank {part.world_rank}"
             )
 
-    def _check_layout(self, part: WinPart, disp: int, nbytes: int, run,
-                      target_datatype: Optional[Datatype]) -> None:
-        """Bounds-check the target footprint (strided run or full span)."""
+    def _check_layout(self, part: WinPart, disp: int, run,
+                      target_datatype: Optional[Datatype],
+                      target_count: int) -> None:
+        """Bounds-check the target footprint: the strided run, or the byte
+        interval all ``target_count`` instances of the layout touch."""
         if run is not None:
             end = (
                 run.base + (run.count - 1) * run.stride + run.size
@@ -289,8 +291,8 @@ class Win:
             )
             self._check(part, run.base, max(0, end - run.base))
         else:
-            span_lo, span_hi = target_datatype.flattened.span()
-            self._check(part, disp + span_lo, span_hi - span_lo)
+            low, high = get_plan(target_datatype.flattened, target_count).bounds
+            self._check(part, disp + low, high - low)
 
     @staticmethod
     def _as_bytes(data) -> np.ndarray:
@@ -314,7 +316,7 @@ class Win:
         yield self.engine.timeout(self.config.osc_call_overhead)
 
         run = resolve_target_run(target_disp, n, target_datatype, target_count)
-        self._check_layout(part, target_disp, n, run, target_datatype)
+        self._check_layout(part, target_disp, run, target_datatype, target_count)
 
         if wtarget == self.world_rank:
             # Local window: a plain store.
@@ -375,7 +377,7 @@ class Win:
                       target_datatype, target_count, run):
         n = payload.nbytes
         device = self.device
-        ack = Event(self.engine, name=f"osc-put-ack-w{self.world_rank}")
+        ack = Event(self.engine, "osc-put-ack")
         msg = OSCPut(self.state.win_id, self.world_rank, target_disp, payload, ack)
         if target_datatype is not None and (run is None or run.stride != run.size):
             # The handler scatters into the non-contiguous target layout.
@@ -403,6 +405,7 @@ class Win:
         yield self.engine.timeout(self.config.osc_call_overhead)
         run = resolve_target_run(target_disp, nbytes, target_datatype,
                                  target_count)
+        self._check_layout(part, target_disp, run, target_datatype, target_count)
 
         if wtarget == self.world_rank:
             yield self.engine.timeout(self.device.node.memory.copy_cost(nbytes).duration)
@@ -456,7 +459,7 @@ class Win:
         device = self.device
 
         def make_request(disp, n):
-            done = Event(self.engine, name=f"osc-get-done-w{self.world_rank}")
+            done = Event(self.engine, "osc-get-done")
             msg = OSCGet(self.state.win_id, self.world_rank, disp, n, 0, done)
             yield from self.store.request_emulated(wtarget, msg)
             return done
@@ -500,8 +503,8 @@ class Win:
                     f"origin data of {n} B does not match target type of "
                     f"{plan.total} B"
                 )
-            span_lo, span_hi = target_datatype.flattened.span()
-            self._check(part, target_disp + span_lo, span_hi - span_lo)
+            low, high = plan.bounds
+            self._check(part, target_disp + low, high - low)
         else:
             self._check(part, target_disp, n)
         self.device._trace("osc.acc.begin", target=wtarget, nbytes=n, op=op)
@@ -542,7 +545,7 @@ class Win:
             self.counters["accumulates"] += 1
             self.device._trace("osc.acc.end", target=wtarget, strategy="local")
             return fetched if fetch else None
-        ack = Event(self.engine, name=f"osc-acc-ack-w{self.world_rank}")
+        ack = Event(self.engine, "osc-acc-ack")
         msg = OSCAccumulate(self.state.win_id, self.world_rank, target_disp,
                             payload, op, basic.np_dtype, ack, plan=plan)
         yield from self.store.ship_emulated(

@@ -174,7 +174,7 @@ class RankDevice:
                 )
         yield self.engine.timeout(self._ctrl_cost(dst))
         target = to_channel if to_channel is not None else self.world.device(dst).service
-        target.put(msg)
+        target.try_put(msg)  # unbounded channel, nobody waits: no heap event
 
     def _eager_pool(self, dst: int) -> tuple[Resource, list[int]]:
         if dst not in self._eager_credits:

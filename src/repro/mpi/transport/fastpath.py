@@ -6,11 +6,11 @@ cache state) — yet a steady-state rendezvous stream recomputes it for
 every handshake cycle.  This module provides the two fast paths that
 exploit that (see ``docs/ENGINE.md``):
 
-* :class:`CostTable` — a bounded LRU (mirroring
-  :class:`~repro.mpi.flatten.plan.PlanCache`) memoizing per-chunk
-  transaction costs.  Pure memoization: the cached value is the exact
-  float the cost function returns, so simulated time is unchanged by
-  construction.
+* :class:`~repro.hardware.sci.transactions.CostTable` — a bounded LRU
+  (mirroring :class:`~repro.mpi.flatten.plan.PlanCache`) memoizing
+  per-chunk transaction costs, one per rank.  Pure memoization: the
+  cached value is the exact float the cost function returns, so
+  simulated time is unchanged by construction.
 * :class:`StreamWindow` / :class:`RecvWindowCosts` — the message types of
   the *closed-form window*: when a rendezvous chunk stream is in steady
   state on an otherwise idle engine, the sender replays the whole
@@ -28,12 +28,13 @@ engine.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ...hardware.sci.transactions import CostTable
 
 __all__ = [
     "CostTable",
@@ -41,7 +42,6 @@ __all__ = [
     "FastPathPolicy",
     "RecvWindowCosts",
     "StreamWindow",
-    "cost_table_stats",
     "fastpath_disabled",
     "fastpath_enabled",
     "set_fastpath_enabled",
@@ -69,55 +69,6 @@ class FastPathPolicy:
 
 
 DEFAULT_FASTPATH = FastPathPolicy()
-
-
-class CostTable:
-    """Bounded LRU of per-chunk transaction costs keyed by geometry.
-
-    Keys are hashable tuples built by the scheduler —
-    ``(kind, alignment, block groups, src_cached)`` — and values are the
-    exact floats the pure cost functions return, so a hit is
-    indistinguishable from a recomputation.
-    """
-
-    def __init__(self, maxsize: int = 512):
-        if maxsize < 1:
-            raise ValueError(f"cost table maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._costs: "OrderedDict[tuple, float]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._costs)
-
-    def lookup(self, key: tuple, compute: Callable[[], float]) -> float:
-        value = self._costs.get(key)
-        if value is not None:
-            self._costs.move_to_end(key)
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = compute()
-        self._costs[key] = value
-        while len(self._costs) > self.maxsize:
-            self._costs.popitem(last=False)
-            self.evictions += 1
-        return value
-
-    def clear(self) -> None:
-        self._costs.clear()
-        self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._costs),
-            "maxsize": self.maxsize,
-        }
 
 
 @dataclass
@@ -189,14 +140,3 @@ def fastpath_disabled():
         yield
     finally:
         set_fastpath_enabled(previous)
-
-
-def cost_table_stats(tables) -> dict[str, int]:
-    """Aggregated hit/miss/eviction counters over ``tables``."""
-    out = {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
-    for table in tables:
-        stats = table.stats()
-        for key in out:
-            out[key] += stats[key]
-    out["enabled"] = int(_enabled)
-    return out

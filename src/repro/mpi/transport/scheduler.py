@@ -110,18 +110,20 @@ class TransferScheduler:
     def chunk_write_duration(self, mode: str, offset: int, nbytes: int,
                              groups: list[tuple[int, int]],
                              src_cached: bool) -> float:
-        """Stand-alone duration of one remote chunk write (memoized)."""
+        """Stand-alone duration of one remote chunk write, memoized by the
+        offset's *alignment* (all the cost sees of it), not the offset."""
         device = self.device
         params = device.node.params
+        align = offset % params.write_alignment
         if mode == TransferMode.DIRECT:
             return self._costed(
-                ("direct", offset, tuple(groups), src_cached),
+                ("direct", align, tuple(groups), src_cached),
                 lambda: direct_remote_chunk_duration(
                     params, device.node.memory, offset, groups,
                     device.config, src_cached),
             )
         return self._costed(
-            ("contig", offset, nbytes, src_cached),
+            ("contig", align, nbytes, src_cached),
             lambda: contiguous_remote_chunk_duration(
                 params, offset, nbytes, src_cached),
         )
@@ -481,7 +483,7 @@ class TransferScheduler:
         self.fastpath["windows"] += 1
         self.fastpath["window_chunks"] += k
 
-        ack.chunk_channel.put(
+        ack.chunk_channel.try_put(
             StreamWindow(index, pos, k, n, payload, end))
         yield engine.wake_at(end, name="stream-window")
         return pos + k * n, index + k

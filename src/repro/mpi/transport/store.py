@@ -208,7 +208,7 @@ class RemoteStore:
             )
         device._trace("store.emulated", target=wtarget, nbytes=nbytes,
                       message=type(msg).__name__)
-        device.world.device(wtarget).service.put(msg)
+        device.world.device(wtarget).service.try_put(msg)
 
     def request_emulated(self, wtarget: int, msg: Any):
         """Send a payload-free emulated request (control packet + interrupt)."""

@@ -27,6 +27,9 @@ class Channel:
         self.engine = engine
         self.capacity = capacity
         self.name = name
+        # Labels for repr/Deadlock, formatted per channel, never per event.
+        self._get_name = f"{name}:get"
+        self._put_name = f"{name}:put"
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
         self._putters: deque[tuple[Event, Any]] = deque()
@@ -40,8 +43,10 @@ class Channel:
         return len(self._getters)
 
     def put(self, item: Any) -> Event:
-        """Enqueue ``item``; yields immediately unless the channel is full."""
-        ev = Event(self.engine, name=f"{self.name}:put")
+        """Enqueue ``item``; yields immediately unless the channel is full.
+        The confirmation is a heap event: fire-and-forget callers use
+        :meth:`try_put`."""
+        ev = Event(self.engine, self._put_name)
         if self.capacity is not None and len(self._items) >= self.capacity:
             self._putters.append((ev, item))
             return ev
@@ -58,7 +63,7 @@ class Channel:
 
     def get(self) -> Event:
         """Dequeue an item; the returned event's value is the item."""
-        ev = Event(self.engine, name=f"{self.name}:get")
+        ev = Event(self.engine, self._get_name)
         if self._items:
             ev.succeed(self._items.popleft())
             self._admit_putter()
@@ -108,6 +113,7 @@ class Broadcast:
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
         self.name = name
+        self._wait_name = f"{name}:wait"
         self._fired = False
         self._value: Any = None
         self._waiters: list[Event] = []
@@ -117,7 +123,7 @@ class Broadcast:
         return self._fired
 
     def wait(self) -> Event:
-        ev = Event(self.engine, name=f"{self.name}:wait")
+        ev = Event(self.engine, self._wait_name)
         if self._fired:
             ev.succeed(self._value)
         else:

@@ -48,7 +48,7 @@ class Engine:
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
         """Create an event that fires ``delay`` µs from now."""
-        return Timeout(self, delay, value=value, name=name)
+        return Timeout(self, delay, value, name)
 
     def process(self, generator: ProcessGenerator, name: str = "",
                 daemon: bool = False) -> Process:
@@ -107,10 +107,7 @@ class Engine:
         except ValueError:
             pass
 
-    # -- scheduling (internal API used by Event) ------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._queue, (self.now + delay, next(self._seq), event))
+    # -- process bookkeeping (internal API used by Process) -------------------
 
     def _register_process(self, process: Process) -> None:
         self._live_processes.add(process)
@@ -136,8 +133,8 @@ class Engine:
         This is the engagement guard of the analytic fast paths: it holds
         when there are no time hooks and every queued event is *inert* —
         already triggered, scheduled at exactly ``now``, with nobody
-        waiting on it (a :class:`~repro.sim.channel.Channel.put`
-        confirmation, typically).  Inert events pop without advancing
+        waiting on it (a bounded :class:`~repro.sim.channel.Channel`'s
+        ``put`` confirmation).  Inert events pop without advancing
         time or running callbacks, so the window replay cannot be
         perturbed by (or perturb) them.
         """
@@ -163,28 +160,39 @@ class Engine:
         self.events_coalesced += arr.size
         return times
 
+    def _dispatch(self, until: Optional[float] = None,
+                  single: bool = False) -> None:
+        """Fire queued events in (time, trigger) order — the one dispatch
+        body: until the queue drains, up to the first event at or past
+        ``until``, or for one event when ``single``."""
+        queue = self._queue
+        hooks = self._time_hooks
+        pop = heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] >= until:
+                return
+            when, _, event = pop(queue)
+            if when > self.now:
+                self.now = when
+                if hooks:
+                    for hook in list(hooks):
+                        hook(when)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            self.events_processed += 1
+            if not event._ok and not event._defused:
+                # A failure nobody handled: surface it instead of silently
+                # dropping it (mirrors SimPy semantics).
+                raise event._value
+            if single:
+                return
+
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         if not self._queue:
             raise SimError("step() on an empty event queue")
-        when, _, event = heapq.heappop(self._queue)
-        if when < self.now:  # pragma: no cover - defensive; cannot happen
-            raise SimError(f"time went backwards: {when} < {self.now}")
-        advanced = when > self.now
-        self.now = when
-        if advanced and self._time_hooks:
-            for hook in list(self._time_hooks):
-                hook(when)
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-        self.events_processed += 1
-        if not event.ok and not event.defused:
-            # A failure nobody handled: surface it instead of silently
-            # dropping it (mirrors SimPy semantics).
-            exc = event.value
-            raise exc
+        self._dispatch(single=True)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run the simulation.
@@ -195,19 +203,17 @@ class Engine:
         reaches it (events at exactly ``until`` are *not* processed) and
         never raises Deadlock.  Returns the final simulated time.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"until={until} is in the past (now={self.now})")
-        while self._queue:
-            if until is not None and self._queue[0][0] >= until:
-                self.now = until
-                return self.now
-            self.step()
+        if until is not None:
+            if until < self.now:
+                raise ValueError(f"until={until} is in the past (now={self.now})")
+            self._dispatch(until)
+            self.now = until
+            return until
+        self._dispatch()
         stuck = [p for p in self._live_processes if not p.daemon]
-        if until is None and stuck:
+        if stuck:
             waiting = sorted(f"{p.name} (on {p.waiting_on!r})" for p in stuck)
             raise Deadlock(waiting)
-        if until is not None:
-            self.now = until
         return self.now
 
     def run_process(self, generator: ProcessGenerator, name: str = "") -> Any:

@@ -11,6 +11,7 @@ SCI/MPI simulation needs: ``succeed``/``fail``, timeouts, and ``AllOf`` /
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from .errors import EventAlreadyTriggered
@@ -88,7 +89,8 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.engine._schedule(self)
+        engine = self.engine
+        heappush(engine._queue, (engine.now, next(engine._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -99,7 +101,8 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.engine._schedule(self)
+        engine = self.engine
+        heappush(engine._queue, (engine.now, next(engine._seq), self))
         return self
 
     def __repr__(self) -> str:
@@ -118,11 +121,15 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None, name: str = ""):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(engine, name=name)
-        self.delay = delay
-        self._ok = True
+        # Born triggered — the hottest allocation: fill the slots, push, done.
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine._schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.name = name
+        self.delay = delay
+        heappush(engine._queue, (engine.now + delay, next(engine._seq), self))
 
 
 class Condition(Event):
@@ -145,7 +152,7 @@ class Condition(Event):
             self.succeed({})
             return
         for ev in self._events:
-            if ev.processed:
+            if ev.callbacks is None:
                 self._on_child(ev)
             else:
                 ev.callbacks.append(self._on_child)
@@ -153,14 +160,14 @@ class Condition(Event):
     def _collect(self) -> dict[Event, Any]:
         # Only *processed* children count: a Timeout is "triggered" from
         # creation (its value is known), but it has not happened yet.
-        return {ev: ev.value for ev in self._events if ev.processed and ev.ok}
+        return {ev: ev._value for ev in self._events if ev.callbacks is None and ev._ok}
 
     def _on_child(self, child: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not child.ok:
-            child.defuse()
-            self.fail(child.value)
+        if not child._ok:
+            child._defused = True
+            self.fail(child._value)
             return
         self._remaining -= 1
         if self._satisfied():

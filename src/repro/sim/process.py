@@ -45,7 +45,7 @@ class Process(Event):
         engine._register_process(self)
         # Kick the process off via an immediate initialisation event so that
         # the body only starts executing inside engine.run().
-        init = Event(engine, name=f"{self.name}:init")
+        init = Event(engine, "init")
         init.callbacks.append(self._resume)
         init.succeed()
 
@@ -62,23 +62,24 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the trigger event's outcome."""
         self._waiting_on = None
-        self.engine._active_process = self
+        engine = self.engine
+        engine._active_process = self
         try:
-            if trigger.ok:
-                target = self._generator.send(trigger.value)
+            if trigger._ok:
+                target = self._generator.send(trigger._value)
             else:
-                trigger.defuse()
-                target = self._generator.throw(trigger.value)
+                trigger._defused = True
+                target = self._generator.throw(trigger._value)
         except StopIteration as stop:
-            self.engine._unregister_process(self)
+            engine._unregister_process(self)
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.engine._unregister_process(self)
+            engine._unregister_process(self)
             self.fail(exc)
             return
         finally:
-            self.engine._active_process = None
+            engine._active_process = None
 
         if not isinstance(target, Event):
             err = InvalidYield(
@@ -86,22 +87,23 @@ class Process(Event):
                 "yield Event instances (did you forget 'yield from' on a "
                 "sub-generator?)"
             )
-            self.engine._unregister_process(self)
+            engine._unregister_process(self)
             self._generator.close()
             self.fail(err)
             return
 
         self._waiting_on = target
-        if target.processed:
-            # The event already ran its callbacks; resume promptly via a
-            # zero-delay bridge event to keep stepping uniform.
-            bridge = Event(self.engine, name=f"{self.name}:bridge")
-            bridge.callbacks.append(self._resume)
-            if target.ok:
-                bridge.succeed(target.value)
-            else:
-                target.defuse()
-                bridge.fail(target.value)
-                bridge.defuse()
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume)
+            return
+        # The event already ran its callbacks; resume promptly via a
+        # zero-delay bridge event to keep stepping uniform.
+        bridge = Event(engine, "bridge")
+        bridge.callbacks.append(self._resume)
+        if target._ok:
+            bridge.succeed(target._value)
         else:
-            target.callbacks.append(self._resume)
+            target._defused = True
+            bridge.fail(target._value)
+            bridge._defused = True

@@ -34,6 +34,7 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self.name = name
+        self._request_name = f"{name}:request"
         self._in_use = 0
         self._waiters: list[tuple[int, int, Event]] = []
         self._arrivals = 0
@@ -55,7 +56,7 @@ class Resource:
         arrival).  A free slot is always granted immediately regardless
         of priority — priorities reorder *waiting*, they never preempt.
         """
-        ev = Event(self.engine, name=f"{self.name}:request")
+        ev = Event(self.engine, self._request_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed()

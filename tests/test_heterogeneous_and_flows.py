@@ -1,13 +1,16 @@
 """Tests for heterogeneous node parameters and flow-network conservation."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._units import KiB, MiB
-from repro.hardware import DEFAULT_NODE, Node
+from repro.hardware import DEFAULT_NODE, Node, congestion_fraction
 from repro.hardware.sci import AccessRun, FlowNetwork, RingTopology, SCIFabric
+from repro.hardware.sci.flows import fair_share
 from repro.hardware.sci.segments import SegmentDirectory
+from repro.hardware.sci.topology import FatTree, RingOfRings, Route, TorusTopology
 from repro.sim import Engine
 
 
@@ -97,3 +100,130 @@ class TestFlowConservation:
 
         t1, t2 = run(1), run(2)
         assert t2 > 1.5 * t1
+
+
+class AllLinksNetwork(FlowNetwork):
+    """Brute-force reference: the sharing formula over *every* link.
+
+    One demand and one fraction entry per link of the fabric, idle or
+    not, rebuilt on every change — what ``FlowNetwork`` did before its
+    recompute walked only the links of active routes.  Everything else
+    (timers, byte accounting) is inherited, so the two networks can only
+    differ where the arithmetic does.
+    """
+
+    def _throttles(self, flows, record_peak=True):
+        demand = {seg: 0.0 for seg in self.capacities}
+        for route, cap in flows:
+            for seg in route.data_segments:
+                demand[seg] += cap
+            for seg in route.echo_segments:
+                demand[seg] += cap * self.echo_ratio
+        frac = {seg: self.response(d / self.capacities[seg])
+                for seg, d in demand.items()}
+        if record_peak:
+            for seg, d in demand.items():
+                load = d / self.capacities[seg]
+                if load > self._peak_load[seg]:
+                    self._peak_load[seg] = load
+        return [min(frac[s] for s in route.data_segments) for route, _ in flows]
+
+
+def _arrivals(rng, topology):
+    """1-12 overlapping flows: (start, src, dst, nbytes, rate_cap)."""
+    out = []
+    for _ in range(int(rng.integers(1, 13))):
+        src, dst = rng.choice(topology.n_nodes, size=2, replace=False)
+        out.append((
+            float(rng.choice([0.0, 0.0, 2.5, 7.0, 7.0, 30.0])),
+            int(src), int(dst),
+            float(rng.integers(1, 64) * 1024),
+            # Caps up to ~0.7 of a link: two or three sharing a link
+            # push it past the congestion knee and past capacity.
+            float(rng.choice([40.0, 120.8, 300.0, 450.0])),
+        ))
+    return out
+
+
+def _drive(network_cls, topology, response, arrivals):
+    eng = Engine()
+    capacities = {seg: topology.link_capacity(seg, 664.0)
+                  for seg in topology.segments()}
+    net = network_cls(eng, capacities, response=response)
+    log = []
+
+    def snapshot(tag):
+        log.append((tag, eng.now, [f.rate for f in net._flows.values()],
+                    net.link_demand(), net.link_load()))
+
+    def sender(i, start, src, dst, nbytes, cap):
+        yield eng.timeout(start)
+        done = net.transfer(topology.route(src, dst), nbytes, cap)
+        snapshot(("start", i))
+        yield done
+        snapshot(("done", i))
+
+    for i, arrival in enumerate(arrivals):
+        eng.process(sender(i, *arrival))
+    eng.run()
+    return log, net.link_peak(), net.link_bytes(), capacities
+
+
+class TestFlowOracle:
+    TOPOLOGIES = {
+        "ring": lambda: RingTopology(8),
+        "ring_of_rings": lambda: RingOfRings(3, 4),
+        "fat_tree": lambda: FatTree(3, 4, fat_factor=2.0),
+    }
+
+    @pytest.mark.parametrize("response", [congestion_fraction, fair_share])
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+    def test_active_route_recompute_matches_all_links_formula(self, kind, response):
+        contended = 0
+        for seed in range(25):
+            topology = self.TOPOLOGIES[kind]()
+            arrivals = _arrivals(np.random.default_rng([seed, len(kind)]), topology)
+            got = _drive(FlowNetwork, topology, response, arrivals)
+            want = _drive(AllLinksNetwork, topology, response, arrivals)
+            log, peaks, link_bytes, capacities = got
+            # Rates after every change, completion instants, per-link
+            # demand/load/peak/bytes: equal as floats, not approximately.
+            assert got == want, (kind, seed)
+            assert len(log) == 2 * len(arrivals)
+            for _tag, _now, _rates, demand, load in log:
+                assert demand.keys() == load.keys() == capacities.keys()
+            assert peaks.keys() == link_bytes.keys() == capacities.keys()
+            contended += max(peaks.values()) > 0.6
+        assert contended >= 5  # the sequences do reach the congested regime
+
+
+class TestRouteMemo:
+    TOPOLOGIES = [
+        lambda: RingTopology(6),
+        lambda: TorusTopology((3, 4)),
+        lambda: RingOfRings(3, 4),
+        lambda: FatTree(3, 4),
+    ]
+
+    @pytest.mark.parametrize("make", TOPOLOGIES)
+    def test_routes_are_resolved_once_and_stay_equal(self, make):
+        topology, fresh = make(), make()
+        n = topology.n_nodes
+        for src in range(n):
+            assert topology.route(src, src) == Route((), ())
+            for dst in range(n):
+                first = topology.route(src, dst)
+                assert topology.route(src, dst) is first
+                # A memo hit is what a topology that never saw the pair computes.
+                assert first == fresh._compute_route(src, dst)
+                assert topology.distance(src, dst) == first.hops
+
+    @pytest.mark.parametrize("make", TOPOLOGIES)
+    def test_invalid_endpoints_raise_on_every_call(self, make):
+        topology = make()
+        n = topology.n_nodes
+        for src, dst in [(-1, 0), (0, n), (n, n), (0, -1)]:
+            for _ in range(2):  # a failure is never stored
+                with pytest.raises(ValueError):
+                    topology.route(src, dst)
+        assert topology.route(0, n - 1).hops > 0

@@ -293,6 +293,37 @@ class TestFabricOps:
         assert fabric.counters["bytes_read"] == 64
         assert fabric.counters["barriers"] == 1
 
+    @pytest.mark.parametrize("write_combining", [True, False])
+    def test_pio_write_cost_memo_equals_uncached(self, write_combining):
+        """The fabric memoises write costs by target alignment; what it
+        returns (and charges) is the uncached cost at the absolute base."""
+        from repro.hardware.sci.transactions import remote_write_cost
+
+        slow = DEFAULT_NODE.with_write_combining(write_combining)
+        eng = Engine()
+        fabric = SCIFabric(eng, RingTopology(4), per_node_params={1: slow})
+        rng = np.random.default_rng(9)
+        runs = [
+            AccessRun(base=int(rng.choice([0, 4, 24, 61])) + 64 * int(rng.integers(0, 512)),
+                      size=int(rng.choice([8, 100])),
+                      stride=int(rng.choice([256, 264])),
+                      count=int(rng.integers(1, 3)))
+            for _ in range(400)
+        ]
+
+        def body():
+            for i, run in enumerate(runs):
+                src, cached = i % 2, bool(i % 3)
+                t0 = eng.now
+                cost = yield from fabric.pio_write(src, 2, run, src_cached=cached)
+                fresh = remote_write_cost(run, fabric.params_for(src), src_cached=cached)
+                assert cost == fresh
+                assert eng.now - t0 >= fresh.duration
+
+        eng.run_process(body())
+        stats = fabric._write_costs.stats()
+        assert stats["hits"] > stats["misses"]
+
 
 class TestScatterGather:
     def test_scatter_then_gather_roundtrip(self):

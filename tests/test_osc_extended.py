@@ -5,7 +5,7 @@ import pytest
 
 from repro._units import KiB
 from repro.cluster import Cluster
-from repro.mpi.datatypes import DOUBLE, LONG
+from repro.mpi.datatypes import DOUBLE, LONG, Hindexed, Indexed, Resized
 from repro.mpi.errors import RMAError
 from repro.mpi.pt2pt import ProtocolConfig
 
@@ -238,3 +238,77 @@ class TestSelfCommunication:
 
         run = Cluster(n_nodes=1).run(program)
         assert run.results[0] == (1.5, 3.5)
+
+
+class TestLayoutBounds:
+    """Every instance of a typed target layout must lie inside the part.
+
+    The interval checked is the one ``target_count`` instances touch, not
+    the span of a single instance: two doubles 16 B apart have a 24 B
+    extent, so three of them touch [0, 72).  Shared windows take the
+    direct path where the layout is one strided run, private ones the
+    emulated path; layouts without a run are emulated either way.
+    """
+
+    GAPPED = staticmethod(lambda: Indexed([1, 1], [0, 2], DOUBLE).commit())
+    STRIDED = staticmethod(lambda: Resized(DOUBLE, 0, 16).commit())
+    #: Block one double *before* the displacement, one after: lb = -8.
+    NEGATIVE_LB = staticmethod(lambda: Hindexed([1, 1], [-8, 8], DOUBLE).commit())
+
+    @staticmethod
+    def _run(winbytes, shared, op, make_type, count, disp):
+        def program(ctx):
+            comm = ctx.comm
+            win = yield from comm.win_create(winbytes, shared=shared)
+            win.local_view()[:] = 0
+            dtype = make_type()
+            nbytes = dtype.size * count
+            yield from win.fence()
+            if comm.rank == 0:
+                data = np.arange(1, nbytes // 8 + 1, dtype=np.float64)
+                if op == "put":
+                    yield from win.put(data, 1, disp, target_datatype=dtype,
+                                       target_count=count)
+                elif op == "get":
+                    yield from win.get(nbytes, 1, disp, target_datatype=dtype,
+                                       target_count=count)
+                else:
+                    yield from win.accumulate(data, 1, disp,
+                                              target_datatype=dtype,
+                                              target_count=count)
+            yield from win.fence()
+            return win.local_view().view(np.float64).tolist()
+
+        return Cluster(n_nodes=2).run(program)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("op", ["put", "get", "accumulate"])
+    def test_overrun_at_count_above_one(self, shared, op):
+        # One instance spans 24 B of the 64 B part; three reach byte 72.
+        with pytest.raises(RMAError, match=r"\[0, 72\) outside window part"):
+            self._run(64, shared, op, self.GAPPED, 3, 0)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("op", ["put", "get", "accumulate"])
+    def test_exact_fit_is_accepted(self, shared, op):
+        run = self._run(72, shared, op, self.GAPPED, 3, 0)
+        if op != "get":
+            assert run.results[1] == [1, 0, 2, 3, 0, 4, 5, 0, 6]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("op", ["put", "get", "accumulate"])
+    def test_negative_lower_bound_underruns(self, shared, op):
+        with pytest.raises(RMAError, match=r"\[-8, 40\) outside window part"):
+            self._run(64, shared, op, self.NEGATIVE_LB, 2, 0)
+        # Shifted by the lower bound the same access fits exactly.
+        run = self._run(48, shared, op, self.NEGATIVE_LB, 2, 8)
+        if op != "get":
+            assert run.results[1] == [1, 0, 2, 3, 0, 4]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_strided_run_overrun_and_fit(self, shared):
+        """One-run layouts (the direct path on shared windows)."""
+        with pytest.raises(RMAError, match=r"\[0, 40\) outside window part"):
+            self._run(32, shared, "put", self.STRIDED, 3, 0)
+        run = self._run(40, shared, "put", self.STRIDED, 3, 0)
+        assert run.results[1] == [1, 0, 2, 0, 3]

@@ -430,3 +430,141 @@ def test_determinism_same_trace_twice():
         return trace
 
     assert build() == build()
+
+
+class TestEngineContract:
+    """What the slim event core must keep: order, step/run parity,
+    diagnostics, and no heap event nobody can wait on."""
+
+    def test_same_instant_events_fire_in_trigger_order(self):
+        eng = Engine()
+        order = []
+
+        def mark(tag):
+            return lambda _ev: order.append(tag)
+
+        done = eng.event()
+        done.callbacks.append(mark("succeed-early"))
+        done.succeed()                      # processed before ``body`` starts
+        eng.timeout(0.0).callbacks.append(mark("timeout0"))
+        plain = eng.event()
+        plain.callbacks.append(mark("succeed"))
+        plain.succeed()
+        eng.wake_at(eng.now).callbacks.append(mark("wake_at"))
+
+        def body():
+            order.append("init")            # the process's init event
+            yield done                      # already processed: bridge event
+            order.append("bridge")
+
+        eng.process(body())
+        eng.timeout(0.0).callbacks.append(mark("timeout0-late"))
+        eng.run()
+        assert order == ["succeed-early", "timeout0", "succeed", "wake_at",
+                         "init", "timeout0-late", "bridge"]
+        assert eng.now == 0.0
+        assert eng.events_processed == 8    # the seven above + the process
+
+    @staticmethod
+    def _scenario(fail: bool):
+        eng = Engine()
+        chan = Channel(eng, name="pipe")
+        ticks = []
+        eng.add_time_hook(ticks.append)
+
+        def producer():
+            for i in range(4):
+                yield eng.timeout(1.25)
+                yield chan.put(i)
+            if fail:
+                eng.event().fail(RuntimeError("boom"))  # nobody handles it
+            yield eng.timeout(2.0)
+
+        def consumer():
+            for _ in range(4):
+                yield chan.get()
+                yield eng.timeout(0.0)
+
+        eng.process(producer())
+        eng.process(consumer())
+        return eng, ticks
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_step_and_run_agree(self, fail):
+        ran, ran_ticks = self._scenario(fail)
+        stepped, stepped_ticks = self._scenario(fail)
+        def step_all():
+            while stepped.pending_events:
+                stepped.step()
+
+        outcomes = []
+        for drive in (ran.run, step_all):
+            try:
+                drive()
+                outcomes.append(None)
+            except RuntimeError as error:
+                outcomes.append(str(error))
+        assert outcomes == (["boom", "boom"] if fail else [None, None])
+        assert stepped.events_processed == ran.events_processed
+        assert stepped_ticks == ran_ticks == [1.25, 2.5, 3.75, 5.0] + (
+            [] if fail else [7.0])
+        assert stepped.now == ran.now
+        assert stepped.pending_events == ran.pending_events
+
+    def test_deadlock_names_the_channel(self):
+        eng = Engine()
+        chan = Channel(eng, name="mailbox-7")
+
+        def stuck():
+            yield chan.get()
+
+        eng.process(stuck(), name="reader")
+        with pytest.raises(Deadlock, match=r"reader \(on <Event 'mailbox-7:get' pending>\)"):
+            eng.run()
+
+    def test_waiting_on_names_the_flow(self):
+        from repro.hardware.sci import FlowNetwork, RingTopology
+
+        eng = Engine()
+        ring = RingTopology(4)
+        net = FlowNetwork(eng, {seg: 100.0 for seg in ring.segments()}, name="ringlet")
+
+        def sender():
+            yield net.transfer(ring.route(0, 2), 1000.0, 10.0)
+
+        proc = eng.process(sender(), name="sender")
+        eng.run(until=1.0)
+        assert repr(proc.waiting_on) == "<Event 'ringlet:flow-done' pending>"
+        eng.run()
+        assert eng.now == 100.0
+
+    @pytest.mark.parametrize("shared, per_put", [(True, 4), (False, 10)])
+    def test_heap_events_per_put_are_fixed(self, shared, per_put):
+        """A remote 64 B put costs a fixed number of heap events.
+
+        Direct (shared window): call overhead, hop latency, flow timer,
+        flow completion.  Emulated (private window): the same four for the
+        payload, plus the interrupt, the service loop's wake-up and poll
+        latency, handler dispatch, the handler's copy and the
+        acknowledgement — and nothing for the fire-and-forget delivery
+        into the service queue.  A never-awaited event that creeps back
+        in changes these numbers.
+        """
+        import numpy as np
+
+        from repro.cluster import Cluster
+
+        def events(n_puts):
+            def program(ctx):
+                win = yield from ctx.comm.win_create(4096, shared=shared)
+                yield from win.fence()
+                if ctx.comm.rank == 0:
+                    for i in range(n_puts):
+                        yield from win.put(np.zeros(64, dtype=np.uint8), 1, 128 * i)
+                yield from win.fence()
+
+            cluster = Cluster(n_nodes=2)
+            cluster.run(program)
+            return cluster.engine.events_processed
+
+        assert events(5) - events(1) == 4 * per_put

@@ -15,8 +15,13 @@ import pytest
 from repro._units import KiB
 from repro.cluster import Cluster
 from repro.mpi.datatypes import DOUBLE, Vector
+from repro.hardware.params import DEFAULT_NODE
 from repro.mpi.errors import MPIError
 from repro.mpi.pt2pt import DEFAULT_PROTOCOL, NonContigMode
+from repro.mpi.pt2pt.costs import (
+    contiguous_remote_chunk_duration,
+    direct_remote_chunk_duration,
+)
 from repro.mpi.transport import (
     ChunkedCollectivesPolicy,
     OSCStrategy,
@@ -292,3 +297,61 @@ class TestGroupingStaysInTransport:
             "chunk-group computation leaked outside mpi/transport:\n"
             + "\n".join(offenders)
         )
+
+
+class TestCostTableKeys:
+    """Cost-table keys carry the target *alignment*, never the offset."""
+
+    @pytest.mark.parametrize("write_combining", [True, False])
+    def test_memoised_duration_equals_uncached_at_absolute_offset(
+            self, write_combining):
+        params = DEFAULT_NODE.with_write_combining(write_combining)
+        cluster = Cluster(n_nodes=2, node_params=params)
+        device = cluster.world.device(0)
+        scheduler = device.scheduler
+        rng = np.random.default_rng(20020415 + write_combining)
+        align = params.write_alignment
+        for _ in range(600):
+            # Few distinct (alignment, geometry) pairs, many offsets: most
+            # lookups reuse an entry computed at another absolute offset.
+            offset = (int(rng.choice([0, 4, 8, 20, 32, 61]))
+                      + align * int(rng.integers(0, 1024)))
+            src_cached = bool(rng.integers(0, 2))
+            if rng.integers(0, 2):
+                nbytes = int(rng.choice([8, 100, 4100]))
+                groups = [(nbytes, 1)]
+                expected = contiguous_remote_chunk_duration(
+                    params, offset, nbytes, src_cached)
+                mode = TransferMode.CONTIGUOUS
+            else:
+                groups = [(int(rng.choice([8, 256])), int(rng.integers(1, 3))),
+                          (512, int(rng.integers(0, 2)))]
+                nbytes = sum(length * count for length, count in groups)
+                expected = direct_remote_chunk_duration(
+                    params, device.node.memory, offset, groups,
+                    device.config, src_cached)
+                mode = TransferMode.DIRECT
+            got = scheduler.chunk_write_duration(mode, offset, nbytes, groups,
+                                                 src_cached)
+            assert got == expected, (mode, offset, groups, src_cached)
+        stats = scheduler.costs.stats()
+        assert stats["hits"] > stats["misses"]
+
+    def test_strided_put_sweep_reuses_one_entry_per_alignment(self):
+        access, window = 1 * KiB, 128 * KiB
+
+        def program(ctx):
+            win = yield from ctx.comm.win_create(window, shared=False)
+            data = np.zeros(access, dtype=np.uint8)
+            yield from win.fence()
+            for offset in range(0, window, 2 * access):
+                yield from win.put(data, 1 - ctx.comm.rank, offset)
+            yield from win.fence()
+
+        cluster = Cluster(n_nodes=2)
+        cluster.run(program)
+        counts = cluster.metrics.snapshot()
+        hits = counts["engine.fastpath_table_hits"]
+        misses = counts["engine.fastpath_table_misses"]
+        assert hits + misses == 2 * (window // (2 * access))
+        assert hits / (hits + misses) > 0.9
