@@ -4,9 +4,8 @@ Concurrent transfers share fabric links.  This module models each transfer
 as a *fluid flow* with a per-flow injection-rate cap (set by the PIO/DMA
 cost model) routed over a set of links (the topology's hashable link ids —
 ring segments, torus ringlet arcs, crossbar egress ports, fat-tree
-up/down cables alike).  Whenever a flow starts or finishes, every flow's
-rate is recomputed — at a cost proportional to the links of the active
-routes, not to the size of the fabric:
+up/down cables alike).  Whenever a flow starts or finishes, the rates of
+the flows it shares a link with change:
 
     rate_i = cap_i * min over links l on i's data route of frac(load_l)
 
@@ -25,16 +24,30 @@ added to link demand with a configurable ratio, reproducing the paper's
 observation that ring traffic rises with flow-control packets even when no
 data segment is shared.
 
-Besides the live rates, the network keeps passive per-link statistics —
-peak relative load and cumulative delivered bytes (:meth:`FlowNetwork.link_peak`,
-:meth:`FlowNetwork.link_bytes`) — which the fabric aggregates into the
-``fabric.link_*`` observability metrics.  The statistics are recorded on
-the side of the existing rate computation and never feed back into it.
+**What a change costs.**  Each link keeps its demand terms in flow order
+(a flow's data term, then its echo term), their float sum and the
+fraction delivered at that sum.  A *start* adds the new flow's terms to
+the links of its route (it is last in flow order, so ``sum += term`` is
+the float a sum from 0.0 gives); a *finish* drops the flow's terms and
+re-sums those links, and no others, from 0.0.  Fractions (the response is
+pure: one evaluation per distinct load), peaks and the rates of the flows
+on a changed link are refreshed.  One pass over the live flows remains: a
+finish is the float ``now + remaining / rate``, which moves with ``now``
+even at an unchanged rate, so every flow is re-timed.  Only the earliest
+finish can come before the next change re-times them all, so only it gets
+a timer: the first minimum in flow order, the ``(time, seq)`` entry the
+heap would pop first had every flow pushed one.  The timer it replaces is
+cancelled — the engine drops it without moving the clock to it, calling a
+time hook or counting it — so a finish computed for rates that no longer
+hold is never an instant of the simulation.
+
+Each link also carries passive statistics (:meth:`FlowNetwork.link_peak`,
+:meth:`FlowNetwork.link_bytes`) that feed ``fabric.link_*`` and never the rates.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -53,19 +66,35 @@ def fair_share(load: float) -> float:
     return 1.0 if load <= 1.0 else 1.0 / load
 
 
+class _Link:
+    """One link: demand ``terms`` in flow order with the ``users`` owning
+    them, their sum ``demand``, the ``frac`` delivered at demand ``rated``,
+    and the passive ``peak`` / ``bytes`` statistics."""
+
+    __slots__ = ("capacity", "users", "terms", "demand", "rated", "frac", "peak", "bytes")
+
+    def __init__(self, capacity: float):
+        self.capacity = capacity
+        self.users: list[Flow] = []
+        self.terms: list[float] = []
+        self.demand = self.peak = self.bytes = 0.0
+        self.rated, self.frac = -1.0, 1.0  # no demand rated yet
+
+
 class Flow:
-    """One in-flight transfer on the ring."""
+    """One in-flight transfer: its bytes cross ``data``, ``links`` adds the echo links."""
 
-    __slots__ = ("flow_id", "route", "remaining", "rate_cap", "rate", "done", "version")
+    __slots__ = ("flow_id", "data", "links", "remaining", "rate_cap", "rate", "done")
 
-    def __init__(self, flow_id: int, route: Route, nbytes: float, rate_cap: float, done: Event):
+    def __init__(self, flow_id: int, data: tuple, links: tuple, nbytes: float,
+                 rate_cap: float, done: Event):
         self.flow_id = flow_id
-        self.route = route
+        self.data = data
+        self.links = links
         self.remaining = float(nbytes)
         self.rate_cap = rate_cap
         self.rate = rate_cap
         self.done = done
-        self.version = 0
 
 
 class FlowNetwork:
@@ -97,8 +126,11 @@ class FlowNetwork:
         self._flows: dict[int, Flow] = {}
         self._next_id = 0
         self._last_update = engine.now
-        self._peak_load: dict[object, float] = {seg: 0.0 for seg in capacities}
-        self._link_bytes: dict[object, float] = {seg: 0.0 for seg in capacities}
+        self._links = {seg: _Link(c) for seg, c in self.capacities.items()}
+        #: ``id(route)`` -> (data links, echo links, both, the route kept alive).
+        self._routes: dict[int, tuple] = {}
+        self._fracs: dict[float, float] = {}  # load -> response(load)
+        self._timer: Optional[Timeout] = None  # the one scheduled completion
 
     @property
     def active_flows(self) -> int:
@@ -115,32 +147,38 @@ class FlowNetwork:
             # accounts for local-copy time).
             done.succeed()
             return done
-        for seg in route.data_segments + route.echo_segments:
-            if seg not in self.capacities:
-                raise KeyError(f"unknown segment {seg!r}")
-        flow = Flow(self._next_id, route, nbytes, rate_cap, done)
+        data, echo, links, _ = self._resolve(route)
+        flow = Flow(self._next_id, data, links, nbytes, rate_cap, done)
         self._next_id += 1
         self._advance()
         self._flows[flow.flow_id] = flow
-        self._recompute()
+        for link in data:
+            link.users.append(flow)
+            link.terms.append(rate_cap)
+            link.demand += rate_cap
+        echo_term = rate_cap * self.echo_ratio
+        for link in echo:
+            link.users.append(flow)
+            link.terms.append(echo_term)
+            link.demand += echo_term
+        self._retime(links, flow)
         return done
 
     def link_demand(self) -> dict[object, float]:
         """Current demand (B/µs) per link, data + echo."""
-        flows = ((f.route, f.rate_cap) for f in self._flows.values())
-        return {**dict.fromkeys(self.capacities, 0.0), **self._demand(flows)}
+        return {seg: link.demand for seg, link in self._links.items()}
 
     def link_load(self) -> dict[object, float]:
         """Demand relative to capacity per link."""
-        return {seg: d / self.capacities[seg] for seg, d in self.link_demand().items()}
+        return {seg: link.demand / link.capacity for seg, link in self._links.items()}
 
     def link_peak(self) -> dict[object, float]:
         """Highest relative load each link has seen so far."""
-        return dict(self._peak_load)
+        return {seg: link.peak for seg, link in self._links.items()}
 
     def link_bytes(self) -> dict[object, float]:
         """Cumulative data bytes delivered across each link so far."""
-        return dict(self._link_bytes)
+        return {seg: link.bytes for seg, link in self._links.items()}
 
     # Historical names from the single-ring era.
     segment_demand = link_demand
@@ -148,59 +186,52 @@ class FlowNetwork:
 
     # -- demand -> delivered fraction: the one copy of the sharing arithmetic --
 
-    def _demand(self, flows) -> dict[object, float]:
-        """Demand (B/µs) on each link that carries one of ``flows``.
+    def _resolve(self, route: Route) -> tuple:
+        """``(data, echo, data + echo, route)`` link records of ``route``,
+        looked up (and its link ids validated) once per route object."""
+        entry = self._routes.get(id(route))
+        if entry is None:
+            try:
+                data = tuple(self._links[seg] for seg in route.data_segments)
+                echo = tuple(self._links[seg] for seg in route.echo_segments)
+            except KeyError as exc:
+                raise KeyError(f"unknown segment {exc.args[0]!r}") from None
+            entry = self._routes[id(route)] = (data, echo, data + echo, route)
+        return entry
 
-        ``flows`` yields ``(route, rate_cap)`` pairs.  Per link the terms
-        are added in flow order — the cap on a flow's data links, then
-        ``cap * echo_ratio`` on its echo links — so each sum is the float
-        an all-links table would hold; a link no flow touches is absent.
-        """
-        demand: dict[object, float] = {}
-        for route, cap in flows:
-            for seg in route.data_segments:
-                demand[seg] = demand.get(seg, 0.0) + cap
-            echo = cap * self.echo_ratio
-            for seg in route.echo_segments:
-                demand[seg] = demand.get(seg, 0.0) + echo
-        return demand
+    def _fraction(self, link: _Link, demand: float, record_peak: bool = True) -> float:
+        """Delivered fraction of ``link`` at ``demand`` B/µs; ``record_peak``
+        folds the load into :meth:`link_peak`."""
+        load = demand / link.capacity
+        if record_peak and load > link.peak:
+            link.peak = load
+        frac = self._fracs.get(load)
+        if frac is None:
+            if len(self._fracs) >= 4096:  # bound the memo; entries are recomputable
+                self._fracs.clear()
+            frac = self._fracs[load] = self.response(load)
+        return frac
 
-    def _throttles(self, flows: list, record_peak: bool = True) -> list[float]:
-        """Delivered fraction of each of ``flows`` (``(route, rate_cap)`` pairs):
-        the congestion response of its most affected data link.
-
-        Costs O(links of the given routes).  An idle link has load 0.0 —
-        it raises no peak and nobody reads its fraction — and the response
-        is evaluated once per distinct load of a *data* link.
-        ``record_peak`` folds the loads into :meth:`link_peak`.
-        """
-        loads = self._demand(flows)
-        for seg, d in loads.items():
-            load = loads[seg] = d / self.capacities[seg]
-            if record_peak and load > self._peak_load[seg]:
-                self._peak_load[seg] = load
-        frac: dict[float, float] = {}  # by load: the links of a ring share it
-        throttles = []
-        for route, _ in flows:
-            worst = None
-            for seg in route.data_segments:
-                load = loads[seg]
-                f = frac.get(load)
-                if f is None:
-                    f = frac[load] = self.response(load)
-                if worst is None or f < worst:
-                    worst = f
-            throttles.append(worst)
-        return throttles
+    def _alone(self, route: Route, rate_cap: float, record_peak: bool = True) -> float:
+        """Delivered fraction of one flow that has the network to itself:
+        the congestion response of its most affected data link."""
+        data, echo, _, _ = self._resolve(route)
+        demand: dict[_Link, float] = {}
+        for link in data:
+            demand[link] = demand.get(link, 0.0) + rate_cap
+        echo_term = rate_cap * self.echo_ratio
+        for link in echo:
+            demand[link] = demand.get(link, 0.0) + echo_term
+        frac = {link: self._fraction(link, d, record_peak) for link, d in demand.items()}
+        return min(frac[link] for link in data)
 
     # -- analytic replay (the closed-form fast path) ---------------------------
 
     def exclusive_rate(self, route: Route, rate_cap: float) -> float:
         """Delivered rate of a single flow on an otherwise idle network:
-        exactly what :meth:`_recompute` computes for one flow, without
+        exactly what :meth:`transfer` computes for one flow, without
         touching any state."""
-        return rate_cap * self._throttles([(route, rate_cap)],
-                                          record_peak=False)[0]
+        return rate_cap * self._alone(route, rate_cap, record_peak=False)
 
     def replay_exclusive(self, route: Route, nbytes: int, rate_cap: float,
                          start: float) -> float:
@@ -213,7 +244,7 @@ class FlowNetwork:
         The engine clock is *not* touched — the caller owns the window's
         clock sequence (see ``docs/ENGINE.md``).
         """
-        rate = rate_cap * self._throttles([(route, rate_cap)])[0]
+        rate = rate_cap * self._alone(route, rate_cap)
         remaining = float(nbytes)
         delay = remaining / rate
         end = start + delay
@@ -222,11 +253,11 @@ class FlowNetwork:
         elapsed = end - start
         delivered = min(remaining, rate * elapsed)
         remaining -= delivered
-        for seg in route.data_segments:
+        for link in self._resolve(route)[0]:
             if delivered > 0:
-                self._link_bytes[seg] += delivered
+                link.bytes += delivered
             if remaining > 0:
-                self._link_bytes[seg] += remaining
+                link.bytes += remaining
         self._next_id += 1
         self._last_update = end
         return end
@@ -244,7 +275,7 @@ class FlowNetwork:
         into each data link with one sequential ``np.add.accumulate``
         pass, bit-identical to the event-stepped per-flow adds.
         """
-        rate = rate_cap * self._throttles([(route, rate_cap)])[0]
+        rate = rate_cap * self._alone(route, rate_cap)
         total = float(nbytes)
         elapsed = np.asarray(t2, dtype=np.float64) - np.asarray(t1, dtype=np.float64)
         delivered = np.minimum(total, rate * elapsed)
@@ -256,9 +287,9 @@ class FlowNetwork:
         pairs[:, 1] = residue
         flat = pairs.reshape(-1)
         seq = flat[flat > 0]
-        for seg in route.data_segments:
-            self._link_bytes[seg] = float(np.add.accumulate(
-                np.concatenate(([self._link_bytes[seg]], seq)))[-1])
+        for link in self._resolve(route)[0]:
+            link.bytes = float(np.add.accumulate(
+                np.concatenate(([link.bytes], seq)))[-1])
         self._next_id += delivered.size
         if delivered.size:
             self._last_update = float(np.asarray(t2, dtype=np.float64)[-1])
@@ -267,42 +298,64 @@ class FlowNetwork:
 
     def _advance(self) -> None:
         """Account bytes delivered since the last rate change."""
-        elapsed = self.engine.now - self._last_update
+        now = self.engine.now
+        elapsed = now - self._last_update
         if elapsed > 0:
             for flow in self._flows.values():
-                delivered = min(flow.remaining, flow.rate * elapsed)
+                delivered = flow.rate * elapsed
+                if delivered > flow.remaining:
+                    delivered = flow.remaining
                 flow.remaining -= delivered
                 if delivered > 0:
-                    for seg in flow.route.data_segments:
-                        self._link_bytes[seg] += delivered
-        self._last_update = self.engine.now
+                    for link in flow.data:
+                        link.bytes += delivered
+        self._last_update = now
 
-    def _recompute(self) -> None:
-        """Recompute every flow's rate and (re)schedule every completion:
-        a flow's finish is the float ``now + remaining / rate``, so it is
-        re-timed whether or not its rate changed."""
-        flows = list(self._flows.values())
-        throttles = self._throttles([(f.route, f.rate_cap) for f in flows])
-        for flow, throttle in zip(flows, throttles):
-            flow.rate = flow.rate_cap * throttle
-            flow.version += 1
-            # The timer's value names the rate epoch of the flow it ends.
-            timer = Timeout(self.engine, flow.remaining / flow.rate,
-                            (flow, flow.version), self._timer_name)
-            timer.callbacks.append(self._on_timer)
+    def _retime(self, changed: tuple, started: Optional[Flow] = None) -> None:
+        """The demand of the ``changed`` links moved (``started`` is new on
+        them): refresh their fractions, re-rate the flows they carry,
+        re-time every flow and schedule the earliest finish — strict ``<``
+        in flow order — in place of the outstanding timer."""
+        touched = {started} if started is not None else set()
+        for link in changed:
+            if link.demand != link.rated:  # else frac and peak still hold
+                link.rated = link.demand
+                link.frac = self._fraction(link, link.demand)
+                touched.update(link.users)
+        for flow in touched:
+            worst = None
+            for link in flow.data:
+                if worst is None or link.frac < worst:
+                    worst = link.frac
+            flow.rate = flow.rate_cap * worst
+        now = self.engine.now
+        first = None
+        for flow in self._flows.values():
+            delay = flow.remaining / flow.rate
+            if first is None or now + delay < finish:
+                first, finish, wait = flow, now + delay, delay
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = Timeout(self.engine, wait, first, self._timer_name)
+        self._timer.callbacks.append(self._on_timer)
 
     def _on_timer(self, timer: Timeout) -> None:
-        flow, version = timer._value
-        if flow.version != version or flow.flow_id not in self._flows:
-            return  # stale timer from before a rate change
+        flow = timer._value
         self._advance()
         if flow.remaining > 0:
             # Float residue from the rate/delay round-trip: the flow is
             # done, so credit the remainder to its links before zeroing.
-            for seg in flow.route.data_segments:
-                self._link_bytes[seg] += flow.remaining
+            for link in flow.data:
+                link.bytes += flow.remaining
         flow.remaining = 0.0
         del self._flows[flow.flow_id]
+        for link in flow.links:
+            at = link.users.index(flow)
+            del link.users[at], link.terms[at]
+            demand = 0.0
+            for term in link.terms:
+                demand += term
+            link.demand = demand
         flow.done.succeed()
         if self._flows:
-            self._recompute()
+            self._retime(flow.links)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ...memlib import Buffer
+from ...memlib import Buffer, strided_view
 from ..node import Node
 from .fabric import SCIFabric
 from .transactions import AccessRun
@@ -54,20 +54,10 @@ class SegmentUnmappedError(SegmentError):
 
 def _run_view(mem: np.ndarray, run: AccessRun) -> np.ndarray:
     """(count, size) strided view of ``mem`` covering an access run."""
-    if run.count == 0 or run.size == 0:
-        return mem[0:0].reshape(0, 0)
-    end = run.base + (run.count - 1) * run.stride + run.size
-    if run.base < 0 or end > mem.nbytes:
-        raise SegmentError(
-            f"access run [{run.base}, {end}) outside segment of {mem.nbytes} B"
-        )
-    return np.lib.stride_tricks.as_strided(
-        mem[run.base :],
-        shape=(run.count, run.size),
-        strides=(run.stride, 1),
-        subok=False,
-        writeable=mem.flags.writeable,
-    )
+    try:
+        return strided_view(mem, run.base, run.count, run.size, run.stride)
+    except ValueError as exc:
+        raise SegmentError(f"access run outside segment: {exc}") from exc
 
 
 def scatter_run(mem: np.ndarray, run: AccessRun, data: np.ndarray) -> None:

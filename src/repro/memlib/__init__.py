@@ -14,6 +14,7 @@ from .layout import (
     iter_span,
     merge_adjacent,
     strided_blocks,
+    strided_view,
     total_bytes,
 )
 
@@ -27,5 +28,6 @@ __all__ = [
     "iter_span",
     "merge_adjacent",
     "strided_blocks",
+    "strided_view",
     "total_bytes",
 ]

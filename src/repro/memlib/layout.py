@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Block:
@@ -22,6 +24,28 @@ class Block:
     @property
     def end(self) -> int:
         return self.offset + self.length
+
+
+def strided_view(mem: np.ndarray, start: int, count: int, size: int,
+                 stride: int) -> np.ndarray:
+    """``count`` rows of ``size`` bytes, ``stride`` bytes apart from
+    ``start``, as a 2-D view of the flat byte array ``mem`` (read-only if
+    ``mem`` is); :class:`ValueError` unless every row lies inside ``mem``.
+
+    One row, or rows back to back, is a reshaped plain slice; the rest goes
+    through the ``ndarray`` constructor, which — unlike ``as_strided`` —
+    checks the view's extent against the buffer.
+    """
+    end = start + count * size
+    if (count == 1 or stride == size) and 0 <= start <= end <= mem.nbytes:
+        return mem[start:end].reshape(count, size)
+    try:
+        return np.ndarray((count, size), np.uint8, mem, start, (stride, 1))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{count} rows of {size} B, {stride} B apart at {start} "
+            f"do not fit {mem.nbytes} B of memory"
+        ) from exc
 
 
 def strided_blocks(count: int, blocklen: int, stride: int, base: int = 0) -> list[Block]:

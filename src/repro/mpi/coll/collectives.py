@@ -32,7 +32,7 @@ Reduction operates on numpy-typed views.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -108,25 +108,30 @@ def _collective_chunk(comm: "Communicator", buf: "Buffer", datatype,
     return dtype, count, total, chunk
 
 
-def _topology_groups(comm: "Communicator") -> Optional[list[list[int]]]:
+def _topology_groups(comm: "Communicator") -> Optional[tuple[tuple[int, ...], ...]]:
     """Comm-local ranks per fabric locality domain, ordered by group id.
 
     Groups come from the topology's ``node_group`` (the ringlet / leaf
     switch each rank's node sits on); ``None`` means the fabric has a
-    single domain and the flat algorithms apply.
+    single domain and the flat algorithms apply.  They depend only on the
+    communicator's group and the immutable topology and placement, so
+    they are resolved once per group and shared by every rank and call.
     """
-    topology = comm.device.smi.fabric.topology
-    groups: dict[int, list[int]] = {}
-    for local, world_rank in enumerate(comm.group):
-        node = comm.device.smi.node_of(world_rank)
-        groups.setdefault(topology.node_group(node.node_id), []).append(local)
-    if len(groups) < 2:
-        return None
-    return [groups[g] for g in sorted(groups)]
+    memo = comm.device.world.locality_groups
+    if comm.group not in memo:
+        smi = comm.device.smi
+        topology = smi.fabric.topology
+        groups: dict[int, list[int]] = {}
+        for local, world_rank in enumerate(comm.group):
+            node = smi.node_of(world_rank)
+            groups.setdefault(topology.node_group(node.node_id), []).append(local)
+        memo[comm.group] = (
+            tuple(tuple(groups[g]) for g in sorted(groups)) if len(groups) > 1 else None)
+    return memo[comm.group]
 
 
 def _hier_groups(comm: "Communicator", kind: str,
-                 nbytes: int) -> Optional[list[list[int]]]:
+                 nbytes: int) -> Optional[tuple[tuple[int, ...], ...]]:
     """The locality groups if this collective should run hierarchically."""
     groups = _topology_groups(comm)
     if groups is None:
@@ -137,7 +142,7 @@ def _hier_groups(comm: "Communicator", kind: str,
     return groups
 
 
-def _member_bcast(comm: "Communicator", buf: "Buffer", members: list[int],
+def _member_bcast(comm: "Communicator", buf: "Buffer", members: Sequence[int],
                   root: int, tag: int, datatype=None,
                   count: Optional[int] = None, chunk: Optional[int] = None,
                   total: Optional[int] = None):
@@ -193,7 +198,7 @@ def _member_bcast(comm: "Communicator", buf: "Buffer", members: list[int],
 
 
 def _member_reduce(comm: "Communicator", acc: np.ndarray, nbytes: int,
-                   members: list[int], root: int, op: str,
+                   members: Sequence[int], root: int, op: str,
                    datatype: BasicType, tag: int):
     """Binomial reduction of ``acc`` over ``members`` to ``root``.
 
@@ -220,16 +225,14 @@ def _member_reduce(comm: "Communicator", acc: np.ndarray, nbytes: int,
             child = members[(child_rel + root_idx) % m]
             yield from comm.recv(scratch, source=child, tag=tag,
                                  datatype=BYTE, count=nbytes)
-            incoming = np.array(scratch.read(0, nbytes), copy=True).view(
-                datatype.np_dtype
-            )
-            acc = OPS[op](acc, incoming)
+            # Read in place: the operator returns a new array at once.
+            acc = OPS[op](acc, scratch.read(0, nbytes).view(datatype.np_dtype))
         mask <<= 1
     return acc
 
 
 def _bcast_hier(comm: "Communicator", buf: "Buffer", root: int, datatype,
-                count: Optional[int], total: int, groups: list[list[int]]):
+                count: Optional[int], total: int, groups: Sequence[Sequence[int]]):
     """Hierarchical broadcast: root -> group leaders -> ringlet-local.
 
     The cross-switch stage moves one message per ringlet over the scarce
@@ -352,10 +355,7 @@ def reduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
                 child = (child_rel + root) % size
                 yield from comm.recv(scratch, source=child, tag=COLL_TAG + 3,
                                      datatype=BYTE, count=nbytes)
-                incoming = np.array(scratch.read(0, nbytes), copy=True).view(
-                    datatype.np_dtype
-                )
-                acc = OPS[op](acc, incoming)
+                acc = OPS[op](acc, scratch.read(0, nbytes).view(datatype.np_dtype))
             mask <<= 1
     if rank == root:
         target = recvbuf if recvbuf is not None else sendbuf
@@ -365,7 +365,7 @@ def reduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
 
 def _allreduce_hier(comm: "Communicator", sendbuf: "Buffer",
                     recvbuf: "Buffer", op: str, datatype: BasicType,
-                    count: int, groups: list[list[int]]):
+                    count: int, groups: Sequence[Sequence[int]]):
     """Hierarchical allreduce: ringlet-local reduce, leader exchange,
     ringlet-local bcast.
 

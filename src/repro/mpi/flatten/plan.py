@@ -42,6 +42,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from ...memlib import strided_view
 from .engine import PackError, _gather, _scatter
 from .stack import FlattenedType
 
@@ -168,16 +169,12 @@ def _segment_runs(
 def _strided_view(
     mem: np.ndarray, start: int, n_runs: int, length: int, stride: int
 ) -> np.ndarray:
-    """``n_runs`` rows of ``length`` bytes, ``stride`` apart, as a 2-D
-    view of ``mem``.  Unlike ``as_strided``, the constructor checks the
-    view's extent against the buffer."""
+    """``n_runs`` rows of ``length`` bytes, ``stride`` apart, as a
+    bounds-checked 2-D view of ``mem``."""
     try:
-        return np.ndarray((n_runs, length), np.uint8, mem, start, (stride, 1))
-    except (TypeError, ValueError) as exc:
-        raise PackError(
-            f"{n_runs} runs of {length} B, {stride} B apart at {start} "
-            f"do not fit {mem.nbytes} B of memory"
-        ) from exc
+        return strided_view(mem, start, n_runs, length, stride)
+    except ValueError as exc:
+        raise PackError(str(exc)) from exc
 
 
 class PackPlan:

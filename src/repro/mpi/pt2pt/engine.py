@@ -72,6 +72,8 @@ class MPIWorld:
         #: The transport policy every device consults (pluggable; bound to
         #: this world's protocol config).
         self.policy = (policy or TransferPolicy(config)).bind(config)
+        #: Locality groups of the collectives, by communicator group.
+        self.locality_groups: dict[tuple[int, ...], Optional[tuple]] = {}
         self.devices = [RankDevice(self, rank) for rank in range(smi.n_ranks)]
 
     @property

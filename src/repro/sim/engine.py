@@ -172,6 +172,8 @@ class Engine:
             if until is not None and queue[0][0] >= until:
                 return
             when, _, event = pop(queue)
+            if event.callbacks is None:
+                continue  # cancelled: it never happened
             if when > self.now:
                 self.now = when
                 if hooks:

@@ -105,6 +105,11 @@ class Event:
         heappush(engine._queue, (engine.now, next(engine._seq), self))
         return self
 
+    def cancel(self) -> None:
+        """Withdraw a scheduled event nobody waits on: the engine drops its
+        entry without moving the clock, calling a hook or counting it."""
+        self.callbacks = None
+
     def __repr__(self) -> str:
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"

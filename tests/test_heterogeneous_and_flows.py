@@ -11,7 +11,7 @@ from repro.hardware.sci import AccessRun, FlowNetwork, RingTopology, SCIFabric
 from repro.hardware.sci.flows import fair_share
 from repro.hardware.sci.segments import SegmentDirectory
 from repro.hardware.sci.topology import FatTree, RingOfRings, Route, TorusTopology
-from repro.sim import Engine
+from repro.sim import Engine, Event, Timeout
 
 
 class TestHeterogeneousNodes:
@@ -102,15 +102,142 @@ class TestFlowConservation:
         assert t2 > 1.5 * t1
 
 
-class AllLinksNetwork(FlowNetwork):
-    """Brute-force reference: the sharing formula over *every* link.
+class _RefFlow:
+    __slots__ = ("flow_id", "route", "remaining", "rate_cap", "rate", "done", "version")
 
-    One demand and one fraction entry per link of the fabric, idle or
-    not, rebuilt on every change — what ``FlowNetwork`` did before its
-    recompute walked only the links of active routes.  Everything else
-    (timers, byte accounting) is inherited, so the two networks can only
-    differ where the arithmetic does.
-    """
+    def __init__(self, flow_id, route, nbytes, rate_cap, done):
+        self.flow_id = flow_id
+        self.route = route
+        self.remaining = float(nbytes)
+        self.rate_cap = rate_cap
+        self.rate = rate_cap
+        self.done = done
+        self.version = 0
+
+
+class RecomputeEverythingNetwork:
+    """The live path ``FlowNetwork`` had before it kept per-link state,
+    verbatim: every start and finish rebuilds the demand of every active
+    route, re-rates every flow and pushes a timer for every flow (stale
+    ones fire and are ignored).  The reference the incremental network
+    must equal float for float."""
+
+    def __init__(self, engine, capacities, echo_ratio=0.1, name="sci", response=None):
+        self.engine = engine
+        self.capacities = dict(capacities)
+        self.echo_ratio = echo_ratio
+        self._done_name = f"{name}:flow-done"
+        self._timer_name = f"{name}:flow-timer"
+        self.response = response if response is not None else congestion_fraction
+        self._flows = {}
+        self._next_id = 0
+        self._last_update = engine.now
+        self._peak_load = {seg: 0.0 for seg in capacities}
+        self._link_bytes = {seg: 0.0 for seg in capacities}
+
+    @property
+    def active_flows(self):
+        return len(self._flows)
+
+    def transfer(self, route, nbytes, rate_cap):
+        done = Event(self.engine, self._done_name)
+        if nbytes > 0 and rate_cap <= 0:
+            raise ValueError(f"non-positive rate cap: {rate_cap}")
+        if nbytes <= 0 or not route.data_segments:
+            done.succeed()
+            return done
+        for seg in route.data_segments + route.echo_segments:
+            if seg not in self.capacities:
+                raise KeyError(f"unknown segment {seg!r}")
+        flow = _RefFlow(self._next_id, route, nbytes, rate_cap, done)
+        self._next_id += 1
+        self._advance()
+        self._flows[flow.flow_id] = flow
+        self._recompute()
+        return done
+
+    def link_demand(self):
+        flows = ((f.route, f.rate_cap) for f in self._flows.values())
+        return {**dict.fromkeys(self.capacities, 0.0), **self._demand(flows)}
+
+    def link_load(self):
+        return {seg: d / self.capacities[seg] for seg, d in self.link_demand().items()}
+
+    def link_peak(self):
+        return dict(self._peak_load)
+
+    def link_bytes(self):
+        return dict(self._link_bytes)
+
+    def _demand(self, flows):
+        demand = {}
+        for route, cap in flows:
+            for seg in route.data_segments:
+                demand[seg] = demand.get(seg, 0.0) + cap
+            echo = cap * self.echo_ratio
+            for seg in route.echo_segments:
+                demand[seg] = demand.get(seg, 0.0) + echo
+        return demand
+
+    def _throttles(self, flows, record_peak=True):
+        loads = self._demand(flows)
+        for seg, d in loads.items():
+            load = loads[seg] = d / self.capacities[seg]
+            if record_peak and load > self._peak_load[seg]:
+                self._peak_load[seg] = load
+        frac = {}
+        throttles = []
+        for route, _ in flows:
+            worst = None
+            for seg in route.data_segments:
+                load = loads[seg]
+                f = frac.get(load)
+                if f is None:
+                    f = frac[load] = self.response(load)
+                if worst is None or f < worst:
+                    worst = f
+            throttles.append(worst)
+        return throttles
+
+    def _advance(self):
+        elapsed = self.engine.now - self._last_update
+        if elapsed > 0:
+            for flow in self._flows.values():
+                delivered = min(flow.remaining, flow.rate * elapsed)
+                flow.remaining -= delivered
+                if delivered > 0:
+                    for seg in flow.route.data_segments:
+                        self._link_bytes[seg] += delivered
+        self._last_update = self.engine.now
+
+    def _recompute(self):
+        flows = list(self._flows.values())
+        throttles = self._throttles([(f.route, f.rate_cap) for f in flows])
+        for flow, throttle in zip(flows, throttles):
+            flow.rate = flow.rate_cap * throttle
+            flow.version += 1
+            timer = Timeout(self.engine, flow.remaining / flow.rate,
+                            (flow, flow.version), self._timer_name)
+            timer.callbacks.append(self._on_timer)
+
+    def _on_timer(self, timer):
+        flow, version = timer._value
+        if flow.version != version or flow.flow_id not in self._flows:
+            return  # stale timer from before a rate change
+        self._advance()
+        if flow.remaining > 0:
+            for seg in flow.route.data_segments:
+                self._link_bytes[seg] += flow.remaining
+        flow.remaining = 0.0
+        del self._flows[flow.flow_id]
+        flow.done.succeed()
+        if self._flows:
+            self._recompute()
+
+
+class AllLinksNetwork(RecomputeEverythingNetwork):
+    """The sharing formula over *every* link: one demand and one fraction
+    entry per link of the fabric, idle or not, rebuilt on every change."""
 
     def _throttles(self, flows, record_peak=True):
         demand = {seg: 0.0 for seg in self.capacities}
@@ -145,14 +272,43 @@ def _arrivals(rng, topology):
     return out
 
 
+def _crowd(rng, topology, n_flows, local, staggered, equal_caps):
+    """16-64 flows on a ring of ringlets: ``local`` keeps each route inside
+    the source's 8-node ringlet, otherwise it crosses the switch; equal
+    caps and sizes with simultaneous starts produce exact finish ties."""
+    out = []
+    for _ in range(n_flows):
+        src = int(rng.integers(topology.n_nodes))
+        ringlet = src // 8
+        if local:
+            dst = 8 * ringlet + int((src % 8 + rng.integers(1, 8)) % 8)
+        else:
+            dst = int((src + 8 * rng.integers(1, 8)) % topology.n_nodes)
+        out.append((
+            float(rng.choice([0.0, 1.5, 1.5, 4.0, 9.0])) if staggered else 0.0,
+            src, dst,
+            8192.0 if equal_caps else float(rng.integers(1, 32) * 1024),
+            120.8 if equal_caps else float(rng.choice([40.0, 120.8, 300.0, 450.0])),
+        ))
+    return out
+
+
+def _live_flow_timers(eng, net):
+    return sum(1 for _when, _seq, ev in eng._queue
+               if ev.name == net._timer_name and ev.callbacks is not None)
+
+
 def _drive(network_cls, topology, response, arrivals):
     eng = Engine()
     capacities = {seg: topology.link_capacity(seg, 664.0)
                   for seg in topology.segments()}
     net = network_cls(eng, capacities, response=response)
     log = []
+    max_live_timers = 0
 
     def snapshot(tag):
+        nonlocal max_live_timers
+        max_live_timers = max(max_live_timers, _live_flow_timers(eng, net))
         log.append((tag, eng.now, [f.rate for f in net._flows.values()],
                     net.link_demand(), net.link_load()))
 
@@ -165,8 +321,8 @@ def _drive(network_cls, topology, response, arrivals):
 
     for i, arrival in enumerate(arrivals):
         eng.process(sender(i, *arrival))
-    eng.run()
-    return log, net.link_peak(), net.link_bytes(), capacities
+    end = eng.run()
+    return (log, net.link_peak(), net.link_bytes(), capacities), end, max_live_timers
 
 
 class TestFlowOracle:
@@ -176,25 +332,75 @@ class TestFlowOracle:
         "fat_tree": lambda: FatTree(3, 4, fat_factor=2.0),
     }
 
+    def _assert_equal(self, topology, response, arrivals, label):
+        got, end, live_timers = _drive(FlowNetwork, topology, response, arrivals)
+        want, want_end, _ = _drive(RecomputeEverythingNetwork, topology,
+                                   response, arrivals)
+        # Rates after every change, completion instants *and their
+        # order*, per-link demand/load/peak/bytes: equal as floats, not
+        # approximately.
+        assert got == want, label
+        # The clock stops at the last completion; the reference agrees
+        # unless one of its stale timers outlives the last flow.
+        assert end == got[0][-1][1], label
+        assert want_end >= end, label
+        assert live_timers <= 1, label
+        return got
+
     @pytest.mark.parametrize("response", [congestion_fraction, fair_share])
     @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
-    def test_active_route_recompute_matches_all_links_formula(self, kind, response):
+    def test_incremental_network_matches_recompute_everything(self, kind, response):
         contended = 0
         for seed in range(25):
             topology = self.TOPOLOGIES[kind]()
             arrivals = _arrivals(np.random.default_rng([seed, len(kind)]), topology)
-            got = _drive(FlowNetwork, topology, response, arrivals)
-            want = _drive(AllLinksNetwork, topology, response, arrivals)
-            log, peaks, link_bytes, capacities = got
-            # Rates after every change, completion instants, per-link
-            # demand/load/peak/bytes: equal as floats, not approximately.
-            assert got == want, (kind, seed)
+            log, peaks, link_bytes, capacities = self._assert_equal(
+                topology, response, arrivals, (kind, seed))
+            assert _drive(AllLinksNetwork, topology, response, arrivals)[0] == (
+                log, peaks, link_bytes, capacities), (kind, seed)
             assert len(log) == 2 * len(arrivals)
             for _tag, _now, _rates, demand, load in log:
                 assert demand.keys() == load.keys() == capacities.keys()
             assert peaks.keys() == link_bytes.keys() == capacities.keys()
             contended += max(peaks.values()) > 0.6
         assert contended >= 5  # the sequences do reach the congested regime
+
+    @pytest.mark.parametrize("response", [congestion_fraction, fair_share])
+    @pytest.mark.parametrize("equal_caps", [True, False])
+    @pytest.mark.parametrize("staggered", [True, False])
+    @pytest.mark.parametrize("local", [True, False])
+    @pytest.mark.parametrize("n_flows", [16, 32, 64])
+    def test_crowded_ring_of_ringlets(self, n_flows, local, staggered,
+                                      equal_caps, response):
+        topology = RingOfRings(8, 8)
+        rng = np.random.default_rng([n_flows, local, staggered, equal_caps])
+        arrivals = _crowd(rng, topology, n_flows, local, staggered, equal_caps)
+        log, peaks, _bytes, _caps = self._assert_equal(
+            topology, response, arrivals,
+            (n_flows, local, staggered, equal_caps))
+        assert len(log) == 2 * n_flows
+        assert max(len(rates) for _t, _n, rates, _d, _l in log) >= n_flows // 2
+        if equal_caps and not staggered:
+            done_at = [now for tag, now, *_ in log if tag[0] == "done"]
+            assert len(set(done_at)) < len(done_at)  # exact ties occurred
+
+    def test_unknown_link_raises_on_every_transfer(self):
+        eng = Engine()
+        ring = RingTopology(4)
+        net = FlowNetwork(eng, {s: 100.0 for s in ring.segments()})
+        bad = Route(ring.route(0, 2).data_segments + ("nowhere",), ())
+        for _ in range(2):  # a failed resolution is never stored
+            with pytest.raises(KeyError, match="unknown segment 'nowhere'"):
+                net.transfer(bad, 100.0, 10.0)
+        assert net.active_flows == 0
+        assert all(d == 0.0 for d in net.link_demand().values())
+        good = ring.route(0, 2)
+        for _ in range(2):
+            net.transfer(good, 100.0, 10.0)
+        with pytest.raises(KeyError):
+            net.transfer(bad, 100.0, 10.0)
+        eng.run()
+        assert net.active_flows == 0
 
 
 class TestRouteMemo:

@@ -13,6 +13,7 @@ from repro.memlib import (
     double_strided_blocks,
     merge_adjacent,
     strided_blocks,
+    strided_view,
     total_bytes,
 )
 
@@ -139,6 +140,71 @@ class TestLayout:
         blocks = strided_blocks(count=2, blocklen=8, stride=0)
         with pytest.raises(ValueError):
             merge_adjacent(blocks)
+
+
+class TestStridedView:
+    def test_rows_alias_the_buffer(self):
+        mem = np.arange(40, dtype=np.uint8)
+        view = strided_view(mem, 3, 3, 4, 10)
+        assert view.shape == (3, 4)
+        assert view.tolist() == [[3, 4, 5, 6], [13, 14, 15, 16], [23, 24, 25, 26]]
+        view[1] = 0
+        assert mem[13:17].tolist() == [0, 0, 0, 0] and mem[17] == 17
+
+    @pytest.mark.parametrize("start, count, size, stride", [
+        (4, 1, 6, 0),     # one row: the stride is irrelevant
+        (4, 1, 6, 99),
+        (8, 4, 8, 8),     # rows back to back, ending exactly at the end
+        (36, 1, 4, 4),
+        (30, 2, 2, 8),    # strided, last row ends exactly at the end
+    ])
+    def test_contiguous_and_exact_fit(self, start, count, size, stride):
+        mem = np.arange(40, dtype=np.uint8)
+        view = strided_view(mem, start, count, size, stride)
+        assert view.shape == (count, size)
+        for i in range(count):
+            assert view[i].tolist() == mem[start + i * stride:][:size].tolist()
+        assert np.shares_memory(view, mem)
+
+    @pytest.mark.parametrize("start, count, size, stride", [
+        (37, 1, 4, 4),    # one row past the end
+        (8, 5, 8, 8),     # back-to-back rows past the end
+        (30, 2, 3, 8),    # last strided row past the end
+        (41, 1, 0, 0),    # start outside, even with nothing to view
+        (400, 2, 1, 4),
+        (-1, 1, 4, 4),    # negative start: contiguous ...
+        (-1, 2, 2, 8),    # ... and strided
+        (0, -1, 4, 4),    # negative shape
+        (0, 2, -4, 8),
+    ])
+    def test_out_of_range_is_a_value_error(self, start, count, size, stride):
+        mem = np.arange(40, dtype=np.uint8)
+        with pytest.raises(ValueError, match="do not fit 40 B"):
+            strided_view(mem, start, count, size, stride)
+
+    @pytest.mark.parametrize("start, count, size, stride", [
+        (5, 0, 4, 4), (5, 0, 4, 9), (5, 3, 0, 0), (5, 3, 0, 7), (40, 0, 0, 0),
+    ])
+    def test_empty_views(self, start, count, size, stride):
+        mem = np.arange(40, dtype=np.uint8)
+        assert strided_view(mem, start, count, size, stride).shape == (count, size)
+
+    @pytest.mark.parametrize("stride", [4, 10])
+    def test_read_only_buffer_gives_read_only_view(self, stride):
+        mem = np.arange(40, dtype=np.uint8)
+        mem.flags.writeable = False
+        view = strided_view(mem, 0, 3, 4, stride)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1
+
+    def test_a_sliced_buffer_is_its_own_bounds(self):
+        mem = np.arange(40, dtype=np.uint8)
+        window = mem[10:30]
+        assert strided_view(window, 0, 2, 4, 16).tolist() == [
+            [10, 11, 12, 13], [26, 27, 28, 29]]
+        with pytest.raises(ValueError):
+            strided_view(window, 1, 2, 4, 16)  # would reach into mem[30:]
 
 
 @given(

@@ -120,6 +120,83 @@ class TestSegmentHandleExtras:
             eng.run_process(body())
 
 
+class TestRunViews:
+    """scatter_run / gather_run over the shared bounds-checked view."""
+
+    @staticmethod
+    def _mem(n=64):
+        return np.arange(n, dtype=np.uint8)
+
+    @pytest.mark.parametrize("run", [
+        AccessRun(base=2, size=3, stride=10, count=4),   # strided
+        AccessRun(base=5, size=4, stride=4, count=6),    # back to back
+        AccessRun(base=7, size=9, stride=0, count=1),    # a single block
+        AccessRun(base=54, size=2, stride=4, count=3),   # ends at the segment end
+        AccessRun(base=60, size=4, stride=4, count=1),   # ... contiguously
+    ])
+    def test_gather_scatter_roundtrip(self, run):
+        from repro.hardware.sci.segments import gather_run, scatter_run
+
+        mem = self._mem()
+        want = np.concatenate([mem[run.base + i * run.stride:][:run.size]
+                               for i in range(run.count)])
+        got = gather_run(mem, run)
+        assert got.shape == (run.total_bytes,) and np.array_equal(got, want)
+        target = np.zeros(64, dtype=np.uint8)
+        scatter_run(target, run, got)
+        touched = np.zeros(64, dtype=bool)
+        for i in range(run.count):
+            touched[run.base + i * run.stride:][:run.size] = True
+        assert np.array_equal(target[touched], want)
+        assert not target[~touched].any()
+
+    @pytest.mark.parametrize("run", [
+        AccessRun(base=62, size=4, stride=4, count=1),    # one block past the end
+        AccessRun(base=50, size=4, stride=4, count=4),    # back-to-back past the end
+        AccessRun(base=41, size=4, stride=10, count=3),   # last strided block past it
+        AccessRun(base=64, size=1, stride=2, count=2),    # base at the end
+        AccessRun(base=900, size=2, stride=8, count=2),   # base far outside
+        AccessRun(base=-1, size=2, stride=2, count=1),    # negative base
+        AccessRun(base=-8, size=2, stride=8, count=3),
+    ])
+    def test_out_of_range_runs_are_rejected(self, run):
+        from repro.hardware.sci.segments import SegmentError, gather_run, scatter_run
+
+        mem = self._mem()
+        with pytest.raises(SegmentError, match="outside segment"):
+            gather_run(mem, run)
+        with pytest.raises(SegmentError, match="outside segment"):
+            scatter_run(mem, run, np.zeros(run.total_bytes, dtype=np.uint8))
+        assert np.array_equal(mem, self._mem())  # nothing was written
+
+    @pytest.mark.parametrize("run", [
+        AccessRun(base=3, size=0, stride=8, count=5),
+        AccessRun(base=3, size=4, stride=8, count=0),
+        AccessRun(base=900, size=0, stride=0, count=0),
+    ])
+    def test_empty_runs_touch_nothing(self, run):
+        from repro.hardware.sci.segments import gather_run, scatter_run
+
+        mem = self._mem()
+        assert gather_run(mem, run).shape == (0,)
+        scatter_run(mem, run, np.empty(0, dtype=np.uint8))
+        assert np.array_equal(mem, self._mem())
+
+    @pytest.mark.parametrize("run", [
+        AccessRun(base=2, size=3, stride=10, count=4),
+        AccessRun(base=5, size=4, stride=4, count=6),
+    ])
+    def test_read_only_segment_stays_read_only(self, run):
+        from repro.hardware.sci.segments import gather_run, scatter_run
+
+        mem = self._mem()
+        mem.flags.writeable = False
+        assert gather_run(mem, run).nbytes == run.total_bytes
+        with pytest.raises(ValueError, match="read-only"):
+            scatter_run(mem, run, np.zeros(run.total_bytes, dtype=np.uint8))
+        assert np.array_equal(mem, self._mem())
+
+
 class TestLayoutHelpers:
     def test_iter_span(self):
         blocks = strided_blocks(count=2, blocklen=3, stride=8, base=1)

@@ -538,6 +538,47 @@ class TestEngineContract:
         eng.run()
         assert eng.now == 100.0
 
+    def test_heap_events_of_two_overlapping_flows(self):
+        """Two flows sharing a link cost four heap events — a live timer
+        and a completion each — however often the rates change; the one
+        superseded timer (the first flow's solo finish, replaced when the
+        second starts) is dropped uncounted and leaves the clock alone."""
+        from repro.hardware.sci import FlowNetwork, RingTopology
+
+        eng = Engine()
+        ring = RingTopology(4)
+        net = FlowNetwork(eng, {seg: 100.0 for seg in ring.segments()})
+        ticks = []
+        eng.add_time_hook(ticks.append)
+        first = net.transfer(ring.route(0, 1), 1000.0, 90.0)
+        solo_finish = eng.peek()
+        second = net.transfer(ring.route(0, 1), 4000.0, 90.0)
+        assert eng.pending_events == 2  # the cancelled timer and its successor
+        assert eng.peek() == solo_finish  # still queued, until its turn
+        end = eng.run()
+        assert first.processed and second.processed
+        assert eng.events_processed == 4
+        assert solo_finish not in ticks and ticks[-1] == end
+        assert len(ticks) == 2
+
+    def test_cancelled_event_is_dropped_unprocessed(self):
+        eng = Engine()
+        fired = []
+        ticks = []
+        eng.add_time_hook(ticks.append)
+        doomed = eng.timeout(5.0)
+        doomed.callbacks.append(fired.append)
+        kept = eng.timeout(3.0)
+        kept.callbacks.append(fired.append)
+        doomed.cancel()
+        assert eng.run() == 3.0
+        assert fired == [kept] and ticks == [3.0]
+        assert eng.events_processed == 1 and eng.pending_events == 0
+        late = eng.timeout(1.0)
+        late.cancel()
+        eng.step()  # nothing but a cancelled entry: dropped, clock unmoved
+        assert eng.now == 3.0 and eng.events_processed == 1
+
     @pytest.mark.parametrize("shared, per_put", [(True, 4), (False, 10)])
     def test_heap_events_per_put_are_fixed(self, shared, per_put):
         """A remote 64 B put costs a fixed number of heap events.
