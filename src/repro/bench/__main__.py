@@ -171,42 +171,21 @@ def main(argv: list[str] | None = None) -> int:
              "instead of the figure suite",
     )
     parser.add_argument(
-        "--perf", action="store_true",
-        help="run the wall-clock engine-performance gauges "
-             "(runner-dependent; never part of --smoke)",
-    )
-    parser.add_argument(
-        "--fastpath", choices=("on", "off"), default=None,
-        help="force the analytic fast paths on or off for this run "
-             "(default: leave the process-wide toggle alone)",
-    )
-    parser.add_argument(
         "--json", metavar="PATH",
-        help="with --smoke/--perf: also write the metrics as JSON "
+        help="with --smoke: also write the metrics as JSON "
              "('-' for stdout)",
     )
     args = parser.parse_args(argv)
-    if args.json and not (args.smoke or args.perf):
-        parser.error("--json requires --smoke or --perf")
-    if args.smoke and args.perf:
-        parser.error("--smoke and --perf are separate reports")
-    if args.fastpath is not None:
-        from ..mpi.transport.fastpath import set_fastpath_enabled
-
-        set_fastpath_enabled(args.fastpath == "on")
-    if args.smoke or args.perf:
+    if args.json and not args.smoke:
+        parser.error("--json requires --smoke")
+    if args.smoke:
         if args.experiments:
-            parser.error("--smoke/--perf take no experiment arguments")
+            parser.error("--smoke takes no experiment arguments")
         import json
 
-        if args.smoke:
-            from .smoke import run_smoke
+        from .smoke import run_smoke
 
-            metrics = run_smoke()
-        else:
-            from .perf import run_perf
-
-            metrics = run_perf()
+        metrics = run_smoke()
         # With --json -, stdout is reserved for the JSON document (so the
         # output pipes into jq / bench_compare); the table goes to stderr.
         table_out = sys.stderr if args.json == "-" else sys.stdout

@@ -49,8 +49,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from ...sim.events import Event, Timeout
 from ..params import congestion_fraction
 from .topology import Route
@@ -199,11 +197,11 @@ class FlowNetwork:
             entry = self._routes[id(route)] = (data, echo, data + echo, route)
         return entry
 
-    def _fraction(self, link: _Link, demand: float, record_peak: bool = True) -> float:
-        """Delivered fraction of ``link`` at ``demand`` B/µs; ``record_peak``
-        folds the load into :meth:`link_peak`."""
+    def _fraction(self, link: _Link, demand: float) -> float:
+        """Delivered fraction of ``link`` at ``demand`` B/µs; folds the
+        load into :meth:`link_peak`."""
         load = demand / link.capacity
-        if record_peak and load > link.peak:
+        if load > link.peak:
             link.peak = load
         frac = self._fracs.get(load)
         if frac is None:
@@ -212,9 +210,13 @@ class FlowNetwork:
             frac = self._fracs[load] = self.response(load)
         return frac
 
-    def _alone(self, route: Route, rate_cap: float, record_peak: bool = True) -> float:
-        """Delivered fraction of one flow that has the network to itself:
-        the congestion response of its most affected data link."""
+    # -- analytic replay (the closed-form fast path) ---------------------------
+
+    def exclusive_rate(self, route: Route, rate_cap: float) -> float:
+        """Delivered rate of one flow that has the network to itself —
+        its cap times the congestion response of its most affected data
+        link — exactly what :meth:`transfer` computes for a single flow,
+        link peaks included."""
         data, echo, _, _ = self._resolve(route)
         demand: dict[_Link, float] = {}
         for link in data:
@@ -222,29 +224,20 @@ class FlowNetwork:
         echo_term = rate_cap * self.echo_ratio
         for link in echo:
             demand[link] = demand.get(link, 0.0) + echo_term
-        frac = {link: self._fraction(link, d, record_peak) for link, d in demand.items()}
-        return min(frac[link] for link in data)
+        frac = {link: self._fraction(link, d) for link, d in demand.items()}
+        return rate_cap * min(frac[link] for link in data)
 
-    # -- analytic replay (the closed-form fast path) ---------------------------
-
-    def exclusive_rate(self, route: Route, rate_cap: float) -> float:
-        """Delivered rate of a single flow on an otherwise idle network:
-        exactly what :meth:`transfer` computes for one flow, without
-        touching any state."""
-        return rate_cap * self._alone(route, rate_cap, record_peak=False)
-
-    def replay_exclusive(self, route: Route, nbytes: int, rate_cap: float,
+    def replay_exclusive(self, route: Route, nbytes: int, rate: float,
                          start: float) -> float:
         """One flow's lifetime on an idle network, replayed analytically.
 
-        Performs the exact float arithmetic and per-link state mutations
+        Performs the exact float arithmetic and per-link byte accounting
         of ``transfer`` + ``_on_timer`` for a flow that starts at
-        ``start`` and runs alone (caller guarantees
-        :attr:`active_flows` ``== 0``), and returns its completion time.
-        The engine clock is *not* touched — the caller owns the window's
-        clock sequence (see ``docs/ENGINE.md``).
+        ``start`` and runs alone at its :meth:`exclusive_rate` (caller
+        guarantees :attr:`active_flows` ``== 0``), and returns its
+        completion time.  The engine clock is *not* touched — the caller
+        owns the window's clock sequence (see ``docs/ENGINE.md``).
         """
-        rate = rate_cap * self._alone(route, rate_cap)
         remaining = float(nbytes)
         delay = remaining / rate
         end = start + delay
@@ -261,38 +254,6 @@ class FlowNetwork:
         self._next_id += 1
         self._last_update = end
         return end
-
-    def replay_exclusive_cohort(self, route: Route, nbytes: int,
-                                rate_cap: float, t1, t2) -> None:
-        """Per-link accounting of a homogeneous flow cohort, vectorized.
-
-        ``t1[i]``/``t2[i]`` are the start/completion instants of the
-        ``i``-th flow of a steady-state stream (every flow same
-        ``nbytes`` and ``rate_cap``, each running alone).  The caller has
-        already derived ``t2`` from ``t1`` via the shared per-cycle delay
-        (``nbytes / rate``), so this only replays the byte accounting:
-        per flow, the delivered span then the float residue — accumulated
-        into each data link with one sequential ``np.add.accumulate``
-        pass, bit-identical to the event-stepped per-flow adds.
-        """
-        rate = rate_cap * self._alone(route, rate_cap)
-        total = float(nbytes)
-        elapsed = np.asarray(t2, dtype=np.float64) - np.asarray(t1, dtype=np.float64)
-        delivered = np.minimum(total, rate * elapsed)
-        residue = total - delivered
-        # The event path adds ``delivered`` then (if nonzero) ``residue``
-        # per flow, in stream order; interleave and keep the same order.
-        pairs = np.empty((delivered.size, 2), dtype=np.float64)
-        pairs[:, 0] = delivered
-        pairs[:, 1] = residue
-        flat = pairs.reshape(-1)
-        seq = flat[flat > 0]
-        for link in self._resolve(route)[0]:
-            link.bytes = float(np.add.accumulate(
-                np.concatenate(([link.bytes], seq)))[-1])
-        self._next_id += delivered.size
-        if delivered.size:
-            self._last_update = float(np.asarray(t2, dtype=np.float64)[-1])
 
     # -- internals ------------------------------------------------------------
 

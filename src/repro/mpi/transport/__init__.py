@@ -23,15 +23,7 @@ them) the collectives.  This package is that mechanism's home:
 every payload byte they move goes through this package.
 """
 
-from .fastpath import (
-    DEFAULT_FASTPATH,
-    CostTable,
-    FastPathPolicy,
-    StreamWindow,
-    fastpath_disabled,
-    fastpath_enabled,
-    set_fastpath_enabled,
-)
+from .fastpath import CostTable, StreamWindow, fastpath_disabled
 from .layout import resolve_target_run
 from .policy import (
     DEFAULT_POLICY,
@@ -51,10 +43,8 @@ __all__ = [
     "ChunkReady",
     "ChunkedCollectivesPolicy",
     "CostTable",
-    "DEFAULT_FASTPATH",
     "DEFAULT_POLICY",
     "DEFAULT_RECOVERY",
-    "FastPathPolicy",
     "OSCStrategy",
     "Protocol",
     "RecoveryPolicy",
@@ -65,7 +55,5 @@ __all__ = [
     "TransferPolicy",
     "TransferScheduler",
     "fastpath_disabled",
-    "fastpath_enabled",
-    "set_fastpath_enabled",
     "resolve_target_run",
 ]

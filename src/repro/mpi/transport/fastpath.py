@@ -19,11 +19,9 @@ exploit that (see ``docs/ENGINE.md``):
   The receiver advertises its side of the per-cycle cost structure in
   the rendezvous ack (:attr:`RndvAck.window <.scheduler.RndvAck>`).
 
-Both paths are policy-gated (:class:`FastPathPolicy` on
-:class:`~repro.mpi.transport.policy.TransferPolicy`) and process-gated
-(:func:`set_fastpath_enabled` / :func:`fastpath_disabled`), following the
-plan-cache toggle idiom, so every differential oracle can force either
-engine.
+Both are always on.  The one selector is :func:`fastpath_disabled`, which
+the differential oracle (``tests/test_fastpath_oracle.py``) uses to force
+the event-stepped reference engine; no non-test code calls it.
 """
 
 from __future__ import annotations
@@ -38,37 +36,19 @@ from ...hardware.sci.transactions import CostTable
 
 __all__ = [
     "CostTable",
-    "DEFAULT_FASTPATH",
-    "FastPathPolicy",
+    "MIN_WINDOW",
     "RecvWindowCosts",
     "StreamWindow",
     "fastpath_disabled",
-    "fastpath_enabled",
-    "set_fastpath_enabled",
 ]
 
-
-@dataclass(frozen=True)
-class FastPathPolicy:
-    """Knobs of the fast-path engine (see ``docs/ENGINE.md``).
-
-    ``cost_tables`` gates the per-chunk cost memoization;
-    ``closed_form`` gates the analytic stream-window replay.  Both
-    default on — the event-stepped path remains the semantic reference
-    and the differential oracle (``tests/test_fastpath_oracle.py``)
-    pins the two engines to bit-identical simulated time.
-    ``min_window`` is the smallest number of steady-state chunks worth
-    collapsing into one window (below it the replay bookkeeping beats
-    the event loop by too little to matter).
-    """
-
-    cost_tables: bool = True
-    closed_form: bool = True
-    min_window: int = 4
-    table_size: int = 512
-
-
-DEFAULT_FASTPATH = FastPathPolicy()
+#: Smallest number of steady-state chunks worth collapsing into one
+#: window (below it the replay bookkeeping beats the event loop by too
+#: little to matter).
+MIN_WINDOW = 4
+#: ``False`` only inside :func:`fastpath_disabled`: no stream window
+#: engages and no cost is memoized.  Read directly by the scheduler.
+enabled = True
 
 
 @dataclass
@@ -109,34 +89,12 @@ class StreamWindow:
     end_time: float
 
 
-# -- process-wide toggle (the plan-cache idiom) ------------------------------------
-
-_enabled = True
-
-
-def fastpath_enabled() -> bool:
-    """Is the process-wide fast-path switch on?"""
-    return _enabled
-
-
-def set_fastpath_enabled(enabled: bool) -> bool:
-    """Toggle every fast path process-wide; returns the previous setting.
-
-    Off means the event-stepped reference engine runs everywhere —
-    the lever the differential oracle and the ``perf-smoke`` CI lane
-    pull to compare the two engines.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
 @contextmanager
 def fastpath_disabled():
     """Context manager: run on the event-stepped reference engine."""
-    previous = set_fastpath_enabled(False)
+    global enabled
+    previous, enabled = enabled, False
     try:
         yield
     finally:
-        set_fastpath_enabled(previous)
+        enabled = previous

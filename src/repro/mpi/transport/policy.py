@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ...qos.lanes import DEFAULT_LANES, QosLanePolicy
 from ..pt2pt.config import DEFAULT_PROTOCOL, NonContigMode, ProtocolConfig
-from .fastpath import DEFAULT_FASTPATH, FastPathPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...hardware.node import Node
@@ -32,7 +31,6 @@ __all__ = [
     "ChunkedCollectivesPolicy",
     "DEFAULT_POLICY",
     "DEFAULT_RECOVERY",
-    "FastPathPolicy",
     "OSCStrategy",
     "Protocol",
     "QosLanePolicy",
@@ -117,13 +115,6 @@ class TransferPolicy:
     #: collectives: crossbar/spine hops are the scarce links, so leader
     #: exchanges pipeline in chunks of this size once payloads exceed it.
     cross_chunk: int = 128 * 1024
-    #: Fast-path engine knobs (cost tables + closed-form stream windows;
-    #: see ``docs/ENGINE.md``).  Both paths are bit-identical in
-    #: simulated time to the event-stepped reference and can be forced
-    #: off here (per policy) or via
-    #: :func:`repro.mpi.transport.fastpath.set_fastpath_enabled`
-    #: (process-wide).
-    fastpath: FastPathPolicy = DEFAULT_FASTPATH
     #: QoS lane knobs (reserved-share budget, best-effort throttle floor,
     #: credit priority; see ``docs/QOS.md``).  Only consulted while a
     #: :class:`~repro.qos.QosManager` is installed on the fabric *and*
@@ -296,9 +287,6 @@ class TransferPolicy:
             "small_rma_threshold": self.small_rma_threshold,
             "hier_collectives": int(self.hier_collectives),
             "cross_chunk": self.cross_chunk,
-            "fastpath_cost_tables": int(self.fastpath.cost_tables),
-            "fastpath_closed_form": int(self.fastpath.closed_form),
-            "fastpath_min_window": self.fastpath.min_window,
             **self.qos.describe(),
         }
 

@@ -36,7 +36,7 @@ import numpy as np
 from ...hardware.sci.fabric import SCIConnectionError
 from ...hardware.sci.segments import SegmentUnmappedError
 from ...sim import Channel
-from ..errors import MessageTruncated, TransferAborted, TransferFault
+from ..errors import MessageTruncated, TransferAborted
 from ..pt2pt.costs import (
     contiguous_remote_chunk_duration,
     direct_remote_chunk_duration,
@@ -46,7 +46,8 @@ from ..pt2pt.costs import (
 )
 from ..pt2pt.messages import CreditReturn, EagerMsg, RndvRequest, ShortMsg
 from ...qos.lanes import LANE_RESERVED
-from .fastpath import CostTable, RecvWindowCosts, StreamWindow, fastpath_enabled
+from . import fastpath
+from .fastpath import CostTable, RecvWindowCosts, StreamWindow
 from .policy import TransferMode
 from .store import RemoteStore
 
@@ -90,7 +91,7 @@ class TransferScheduler:
         #: issued, by count / bytes / simulated time.
         self.stats = {"chunks": 0, "chunk_bytes": 0, "chunk_time": 0.0}
         #: Memoized per-chunk transaction costs (see ``docs/ENGINE.md``).
-        self.costs = CostTable(device.policy.fastpath.table_size)
+        self.costs = CostTable()
         #: Closed-form window counters: engaged windows and the chunks
         #: they collapsed (sender side).
         self.fastpath = {"windows": 0, "window_chunks": 0}
@@ -98,12 +99,12 @@ class TransferScheduler:
     # -- memoized chunk costs (fast path: cost tables) --------------------------------
 
     def _costed(self, key: tuple, build) -> float:
-        """``build()``, memoized in the bounded cost table when enabled.
+        """``build()``, memoized in the bounded cost table.
 
         The cached value is the exact float ``build`` returns — pure
         memoization, so simulated time never depends on the table.
         """
-        if not (self.device.policy.fastpath.cost_tables and fastpath_enabled()):
+        if not fastpath.enabled:
             return build()
         return self.costs.lookup(key, build)
 
@@ -180,23 +181,26 @@ class TransferScheduler:
         """Deliver one packet-buffer chunk, recovering from injected faults.
 
         On a clean fabric this is a single :meth:`RemoteStore.write_packed`
-        plus accounting.  Under a fault plan it is the chunk-level recovery
-        state machine: transient losses retransmit the chunk (bounded, with
-        exponential backoff); torn transfers *resume* at the delivered byte
-        — re-deriving the damaged tail's cost groups from the packing
+        plus accounting.  Under a fault plan the write runs on the one
+        recovery ladder (:meth:`RemoteStore.deliver_with_retry`):
+        transient losses retransmit the chunk (bounded, with exponential
+        backoff); torn transfers *resume* at the delivered byte —
+        re-deriving the damaged tail's cost groups from the packing
         plan's range lookup (``plan``/``stream_off`` locate this chunk in
         the packed stream) — and a revoked packet-buffer mapping is
         re-imported for ``RecoveryPolicy.remap_cost``.
         """
         device = self.device
         engine = device.engine
-        recovery = device.policy.recovery
         t0 = engine.now
         n = data.nbytes
         device._trace("chunk.write.begin", peer=dst, nbytes=n, mode=mode)
         pos = 0          # delivered bytes of this chunk
-        attempt = 0
-        while True:
+        writes = 0
+
+        def attempt():
+            nonlocal writes
+            writes += 1
             if pos == 0:
                 part, part_groups = data, groups
             elif plan is not None and mode == TransferMode.DIRECT:
@@ -205,58 +209,30 @@ class TransferScheduler:
             else:
                 part = data[pos:]
                 part_groups = [(n - pos, 1)]
-            try:
-                yield from self.store.write_packed(
-                    dst, region, offset + pos, part, mode, part_groups,
-                    src_cached,
-                )
-            except TransferFault as fault:
-                attempt += 1
-                if attempt > recovery.max_retransmits:
-                    device.recovery["aborts"] += 1
-                    raise TransferAborted(
-                        f"chunk to rank {dst} still failing after "
-                        f"{recovery.max_retransmits} retransmissions"
-                    ) from fault
-                if fault.unmapped:
-                    # Fresh mapping of the peer's packet buffer (the pt2pt
-                    # degradation path: remap, then carry on).
-                    device.recovery["remaps"] += 1
-                    device._trace("recover.fallback.begin", peer=dst,
-                                  action="remap")
-                    region.remap(device.rank)
-                    yield engine.timeout(recovery.remap_cost)
-                    device._trace("recover.fallback.end", peer=dst)
-                    continue
-                if fault.delivered and recovery.resume_torn:
-                    # Torn mid-stream: the prefix landed; resume the
-                    # remaining byte range instead of the whole chunk.
-                    # Round the resume point *down* to the adapter's
-                    # stream window: a tail starting mid-store-unit
-                    # defeats write-combining for every store in it
-                    # (each becomes its own PCI/SCI transaction), which
-                    # costs far more than re-sending <64 intact bytes.
-                    stream = device.node.params.adapter.stream_txn_size
-                    delivered = pos + fault.delivered
-                    pos = max(delivered - (offset + delivered) % stream, 0)
-                    device.recovery["resumes"] += 1
-                    device._trace("recover.resume.begin", peer=dst,
-                                  delivered=pos, nbytes=n)
-                    yield engine.timeout(recovery.backoff(attempt))
-                    device._trace("recover.resume.end", peer=dst)
-                    continue
-                device.recovery["retries"] += 1
-                device._trace("recover.retry.begin", peer=dst,
-                              attempt=attempt)
-                yield engine.timeout(recovery.backoff(attempt))
-                device._trace("recover.retry.end", peer=dst)
-                continue
-            break
+            yield from self.store.write_packed(
+                dst, region, offset + pos, part, mode, part_groups, src_cached)
+
+        def resume(delivered: int) -> dict:
+            # Torn mid-stream: the prefix landed; resume the remaining
+            # byte range instead of the whole chunk.  Round the resume
+            # point *down* to the adapter's stream window: a tail starting
+            # mid-store-unit defeats write-combining for every store in it
+            # (each becomes its own PCI/SCI transaction), which costs far
+            # more than re-sending <64 intact bytes.
+            nonlocal pos
+            stream = device.node.params.adapter.stream_txn_size
+            delivered += pos
+            pos = max(delivered - (offset + delivered) % stream, 0)
+            return {"delivered": pos, "nbytes": n}
+
+        yield from self.store.deliver_with_retry(
+            dst, attempt, on_unmap=lambda: region.remap(device.rank),
+            on_torn=resume)
         self.stats["chunks"] += 1
         self.stats["chunk_bytes"] += n
         self.stats["chunk_time"] += engine.now - t0
         device._trace("chunk.write.end", peer=dst, nbytes=n,
-                      retries=attempt)
+                      retries=writes - 1)
 
     # -- credit waits with timeout ------------------------------------------------------
 
@@ -384,13 +360,10 @@ class TransferScheduler:
         ``None`` to run the event-stepped path.
         """
         device = self.device
-        policy = device.policy.fastpath
-        if not (policy.closed_form and fastpath_enabled()):
-            return None
         if ack.window is None or mode == TransferMode.DMA:
             return None
         k = self._window_size(ack, pos, total)
-        if k < policy.min_window:
+        if k < fastpath.MIN_WINDOW:
             return None
         engine = device.engine
         if not engine.quiescent:
@@ -437,37 +410,19 @@ class TransferScheduler:
             write_durs = [self.chunk_write_duration(
                 chunk_mode, 0, n, [(n, 1)], src_cached)] * k
         drain_costs = [ack.window.chunk_cost(pos + i * n, n) for i in range(k)]
-        rate_caps = [n / d for d in write_durs]
 
-        homogeneous = (all(d == write_durs[0] for d in write_durs)
-                       and all(d == drain_costs[0] for d in drain_costs))
-        if homogeneous:
-            # Numpy cohort: one accumulate pass over the tiled per-cycle
-            # delta pattern [hop, flow, ctrl, drain, credit].
-            rate = network.exclusive_rate(route, rate_caps[0])
-            delay = float(n) / rate
-            deltas = np.tile(np.array(
-                [hop, delay, ctrl_send, drain_costs[0], ctrl_credit],
-                dtype=np.float64), k)
-            times = engine.coalesce_delays(engine.now, deltas)
-            t1, t2 = times[0::5], times[1::5]
-            starts = np.concatenate(([engine.now], times[4::5][:-1]))
-            network.replay_exclusive_cohort(route, n, rate_caps[0], t1, t2)
-            chunk_durs = t2 - starts
-            end = float(times[-1])
-        else:
-            t = engine.now
-            chunk_durs = []
-            for i in range(k):
-                t0 = t
-                t = t + hop
-                t = network.replay_exclusive(route, n, rate_caps[i], t)
-                chunk_durs.append(t - t0)
-                t = t + ctrl_send
-                t = t + drain_costs[i]
-                t = t + ctrl_credit
-            engine.events_coalesced += 5 * k
-            end = t
+        rates: dict[float, float] = {}  # write duration -> exclusive rate
+        end = engine.now
+        for write_dur, drain_cost in zip(write_durs, drain_costs):
+            rate = rates.get(write_dur)
+            if rate is None:
+                rate = rates[write_dur] = network.exclusive_rate(
+                    route, n / write_dur)
+            start = end
+            end = network.replay_exclusive(route, n, rate, end + hop)
+            self.stats["chunk_time"] += end - start
+            end = end + ctrl_send + drain_cost + ctrl_credit
+        engine.events_coalesced += 5 * k
 
         payload = (packed[pos : pos + k * n] if packed is not None
                    else plan.execute_pack(mem, base, seg_off + pos, k * n))
@@ -478,8 +433,6 @@ class TransferScheduler:
         fabric.counters["bytes_written"] += k * n
         self.stats["chunks"] += k
         self.stats["chunk_bytes"] += k * n
-        for dur in chunk_durs:
-            self.stats["chunk_time"] += float(dur)
         self.fastpath["windows"] += 1
         self.fastpath["window_chunks"] += k
 
@@ -619,7 +572,7 @@ class TransferScheduler:
         exactly what this rank would have charged per cycle.
         """
         device = self.device
-        if not (device.policy.fastpath.closed_form and fastpath_enabled()):
+        if not fastpath.enabled:
             return None
 
         def chunk_cost(pos: int, n: int) -> float:

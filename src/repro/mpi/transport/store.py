@@ -40,14 +40,18 @@ class RemoteStore:
 
     # -- recovery (the bounded-retransmission state machine) -----------------------
 
-    def deliver_with_retry(self, peer: int, make_attempt, on_unmap=None):
+    def deliver_with_retry(self, peer: int, make_attempt, on_unmap=None,
+                           on_torn=None):
         """Run ``make_attempt()`` (a fresh DES generator per call) until it
         succeeds, with bounded exponential-backoff retransmission.
 
         Attempts signal recoverable failures by raising
         :class:`~repro.mpi.errors.TransferFault`; ``on_unmap()`` (if given)
-        repairs a revoked segment mapping between attempts.  Gives up with
-        :class:`~repro.mpi.errors.TransferAborted` after
+        repairs a revoked segment mapping between attempts, and
+        ``on_torn(delivered)`` (if given) moves the caller's resume point
+        past a torn transfer's intact prefix and returns the span
+        attributes — the next attempt then sends the tail only.  Gives up
+        with :class:`~repro.mpi.errors.TransferAborted` after
         ``RecoveryPolicy.max_retransmits`` failed retries.
         """
         device = self.device
@@ -74,11 +78,18 @@ class RemoteStore:
                     yield device.engine.timeout(recovery.remap_cost)
                     device._trace("recover.fallback.end", peer=peer)
                     continue
-                device.recovery["retries"] += 1
-                device._trace("recover.retry.begin", peer=peer,
-                              attempt=attempt)
+                if fault.delivered and on_torn and recovery.resume_torn:
+                    device.recovery["resumes"] += 1
+                    device._trace("recover.resume.begin", peer=peer,
+                                  **on_torn(fault.delivered))
+                    end = "recover.resume.end"
+                else:
+                    device.recovery["retries"] += 1
+                    device._trace("recover.retry.begin", peer=peer,
+                                  attempt=attempt)
+                    end = "recover.retry.end"
                 yield device.engine.timeout(recovery.backoff(attempt))
-                device._trace("recover.retry.end", peer=peer)
+                device._trace(end, peer=peer)
                 continue
             return result
 

@@ -39,9 +39,7 @@ _OSC_COUNTERS = ("direct_puts", "direct_gets", "remote_puts",
 _POLICY_KNOBS = ("short_threshold", "eager_threshold", "eager_slots",
                  "rendezvous_chunk", "direct_min_block",
                  "remote_put_threshold", "small_rma_threshold",
-                 "hier_collectives", "cross_chunk",
-                 "fastpath_cost_tables", "fastpath_closed_form",
-                 "fastpath_min_window", "qos_max_share_pct",
+                 "hier_collectives", "cross_chunk", "qos_max_share_pct",
                  "qos_besteffort_floor_pct", "qos_credit_priority")
 _FASTPATH_STATS = ("table_hits", "table_misses", "table_evictions",
                    "windows", "window_chunks", "coalesced_events")

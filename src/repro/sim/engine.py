@@ -16,8 +16,6 @@ import heapq
 from itertools import count
 from typing import Any, Optional
 
-import numpy as np
-
 from .errors import Deadlock, SimError
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGenerator
@@ -35,8 +33,8 @@ class Engine:
         self._active_process: Optional[Process] = None
         #: Count of events processed so far (diagnostics / perf counters).
         self.events_processed: int = 0
-        #: Count of timeline steps computed analytically by a fast path
-        #: (:meth:`coalesce_delays`) instead of through the event heap.
+        #: Count of timeline steps a fast path computed analytically
+        #: instead of through the event heap (the fast path adds to it).
         self.events_coalesced: int = 0
         self._time_hooks: list = []
 
@@ -118,47 +116,39 @@ class Engine:
     # -- execution -------------------------------------------------------------
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
+        """Time of the next event that will happen, or ``inf`` if none is
+        scheduled.  Cancelled entries at the head of the heap are dropped
+        here, as :meth:`_dispatch` would drop them."""
+        queue = self._queue
+        while queue and queue[0][2].callbacks is None:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else float("inf")
 
     @property
     def pending_events(self) -> int:
-        """Number of events currently scheduled on the heap."""
-        return len(self._queue)
+        """Number of events scheduled to happen (cancelled ones are not)."""
+        return sum(event.callbacks is not None for _, _, event in self._queue)
 
     @property
     def quiescent(self) -> bool:
         """Nothing but the running process can move or observe the clock.
 
         This is the engagement guard of the analytic fast paths: it holds
-        when there are no time hooks and every queued event is *inert* —
-        already triggered, scheduled at exactly ``now``, with nobody
-        waiting on it (a bounded :class:`~repro.sim.channel.Channel`'s
-        ``put`` confirmation).  Inert events pop without advancing
-        time or running callbacks, so the window replay cannot be
-        perturbed by (or perturb) them.
+        when there are no time hooks and every queued event is cancelled
+        or *inert* — already triggered, scheduled at exactly ``now``,
+        with nobody waiting on it (a bounded
+        :class:`~repro.sim.channel.Channel`'s ``put`` confirmation).
+        Both pop without advancing time or running callbacks, so the
+        window replay cannot be perturbed by (or perturb) them.
         """
         if self._time_hooks:
             return False
         for when, _, event in self._queue:
+            if event.callbacks is None:
+                continue  # cancelled: it never happens
             if when != self.now or event.callbacks or not event._ok:
                 return False
         return True
-
-    def coalesce_delays(self, start: float, deltas) -> np.ndarray:
-        """Absolute times of a delta cohort, accumulated analytically.
-
-        Returns ``times[i] = start + deltas[0] + ... + deltas[i]`` where
-        every addition is one IEEE-754 float64 add, left to right —
-        ``np.add.accumulate`` applies the operator sequentially, so the
-        result is bit-identical to stepping the clock through the same
-        delays one event at a time.  Counts the cohort in
-        :attr:`events_coalesced`.
-        """
-        arr = np.asarray(deltas, dtype=np.float64)
-        times = np.add.accumulate(np.concatenate(([start], arr)))[1:]
-        self.events_coalesced += arr.size
-        return times
 
     def _dispatch(self, until: Optional[float] = None,
                   single: bool = False) -> None:
@@ -192,7 +182,7 @@ class Engine:
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        if not self._queue:
+        if self.peek() == float("inf"):
             raise SimError("step() on an empty event queue")
         self._dispatch(single=True)
 

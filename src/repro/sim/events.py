@@ -57,7 +57,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once the engine has run this event's callbacks."""
-        return self.callbacks is None
+        return self.callbacks is None and self._value is not _PENDING
 
     @property
     def ok(self) -> bool:
@@ -107,8 +107,11 @@ class Event:
 
     def cancel(self) -> None:
         """Withdraw a scheduled event nobody waits on: the engine drops its
-        entry without moving the clock, calling a hook or counting it."""
-        self.callbacks = None
+        entry without moving the clock, calling a hook or counting it, and
+        the event reads as neither triggered nor processed."""
+        if self.callbacks is not None:
+            self.callbacks = None
+            self._value = _PENDING
 
     def __repr__(self) -> str:
         state = (

@@ -1,7 +1,8 @@
 """Differential oracle for the analytic fast-path engine (``-m faults``).
 
-Every cell runs the same program twice on fresh clusters — analytic
-fast paths forced on, then forced off — and asserts the complete
+Every cell runs the same program twice on fresh clusters — as shipped,
+then under ``fastpath_disabled()`` (the event-stepped reference, windows
+and cost tables both off) — and asserts the complete
 observable state is **bit-identical**: final simulated time, program
 results, fabric counters, per-link flow accounting, and per-rank
 scheduler/recovery stats.  The fast paths (``docs/ENGINE.md``) are
@@ -19,6 +20,8 @@ alongside ``test_fault_recovery.py`` via
 ``-m faults -k "<suite> and seed<N>"``.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -31,7 +34,7 @@ from repro.hardware.sci.topology import (
     TorusTopology,
 )
 from repro.mpi.flatten import reset_plan_cache
-from repro.mpi.transport import set_fastpath_enabled
+from repro.mpi.transport import fastpath_disabled
 
 pytestmark = pytest.mark.faults
 
@@ -137,16 +140,13 @@ def collectives_program(kind, seed):
 
 
 def run_cell(program, n_nodes=2, fast=True, topology=None, faults=None):
-    """Run ``program`` with the fast paths forced to ``fast``; returns
-    ``(snapshot, cluster)`` where the snapshot is every observable the
-    fast paths could possibly perturb."""
-    previous = set_fastpath_enabled(fast)
-    try:
+    """Run ``program`` as shipped (``fast``) or on the event-stepped
+    reference; returns ``(snapshot, cluster)`` where the snapshot is
+    every observable the fast paths could possibly perturb."""
+    with nullcontext() if fast else fastpath_disabled():
         reset_plan_cache()
         cluster = Cluster(n_nodes=n_nodes, topology=topology, faults=faults)
         run = cluster.run(program)
-    finally:
-        set_fastpath_enabled(previous)
     snapshot = {
         "now": cluster.engine.now,
         "results": run.results,

@@ -67,6 +67,18 @@ class TestMetricNames:
                 "from docs/OBSERVABILITY.md"
             )
 
+    def test_documented_policy_and_engine_rows_are_wired(self):
+        """The other direction, for the two families whose rows describe
+        switches and fast paths: a row that outlives its gauge (the
+        ``policy.fastpath_*`` echoes PR 16 removed) fails here."""
+        from repro.cluster import Cluster
+
+        wired = set(Cluster(n_nodes=2).metrics.names())
+        documented = set(re.findall(
+            r"^\| `((?:policy|engine)\.[a-z0-9_.]+)` \|", DOC, re.M))
+        assert len(documented) >= 15
+        assert documented <= wired, sorted(documented - wired)
+
     def test_every_possible_span_metric_documented(self):
         paired = {re.sub(r"\.begin$", "", k) for k in traced_kinds()
                   if k.endswith(".begin")}

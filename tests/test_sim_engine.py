@@ -553,8 +553,8 @@ class TestEngineContract:
         first = net.transfer(ring.route(0, 1), 1000.0, 90.0)
         solo_finish = eng.peek()
         second = net.transfer(ring.route(0, 1), 4000.0, 90.0)
-        assert eng.pending_events == 2  # the cancelled timer and its successor
-        assert eng.peek() == solo_finish  # still queued, until its turn
+        assert eng.pending_events == 1  # the successor; the cancelled timer is absent
+        assert eng.peek() > solo_finish
         end = eng.run()
         assert first.processed and second.processed
         assert eng.events_processed == 4
@@ -574,10 +574,37 @@ class TestEngineContract:
         assert eng.run() == 3.0
         assert fired == [kept] and ticks == [3.0]
         assert eng.events_processed == 1 and eng.pending_events == 0
-        late = eng.timeout(1.0)
+        assert not doomed.processed and not doomed.triggered
+        assert kept.processed
+
+    def test_cancelled_entries_are_absent(self):
+        """A cancelled entry still sits on the heap until its turn, but
+        nothing that asks the engine about the future may see it."""
+        eng = Engine()
+        late = eng.timeout(5.0)
         late.cancel()
-        eng.step()  # nothing but a cancelled entry: dropped, clock unmoved
-        assert eng.now == 3.0 and eng.events_processed == 1
+        assert eng.quiescent
+        assert eng.pending_events == 0
+        assert eng.peek() == float("inf")
+        with pytest.raises(SimError, match="empty event queue"):
+            eng.step()
+        assert eng.now == 0.0 and eng.events_processed == 0
+        assert not late.processed
+
+        doomed, kept = eng.timeout(1.0), eng.timeout(2.0)
+        doomed.cancel()
+        assert eng.pending_events == 1 and eng.peek() == eng.now + 2.0
+        assert not eng.quiescent  # a live timer in the future
+        eng.step()  # exactly one event: the live one, not the cancelled one
+        assert eng.events_processed == 1 and kept.processed
+        assert eng.quiescent
+
+    def test_cancelling_a_processed_event_keeps_it_processed(self):
+        eng = Engine()
+        done = eng.timeout(1.0)
+        eng.run()
+        done.cancel()
+        assert done.processed and done.triggered
 
     @pytest.mark.parametrize("shared, per_put", [(True, 4), (False, 10)])
     def test_heap_events_per_put_are_fixed(self, shared, per_put):

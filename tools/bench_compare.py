@@ -7,7 +7,7 @@ Usage::
     python tools/bench_compare.py baseline.json current.json --tolerance 0.1
 
 The metric name's suffix carries the comparison direction (the
-convention set by :mod:`repro.bench.smoke` and :mod:`repro.bench.perf`);
+convention set by :mod:`repro.bench.smoke`);
 :data:`DIRECTIONS` is the authoritative suffix table:
 
 * ``*_us``      — simulated microseconds, lower is better; a regression
@@ -16,7 +16,6 @@ convention set by :mod:`repro.bench.smoke` and :mod:`repro.bench.perf`);
   value falling below baseline by more than the tolerance;
 * ``*_ops``     — service operations per second, higher is better;
 * ``*_x``       — a speedup ratio, higher is better;
-* ``*_per_sec`` — wall-clock engine throughput, higher is better;
 * ``*_availability`` — a served-time fraction in [0, 1], higher is
   better;
 * anything else — direction unknown; a regression is the relative
@@ -44,7 +43,6 @@ DIRECTIONS = {
     "_mibs": "higher",
     "_ops": "higher",
     "_x": "higher",
-    "_per_sec": "higher",
     "_availability": "higher",
 }
 
