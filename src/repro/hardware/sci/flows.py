@@ -30,16 +30,18 @@ fraction delivered at that sum.  A *start* adds the new flow's terms to
 the links of its route (it is last in flow order, so ``sum += term`` is
 the float a sum from 0.0 gives); a *finish* drops the flow's terms and
 re-sums those links, and no others, from 0.0.  Fractions (the response is
-pure: one evaluation per distinct load), peaks and the rates of the flows
-on a changed link are refreshed.  One pass over the live flows remains: a
-finish is the float ``now + remaining / rate``, which moves with ``now``
-even at an unchanged rate, so every flow is re-timed.  Only the earliest
-finish can come before the next change re-times them all, so only it gets
-a timer: the first minimum in flow order, the ``(time, seq)`` entry the
-heap would pop first had every flow pushed one.  The timer it replaces is
-cancelled — the engine drops it without moving the clock to it, calling a
-time hook or counting it — so a finish computed for rates that no longer
-hold is never an instant of the simulation.
+pure: one evaluation per distinct load) and peaks of the changed links are
+refreshed, and the flows on a link are re-rated only if its fraction
+*moved*: a rate is ``cap * min(frac)``, so below the congestion knee, where
+every fraction is 1.0, only the started flow is rated.  One pass over the
+live flows remains: a finish is the float ``now + remaining / rate``, which
+moves with ``now`` even at an unchanged rate, so every flow is re-timed.
+Only the earliest finish can come before the next change re-times them
+all, so only it gets a timer: the first minimum in flow order, the
+``(time, seq)`` entry the heap would pop first had every flow pushed one.
+The timer it replaces is cancelled — the engine drops it without moving
+the clock to it, calling a time hook or counting it — so a finish computed
+for rates that no longer hold is never an instant of the simulation.
 
 Each link also carries passive statistics (:meth:`FlowNetwork.link_peak`,
 :meth:`FlowNetwork.link_bytes`) that feed ``fabric.link_*`` and never the rates.
@@ -136,9 +138,9 @@ class FlowNetwork:
 
     def transfer(self, route: Route, nbytes: float, rate_cap: float) -> Event:
         """Start a flow; the returned event fires when all bytes are delivered."""
-        done = Event(self.engine, self._done_name)
         if nbytes > 0 and rate_cap <= 0:
             raise ValueError(f"non-positive rate cap: {rate_cap}")
+        done = Event(self.engine, self._done_name)
         if nbytes <= 0 or not route.data_segments:
             # Nothing to move, or a same-node "transfer": no ring
             # involvement, instantaneous at this layer (the caller
@@ -177,10 +179,6 @@ class FlowNetwork:
     def link_bytes(self) -> dict[object, float]:
         """Cumulative data bytes delivered across each link so far."""
         return {seg: link.bytes for seg, link in self._links.items()}
-
-    # Historical names from the single-ring era.
-    segment_demand = link_demand
-    segment_load = link_load
 
     # -- demand -> delivered fraction: the one copy of the sharing arithmetic --
 
@@ -274,15 +272,17 @@ class FlowNetwork:
 
     def _retime(self, changed: tuple, started: Optional[Flow] = None) -> None:
         """The demand of the ``changed`` links moved (``started`` is new on
-        them): refresh their fractions, re-rate the flows they carry,
-        re-time every flow and schedule the earliest finish — strict ``<``
-        in flow order — in place of the outstanding timer."""
+        them): refresh their fractions, re-rate the flows on those whose
+        fraction moved, re-time every flow and schedule the earliest finish
+        — strict ``<`` in flow order — in place of the outstanding timer."""
         touched = {started} if started is not None else set()
         for link in changed:
             if link.demand != link.rated:  # else frac and peak still hold
                 link.rated = link.demand
-                link.frac = self._fraction(link, link.demand)
-                touched.update(link.users)
+                frac = self._fraction(link, link.demand)
+                if frac != link.frac:  # else its users' rates hold bit for bit
+                    link.frac = frac
+                    touched.update(link.users)
         for flow in touched:
             worst = None
             for link in flow.data:

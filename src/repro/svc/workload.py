@@ -7,10 +7,13 @@ and the generator never consults wall-clock time, so a run is
 bit-identical for a given spec — the property the ``repro-svc``
 determinism guarantee (and its CI leg) rests on.
 
-Key popularity is either ``uniform`` or ``zipfian``; the Zipf draw uses a
-precomputed CDF over key ranks (``p(rank) ~ 1/rank^s``) and inverse
-transform sampling via ``searchsorted``, so it is exact, cheap, and
-deterministic.  Values are a uniform byte fill derived from (client, op
+Key popularity is ``uniform`` or ``zipfian``; a key is drawn by inverse
+transform of the CDF over key ranks, the first rank whose cumulative
+probability reaches a uniform variate.  Zipf (``p(rank) ~ 1/rank^s``) has
+no closed-form inverse, so it keeps the CDF as a table, O(``n_keys``)
+memory per client, and ``searchsorted``; the uniform CDF is the float
+``(rank + 1) / n_keys``, so :func:`_uniform_key` computes the same index
+with no table.  Values are a uniform byte fill derived from (client, op
 index): any *mix* of two valid values differs from every valid value,
 which is what lets the store tests detect torn reads.
 
@@ -20,6 +23,7 @@ driver checks the simulated cluster's final counter state against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -71,6 +75,14 @@ class WorkloadSpec:
             raise ValueError("need at least one key and one counter key")
         if self.value_size < 1:
             raise ValueError(f"value_size must be >= 1: {self.value_size}")
+        if not (math.isfinite(self.zipf_s) and self.zipf_s > 0):
+            raise ValueError(f"zipf_s must be finite and > 0: {self.zipf_s}")
+        if self.ops_per_client < 0:
+            raise ValueError(
+                f"ops_per_client must be >= 0: {self.ops_per_client}")
+        if not (math.isfinite(self.think_time) and self.think_time >= 0):
+            raise ValueError(f"think_time must be finite and >= 0: "
+                             f"{self.think_time}")
 
     def describe(self) -> dict:
         """JSON-ready spec dump (embedded in the driver report)."""
@@ -78,7 +90,8 @@ class WorkloadSpec:
 
 
 def _key_cdf(spec: WorkloadSpec) -> np.ndarray:
-    """Cumulative key-popularity distribution (uniform or Zipf)."""
+    """Cumulative key-popularity distribution (uniform or Zipf); only the
+    Zipf one is ever built outside the tests of :func:`_uniform_key`."""
     ranks = np.arange(1, spec.n_keys + 1, dtype=np.float64)
     if spec.dist == "zipfian":
         weights = 1.0 / ranks**spec.zipf_s
@@ -86,6 +99,15 @@ def _key_cdf(spec: WorkloadSpec) -> np.ndarray:
         weights = np.ones_like(ranks)
     cdf = np.cumsum(weights)
     return cdf / cdf[-1]
+
+
+def _uniform_key(u: float, n_keys: int) -> int:
+    """``searchsorted(_key_cdf(spec), u, "left")`` for a uniform spec: the
+    first ``k`` whose table entry, the float ``(k + 1) / n_keys``, is
+    ``>= u``.  ``int(u * n_keys)`` is that index, or the one above it when
+    the product rounded up to a whole number or ``u`` is a table entry."""
+    k = min(int(u * n_keys), n_keys - 1)
+    return k - 1 if k and k / n_keys >= u else k
 
 
 def _fill_value(client_id: int, op_index: int, size: int) -> bytes:
@@ -98,14 +120,16 @@ def client_ops(spec: WorkloadSpec, client_id: int,
                max_counter_keys: int | None = None) -> list[Op]:
     """The deterministic op stream of one client."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, client_id]))
-    cdf = _key_cdf(spec)
+    cdf = _key_cdf(spec) if spec.dist == "zipfian" else None
     n_counters = spec.n_counter_keys
     if max_counter_keys is not None:
         n_counters = min(n_counters, max_counter_keys)
     ops: list[Op] = []
     for i in range(spec.ops_per_client):
         draw = rng.random()
-        key_idx = int(np.searchsorted(cdf, rng.random(), side="left"))
+        u = rng.random()
+        key_idx = (_uniform_key(u, spec.n_keys) if cdf is None
+                   else int(np.searchsorted(cdf, u, side="left")))
         key = f"key-{key_idx}"
         if draw < spec.read_fraction:
             ops.append(Op("get", key))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro._units import KiB, MiB
 from repro.hardware import DEFAULT_NODE, Node, congestion_fraction
 from repro.hardware.sci import AccessRun, FlowNetwork, RingTopology, SCIFabric
+from repro.hardware.sci import flows as flows_module
 from repro.hardware.sci.flows import fair_share
 from repro.hardware.sci.segments import SegmentDirectory
 from repro.hardware.sci.topology import FatTree, RingOfRings, Route, TorusTopology
@@ -401,6 +402,98 @@ class TestFlowOracle:
             net.transfer(bad, 100.0, 10.0)
         eng.run()
         assert net.active_flows == 0
+
+
+@pytest.fixture
+def ratings(monkeypatch):
+    """Patch in a ``Flow`` that logs every assignment to ``rate``; the log
+    maps flow id -> the values assigned, ``__init__``'s first."""
+    log = {}
+
+    class CountingFlow(flows_module.Flow):
+        @property
+        def rate(self):
+            return self._rate
+
+        @rate.setter
+        def rate(self, value):
+            self._rate = value
+            log.setdefault(self.flow_id, []).append(value)
+
+    monkeypatch.setattr(flows_module, "Flow", CountingFlow)
+    return log
+
+
+def _calm(rng, topology, lockstep):
+    """200 flows in start order that keep every link below the congestion
+    knee: one per node at the same instants (the sparse sweeps' pattern)
+    or at seeded staggered instants (the KV clients')."""
+    n = topology.n_nodes
+    out, clock = [], 0.0
+    for i in range(200):
+        if lockstep:
+            clock, src = 6.0 * n * (i // n), i % n
+        else:
+            clock, src = clock + float(rng.uniform(0.0, 12.0)), int(rng.integers(n))
+        out.append((
+            clock, src, (src + 1 + int(rng.integers(n - 1))) % n,
+            float(rng.integers(256, 2049)),
+            float(rng.choice([20.0, 40.0, 60.0])),
+        ))
+    return out
+
+
+class TestFractionMovedRule:
+    """A flow is re-rated only when the delivered fraction of a link it
+    uses moved — seen through the ``ratings`` log, checked against the
+    network that re-rates everything on every change."""
+
+    @pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "staggered"])
+    @pytest.mark.parametrize("n_nodes", [2, 8])
+    def test_below_the_knee_only_the_started_flow_is_rated(self, n_nodes, lockstep,
+                                                           ratings):
+        topology = RingTopology(n_nodes)
+        arrivals = _calm(np.random.default_rng([n_nodes, lockstep]), topology, lockstep)
+        loads = []
+
+        def response(load):
+            loads.append(load)
+            return congestion_fraction(load)
+
+        got, _end, _timers = _drive(FlowNetwork, topology, response, arrivals)
+        # Flow ids follow start order, so flow i is arrival i: its rate was
+        # assigned by __init__ and when it started, never again, always its cap.
+        assert ratings == {i: [cap, cap] for i, (*_, cap) in enumerate(arrivals)}
+        assert len(loads) == len(set(loads)) > 10  # one evaluation per distinct load
+        assert 0.2 < max(loads) < 0.6
+        concurrent = max(len(rates) for _tag, _now, rates, _d, _l in got[0])
+        assert concurrent >= (n_nodes if lockstep else 3)
+        assert got == _drive(RecomputeEverythingNetwork, topology,
+                             congestion_fraction, arrivals)[0]
+
+    def test_across_the_knee_and_back_rates_the_flows_on_the_moved_link(self, ratings):
+        topology = RingOfRings(3, 4)  # ringlet-local flows of two ringlets share no link
+        arrivals = [
+            (0.0, 0, 1, 61440.0, 300.0),   # 0: alone on its data link: load 0.45
+            (0.0, 4, 5, 61440.0, 300.0),   # 1: the other ringlet
+            (0.0, 2, 3, 61440.0, 300.0),   # 2: same ringlet, only its echo is on 0's link
+            (10.0, 0, 1, 3000.0, 300.0),   # 3: joins 0: load 0.95 until it finishes
+            (60.0, 0, 1, 2048.0, 40.0),    # 4: joins 0: load 0.56, below the knee
+        ]
+        got = _drive(FlowNetwork, topology, congestion_fraction, arrivals)[0]
+        throttled = ratings[3][1]
+        assert 0.9 * 300.0 < throttled < 300.0
+        assert ratings == {
+            0: [300.0, 300.0, throttled, 300.0],  # re-rated when 3 came and went
+            1: [300.0, 300.0],                    # none of its links moved
+            2: [300.0, 300.0, 300.0, 300.0],      # on the moved link, rate unchanged
+            3: [300.0, throttled],
+            4: [40.0, 40.0],                      # moved nothing, and nobody
+        }
+        assert got == _drive(RecomputeEverythingNetwork, topology,
+                             congestion_fraction, arrivals)[0]
+        done = [tag[1] for tag, *_ in got[0] if tag[0] == "done"]
+        assert done == [3, 4, 1, 2, 0]  # the throttled flow finishes after its peers
 
 
 class TestRouteMemo:

@@ -211,7 +211,7 @@ class TestFlowNetwork:
         net = FlowNetwork(eng, {s: 100.0 for s in ring.segments()}, echo_ratio=0.5)
 
         net.transfer(ring.route(0, 1), 100.0, 10.0)
-        demand = net.segment_demand()
+        demand = net.link_demand()
         # data on segment 0; echo (5.0) on segments 1,2,3.
         assert demand[0] == pytest.approx(10.0)
         assert demand[1] == pytest.approx(5.0)

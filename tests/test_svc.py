@@ -1,16 +1,25 @@
 """Tests for the RMA key-value service (repro.svc): workload and driver.
 
-Covers the seeded workload generator, boundary validation of the service
-shape, the CLI's exit codes, and the driver's headline guarantee: the
-full JSON report is bit-identical across repeated runs for a given
-(workload, fault plan) pair — uniform and zipfian, faults on and off.
+Covers the seeded workload generator (the closed-form uniform key draw
+against the popularity table it stands for, golden stream digests),
+boundary validation of the service shape, the CLI's exit codes, and the
+driver's headline guarantee: the full JSON report is bit-identical
+across repeated runs for a given (workload, fault plan) pair — uniform
+and zipfian, faults on and off.
 The placement map and the slot protocol under concurrent clients live
 in ``tests/test_kv_store.py`` (one module for every chain depth).
 """
 
+import functools
+import hashlib
 import json
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.sci.faults import FaultPlan
 from repro.mpi.flatten import reset_plan_cache
@@ -22,6 +31,7 @@ from repro.svc import (
     replay,
     run_service,
 )
+from repro.svc.workload import _key_cdf, _uniform_key
 
 
 class TestWorkload:
@@ -68,6 +78,93 @@ class TestWorkload:
             WorkloadSpec(read_fraction=0.9, incr_fraction=0.2)
         with pytest.raises(ValueError):
             WorkloadSpec(n_keys=0)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("zipf_s", [math.nan, math.inf, -math.inf, 0.0, -1.1]),
+        ("ops_per_client", [-1]),
+        ("think_time", [-0.5, math.nan, math.inf]),
+    ], ids=["zipf_s", "ops_per_client", "think_time"])
+    def test_unusable_numbers_are_rejected_by_name(self, field, bad):
+        """Whatever ``dist`` is: the spec is embedded in the JSON report,
+        which cannot carry ``NaN`` or ``Infinity``."""
+        for value in bad:
+            with pytest.raises(ValueError, match=field) as exc:
+                WorkloadSpec(**{field: value})
+            assert str(value) in str(exc.value)
+        assert client_ops(WorkloadSpec(ops_per_client=0), 0) == []
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_table(n_keys):
+    return _key_cdf(WorkloadSpec(n_keys=n_keys))
+
+
+class TestKeyDraws:
+    """The uniform draw is the popularity table's answer without the
+    table; the table itself (``_key_cdf``) is its definition."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n_keys=st.one_of(st.integers(1, 5000),
+                         st.sampled_from([999_983, 10**6])),
+        entry=st.floats(0.0, 1.0),  # which table entry to draw at
+        neighbour=st.sampled_from([-1, 0, 1]),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @example(n_keys=1, entry=0.0, neighbour=0, u=0.0)
+    @example(n_keys=10**6, entry=1.0, neighbour=-1, u=1.0 - 2.0**-53)
+    @example(n_keys=999_983, entry=0.5, neighbour=0, u=5e-324)
+    def test_closed_form_equals_the_table(self, n_keys, entry, neighbour, u):
+        # Any u in [0, 1), and the float k/n a table entry holds with the
+        # float on either side of it: where an off-by-one would live.
+        at = int(entry * n_keys) / n_keys
+        edge = math.nextafter(at, at + neighbour) if neighbour else at
+        cdf = _uniform_table(n_keys)
+        for variate in (u, edge):
+            if 0.0 <= variate < 1.0:
+                assert _uniform_key(variate, n_keys) == int(
+                    np.searchsorted(cdf, variate, side="left"))
+
+    #: sha256(repr(client_ops(spec, client))) at the commit before the
+    #: uniform table was replaced: op streams are byte-identical.
+    KV_OVERLOAD = dict(n_keys=1_000_000, read_fraction=0.5, incr_fraction=0.0,
+                       ops_per_client=300, value_size=32, seed=1)
+    GOLDEN = [
+        (KV_OVERLOAD, 0, "e519321a935381e86c45dc28838b255b"
+                         "a6d778abf8232f39859ab5be79185a9a"),
+        (KV_OVERLOAD, 1, "e4f8f2c0fddca7c90377ae5caecab7ab"
+                         "7c7986c275bc26c46a998b5276facdbb"),
+        (KV_OVERLOAD, 2, "60d0978641a205fbfdbe1bde2592e76a"
+                         "428dedd0be5b346f9502d3c44c27e894"),
+        (KV_OVERLOAD, 3, "d85a0d108bfa57914f4848adc2dcd24a"
+                         "7d8be85fbe90ee9641bccaa528d47a85"),
+        ({}, 0, "ca6bf573bfa8af4e3bbf48a730b9df9b"
+                "18c6372bd080c14090526c1849ec6cf2"),
+        (dict(n_keys=5000, dist="zipfian", zipf_s=1.2, ops_per_client=400,
+              seed=11), 2, "b324c17a96167339a59a2cdd55976abe"
+                           "e2cd668bfaa8547ac95450efe5fe18f4"),
+    ]
+
+    @pytest.mark.parametrize("fields, client, digest", GOLDEN, ids=[
+        "kv_overload-0", "kv_overload-1", "kv_overload-2", "kv_overload-3",
+        "default", "zipfian"])
+    def test_streams_are_byte_identical_to_the_golden(self, fields, client,
+                                                      digest):
+        stream = repr(client_ops(WorkloadSpec(**fields), client))
+        assert hashlib.sha256(stream.encode()).hexdigest() == digest
+
+    def test_uniform_draws_need_no_memory_per_key(self):
+        """A popularity table over these keys would be 80 MB, built with
+        three temporaries of that size; ten ops are a few KiB."""
+        spec = WorkloadSpec(n_keys=10**7, ops_per_client=10)
+        tracemalloc.start()
+        try:
+            ops = client_ops(spec, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ops) == 10
+        assert peak < 1 << 20
 
 
 class TestDriver:
@@ -184,6 +281,11 @@ class TestCli:
         ["--value-size", "0"],
         ["--read-frac", "0.9", "--incr-frac", "0.2"],
         ["--counter-slots", "0"],  # default --incr-frac 0.2 has no home
+        # nan would put every draw on key-0 and "zipf_s": NaN in the JSON.
+        ["--dist", "zipfian", "--zipf-s", "nan", "--ops", "5", "--json", "-"],
+        ["--zipf-s", "0"],
+        ["--ops", "-1"],
+        ["--think-time", "-1"],
     ])
     def test_invalid_shape_is_a_usage_error(self, argv, capsys):
         """Exit code 2 and one line on stderr — code 1 is reserved for
