@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..mpi.datatypes import DOUBLE
 
@@ -50,6 +49,8 @@ class DistributedSpMV:
         ``matrix`` must be identical on every rank (it is sliced locally);
         ``shared`` selects SCI-shared vs private window memory.
         """
+        import scipy.sparse as sp  # here only: some 340 modules nothing else needs
+
         comm = ctx.comm
         n = matrix.shape[0]
         if matrix.shape[0] != matrix.shape[1]:

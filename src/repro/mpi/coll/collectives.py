@@ -27,16 +27,22 @@ ringlet-locally.  Single-domain topologies — the plain ring — always
 take the flat algorithms, bit-identically to the pre-topology code.
 
 All functions are DES generators taking the caller's Communicator.
-Reduction operates on numpy-typed views.
+Reductions fold in place inside the address space — in ``recvbuf`` where
+it is output, else in scratch borrowed from the rank's free list and
+handed back — and leaf ranks send ``sendbuf`` itself.  Aliasing user
+memory across yields is safe: a blocking collective owns its buffers
+until it returns, and no other rank holds a handle to private memory
+(docs/PROTOCOLS.md, "What a collective allocates").
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..datatypes.basic import BYTE, BasicType, DOUBLE
+from ..errors import MPIError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..comm import Communicator
@@ -58,10 +64,11 @@ __all__ = [
 #: Reserved tag space for collectives (user tags must stay below this).
 COLL_TAG = 1 << 20
 
-#: Reduction operators on numpy arrays.
-OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
+#: Reduction operators: numpy ufuncs, so a fold can name its output
+#: (``ufunc(acc, x, out=acc)``); also the accumulate table of ``mpi.osc``.
+OPS: dict[str, np.ufunc] = {
+    "sum": np.add,
+    "prod": np.multiply,
     "min": np.minimum,
     "max": np.maximum,
     # Bitwise ops (MPI_BAND/BOR/BXOR) on integer dtypes; `bor` is the
@@ -80,15 +87,18 @@ def barrier(comm: "Communicator"):
         return
         yield  # pragma: no cover - generator marker
     rank = comm.rank
-    token = comm.alloc_scratch(1)
-    distance = 1
-    while distance < size:
-        dst = (rank + distance) % size
-        src = (rank - distance) % size
-        req = comm.isend(token, dst, tag=COLL_TAG + 1)
-        yield from comm.recv(token, source=src, tag=COLL_TAG + 1)
-        yield from req.wait()
-        distance *= 2
+    token = comm.alloc_scratch(1)  # may be larger: hence count=1
+    try:
+        distance = 1
+        while distance < size:
+            dst = (rank + distance) % size
+            src = (rank - distance) % size
+            req = comm.isend(token, dst, tag=COLL_TAG + 1, count=1)
+            yield from comm.recv(token, source=src, tag=COLL_TAG + 1, count=1)
+            yield from req.wait()
+            distance *= 2
+    finally:
+        comm.free_scratch(token)
 
 
 def _collective_chunk(comm: "Communicator", buf: "Buffer", datatype,
@@ -197,38 +207,74 @@ def _member_bcast(comm: "Communicator", buf: "Buffer", members: Sequence[int],
         mask >>= 1
 
 
-def _member_reduce(comm: "Communicator", acc: np.ndarray, nbytes: int,
+def _check_reduction(op: str, datatype: BasicType, count: int,
+                     sendbuf: "Buffer", recvbuf: Optional["Buffer"],
+                     blocks: int = 1) -> None:
+    """Reject a bad reduction on every rank before its first message.
+
+    ``sendbuf`` holds ``blocks`` x ``count`` elements, ``recvbuf``
+    ``count``; they may be the same range (in place) but not overlap
+    otherwise: the fold would overwrite input it has yet to send.
+    """
+    if op not in OPS:
+        raise ValueError(f"unknown reduction op {op!r}")
+    nbytes = count * datatype.size
+    for name, buf, need in (("sendbuf", sendbuf, blocks * nbytes),
+                            ("recvbuf", recvbuf, nbytes)):
+        if buf is not None and not 0 <= need <= buf.nbytes:
+            raise MPIError(f"{name} of {buf.nbytes} B cannot hold {need} B "
+                           f"(count={count}, {datatype.size} B each)")
+    if recvbuf is not None and recvbuf.space is sendbuf.space:
+        lo, rlo = sendbuf.base, recvbuf.base
+        if (lo < rlo + nbytes and rlo < lo + blocks * nbytes
+                and (lo != rlo or blocks > 1)):
+            raise MPIError(f"sendbuf at {lo} and recvbuf at {rlo} overlap "
+                           f"without being the same {nbytes} B")
+
+
+def _member_reduce(comm: "Communicator", sendbuf: "Buffer",
+                   acc: Optional["Buffer"], nbytes: int,
                    members: Sequence[int], root: int, op: str,
                    datatype: BasicType, tag: int):
-    """Binomial reduction of ``acc`` over ``members`` to ``root``.
+    """Binomial reduction of ``sendbuf`` over ``members`` to ``root``.
 
-    Returns the (possibly updated) accumulator; only the root's value is
-    the full reduction.
+    A rank without children (odd position, or last of an odd count: half
+    of all ranks) sends ``sendbuf`` as it is and allocates nothing.  A
+    rank with children borrows one receive scratch, folds each child in
+    place into its accumulator and sends that on: ``acc`` — memory the
+    caller lets it overwrite, required on the root, where the reduction
+    ends up — or, given none, a second borrowed scratch.
     """
     m = len(members)
-    if m == 1:
-        return acc
-    idx = members.index(comm.rank)
     root_idx = members.index(root)
-    relative = (idx - root_idx) % m
-    scratch = comm.alloc_scratch(nbytes)
-    mask = 1
-    while mask < m:
-        if relative & mask:
-            parent = members[((relative & ~mask) + root_idx) % m]
-            scratch.write(acc.view(np.uint8))
-            yield from comm.send(scratch, parent, tag=tag,
-                                 datatype=BYTE, count=nbytes)
-            break
-        child_rel = relative | mask
-        if child_rel < m:
-            child = members[(child_rel + root_idx) % m]
-            yield from comm.recv(scratch, source=child, tag=tag,
-                                 datatype=BYTE, count=nbytes)
-            # Read in place: the operator returns a new array at once.
-            acc = OPS[op](acc, scratch.read(0, nbytes).view(datatype.np_dtype))
-        mask <<= 1
-    return acc
+    relative = (members.index(comm.rank) - root_idx) % m
+    inner = not relative & 1 and relative + 1 < m
+    scratch = comm.alloc_scratch(nbytes) if inner else None
+    own = comm.alloc_scratch(nbytes) if inner and acc is None else None
+    try:
+        out = sendbuf
+        if inner or relative == 0:
+            out = acc if acc is not None else own
+            if (out.space, out.base) != (sendbuf.space, sendbuf.base):
+                out.write(sendbuf.read(0, nbytes))
+        mask = 1
+        while mask < m:
+            if relative & mask:
+                parent = members[((relative & ~mask) + root_idx) % m]
+                yield from comm.send(out, parent, tag=tag,
+                                     datatype=BYTE, count=nbytes)
+                break
+            child_rel = relative | mask
+            if child_rel < m:
+                child = members[(child_rel + root_idx) % m]
+                yield from comm.recv(scratch, source=child, tag=tag,
+                                     datatype=BYTE, count=nbytes)
+                total = out.read(0, nbytes).view(datatype.np_dtype)
+                OPS[op](total, scratch.read(0, nbytes).view(datatype.np_dtype),
+                        out=total)
+            mask <<= 1
+    finally:
+        comm.free_scratch(scratch, own)
 
 
 def _bcast_hier(comm: "Communicator", buf: "Buffer", root: int, datatype,
@@ -330,63 +376,40 @@ def _bcast_chained(comm: "Communicator", buf: "Buffer", root: int,
 def reduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
            root: int = 0, op: str = "sum", datatype: BasicType = DOUBLE,
            count: Optional[int] = None):
-    """Binomial-tree reduction to ``root``."""
-    if op not in OPS:
-        raise ValueError(f"unknown reduction op {op!r}")
-    size = comm.size
-    rank = comm.rank
+    """Binomial-tree reduction to ``root`` (into its ``sendbuf`` when it
+    passes no ``recvbuf``)."""
     if count is None:
         count = sendbuf.nbytes // datatype.size
-    nbytes = count * datatype.size
-    acc = np.array(sendbuf.read(0, nbytes), copy=True).view(datatype.np_dtype)
-    if size > 1:
-        relative = (rank - root) % size
-        scratch = comm.alloc_scratch(nbytes)
-        mask = 1
-        while mask < size:
-            if relative & mask:
-                parent = ((relative & ~mask) + root) % size
-                scratch.write(acc.view(np.uint8))
-                yield from comm.send(scratch, parent, tag=COLL_TAG + 3,
-                                     datatype=BYTE, count=nbytes)
-                break
-            child_rel = relative | mask
-            if child_rel < size:
-                child = (child_rel + root) % size
-                yield from comm.recv(scratch, source=child, tag=COLL_TAG + 3,
-                                     datatype=BYTE, count=nbytes)
-                acc = OPS[op](acc, scratch.read(0, nbytes).view(datatype.np_dtype))
-            mask <<= 1
-    if rank == root:
-        target = recvbuf if recvbuf is not None else sendbuf
-        target.write(np.ascontiguousarray(acc).view(np.uint8))
-    return None
+    _check_reduction(op, datatype, count, sendbuf, recvbuf)
+    acc = None
+    if comm.rank == root:
+        acc = recvbuf if recvbuf is not None else sendbuf
+    yield from _member_reduce(comm, sendbuf, acc, count * datatype.size,
+                              range(comm.size), root, op, datatype,
+                              COLL_TAG + 3)
 
 
 def _allreduce_hier(comm: "Communicator", sendbuf: "Buffer",
                     recvbuf: "Buffer", op: str, datatype: BasicType,
-                    count: int, groups: Sequence[Sequence[int]]):
+                    nbytes: int, groups: Sequence[Sequence[int]]):
     """Hierarchical allreduce: ringlet-local reduce, leader exchange,
     ringlet-local bcast.
 
     Each ringlet reduces to its leader without touching a cross-switch
     link; leaders then allreduce among themselves (one payload per
     ringlet across the crossbar, chunk-pipelined when large) and fan the
-    result back out locally.
+    result back out locally.  ``recvbuf`` is the accumulator of every
+    stage: it is output on every rank.
     """
-    nbytes = count * datatype.size
     rank = comm.rank
     my_group = next(g for g in groups if rank in g)
     leader = my_group[0]
     leaders = [g[0] for g in groups]
-    acc = np.array(sendbuf.read(0, nbytes), copy=True).view(datatype.np_dtype)
-    acc = yield from _member_reduce(comm, acc, nbytes, my_group, leader,
-                                    op, datatype, COLL_TAG + 8)
+    yield from _member_reduce(comm, sendbuf, recvbuf, nbytes, my_group,
+                              leader, op, datatype, COLL_TAG + 8)
     if rank == leader:
-        acc = yield from _member_reduce(comm, acc, nbytes, leaders,
-                                        leaders[0], op, datatype,
-                                        COLL_TAG + 9)
-        recvbuf.write(np.ascontiguousarray(acc).view(np.uint8))
+        yield from _member_reduce(comm, recvbuf, recvbuf, nbytes, leaders,
+                                  leaders[0], op, datatype, COLL_TAG + 9)
         chunk = comm.device.policy.cross_switch_chunk(nbytes)
         yield from _member_bcast(comm, recvbuf, leaders, leaders[0],
                                  COLL_TAG + 9, datatype=BYTE, count=nbytes,
@@ -400,19 +423,18 @@ def allreduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: "Buffer",
               count: Optional[int] = None):
     """Reduce to rank 0 then broadcast; hierarchical on multi-ringlet
     topologies (see :func:`_allreduce_hier`)."""
-    if op not in OPS:
-        raise ValueError(f"unknown reduction op {op!r}")
     if count is None:
         count = sendbuf.nbytes // datatype.size
-    groups = _hier_groups(comm, "allreduce", count * datatype.size)
+    _check_reduction(op, datatype, count, sendbuf, recvbuf)
+    nbytes = count * datatype.size
+    groups = _hier_groups(comm, "allreduce", nbytes)
     if groups is not None:
         yield from _allreduce_hier(comm, sendbuf, recvbuf, op, datatype,
-                                   count, groups)
+                                   nbytes, groups)
         return
-    yield from reduce(comm, sendbuf, recvbuf, root=0, op=op,
-                      datatype=datatype, count=count)
-    yield from bcast(comm, recvbuf, root=0, datatype=BYTE,
-                     count=count * datatype.size)
+    yield from _member_reduce(comm, sendbuf, recvbuf, nbytes,
+                              range(comm.size), 0, op, datatype, COLL_TAG + 3)
+    yield from bcast(comm, recvbuf, root=0, datatype=BYTE, count=nbytes)
 
 
 def gather(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
@@ -477,12 +499,17 @@ def reduce_scatter_block(comm: "Communicator", sendbuf: "Buffer",
     """Reduce then scatter equal blocks (MPI_Reduce_scatter_block)."""
     if count is None:
         count = recvbuf.nbytes // datatype.size
+    _check_reduction(op, datatype, count, sendbuf, recvbuf, blocks=comm.size)
     total = count * comm.size
-    scratch = comm.alloc_scratch(total * datatype.size)
-    yield from reduce(comm, sendbuf, scratch, root=0, op=op,
-                      datatype=datatype, count=total)
-    yield from scatter(comm, scratch if comm.rank == 0 else None, recvbuf,
-                       root=0, count=count * datatype.size)
+    scratch = (comm.alloc_scratch(total * datatype.size)
+               if comm.rank == 0 else None)
+    try:
+        yield from reduce(comm, sendbuf, scratch, root=0, op=op,
+                          datatype=datatype, count=total)
+        yield from scatter(comm, scratch, recvbuf, root=0,
+                           count=count * datatype.size)
+    finally:
+        comm.free_scratch(scratch)
 
 
 def allgather(comm: "Communicator", sendbuf: "Buffer", recvbuf: "Buffer",

@@ -35,7 +35,12 @@ __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG", "Status"]
 
 
 class Communicator:
-    """Per-rank communicator over a group of world ranks."""
+    """Per-rank communicator over a group of world ranks.
+
+    Collectives borrow their scratch memory through it from the device's
+    free list (:meth:`alloc_scratch` / :meth:`free_scratch`), so a rank's
+    footprint does not grow with the number of calls.
+    """
 
     def __init__(self, world: MPIWorld, world_rank: int, context: int = 0,
                  group: Optional[Sequence[int]] = None):
@@ -53,7 +58,6 @@ class Communicator:
         self._rank = self.group.index(world_rank)
         self.device = world.device(world_rank)
         self.engine = world.engine
-        self._scratch_counter = 0
 
     # -- identity ----------------------------------------------------------------
 
@@ -88,12 +92,20 @@ class Communicator:
         return Status(self._to_local(status.source), status.tag, status.nbytes)
 
     def alloc_scratch(self, nbytes: int) -> Buffer:
-        """Allocate private scratch memory on this rank's node."""
-        self._scratch_counter += 1
-        return self.device.node.space.alloc(
-            max(nbytes, 1),
-            label=f"scratch-w{self._world_rank}-{self._scratch_counter}",
-        )
+        """Borrow at least ``nbytes`` of private scratch on this rank's
+        node — the smallest free buffer that fits, else a new allocation;
+        hand it back with :meth:`free_scratch` in a ``finally``."""
+        free = self.device.free_scratch
+        fit = min((b for b in free if b.nbytes >= nbytes), key=len, default=None)
+        if fit is None:
+            return self.device.node.space.alloc(
+                max(nbytes, 1), label=f"scratch-w{self._world_rank}")
+        free.remove(fit)
+        return fit
+
+    def free_scratch(self, *bufs: Optional[Buffer]) -> None:
+        """Return borrowed scratch (``None`` entries are skipped)."""
+        self.device.free_scratch.extend(b for b in bufs if b is not None)
 
     # -- point-to-point -------------------------------------------------------------
 

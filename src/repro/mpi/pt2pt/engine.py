@@ -112,6 +112,9 @@ class RankDevice:
         #: Sender-side credit pools per destination, and free slot indices.
         self._eager_credits: dict[int, Resource] = {}
         self._eager_free: dict[int, list[int]] = {}
+        #: Scratch the collectives borrowed and handed back.  Per rank, not a
+        #: mark on the address space: the ranks of one node interleave there.
+        self.free_scratch: list["Buffer"] = []
         #: Hook the OSC layer installs to serve emulation requests.
         self.osc_handler: Optional[Callable[[Any], Any]] = None
         #: Optional tracer (see repro.trace.attach_tracer).

@@ -118,3 +118,31 @@ class TestNodeParamsUtilities:
         off = DEFAULT_NODE.with_write_combining(False)
         assert DEFAULT_NODE.write_combine.enabled
         assert not off.write_combine.enabled
+
+
+class TestImportGraph:
+    def test_the_package_imports_neither_scipy_nor_unittest(self):
+        """Every process that imports the scenarios, the service or the
+        bench pays for the import graph: numpy, repro and a few small
+        stdlib modules.  `scipy.sparse` (some 340 modules, `unittest` among
+        them) is `DistributedSpMV.create`'s alone — tests/test_apps.py
+        shows it still finds it."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        probe = ("import sys; "
+                 "import repro, repro.apps, repro.scenarios, repro.svc, repro.bench; "
+                 "print(sorted({name.split('.')[0] for name in sys.modules}"
+                 " & {'scipy', 'unittest'}), len(sys.modules))")
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        heavy, count = done.stdout.rsplit(" ", 1)
+        assert heavy == "[]"
+        assert int(count) < 400     # 284 here; 627 with scipy.sparse
