@@ -5,7 +5,7 @@ Demonstrates the higher-level application layer:
 
 * :class:`repro.apps.HaloExchanger` builds the per-face ``Subarray``
   datatypes and drives the nonblocking exchange;
-* :func:`repro.trace.attach_tracer` records where simulated time goes;
+* :func:`repro.obs.attach_tracer` records where simulated time goes;
 * the run verifies physics (heat conservation on a periodic domain) and
   compares the generic vs direct_pack_ff transfer technique.
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import Cluster, NonContigMode, ProtocolConfig
 from repro.apps import HaloExchanger
-from repro.trace import attach_tracer
+from repro.obs import attach_tracer
 
 PROCS = (2, 2)
 INTERIOR = (96, 96)

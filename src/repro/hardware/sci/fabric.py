@@ -78,7 +78,7 @@ class SCIFabric:
         #: stalls) — None means a clean fabric.  See
         #: :class:`~repro.hardware.sci.faults.FaultPlan`.
         self.fault_plan: Optional[FaultPlan] = None
-        #: Wired by :func:`repro.trace.attach_tracer`: when set, every
+        #: Wired by :func:`repro.obs.trace.attach_tracer`: when set, every
         #: wire-level transfer is recorded as one complete event under
         #: :data:`FABRIC_RANK` (with start/duration/ringlet detail).
         self.tracer = None
@@ -213,11 +213,16 @@ class SCIFabric:
             self.tracer.record(self.engine.now, FABRIC_RANK, kind, **detail)
 
     def _trace_xfer(self, op: str, src: int, dst: int, nbytes: int,
-                    start: float, route: Route) -> None:
+                    start: float, route: Route,
+                    end: Optional[float] = None) -> None:
+        """One complete ``fabric.xfer`` record, ending now (or at ``end``:
+        the stream windows replay transfers the clock never stops at)."""
         if self.tracer is not None:
-            self._trace("fabric.xfer", op=op, src=src, dst=dst, nbytes=nbytes,
-                        start=start, duration=self.engine.now - start,
-                        ringlet=self._ringlet_of(route))
+            end = self.engine.now if end is None else end
+            self.tracer.record(end, FABRIC_RANK, "fabric.xfer", op=op, src=src,
+                               dst=dst, nbytes=nbytes, start=start,
+                               duration=end - start,
+                               ringlet=self._ringlet_of(route))
 
     def _draw_fault(self, src: int, dst: int, nbytes: int,
                     tearable: bool = False):

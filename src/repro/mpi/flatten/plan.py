@@ -28,7 +28,7 @@ in *both* the packed stream and memory — the byte order of the stream is
 unchanged, only the grouping is coarser (fewer, larger copies).
 
 Plans are memoized in a bounded LRU :class:`PlanCache` with hit/miss
-counters (surfaced through :func:`repro.trace` summaries).  The cache can
+counters (surfaced through :meth:`repro.obs.Tracer.summary`).  The cache can
 be disabled globally — :func:`plan_cache_disabled` — which is the
 ablation toggle ``benchmarks/test_ablations.py`` uses to measure how many
 offset-table constructions the cache saves.

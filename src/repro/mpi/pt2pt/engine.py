@@ -117,7 +117,7 @@ class RankDevice:
         self.free_scratch: list["Buffer"] = []
         #: Hook the OSC layer installs to serve emulation requests.
         self.osc_handler: Optional[Callable[[Any], Any]] = None
-        #: Optional tracer (see repro.trace.attach_tracer).
+        #: Optional tracer (see repro.obs.trace.attach_tracer).
         self.tracer = None
         #: Perf counters.
         self.counters = {"sends": 0, "recvs": 0, "short": 0, "eager": 0, "rndv": 0}

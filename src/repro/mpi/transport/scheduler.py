@@ -348,16 +348,18 @@ class TransferScheduler:
         """Collapse the steady-state tail of a rendezvous stream.
 
         When the engine is otherwise quiescent — no scheduled events, no
-        time hooks, no concurrent flows, clean deterministic fabric — the
-        next ``k`` handshake cycles are a closed arithmetic form: per
-        cycle the clock advances by hop latency, the exclusive flow
-        delay, the sender's control cost, the receiver's drain cost and
-        the receiver's credit cost, in that order.  This method replays
-        that sequence analytically (bit-identical floats, identical
-        per-link byte/peak accounting), ships all ``k`` chunks as one
-        :class:`StreamWindow`, and advances the clock with a single
-        ``wake_at``.  Returns ``(pos, index)`` past the window, or
-        ``None`` to run the event-stepped path.
+        concurrent flows, clean deterministic fabric — the next ``k``
+        handshake cycles are a closed arithmetic form: per cycle the
+        clock advances by hop latency, the exclusive flow delay, the
+        sender's control cost, the receiver's drain cost and the
+        receiver's credit cost, in that order.  This method replays that
+        sequence analytically (bit-identical floats, identical per-link
+        byte/peak accounting and, under a tracer, the event path's
+        ``chunk.write`` spans and ``fabric.xfer`` records at the same
+        instants), ships all ``k`` chunks as one :class:`StreamWindow`,
+        and advances the clock with a single ``wake_at``.  Returns
+        ``(pos, index)`` past the window, or ``None`` to run the
+        event-stepped path.
         """
         device = self.device
         if ack.window is None or mode == TransferMode.DMA:
@@ -378,8 +380,6 @@ class TransferScheduler:
             # closed-form replay assumes the unshaped cost model, so the
             # event-stepped path (which consults the QoS hook on every
             # wire op) must run instead.
-            return None
-        if device.tracer is not None or fabric.tracer is not None:
             return None
         network = fabric.network
         if network.active_flows != 0:
@@ -421,6 +421,13 @@ class TransferScheduler:
             start = end
             end = network.replay_exclusive(route, n, rate, end + hop)
             self.stats["chunk_time"] += end - start
+            if device.tracer is not None:
+                device.tracer.record(start, device.rank, "chunk.write.begin",
+                                     peer=dest, nbytes=n, mode=chunk_mode)
+                fabric._trace_xfer("raw", src_node, dst_node, n, start,
+                                   route, end)
+                device.tracer.record(end, device.rank, "chunk.write.end",
+                                     peer=dest, nbytes=n, retries=0)
             end = end + ctrl_send + drain_cost + ctrl_credit
         engine.events_coalesced += 5 * k
 

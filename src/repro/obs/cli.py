@@ -13,7 +13,7 @@ observability artifacts::
 ``chrome://tracing`` or https://ui.perfetto.dev): one track per rank, one
 per fabric ringlet, args carrying bytes/chunk/protocol/fault metadata.
 ``metrics.json`` is the flat metrics-registry snapshot (every key is
-documented in ``docs/OBSERVABILITY.md``).  A compact text timeline and
+listed in ``docs/OBSERVABILITY.md``).  A compact text timeline and
 the artifact paths are printed to stderr/stdout for terminal use.
 """
 
@@ -30,9 +30,8 @@ from ..hardware.sci.faults import FaultPlan
 from ..hardware.sci.topology import TOPOLOGY_NAMES, topology_from_name
 from ..mpi.datatypes import BYTE, Vector
 from ..mpi.pt2pt.config import DEFAULT_PROTOCOL
-from ..trace import attach_tracer
-from .hooks import attach_span_metrics
 from .timeline import text_timeline, write_chrome_trace
+from .trace import attach_tracer
 
 __all__ = ["SCENARIOS", "main", "run_scenario"]
 
@@ -141,10 +140,8 @@ def run_scenario(scenario: str, size: int = 256 * KiB, nodes: int = 0,
                       topology=(topology_from_name(topology, n_nodes)
                                 if topology else None))
     tracer = attach_tracer(cluster)
-    registry = cluster.metrics
-    attach_span_metrics(tracer, registry)
     cluster.run(program)
-    return cluster, tracer, registry
+    return cluster, tracer, cluster.metrics
 
 
 def main(argv=None) -> int:

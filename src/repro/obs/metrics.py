@@ -25,8 +25,8 @@ of them:
 Names are dotted lowercase (``^[a-z0-9_]+(\\.[a-z0-9_]+)*$``) and the
 namespace is collision-checked: registering the same name twice — whether
 as an instrument or via a collector — raises :class:`MetricError`.  The
-full name registry (with units and owning modules) is documented in
-``docs/OBSERVABILITY.md``; a grep-guard test keeps code and doc in sync.
+name tables of ``docs/OBSERVABILITY.md`` are generated from the code and
+checked by ``tools/docs_check.py``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Timeline export: Tracer events → Chrome/Perfetto ``trace_event`` JSON.
 
-The :class:`~repro.trace.Tracer` records three shapes of event:
+The :class:`~repro.obs.trace.Tracer` records three shapes of event:
 
 * ``<op>.begin`` / ``<op>.end`` pairs — rank-side spans (MPI calls,
   recovery episodes, chunk writes).  Exported as ``B``/``E`` duration
@@ -34,7 +34,7 @@ import json
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..trace import TraceEvent, Tracer
+    from .trace import TraceEvent, Tracer
 
 __all__ = [
     "FABRIC_RANK",
@@ -109,7 +109,7 @@ def chrome_trace(tracer: "Tracer",
     if ringlets:
         events.append(_meta("process_name", _FABRIC_PID,
                             args={"name": "fabric"}))
-        labels = getattr(tracer, "ringlet_labels", {})
+        labels = tracer.ringlet_labels
         for ringlet in ringlets:
             name = labels.get(ringlet, f"ringlet {ringlet}")
             events.append(_meta("thread_name", _FABRIC_PID, tid=ringlet,

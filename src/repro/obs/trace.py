@@ -1,4 +1,4 @@
-"""Execution tracing for simulated MPI programs.
+"""Execution tracing for simulated MPI programs: the one event model.
 
 A :class:`Tracer` records timestamped events (MPI call begin/end, protocol
 choices, transfers) per rank, and can summarize where simulated time went —
@@ -11,8 +11,12 @@ Enable on a cluster::
     cluster.run(program)
     print(tracer.summary())
 
-Tracing is opt-in and zero-cost when not attached (the device checks a
-single attribute).
+Begin/end pairing happens once, as events are recorded; it feeds
+:meth:`Tracer.spans`, :meth:`Tracer.summary`, the text timeline and the
+``span.*`` metrics the cluster registry pulls at snapshot time.  Tracing
+is opt-in, and attaching it changes neither simulated time nor what the
+engine executes: the closed-form stream windows record each replayed
+chunk's events with the event path's own timestamps.
 """
 
 from __future__ import annotations
@@ -22,23 +26,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .cluster.builder import Cluster
+    from ..cluster.builder import Cluster
 
-__all__ = ["TraceEvent", "Tracer", "attach_tracer", "TraceSpan",
-           "pack_plan_cache_stats"]
-
-
-def pack_plan_cache_stats() -> dict:
-    """Hit/miss/build counters of the packing-plan cache.
-
-    The cache memoizes resolved block-offset tables per
-    ``(FlattenedType, count)`` (see :mod:`repro.mpi.flatten.plan`);
-    these counters are the trace-level view of how often the hot pack
-    paths reused a plan instead of re-deriving offset tables.
-    """
-    from .mpi.flatten import plan_cache_stats
-
-    return plan_cache_stats()
+__all__ = ["TraceEvent", "Tracer", "attach_tracer", "TraceSpan"]
 
 
 @dataclass(frozen=True)
@@ -71,15 +61,14 @@ class Tracer:
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        #: Profiling hooks (see :mod:`repro.obs.hooks`): callables invoked
-        #: synchronously from :meth:`record` with the raw TraceEvent for
-        #: every ``*.begin`` / ``*.end`` event respectively.
-        self.on_span_enter: list = []
-        self.on_span_exit: list = []
-        #: Wired by :func:`attach_tracer`: the devices and fabric whose
-        #: counters the summary reports (None for a standalone tracer).
-        self._devices: list = []
-        self._fabric = None
+        #: Open ``<op>.begin`` events per (rank, op, issuing process).
+        self._open: dict[tuple, list[TraceEvent]] = {}
+        #: Matched (begin, end) pairs, in closing order.
+        self._pairs: list[tuple[TraceEvent, TraceEvent]] = []
+        #: Wired by :func:`attach_tracer` (None for a standalone tracer):
+        #: the cluster whose engine names the issuing process and whose
+        #: counters the summary reports.
+        self._cluster: Optional["Cluster"] = None
         #: Wired by :func:`attach_tracer` to the fabric's live
         #: ``ringlet_labels`` mapping (dense ringlet id -> track name);
         #: the timeline exporter names fabric tracks from it and falls
@@ -89,12 +78,23 @@ class Tracer:
     def record(self, time: float, rank: int, kind: str, **detail: Any) -> None:
         event = TraceEvent(time, rank, kind, detail)
         self.events.append(event)
-        if kind.endswith(".begin"):
-            for hook in self.on_span_enter:
-                hook(event)
-        elif kind.endswith(".end"):
-            for hook in self.on_span_exit:
-                hook(event)
+        op, _, edge = kind.rpartition(".")
+        if edge != "begin" and edge != "end":
+            return
+        # Pair per issuing process too: two nonblocking calls of one rank
+        # run as two processes whose spans overlap without nesting, so a
+        # per-rank LIFO would cross their ends.
+        cluster = self._cluster
+        key = (rank, op,
+               None if cluster is None else cluster.engine.active_process)
+        if edge == "begin":
+            self._open.setdefault(key, []).append(event)
+            return
+        stack = self._open.get(key)
+        if stack:
+            self._pairs.append((stack.pop(), event))
+            if not stack:
+                del self._open[key]
 
     def __len__(self) -> int:
         return len(self.events)
@@ -103,33 +103,38 @@ class Tracer:
         return [ev for ev in self.events if ev.rank == rank]
 
     def spans(self, kind: Optional[str] = None) -> Iterator[TraceSpan]:
-        """Match ``<op>.begin`` / ``<op>.end`` pairs into spans, per rank.
+        """Matched ``<op>.begin`` / ``<op>.end`` pairs, in closing order.
 
-        Nested or overlapping spans of the same op on one rank match
-        LIFO (communication calls in this library do not overlap per
-        rank, so in practice this is exact).
+        An end closes the latest open begin of the same op, rank and
+        issuing process (the spans of one process nest).
         """
-        open_stacks: dict[tuple[int, str], list[TraceEvent]] = defaultdict(list)
-        for ev in self.events:
-            if ev.kind.endswith(".begin"):
-                op = ev.kind[: -len(".begin")]
-                open_stacks[(ev.rank, op)].append(ev)
-            elif ev.kind.endswith(".end"):
-                op = ev.kind[: -len(".end")]
-                stack = open_stacks.get((ev.rank, op))
-                if stack:
-                    begin = stack.pop()
-                    span = TraceSpan(ev.rank, op, begin.time, ev.time,
-                                     {**begin.detail, **ev.detail})
-                    if kind is None or kind == op:
-                        yield span
+        for begin, end in self._pairs:
+            op = end.kind[: -len(".end")]
+            if kind is None or kind == op:
+                yield TraceSpan(end.rank, op, begin.time, end.time,
+                                {**begin.detail, **end.detail})
+
+    def span_metrics(self) -> dict[str, float]:
+        """``span.<op>.count`` / ``span.<op>.time_us`` summed over ranks,
+        ops in first-close order (what the cluster registry reports)."""
+        out: dict[str, float] = {}
+        for begin, end in self._pairs:
+            op = end.kind[: -len(".end")]
+            count, time_us = f"span.{op}.count", f"span.{op}.time_us"
+            out[count] = out.get(count, 0) + 1
+            out[time_us] = out.get(time_us, 0) + (end.time - begin.time)
+        return out
 
     def time_in(self, rank: int, op: str) -> float:
         """Total simulated time rank spent inside ``op`` calls."""
         return sum(s.duration for s in self.spans(op) if s.rank == rank)
 
     def summary(self) -> str:
-        """Per-rank, per-op time table."""
+        """Per-rank, per-op time table, then the pack-plan cache and (when
+        attached) the cluster's fabric, recovery and fault-plan counters."""
+        from ..mpi.flatten import plan_cache_stats
+        from .wiring import _RECOVERY_COUNTERS
+
         per: dict[int, dict[str, float]] = defaultdict(lambda: defaultdict(float))
         counts: dict[int, dict[str, int]] = defaultdict(lambda: defaultdict(int))
         for span in self.spans():
@@ -144,36 +149,24 @@ class Tracer:
             lines.append(f"  rank {rank}: " + "  ".join(parts))
         if len(lines) == 1:
             lines.append("  (no spans recorded)")
-        stats = pack_plan_cache_stats()
+        stats = plan_cache_stats()
         lines.append(
             "  pack-plan cache: "
             f"hits={stats['hits']} misses={stats['misses']} "
             f"builds={stats['builds']} size={stats['size']}/{stats['maxsize']}"
             + ("" if stats["enabled"] else " (disabled)")
         )
-        if self._fabric is not None:
-            counters = self._fabric.counters
-            lines.append(
-                f"  fabric: retries={counters['retries']} "
-                f"faults={counters['faults']}"
-            )
-        if self._devices:
-            recovery: dict[str, int] = defaultdict(int)
-            for device in self._devices:
-                for key, value in device.recovery.items():
-                    recovery[key] += value
-            lines.append(
-                "  recovery: " + " ".join(
-                    f"{key}={recovery[key]}"
-                    for key in ("retries", "resumes", "timeouts", "remaps",
-                                "fallbacks", "aborts")
-                )
-            )
-        if self._fabric is not None and self._fabric.fault_plan is not None:
-            plan = self._fabric.fault_plan
-            lines.append(
-                f"  fault plan (seed={plan.seed}): {plan.one_line()}"
-            )
+        if self._cluster is not None:
+            snap = self._cluster.metrics.snapshot()
+            lines.append(f"  fabric: retries={snap['fabric.retries']} "
+                         f"faults={snap['fabric.faults']}")
+            lines.append("  recovery: " + " ".join(
+                f"{key}={snap[f'recovery.{key}']}"
+                for key in _RECOVERY_COUNTERS))
+            plan = self._cluster.fabric.fault_plan
+            if plan is not None:
+                lines.append(
+                    f"  fault plan (seed={plan.seed}): {plan.one_line()}")
         return "\n".join(lines)
 
 
@@ -183,13 +176,13 @@ def attach_tracer(cluster: "Cluster") -> Tracer:
     Must be called before the program runs; returns the Tracer.  Rank
     devices record MPI-call spans; the fabric records its wire-level
     transfers under the pseudo-rank :data:`repro.obs.timeline.FABRIC_RANK`
-    (one timeline track per ringlet).
+    (one timeline track per ringlet); the cluster's metrics registry
+    reports the tracer's ``span.*`` totals.
     """
     tracer = Tracer()
     for device in cluster.world.devices:
         device.tracer = tracer
     cluster.fabric.tracer = tracer
-    tracer._devices = list(cluster.world.devices)
-    tracer._fabric = cluster.fabric
+    tracer._cluster = cluster
     tracer.ringlet_labels = cluster.fabric.ringlet_labels
     return tracer

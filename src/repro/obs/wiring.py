@@ -4,19 +4,19 @@
 the live ad-hoc counters that PRs 1–3 grew — per-rank device counters and
 recovery state, scheduler chunk stats, fabric counters, segment-directory
 counters, the process-wide plan cache, policy knobs, the simulation
-engine, and (when installed) the fault plan.  Per-rank values are summed
-across ranks; ``Cluster.metrics`` builds the registry lazily.
+engine, (when installed) the fault plan, and (when attached) the
+tracer's ``span.*`` totals.  Per-rank values are summed across ranks;
+``Cluster.metrics`` builds the registry lazily.
 
-The complete metric-name registry, with units and owning modules, lives
-in ``docs/OBSERVABILITY.md``; ``tests/test_obs_docs_guard.py`` asserts
-this wiring and that document never drift apart.
+The metric-name tables of ``docs/OBSERVABILITY.md`` are generated from
+this wiring; ``tools/docs_check.py`` fails when the two drift apart.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, _Instrument
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.builder import Cluster
@@ -47,6 +47,25 @@ _LINK_STATS = ("count", "saturated", "peak_load", "peak_local",
                "peak_cross", "bytes")
 
 
+class _SpanMetrics(_Instrument):
+    """``span.<op>.count`` / ``span.<op>.time_us`` of the tracer attached
+    to ``fabric``, pulled from its one begin/end pairing at snapshot time
+    (no keys until a tracer is attached and a span closes)."""
+
+    kind = "span"
+
+    def __init__(self, fabric):
+        super().__init__("span", unit="us", owner="repro.obs.trace")
+        self._fabric = fabric
+
+    def sample(self) -> dict[str, float]:
+        tracer = self._fabric.tracer
+        return {} if tracer is None else tracer.span_metrics()
+
+    def sample_names(self) -> tuple[str, ...]:
+        return tuple(self.sample())
+
+
 def _summed(dicts, keys, prefix: str):
     out = {f"{prefix}.{key}": 0 for key in keys}
     for d in dicts:
@@ -63,6 +82,7 @@ def build_registry(cluster: "Cluster") -> MetricsRegistry:
     world = cluster.world
     fabric = cluster.fabric
 
+    registry._register(_SpanMetrics(fabric))
     registry.register_collector(
         [f"pt2pt.{key}" for key in _DEVICE_COUNTERS],
         lambda: _summed((d.counters for d in world.devices),

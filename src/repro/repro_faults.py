@@ -28,7 +28,7 @@ from ._units import KiB
 from .cluster import Cluster
 from .hardware.sci.faults import FaultPlan
 from .mpi.datatypes import BYTE, Vector
-from .trace import attach_tracer
+from .obs.trace import attach_tracer
 
 SUITES = ("pt2pt", "osc", "collectives")
 

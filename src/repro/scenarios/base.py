@@ -30,8 +30,8 @@ through one driver, :func:`run_scenario`:
 Observability: the driver attaches a tracer (Perfetto-exportable via
 ``repro.obs.timeline``) and registers the ``scenario.*`` instruments
 into the cluster's metrics registry; scenarios mark their iteration
-boundaries with ``scenario.step`` spans.  All names are documented in
-``docs/OBSERVABILITY.md`` under the grep-guard.
+boundaries with ``scenario.step`` spans.  All names are listed in the
+generated tables of ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from ..cluster import Cluster
 from ..hardware.sci.faults import FaultPlan
 from ..hardware.sci.topology import Topology
 from ..mpi.flatten import reset_plan_cache
-from ..obs.hooks import attach_span_metrics
 from ..obs.metrics import Instruments
-from ..trace import Tracer, attach_tracer
+from ..obs.trace import Tracer, attach_tracer
 
 __all__ = [
     "SCENARIO_COUNTERS",
@@ -374,7 +373,6 @@ def run_scenario(name: str, params: Optional[ScenarioParams] = None,
                       topology=scenario.topology(params))
     tracer = attach_tracer(cluster)
     registry = cluster.metrics
-    attach_span_metrics(tracer, registry)
     inst = ScenarioInstruments.registered(registry)
 
     app = scenario.run(cluster, params, inst)

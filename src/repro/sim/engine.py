@@ -30,13 +30,13 @@ class Engine:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = count()
         self._live_processes: set[Process] = set()
-        self._active_process: Optional[Process] = None
+        #: The process currently executing (None between process steps).
+        self.active_process: Optional[Process] = None
         #: Count of events processed so far (diagnostics / perf counters).
         self.events_processed: int = 0
         #: Count of timeline steps a fast path computed analytically
         #: instead of through the event heap (the fast path adds to it).
         self.events_coalesced: int = 0
-        self._time_hooks: list = []
 
     # -- factory helpers ------------------------------------------------------
 
@@ -82,29 +82,6 @@ class Engine:
         """Event firing once any event in ``events`` has fired."""
         return AnyOf(self, events, name=name)
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing (None between process steps)."""
-        return self._active_process
-
-    # -- observation hooks -----------------------------------------------------
-
-    def add_time_hook(self, hook) -> None:
-        """Call ``hook(now)`` whenever the simulated clock moves forward.
-
-        Hooks observe only (they run between engine events, in host time)
-        and must never schedule or mutate simulation state; they are the
-        sampling attachment point used by :class:`repro.obs.hooks.TimeSampler`.
-        """
-        self._time_hooks.append(hook)
-
-    def remove_time_hook(self, hook) -> None:
-        """Detach ``hook`` (no-op if it is not attached)."""
-        try:
-            self._time_hooks.remove(hook)
-        except ValueError:
-            pass
-
     # -- process bookkeeping (internal API used by Process) -------------------
 
     def _register_process(self, process: Process) -> None:
@@ -134,15 +111,13 @@ class Engine:
         """Nothing but the running process can move or observe the clock.
 
         This is the engagement guard of the analytic fast paths: it holds
-        when there are no time hooks and every queued event is cancelled
-        or *inert* — already triggered, scheduled at exactly ``now``,
-        with nobody waiting on it (a bounded
-        :class:`~repro.sim.channel.Channel`'s ``put`` confirmation).
-        Both pop without advancing time or running callbacks, so the
-        window replay cannot be perturbed by (or perturb) them.
+        when every queued event is cancelled or *inert* — already
+        triggered, scheduled at exactly ``now``, with nobody waiting on
+        it (a bounded :class:`~repro.sim.channel.Channel`'s ``put``
+        confirmation).  Both pop without advancing time or running
+        callbacks, so the window replay cannot be perturbed by (or
+        perturb) them.
         """
-        if self._time_hooks:
-            return False
         for when, _, event in self._queue:
             if event.callbacks is None:
                 continue  # cancelled: it never happens
@@ -156,7 +131,6 @@ class Engine:
         body: until the queue drains, up to the first event at or past
         ``until``, or for one event when ``single``."""
         queue = self._queue
-        hooks = self._time_hooks
         pop = heapq.heappop
         while queue:
             if until is not None and queue[0][0] >= until:
@@ -166,9 +140,6 @@ class Engine:
                 continue  # cancelled: it never happened
             if when > self.now:
                 self.now = when
-                if hooks:
-                    for hook in list(hooks):
-                        hook(when)
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)

@@ -107,8 +107,8 @@ class Event:
 
     def cancel(self) -> None:
         """Withdraw a scheduled event nobody waits on: the engine drops its
-        entry without moving the clock, calling a hook or counting it, and
-        the event reads as neither triggered nor processed."""
+        entry without moving the clock or counting it, and the event
+        reads as neither triggered nor processed."""
         if self.callbacks is not None:
             self.callbacks = None
             self._value = _PENDING

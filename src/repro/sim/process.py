@@ -63,7 +63,7 @@ class Process(Event):
         """Advance the generator with the trigger event's outcome."""
         self._waiting_on = None
         engine = self.engine
-        engine._active_process = self
+        engine.active_process = self
         try:
             if trigger._ok:
                 target = self._generator.send(trigger._value)
@@ -79,7 +79,7 @@ class Process(Event):
             self.fail(exc)
             return
         finally:
-            engine._active_process = None
+            engine.active_process = None
 
         if not isinstance(target, Event):
             err = InvalidYield(

@@ -102,6 +102,16 @@ class TestBenchCli:
         assert main(["tab1"]) == 0
         assert "Table 1" in capsys.readouterr().out
 
+    def test_smoke_json_stdout_is_pure(self, monkeypatch, capsys):
+        from repro.bench import __main__ as bench_main
+
+        monkeypatch.setattr("repro.bench.smoke.run_smoke",
+                            lambda: {"stub_us": 1.5, "stub_mibs": 2.0})
+        assert bench_main.main(["--smoke", "--json", "-"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"stub_us": 1.5, "stub_mibs": 2.0}
+        assert "stub_us" in err  # the human table moved to stderr
+
 
 class TestBenchCompare:
     def test_direction_table(self):

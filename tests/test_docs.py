@@ -64,7 +64,7 @@ class TestDocstrings:
             "repro.hardware.sci", "repro.smi", "repro.mpi",
             "repro.mpi.datatypes", "repro.mpi.flatten", "repro.mpi.pt2pt",
             "repro.mpi.coll", "repro.mpi.osc", "repro.platforms",
-            "repro.bench", "repro.cluster", "repro.apps", "repro.trace",
+            "repro.bench", "repro.cluster", "repro.apps", "repro.obs.trace",
         ]
         for name in modules:
             mod = importlib.import_module(name)
@@ -77,3 +77,34 @@ class TestDocstrings:
             obj = getattr(repro, name)
             if callable(obj) and not isinstance(obj, type(repro.KiB)):
                 assert obj.__doc__, f"repro.{name} lacks a docstring"
+
+
+class TestDocumentationMap:
+    def test_readme_links_every_doc(self):
+        readme = (ROOT / "README.md").read_text()
+        for doc in (ROOT / "docs").glob("*.md"):
+            assert f"docs/{doc.name}" in readme, (
+                f"README.md documentation map must mention docs/{doc.name}"
+            )
+
+    def test_observability_cross_linked(self):
+        for name in ("PROTOCOLS.md", "FAULTS.md", "PACK_PLANS.md",
+                     "SCENARIOS.md"):
+            text = (ROOT / "docs" / name).read_text()
+            assert "OBSERVABILITY.md" in text, name
+
+    def test_qos_cross_linked(self):
+        for name in ("PROTOCOLS.md", "TOPOLOGY.md", "FAULTS.md",
+                     "SCENARIOS.md", "OBSERVABILITY.md"):
+            text = (ROOT / "docs" / name).read_text()
+            assert "QOS.md" in text, name
+
+    def test_replication_cross_linked(self):
+        for name in ("SERVICE.md", "FAULTS.md", "QOS.md",
+                     "SCENARIOS.md", "OBSERVABILITY.md"):
+            text = (ROOT / "docs" / name).read_text()
+            assert "REPLICATION.md" in text, name
+
+    def test_experiments_have_regeneration_commands(self):
+        experiments = (ROOT / "EXPERIMENTS.md").read_text()
+        assert experiments.count("> Regenerate: `") >= 10

@@ -7,7 +7,8 @@ failures they claim to — an always-green guard is worse than none.
 
 import importlib.util
 import pathlib
-import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -79,3 +80,48 @@ def test_every_source_module_is_enumerated():
     assert all("__pycache__" not in m and "__init__" not in m
                for m in modules)
     assert len(modules) == len(set(modules))
+
+
+def test_span_kinds_find_the_known_emitters():
+    kinds = docs_check.span_kinds()
+    assert {"send", "recv", "chunk.write", "osc.put", "recover.retry",
+            "svc.get", "repl.put", "scenario.step"} <= set(kinds)
+    assert kinds["send"] == ("span", ["repro.mpi.pt2pt.engine"])
+    assert kinds["fabric.xfer"] == ("event", ["repro.hardware.sci.fabric"])
+
+
+def test_metric_names_cover_every_source():
+    names = docs_check.metric_names()
+    assert len(names) == len(set(names)) > 250
+    assert {"pt2pt.sends", "svc.read_giveups", "repl.sojourn_latency_us.p99",
+            "scenario.step_time_us.count", "qos.tenants", "svc.shard_ops",
+            "rebalance.epoch", "span.chunk.write.time_us",
+            "kv_overload_p99_us"} <= set(names)
+
+
+OBSERVABILITY = docs_check.OBSERVABILITY.read_text()
+
+
+def test_generated_tables_pass_unchanged():
+    assert docs_check.check_generated(OBSERVABILITY) == []
+
+
+@pytest.mark.parametrize("block, prefix", [("metric-names", "| `pt2pt.*` |"),
+                                           ("span-kinds", "| `send` |")])
+def test_generated_tables_catch_a_missing_row(block, prefix):
+    row = next(line for line in OBSERVABILITY.splitlines()
+               if line.startswith(prefix))
+    tampered = OBSERVABILITY.replace(row + "\n", "")
+    assert docs_check.check_generated(tampered) == [
+        f"docs/OBSERVABILITY.md: {block}: row missing: {row}"]
+
+
+@pytest.mark.parametrize("block, prefix, row", [
+    ("metric-names", "| `sim.*` |", "| `bogus.*` | `bogus.metric` |"),
+    ("span-kinds", "| `send` |", "| `bogus` | span | repro.bogus |"),
+])
+def test_generated_tables_catch_an_extra_row(block, prefix, row):
+    tampered = OBSERVABILITY.replace(prefix, f"{row}\n{prefix}", 1)
+    assert docs_check.check_generated(tampered) == [
+        f"docs/OBSERVABILITY.md: {block}: row not produced by the code: "
+        f"{row}"]

@@ -5,7 +5,7 @@ import pytest
 
 from repro._units import KiB
 from repro.cluster import Cluster
-from repro.trace import attach_tracer
+from repro.obs import attach_tracer
 
 
 def timed_transfer(cluster, nbytes=64 * KiB):

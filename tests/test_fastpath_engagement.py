@@ -6,6 +6,8 @@ engaging without anyone noticing, so the engagement counts of three
 streams are pinned here, each next to its event-stepped twin
 (``fastpath_disabled()``): the counts must not drift, and the simulated
 clock, per-link accounting and per-chunk time must be ``==`` in both.
+Attaching a tracer must not change any of it: the windows keep engaging
+and record the same events the event-stepped path would.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ from repro import BYTE, Cluster, NonContigMode, ProtocolConfig, Vector
 from repro._units import MiB
 from repro.mpi.flatten import reset_plan_cache
 from repro.mpi.transport import fastpath_disabled
+from repro.obs import attach_tracer
+from repro.obs.cli import SCENARIOS
 
 PINNED = ("engine.fastpath_windows", "engine.fastpath_window_chunks",
           "engine.fastpath_coalesced_events", "sim.events")
@@ -56,9 +60,11 @@ def ring_bcast(ctx):
     return int(buf.read().sum())
 
 
-def run(program, n_nodes, **cluster_args):
+def run(program, n_nodes, traced=False, **cluster_args):
     reset_plan_cache()
     cluster = Cluster(n_nodes=n_nodes, **cluster_args)
+    if traced:
+        attach_tracer(cluster)
     results = cluster.run(program).results
     return results, cluster.metrics.snapshot(), cluster
 
@@ -119,3 +125,25 @@ def test_cancelled_future_timer_does_not_disengage_the_window():
     assert stale_results == results
     for name in PINNED + EQUAL:
         assert stale[name] == clean[name], name
+
+
+#: The three cells above plus ``repro-trace --size 1048576`` (the default
+#: scenario: a strided 1 MiB pingpong).
+TRACED = {**{name: case[:3] for name, case in CASES.items()},
+          "repro-trace-1mib": (SCENARIOS["noncontig"](MiB)[0], 2, {})}
+
+
+@pytest.mark.parametrize("case", TRACED)
+def test_tracing_changes_nothing_that_runs(case):
+    program, n_nodes, args = TRACED[case]
+    results, untraced, _ = run(program, n_nodes, **args)
+    traced_results, traced, cluster = run(program, n_nodes, traced=True,
+                                          **args)
+    assert traced["engine.fastpath_windows"] > 0
+    assert traced_results == results
+    assert {name: traced[name] for name in untraced} == untraced
+    assert all(name.startswith("span.")
+               for name in set(traced) - set(untraced))
+    with fastpath_disabled():
+        _, _, reference = run(program, n_nodes, traced=True, **args)
+    assert cluster.fabric.tracer.events == reference.fabric.tracer.events

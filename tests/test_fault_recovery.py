@@ -9,6 +9,8 @@ this file as a 3-seed × {pt2pt, osc, collectives} matrix via
 ``-m faults -k "<suite> and seed<N>"`` (the ``fault-matrix`` job).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro import BYTE, Cluster, FaultPlan, Indexed, Struct, Vector
 from repro._units import KiB
 from repro.hardware.sci.faults import FaultKind
 from repro.mpi.transport import RecoveryPolicy, TransferPolicy
-from repro.trace import attach_tracer
+from repro.obs import attach_tracer
 
 pytestmark = pytest.mark.faults
 
@@ -372,3 +374,15 @@ class TestCollectivesRecovery:
         got = faulty.run(program).results
         assert got == reference
         assert plan.counters[FaultKind.UNMAP] == 1
+
+
+class TestReproFaultsCli:
+    def test_json_stdout_is_pure(self, capsys):
+        from repro.repro_faults import main
+
+        rc = main(["--suite", "pt2pt", "--seeds", "1", "--json", "-"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        reports = json.loads(out)
+        assert reports[0]["suite"] == "pt2pt" and reports[0]["ok"]
+        assert "cells" in err  # the human report moved to stderr

@@ -176,24 +176,25 @@ class TestFlowNetwork:
         assert finish["big"] > solo_time  # it was slowed down for a while
         assert finish["big"] < 2.5 * solo_time  # but recovered
 
-    def test_superseded_timer_never_sets_the_clock(self):
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_superseded_timer_never_sets_the_clock(self, drive):
         """While the link is shared the second flow is due at 118.5 µs;
         once it has the link to itself it finishes at 64.1 µs.  The
         superseded timer must not be what ``run()`` returns, nor count as
-        an event, nor wake a sampler at an instant where nothing happened."""
-        from repro.obs.hooks import TimeSampler
+        an event, nor move the clock to an instant where nothing happened."""
+        from .test_sim_engine import clock_instants
 
         eng, ring, net = self._net(cap=100.0)
-        sampler = TimeSampler(eng, 50.0, lambda: net.active_flows)
         done = []
         for nbytes in (1000.0, 4000.0):
             event = net.transfer(ring.route(0, 1), nbytes, 90.0)
             event.callbacks.append(lambda _e: done.append(eng.now))
+        if drive == "step":
+            assert clock_instants(eng) == done
         assert eng.run() == done[-1] == pytest.approx(64.126, abs=1e-3)
         assert done[0] == pytest.approx(29.617, abs=1e-3)
         # Two completions, each one live timer + one done event.
         assert eng.events_processed == 4
-        assert sampler.samples == [(50.0, 1)]
         assert eng.pending_events == 0
 
     def test_zero_byte_transfer_immediate(self):

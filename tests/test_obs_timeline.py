@@ -13,8 +13,8 @@ import pathlib
 import pytest
 
 from repro._units import KiB
-from repro.obs import FABRIC_RANK, TimeSampler, chrome_trace, text_timeline
-from repro.obs.cli import run_scenario
+from repro.obs import FABRIC_RANK, Tracer, chrome_trace, text_timeline
+from repro.obs.cli import main, run_scenario
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_noncontig.json"
 SIZE = 4 * KiB
@@ -124,54 +124,57 @@ class TestTextTimeline:
         assert "send" in text
 
     def test_empty_tracer(self):
-        from repro.trace import Tracer
-
         assert text_timeline(Tracer()) == "(empty timeline)"
 
 
 class TestSpanMetrics:
     def test_span_counters_fed_from_tracer(self, run):
-        _, _, registry = run
+        _, tracer, registry = run
         snap = registry.snapshot()
         assert snap["span.send.count"] == 2  # pingpong: one send each way
         assert snap["span.recv.count"] == 2
         assert snap["span.send.time_us"] > 0
         assert snap["span.chunk.write.count"] >= 1
+        # The registry pulls the tracer's one pairing: the same spans.
+        spans = list(tracer.spans("send"))
+        assert snap["span.send.time_us"] == sum(s.duration for s in spans)
+        assert {k: v for k, v in snap.items() if k.startswith("span.")} \
+            == tracer.span_metrics()
 
 
-class TestTimeSampler:
-    def test_samples_at_interval_boundaries(self):
-        from repro.sim.engine import Engine
+class TestReproTraceCli:
+    def test_writes_artifacts(self, tmp_path, capsys):
+        from .test_bench_smoke import load_tool
 
-        engine = Engine()
-        sampler = TimeSampler(engine, interval=10.0, probe=lambda: engine.now)
+        trace_path = tmp_path / "trace.json"
+        metrics_path = tmp_path / "metrics.json"
+        rc = main(["--size", "4096", "--trace", str(trace_path),
+                   "--metrics", str(metrics_path), "--no-timeline"])
+        assert rc == 0
+        doc = json.loads(trace_path.read_text())
+        assert doc["traceEvents"]
+        metrics = json.loads(metrics_path.read_text())
+        # Every key is one the generated docs/OBSERVABILITY.md table lists.
+        assert set(metrics) <= set(load_tool("docs_check").metric_names())
+        out = capsys.readouterr().out
+        assert str(trace_path) in out and str(metrics_path) in out
 
-        def program():
-            for _ in range(4):
-                yield engine.timeout(12.5)
+    def test_embeds_fault_plan(self, tmp_path):
+        trace_path = tmp_path / "trace.json"
+        rc = main(["--size", "4096", "--faults-seed", "1",
+                   "--trace", str(trace_path),
+                   "--metrics", str(tmp_path / "m.json"), "--no-timeline"])
+        assert rc == 0
+        doc = json.loads(trace_path.read_text())
+        plan = doc["otherData"]["fault_plan"]
+        assert plan["seed"] == 1
+        assert set(plan["rates"]) == {"transient", "torn", "stall"}
 
-        engine.run_process(program())
-        sampler.close()
-        assert [t for t, _ in sampler.samples] == [10.0, 20.0, 30.0, 40.0, 50.0]
-        for sample_time, value in sampler.samples:
-            assert value >= sample_time  # probe ran at-or-after the boundary
-
-    def test_close_detaches(self):
-        from repro.sim.engine import Engine
-
-        engine = Engine()
-        sampler = TimeSampler(engine, interval=5.0, probe=lambda: 0)
-        sampler.close()
-        sampler.close()  # idempotent
-
-        def program():
-            yield engine.timeout(20.0)
-
-        engine.run_process(program())
-        assert sampler.samples == []
-
-    def test_rejects_bad_interval(self):
-        from repro.sim.engine import Engine
-
-        with pytest.raises(ValueError):
-            TimeSampler(Engine(), interval=0.0, probe=lambda: 0)
+    @pytest.mark.parametrize("scenario", ["pingpong", "osc", "collectives"])
+    def test_all_scenarios_trace_cleanly(self, scenario, tmp_path):
+        rc = main(["--scenario", scenario, "--size", "8192",
+                   "--trace", str(tmp_path / "t.json"),
+                   "--metrics", str(tmp_path / "m.json"), "--no-timeline"])
+        assert rc == 0
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert len(doc["traceEvents"]) > 3

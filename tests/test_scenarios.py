@@ -49,6 +49,13 @@ class TestFramework:
     def test_scenario_names_sorted_and_complete(self):
         assert tuple(scenario_names()) == ALL_SCENARIOS
 
+    def test_smoke_headline_gauges_name_their_scenario(self):
+        from repro.bench.smoke import SCENARIO_HEADLINES, SMOKE_METRICS
+
+        for gauge_name, scenario in SCENARIO_HEADLINES:
+            assert get_scenario(scenario).headline_metric == gauge_name
+            assert gauge_name in SMOKE_METRICS
+
     def test_unknown_scenario_raises(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
             get_scenario("nope")

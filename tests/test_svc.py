@@ -312,6 +312,19 @@ class TestCli:
         assert cli.main(["--ops", "5"]) == 1
         assert "COUNTER MISMATCH" in capsys.readouterr().out
 
+    def test_json_stdout_is_pure(self, capsys):
+        from repro.svc.cli import main
+
+        rc = main(["--servers", "1", "--clients", "1", "--ops", "20",
+                   "--keys", "8", "--slots", "16", "--counter-slots", "4",
+                   "--counter-keys", "4", "--json", "-"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)  # stdout is exactly one JSON document
+        assert report["verified"]
+        assert report["throughput_ops"] > 0
+        assert "throughput" in err  # the human summary moved to stderr
+
     def test_json_file_output(self, tmp_path, capsys):
         from repro.svc.cli import main
 

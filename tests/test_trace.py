@@ -1,10 +1,10 @@
-"""Tests for the execution tracer (repro.trace)."""
+"""Tests for the execution tracer (repro.obs.trace)."""
 
 import pytest
 
 from repro._units import KiB
 from repro.cluster import Cluster
-from repro.trace import Tracer, attach_tracer
+from repro.obs import Tracer, attach_tracer
 
 
 def run_traced(nbytes=4 * KiB):
@@ -64,24 +64,33 @@ class TestTracer:
         assert "no spans" in t.summary()
         assert len(t) == 0
 
-    def test_no_tracer_no_overhead(self):
-        """Untraced runs record nothing and behave identically."""
-        cluster = Cluster(n_nodes=2)
-
+    def test_overlapping_nonblocking_sends_pair_per_process(self):
+        """A short isend, then 0.2 µs later a rendezvous isend: the short
+        one ends inside the rendezvous span, and its end must close its
+        own begin, not the rank's latest one."""
         def program(ctx):
-            comm = ctx.comm
-            buf = ctx.alloc(256)
-            if comm.rank == 0:
-                yield from comm.send(buf, dest=1)
+            buf = ctx.alloc(1024 * KiB)
+            if ctx.rank == 0:
+                small = ctx.comm.isend(buf.slice(0, 8), dest=1, tag=2)
+                yield ctx.cluster.engine.timeout(0.2)
+                large = ctx.comm.isend(buf, dest=1, tag=1)
+                yield from small.wait()
+                yield from large.wait()
             else:
-                yield from comm.recv(buf, source=0)
-            return ctx.now
+                yield from ctx.comm.recv(buf, source=0, tag=1)
+                yield from ctx.comm.recv(buf.slice(0, 8), source=0, tag=2)
 
-        baseline = cluster.run(program).results
-        traced_cluster = Cluster(n_nodes=2)
-        attach_tracer(traced_cluster)
-        traced = traced_cluster.run(program).results
-        assert baseline == traced  # tracing is timing-transparent
+        cluster = Cluster(n_nodes=2)
+        tracer = attach_tracer(cluster)
+        cluster.run(program)
+        begins = {ev.detail["tag"]: ev.time for ev in tracer.events
+                  if ev.kind == "send.begin"}
+        short, rndv = sorted(tracer.spans("send"), key=lambda s: s.end)
+        assert (short.detail["protocol"], rndv.detail["protocol"]) \
+            == ("short", "rndv")
+        assert (short.detail["tag"], rndv.detail["tag"]) == (2, 1)
+        assert (short.start, rndv.start) == (begins[2], begins[1])
+        assert begins[2] < begins[1] and short.duration < rndv.duration
 
 
 def run_osc_traced(shared=True):

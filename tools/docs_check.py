@@ -6,7 +6,7 @@ Usage::
     python tools/docs_check.py            # from the repo root
     python tools/docs_check.py --list     # also print the coverage map
 
-Three checks, each with actionable per-item output:
+Four checks, each with actionable per-item output:
 
 * **module coverage** — every module under ``src/repro`` must be
   mentioned in at least one documentation file (``docs/*.md``,
@@ -21,10 +21,17 @@ Three checks, each with actionable per-item output:
 * **CLI entry points documented** — every console script declared in
   ``pyproject.toml`` (``repro-trace``, ``repro-faults``, ``repro-svc``,
   ``repro-scenarios``) must appear in the documentation.
+* **generated name tables current** — the blocks between
+  ``<!-- generated: NAME -->`` and ``<!-- end generated -->`` in
+  ``docs/OBSERVABILITY.md`` must equal what the code produces today:
+  every metric name (``build_registry`` on a 2-node cluster, the
+  ``Instruments`` subclasses, the QoS collector, the
+  ``*_COLLECTOR_METRICS`` tuples, span kinds x ``{count, time_us}``,
+  ``SMOKE_METRICS``) and every traced span kind.  A missing row and a row
+  the code no longer produces both fail, naming the row.  This check
+  imports ``repro`` (from ``src/`` when the package is not installed).
 
-Exit status: 0 when all three checks pass, 1 otherwise.  The checks are
-pure text scans — no imports of ``repro`` — so the guard runs in
-milliseconds and cannot be broken by code-side import errors.
+Exit status: 0 when all four checks pass, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -36,12 +43,25 @@ import sys
 import tomllib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(ROOT / "src") not in sys.path:  # the name tables import repro
+    sys.path.append(str(ROOT / "src"))
 
 #: The documentation corpus, in scan order.
 DOC_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 
 #: Markdown inline links: [text](target).  Images share the syntax.
 _LINK_RE = re.compile(r"\]\(([^)\s]+)\)")
+
+#: The document whose name tables are generated from the code.
+OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
+
+_BLOCK_RE = re.compile(
+    r"<!-- generated: ([a-z-]+) -->\n(.*?)<!-- end generated -->", re.S)
+
+#: Trace calls with a literal kind: ``_trace("kind"`` or
+#: ``.record(time, rank, "kind"``.
+_TRACE_RE = re.compile(
+    r'(?:_trace|\.record)\([^")]*?"([a-z_]+(?:\.[a-z_]+)+)"')
 
 
 def doc_files() -> list[pathlib.Path]:
@@ -118,9 +138,126 @@ def check_cli_entry_points(corpus: str) -> list[str]:
     return failures
 
 
+def span_kinds() -> dict[str, tuple[str, list[str]]]:
+    """Every traced kind in ``src/``: kind -> (style, emitting modules).
+
+    ``<kind>.begin`` / ``<kind>.end`` events make a ``span`` kind; any
+    other literal is an ``event``.  The KV store prefixes its kinds with
+    its instruments' namespace at run time, so those come from
+    ``KV_SPANS`` / ``KV_INSTANTS`` instead of a literal.
+    """
+    from repro.svc.store import (KV_INSTANTS, KV_SPANS, ReplInstruments,
+                                 SvcInstruments)
+
+    found: dict[str, tuple[str, set[str]]] = {}
+
+    def add(kind: str, module: str) -> None:
+        base, _, edge = kind.rpartition(".")
+        style = "span" if edge in ("begin", "end") else "event"
+        key = base if style == "span" else kind
+        found.setdefault(key, (style, set()))[1].add(module)
+
+    for module in source_modules():
+        path = ROOT / "src" / (module.replace(".", "/") + ".py")
+        if not path.exists():
+            path = path.with_suffix("") / "__init__.py"
+        for kind in _TRACE_RE.findall(path.read_text()):
+            add(kind, module)
+    for ns in (SvcInstruments.prefix, ReplInstruments.prefix):
+        for span in KV_SPANS:
+            add(f"{ns}.{span}.begin", "repro.svc.store")
+        for instant in KV_INSTANTS:
+            add(f"{ns}.{instant}", "repro.svc.store")
+    return {kind: (style, sorted(modules))
+            for kind, (style, modules) in sorted(found.items())}
+
+
+def metric_names() -> list[str]:
+    """Every metric name the code can emit, each once."""
+    # Imported for the Instruments subclasses they define.
+    import repro.scenarios  # noqa: F401
+    import repro.svc  # noqa: F401
+    from repro.bench.smoke import SMOKE_METRICS
+    from repro.cluster import Cluster
+    from repro.obs.metrics import Instruments, MetricsRegistry
+    from repro.qos import QosManager
+    from repro.svc.driver import REPL_COLLECTOR_METRICS, SVC_COLLECTOR_METRICS
+    from repro.svc.rebalance import REBALANCE_COLLECTOR_METRICS
+
+    cluster = Cluster(n_nodes=2)
+    names = cluster.metrics.names()
+    families, pending = [], [Instruments]
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        families.append(cls)
+    registry = MetricsRegistry()
+    # Sorted: subclass order is import order, which varies by entry point.
+    for cls in sorted(families, key=lambda c: (c.__module__, c.__qualname__)):
+        if cls.prefix:
+            cls.registered(registry)
+    QosManager.install(cluster).register_metrics(registry)
+    names += registry.names()
+    names += [*SVC_COLLECTOR_METRICS, *REPL_COLLECTOR_METRICS,
+              *REBALANCE_COLLECTOR_METRICS]
+    names += [f"span.{kind}.{suffix}"
+              for kind, (style, _) in span_kinds().items() if style == "span"
+              for suffix in ("count", "time_us")]
+    names += SMOKE_METRICS
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"metric names emitted twice: {repeated}")
+    return names
+
+
+def generated_blocks() -> dict[str, list[str]]:
+    """The rows of each generated block, as the code produces them."""
+    from repro.obs.metrics import _HISTOGRAM_FIELDS
+
+    names = metric_names()
+    histograms = {name.rpartition(".")[0] for name in names
+                  if name.endswith(f".{_HISTOGRAM_FIELDS[-1]}")}
+    families: dict[str, list[str]] = {}
+    for name in names:
+        base, _, field = name.rpartition(".")
+        if base in histograms:
+            if field != _HISTOGRAM_FIELDS[0]:
+                continue
+            name = f"{base}.*"
+        family = f"`{name.split('.')[0]}.*`" if "." in name else "smoke"
+        families.setdefault(family, []).append(f"`{name}`")
+    metric_rows = ["| family | names |", "|---|---|"] + [
+        f"| {family} | {' '.join(members)} |"
+        for family, members in families.items()]
+    span_rows = ["| kind | style | emitted by |", "|---|---|---|"] + [
+        f"| `{kind}` | {style} | {', '.join(modules)} |"
+        for kind, (style, modules) in span_kinds().items()]
+    return {"metric-names": metric_rows, "span-kinds": span_rows}
+
+
+def check_generated(text: str) -> list[str]:
+    """Failures of the generated blocks in ``text`` against the code."""
+    doc = OBSERVABILITY.relative_to(ROOT)
+    found = {name: body.splitlines() for name, body in _BLOCK_RE.findall(text)}
+    failures = []
+    for name, rows in generated_blocks().items():
+        have = found.get(name)
+        if have is None:
+            failures.append(f"{doc}: generated block {name!r} is missing")
+            continue
+        drift = ([f"{doc}: {name}: row missing: {row}"
+                  for row in rows if row not in have]
+                 + [f"{doc}: {name}: row not produced by the code: {row}"
+                    for row in have if row not in rows])
+        if not drift and have != rows:
+            drift = [f"{doc}: {name}: rows out of order"]
+        failures += drift
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Check that docs cover modules, links and CLIs.")
+        description="Check that docs cover modules, links, CLIs and names.")
     parser.add_argument("--list", action="store_true",
                         help="print the module coverage map")
     args = parser.parse_args(argv)
@@ -133,7 +270,8 @@ def main(argv=None) -> int:
 
     failures = (check_module_coverage(corpus)
                 + check_cross_links()
-                + check_cli_entry_points(corpus))
+                + check_cli_entry_points(corpus)
+                + check_generated(OBSERVABILITY.read_text()))
     for failure in failures:
         print(f"docs_check: {failure}", file=sys.stderr)
     n_docs, n_modules = len(doc_files()), len(source_modules())
@@ -142,7 +280,8 @@ def main(argv=None) -> int:
               f"docs, {n_modules} modules)", file=sys.stderr)
         return 1
     print(f"docs_check: ok ({n_modules} modules covered, every link in "
-          f"{n_docs} docs resolves, all CLI entry points documented)")
+          f"{n_docs} docs resolves, all CLI entry points documented, "
+          "name tables current)")
     return 0
 
 
