@@ -1,7 +1,7 @@
 """Regenerate every table and figure of the paper from the command line::
 
-    python -m repro.bench            # everything
-    python -m repro.bench fig7 tab2  # selected experiments
+    repro bench            # everything
+    repro bench fig7 tab2  # selected experiments
 
 Prints the paper-shaped series/tables; the same code paths the pytest
 benchmarks run, without the benchmark harness.
@@ -9,7 +9,6 @@ benchmarks run, without the benchmark harness.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .noncontig import fig7_series, fig10_platform_series
@@ -156,60 +155,10 @@ EXPERIMENTS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the paper's tables and figures.",
-    )
-    parser.add_argument(
-        "experiments", nargs="*", metavar="EXPERIMENT",
-        help=f"which experiments to run: {', '.join(EXPERIMENTS)}, or 'all' "
-             "(default: all)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="run only the CI smoke metrics (seconds, deterministic) "
-             "instead of the figure suite",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH",
-        help="with --smoke: also write the metrics as JSON "
-             "('-' for stdout)",
-    )
-    args = parser.parse_args(argv)
-    if args.json and not args.smoke:
-        parser.error("--json requires --smoke")
-    if args.smoke:
-        if args.experiments:
-            parser.error("--smoke takes no experiment arguments")
-        import json
+    """``python -m repro.bench``: ``repro bench`` under its historical name."""
+    from ..cluster.cli import bench_main  # that module imports this one
 
-        from .smoke import run_smoke
-
-        metrics = run_smoke()
-        # With --json -, stdout is reserved for the JSON document (so the
-        # output pipes into jq / bench_compare); the table goes to stderr.
-        table_out = sys.stderr if args.json == "-" else sys.stdout
-        width = max(len(name) for name in metrics)
-        for name, value in metrics.items():
-            print(f"{name:<{width}}  {value:12.3f}", file=table_out)
-        if args.json:
-            payload = json.dumps(metrics, indent=2) + "\n"
-            if args.json == "-":
-                print(payload, end="")
-            else:
-                with open(args.json, "w") as fh:
-                    fh.write(payload)
-        return 0
-    requested = args.experiments or ["all"]
-    unknown = [e for e in requested if e != "all" and e not in EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiment(s): {', '.join(unknown)}")
-    selected = list(EXPERIMENTS) if "all" in requested else requested
-    for i, name in enumerate(selected):
-        if i:
-            print("\n" + "=" * 72 + "\n")
-        EXPERIMENTS[name]()
-    return 0
+    return bench_main(argv)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ paper's value, measures ours, and judges the deviation — so any future
 change to the cost models that drifts away from the paper fails loudly
 (``tests/test_calibration.py``) and the full report is one call away::
 
-    python -m repro.bench calibration
+    repro bench calibration
 """
 
 from __future__ import annotations

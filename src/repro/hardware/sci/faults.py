@@ -117,6 +117,8 @@ class FaultPlan:
         max_faults: Optional[int] = None,
         max_consecutive: int = 2,
     ):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         for name, rate in (("transient_rate", transient_rate),
                            ("torn_rate", torn_rate),
                            ("stall_rate", stall_rate)):

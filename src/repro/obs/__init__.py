@@ -11,9 +11,7 @@ This package is the single observability layer of the stack (see
 * :mod:`repro.obs.timeline` — Chrome/Perfetto ``trace_event`` export and
   a compact per-rank text timeline;
 * :mod:`repro.obs.wiring` — :func:`build_registry` assembling the whole
-  cluster's registry (exposed as ``Cluster.metrics``);
-* :mod:`repro.obs.cli` — the ``repro-trace`` command writing
-  ``trace.json`` + ``metrics.json``.
+  cluster's registry (exposed as ``Cluster.metrics``).
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricError, MetricsRegistry

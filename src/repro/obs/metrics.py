@@ -140,7 +140,7 @@ class Histogram(_Instrument):
     observation).  Quantiles are *exact*: every observation is retained
     and :meth:`percentile` interpolates linearly between order statistics
     (numpy's default), so a deterministic run yields bit-identical
-    quantiles — the property the ``repro-svc`` latency report and the CI
+    quantiles — the property the ``repro svc`` latency report and the CI
     baselines rely on.
     """
 

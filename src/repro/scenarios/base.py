@@ -86,6 +86,8 @@ class ScenarioParams:
     faults: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.ranks < 0 or self.steps < 0:
             raise ScenarioError("ranks and steps must be >= 0 (0 = default)")
         if not 0.0 < self.scale <= 64.0:

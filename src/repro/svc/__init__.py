@@ -26,10 +26,11 @@ Modules:
   reservation, verification, JSON report) behind :func:`run_service`
   and :func:`run_replicated_service`;
 * :mod:`repro.svc.repl` — the chain entry point under its historical
-  import path (``docs/REPLICATION.md``);
-* :mod:`repro.svc.cli` — the ``repro-svc`` command.
+  import path (``docs/REPLICATION.md``).
 
-See ``docs/SERVICE.md`` for the slot layout and consistency story.
+``repro svc`` (:mod:`repro.cluster.cli`) runs :func:`run_service` from
+the command line.  See ``docs/SERVICE.md`` for the slot layout and
+consistency story.
 """
 
 from .driver import (ReplicatedServiceConfig, ServiceConfig, execute_service,

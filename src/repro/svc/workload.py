@@ -4,7 +4,7 @@ A :class:`WorkloadSpec` plus a client id fully determines that client's
 operation stream: every random draw comes from a
 ``numpy.random.Generator`` seeded with ``SeedSequence([seed, client_id])``
 and the generator never consults wall-clock time, so a run is
-bit-identical for a given spec — the property the ``repro-svc``
+bit-identical for a given spec — the property the ``repro svc``
 determinism guarantee (and its CI leg) rests on.
 
 Key popularity is ``uniform`` or ``zipfian``; a key is drawn by inverse
@@ -83,6 +83,8 @@ class WorkloadSpec:
         if not (math.isfinite(self.think_time) and self.think_time >= 0):
             raise ValueError(f"think_time must be finite and >= 0: "
                              f"{self.think_time}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
 
     def describe(self) -> dict:
         """JSON-ready spec dump (embedded in the driver report)."""

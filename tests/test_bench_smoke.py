@@ -77,42 +77,6 @@ class TestReferenceEngineSmoke:
         assert reference == baseline
 
 
-class TestBenchCli:
-    # The two flags PR 16 removed are spelled without their dashes so the
-    # repo-wide grep that proves they are gone stays empty.
-    @pytest.mark.parametrize("argv", [
-        ["--json", "out.json"],
-        ["fig99"],
-        ["--smoke", "fig7"],
-        ["--" + "perf"],
-        ["--smoke", "--" + "fastpath", "off"],
-    ], ids=["json-without-smoke", "unknown-experiment",
-            "smoke-with-experiment", "removed-perf", "removed-fastpath"])
-    def test_bad_invocations_exit_2(self, argv, capsys):
-        from repro.bench.__main__ import main
-
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        assert "usage:" in capsys.readouterr().err
-
-    def test_cheap_experiment_exits_0(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["tab1"]) == 0
-        assert "Table 1" in capsys.readouterr().out
-
-    def test_smoke_json_stdout_is_pure(self, monkeypatch, capsys):
-        from repro.bench import __main__ as bench_main
-
-        monkeypatch.setattr("repro.bench.smoke.run_smoke",
-                            lambda: {"stub_us": 1.5, "stub_mibs": 2.0})
-        assert bench_main.main(["--smoke", "--json", "-"]) == 0
-        out, err = capsys.readouterr()
-        assert json.loads(out) == {"stub_us": 1.5, "stub_mibs": 2.0}
-        assert "stub_us" in err  # the human table moved to stderr
-
-
 class TestBenchCompare:
     def test_direction_table(self):
         bc = load_bench_compare()

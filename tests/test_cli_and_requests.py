@@ -1,43 +1,8 @@
-"""Tests for the bench CLI entry point and Request utilities."""
-
-import pytest
+"""Tests for the Request utilities and communicator status."""
 
 from repro._units import KiB
-from repro.bench.__main__ import EXPERIMENTS, main
 from repro.cluster import Cluster
 from repro.mpi.request import Request
-
-
-class TestBenchCLI:
-    def test_tab1(self, capsys):
-        assert main(["tab1"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out and "M-S" in out
-
-    def test_calibration(self, capsys):
-        assert main(["calibration"]) == 0
-        out = capsys.readouterr().out
-        assert "calibration report" in out and "✗" not in out
-
-    def test_sec43(self, capsys):
-        assert main(["sec43"]) == 0
-        out = capsys.readouterr().out
-        assert "8 B accesses" in out
-
-    def test_multiple_experiments(self, capsys):
-        assert main(["tab1", "calibration"]) == 0
-        out = capsys.readouterr().out
-        assert "=" * 72 in out  # separator between experiments
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["not-an-experiment"])
-
-    def test_registry_complete(self):
-        assert set(EXPERIMENTS) == {
-            "calibration", "pingpong", "fig1", "fig7", "sec43", "fig9",
-            "fig10", "fig11", "fig12", "tab1", "tab2",
-        }
 
 
 class TestRequestUtilities:

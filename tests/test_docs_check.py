@@ -5,17 +5,11 @@ repo currently passes it, and (b) that its checks actually detect the
 failures they claim to — an always-green guard is worse than none.
 """
 
-import importlib.util
-import pathlib
-
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from .test_bench_smoke import load_tool
 
-_spec = importlib.util.spec_from_file_location(
-    "docs_check", ROOT / "tools" / "docs_check.py")
-docs_check = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(docs_check)
+docs_check = load_tool("docs_check")
 
 
 def test_repo_passes_the_guard(capsys):
@@ -53,13 +47,13 @@ def test_module_coverage_accepts_ancestor_mention():
 def test_cli_entry_points_detected_when_missing():
     failures = docs_check.check_cli_entry_points("no CLI names here")
     names = {f.split()[3] for f in failures}
-    assert {"repro-trace", "repro-faults",
+    assert {"repro", "repro-trace", "repro-faults",
             "repro-svc", "repro-scenarios"} <= names
 
 
 def test_cli_entry_points_pass_when_documented():
     assert docs_check.check_cli_entry_points(
-        "repro-trace repro-faults repro-svc repro-scenarios") == []
+        "repro repro-trace repro-faults repro-svc repro-scenarios") == []
 
 
 def test_cross_links_all_resolve():

@@ -18,7 +18,7 @@ from repro._units import MiB
 from repro.mpi.flatten import reset_plan_cache
 from repro.mpi.transport import fastpath_disabled
 from repro.obs import attach_tracer
-from repro.obs.cli import SCENARIOS
+from repro.cluster.cli import SCENARIOS
 
 PINNED = ("engine.fastpath_windows", "engine.fastpath_window_chunks",
           "engine.fastpath_coalesced_events", "sim.events")

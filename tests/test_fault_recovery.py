@@ -9,8 +9,6 @@ this file as a 3-seed × {pt2pt, osc, collectives} matrix via
 ``-m faults -k "<suite> and seed<N>"`` (the ``fault-matrix`` job).
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -91,6 +89,8 @@ class TestFaultPlan:
             FaultPlan(unmap_after=0)
         with pytest.raises(ValueError):
             FaultPlan(max_consecutive=0)
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan(seed=-1)
 
     def test_deterministic_draws(self):
         def draws(seed):
@@ -374,15 +374,3 @@ class TestCollectivesRecovery:
         got = faulty.run(program).results
         assert got == reference
         assert plan.counters[FaultKind.UNMAP] == 1
-
-
-class TestReproFaultsCli:
-    def test_json_stdout_is_pure(self, capsys):
-        from repro.repro_faults import main
-
-        rc = main(["--suite", "pt2pt", "--seeds", "1", "--json", "-"])
-        assert rc == 0
-        out, err = capsys.readouterr()
-        reports = json.loads(out)
-        assert reports[0]["suite"] == "pt2pt" and reports[0]["ok"]
-        assert "cells" in err  # the human report moved to stderr

@@ -13,8 +13,10 @@ import pathlib
 import pytest
 
 from repro._units import KiB
-from repro.obs import FABRIC_RANK, Tracer, chrome_trace, text_timeline
-from repro.obs.cli import main, run_scenario
+from repro.cluster import Cluster
+from repro.cluster.cli import SCENARIOS
+from repro.obs import (FABRIC_RANK, Tracer, attach_tracer, chrome_trace,
+                       text_timeline)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_noncontig.json"
 SIZE = 4 * KiB
@@ -28,9 +30,18 @@ def rendered(tracer) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
+def run_noncontig():
+    """The traced ``repro trace --size 4096`` run: (cluster, tracer, registry)."""
+    program, n_nodes = SCENARIOS["noncontig"](SIZE)
+    cluster = Cluster(n_nodes=n_nodes)
+    tracer = attach_tracer(cluster)
+    cluster.run(program)
+    return cluster, tracer, cluster.metrics
+
+
 @pytest.fixture(scope="module")
 def run():
-    return run_scenario("noncontig", size=SIZE)
+    return run_noncontig()
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +62,7 @@ class TestChromeTrace:
 
     def test_deterministic_across_runs(self, run):
         _, tracer, _ = run
-        _, tracer2, _ = run_scenario("noncontig", size=SIZE)
+        _, tracer2, _ = run_noncontig()
         assert rendered(tracer) == rendered(tracer2)
 
     def test_well_formed_events(self, trace):
@@ -140,41 +151,3 @@ class TestSpanMetrics:
         assert snap["span.send.time_us"] == sum(s.duration for s in spans)
         assert {k: v for k, v in snap.items() if k.startswith("span.")} \
             == tracer.span_metrics()
-
-
-class TestReproTraceCli:
-    def test_writes_artifacts(self, tmp_path, capsys):
-        from .test_bench_smoke import load_tool
-
-        trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.json"
-        rc = main(["--size", "4096", "--trace", str(trace_path),
-                   "--metrics", str(metrics_path), "--no-timeline"])
-        assert rc == 0
-        doc = json.loads(trace_path.read_text())
-        assert doc["traceEvents"]
-        metrics = json.loads(metrics_path.read_text())
-        # Every key is one the generated docs/OBSERVABILITY.md table lists.
-        assert set(metrics) <= set(load_tool("docs_check").metric_names())
-        out = capsys.readouterr().out
-        assert str(trace_path) in out and str(metrics_path) in out
-
-    def test_embeds_fault_plan(self, tmp_path):
-        trace_path = tmp_path / "trace.json"
-        rc = main(["--size", "4096", "--faults-seed", "1",
-                   "--trace", str(trace_path),
-                   "--metrics", str(tmp_path / "m.json"), "--no-timeline"])
-        assert rc == 0
-        doc = json.loads(trace_path.read_text())
-        plan = doc["otherData"]["fault_plan"]
-        assert plan["seed"] == 1
-        assert set(plan["rates"]) == {"transient", "torn", "stall"}
-
-    @pytest.mark.parametrize("scenario", ["pingpong", "osc", "collectives"])
-    def test_all_scenarios_trace_cleanly(self, scenario, tmp_path):
-        rc = main(["--scenario", scenario, "--size", "8192",
-                   "--trace", str(tmp_path / "t.json"),
-                   "--metrics", str(tmp_path / "m.json"), "--no-timeline"])
-        assert rc == 0
-        doc = json.loads((tmp_path / "t.json").read_text())
-        assert len(doc["traceEvents"]) > 3

@@ -28,7 +28,6 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.base import _REGISTRY, Scenario, register_scenario
-from repro.scenarios.cli import main as cli_main
 
 ALL_SCENARIOS = ("colocation", "colocation_rings", "graph", "kv_failover",
                  "qos_contention", "training", "work_stealing")
@@ -67,6 +66,8 @@ class TestFramework:
             ScenarioParams(scale=0.0)
         with pytest.raises(ScenarioError):
             ScenarioParams(scale=65.0)
+        with pytest.raises(ScenarioError, match="seed"):
+            ScenarioParams(seed=-1)
 
     def test_fault_plans_distinct_per_scenario_and_stable(self):
         seeds = {scenario_fault_plan(n, 1).seed for n in ALL_SCENARIOS}
@@ -278,44 +279,3 @@ class TestColocationRings:
         scenario = get_scenario("colocation")
         assert scenario.topology(ScenarioParams()) is None
         assert scenario._kv_ranks(8, 4) == (0, 1, 2, 3)
-
-
-class TestCLI:
-    def test_list_exits_zero(self, capsys):
-        assert cli_main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for name in ALL_SCENARIOS:
-            assert name in out
-
-    def test_no_scenarios_is_an_error(self):
-        with pytest.raises(SystemExit):
-            cli_main([])
-
-    def test_unknown_scenario_is_an_error(self):
-        with pytest.raises(SystemExit):
-            cli_main(["nope"])
-
-    def test_json_stdout_purity(self, capsys):
-        """With --json -, stdout is exactly one parseable JSON document
-        and it is key-sorted; the human summary goes to stderr."""
-        rc = cli_main(["training", "--seed", "1", "--json", "-"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        doc = json.loads(captured.out)  # exactly one document
-        assert len(doc["cells"]) == 1
-        assert doc["cells"][0]["scenario"] == "training"
-        assert json.dumps(doc) == json.dumps(doc, sort_keys=True)
-        assert "training-s1-clean" in captured.err
-
-    def test_json_file_and_trace_artifacts(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        traces = tmp_path / "traces"
-        rc = cli_main(["work_stealing", "--json", str(out),
-                       "--trace-dir", str(traces)])
-        capsys.readouterr()
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["cells"][0]["scenario"] == "work_stealing"
-        trace = traces / "work_stealing-s1-clean.trace.json"
-        assert trace.exists()
-        assert "traceEvents" in json.loads(trace.read_text())

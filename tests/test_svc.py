@@ -83,7 +83,8 @@ class TestWorkload:
         ("zipf_s", [math.nan, math.inf, -math.inf, 0.0, -1.1]),
         ("ops_per_client", [-1]),
         ("think_time", [-0.5, math.nan, math.inf]),
-    ], ids=["zipf_s", "ops_per_client", "think_time"])
+        ("seed", [-1]),
+    ], ids=["zipf_s", "ops_per_client", "think_time", "seed"])
     def test_unusable_numbers_are_rejected_by_name(self, field, bad):
         """Whatever ``dist`` is: the spec is embedded in the JSON report,
         which cannot carry ``NaN`` or ``Infinity``."""
@@ -271,74 +272,3 @@ class TestConfigValidation:
             workload=WorkloadSpec(incr_fraction=0.0, ops_per_client=10))
         report = run_service(config)
         assert report["verified"] and report["counters_checked"] == 0
-
-
-class TestCli:
-    @pytest.mark.parametrize("argv", [
-        ["--counter-slots", "64", "--slots", "64"],
-        ["--servers", "0"],
-        ["--clients", "0"],
-        ["--value-size", "0"],
-        ["--read-frac", "0.9", "--incr-frac", "0.2"],
-        ["--counter-slots", "0"],  # default --incr-frac 0.2 has no home
-        # nan would put every draw on key-0 and "zipf_s": NaN in the JSON.
-        ["--dist", "zipfian", "--zipf-s", "nan", "--ops", "5", "--json", "-"],
-        ["--zipf-s", "0"],
-        ["--ops", "-1"],
-        ["--think-time", "-1"],
-    ])
-    def test_invalid_shape_is_a_usage_error(self, argv, capsys):
-        """Exit code 2 and one line on stderr — code 1 is reserved for
-        "verification failed"."""
-        from repro.svc.cli import main
-
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.strip().splitlines()[-1].startswith("repro-svc: error: ")
-
-    def test_failed_verification_exits_one(self, monkeypatch, capsys):
-        from repro.svc import cli
-
-        real = cli.run_service
-
-        def corrupted(config, faults=None):
-            report = real(config, faults=faults)
-            return {**report, "verified": False}
-
-        monkeypatch.setattr(cli, "run_service", corrupted)
-        assert cli.main(["--ops", "5"]) == 1
-        assert "COUNTER MISMATCH" in capsys.readouterr().out
-
-    def test_json_stdout_is_pure(self, capsys):
-        from repro.svc.cli import main
-
-        rc = main(["--servers", "1", "--clients", "1", "--ops", "20",
-                   "--keys", "8", "--slots", "16", "--counter-slots", "4",
-                   "--counter-keys", "4", "--json", "-"])
-        assert rc == 0
-        out, err = capsys.readouterr()
-        report = json.loads(out)  # stdout is exactly one JSON document
-        assert report["verified"]
-        assert report["throughput_ops"] > 0
-        assert "throughput" in err  # the human summary moved to stderr
-
-    def test_json_file_output(self, tmp_path, capsys):
-        from repro.svc.cli import main
-
-        out_path = tmp_path / "svc.json"
-        rc = main(["--servers", "1", "--clients", "1", "--ops", "15",
-                   "--keys", "8", "--slots", "16", "--counter-slots", "4",
-                   "--counter-keys", "4", "--json", str(out_path)])
-        assert rc == 0
-        report = json.loads(out_path.read_text())
-        assert report["verified"]
-        assert "throughput" in capsys.readouterr().out
-
-    def test_bad_dist_rejected(self):
-        from repro.svc.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["--dist", "pareto"])

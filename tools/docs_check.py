@@ -19,8 +19,9 @@ Four checks, each with actionable per-item output:
   documentation files must exist on disk (anchors and absolute URLs are
   ignored), so renaming or dropping a doc breaks CI instead of readers.
 * **CLI entry points documented** — every console script declared in
-  ``pyproject.toml`` (``repro-trace``, ``repro-faults``, ``repro-svc``,
-  ``repro-scenarios``) must appear in the documentation.
+  ``pyproject.toml`` (``repro`` and its aliases ``repro-trace``,
+  ``repro-faults``, ``repro-svc``, ``repro-scenarios``) must appear in
+  the documentation.
 * **generated name tables current** — the blocks between
   ``<!-- generated: NAME -->`` and ``<!-- end generated -->`` in
   ``docs/OBSERVABILITY.md`` must equal what the code produces today:
