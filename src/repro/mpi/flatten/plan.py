@@ -340,6 +340,27 @@ class PackPlan:
             raise AssertionError(f"packed {pos} of {nbytes} bytes")
         return out
 
+    def stream_view(
+        self, mem: np.ndarray, base: int, byte_offset: int, nbytes: int
+    ) -> np.ndarray:
+        """Packed-stream bytes [byte_offset, byte_offset + nbytes), copied
+        only where the layout needs it.
+
+        A single-run plan *is* its packed stream, so the range comes back
+        as a bounds-checked view of ``mem`` — valid only while the caller
+        owns that buffer.  Any other plan returns :meth:`execute_pack`'s
+        fresh array.
+        """
+        if self.n_runs != 1:
+            return self.execute_pack(mem, base, byte_offset, nbytes)
+        self._check_range(byte_offset, nbytes)
+        start = base + int(self.run_offsets[0]) + byte_offset
+        if start < 0 or start + nbytes > len(mem):
+            raise PackError(
+                f"bytes [{start}, {start + nbytes}) outside a {len(mem)} B buffer"
+            )
+        return mem[start : start + nbytes]
+
     def execute_unpack(
         self,
         mem: np.ndarray,

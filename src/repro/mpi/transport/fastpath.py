@@ -85,7 +85,7 @@ class StreamWindow:
     pos: int            # stream position (message-relative) of the first chunk
     count: int          # number of chunks in the window
     nbytes: int         # payload bytes per chunk (all full-size)
-    payload: np.ndarray  # the packed bytes of all ``count`` chunks
+    payload: np.ndarray  # all chunks' packed bytes; may alias the sender
     end_time: float
 
 

@@ -144,6 +144,16 @@ class TransferScheduler:
             lambda: local_chunk_copy_cost(self.device.node.memory, nbytes),
         )
 
+    def chunk_drain_cost(self, mode: str, contiguous: bool, plan: "PackPlan",
+                         pos: int, nbytes: int) -> float:
+        """Receiver's cost of draining one packet-buffer chunk at stream
+        position ``pos``: direct (and DMA) receivers unpack a
+        non-contiguous type with the ff loop, everyone else pays a
+        protocol copy."""
+        if mode in (TransferMode.DIRECT, TransferMode.DMA) and not contiguous:
+            return self.chunk_pack_cost(plan.groups_in_range(pos, nbytes))
+        return self.chunk_copy_cost(nbytes)
+
     # -- grouping (the single chunk-group implementation) ---------------------------
 
     @staticmethod
@@ -292,6 +302,7 @@ class TransferScheduler:
                    total, contiguous, sync_reply):
         """Short protocol: pack inline (tiny either way) + one ctrl packet."""
         device = self.device
+        # A copy even when contiguous: the ShortMsg outlives this send.
         payload = plan.execute_pack(mem, base, seg_off, total)
         if not contiguous:
             groups = self.message_groups(plan, ft, count, seg_off, total)
@@ -320,7 +331,7 @@ class TransferScheduler:
             yield device.engine.timeout(
                 pack_cost_generic(device.node.memory, groups, cfg)
             )
-        data = plan.execute_pack(mem, base, seg_off, total)
+        data = plan.stream_view(mem, base, seg_off, total)
         groups = self.chunk_groups(mode, plan, seg_off, total)
         yield from self._write_chunk(
             dest, peer_region, slot_offset, data, mode, groups, src_cached,
@@ -432,7 +443,7 @@ class TransferScheduler:
         engine.events_coalesced += 5 * k
 
         payload = (packed[pos : pos + k * n] if packed is not None
-                   else plan.execute_pack(mem, base, seg_off + pos, k * n))
+                   else plan.stream_view(mem, base, seg_off + pos, k * n))
         # The event path leaves the last-written chunk in the packet
         # buffer; mirror that so memory state cannot diverge either.
         ack.region.local_view()[:n] = payload[(k - 1) * n :]
@@ -458,21 +469,15 @@ class TransferScheduler:
         ack: RndvAck = yield reply.get()
 
         packed: Optional[np.ndarray] = None
-        if mode == TransferMode.GENERIC:
-            # Generic path: recursive pack of the whole message up front
-            # (Fig. 4 top).
-            groups = self.message_groups(plan, ft, count, seg_off, total)
-            yield device.engine.timeout(
-                pack_cost_generic(device.node.memory, groups, cfg)
-            )
-            packed = plan.execute_pack(mem, base, seg_off, total)
-        elif mode == TransferMode.DMA:
-            # DMA path (the paper's Sec. 6 outlook): flatten-pack into
+        if mode in (TransferMode.GENERIC, TransferMode.DMA):
+            # Generic: recursive pack of the whole message up front (Fig. 4
+            # top).  DMA (the paper's Sec. 6 outlook): flatten-pack into
             # registered memory with the fast ff loop, then DMA the chunks.
+            pack_cost = (pack_cost_generic if mode == TransferMode.GENERIC
+                         else pack_cost_direct)
             groups = self.message_groups(plan, ft, count, seg_off, total)
             yield device.engine.timeout(
-                pack_cost_direct(device.node.memory, groups, cfg)
-            )
+                pack_cost(device.node.memory, groups, cfg))
             packed = plan.execute_pack(mem, base, seg_off, total)
 
         pos = 0
@@ -493,13 +498,9 @@ class TransferScheduler:
                     TransferMode.DMA if mode == TransferMode.DMA
                     else TransferMode.CONTIGUOUS
                 )
-            elif mode == TransferMode.CONTIGUOUS:
-                data = plan.execute_pack(mem, base, seg_off + pos, n)
-                groups = [(n, 1)]
-                chunk_mode = mode
-            else:  # direct_pack_ff
-                data = plan.execute_pack(mem, base, seg_off + pos, n)
-                groups = plan.groups_in_range(seg_off + pos, n)
+            else:  # contiguous or direct_pack_ff: straight from user memory
+                data = plan.stream_view(mem, base, seg_off + pos, n)
+                groups = self.chunk_groups(mode, plan, seg_off + pos, n)
                 chunk_mode = mode
             yield from self._write_chunk(
                 dest, ack.region, 0, data, chunk_mode, groups, src_cached,
@@ -538,26 +539,19 @@ class TransferScheduler:
     def recv_eager(self, msg: EagerMsg, mem, base, ft, plan, count, seg_off,
                    capacity, mode, contiguous):
         device = self.device
-        memory = device.node.memory
-        cfg = device.config
         n = msg.nbytes
         if n > capacity:
             raise MessageTruncated(f"eager message of {n} B > buffer {capacity} B")
-        region = device.eager_region
-        data = np.array(
-            region.local_view()[msg.slot_offset : msg.slot_offset + n], copy=True
-        )
-        if (mode in (TransferMode.DIRECT, TransferMode.DMA)
-                and not contiguous):
+        yield device.engine.timeout(
+            self.chunk_drain_cost(mode, contiguous, plan, seg_off, n))
+        if mode == TransferMode.GENERIC:
             groups = plan.groups_in_range(seg_off, n)
-            yield device.engine.timeout(self.chunk_pack_cost(groups))
-        elif mode == TransferMode.GENERIC:
-            yield device.engine.timeout(self.chunk_copy_cost(n))
-            groups = plan.groups_in_range(seg_off, n)
-            yield device.engine.timeout(pack_cost_generic(memory, groups, cfg))
-        else:
-            yield device.engine.timeout(self.chunk_copy_cost(n))
-        plan.execute_unpack(mem, base, seg_off, data)
+            yield device.engine.timeout(
+                pack_cost_generic(device.node.memory, groups, device.config))
+        # Drained in place: the slot is this sender's until the CreditReturn.
+        slot = device.eager_region.local_view()
+        plan.execute_unpack(mem, base, seg_off,
+                            slot[msg.slot_offset : msg.slot_offset + n])
         # Credit keyed by *this* rank at the sender's pool.
         yield from device.send_ctrl(
             msg.envelope.source, CreditReturn((device.rank, msg.slot_index))
@@ -573,40 +567,27 @@ class TransferScheduler:
 
         Advertised in the rendezvous ack; ``None`` when the closed-form
         path is off, so the sender streams event-stepped chunks.  The
-        ``chunk_cost`` closure mirrors the three drain branches of the
-        event-stepped receive loop below — same pure cost functions,
-        same memoization table — so the sender's analytic replay charges
-        exactly what this rank would have charged per cycle.
+        ``chunk_cost`` closure is :meth:`chunk_drain_cost`, which the
+        event-stepped receive loop below charges too — same memoization
+        table — so the sender's analytic replay charges exactly what this
+        rank would have charged per cycle.
         """
-        device = self.device
         if not fastpath.enabled:
             return None
+        return RecvWindowCosts(
+            chunk_cost=lambda pos, n: self.chunk_drain_cost(
+                mode, contiguous, plan, seg_off + pos, n),
+            ctrl_cost=self.device.config.ctrl_send_cost)
 
-        def chunk_cost(pos: int, n: int) -> float:
-            if mode == TransferMode.GENERIC:
-                return self.chunk_copy_cost(n)
-            if (mode in (TransferMode.DIRECT, TransferMode.DMA)
-                    and not contiguous):
-                return self.chunk_pack_cost(plan.groups_in_range(seg_off + pos, n))
-            return self.chunk_copy_cost(n)
-
-        return RecvWindowCosts(chunk_cost=chunk_cost,
-                               ctrl_cost=device.config.ctrl_send_cost)
-
-    def _drain_window(self, window: StreamWindow, mem, base, plan,
-                      packed_tmp, seg_off: int, pos: int) -> int:
-        """Unpack one stream window in a single pass (no simulated time:
-        the sender's analytic replay already advanced the clock through
-        every cycle, drain costs included).  Returns the new stream
-        position; no credits are returned — the window protocol replaces
-        them."""
-        assert window.pos == pos, (window.pos, pos)
-        nbytes = window.count * window.nbytes
+    @staticmethod
+    def _land(data, mem, base, plan, packed_tmp, seg_off: int,
+              pos: int) -> None:
+        """Put drained stream bytes at ``pos`` where they belong: the
+        generic receiver's packed temp, or straight into user memory."""
         if packed_tmp is not None:
-            packed_tmp[pos : pos + nbytes] = window.payload
+            packed_tmp[pos : pos + data.nbytes] = data
         else:
-            plan.execute_unpack(mem, base, seg_off + pos, window.payload)
-        return pos + nbytes
+            plan.execute_unpack(mem, base, seg_off + pos, data)
 
     def _rndv_priority(self, source: int) -> int:
         """Queue priority of ``source``'s rendezvous stream at this
@@ -656,8 +637,12 @@ class TransferScheduler:
             while pos < total:
                 ready = yield chunk_channel.get()
                 if isinstance(ready, StreamWindow):
-                    pos = self._drain_window(ready, mem, base, plan,
-                                             packed_tmp, seg_off, pos)
+                    # One pass, no simulated time and no credits: the
+                    # sender's replay already ran every cycle's clock.
+                    assert ready.pos == pos, (ready.pos, pos)
+                    self._land(ready.payload, mem, base, plan, packed_tmp,
+                               seg_off, pos)
+                    pos += ready.count * ready.nbytes
                     continue
                 if fault_plan is not None:
                     # Injected node stall: this rank's receive path is
@@ -667,21 +652,12 @@ class TransferScheduler:
                     if stall:
                         yield device.engine.timeout(stall)
                 n = ready.nbytes
-                data = np.array(device.rndv_region.local_view()[:n], copy=True)
-                if packed_tmp is not None:
-                    # Generic: protocol copy into the packed temp buffer.
-                    yield device.engine.timeout(self.chunk_copy_cost(n))
-                    packed_tmp[pos : pos + n] = data
-                elif (mode in (TransferMode.DIRECT, TransferMode.DMA)
-                      and not contiguous):
-                    # Direct (and DMA) receivers unpack each chunk straight
-                    # into the user buffer with the ff loop.
-                    groups = plan.groups_in_range(seg_off + pos, n)
-                    yield device.engine.timeout(self.chunk_pack_cost(groups))
-                    plan.execute_unpack(mem, base, seg_off + pos, data)
-                else:
-                    yield device.engine.timeout(self.chunk_copy_cost(n))
-                    plan.execute_unpack(mem, base, seg_off + pos, data)
+                yield device.engine.timeout(self.chunk_drain_cost(
+                    mode, contiguous, plan, seg_off + pos, n))
+                # Drained in place: the sender rewrites the packet buffer
+                # only after this chunk's credit.
+                self._land(device.rndv_region.local_view()[:n], mem, base,
+                           plan, packed_tmp, seg_off, pos)
                 pos += n
                 yield from device.send_ctrl(
                     msg.envelope.source, ChunkCredit(ready.index),

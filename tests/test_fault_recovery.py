@@ -41,7 +41,13 @@ def total_recovery(cluster):
 
 def datatype_case(kind):
     """(datatype, count, extent) triples whose packed stream is ~192 KiB
-    (several rendezvous chunks at the default 64 KiB chunk size)."""
+    (several rendezvous chunks at the default 64 KiB chunk size) — except
+    ``eager``, one eager-slot write.  The two contiguous kinds send
+    straight out of, and drain in place from, aliased buffers."""
+    if kind == "contiguous":
+        return BYTE, 192 * KiB, 192 * KiB
+    if kind == "eager":
+        return BYTE, 12 * KiB, 12 * KiB
     if kind == "strided":
         dtype = Vector(3072, 64, 96, BYTE)
         return dtype, 1, 3072 * 96
@@ -59,18 +65,25 @@ def datatype_case(kind):
 
 
 def pt2pt_program(kind):
+    """One message — eight for ``eager``, so that every seed draws faults,
+    the sender rewriting its buffer as soon as each send returns."""
     dtype, count, extent = datatype_case(kind)
+    rounds = 8 if kind == "eager" else 1
 
     def program(ctx):
         comm = ctx.comm
         dtype.commit()
         buf = ctx.alloc(extent)
-        if comm.rank == 0:
-            buf.read()[:] = np.arange(extent, dtype=np.uint8) % 251
-            yield from comm.send(buf, dest=1, datatype=dtype, count=count)
-            return None
-        yield from comm.recv(buf, source=0, datatype=dtype, count=count)
-        return bytes(buf.read())
+        received = []
+        for r in range(rounds):
+            if comm.rank == 0:
+                buf.read()[:] = (np.arange(extent, dtype=np.uint8) + r) % 251
+                yield from comm.send(buf, dest=1, datatype=dtype, count=count)
+            else:
+                yield from comm.recv(buf, source=0, datatype=dtype,
+                                     count=count)
+                received.append(bytes(buf.read()))
+        return b"".join(received) if comm.rank else None
 
     return program
 
@@ -145,7 +158,8 @@ class TestPt2ptRecovery:
     """Point-to-point differential oracle + the specific recovery paths."""
 
     @seeds
-    @pytest.mark.parametrize("kind", ["strided", "indexed", "struct"])
+    @pytest.mark.parametrize(
+        "kind", ["strided", "indexed", "struct", "contiguous", "eager"])
     def test_pt2pt_differential_oracle(self, seed, kind):
         program = pt2pt_program(kind)
         reference = Cluster(n_nodes=2).run(program).results[1]
@@ -155,6 +169,9 @@ class TestPt2ptRecovery:
         assert got == reference
         assert plan.total_injected > 0
         assert sum(total_recovery(faulty).values()) > 0
+        if kind in ("contiguous", "eager"):
+            # A torn chunk resumed from an aliased ``data[pos:]``.
+            assert total_recovery(faulty)["resumes"] > 0
 
     @seeds
     def test_pt2pt_torn_chunks_resume_at_offset(self, seed):

@@ -63,6 +63,18 @@ class TestSummarise:
         assert verdicts(lp, base, slower)["host_user_s"]["verdict"] \
             == "unresolved"
 
+    def test_gain_needs_nine_in_ten_wins_beyond_the_base_spread(self, lp):
+        base = [canned(1.00 + 0.01 * i) for i in range(10)]
+        faster = [canned(0.70 + 0.01 * i) for i in range(10)]
+        assert verdicts(lp, base, faster)["host_user_s"]["verdict"] == "gain"
+        one_loss = faster[:9] + [canned(1.5)]
+        assert verdicts(lp, base, one_loss)["host_user_s"]["verdict"] == "gain"
+        two_losses = faster[:8] + [canned(1.5)] * 2
+        assert verdicts(lp, base, two_losses)["host_user_s"]["verdict"] == "ok"
+        # Nine wins, but by less than the base's q3 - q1 (0.045 s).
+        close = [canned(0.97 + 0.01 * i) for i in range(10)]
+        assert verdicts(lp, base, close)["host_user_s"]["verdict"] == "ok"
+
     def test_higher_is_better_and_exact_metrics(self, lp):
         base = [canned(1.0, mibs=50.0, sim_us=1000.0)] * 4
         change = [canned(1.0, mibs=40.0, sim_us=1000.0)] * 4

@@ -45,7 +45,14 @@ from repro.mpi.datatypes import (
     Vector,
 )
 from repro.mpi.datatypes.basic import BasicType
-from repro.mpi.flatten import PackPlan, get_plan, pack, pack_range, unpack_range
+from repro.mpi.flatten import (
+    PackError,
+    PackPlan,
+    get_plan,
+    pack,
+    pack_range,
+    unpack_range,
+)
 
 N_CASES = 210
 
@@ -264,6 +271,7 @@ def test_differential_oracle(seed):
         payload = expected[s : s + n]
         assert np.array_equal(pack_range(mem, base, ft, count, s, n), payload)
         assert np.array_equal(plan.execute_pack(mem, base, s, n), payload)
+        check_stream_view(plan, mem, base, s, n)
 
         scratch_oracle = _base_and_mem(ft, count, seed + 7)[1]
         scratch_engine = scratch_oracle.copy()
@@ -273,6 +281,15 @@ def test_differential_oracle(seed):
         plan.execute_unpack(scratch_plan, base, s, payload)
         assert np.array_equal(scratch_engine, scratch_oracle), ("unpack", s, n)
         assert np.array_equal(scratch_plan, scratch_oracle), ("plan unpack", s, n)
+
+
+def check_stream_view(plan, mem, base, s, n):
+    """``stream_view`` holds ``execute_pack``'s bytes, and aliases ``mem``
+    exactly when the plan is a single run (an empty range aliases
+    nothing)."""
+    view = plan.stream_view(mem, base, s, n)
+    assert np.array_equal(view, plan.execute_pack(mem, base, s, n)), (s, n)
+    assert np.shares_memory(view, mem) == (plan.n_runs == 1 and n > 0), (s, n)
 
 
 def test_oracle_case_count():
@@ -308,6 +325,7 @@ def check_segment_executor(plan, ft, count, base, mem, expected, ranges):
         payload = expected[s : s + n]
         assert np.array_equal(plan.execute_pack(mem, base, s, n), payload), (s, n)
         assert plan.groups_in_range(s, n) == naive_groups(plan, s, n), (s, n)
+        check_stream_view(plan, mem, base, s, n)
         scratch_engine, scratch_plan = blank.copy(), blank.copy()
         unpack_range(scratch_engine, base, ft, count, s, payload)
         plan.execute_unpack(scratch_plan, base, s, payload)
@@ -417,6 +435,40 @@ class TestSegmentKernels:
         assert plan.groups_in_range(0, 0) == []
         assert plan.execute_pack(mem, 0).nbytes == 0
         plan.execute_unpack(mem, 0, 0, np.empty(0, dtype=np.uint8))
+
+
+class TestStreamView:
+    """The transport's copy-free read of the packed stream."""
+
+    def test_single_run_with_lower_bound_is_a_view(self):
+        dtype = Hindexed([64], [24], BYTE).commit()
+        plan = PackPlan(dtype.flattened, 1)
+        assert plan.n_runs == 1 and plan.bounds == (24, 88)
+        mem = np.random.default_rng(3).integers(0, 256, 128, dtype=np.uint8)
+        for s, n in [(0, 64), (5, 17), (63, 1), (64, 0), (0, 0)]:
+            check_stream_view(plan, mem, 8, s, n)
+        view = plan.stream_view(mem, 8, 5, 17)
+        assert view.ctypes.data == mem[8 + 24 + 5 :].ctypes.data
+
+    def test_contiguous_instances_coalesce_into_a_view(self):
+        plan = PackPlan(DOUBLE.commit().flattened, 40)
+        mem = np.arange(400, dtype=np.uint8)
+        assert plan.n_runs == 1
+        check_stream_view(plan, mem, 16, 100, 150)
+
+    def test_multi_run_plan_is_a_fresh_copy(self):
+        plan = PackPlan(Vector(8, 1, 2, DOUBLE).commit().flattened, 1)
+        mem = np.arange(256, dtype=np.uint8)
+        check_stream_view(plan, mem, 0, 3, 50)
+
+    def test_out_of_range_requests_raise(self):
+        plan = PackPlan(Hindexed([64], [24], BYTE).commit().flattened, 1)
+        mem = np.zeros(100, dtype=np.uint8)
+        for base, s, n in [(0, 0, 65), (0, -1, 4), (0, 65, 0), (0, 10, -1),
+                           (20, 0, 64), (-30, 0, 8)]:
+            with pytest.raises(PackError):
+                plan.stream_view(mem, base, s, n)
+        assert plan.stream_view(mem, 12, 0, 64).nbytes == 64  # ends at 100
 
 
 class TestShrunkResizedPackOnly:

@@ -29,6 +29,7 @@ from repro.mpi.transport import (
     TransferMode,
     TransferPolicy,
 )
+from repro.mpi.transport.store import RemoteStore
 
 
 class TestTransferPolicy:
@@ -201,6 +202,65 @@ class TestSegmentedSends:
             return True
 
         assert Cluster(n_nodes=2).run(program).results[0]
+
+
+class TestBufferOwnership:
+    """Who may alias the sender's buffer, and for how long (see
+    ``docs/PROTOCOLS.md``, "What a transfer copies on the host")."""
+
+    def test_short_send_keeps_its_copy(self):
+        """A short send returns before the receiver matches: its payload
+        must be a copy, or overwriting the buffer in the same step would
+        reach the receiver."""
+        original = (np.arange(64) % 251).astype(np.uint8)
+
+        def program(ctx):
+            comm = ctx.comm
+            buf = ctx.alloc(original.nbytes)
+            if comm.rank == 0:
+                buf.write(original)
+                yield from comm.send(buf, dest=1, tag=1)
+                buf.read()[:] = 0xFF
+                return None
+            yield ctx.cluster.engine.timeout(500.0)
+            yield from comm.recv(buf, source=0, tag=1)
+            return buf.read().tobytes()
+
+        assert Cluster(n_nodes=2).run(program).results[1] == original.tobytes()
+
+    @pytest.mark.parametrize("nbytes, chunks", [(8 * KiB, 1), (192 * KiB, 3)],
+                             ids=["eager", "rndv"])
+    def test_packet_buffer_writes_alias_the_sender(self, monkeypatch, nbytes,
+                                                   chunks):
+        """Contiguous eager and rendezvous writes read the sender's memory
+        itself, and every write lands before ``send`` returns."""
+        writes = []
+        write_packed = RemoteStore.write_packed
+
+        def recording(store, dst, region, offset, data, *args):
+            yield from write_packed(store, dst, region, offset, data, *args)
+            device = store.device
+            writes.append((np.shares_memory(data, device.node.space.mem),
+                           device.engine.now))
+
+        monkeypatch.setattr(RemoteStore, "write_packed", recording)
+        payload = (np.arange(nbytes) % 249).astype(np.uint8)
+
+        def program(ctx):
+            comm = ctx.comm
+            buf = ctx.alloc(nbytes)
+            if comm.rank == 0:
+                buf.write(payload)
+                yield from comm.send(buf, dest=1, tag=1)
+                return list(writes), ctx.now
+            yield from comm.recv(buf, source=0, tag=1)
+            return buf.read().tobytes()
+
+        (before_return, returned_at), received = \
+            Cluster(n_nodes=2).run(program).results
+        assert received == payload.tobytes()
+        assert before_return == writes and len(writes) == chunks
+        assert all(aliased and at <= returned_at for aliased, at in writes)
 
 
 def _run_bcast(policy, nbytes, n_nodes=4, datatype=None, count=None,

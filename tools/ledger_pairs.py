@@ -22,7 +22,10 @@ metrics that vary, and a verdict against the metric's bound:
 * ``regression`` — it is, and both sides' run-to-run spread (quartile
   distance over median) is within the bound, so the difference is real;
 * ``unresolved`` — a side's spread exceeds the bound: the runs cannot
-  tell, which is not the same as unchanged.
+  tell, which is not the same as unchanged;
+* ``gain`` — the change won at least nine tenths of the pairs (ties count
+  for neither side) and its median beats the base's by more than the
+  base's own quartile distance: the only verdict a claimed gain can cite.
 
 Markdown goes to stdout (paste it into EXPERIMENTS.md), progress to
 stderr.  Exit status: 1 on a ``regression`` or when a larger share of
@@ -75,7 +78,11 @@ def summarise(base_runs: list[dict], change_runs: list[dict],
                      for q in (b_q, c_q))
         worse = worse_by(b_q[1], c_q[1], better)
         gains = [worse_by(b, c, better) for b, c in zip(base, change)]
-        if spread > bound:
+        wins = sum(g < 0 for g in gains)
+        beats_by = b_q[1] - c_q[1] if better == "lower" else c_q[1] - b_q[1]
+        if 10 * wins >= 9 * len(gains) and beats_by > b_q[2] - b_q[0]:
+            verdict = "gain"
+        elif spread > bound:
             verdict = "unresolved"
         else:
             verdict = "regression" if worse > bound else "ok"
@@ -83,7 +90,7 @@ def summarise(base_runs: list[dict], change_runs: list[dict],
             "name": name, "unit": spec["unit"], "bound": bound,
             "base": b_q, "change": c_q, "worse": worse, "spread": spread,
             "runs": (base, change),
-            "wins": sum(g < 0 for g in gains),
+            "wins": wins,
             "losses": sum(g > 0 for g in gains),
             "verdict": verdict,
         })
