@@ -10,7 +10,6 @@ and intra-node via shared memory.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional
 
 from .._units import KiB, to_mib_s
@@ -56,19 +55,12 @@ def measure_point(
     mode: str = NonContigMode.DIRECT,
     total: int = TOTAL_BYTES,
     node_params: NodeParams = DEFAULT_NODE,
-    plan_cache: bool = True,
 ) -> float:
     """Bandwidth (MiB/s) of one noncontig transfer configuration.
 
     The transfer is a single one-way send of ``total`` payload bytes from
     rank 0 to rank 1, either as the strided vector (blocksize, stride =
     2 x blocksize) or as the contiguous reference.
-
-    ``plan_cache=False`` disables the packing-plan cache for the run (the
-    ablation knob: every chunk re-derives its offset tables, as the
-    pre-plan engine did).  Simulated time is unaffected — the cache saves
-    host-side work — but the build counters in
-    :func:`repro.mpi.flatten.plan_cache_stats` show the difference.
     """
     if blocksize % 8:
         raise ValueError("blocksize must be a multiple of the double size")
@@ -103,11 +95,7 @@ def measure_point(
             yield from comm.recv(buf, source=0, tag=0, datatype=dtype, count=count)
         return ctx.now - t0
 
-    from ..mpi.flatten import plan_cache_disabled
-
-    with nullcontext() if plan_cache else plan_cache_disabled():
-        run = cluster.run(program)
-    elapsed = run.results[1]
+    elapsed = cluster.run(program).results[1]
     return to_mib_s(total / elapsed)
 
 

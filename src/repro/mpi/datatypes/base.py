@@ -20,10 +20,10 @@ engine and the direct_pack_ff transfer path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..flatten.stack import FlattenedType
+from ..errors import MPIError
+from ..flatten import FlattenedType, PackError, build_flattened, get_plan
 
 __all__ = ["Datatype", "DatatypeError"]
 
@@ -111,8 +111,6 @@ class Datatype:
         ff-stacks of Sec. 3.3.1.
         """
         if self._flattened is None:
-            from ..flatten.build import build_flattened
-
             self._flattened = build_flattened(self)
         return self
 
@@ -126,25 +124,40 @@ class Datatype:
 
     # -- user-level pack/unpack (MPI_Pack / MPI_Unpack) ---------------------------
 
+    def buffer_plan(self, buf, count: int):
+        """The packing plan of ``count`` instances anchored at ``buf``.
+
+        Raises :class:`~repro.mpi.errors.MPIError` unless every byte the
+        plan touches lies inside ``buf`` (the last instance need not bring
+        its trailing gap along).
+        """
+        plan = get_plan(self.flattened, count)
+        low, high = plan.bounds
+        if low < 0 or high > buf.nbytes:
+            raise MPIError(
+                f"{count} x {self!r} touches bytes [{low}, {high}) of a "
+                f"{buf.nbytes} B buffer"
+            )
+        return plan
+
     def pack_from(self, buf, count: int = 1):
         """Pack ``count`` instances anchored at ``buf`` into a byte array.
 
         ``buf`` is a :class:`repro.memlib.Buffer` whose base address is the
         datatype's anchor (MPI's ``inbuf``).
         """
-        from ..flatten.engine import pack as _pack
-
-        return _pack(buf.space.mem, buf.base, self.flattened, count)
+        return self.buffer_plan(buf, count).execute_pack(buf.space.mem, buf.base)
 
     def unpack_into(self, buf, data, count: int = 1) -> None:
         """Unpack a packed byte array into ``count`` instances at ``buf``."""
         import numpy as np
 
-        from ..flatten.engine import unpack as _unpack
-
         if not isinstance(data, np.ndarray):
             data = np.frombuffer(bytes(data), dtype=np.uint8)
-        _unpack(buf.space.mem, buf.base, self.flattened, count, data)
+        plan = self.buffer_plan(buf, count)
+        if data.nbytes != plan.total:
+            raise PackError(f"payload {data.nbytes} B, expected {plan.total} B")
+        plan.execute_unpack(buf.space.mem, buf.base, 0, data)
 
     def pack_size(self, count: int = 1) -> int:
         """Bytes needed to pack ``count`` instances (MPI_Pack_size)."""

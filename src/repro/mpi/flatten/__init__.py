@@ -1,32 +1,22 @@
-"""direct_pack_ff (S7): flattened datatypes and the arbitrary-offset pack engine.
+"""direct_pack_ff (S7): flattened datatypes and the plans that move their bytes.
 
 The representation (:mod:`stack`), its commit-time construction and merge
-optimizations (:mod:`build`), the pack/unpack/range engine (:mod:`engine`)
-that both the generic and the direct transfer paths share, and the
-memoized packing plans (:mod:`plan`) the hot paths execute from.
+optimizations (:mod:`build`), and the memoized packing plans (:mod:`plan`)
+— the one executor of the packed stream that the generic and direct
+transfer paths, one-sided targets and ``Datatype.pack_from`` share.
 """
 
 from .build import build_flattened, leaves_of
-from .engine import (
-    PackError,
-    as_access_run,
-    block_groups_in_range,
-    block_runs,
-    pack,
-    pack_range,
-    unpack,
-    unpack_range,
-)
 from .plan import (
+    PackError,
     PackPlan,
     PlanCache,
     get_plan,
     plan_cache_disabled,
     plan_cache_stats,
     reset_plan_cache,
-    set_plan_cache_enabled,
 )
-from .stack import FlattenedType, LeafSpec, Level, Position
+from .stack import FlattenedType, LeafSpec, Level
 
 __all__ = [
     "FlattenedType",
@@ -35,19 +25,10 @@ __all__ = [
     "PackError",
     "PackPlan",
     "PlanCache",
-    "Position",
-    "as_access_run",
-    "block_groups_in_range",
-    "block_runs",
     "build_flattened",
     "get_plan",
     "leaves_of",
-    "pack",
-    "pack_range",
     "plan_cache_disabled",
     "plan_cache_stats",
     "reset_plan_cache",
-    "set_plan_cache_enabled",
-    "unpack",
-    "unpack_range",
 ]

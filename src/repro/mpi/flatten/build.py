@@ -23,8 +23,12 @@ possible to build up larger blocks of adjacent basic blocks".
 
 from __future__ import annotations
 
-from ..datatypes.base import Datatype, DatatypeError
+from typing import TYPE_CHECKING
+
 from .stack import FlattenedType, LeafSpec, Level
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..datatypes.base import Datatype
 
 __all__ = ["build_flattened", "leaves_of"]
 
@@ -131,6 +135,8 @@ def leaves_of(dtype: Datatype) -> list[LeafSpec]:
 
     if isinstance(dtype, _cons.Resized):
         return leaves_of(dtype.oldtype)
+
+    from ..datatypes.base import DatatypeError
 
     raise DatatypeError(f"cannot flatten datatype {dtype!r}")
 

@@ -1,11 +1,11 @@
-"""Packing plans: precomputed, coalesced offset tables for pack/unpack.
+"""Packing plans: the one executor of the packed byte stream.
 
-The ff-stacks of :mod:`stack` are deliberately compact — O(leaves x depth)
-— but the transfer engine in :mod:`engine` re-derives every leaf's
-block-offset table on *every* ``pack``/``pack_range``/``unpack_range``
-call.  For the hot paths (the rendezvous chunk loop, repeated sends of
-the same datatype) that repeated derivation is exactly the datatype-path
-overhead the paper's ``direct_pack_ff`` sets out to eliminate.
+The ff-stacks of :mod:`stack` are deliberately compact — O(leaves x
+depth) — and re-deriving block offsets from them on every chunk of every
+send of the same datatype is exactly the datatype-path overhead the
+paper's ``direct_pack_ff`` sets out to eliminate.  Every pack and unpack
+in the library — pt2pt chunks, collective segments, one-sided targets,
+``Datatype.pack_from``/``unpack_into`` — therefore runs from a plan.
 
 A :class:`PackPlan` materializes, once per ``(FlattenedType, count)``,
 the fully resolved run table of the whole packed stream:
@@ -43,22 +43,36 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ...memlib import strided_view
-from .engine import PackError, _gather, _scatter
 from .stack import FlattenedType
 
 __all__ = [
+    "PackError",
     "PackPlan",
     "PlanCache",
     "get_plan",
     "plan_cache_disabled",
     "plan_cache_stats",
     "reset_plan_cache",
-    "set_plan_cache_enabled",
 ]
 
 #: Total PackPlan constructions (offset-table materializations) since the
 #: last :func:`reset_plan_cache` — the ablation counter.
 _BUILDS = 0
+
+
+class PackError(ValueError):
+    """Invalid pack/unpack request (bounds, size mismatch)."""
+
+
+def _gather(mem: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarray:
+    """Gather ``length`` bytes at each offset -> (n, length) array."""
+    idx = offsets[:, None] + np.arange(length, dtype=np.int64)[None, :]
+    return mem[idx]
+
+
+def _scatter(mem: np.ndarray, offsets: np.ndarray, length: int, data: np.ndarray) -> None:
+    idx = offsets[:, None] + np.arange(length, dtype=np.int64)[None, :]
+    mem[idx] = data.reshape(len(offsets), length)
 
 
 def _materialize_runs(ft: FlattenedType, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +261,7 @@ class PackPlan:
         """``(first_run, offset, length, stride, n_runs)`` groups covering
         a packed range, in stream order.
 
-        The plan-backed equivalent of :func:`engine.block_runs`: per
-        touched segment its whole runs as one group, around them an
+        Per touched segment its whole runs as one group, around them an
         optional split head and split tail run (``n_runs == 1``,
         ``length`` the bytes taken).  ``offset`` is base-relative;
         ``stride == 0`` with ``n_runs > 1`` marks an irregular group,
@@ -386,7 +399,7 @@ class PackPlan:
             else:
                 # Irregular offsets, or rows that overlap (stride <
                 # length): the index scatter writes in stream order, so
-                # the later run wins as in engine.unpack_range.
+                # the later run wins.
                 offsets = self.run_offsets[first : first + n_runs] + base
                 _scatter(mem, offsets, length, data[pos : pos + span])
             pos += span
@@ -454,22 +467,15 @@ def get_plan(
     return cache.get(ft, count)
 
 
-def set_plan_cache_enabled(enabled: bool) -> bool:
-    """Toggle the process-wide plan cache; returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
 @contextmanager
 def plan_cache_disabled():
     """Context manager: run with plans rebuilt on every call (ablation)."""
-    previous = set_plan_cache_enabled(False)
+    global _enabled
+    previous, _enabled = _enabled, False
     try:
         yield
     finally:
-        set_plan_cache_enabled(previous)
+        _enabled = previous
 
 
 def plan_cache_stats() -> dict[str, int]:

@@ -39,17 +39,22 @@ class OSCPut:
 class OSCGet:
     """Emulated get / remote-put: target pushes window data to the origin.
 
-    The target writes the requested bytes into the origin's response
-    region (a *remote-put*, fast on SCI because writes are fast) and then
-    fires ``done``.
+    The target writes bytes ``[pos, pos + nbytes)`` of the packed stream
+    anchored at ``disp`` into the origin's response region (a
+    *remote-put*, fast on SCI because writes are fast) and then fires
+    ``done``.  ``plan``, when set, is the packing plan of a non-contiguous
+    target layout; without one the stream is the window bytes from
+    ``disp`` on.
     """
 
     win_id: int
     origin: int
     disp: int
+    pos: int
     nbytes: int
     response_offset: int
     done: "Event"
+    plan: "object" = None
 
 
 @dataclass

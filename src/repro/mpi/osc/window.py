@@ -43,7 +43,7 @@ from ..datatypes.base import Datatype
 from ..errors import RMAError, TransferFault
 from ..flatten import get_plan
 from ..pt2pt.costs import pack_cost_direct
-from ..transport import OSCStrategy, resolve_target_run
+from ..transport import OSCStrategy, TransferMode, resolve_target_run
 from .messages import OSCAccumulate, OSCGet, OSCNotice, OSCPut
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -156,8 +156,21 @@ class OSCEngine:
         # Remote-put: write the window data into the origin's response
         # region ("the target process writes the data into the origin
         # process' address space", Sec. 4.2).
+        view = part.local_view()
+        if msg.plan is None:
+            start = msg.disp + msg.pos
+            data = np.array(view[start : start + msg.nbytes], copy=True)
+        else:
+            # Non-contiguous target layout: pack this chunk's stream range
+            # along the plan (the ff loop of the accumulate handler's
+            # gather).
+            groups = device.scheduler.chunk_groups(
+                TransferMode.DIRECT, msg.plan, msg.pos, msg.nbytes)
+            yield device.engine.timeout(
+                pack_cost_direct(device.node.memory, groups, device.config)
+            )
+            data = msg.plan.execute_pack(view, msg.disp, msg.pos, msg.nbytes)
         origin_device = device.world.device(msg.origin)
-        data = np.array(part.local_view()[msg.disp : msg.disp + msg.nbytes], copy=True)
         yield from device.store.respond_remote_put(
             msg.origin, origin_device.response_region, msg.response_offset, data
         )
@@ -378,12 +391,11 @@ class Win:
         n = payload.nbytes
         device = self.device
         ack = Event(self.engine, "osc-put-ack")
-        msg = OSCPut(self.state.win_id, self.world_rank, target_disp, payload, ack)
-        if target_datatype is not None and (run is None or run.stride != run.size):
+        plan = self._target_plan(n, target_datatype, target_count, run)
+        msg = OSCPut(self.state.win_id, self.world_rank,
+                     run.base if plan is None else target_disp, payload, ack)
+        if plan is not None:
             # The handler scatters into the non-contiguous target layout.
-            target_datatype.commit()
-            plan = get_plan(target_datatype.flattened, target_count)
-
             def apply(view, plan=plan, disp=target_disp, payload=payload):
                 plan.execute_unpack(view, disp, 0, payload)
 
@@ -437,8 +449,9 @@ class Win:
                 strategy = self._degrade(wtarget)
                 self.device._trace("recover.fallback.begin", peer=wtarget,
                                    action="emulate")
-                data = yield from self._emulated_get(part, nbytes, wtarget,
-                                                     target_disp)
+                data = yield from self._emulated_get(
+                    part, nbytes, wtarget, target_disp, target_datatype,
+                    target_count, run)
                 self.device._trace("recover.fallback.end", peer=wtarget)
                 self.counters["emulated_gets"] += 1
             else:
@@ -446,8 +459,9 @@ class Win:
         else:
             # Remote-put conversion (shared, large) or full emulation
             # (private): the target pushes into our response region.
-            data = yield from self._emulated_get(part, nbytes, wtarget,
-                                                 target_disp)
+            data = yield from self._emulated_get(
+                part, nbytes, wtarget, target_disp, target_datatype,
+                target_count, run)
             if strategy == OSCStrategy.REMOTE_PUT:
                 self.counters["remote_puts"] += 1
             else:
@@ -455,19 +469,37 @@ class Win:
         self.device._trace("osc.get.end", target=wtarget, strategy=strategy)
         return data
 
-    def _emulated_get(self, part, nbytes, wtarget, target_disp):
-        device = self.device
+    def _emulated_get(self, part, nbytes, wtarget, target_disp,
+                      target_datatype, target_count, run):
+        plan = self._target_plan(nbytes, target_datatype, target_count, run)
+        disp = run.base if plan is None else target_disp
 
-        def make_request(disp, n):
+        def make_request(pos, n):
             done = Event(self.engine, "osc-get-done")
-            msg = OSCGet(self.state.win_id, self.world_rank, disp, n, 0, done)
+            msg = OSCGet(self.state.win_id, self.world_rank, disp, pos, n, 0,
+                         done, plan)
             yield from self.store.request_emulated(wtarget, msg)
             return done
 
-        data = yield from device.scheduler.fetch_via_response(
-            target_disp, nbytes, make_request
+        data = yield from self.device.scheduler.fetch_via_response(
+            nbytes, make_request
         )
         return data
+
+    @staticmethod
+    def _target_plan(nbytes, target_datatype, target_count, run):
+        """Packing plan the target's handler walks for a non-contiguous
+        target layout; ``None`` when the bytes are one contiguous run."""
+        if target_datatype is None or (run is not None
+                                       and run.stride == run.size):
+            return None
+        plan = get_plan(target_datatype.flattened, target_count)
+        if plan.total != nbytes:
+            raise RMAError(
+                f"origin data of {nbytes} B does not match target type of "
+                f"{plan.total} B"
+            )
+        return plan
 
     def accumulate(self, data, target: int, target_disp: int = 0,
                    op: str = "sum", datatype=None, fetch: bool = False,

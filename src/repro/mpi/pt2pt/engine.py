@@ -31,7 +31,6 @@ from ...sim import Channel, Engine, Lock, Resource
 from ...smi import SMIContext
 from ..datatypes.base import Datatype
 from ..errors import MPIError
-from ..flatten import get_plan
 from ..transport.policy import Protocol, TransferMode, TransferPolicy
 from ..transport.scheduler import TransferScheduler
 from .config import DEFAULT_PROTOCOL, ProtocolConfig
@@ -216,13 +215,7 @@ class RankDevice:
             if not dtype.is_contiguous:
                 raise MPIError("count is required for non-contiguous datatypes")
             count = buf.nbytes // dtype.size if dtype.size else 0
-        plan = get_plan(ft, count)
-        low, high = plan.bounds
-        if low < 0 or high > buf.nbytes:
-            raise MPIError(
-                f"{count} x {dtype!r} touches bytes [{low}, {high}) of a "
-                f"{buf.nbytes} B buffer"
-            )
+        plan = dtype.buffer_plan(buf, count)
         seg_off, total = self._resolve_segment(plan, segment)
         return dtype, ft, count, plan, seg_off, total
 

@@ -13,12 +13,49 @@ from typing import TYPE_CHECKING, Optional
 
 from ...hardware.sci.transactions import AccessRun
 from ..errors import RMAError
-from ..flatten import as_access_run
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..datatypes.base import Datatype
+    from ..flatten import FlattenedType
 
-__all__ = ["resolve_target_run"]
+__all__ = ["as_access_run", "resolve_target_run"]
+
+
+def as_access_run(
+    ft: "FlattenedType", count: int, base: int = 0
+) -> Optional[AccessRun]:
+    """Represent the layout as a single strided AccessRun, if possible.
+
+    Works for a single leaf with at most one level when ``count`` either
+    is 1 or tiles gap-free (instance extent == span).  This is the case
+    the hardware write model can cost directly (e.g. the *sparse*
+    benchmark's strided window accesses).
+    """
+    if len(ft.leaves) != 1:
+        return None
+    leaf = ft.leaves[0]
+    if len(leaf.levels) > 1:
+        return None
+    if not leaf.levels:
+        size, stride, blocks = leaf.size, leaf.size, 1
+    else:
+        level = leaf.levels[0]
+        size, stride, blocks = leaf.size, level.extent, level.count
+        if stride < size:
+            return None
+    if count == 1:
+        return AccessRun(base=base + leaf.offset, size=size, stride=stride, count=blocks)
+    # Multiple instances only collapse when consecutive instances keep the
+    # same block stride going.
+    if blocks == 1:
+        if ft.extent < size:
+            return None  # overlapping instances (shrunk Resized extent)
+        return AccessRun(base=base + leaf.offset, size=size, stride=ft.extent, count=count)
+    if blocks * stride == ft.extent:
+        return AccessRun(
+            base=base + leaf.offset, size=size, stride=stride, count=blocks * count
+        )
+    return None
 
 
 def resolve_target_run(disp: int, nbytes: int,

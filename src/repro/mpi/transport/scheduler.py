@@ -676,13 +676,14 @@ class TransferScheduler:
 
     # -- one-sided chunked fetch -------------------------------------------------------
 
-    def fetch_via_response(self, target_disp: int, nbytes: int, make_request):
+    def fetch_via_response(self, nbytes: int, make_request):
         """Chunk a remote-put / emulated get through the response region.
 
-        ``make_request(disp, n)`` issues the control message for one chunk
-        (a DES generator returning the chunk's completion event); the
-        target's handler remote-puts each chunk into this rank's response
-        region, which is then drained with a cache-cold protocol copy.
+        ``make_request(pos, n)`` issues the control message for stream
+        bytes ``[pos, pos + n)`` (a DES generator returning the chunk's
+        completion event); the target's handler remote-puts each chunk
+        into this rank's response region, which is then drained with a
+        cache-cold protocol copy.
         """
         device = self.device
         response = device.response_region
@@ -691,7 +692,7 @@ class TransferScheduler:
         pos = 0
         while pos < nbytes:
             n = min(chunk, nbytes - pos)
-            done = yield from make_request(target_disp + pos, n)
+            done = yield from make_request(pos, n)
             yield done
             yield device.engine.timeout(self.chunk_copy_cost(n))
             out[pos : pos + n] = response.local_view()[:n]

@@ -7,7 +7,11 @@ import scipy.sparse as sp
 from repro import DOUBLE, INT, Cluster, Subarray
 from repro.apps import CartDecomposition, DistributedSpMV, HaloExchanger
 from repro.mpi.datatypes import DatatypeError
-from repro.mpi.flatten import pack
+from repro.mpi.flatten import get_plan
+
+
+def pack(mem, dtype):
+    return get_plan(dtype.flattened, 1).execute_pack(mem, 0)
 
 
 class TestSubarray:
@@ -15,14 +19,14 @@ class TestSubarray:
         full = np.arange(4 * 6, dtype=np.float64).reshape(4, 6)
         sub = Subarray((4, 6), (2, 3), (1, 2), DOUBLE).commit()
         mem = full.reshape(-1).view(np.uint8)
-        packed = pack(mem, 0, sub.flattened, 1).view(np.float64)
+        packed = pack(mem, sub).view(np.float64)
         assert np.array_equal(packed, full[1:3, 2:5].reshape(-1))
 
     def test_3d_face(self):
         full = np.arange(3 * 4 * 5, dtype=np.float64).reshape(3, 4, 5)
         sub = Subarray((3, 4, 5), (3, 4, 1), (0, 0, 2), DOUBLE).commit()
         mem = full.reshape(-1).view(np.uint8)
-        packed = pack(mem, 0, sub.flattened, 1).view(np.float64)
+        packed = pack(mem, sub).view(np.float64)
         assert np.array_equal(packed, full[:, :, 2].reshape(-1))
 
     def test_full_selection_is_contiguous(self):

@@ -3,7 +3,6 @@
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from repro.mpi.datatypes import (
@@ -21,7 +20,7 @@ from repro.mpi.datatypes import (
     Struct,
     Vector,
 )
-from repro.mpi.flatten import Level, build_flattened, leaves_of
+from repro.mpi.flatten import Level, build_flattened, get_plan, leaves_of
 
 
 class TestBasicTypes:
@@ -222,7 +221,6 @@ class TestStruct:
             types=[INT, DOUBLE],
         )
         ft = t.commit().flattened
-        assert ft.uniform_block_size() is None
         assert ft.block_length_groups() == [(4, 1), (8, 1)]
 
 
@@ -243,38 +241,13 @@ class TestResized:
 class TestFlattenedQueries:
     def test_block_count_and_depth(self):
         vec = Vector(count=10, blocklength=1, stride=3, oldtype=DOUBLE).commit()
-        ft = vec.flattened
-        assert ft.block_count == 10
-        assert ft.max_depth == 1
+        (leaf,) = vec.flattened.leaves
+        assert leaf.block_count == 10
+        assert len(leaf.levels) == 1
 
     def test_span(self):
         t = Hvector(count=3, blocklength=1, stride_bytes=-16, oldtype=DOUBLE).commit()
-        assert t.flattened.span() == (-32, 8)
-
-    def test_find_position_basics(self):
-        vec = Vector(count=4, blocklength=1, stride=2, oldtype=DOUBLE).commit()
-        ft = vec.flattened
-        pos = ft.find_position(0, count=2)
-        assert (pos.instance, pos.leaf_index, pos.block_index, pos.byte_in_block) == (0, 0, 0, 0)
-        pos = ft.find_position(12, count=2)
-        assert (pos.instance, pos.block_index, pos.byte_in_block) == (0, 1, 4)
-        pos = ft.find_position(35, count=2)  # second instance, byte 3
-        assert (pos.instance, pos.block_index, pos.byte_in_block) == (1, 0, 3)
-        end = ft.find_position(64, count=2)
-        assert end.instance == 2
-
-    def test_find_position_out_of_range(self):
-        ft = Contiguous(2, INT).commit().flattened
-        with pytest.raises(ValueError):
-            ft.find_position(9, count=1)
-
-    def test_leaf_block_offset_at_matches_array(self):
-        vec = Hvector(3, 2, 64, Vector(2, 1, 3, INT)).commit()
-        for leaf in vec.flattened.leaves:
-            offs = leaf.block_offsets()
-            for i in range(leaf.block_count):
-                assert leaf.block_offset_at(i) == offs[i]
-            assert np.array_equal(leaf.block_offsets_range(1, leaf.block_count), offs[1:])
+        assert get_plan(t.flattened, 1).bounds == (-32, 8)
 
     def test_leaves_of_premerge_counts(self):
         t = Struct([1, 2], [0, 4], [INT, CHAR])

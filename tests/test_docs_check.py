@@ -60,6 +60,31 @@ def test_cross_links_all_resolve():
     assert docs_check.check_cross_links() == []
 
 
+def test_file_references_resolve_both_ways():
+    """Repo-relative paths and tails of ``src/repro`` paths both count;
+    anything else is named with its document."""
+    text = ("`tools/docs_check.py`, `flatten/plan.py`, `osc/window.py`, "
+            "`tests/test_gone.py` and `mpi/flatten/engine.py`")
+    assert docs_check.check_file_references("docs/X.md", text) == [
+        "docs/X.md: no such file -> tests/test_gone.py",
+        "docs/X.md: no such file -> mpi/flatten/engine.py"]
+
+
+def test_file_references_catch_a_tampered_doc():
+    doc = docs_check.ROOT / "docs" / "PACK_PLANS.md"
+    text = doc.read_text()
+    assert docs_check.check_file_references("docs/PACK_PLANS.md", text) == []
+    tampered = text.replace("`tests/test_pack_plan.py`",
+                            "`tests/test_pack_engine.py`", 1)
+    assert docs_check.check_file_references("docs/PACK_PLANS.md", tampered) == [
+        "docs/PACK_PLANS.md: no such file -> tests/test_pack_engine.py"]
+
+
+def test_experiments_log_is_exempt_from_file_references():
+    assert "EXPERIMENTS.md" in docs_check.DOC_GLOBS
+    assert "EXPERIMENTS.md" not in docs_check.REFERENCE_GLOBS
+
+
 def test_link_regex_extracts_relative_targets_only_once():
     found = docs_check._LINK_RE.findall(
         "see [QOS](QOS.md) and [web](https://x.invalid/p) "

@@ -1,4 +1,5 @@
-"""Tests for the direct_pack_ff pack/unpack engine, incl. property tests."""
+"""The packed-stream executor (``PackPlan``) against a per-block reference,
+incl. property tests over random datatype trees."""
 
 import numpy as np
 import pytest
@@ -20,16 +21,8 @@ from repro.mpi.datatypes import (
     Subarray,
     Vector,
 )
-from repro.mpi.flatten import (
-    PackError,
-    as_access_run,
-    block_groups_in_range,
-    block_runs,
-    pack,
-    pack_range,
-    unpack,
-    unpack_range,
-)
+from repro.mpi.flatten import PackError, get_plan
+from repro.mpi.transport.layout import as_access_run
 
 
 def make_mem(size=8192, seed=1):
@@ -47,6 +40,10 @@ def reference_pack(mem, base, ft, count):
                 start = inst_base + int(off)
                 out.extend(mem[start : start + leaf.size].tobytes())
     return np.frombuffer(bytes(out), dtype=np.uint8)
+
+
+def pack(mem, base, ft, count):
+    return get_plan(ft, count).execute_pack(mem, base)
 
 
 SAMPLE_TYPES = [
@@ -90,9 +87,9 @@ def test_unpack_roundtrip(label, factory):
     src = make_mem(seed=2)
     dst = make_mem(seed=3)
     base = 2048
-    payload = pack(src, base, ft, count)
-    unpack(dst, base, ft, count, payload)
-    assert np.array_equal(pack(dst, base, ft, count), payload)
+    payload = reference_pack(src, base, ft, count)
+    get_plan(ft, count).execute_unpack(dst, base, 0, payload)
+    assert np.array_equal(reference_pack(dst, base, ft, count), payload)
 
 
 @pytest.mark.parametrize("label,factory", SAMPLE_TYPES)
@@ -102,8 +99,9 @@ def test_pack_range_equals_slice_of_full_pack(label, factory):
     count = 4
     mem = make_mem(seed=4)
     base = 2048
-    full = pack(mem, base, ft, count)
+    full = reference_pack(mem, base, ft, count)
     total = ft.size * count
+    plan = get_plan(ft, count)
     for start, n in [
         (0, total),
         (0, 1),
@@ -113,7 +111,7 @@ def test_pack_range_equals_slice_of_full_pack(label, factory):
         (total - 1, 1),
         (7, 0),
     ]:
-        got = pack_range(mem, base, ft, count, start, n)
+        got = plan.execute_pack(mem, base, start, n)
         assert np.array_equal(got, full[start : start + n]), (start, n)
 
 
@@ -123,12 +121,13 @@ def test_unpack_range_chunked_roundtrip(label, factory):
     dtype = factory().commit()
     ft = dtype.flattened
     count = 3
+    plan = get_plan(ft, count)
     src = make_mem(seed=5)
     base = 1024
-    payload = pack(src, base, ft, count)
+    payload = reference_pack(src, base, ft, count)
 
     whole = make_mem(seed=6)
-    unpack(whole, base, ft, count, payload)
+    plan.execute_unpack(whole, base, 0, payload)
 
     chunked = make_mem(seed=6)
     total = payload.nbytes
@@ -137,39 +136,31 @@ def test_unpack_range_chunked_roundtrip(label, factory):
         if pos >= total:
             break
         n = min(chunk_len, total - pos)
-        unpack_range(chunked, base, ft, count, pos, payload[pos : pos + n])
+        plan.execute_unpack(chunked, base, pos, payload[pos : pos + n])
         pos += n
     while pos < total:
         n = min(11, total - pos)
-        unpack_range(chunked, base, ft, count, pos, payload[pos : pos + n])
+        plan.execute_unpack(chunked, base, pos, payload[pos : pos + n])
         pos += n
     assert np.array_equal(chunked, whole)
 
 
-def test_block_runs_order_and_coverage():
-    dtype = Vector(8, 1, 2, DOUBLE).commit()
-    ft = dtype.flattened
-    runs = list(block_runs(ft, 1, 4, 24))
-    # partial first block (4 B), two full blocks, partial last (4 B).
-    lengths = [(len(o), l) for o, l in runs]
-    assert lengths == [(1, 4), (2, 8), (1, 4)]
-
-
 def test_block_groups_in_range():
-    dtype = Vector(8, 1, 2, DOUBLE).commit()
-    groups = block_groups_in_range(dtype.flattened, 2, 0, 128)
-    assert groups == [(8, 16)]
-    groups = block_groups_in_range(dtype.flattened, 1, 4, 24)
-    assert groups == [(4, 1), (8, 2), (4, 1)]
+    ft = Vector(8, 1, 2, DOUBLE).commit().flattened
+    # Split head (4 B), two whole blocks, split tail (4 B).
+    assert get_plan(ft, 1).groups_in_range(4, 24) == [(4, 1), (8, 2), (4, 1)]
+    # The last block of instance 0 (extent 120) abuts the first of
+    # instance 1: the plan coalesces them into one 16 B run.
+    assert get_plan(ft, 2).groups_in_range(0, 128) == [(8, 7), (16, 1), (8, 7)]
 
 
 def test_bad_ranges_rejected():
-    ft = Contiguous(4, INT).commit().flattened
+    plan = get_plan(Contiguous(4, INT).commit().flattened, 1)
     mem = make_mem()
     with pytest.raises(PackError):
-        pack_range(mem, 0, ft, 1, 10, 10)
+        plan.execute_pack(mem, 0, 10, 10)
     with pytest.raises(PackError):
-        list(block_runs(ft, 1, -1, 4))
+        plan.groups_in_range(-1, 4)
 
 
 class TestAsAccessRun:
@@ -265,11 +256,9 @@ def datatype_strategy(max_depth=3):
 
 def _base_and_mem(ft, count, seed):
     """Anchor + memory sized so every instance fits with margin."""
-    lo, hi = ft.span()
-    lo_total = min(lo, lo + (count - 1) * ft.extent) if count else 0
-    hi_total = max(hi, hi + (count - 1) * ft.extent) if count else 0
-    base = 64 - min(0, lo_total)
-    return base, make_mem(size=base + max(0, hi_total) + 128, seed=seed)
+    lo, hi = get_plan(ft, count).bounds
+    base = 64 - min(0, lo)
+    return base, make_mem(size=base + max(0, hi) + 128, seed=seed)
 
 
 @settings(max_examples=120, deadline=None)
@@ -293,39 +282,14 @@ def test_property_pack_range_is_slice(dtype, count, data):
     dtype.commit()
     ft = dtype.flattened
     base, mem = _base_and_mem(ft, count, seed=8)
-    full = pack(mem, base, ft, count)
+    full = reference_pack(mem, base, ft, count)
     total = ft.size * count
     start = data.draw(st.integers(min_value=0, max_value=total))
     n = data.draw(st.integers(min_value=0, max_value=total - start))
     assert np.array_equal(
-        pack_range(mem, base, ft, count, start, n), full[start : start + n]
+        get_plan(ft, count).execute_pack(mem, base, start, n),
+        full[start : start + n],
     )
-
-
-@settings(max_examples=100, deadline=None)
-@given(dtype=datatype_strategy(), count=st.integers(min_value=1, max_value=3))
-def test_property_find_position_consistent_with_runs(dtype, count):
-    """find_position's packed accounting agrees with leaf starts/sizes."""
-    dtype.commit()
-    ft = dtype.flattened
-    total = ft.size * count
-    if total == 0:
-        return
-    for offset in {0, 1, total // 2, total - 1}:
-        if offset == total:
-            # End sentinel: instance == count, nothing left to pack.
-            assert ft.find_position(offset, count).instance == count
-            continue
-        pos = ft.find_position(offset, count)
-        assert 0 <= pos.instance < count
-        leaf = ft.leaves[pos.leaf_index]
-        recomputed = (
-            pos.instance * ft.size
-            + ft.leaf_starts[pos.leaf_index]
-            + pos.block_index * leaf.size
-            + pos.byte_in_block
-        )
-        assert recomputed == offset
 
 
 @settings(max_examples=80, deadline=None)
@@ -358,7 +322,8 @@ class TestAsAccessRunRegressions:
         # counted instances interleave their blocks.
         dtype = Resized(Vector(4, 1, 2, DOUBLE), lb=0, extent=16).commit()
         ft = dtype.flattened
-        assert ft.extent < ft.span()[1] - ft.span()[0]
+        lo, hi = get_plan(ft, 1).bounds
+        assert ft.extent < hi - lo
         assert as_access_run(ft, 2) is None
 
     def test_blocks_times_stride_not_extent(self):

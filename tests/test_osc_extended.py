@@ -5,7 +5,17 @@ import pytest
 
 from repro._units import KiB
 from repro.cluster import Cluster
-from repro.mpi.datatypes import DOUBLE, LONG, Hindexed, Indexed, Resized
+from repro.mpi.datatypes import (
+    BYTE,
+    DOUBLE,
+    INT,
+    LONG,
+    Hindexed,
+    Indexed,
+    Resized,
+    Struct,
+    Vector,
+)
 from repro.mpi.errors import RMAError
 from repro.mpi.pt2pt import ProtocolConfig
 
@@ -257,29 +267,42 @@ class TestLayoutBounds:
 
     @staticmethod
     def _run(winbytes, shared, op, make_type, count, disp):
+        """Rank 1's window after the op — or, for ``get``, what rank 0
+        fetched from a target window holding 1, 2, 3, ... (as doubles)."""
         def program(ctx):
             comm = ctx.comm
             win = yield from comm.win_create(winbytes, shared=shared)
             win.local_view()[:] = 0
+            if op == "get":
+                win.local_view().view(np.float64)[:] = np.arange(
+                    1, winbytes // 8 + 1)
             dtype = make_type()
             nbytes = dtype.size * count
             yield from win.fence()
+            fetched = None
             if comm.rank == 0:
                 data = np.arange(1, nbytes // 8 + 1, dtype=np.float64)
                 if op == "put":
                     yield from win.put(data, 1, disp, target_datatype=dtype,
                                        target_count=count)
                 elif op == "get":
-                    yield from win.get(nbytes, 1, disp, target_datatype=dtype,
-                                       target_count=count)
+                    fetched = yield from win.get(
+                        nbytes, 1, disp, target_datatype=dtype,
+                        target_count=count)
                 else:
                     yield from win.accumulate(data, 1, disp,
                                               target_datatype=dtype,
                                               target_count=count)
             yield from win.fence()
+            if fetched is not None:
+                return fetched.view(np.float64).tolist()
             return win.local_view().view(np.float64).tolist()
 
         return Cluster(n_nodes=2).run(program)
+
+    @staticmethod
+    def _result(run, op):
+        return run.results[0 if op == "get" else 1]
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("op", ["put", "get", "accumulate"])
@@ -292,8 +315,11 @@ class TestLayoutBounds:
     @pytest.mark.parametrize("op", ["put", "get", "accumulate"])
     def test_exact_fit_is_accepted(self, shared, op):
         run = self._run(72, shared, op, self.GAPPED, 3, 0)
-        if op != "get":
-            assert run.results[1] == [1, 0, 2, 3, 0, 4, 5, 0, 6]
+        # Doubles 0, 2 of each 3-double instance: put writes 1..6 there,
+        # get reads the values 1, 3, 4, 6, 7, 9 stored there.
+        expected = ([1, 3, 4, 6, 7, 9] if op == "get"
+                    else [1, 0, 2, 3, 0, 4, 5, 0, 6])
+        assert self._result(run, op) == expected
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("op", ["put", "get", "accumulate"])
@@ -302,8 +328,8 @@ class TestLayoutBounds:
             self._run(64, shared, op, self.NEGATIVE_LB, 2, 0)
         # Shifted by the lower bound the same access fits exactly.
         run = self._run(48, shared, op, self.NEGATIVE_LB, 2, 8)
-        if op != "get":
-            assert run.results[1] == [1, 0, 2, 3, 0, 4]
+        expected = [1, 3, 4, 6] if op == "get" else [1, 0, 2, 3, 0, 4]
+        assert self._result(run, op) == expected
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_strided_run_overrun_and_fit(self, shared):
@@ -312,3 +338,107 @@ class TestLayoutBounds:
             self._run(32, shared, "put", self.STRIDED, 3, 0)
         run = self._run(40, shared, "put", self.STRIDED, 3, 0)
         assert run.results[1] == [1, 0, 2, 0, 3]
+
+
+class TestTypedRemoteGet:
+    """A typed get returns the bytes of its target layout on every path:
+    direct remote loads, remote-put conversion (shared, above
+    ``remote_put_threshold``), private-window emulation, and a response
+    chunked through a small ``osc_response_size``.  Expected bytes come
+    from the target window's contents by numpy indexing."""
+
+    WIN = 16 * KiB
+    DISP = 40
+
+    #: name -> (type, count, instance-relative (offset, length) blocks,
+    #: counter of the shared-window path)
+    LAYOUTS = {
+        "vector-512B": (lambda: Vector(64, 1, 2, DOUBLE), 1,
+                        [(16 * i, 8) for i in range(64)], "direct_gets"),
+        "vector-4KiB": (lambda: Vector(512, 1, 2, DOUBLE), 1,
+                        [(16 * i, 8) for i in range(512)], "remote_puts"),
+        "indexed-x3": (lambda: Indexed([2, 1], [0, 3], DOUBLE), 3,
+                       [(0, 16), (24, 8)], "remote_puts"),
+        "struct-x2": (lambda: Struct([1, 1], [0, 12], [INT, DOUBLE]), 2,
+                      [(0, 4), (12, 8)], "remote_puts"),
+        "offset-block": (lambda: Hindexed([64], [24], BYTE), 1,
+                         [(24, 64)], "direct_gets"),
+    }
+
+    def _get(self, shared, name, protocol=None):
+        make_type, count, _, _ = self.LAYOUTS[name]
+        dtype = make_type().commit()
+        window = np.random.default_rng(7).integers(
+            0, 256, self.WIN, dtype=np.uint8)
+
+        def program(ctx):
+            comm = ctx.comm
+            win = yield from comm.win_create(self.WIN, shared=shared)
+            win.local_view()[:] = window
+            yield from win.fence()
+            data = None
+            if comm.rank == 0:
+                data = yield from win.get(
+                    dtype.size * count, 1, self.DISP, target_datatype=dtype,
+                    target_count=count)
+            yield from win.fence()
+            return data, dict(win.counters)
+
+        cluster = Cluster(n_nodes=2, protocol=protocol or ProtocolConfig())
+        return cluster.run(program).results[0], self._expected(
+            window, dtype, name)
+
+    def _expected(self, window, dtype, name):
+        _, count, blocks, _ = self.LAYOUTS[name]
+        rel = np.concatenate([np.arange(o, o + n) for o, n in blocks])
+        idx = self.DISP + np.arange(count)[:, None] * dtype.extent + rel
+        return window[idx.reshape(-1)]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("name", list(LAYOUTS))
+    def test_returns_the_layout_bytes(self, shared, name):
+        (data, counters), expected = self._get(shared, name)
+        assert data.tobytes() == expected.tobytes()
+        path = self.LAYOUTS[name][3] if shared else "emulated_gets"
+        assert counters[path] == 1
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_chunked_response(self, shared):
+        """4 KiB of layout through a 1 KiB response region: four chunks,
+        each packing its own range of the packed stream."""
+        protocol = ProtocolConfig(osc_response_size=1 * KiB)
+        (data, _), expected = self._get(shared, "vector-4KiB", protocol)
+        assert data.tobytes() == expected.tobytes()
+
+    def test_offset_block_put_lands_at_its_offset(self):
+        """The emulated put of a one-block layout that starts 24 B past
+        the displacement writes there, not at the displacement."""
+        dtype = Hindexed([64], [24], BYTE).commit()
+
+        def program(ctx):
+            win = yield from ctx.comm.win_create(256, shared=False)
+            win.local_view()[:] = 0
+            yield from win.fence()
+            if ctx.comm.rank == 0:
+                yield from win.put(np.full(64, 7, dtype=np.uint8), 1, 8,
+                                   target_datatype=dtype)
+            yield from win.fence()
+            return win.local_view().tobytes()
+
+        window = Cluster(n_nodes=2).run(program).results[1]
+        assert window == bytes(32) + bytes([7] * 64) + bytes(160)
+
+    def test_size_mismatch_rejected(self):
+        """An origin byte count that is not the layout's packed size."""
+        dtype = Struct([1, 1], [0, 12], [INT, DOUBLE]).commit()
+
+        def program(ctx):
+            win = yield from ctx.comm.win_create(256, shared=False)
+            yield from win.fence()
+            if ctx.comm.rank == 0:
+                yield from win.get(dtype.size + 4, 1, 0,
+                                   target_datatype=dtype)
+            yield from win.fence()
+
+        with pytest.raises(RMAError, match="does not match target type"):
+            Cluster(n_nodes=2).run(program)

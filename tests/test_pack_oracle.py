@@ -1,4 +1,4 @@
-"""Differential test oracles for the pack engine and packing plans.
+"""Differential test oracles for the packing plans.
 
 Two deliberately naive oracles, checked against a seeded random generator
 of nested vector/indexed/struct/resized datatype trees:
@@ -14,8 +14,8 @@ of nested vector/indexed/struct/resized datatype trees:
 * a **recursive leaf-stack walk** re-derives every block offset of the
   committed representation by pure-Python recursion over the level
   stacks (no numpy, no mixed-radix arithmetic) and defines the expected
-  byte-for-byte stream.  ``pack``, ``pack_range``, ``unpack_range`` and
-  the plan-backed ``PackPlan.execute_*`` must agree with it exactly,
+  byte-for-byte stream.  ``PackPlan.execute_pack`` must agree with it
+  exactly, and ``PackPlan.execute_unpack`` with its per-byte scatter,
   including ranges split at block boundaries +/- 1.
 
 The same trees then drive the plan's **segment executor**: ranges split at
@@ -45,14 +45,7 @@ from repro.mpi.datatypes import (
     Vector,
 )
 from repro.mpi.datatypes.basic import BasicType
-from repro.mpi.flatten import (
-    PackError,
-    PackPlan,
-    get_plan,
-    pack,
-    pack_range,
-    unpack_range,
-)
+from repro.mpi.flatten import PackError, PackPlan, get_plan
 
 N_CASES = 210
 
@@ -208,12 +201,10 @@ def random_dtype(rng: random.Random, depth: int = 3):
 
 
 def _base_and_mem(ft, count, seed):
-    lo, hi = ft.span()
-    lo_total = min(lo, lo + (count - 1) * ft.extent) if count else 0
-    hi_total = max(hi, hi + (count - 1) * ft.extent) if count else 0
-    base = 64 - min(0, lo_total)
+    lo, hi = get_plan(ft, count).bounds
+    base = 64 - min(0, lo)
     rng = np.random.default_rng(seed)
-    size = base + max(0, hi_total) + 128
+    size = base + max(0, hi) + 128
     return base, rng.integers(0, 256, size=size, dtype=np.uint8)
 
 
@@ -221,9 +212,11 @@ def block_boundaries(ft, count) -> list[int]:
     """All packed-stream offsets where a basic block starts or ends."""
     bounds = {0, ft.size * count}
     for inst in range(count):
-        for leaf, start in zip(ft.leaves, ft.leaf_starts):
-            for k in range(leaf.block_count + 1):
-                bounds.add(inst * ft.size + start + k * leaf.size)
+        start = inst * ft.size
+        for leaf in ft.leaves:
+            bounds.update(start + k * leaf.size
+                          for k in range(leaf.block_count + 1))
+            start += leaf.packed_size
     return sorted(bounds)
 
 
@@ -248,8 +241,7 @@ def test_differential_oracle(seed):
     expected = oracle_pack(mem, base, dtype, count, offs)
     total = expected.nbytes
 
-    # Full pack: engine and plan vs oracle.
-    assert np.array_equal(pack(mem, base, ft, count), expected)
+    # Full pack: plan vs oracle.
     plan = get_plan(ft, count)
     assert np.array_equal(plan.execute_pack(mem, base), expected)
 
@@ -269,17 +261,13 @@ def test_differential_oracle(seed):
     for s in starts:
         n = rng.randint(0, min(total - s, 2048))
         payload = expected[s : s + n]
-        assert np.array_equal(pack_range(mem, base, ft, count, s, n), payload)
         assert np.array_equal(plan.execute_pack(mem, base, s, n), payload)
         check_stream_view(plan, mem, base, s, n)
 
         scratch_oracle = _base_and_mem(ft, count, seed + 7)[1]
-        scratch_engine = scratch_oracle.copy()
         scratch_plan = scratch_oracle.copy()
         oracle_unpack_range(scratch_oracle, base, dtype, count, offs, s, payload)
-        unpack_range(scratch_engine, base, ft, count, s, payload)
         plan.execute_unpack(scratch_plan, base, s, payload)
-        assert np.array_equal(scratch_engine, scratch_oracle), ("unpack", s, n)
         assert np.array_equal(scratch_plan, scratch_oracle), ("plan unpack", s, n)
 
 
@@ -318,18 +306,20 @@ def naive_groups(plan, byte_offset, nbytes) -> list[tuple[int, int]]:
 
 
 def check_segment_executor(plan, ft, count, base, mem, expected, ranges):
-    """Plan pack vs the oracle stream, plan unpack vs ``engine.unpack_range``
-    and the cost groups vs the run table, for every ``(start, nbytes)``."""
+    """Plan pack vs the oracle stream, plan unpack vs the oracle's per-byte
+    scatter and the cost groups vs the run table, for every
+    ``(start, nbytes)``."""
+    offs = oracle_offsets(ft)
     blank = np.zeros_like(mem)
     for s, n in ranges:
         payload = expected[s : s + n]
         assert np.array_equal(plan.execute_pack(mem, base, s, n), payload), (s, n)
         assert plan.groups_in_range(s, n) == naive_groups(plan, s, n), (s, n)
         check_stream_view(plan, mem, base, s, n)
-        scratch_engine, scratch_plan = blank.copy(), blank.copy()
-        unpack_range(scratch_engine, base, ft, count, s, payload)
+        scratch_oracle, scratch_plan = blank.copy(), blank.copy()
+        oracle_unpack_range(scratch_oracle, base, ft, count, offs, s, payload)
         plan.execute_unpack(scratch_plan, base, s, payload)
-        assert np.array_equal(scratch_plan, scratch_engine), ("unpack", s, n)
+        assert np.array_equal(scratch_plan, scratch_oracle), ("unpack", s, n)
 
 
 def segment_ranges(plan, rng) -> list[tuple[int, int]]:
@@ -387,7 +377,6 @@ class TestSegmentKernels:
         plan = PackPlan(ft, count)
         base, mem = _base_and_mem(ft, count, seed)
         expected = oracle_pack(mem, base, dtype, count, oracle_offsets(ft))
-        assert np.array_equal(pack(mem, base, ft, count), expected)
         check_segment_executor(
             plan, ft, count, base, mem, expected,
             segment_ranges(plan, random.Random(seed)),
@@ -419,7 +408,7 @@ class TestSegmentKernels:
 
     def test_overlapping_rows_unpack_in_stream_order(self):
         """Stride below the run length: the strided pack is legal, the
-        unpack must let the later run win, as ``engine.unpack_range``."""
+        unpack must let the later run win, as the per-byte oracle does."""
         plan = self._check(Hvector(20, 4, 8, DOUBLE), 1)
         assert plan.segments.tolist() == [[0, 0, 32, 8, 20]]
 
@@ -479,12 +468,12 @@ class TestShrunkResizedPackOnly:
     def test_overlapping_instances_pack(self, count):
         dtype = Resized(Vector(3, 1, 2, DOUBLE), lb=0, extent=16).commit()
         ft = dtype.flattened
-        assert ft.extent < ft.span()[1] - ft.span()[0]  # genuinely shrunk
+        lo, hi = PackPlan(ft, 1).bounds
+        assert ft.extent < hi - lo  # genuinely shrunk
         base, mem = _base_and_mem(ft, count, seed=11)
         offs = oracle_offsets(ft)
         assert sorted(offs) == sorted(tree_walk_offsets(dtype))
         expected = oracle_pack(mem, base, dtype, count, offs)
-        assert np.array_equal(pack(mem, base, ft, count), expected)
         plan = PackPlan(ft, count)
         assert np.array_equal(plan.execute_pack(mem, base), expected)
         for s, n in [(0, 8), (7, 9), (23, 25), (ft.size * count - 1, 1)]:

@@ -19,11 +19,9 @@ from repro.mpi.flatten import (
     PackPlan,
     PlanCache,
     get_plan,
-    pack,
     plan_cache_disabled,
     plan_cache_stats,
     reset_plan_cache,
-    unpack_range,
 )
 from repro.mpi.pt2pt import NonContigMode, ProtocolConfig
 
@@ -97,7 +95,12 @@ class TestCoalescing:
             0, 256, size=4 * ft.extent + 64, dtype=np.uint8
         )
         plan = PackPlan(ft, 3)
-        assert np.array_equal(plan.execute_pack(mem, 8), pack(mem, 8, ft, 3))
+        # 3 doubles every 7, instances one extent apart, anchored at 8.
+        (leaf,) = ft.leaves
+        starts = (8 + np.arange(3)[:, None] * ft.extent
+                  + leaf.block_offsets()[None, :]).reshape(-1)
+        expected = mem[(starts[:, None] + np.arange(leaf.size)).reshape(-1)]
+        assert np.array_equal(plan.execute_pack(mem, 8), expected)
 
     def test_range_validation(self):
         vec = Vector(2, 1, 2, DOUBLE).commit()
@@ -261,7 +264,7 @@ class TestEndToEndEquivalence:
         ] * 4
 
 
-# -- unpack_range dtype handling (regression) ----------------------------------
+# -- execute_unpack dtype handling (regression) ---------------------------------
 
 
 class TestUnpackRangeDtypes:
@@ -270,10 +273,11 @@ class TestUnpackRangeDtypes:
         ``reshape(-1)`` on an already-1-D strided array is a no-op view and
         the subsequent uint8 ``view`` failed)."""
         vec = Vector(4, 1, 2, DOUBLE).commit()
-        ft = vec.flattened
+        plan = PackPlan(vec.flattened, 1)
         payload = np.arange(8, dtype=np.float64)[::2]
         assert not payload.flags["C_CONTIGUOUS"]
-        mem = np.zeros(ft.extent + 16, dtype=np.uint8)
-        unpack_range(mem, 0, ft, 1, 0, payload)
-        packed = pack(mem, 0, ft, 1)
+        mem = np.zeros(vec.extent + 16, dtype=np.uint8)
+        plan.execute_unpack(mem, 0, 0, payload)
+        assert mem[:vec.extent].view(np.float64)[::2].tolist() == [0, 2, 4, 6]
+        packed = plan.execute_pack(mem, 0)
         assert packed.tobytes() == np.ascontiguousarray(payload).tobytes()

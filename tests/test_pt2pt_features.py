@@ -7,7 +7,9 @@ import pytest
 from repro._units import KiB
 from repro.cluster import Cluster
 from repro.mpi import ANY_SOURCE, ANY_TAG
-from repro.mpi.datatypes import DOUBLE, INT, Vector
+from repro.mpi.datatypes import DOUBLE, INT, Hvector, Vector
+from repro.mpi.errors import MPIError
+from repro.mpi.flatten import PackError
 from repro.mpi.pt2pt import NonContigMode, ProtocolConfig
 
 
@@ -360,3 +362,60 @@ class TestPackAPI:
     def test_pack_size_with_count(self):
         vec = Vector(4, 1, 2, DOUBLE)
         assert vec.pack_size(3) == 3 * 32
+
+
+class TestPackAPIBounds:
+    """``pack_from``/``unpack_into`` touch only their buffer: the layout's
+    byte interval is checked against ``[0, buf.nbytes)`` by the rule the
+    pt2pt prologue uses.  A guard allocation right behind the buffer must
+    survive every rejected call."""
+
+    @staticmethod
+    def _buffers(nbytes, offset=0):
+        from repro.memlib import AddressSpace
+
+        space = AddressSpace(4096)
+        buf = space.alloc(offset + nbytes).slice(offset, nbytes)
+        guard = space.alloc(64)
+        guard.fill(0xEE)
+        return buf, guard
+
+    def test_overrun_rejected(self):
+        vec = Vector(4, 1, 2, DOUBLE).commit()  # touches [0, 56), extent 56
+        buf, guard = self._buffers(56)
+        data = np.arange(3 * vec.size, dtype=np.uint8)
+        with pytest.raises(MPIError, match=r"\[0, 168\) of a 56 B buffer"):
+            vec.unpack_into(buf, data, count=3)
+        with pytest.raises(MPIError, match=r"\[0, 168\) of a 56 B buffer"):
+            vec.pack_from(buf, count=3)
+        assert guard.tobytes() == b"\xee" * 64
+
+    def test_negative_lower_bound_rejected(self):
+        back = Hvector(3, 1, -16, DOUBLE).commit()  # touches [-32, 8)
+        buf, guard = self._buffers(8, offset=32)
+        with pytest.raises(MPIError, match=r"\[-32, 8\) of a 8 B buffer"):
+            back.unpack_into(buf, np.zeros(back.size, dtype=np.uint8))
+        with pytest.raises(MPIError, match=r"\[-32, 8\)"):
+            back.pack_from(buf)
+        assert guard.tobytes() == b"\xee" * 64
+
+    def test_exact_fit_accepted(self):
+        """Three instances touch [0, 168): the last one's trailing gap
+        need not fit, and nothing outside the buffer is written."""
+        vec = Vector(4, 1, 2, DOUBLE).commit()
+        buf, guard = self._buffers(168)
+        data = np.arange(3 * vec.size, dtype=np.uint8)
+        vec.unpack_into(buf, data, count=3)
+        assert np.array_equal(vec.pack_from(buf, count=3), data)
+        # Doubles 0, 2, 4, 6 of each 7-double instance.
+        idx = (np.arange(3)[:, None] * 7 + np.arange(0, 8, 2)).reshape(-1)
+        doubles = buf.read().view(np.uint64)
+        assert np.array_equal(doubles[idx].view(np.uint8), data)
+        assert guard.tobytes() == b"\xee" * 64
+
+    def test_payload_size_mismatch_raises(self):
+        vec = Vector(4, 1, 2, DOUBLE).commit()
+        buf, _ = self._buffers(56)
+        for nbytes in (vec.size - 1, vec.size + 1):
+            with pytest.raises(PackError, match=r"expected 32 B"):
+                vec.unpack_into(buf, np.zeros(nbytes, dtype=np.uint8))

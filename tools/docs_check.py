@@ -6,7 +6,7 @@ Usage::
     python tools/docs_check.py            # from the repo root
     python tools/docs_check.py --list     # also print the coverage map
 
-Four checks, each with actionable per-item output:
+Five checks, each with actionable per-item output:
 
 * **module coverage** — every module under ``src/repro`` must be
   mentioned in at least one documentation file (``docs/*.md``,
@@ -18,6 +18,11 @@ Four checks, each with actionable per-item output:
 * **cross-links resolve** — every relative markdown link target in the
   documentation files must exist on disk (anchors and absolute URLs are
   ignored), so renaming or dropping a doc breaks CI instead of readers.
+* **named files exist** — every backticked ``*.py`` path in
+  ``README.md``, ``DESIGN.md`` and ``docs/*.md`` must exist, repo-relative
+  (``tests/test_cli.py``) or as the trailing path of a module under
+  ``src/repro`` (``flatten/plan.py``).  ``EXPERIMENTS.md`` is exempt: its
+  run lists are history.
 * **CLI entry points documented** — every console script declared in
   ``pyproject.toml`` (``repro`` and its aliases ``repro-trace``,
   ``repro-faults``, ``repro-svc``, ``repro-scenarios``) must appear in
@@ -32,7 +37,7 @@ Four checks, each with actionable per-item output:
   the code no longer produces both fail, naming the row.  This check
   imports ``repro`` (from ``src/`` when the package is not installed).
 
-Exit status: 0 when all four checks pass, 1 otherwise.
+Exit status: 0 when all five checks pass, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -50,8 +55,14 @@ if str(ROOT / "src") not in sys.path:  # the name tables import repro
 #: The documentation corpus, in scan order.
 DOC_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 
+#: The documents whose named ``*.py`` files must exist.
+REFERENCE_GLOBS = ("README.md", "DESIGN.md", "docs/*.md")
+
 #: Markdown inline links: [text](target).  Images share the syntax.
 _LINK_RE = re.compile(r"\]\(([^)\s]+)\)")
+
+#: A backticked python file path: `tools/docs_check.py`, `flatten/plan.py`.
+_PY_PATH_RE = re.compile(r"`([\w./-]+\.py)`")
 
 #: The document whose name tables are generated from the code.
 OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
@@ -65,9 +76,9 @@ _TRACE_RE = re.compile(
     r'(?:_trace|\.record)\([^")]*?"([a-z_]+(?:\.[a-z_]+)+)"')
 
 
-def doc_files() -> list[pathlib.Path]:
+def doc_files(globs=DOC_GLOBS) -> list[pathlib.Path]:
     files: list[pathlib.Path] = []
-    for pattern in DOC_GLOBS:
+    for pattern in globs:
         files.extend(sorted(ROOT.glob(pattern)))
     return files
 
@@ -123,6 +134,17 @@ def check_cross_links() -> list[str]:
                 failures.append(
                     f"{doc.relative_to(ROOT)}: broken link -> {target}")
     return failures
+
+
+def check_file_references(doc: str, text: str) -> list[str]:
+    """Backticked ``*.py`` paths in ``text`` (document ``doc``) that name
+    no file: neither repo-relative nor the tail of a ``src/repro`` path."""
+    modules = [path.as_posix()
+               for path in (ROOT / "src" / "repro").rglob("*.py")]
+    return [f"{doc}: no such file -> {ref}"
+            for ref in _PY_PATH_RE.findall(text)
+            if not (ROOT / ref).exists()
+            and not any(module.endswith("/" + ref) for module in modules)]
 
 
 def check_cli_entry_points(corpus: str) -> list[str]:
@@ -271,6 +293,9 @@ def main(argv=None) -> int:
 
     failures = (check_module_coverage(corpus)
                 + check_cross_links()
+                + [failure for doc in doc_files(REFERENCE_GLOBS)
+                   for failure in check_file_references(
+                       doc.relative_to(ROOT).as_posix(), doc.read_text())]
                 + check_cli_entry_points(corpus)
                 + check_generated(OBSERVABILITY.read_text()))
     for failure in failures:
@@ -281,8 +306,8 @@ def main(argv=None) -> int:
               f"docs, {n_modules} modules)", file=sys.stderr)
         return 1
     print(f"docs_check: ok ({n_modules} modules covered, every link in "
-          f"{n_docs} docs resolves, all CLI entry points documented, "
-          "name tables current)")
+          f"{n_docs} docs resolves, every named file exists, all CLI entry "
+          "points documented, name tables current)")
     return 0
 
 
