@@ -23,7 +23,7 @@ possible to build up larger blocks of adjacent basic blocks".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .stack import FlattenedType, LeafSpec, Level
 
@@ -63,6 +63,25 @@ def _shift(leaves: list[LeafSpec], disp: int) -> list[LeafSpec]:
         LeafSpec(offset=leaf.offset + disp, size=leaf.size, levels=leaf.levels)
         for leaf in leaves
     ]
+
+
+def _placed(
+    leaves: list[LeafSpec], extent: int, entries: Iterable[tuple[int, int]]
+) -> list[LeafSpec]:
+    """Hindexed placement: ``_wrap(leaves, blk, extent)`` shifted by
+    ``disp``, per ``(disp, blk)`` entry."""
+    if len(leaves) == 1 and not leaves[0].levels and leaves[0].size == extent:
+        # A plain block: every entry is one block (merge rules (a), (b)).
+        offset, size = leaves[0].offset, leaves[0].size
+        return [
+            LeafSpec(offset=offset + disp, size=size * blk)
+            for disp, blk in entries
+            if blk
+        ]
+    out: list[LeafSpec] = []
+    for disp, blk in entries:
+        out.extend(_shift(_wrap(leaves, blk, extent), disp))
+    return out
 
 
 def _merge_adjacent(leaves: list[LeafSpec]) -> list[LeafSpec]:
@@ -109,18 +128,20 @@ def leaves_of(dtype: Datatype) -> list[LeafSpec]:
         return _wrap(inner, dtype.count, dtype.stride_bytes)
 
     if isinstance(dtype, _cons.Hindexed):  # covers Indexed too
-        out: list[LeafSpec] = []
-        old = leaves_of(dtype.oldtype)
-        for disp, blk in zip(dtype.displacements_bytes, dtype.blocklengths):
-            out.extend(_shift(_wrap(old, blk, dtype.oldtype.extent), disp))
-        return out
+        return _placed(
+            leaves_of(dtype.oldtype),
+            dtype.oldtype.extent,
+            zip(dtype.displacements_bytes, dtype.blocklengths),
+        )
 
     if isinstance(dtype, _cons.Struct):
-        out = []
+        out: list[LeafSpec] = []
         for disp, blk, field_type in zip(
             dtype.displacements_bytes, dtype.blocklengths, dtype.types
         ):
-            out.extend(_shift(_wrap(leaves_of(field_type), blk, field_type.extent), disp))
+            out.extend(
+                _placed(leaves_of(field_type), field_type.extent, [(disp, blk)])
+            )
         return out
 
     if isinstance(dtype, _cons.Subarray):

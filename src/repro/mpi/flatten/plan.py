@@ -16,12 +16,13 @@ the fully resolved run table of the whole packed stream:
   commit-time merge of :mod:`build` only fuses leaves with *identical*
   stacks; the plan catches the rest, e.g. a vector leaf whose last block
   abuts the next instance's first block);
-* a prefix-sum table mapping packed-stream byte offsets to runs;
+* a prefix-sum table mapping packed-stream byte offsets to runs, so
+  ``execute_pack``/``execute_unpack``/``groups_in_range`` resume at
+  arbitrary byte offsets with one ``searchsorted``;
 * the same table run-length-encoded into *segments* — stretches of
-  equal-length runs a constant stride apart — with their own prefix sum,
-  so ``execute_pack``/``execute_unpack``/``groups_in_range`` resume at
-  arbitrary byte offsets with one ``searchsorted`` over the segments and
-  copy a segment as one strided view, never expanding it into indices.
+  equal-length runs a constant stride apart, each copied as one strided
+  view, and short stretches of any shape folded into one irregular
+  segment, copied by one index gather over its slice of the run table.
 
 Coalescing is sound because runs are merged only when they are adjacent
 in *both* the packed stream and memory — the byte order of the stream is
@@ -36,6 +37,7 @@ offset-table constructions the cache saves.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -64,15 +66,13 @@ class PackError(ValueError):
     """Invalid pack/unpack request (bounds, size mismatch)."""
 
 
-def _gather(mem: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarray:
-    """Gather ``length`` bytes at each offset -> (n, length) array."""
-    idx = offsets[:, None] + np.arange(length, dtype=np.int64)[None, :]
-    return mem[idx]
-
-
-def _scatter(mem: np.ndarray, offsets: np.ndarray, length: int, data: np.ndarray) -> None:
-    idx = offsets[:, None] + np.arange(length, dtype=np.int64)[None, :]
-    mem[idx] = data.reshape(len(offsets), length)
+def _slice(mem: np.ndarray, start: int, nbytes: int) -> np.ndarray:
+    """``mem[start : start + nbytes]``, bounds-checked like the other kernels."""
+    if start < 0 or start + nbytes > len(mem):
+        raise PackError(
+            f"bytes [{start}, {start + nbytes}) outside a {len(mem)} B buffer"
+        )
+    return mem[start : start + nbytes]
 
 
 def _materialize_runs(ft: FlattenedType, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,10 +95,17 @@ def _materialize_runs(ft: FlattenedType, count: int) -> tuple[np.ndarray, np.nda
             np.array([ft.size * count], dtype=np.int64),
         )
 
-    inst_offs = np.concatenate([leaf.block_offsets() for leaf in ft.leaves])
-    inst_lens = np.concatenate(
-        [np.full(leaf.block_count, leaf.size, dtype=np.int64) for leaf in ft.leaves]
-    )
+    leaves = ft.leaves
+    inst_lens = np.fromiter((leaf.size for leaf in leaves), np.int64, len(leaves))
+    if any(leaf.levels for leaf in leaves):
+        inst_offs = np.concatenate([leaf.block_offsets() for leaf in leaves])
+        inst_lens = np.repeat(inst_lens, [leaf.block_count for leaf in leaves])
+    else:
+        # Level-less leaves (the entries of an Indexed or Struct): one
+        # block each.
+        inst_offs = np.fromiter(
+            (leaf.offset for leaf in leaves), np.int64, len(leaves)
+        )
     inst_starts = np.arange(count, dtype=np.int64) * ft.extent
     offs = (inst_starts[:, None] + inst_offs[None, :]).reshape(-1)
     lens = np.tile(inst_lens, count)
@@ -119,29 +126,25 @@ def _materialize_runs(ft: FlattenedType, count: int) -> tuple[np.ndarray, np.nda
 _MIN_STRIDED_BYTES = 1024
 
 
-def _segment_runs(
-    offs: np.ndarray, lens: np.ndarray, run_starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run-length-encode the run table into strided segments.
-
-    Returns ``(segments, seg_starts)``: one ``(first_run, first_offset,
-    run_length, stride, n_runs)`` row per segment and the packed-stream
-    prefix sum over segments (``n_segments + 1`` entries).
+def _segment_runs(offs: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Run-length-encode the run table into strided segments: one
+    ``(first_run, first_offset, run_length, stride, n_runs)`` row each.
 
     A run joins the segment before it while it has the same length and
     keeps that segment's constant *positive* stride (the second run of a
-    segment sets the stride).  Neighbouring stretches of one run length
-    that each stay below ``_MIN_STRIDED_BYTES`` — equal-length runs at
-    irregular displacements, short inner rows of nested vectors — are
-    then folded into one *irregular* segment, marked ``stride == 0``,
-    whose offsets stay in the run table.
+    segment sets the stride).  Neighbouring stretches that each stay
+    below ``_MIN_STRIDED_BYTES`` — blocks at irregular displacements,
+    fields of differing sizes, short inner rows of nested vectors — are
+    then folded, whatever their run lengths, into one *irregular*
+    segment, marked ``stride == 0``, whose offsets and lengths stay in
+    the run table (its ``run_length`` is its first run's).
     """
     n = len(offs)
     if n < 2:
         segments = np.empty((n, 5), dtype=np.int64)
         if n:
             segments[0] = (0, offs[0], lens[0], 0, 1)
-        return segments, run_starts
+        return segments
 
     # Gap i separates run i from run i + 1.  A hard gap always ends a
     # stretch; a soft one (stride differs from the gap before) ends it
@@ -167,17 +170,16 @@ def _segment_runs(
     stride = step[np.minimum(first, n - 2)]
     stride[n_runs == 1] = 0
 
-    # Fold neighbouring short stretches of equal run length.
+    # Fold neighbouring short stretches.
     short = n_runs * length < _MIN_STRIDED_BYTES
-    fold = short[1:] & short[:-1] & (length[1:] == length[:-1])
+    fold = short[1:] & short[:-1]
     if fold.any():
         heads = np.flatnonzero(np.concatenate(([True], ~fold)))
         stride = stride[heads]
         stride[np.append(heads[1:], len(first)) - heads > 1] = 0
         n_runs = np.add.reduceat(n_runs, heads)
         first, length = first[heads], length[heads]
-    segments = np.stack((first, offs[first], length, stride, n_runs), axis=1)
-    return segments, run_starts[np.append(first, n)]
+    return np.stack((first, offs[first], length, stride, n_runs), axis=1)
 
 
 def _strided_view(
@@ -197,15 +199,15 @@ class PackPlan:
     ``run_offsets``/``run_lengths`` hold the coalesced runs in packed
     order (offsets relative to the base address the plan is executed at);
     ``run_starts`` is the packed-stream prefix-sum table (length
-    ``n_runs + 1``, ending at :attr:`total`).  ``segments``/``seg_starts``
-    are the same table run-length-encoded (see :func:`_segment_runs`) —
-    what range lookups and copies walk.  ``bounds`` is the base-relative
-    ``(low, high)`` byte range all runs together touch.
+    ``n_runs + 1``, ending at :attr:`total`).  ``segments`` is the same
+    table run-length-encoded (see :func:`_segment_runs`) — what copies
+    walk.  ``bounds`` is the base-relative ``(low, high)`` byte range all
+    runs together touch.
     """
 
     __slots__ = (
         "ft", "count", "total", "run_offsets", "run_lengths", "run_starts",
-        "segments", "seg_starts", "bounds",
+        "segments", "_seg_first", "bounds",
     )
 
     def __init__(self, ft: FlattenedType, count: int):
@@ -220,9 +222,9 @@ class PackPlan:
         self.run_starts = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(self.run_lengths))
         )
-        self.segments, self.seg_starts = _segment_runs(
-            self.run_offsets, self.run_lengths, self.run_starts
-        )
+        self.segments = _segment_runs(self.run_offsets, self.run_lengths)
+        #: First run of every segment, for the run -> segment lookup.
+        self._seg_first = self.segments[:, 0].tolist()
         self.bounds = (0, 0)
         if self.n_runs:
             ends = self.run_offsets + self.run_lengths
@@ -249,75 +251,115 @@ class PackPlan:
                 f"size {self.total}"
             )
 
-    def _offset_at(self, first: int, offset: int, stride: int, run: int) -> int:
-        """Offset of run ``run`` of the segment starting at ``offset``."""
-        if stride or not run:
-            return offset + run * stride
-        return int(self.run_offsets[first + run])
-
     def run_groups(
         self, byte_offset: int, nbytes: int
     ) -> Iterator[tuple[int, int, int, int, int]]:
         """``(first_run, offset, length, stride, n_runs)`` groups covering
-        a packed range, in stream order.
+        a packed range, in stream order; ``offset`` is the base-relative
+        address of the group's first byte.  A group is one of:
 
-        Per touched segment its whole runs as one group, around them an
-        optional split head and split tail run (``n_runs == 1``,
-        ``length`` the bytes taken).  ``offset`` is base-relative;
-        ``stride == 0`` with ``n_runs > 1`` marks an irregular group,
-        whose offsets are ``run_offsets[first_run : first_run + n_runs]``.
+        * one run, or the part of one run in range (``n_runs == 1``):
+          ``length`` bytes;
+        * ``n_runs`` whole runs of ``length`` bytes, ``stride`` apart
+          (``stride != 0``);
+        * an irregular group (``stride == 0``, ``n_runs > 1``): ``length``
+          packed bytes of runs ``first_run`` onwards, the end ones
+          clipped to the range; the run table holds their offsets and
+          lengths.
+
+        Per touched segment: its whole runs as one group, around them an
+        optional split head and tail run; an irregular segment is one
+        group, split runs included.
         """
         self._check_range(byte_offset, nbytes)
         if nbytes == 0:
             return
-        # Segments lo..hi-1 overlap the range: lo holds byte_offset, hi
-        # counts the segments that start at or before its last byte.
-        lo, hi = self.seg_starts.searchsorted(
-            (byte_offset, byte_offset + nbytes - 1), side="right"
-        )
-        lo -= 1
-        skip = byte_offset - int(self.seg_starts[lo])
-        left = nbytes
+        stop = byte_offset + nbytes
+        # The runs holding the range's first and last byte, and the
+        # segments holding those runs.
+        lo_run, hi_run = self.run_starts.searchsorted(
+            (byte_offset, stop - 1), side="right"
+        ).tolist()
+        lo_run -= 1
+        hi_run -= 1
+        lo = bisect_right(self._seg_first, lo_run) - 1
+        hi = bisect_right(self._seg_first, hi_run, lo)
+        pos = byte_offset
+        skip = byte_offset - int(self.run_starts[lo_run])  # into lo_run
         for first, offset, length, stride, n_runs in self.segments[lo:hi].tolist():
-            if not skip and left >= n_runs * length:
-                # Wholly covered: every segment but the first and last.
-                yield (first, offset, length, stride, n_runs)
-                left -= n_runs * length
+            run = max(lo_run - first, 0)
+            if not stride and n_runs > 1:
+                last = min(hi_run - first, n_runs - 1)
+                end = stop
+                if hi_run >= first + n_runs:
+                    end = int(self.run_starts[first + n_runs])
+                at = int(self.run_offsets[first + run]) + skip
+                yield (first + run, at, end - pos, 0, last - run + 1)
+                pos, skip = end, 0
                 continue
-            # Resume ``skip`` bytes into the first segment.
-            run, into = divmod(skip, length)
-            skip = 0
-            if into:
-                take = min(length - into, left)
-                at = self._offset_at(first, offset, stride, run) + into
-                yield (first + run, at, take, 0, 1)
+            left = stop - pos
+            if skip:
+                take = min(length - skip, left)
+                yield (first + run, offset + run * stride + skip, take, 0, 1)
                 left -= take
                 run += 1
+                skip = 0
             whole = min(n_runs - run, left // length)
             if whole:
-                at = self._offset_at(first, offset, stride, run)
-                yield (first + run, at, length, stride, whole)
+                yield (first + run, offset + run * stride, length, stride, whole)
                 left -= whole * length
                 run += whole
             if left and run < n_runs:
                 # Split tail run (starts exactly at a run boundary).
-                at = self._offset_at(first, offset, stride, run)
-                yield (first + run, at, left, 0, 1)
+                yield (first + run, offset + run * stride, left, 0, 1)
                 return
+            pos = stop - left
+
+    def _byte_index(
+        self, mem: np.ndarray, base: int, first: int, n_runs: int, start: int,
+        nbytes: int,
+    ) -> np.ndarray:
+        """Index into ``mem`` of packed-stream bytes [start, start + nbytes)
+        at ``base``: runs ``first .. first + n_runs - 1``, the end ones
+        clipped."""
+        starts = self.run_starts[first : first + n_runs + 1]
+        edges = np.clip(starts, start, start + nbytes)
+        shift = self.run_offsets[first : first + n_runs] - starts[:-1] + base
+        low, high = int((shift + edges[:-1]).min()), int((shift + edges[1:]).max())
+        if low < 0 or high > len(mem):
+            raise PackError(f"bytes [{low}, {high}) outside a {len(mem)} B buffer")
+        index = np.repeat(shift, np.diff(edges))
+        index += np.arange(start, start + nbytes, dtype=np.int64)
+        return index
 
     def groups_in_range(
         self, byte_offset: int, nbytes: Optional[int] = None
     ) -> list[tuple[int, int]]:
         """``(block_len, n_blocks)`` groups for a packed range — the
-        cost-model view of the plan (no memory touched)."""
+        cost-model view of the plan (no memory touched).  Neighbouring
+        groups of one length merge, so the list is what a run-by-run walk
+        of the run table gives."""
         if nbytes is None:
             nbytes = self.total - byte_offset
         groups: list[tuple[int, int]] = []
-        for _, _, length, _, n_runs in self.run_groups(byte_offset, nbytes):
-            if groups and groups[-1][0] == length:
-                groups[-1] = (length, groups[-1][1] + n_runs)
+        pos = byte_offset
+        for first, _, length, stride, n_runs in self.run_groups(byte_offset, nbytes):
+            span = n_runs * length if stride else length
+            if stride or n_runs == 1:
+                pairs = [(length, n_runs)]
             else:
-                groups.append((length, n_runs))
+                # Run-length-encode the irregular group's clipped runs.
+                starts = self.run_starts[first : first + n_runs + 1]
+                lengths = np.diff(np.clip(starts, pos, pos + span))
+                heads = np.flatnonzero(np.diff(lengths, prepend=-1))
+                pairs = list(zip(
+                    lengths[heads].tolist(), np.diff(heads, append=n_runs).tolist()
+                ))
+            pos += span
+            if groups and groups[-1][0] == pairs[0][0]:
+                groups[-1] = (pairs[0][0], groups[-1][1] + pairs[0][1])
+                del pairs[0]
+            groups.extend(pairs)
         return groups
 
     # -- execution -------------------------------------------------------------------
@@ -337,17 +379,18 @@ class PackPlan:
         for first, offset, length, stride, n_runs in self.run_groups(
             byte_offset, nbytes
         ):
-            span = n_runs * length
-            start = base + offset
+            span = n_runs * length if stride else length
             if n_runs == 1:
-                out[pos : pos + span] = mem[start : start + span]
+                out[pos : pos + span] = _slice(mem, base + offset, span)
             elif stride:
                 out[pos : pos + span].reshape(n_runs, length)[...] = _strided_view(
-                    mem, start, n_runs, length, stride
+                    mem, base + offset, n_runs, length, stride
                 )
             else:
-                offsets = self.run_offsets[first : first + n_runs] + base
-                out[pos : pos + span] = _gather(mem, offsets, length).reshape(-1)
+                index = self._byte_index(
+                    mem, base, first, n_runs, byte_offset + pos, span
+                )
+                out[pos : pos + span] = mem[index]
             pos += span
         if pos != nbytes:  # pragma: no cover - invariant
             raise AssertionError(f"packed {pos} of {nbytes} bytes")
@@ -367,12 +410,7 @@ class PackPlan:
         if self.n_runs != 1:
             return self.execute_pack(mem, base, byte_offset, nbytes)
         self._check_range(byte_offset, nbytes)
-        start = base + int(self.run_offsets[0]) + byte_offset
-        if start < 0 or start + nbytes > len(mem):
-            raise PackError(
-                f"bytes [{start}, {start + nbytes}) outside a {len(mem)} B buffer"
-            )
-        return mem[start : start + nbytes]
+        return _slice(mem, base + int(self.run_offsets[0]) + byte_offset, nbytes)
 
     def execute_unpack(
         self,
@@ -388,20 +426,21 @@ class PackPlan:
         for first, offset, length, stride, n_runs in self.run_groups(
             byte_offset, data.nbytes
         ):
-            span = n_runs * length
-            start = base + offset
+            span = n_runs * length if stride else length
             if n_runs == 1:
-                mem[start : start + span] = data[pos : pos + span]
+                _slice(mem, base + offset, span)[...] = data[pos : pos + span]
             elif stride >= length:
-                _strided_view(mem, start, n_runs, length, stride)[...] = data[
+                _strided_view(mem, base + offset, n_runs, length, stride)[...] = data[
                     pos : pos + span
                 ].reshape(n_runs, length)
             else:
-                # Irregular offsets, or rows that overlap (stride <
+                # Irregular runs, or rows that overlap (0 < stride <
                 # length): the index scatter writes in stream order, so
                 # the later run wins.
-                offsets = self.run_offsets[first : first + n_runs] + base
-                _scatter(mem, offsets, length, data[pos : pos + span])
+                index = self._byte_index(
+                    mem, base, first, n_runs, byte_offset + pos, span
+                )
+                mem[index] = data[pos : pos + span]
             pos += span
         if pos != data.nbytes:  # pragma: no cover - invariant
             raise AssertionError(f"unpacked {pos} of {data.nbytes} bytes")

@@ -71,11 +71,6 @@ class LeafSpec:
             n *= level.count
         return n
 
-    @property
-    def packed_size(self) -> int:
-        """Bytes this leaf contributes to the packed stream, per instance."""
-        return self.size * self.block_count
-
     def block_offsets(self) -> np.ndarray:
         """Offsets of every block of one instance, in iteration order."""
         offs = np.array([self.offset], dtype=np.int64)
@@ -100,9 +95,17 @@ class FlattenedType:
     #: hash of the defining fields, computed once: the plan cache hashes
     #: its ``(FlattenedType, count)`` key on every message.
     _hash: int = field(init=False, repr=False, compare=False)
+    #: ``(block_len, n_blocks)`` per non-empty leaf of one instance.
+    _groups: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: The smallest basic block of any leaf (0 without leaves) — what the
+    #: AUTO transfer mode compares against ``direct_min_block``.
+    min_block: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        packed = sum(leaf.packed_size for leaf in self.leaves)
+        blocks = [(leaf.size, leaf.block_count) for leaf in self.leaves]
+        packed = sum(size * n for size, n in blocks)
         if packed != self.size:
             raise ValueError(
                 f"leaves pack {packed} bytes but datatype size is {self.size}"
@@ -110,14 +113,16 @@ class FlattenedType:
         object.__setattr__(
             self, "_hash", hash((self.leaves, self.size, self.extent, self.lb))
         )
+        object.__setattr__(
+            self, "_groups", tuple((size, n) for size, n in blocks if size and n)
+        )
+        object.__setattr__(
+            self, "min_block", min((size for size, _ in blocks), default=0)
+        )
 
     def __hash__(self) -> int:
         return self._hash
 
     def block_length_groups(self, count: int = 1) -> list[tuple[int, int]]:
         """``(block_len, n_blocks)`` groups for ``count`` instances."""
-        return [
-            (leaf.size, leaf.block_count * count)
-            for leaf in self.leaves
-            if leaf.size and leaf.block_count
-        ]
+        return [(size, n * count) for size, n in self._groups]

@@ -29,10 +29,19 @@ __all__ = [
 ]
 
 
-def _grouped_bytes_blocks(groups: list[tuple[int, int]]) -> tuple[int, int]:
-    nbytes = sum(length * count for length, count in groups)
-    nblocks = sum(count for _, count in groups)
-    return nbytes, nblocks
+def _group_sums(
+    groups: list[tuple[int, int]], esize: int = 0
+) -> tuple[int, int, int]:
+    """Exact ``(bytes, blocks, elements)`` totals of ``(length, count)``
+    groups, in one pass; ``elements`` counts ``esize``-byte elements, at
+    least one per block (0 when ``esize`` is 0)."""
+    nbytes = nblocks = nelements = 0
+    for length, count in groups:
+        nbytes += length * count
+        nblocks += count
+        if esize:
+            nelements += count * max(1, -(-length // esize))
+    return nbytes, nblocks, nelements
 
 
 def pack_cost_generic(
@@ -46,13 +55,11 @@ def pack_cost_generic(
     recursively *per basic element*, so the cost has a per-element term,
     a per-block term, and cold main-memory streaming.
     """
-    nbytes, nblocks = _grouped_bytes_blocks(groups)
+    nbytes, nblocks, nelements = _group_sums(
+        groups, config.generic_element_size
+    )
     if nbytes == 0:
         return 0.0
-    esize = config.generic_element_size
-    nelements = sum(
-        count * max(1, -(-length // esize)) for length, count in groups
-    )
     return (
         memory.params.copy_call_overhead
         + nelements * config.generic_pack_element_cost
@@ -72,7 +79,7 @@ def pack_cost_direct(
     Mid-size blocks get the small cache-utilization bonus the paper
     observed intra-node (Sec. 3.4's "surpass" curiosity).
     """
-    nbytes, nblocks = _grouped_bytes_blocks(groups)
+    nbytes, nblocks, _ = _group_sums(groups)
     if nbytes == 0:
         return 0.0
     bw = memory.params.main_copy_bw
@@ -129,7 +136,7 @@ def direct_remote_chunk_duration(
     transactions (stream gathering defeated); larger blocks stream like a
     contiguous write because their target addresses are consecutive.
     """
-    nbytes, _ = _grouped_bytes_blocks(groups)
+    nbytes, _, _ = _group_sums(groups)
     if nbytes == 0:
         return 0.0
     feed = pack_cost_direct(memory, groups, config)

@@ -152,10 +152,7 @@ class TransferPolicy:
             return TransferMode.DMA
         # AUTO: direct if the smallest basic block is big enough (the
         # footnote-1 minimal-block-size knob).
-        min_block = min(
-            (leaf.size for leaf in dtype.flattened.leaves), default=0
-        )
-        if min_block >= self.config.direct_min_block:
+        if dtype.flattened.min_block >= self.config.direct_min_block:
             return TransferMode.DIRECT
         return TransferMode.GENERIC
 

@@ -298,7 +298,7 @@ def test_property_flatten_invariants(dtype):
     """Flattening conserves size; leaves never report negative geometry."""
     dtype.commit()
     ft = dtype.flattened
-    assert sum(l.packed_size for l in ft.leaves) == dtype.size == ft.size
+    assert sum(l.size * l.block_count for l in ft.leaves) == dtype.size == ft.size
     for leaf in ft.leaves:
         assert leaf.size >= 0
         for level in leaf.levels:

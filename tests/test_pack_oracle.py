@@ -22,7 +22,8 @@ The same trees then drive the plan's **segment executor**: ranges split at
 every segment boundary +/- 1, ``groups_in_range`` against a run-by-run
 derivation from the plan's run table (the chunk cost model's contract),
 and hand-built layouts for each copy kernel — uniform stride, irregular
-displacements, negative and zero stride, rows that overlap.
+displacements and block lengths, negative and zero stride, rows that
+overlap — and a buffer too short at either end for each.
 """
 
 import random
@@ -216,7 +217,7 @@ def block_boundaries(ft, count) -> list[int]:
         for leaf in ft.leaves:
             bounds.update(start + k * leaf.size
                           for k in range(leaf.block_count + 1))
-            start += leaf.packed_size
+            start += leaf.size * leaf.block_count
     return sorted(bounds)
 
 
@@ -326,10 +327,11 @@ def segment_ranges(plan, rng) -> list[tuple[int, int]]:
     """Ranges starting and ending at every segment boundary +/- 1, plus
     random ones."""
     total = plan.total
+    seg_starts = plan.run_starts[plan.segments[:, 0]].tolist() + [total]
     edges = sorted(
         {
             e
-            for b in plan.seg_starts.tolist()
+            for b in seg_starts
             for e in (b - 1, b, b + 1)
             if 0 <= e <= total
         }
@@ -351,15 +353,19 @@ def test_segment_executor(seed):
     plan = PackPlan(ft, count)
 
     # The segments tile the run table, which stays the plan's definition.
-    segments = plan.segments.tolist()
-    assert sum(seg[4] for seg in segments) == plan.n_runs
-    assert plan.seg_starts[-1] == plan.total
-    for first, offset, length, stride, n_runs in segments:
+    # A segment's runs share one length unless it is irregular (stride 0
+    # over several runs), whose offsets and lengths the run table holds.
+    runs = 0
+    for first, offset, length, stride, n_runs in plan.segments.tolist():
+        assert first == runs
+        runs += n_runs
         assert plan.run_offsets[first] == offset
-        assert (plan.run_lengths[first : first + n_runs] == length).all()
+        assert plan.run_lengths[first] == length
         if stride:
+            assert (plan.run_lengths[first : first + n_runs] == length).all()
             steps = np.diff(plan.run_offsets[first : first + n_runs])
             assert stride > 0 and (steps == stride).all()
+    assert runs == plan.n_runs
 
     base, mem = _base_and_mem(ft, count, seed)
     expected = oracle_pack(mem, base, dtype, count, oracle_offsets(ft))
@@ -399,6 +405,41 @@ class TestSegmentKernels:
         plan = self._check(Indexed([2] * 40, [7 * k * k for k in range(40)], INT), 2)
         assert (plan.segments[:, 3] == 0).all()
 
+    @staticmethod
+    def _assert_one_irregular_segment(plan):
+        """One segment, one index gather: the work does not grow with
+        the blocks."""
+        [[first, _, _, stride, n_runs]] = plan.segments.tolist()
+        assert (first, stride, n_runs) == (0, 0, plan.n_runs) and n_runs > 1
+        assert len(list(plan.run_groups(0, plan.total))) <= 3
+
+    def test_mixed_block_lengths_fold_into_one_irregular_segment(self):
+        """Indexed blocks of 8, 16 and 24 B at irregular gaps."""
+        rng = random.Random(25)
+        lengths = [rng.choice([1, 2, 3]) for _ in range(300)]
+        displs, cursor = [], 0
+        for blk in lengths:
+            cursor += rng.randint(1, 3)
+            displs.append(cursor)
+            cursor += blk
+        plan = self._check(Indexed(lengths, displs, DOUBLE), 1)
+        assert set(plan.run_lengths.tolist()) == {8, 16, 24}
+        self._assert_one_irregular_segment(plan)
+
+    def test_irregular_segments_between_strided_ones(self):
+        """Short fields fold, a long vector field stays strided: ranges
+        run out of an irregular segment into a strided one and back."""
+        record = Struct([3, 2, 1], [0, 8, 32], [BYTE, INT, Vector(300, 1, 2, DOUBLE)])
+        plan = self._check(record, 3)
+        assert (plan.segments[:, 3] > 0).tolist() == [False, True] * 3
+
+    def test_struct_fields_fold_into_one_irregular_segment(self):
+        """A four-field record with holes, sent 64 times."""
+        record = Struct([5, 3, 2, 3], [0, 8, 16, 32], [BYTE, SHORT, INT, DOUBLE])
+        plan = self._check(Resized(record, lb=0, extent=64), 64)
+        assert plan.n_runs == 4 * 64
+        self._assert_one_irregular_segment(plan)
+
     @pytest.mark.parametrize("stride", [-64, 0])
     def test_negative_and_zero_stride(self, stride):
         """Not a positive stride: every run is its own stretch, folded
@@ -420,10 +461,40 @@ class TestSegmentKernels:
         plan = PackPlan(ft, 0)
         mem = np.zeros(64, dtype=np.uint8)
         assert plan.segments.shape == (0, 5)
-        assert plan.seg_starts.tolist() == [0]
+        assert list(plan.run_groups(0, 0)) == []
         assert plan.groups_in_range(0, 0) == []
         assert plan.execute_pack(mem, 0).nbytes == 0
         plan.execute_unpack(mem, 0, 0, np.empty(0, dtype=np.uint8))
+
+
+class TestKernelBounds:
+    """A byte outside the buffer raises ``PackError`` in every copy kernel,
+    below its start as past its end, before anything is written."""
+
+    KERNELS = {
+        "slice": Hindexed([64], [8], BYTE),
+        "strided": Vector(300, 4, 8, DOUBLE),
+        "overlapping rows": Hvector(20, 4, 8, DOUBLE),
+        "index": Indexed([1, 2, 3] * 10, [5 * k for k in range(30)], DOUBLE),
+    }
+
+    @pytest.mark.parametrize("end", ["below", "past"])
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_out_of_range_raises(self, kernel, end):
+        plan = PackPlan(self.KERNELS[kernel].commit().flattened, 1)
+        assert len(list(plan.run_groups(0, plan.total))) == 1
+        lo, hi = plan.bounds
+        mem = np.zeros(hi - lo, dtype=np.uint8)
+        data = np.ones(plan.total, dtype=np.uint8)
+        plan.execute_unpack(mem, -lo, 0, data)  # fits exactly
+        assert np.array_equal(plan.execute_pack(mem, -lo), data)
+        base = -lo - 1 if end == "below" else -lo + 1
+        mem[:] = 0
+        with pytest.raises(PackError):
+            plan.execute_pack(mem, base)
+        with pytest.raises(PackError):
+            plan.execute_unpack(mem, base, 0, data)
+        assert not mem.any()
 
 
 class TestStreamView:

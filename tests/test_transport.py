@@ -14,11 +14,12 @@ import pytest
 
 from repro._units import KiB
 from repro.cluster import Cluster
-from repro.mpi.datatypes import DOUBLE, Vector
+from repro.mpi.datatypes import DOUBLE, Indexed, Vector
 from repro.hardware.params import DEFAULT_NODE
 from repro.mpi.errors import MPIError
 from repro.mpi.pt2pt import DEFAULT_PROTOCOL, NonContigMode
 from repro.mpi.pt2pt.costs import (
+    _group_sums,
     contiguous_remote_chunk_duration,
     direct_remote_chunk_duration,
 )
@@ -59,6 +60,17 @@ class TestTransferPolicy:
         large = TransferPolicy(auto.replace(direct_min_block=64))
         assert small.transfer_mode(strided) == TransferMode.DIRECT
         assert large.transfer_mode(strided) == TransferMode.GENERIC
+        # 4096 leaves of 16 B, one of 8 B deep inside: the verdict turns
+        # at that smallest block.
+        lengths = [2] * 4096
+        lengths[2900] = 1
+        indexed = Indexed(lengths, [4 * k for k in range(4096)], DOUBLE).commit()
+        assert len(indexed.flattened.leaves) == 4096
+        for min_block, expect in [(7, TransferMode.DIRECT),
+                                  (8, TransferMode.DIRECT),
+                                  (9, TransferMode.GENERIC)]:
+            pol = TransferPolicy(auto.replace(direct_min_block=min_block))
+            assert pol.transfer_mode(indexed) == expect
 
     def test_osc_strategies(self):
         pol = TransferPolicy(DEFAULT_PROTOCOL)
@@ -415,3 +427,20 @@ class TestCostTableKeys:
         misses = counts["engine.fastpath_table_misses"]
         assert hits + misses == 2 * (window // (2 * access))
         assert hits / (hits + misses) > 0.9
+
+
+class TestGroupSums:
+    """The cost models' one-pass totals equal the three separate sums
+    exactly, over few groups and over thousands."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4096])
+    def test_equal_to_the_loop(self, n):
+        rng = np.random.default_rng(n)
+        groups = [(int(length), int(count)) for length, count in zip(
+            rng.integers(0, 5000, n), rng.integers(1, 1 << 30, n))]
+        assert _group_sums(groups, 8) == (
+            sum(length * count for length, count in groups),
+            sum(count for _, count in groups),
+            sum(count * max(1, -(-length // 8)) for length, count in groups),
+        )
+        assert _group_sums(groups)[2] == 0
