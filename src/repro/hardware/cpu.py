@@ -126,21 +126,3 @@ def coalesce_within_windows(
                 size = 0
     if have_run:
         yield (run_addr, run_size)
-
-
-def wc_flush_chunks(
-    block_addr: int, block_size: int, line_size: int = 32, store_width: int = 8
-) -> list[Chunk]:
-    """Chunks leaving the write-combine stage for one contiguous block write.
-
-    For a contiguous block the dirty runs are contiguous inside each WC
-    line, so the result is the block split at ``line_size`` boundaries.
-    (Strided *gaps* between blocks never merge because the WC line is
-    flushed when the next store targets a different line; callers model
-    that by calling this per block.)
-    """
-    return list(
-        coalesce_within_windows(
-            store_units(block_addr, block_size, store_width), line_size
-        )
-    )

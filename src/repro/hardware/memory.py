@@ -74,47 +74,6 @@ class MemorySystem:
         duration = self.params.copy_call_overhead + nbytes / bw
         return CopyCost(duration, nbytes, 1)
 
-    def blockwise_copy_cost(self, block_count: int, block_len: int) -> CopyCost:
-        """Cost of copying ``block_count`` blocks of ``block_len`` bytes each.
-
-        This is the pack/unpack cost model: per-block loop overhead plus
-        streaming at the bandwidth the *block length* allows.
-        """
-        if block_count < 0 or block_len < 0:
-            raise ValueError("block_count and block_len must be non-negative")
-        if block_count == 0 or block_len == 0:
-            return CopyCost(0.0, 0, block_count)
-        total = block_count * block_len
-        bw = self.copy_bandwidth(block_len)
-        duration = (
-            self.params.copy_call_overhead
-            + block_count * self.params.per_block_overhead
-            + total / bw
-        )
-        return CopyCost(duration, total, block_count)
-
-    def grouped_blocks_cost(self, groups: list[tuple[int, int]]) -> CopyCost:
-        """Cost of copying blocks given as ``(block_len, count)`` groups.
-
-        Closed-form version of :meth:`blocks_copy_cost` for the flattened
-        datatype representation, which naturally yields uniform groups.
-        """
-        total = 0
-        blocks = 0
-        duration = self.params.copy_call_overhead
-        for block_len, count in groups:
-            if block_len < 0 or count < 0:
-                raise ValueError("negative block length or count")
-            if block_len == 0 or count == 0:
-                continue
-            duration += count * self.params.per_block_overhead
-            duration += count * block_len / self.copy_bandwidth(block_len)
-            total += count * block_len
-            blocks += count
-        if blocks == 0:
-            return CopyCost(0.0, 0, 0)
-        return CopyCost(duration, total, blocks)
-
     def blocks_copy_cost(self, block_lengths: list[int]) -> CopyCost:
         """Cost of copying blocks of mixed lengths (general datatype leaves)."""
         total = 0

@@ -124,12 +124,6 @@ class SCILinkParams:
         """Nominal link bandwidth in B/µs."""
         return self.frequency_mhz * self.bytes_per_cycle
 
-    @property
-    def bandwidth_mib_s(self) -> float:
-        from .._units import to_mib_s
-
-        return to_mib_s(self.bandwidth)
-
 
 @dataclass(frozen=True)
 class SCIAdapterParams:

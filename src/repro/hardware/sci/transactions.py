@@ -13,9 +13,9 @@ pipeline stages the paper describes:
 
 Both stages are computed in closed form (O(1) per block, with cycle
 detection over the stride pattern), so sweeping a benchmark over megabyte
-transfers costs microseconds of host time.  The chunk-level reference
-implementation in :mod:`repro.hardware.cpu` is used by the property tests
-to validate the closed forms.
+transfers costs microseconds of host time.  A chunk-level reference built
+on the store and write-combine primitives of :mod:`repro.hardware.cpu`
+(``tests/test_hw_transactions.py``) validates the closed forms.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..cpu import coalesce_within_windows, count_store_units, store_units
+from ..cpu import count_store_units
 from ..params import NodeParams
 
 __all__ = [
@@ -188,54 +188,6 @@ def summarize_block(
     return TxnSummary(
         n_stores=n_stores,
         pci_txns=pci_txns,
-        pci_bytes=size,
-        sci_txns=sci_txns,
-        sci_bytes=size,
-    )
-
-
-def summarize_block_reference(addr: int, size: int, params: NodeParams) -> TxnSummary:
-    """Chunk-level reference implementation of :func:`summarize_block`.
-
-    Materialises every store/chunk; used by the property tests to validate
-    the closed form.  Do not use on large blocks in hot paths.
-    """
-    if size == 0:
-        return TxnSummary()
-    wc = params.write_combine
-    stream = params.adapter.stream_txn_size
-    if not wc.enabled:
-        # Per-store simulation: misaligned stores allowed, one PCI txn each,
-        # one masked SCI txn per touched stream window.
-        stores = [
-            (addr + i * wc.store_width, min(wc.store_width, size - i * wc.store_width))
-            for i in range(-(-size // wc.store_width))
-        ]
-        windows = {w for a, s in stores for w in range(a // stream, (a + s - 1) // stream + 1)}
-        return TxnSummary(
-            n_stores=len(stores),
-            pci_txns=len(stores),
-            pci_bytes=size,
-            sci_txns=len(windows),
-            sci_bytes=size,
-        )
-    units = store_units(addr, size, wc.store_width)
-    if addr % wc.store_width:
-        return TxnSummary(
-            n_stores=len(units),
-            pci_txns=len(units),
-            pci_bytes=size,
-            sci_txns=len(units),
-            sci_bytes=size,
-        )
-    pci_chunks = list(coalesce_within_windows(units, wc.line_size))
-    gathered = list(coalesce_within_windows(pci_chunks, stream))
-    sci_txns = 0
-    for chunk_addr, chunk_size in gathered:
-        sci_txns += _aligned_decomp_count(chunk_addr, chunk_size, stream)
-    return TxnSummary(
-        n_stores=len(units),
-        pci_txns=len(pci_chunks),
         pci_bytes=size,
         sci_txns=sci_txns,
         sci_bytes=size,

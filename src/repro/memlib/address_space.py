@@ -80,18 +80,6 @@ class AddressSpace:
         self._check(offset, src.nbytes)
         self.mem[offset : offset + src.nbytes] = src.reshape(-1)
 
-    def copy_within(self, dst: int, src: int, nbytes: int) -> None:
-        """memmove inside this space (handles overlap like memmove)."""
-        self._check(src, nbytes)
-        self._check(dst, nbytes)
-        # ndarray slice assignment with overlap is undefined; go through a
-        # copy only when ranges actually overlap.
-        if src < dst < src + nbytes or dst < src < dst + nbytes:
-            chunk = self.mem[src : src + nbytes].copy()
-            self.mem[dst : dst + nbytes] = chunk
-        else:
-            self.mem[dst : dst + nbytes] = self.mem[src : src + nbytes]
-
     def _check(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
             raise IndexError(

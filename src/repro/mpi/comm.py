@@ -216,10 +216,6 @@ class Communicator:
         yield from req.wait()
         return status
 
-    def probe_unexpected(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Deprecated alias of :meth:`iprobe` returning the raw message."""
-        return self.device.match.probe(self._to_world(source), tag, self.context)
-
     # -- communicator management -----------------------------------------------------
 
     def split(self, color: int, key: int = 0):

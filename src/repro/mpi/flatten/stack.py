@@ -99,9 +99,6 @@ class FlattenedType:
     _groups: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False
     )
-    #: The smallest basic block of any leaf (0 without leaves) — what the
-    #: AUTO transfer mode compares against ``direct_min_block``.
-    min_block: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         blocks = [(leaf.size, leaf.block_count) for leaf in self.leaves]
@@ -115,9 +112,6 @@ class FlattenedType:
         )
         object.__setattr__(
             self, "_groups", tuple((size, n) for size, n in blocks if size and n)
-        )
-        object.__setattr__(
-            self, "min_block", min((size for size, _ in blocks), default=0)
         )
 
     def __hash__(self) -> int:

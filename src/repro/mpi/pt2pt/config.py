@@ -25,14 +25,16 @@ class NonContigMode:
     GENERIC = "generic"
     #: Pack directly into the remote packet buffer (Fig. 4 bottom).
     DIRECT = "direct"
-    #: Use DIRECT when the smallest basic block is >= direct_min_block.
+    #: Each side of each message takes the cheapest of the three modes
+    #: (the default; see ``TransferPolicy.transfer_mode``).
     AUTO = "auto"
     #: Pack locally, then ship rendezvous chunks with the adapter's DMA
     #: engine instead of PIO stores — the paper's outlook experiment
     #: ("it will be interesting to evaluate the possibilities of
     #: non-contiguous data transfers with DMA-based interconnects",
-    #: Sec. 6).  Short/eager messages still go via PIO (DMA setup costs
-    #: dwarf them).
+    #: Sec. 6).  An eager sender packs generically and writes by PIO
+    #: (DMA setup costs dwarf the slot) while the receiver still unpacks
+    #: with the ff loop.
     DMA = "dma"
 
 
@@ -50,10 +52,7 @@ class ProtocolConfig:
     #: below the L2 size for direct_pack_ff (Sec. 3.3.2).
     rendezvous_chunk: int = 64 * KiB
     #: How non-contiguous sends are handled.
-    noncontig_mode: str = NonContigMode.DIRECT
-    #: Minimal basic-block size for direct packing in AUTO mode — the
-    #: footnote-1 knob ("we have set this to zero for this experiment").
-    direct_min_block: int = 0
+    noncontig_mode: str = NonContigMode.AUTO
 
     # -- software costs (µs) -------------------------------------------------------
     #: Per-basic-element cost of the generic *recursive* datatype

@@ -242,14 +242,16 @@ class RankDevice:
         self.counters["sends"] += 1
         yield self.engine.timeout(self.config.call_overhead)
 
-        mode = self.policy.transfer_mode(dtype)
+        scheduler = self.scheduler
+        protocol = self.policy.protocol(total)
+        mode = self.policy.transfer_mode(
+            dtype, protocol,
+            lambda: scheduler.verdict(plan, seg_off, total, dest, True))
         env = Envelope(self.rank, tag, context)
         src_cached = self.policy.src_cached(total, self.node)
         sync_reply = Channel(self.engine, name="ssend-ack") if sync else None
         self._trace("send.begin", dest=dest, tag=tag, nbytes=total, mode=mode)
 
-        scheduler = self.scheduler
-        protocol = self.policy.protocol(total)
         if protocol == Protocol.SHORT:
             yield from scheduler.send_short(
                 dest, env, mem, base, ft, plan, count, seg_off, total,
@@ -304,7 +306,6 @@ class RankDevice:
         msg = yield self.match.post(source, tag, context)
         self._trace("recv.matched", source=msg.envelope.source,
                     message=type(msg).__name__)
-        mode = self.policy.transfer_mode(dtype)
         contiguous = dtype.is_contiguous
         scheduler = self.scheduler
 
@@ -316,6 +317,13 @@ class RankDevice:
                         protocol="short", nbytes=n)
             return Status(msg.envelope.source, msg.envelope.tag, n)
 
+        # An oversized message is priced at the capacity: it raises
+        # MessageTruncated before a byte moves.
+        protocol = Protocol.EAGER if isinstance(msg, EagerMsg) else Protocol.RNDV
+        mode = self.policy.transfer_mode(
+            dtype, protocol,
+            lambda: scheduler.verdict(plan, seg_off, min(msg.nbytes, capacity),
+                                      msg.envelope.source, False))
         if isinstance(msg, EagerMsg):
             n = yield from scheduler.recv_eager(
                 msg, mem, base, ft, plan, count, seg_off, capacity, mode,

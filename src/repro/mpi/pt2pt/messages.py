@@ -113,14 +113,6 @@ class MatchQueues:
         self._probes: list[PostedRecv] = []
         self._unexpected: list[Any] = []
 
-    @property
-    def unexpected_count(self) -> int:
-        return len(self._unexpected)
-
-    @property
-    def posted_count(self) -> int:
-        return len(self._posted)
-
     def deliver(self, message: Any) -> None:
         """An incoming message: satisfy pending probes (non-consuming),
         then hand to the oldest matching posted recv or queue as

@@ -18,7 +18,7 @@ subclasses override individual decisions (see
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ...qos.lanes import DEFAULT_LANES, QosLanePolicy
 from ..pt2pt.config import DEFAULT_PROTOCOL, NonContigMode, ProtocolConfig
@@ -37,6 +37,7 @@ __all__ = [
     "RecoveryPolicy",
     "TransferMode",
     "TransferPolicy",
+    "VERDICT_CANDIDATES",
 ]
 
 
@@ -55,6 +56,11 @@ class TransferMode:
     GENERIC = NonContigMode.GENERIC
     DIRECT = NonContigMode.DIRECT
     DMA = NonContigMode.DMA
+
+
+#: The modes AUTO prices, in tie-break order: an exact tie goes to DIRECT.
+VERDICT_CANDIDATES = (TransferMode.DIRECT, TransferMode.GENERIC,
+                      TransferMode.DMA)
 
 
 class OSCStrategy:
@@ -139,22 +145,27 @@ class TransferPolicy:
             return Protocol.EAGER
         return Protocol.RNDV
 
-    def transfer_mode(self, dtype: "Datatype") -> str:
-        """Generic / direct_pack_ff / DMA selection for one datatype."""
+    def transfer_mode(self, dtype: "Datatype", protocol: str,
+                      verdict: Callable[[], str]) -> str:
+        """Generic / direct_pack_ff / DMA for one side of one message.
+
+        A forced ``noncontig_mode`` answers itself.  AUTO (the default)
+        returns ``verdict()``: this side's cheapest of
+        :data:`VERDICT_CANDIDATES`, priced and memoised by
+        :meth:`TransferScheduler.verdict
+        <repro.mpi.transport.scheduler.TransferScheduler.verdict>`.  A
+        short message packs inline whatever the mode, so AUTO calls it
+        DIRECT unpriced.  The packed stream is the same in every mode, so
+        sender and receiver each decide their own half.
+        """
         if dtype.is_contiguous:
             return TransferMode.CONTIGUOUS
         mode = self.config.noncontig_mode
-        if mode == NonContigMode.GENERIC:
-            return TransferMode.GENERIC
-        if mode == NonContigMode.DIRECT:
+        if mode != NonContigMode.AUTO:
+            return mode
+        if protocol == Protocol.SHORT:
             return TransferMode.DIRECT
-        if mode == NonContigMode.DMA:
-            return TransferMode.DMA
-        # AUTO: direct if the smallest basic block is big enough (the
-        # footnote-1 minimal-block-size knob).
-        if dtype.flattened.min_block >= self.config.direct_min_block:
-            return TransferMode.DIRECT
-        return TransferMode.GENERIC
+        return verdict()
 
     def chunk_size(self) -> int:
         """Rendezvous handshake-cycle size (kept below L2, Sec. 3.3.2)."""
@@ -279,7 +290,6 @@ class TransferPolicy:
             "eager_threshold": cfg.eager_threshold,
             "eager_slots": cfg.eager_slots,
             "rendezvous_chunk": cfg.rendezvous_chunk,
-            "direct_min_block": cfg.direct_min_block,
             "remote_put_threshold": cfg.remote_put_threshold,
             "small_rma_threshold": self.small_rma_threshold,
             "hier_collectives": int(self.hier_collectives),

@@ -35,6 +35,7 @@ import numpy as np
 
 from ...hardware.sci.fabric import SCIConnectionError
 from ...hardware.sci.segments import SegmentUnmappedError
+from ...hardware.sci.transactions import dma_cost
 from ...sim import Channel
 from ..errors import MessageTruncated, TransferAborted
 from ..pt2pt.costs import (
@@ -48,7 +49,7 @@ from ..pt2pt.messages import CreditReturn, EagerMsg, RndvRequest, ShortMsg
 from ...qos.lanes import LANE_RESERVED
 from . import fastpath
 from .fastpath import CostTable, RecvWindowCosts, StreamWindow
-from .policy import TransferMode
+from .policy import VERDICT_CANDIDATES, TransferMode
 from .store import RemoteStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -115,6 +116,9 @@ class TransferScheduler:
         offset's *alignment* (all the cost sees of it), not the offset."""
         device = self.device
         params = device.node.params
+        if mode == TransferMode.DMA:
+            return self._costed(("dma", nbytes),
+                                lambda: dma_cost(nbytes, params))
         align = offset % params.write_alignment
         if mode == TransferMode.DIRECT:
             return self._costed(
@@ -153,6 +157,72 @@ class TransferScheduler:
         if mode in (TransferMode.DIRECT, TransferMode.DMA) and not contiguous:
             return self.chunk_pack_cost(plan.groups_in_range(pos, nbytes))
         return self.chunk_copy_cost(nbytes)
+
+    # -- the AUTO verdict ---------------------------------------------------------------
+
+    def price(self, mode: str, plan: "PackPlan", seg_off: int, total: int,
+              local: bool, sending: bool) -> float:
+        """This side's share of an eager or rendezvous transfer of stream
+        bytes ``[seg_off, seg_off + total)`` of ``plan`` under ``mode``.
+
+        The sum of what the protocol bodies below charge that depends on
+        the mode, built from the memoized chunk costs they charge: the
+        sender's up-front pack and its chunk writes (the protocol copy
+        locally), the receiver's chunk drains and its final generic
+        unpack.  Control packets, polls and credits cost the same in
+        every mode and are left out.  Eager slot offsets are multiples of
+        the eager threshold, priced at alignment 0 like rendezvous chunks.
+        """
+        device = self.device
+        cfg = device.config
+        memory = device.node.memory
+        eager = total <= cfg.eager_threshold
+        step = total if eager else cfg.rendezvous_chunk
+        chunks = [(seg_off + pos, min(step, total - pos))
+                  for pos in range(0, total, step)]
+        whole = self.message_groups(plan, plan.ft, plan.count, seg_off, total)
+        if not sending:
+            cost = sum(self.chunk_drain_cost(mode, False, plan, pos, n)
+                       for pos, n in chunks)
+            if mode == TransferMode.GENERIC:
+                groups = plan.groups_in_range(seg_off, total) if eager else whole
+                cost += pack_cost_generic(memory, groups, cfg)
+            return cost
+        if eager and mode == TransferMode.DMA:
+            mode = TransferMode.GENERIC  # send_eager's PIO fallback
+        cost = 0.0
+        if mode == TransferMode.GENERIC:
+            cost = pack_cost_generic(memory, whole, cfg)
+        elif mode == TransferMode.DMA:
+            cost = pack_cost_direct(memory, whole, cfg)
+        src_cached = device.policy.src_cached(total, device.node)
+        for pos, n in chunks:
+            if mode == TransferMode.DIRECT:
+                groups = plan.groups_in_range(pos, n)
+                cost += (self.chunk_pack_cost(groups) if local else
+                         self.chunk_write_duration(mode, 0, n, groups,
+                                                   src_cached))
+            elif local:
+                cost += self.chunk_copy_cost(n)
+            else:
+                cost += self.chunk_write_duration(mode, 0, n, [(n, 1)],
+                                                  src_cached)
+        return cost
+
+    def verdict(self, plan: "PackPlan", seg_off: int, total: int, peer: int,
+                sending: bool) -> str:
+        """AUTO's mode for this side: the cheapest :meth:`price` among
+        :data:`~repro.mpi.transport.policy.VERDICT_CANDIDATES` (ties to
+        the first), memoized per (plan, stream range, route, side).  The
+        plan is keyed as the plan cache keys it, by ``(ft, count)``, so
+        the table keeps no run table alive."""
+        device = self.device
+        local = device.smi.same_node(device.rank, peer)
+        return self._costed(
+            ("verdict", plan.ft, plan.count, seg_off, total, local, sending),
+            lambda: min(VERDICT_CANDIDATES, key=lambda mode: self.price(
+                mode, plan, seg_off, total, local, sending)),
+        )
 
     # -- grouping (the single chunk-group implementation) ---------------------------
 

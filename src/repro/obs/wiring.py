@@ -37,10 +37,10 @@ _FAULT_KINDS = ("transient", "torn", "unmap", "stall")
 _OSC_COUNTERS = ("direct_puts", "direct_gets", "remote_puts",
                  "emulated_puts", "emulated_gets", "accumulates")
 _POLICY_KNOBS = ("short_threshold", "eager_threshold", "eager_slots",
-                 "rendezvous_chunk", "direct_min_block",
-                 "remote_put_threshold", "small_rma_threshold",
-                 "hier_collectives", "cross_chunk", "qos_max_share_pct",
-                 "qos_besteffort_floor_pct", "qos_credit_priority")
+                 "rendezvous_chunk", "remote_put_threshold",
+                 "small_rma_threshold", "hier_collectives", "cross_chunk",
+                 "qos_max_share_pct", "qos_besteffort_floor_pct",
+                 "qos_credit_priority")
 _FASTPATH_STATS = ("table_hits", "table_misses", "table_evictions",
                    "windows", "window_chunks", "coalesced_events")
 _LINK_STATS = ("count", "saturated", "peak_load", "peak_local",

@@ -138,9 +138,6 @@ class QosManager:
         for node in nodes:
             self._node_tenant[node] = name
 
-    def tenant_of_node(self, node: int) -> Optional[str]:
-        return self._node_tenant.get(node)
-
     def lane_of_node(self, node: int) -> str:
         """The lane of traffic injected by ``node`` *right now*: reserved
         iff its tenant holds at least one ACTIVE reservation."""

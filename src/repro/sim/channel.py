@@ -37,11 +37,6 @@ class Channel:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def getters_waiting(self) -> int:
-        """Number of consumers currently blocked in ``get``."""
-        return len(self._getters)
-
     def put(self, item: Any) -> Event:
         """Enqueue ``item``; yields immediately unless the channel is full.
         The confirmation is a heap event: fire-and-forget callers use
@@ -78,10 +73,6 @@ class Channel:
             self._admit_putter()
             return True, item
         return False, None
-
-    def peek_all(self) -> tuple[Any, ...]:
-        """Snapshot of queued items (diagnostics only; does not dequeue)."""
-        return tuple(self._items)
 
     # -- internals ------------------------------------------------------------
 

@@ -73,14 +73,6 @@ class Event:
             raise AttributeError(f"{self!r} has no value yet")
         return self._value
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so the engine will not re-raise it."""
-        self._defused = True
-
-    @property
-    def defused(self) -> bool:
-        return self._defused
-
     # -- triggering ---------------------------------------------------------
 
     def succeed(self, value: Any = None) -> "Event":

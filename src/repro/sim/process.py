@@ -50,11 +50,6 @@ class Process(Event):
         init.succeed()
 
     @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
-    @property
     def waiting_on(self) -> Event | None:
         """The event this process is currently suspended on (for diagnostics)."""
         return self._waiting_on

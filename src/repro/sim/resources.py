@@ -40,11 +40,6 @@ class Resource:
         self._arrivals = 0
 
     @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return self._in_use
-
-    @property
     def queued(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._waiters)

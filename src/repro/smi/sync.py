@@ -195,10 +195,6 @@ class SMIRWLock:
     def readers(self) -> int:
         return self._readers
 
-    @property
-    def write_locked(self) -> bool:
-        return self._writer
-
 
 class SMIBarrier:
     """A reusable barrier over a fixed set of ranks.

@@ -12,21 +12,92 @@ from hypothesis import strategies as st
 from repro._units import KiB, MiB, to_mib_s
 from repro.hardware import DEFAULT_NODE
 from repro.hardware.cpu import (
+    Chunk,
     coalesce_within_windows,
     count_store_units,
     store_units,
-    wc_flush_chunks,
 )
+from repro.hardware.params import NodeParams
 from repro.hardware.sci.transactions import (
     AccessRun,
+    TxnSummary,
+    _aligned_decomp_count,
     dma_cost,
     remote_read_cost,
     remote_read_txns,
     remote_write_cost,
     summarize_block,
-    summarize_block_reference,
     summarize_run,
 )
+
+
+# -- chunk-level reference models the closed forms are tested against ----------
+
+
+def wc_flush_chunks(
+    block_addr: int, block_size: int, line_size: int = 32, store_width: int = 8
+) -> list[Chunk]:
+    """Chunks leaving the write-combine stage for one contiguous block write.
+
+    For a contiguous block the dirty runs are contiguous inside each WC
+    line, so the result is the block split at ``line_size`` boundaries.
+    (Strided *gaps* between blocks never merge because the WC line is
+    flushed when the next store targets a different line; callers model
+    that by calling this per block.)
+    """
+    return list(
+        coalesce_within_windows(
+            store_units(block_addr, block_size, store_width), line_size
+        )
+    )
+
+
+def summarize_block_reference(addr: int, size: int, params: NodeParams) -> TxnSummary:
+    """Chunk-level reference implementation of :func:`summarize_block`.
+
+    Materialises every store/chunk; used by the property tests to validate
+    the closed form.  Do not use on large blocks in hot paths.
+    """
+    if size == 0:
+        return TxnSummary()
+    wc = params.write_combine
+    stream = params.adapter.stream_txn_size
+    if not wc.enabled:
+        # Per-store simulation: misaligned stores allowed, one PCI txn each,
+        # one masked SCI txn per touched stream window.
+        stores = [
+            (addr + i * wc.store_width, min(wc.store_width, size - i * wc.store_width))
+            for i in range(-(-size // wc.store_width))
+        ]
+        windows = {w for a, s in stores for w in range(a // stream, (a + s - 1) // stream + 1)}
+        return TxnSummary(
+            n_stores=len(stores),
+            pci_txns=len(stores),
+            pci_bytes=size,
+            sci_txns=len(windows),
+            sci_bytes=size,
+        )
+    units = store_units(addr, size, wc.store_width)
+    if addr % wc.store_width:
+        return TxnSummary(
+            n_stores=len(units),
+            pci_txns=len(units),
+            pci_bytes=size,
+            sci_txns=len(units),
+            sci_bytes=size,
+        )
+    pci_chunks = list(coalesce_within_windows(units, wc.line_size))
+    gathered = list(coalesce_within_windows(pci_chunks, stream))
+    sci_txns = 0
+    for chunk_addr, chunk_size in gathered:
+        sci_txns += _aligned_decomp_count(chunk_addr, chunk_size, stream)
+    return TxnSummary(
+        n_stores=len(units),
+        pci_txns=len(pci_chunks),
+        pci_bytes=size,
+        sci_txns=sci_txns,
+        sci_bytes=size,
+    )
 
 
 def write_bandwidth(run: AccessRun, params=DEFAULT_NODE, **kw) -> float:

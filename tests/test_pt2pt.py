@@ -116,12 +116,20 @@ class TestDataIntegrity:
         run = Cluster(n_nodes=2).run(program)
         assert run.results[1] == bytes([0xCD]) * 64
 
-    def test_truncation_error(self):
+    @pytest.mark.parametrize("strided", [False, True],
+                             ids=["contiguous", "strided"])
+    def test_truncation_error(self, strided):
+        """Oversized for the receive: a strided receive type is priced
+        by the default verdict first, and must still raise this."""
         def program(ctx):
             comm = ctx.comm
             if comm.rank == 0:
                 big = ctx.alloc(256)
                 yield from comm.send(big, dest=1, tag=1)
+            elif strided:
+                small = ctx.alloc(32)
+                yield from comm.recv(small, source=0, tag=1,
+                                     datatype=Vector(2, 1, 2, DOUBLE), count=1)
             else:
                 small = ctx.alloc(16)
                 yield from comm.recv(small, source=0, tag=1)

@@ -11,10 +11,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro._units import KiB
+from repro.bench.noncontig import measure_point
 from repro.cluster import Cluster
-from repro.mpi.datatypes import DOUBLE, Indexed, Vector
+from repro.mpi.datatypes import DOUBLE, Indexed, Subarray, Vector
+from repro.mpi.flatten import get_plan
 from repro.hardware.params import DEFAULT_NODE
 from repro.mpi.errors import MPIError
 from repro.mpi.pt2pt import DEFAULT_PROTOCOL, NonContigMode
@@ -32,6 +36,12 @@ from repro.mpi.transport import (
 )
 from repro.mpi.transport.store import RemoteStore
 
+from .test_flatten_engine import datatype_strategy
+
+
+def _no_verdict():
+    raise AssertionError("the verdict was priced")
+
 
 class TestTransferPolicy:
     def test_protocol_thresholds(self):
@@ -43,7 +53,7 @@ class TestTransferPolicy:
         assert pol.protocol(cfg.eager_threshold) == Protocol.EAGER
         assert pol.protocol(cfg.eager_threshold + 1) == Protocol.RNDV
 
-    def test_transfer_mode_fixed_and_auto(self):
+    def test_transfer_mode_forced(self):
         contig = DOUBLE.commit()
         strided = Vector(4, 1, 3, DOUBLE).commit()
         for mode, expect in [
@@ -52,25 +62,24 @@ class TestTransferPolicy:
             (NonContigMode.DMA, TransferMode.DMA),
         ]:
             pol = TransferPolicy(DEFAULT_PROTOCOL.with_mode(mode))
-            assert pol.transfer_mode(contig) == TransferMode.CONTIGUOUS
-            assert pol.transfer_mode(strided) == expect
-        # AUTO: smallest leaf block (8 B doubles) against direct_min_block.
-        auto = DEFAULT_PROTOCOL.with_mode(NonContigMode.AUTO)
-        small = TransferPolicy(auto.replace(direct_min_block=4))
-        large = TransferPolicy(auto.replace(direct_min_block=64))
-        assert small.transfer_mode(strided) == TransferMode.DIRECT
-        assert large.transfer_mode(strided) == TransferMode.GENERIC
-        # 4096 leaves of 16 B, one of 8 B deep inside: the verdict turns
-        # at that smallest block.
-        lengths = [2] * 4096
-        lengths[2900] = 1
-        indexed = Indexed(lengths, [4 * k for k in range(4096)], DOUBLE).commit()
-        assert len(indexed.flattened.leaves) == 4096
-        for min_block, expect in [(7, TransferMode.DIRECT),
-                                  (8, TransferMode.DIRECT),
-                                  (9, TransferMode.GENERIC)]:
-            pol = TransferPolicy(auto.replace(direct_min_block=min_block))
-            assert pol.transfer_mode(indexed) == expect
+            for protocol in (Protocol.SHORT, Protocol.EAGER, Protocol.RNDV):
+                assert pol.transfer_mode(contig, protocol,
+                                         _no_verdict) == TransferMode.CONTIGUOUS
+                # A forced mode never asks for the verdict.
+                assert pol.transfer_mode(strided, protocol, _no_verdict) == expect
+
+    def test_auto_is_the_default_verdict(self):
+        assert DEFAULT_PROTOCOL.noncontig_mode == NonContigMode.AUTO
+        pol = TransferPolicy()
+        strided = Vector(4, 1, 3, DOUBLE).commit()
+        assert pol.transfer_mode(DOUBLE.commit(), Protocol.RNDV,
+                                 _no_verdict) == TransferMode.CONTIGUOUS
+        # Short messages pack inline in every mode: DIRECT, unpriced.
+        assert pol.transfer_mode(strided, Protocol.SHORT,
+                                 _no_verdict) == TransferMode.DIRECT
+        for protocol in (Protocol.EAGER, Protocol.RNDV):
+            assert pol.transfer_mode(strided, protocol,
+                                     lambda: TransferMode.DMA) == TransferMode.DMA
 
     def test_osc_strategies(self):
         pol = TransferPolicy(DEFAULT_PROTOCOL)
@@ -98,6 +107,110 @@ class TestTransferPolicy:
         assert isinstance(pol, ChunkedCollectivesPolicy)
         assert pol.coll_chunk == 32 * KiB
         assert pol.config.eager_threshold == 4 * KiB
+
+
+def _one_way(dtype, count=1, mode=None, internode=True):
+    """Simulated one-way time of one ``count x dtype`` message from rank
+    0 to rank 1 (default config unless a mode is forced); asserts the
+    receiver's packed stream equals the sender's."""
+    protocol = DEFAULT_PROTOCOL if mode is None else DEFAULT_PROTOCOL.with_mode(mode)
+    cluster = (Cluster(n_nodes=2, protocol=protocol) if internode else
+               Cluster(n_nodes=1, procs_per_node=2, protocol=protocol))
+    plan = get_plan(dtype.flattened, count)
+    span = plan.bounds[1]
+
+    def program(ctx):
+        comm = ctx.comm
+        buf = ctx.alloc(span)
+        if comm.rank == 0:
+            buf.write((np.arange(span) % 251).astype(np.uint8))
+        yield from comm.barrier()
+        t0 = ctx.now
+        if comm.rank == 0:
+            yield from comm.send(buf, dest=1, tag=0, datatype=dtype, count=count)
+            return plan.execute_pack(buf.read(), 0).tobytes()
+        yield from comm.recv(buf, source=0, tag=0, datatype=dtype, count=count)
+        return ctx.now - t0, plan.execute_pack(buf.read(), 0).tobytes()
+
+    sent, (elapsed, received) = cluster.run(program).results
+    assert received == sent
+    return elapsed
+
+
+#: The colocation halo's x-face: 48 blocks of 8 B, a 384 B eager message.
+HALO_X_FACE = Subarray((6, 14, 14), (4, 12, 1), (1, 1, 1), DOUBLE)
+
+
+class TestVerdict:
+    """AUTO prices GENERIC, DIRECT and DMA per message and side, and the
+    default config never loses to the best forced mode."""
+
+    @pytest.mark.parametrize("blocksize, internode, sender, receiver", [
+        (8, True, TransferMode.DMA, TransferMode.DIRECT),
+        (16, True, TransferMode.DMA, TransferMode.DIRECT),
+        (32, True, TransferMode.DIRECT, TransferMode.DIRECT),
+        (1 * KiB, True, TransferMode.DIRECT, TransferMode.DIRECT),
+        (8, False, TransferMode.DIRECT, TransferMode.DIRECT),
+        (1 * KiB, False, TransferMode.DIRECT, TransferMode.DIRECT),
+    ])
+    def test_rendezvous_vector_verdicts(self, blocksize, internode, sender,
+                                        receiver):
+        """256 KiB Vector, stride 2 x block (EXPERIMENTS.md E2, verdict table)."""
+        doubles = blocksize // 8
+        vec = Vector(256 * KiB // blocksize, doubles, 2 * doubles, DOUBLE)
+        plan = get_plan(vec.commit().flattened, 1)
+        cluster = (Cluster(n_nodes=2) if internode else
+                   Cluster(n_nodes=1, procs_per_node=2))
+        tx, rx = (cluster.world.device(r).scheduler for r in (0, 1))
+        assert tx.verdict(plan, 0, plan.total, 1, True) == sender
+        assert rx.verdict(plan, 0, plan.total, 0, False) == receiver
+
+    def test_one_small_leaf_does_not_flip_the_message(self):
+        """4096 leaves of 16 B with one of 8 B: the verdict prices every
+        block, so the one small leaf leaves the message DIRECT."""
+        lengths = [2] * 4096
+        lengths[2900] = 1
+        indexed = Indexed(lengths, [4 * k for k in range(4096)], DOUBLE)
+        plan = get_plan(indexed.commit().flattened, 1)
+        cluster = Cluster(n_nodes=2)
+        for rank, peer, sending in ((0, 1, True), (1, 0, False)):
+            verdict = cluster.world.device(rank).scheduler.verdict(
+                plan, 0, plan.total, peer, sending)
+            assert verdict == TransferMode.DIRECT
+
+    def test_halo_x_face_forced_dma_is_the_eager_hybrid(self):
+        """Forced DMA on an eager message packs generically and writes by
+        PIO at the sender and unpacks with the ff loop at the receiver —
+        a hybrid that beats both pure modes at 8 B blocks over SCI.  The
+        default splits the same way on its own."""
+        HALO_X_FACE.commit()
+        times = {mode: _one_way(HALO_X_FACE, mode=mode) for mode in
+                 (NonContigMode.GENERIC, NonContigMode.DIRECT, NonContigMode.DMA)}
+        assert times == pytest.approx({NonContigMode.GENERIC: 17.87,
+                                       NonContigMode.DIRECT: 21.97,
+                                       NonContigMode.DMA: 12.70}, abs=0.005)
+        assert _one_way(HALO_X_FACE) <= 1.05 * times[NonContigMode.DMA]
+
+    def test_8_byte_blocks_over_sci_reach_dma_bandwidth(self):
+        """The default at 8 B blocks over SCI is DMA's 58.1 MiB/s, not
+        always-direct's 18.7."""
+        assert measure_point(8, mode=NonContigMode.AUTO) >= 0.95 * 58.1
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dtype=datatype_strategy(),
+           target=st.sampled_from([100, 3 * KiB, 40 * KiB, 150 * KiB]),
+           internode=st.booleans())
+    def test_default_never_loses_to_a_forced_mode(self, dtype, target,
+                                                  internode):
+        """Random trees x short / eager / one- and three-chunk rendezvous
+        x {SCI, shm}: the default is within 5 % of the best forced mode."""
+        dtype.commit()
+        assume(dtype.size > 0)
+        count = max(1, target // dtype.size)
+        best = min(_one_way(dtype, count, mode, internode) for mode in
+                   (NonContigMode.GENERIC, NonContigMode.DIRECT,
+                    NonContigMode.DMA))
+        assert _one_way(dtype, count, None, internode) <= 1.05 * best
 
 
 class TestSchedulerAccounting:
@@ -197,7 +310,6 @@ class TestSegmentedSends:
         sent = np.frombuffer(run.results[0], dtype=np.uint8)
         recvd = np.frombuffer(run.results[1], dtype=np.uint8)
         # Only the datatype's data bytes were transferred.
-        from repro.mpi.flatten import get_plan
         plan = get_plan(dtype.flattened, count)
         np.testing.assert_array_equal(
             plan.execute_pack(recvd, 0), plan.execute_pack(sent, 0)
@@ -306,7 +418,6 @@ class TestChunkedCollectives:
                           extent=extent)
         chunk = _run_bcast(ChunkedCollectivesPolicy(), total, datatype=dtype,
                            count=count, extent=extent)
-        from repro.mpi.flatten import get_plan
         plan = get_plan(dtype.flattened, count)
         for m, c in zip(mono.results, chunk.results):
             np.testing.assert_array_equal(
