@@ -47,8 +47,8 @@ class Communicator:
         self.world = world
         self.context = context
         #: Communicator-local rank -> world rank.
-        self.group: tuple[int, ...] = tuple(
-            group if group is not None else range(world.n_ranks)
+        self.group: tuple[int, ...] = (
+            world.group if group is None else tuple(group)
         )
         if world_rank not in self.group:
             raise MPIError(

@@ -9,7 +9,7 @@ is impossible (private memory) or undesirable (large reads).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -23,16 +23,18 @@ __all__ = ["OSCPut", "OSCGet", "OSCAccumulate", "OSCNotice"]
 class OSCPut:
     """Emulated put: deliver ``data`` into the target's window.
 
-    ``apply``, when set, scatters the packed payload into a
-    non-contiguous target layout (called with the window's local view).
+    ``plan``, when set, is the packing plan of a typed target layout: the
+    handler scatters the packed payload along it; without one the payload
+    lands contiguously at ``disp``.  ``ack`` is ``None`` when a rank
+    serves its own window.
     """
 
     win_id: int
     origin: int
     disp: int
     data: np.ndarray
-    ack: "Event"
-    apply: "object" = None
+    ack: Optional["Event"]
+    plan: "object" = None
 
 
 @dataclass
@@ -61,10 +63,11 @@ class OSCGet:
 class OSCAccumulate:
     """Emulated accumulate: combine ``data`` into the target's window.
 
-    ``plan``, when set, is the packing plan of a non-contiguous target
-    layout: the handler gathers the previous contents along it, combines
-    element-wise and scatters the result back; the fetched value is the
-    previous contents in packed order.
+    ``plan``, when set, is the packing plan of a typed target layout
+    (contiguous or not): the handler gathers the previous contents along
+    it, combines element-wise and scatters the result back; the fetched
+    value is the previous contents in packed order.  ``ack`` is ``None`` when a rank
+    serves its own window.
     """
 
     win_id: int
@@ -73,7 +76,7 @@ class OSCAccumulate:
     data: np.ndarray
     op: str
     np_dtype: np.dtype
-    ack: "Event"
+    ack: Optional["Event"]
     plan: "object" = None
 
 

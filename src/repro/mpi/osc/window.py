@@ -41,9 +41,8 @@ from ...smi import SMIBarrier, SMIRWLock
 from ..coll.collectives import OPS
 from ..datatypes.base import Datatype
 from ..errors import RMAError, TransferFault
-from ..flatten import get_plan
 from ..pt2pt.costs import pack_cost_direct
-from ..transport import OSCStrategy, TransferMode, resolve_target_run
+from ..transport import OSCStrategy, TransferMode, resolve_target
 from .messages import OSCAccumulate, OSCGet, OSCNotice, OSCPut
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,6 +68,23 @@ class WinPart:
         return self.buffer.read()
 
 
+def _load(view: np.ndarray, disp: int, plan, pos: int,
+          nbytes: int) -> np.ndarray:
+    """A copy of packed-stream bytes ``[pos, pos + nbytes)`` of a target
+    footprint: along ``plan``, or the bytes from ``disp`` on without one."""
+    if plan is None:
+        return np.array(view[disp + pos : disp + pos + nbytes], copy=True)
+    return plan.execute_pack(view, disp, pos, nbytes)
+
+
+def _store(view: np.ndarray, disp: int, plan, data: np.ndarray) -> None:
+    """Write a whole packed stream into a target footprint."""
+    if plan is None:
+        view[disp : disp + data.nbytes] = data
+    else:
+        plan.execute_unpack(view, disp, 0, data)
+
+
 class OSCEngine:
     """Per-rank handler for emulated one-sided requests.
 
@@ -88,93 +104,69 @@ class OSCEngine:
             win.notice_channel(self.device.rank, msg.kind, msg.source).try_put(True)
             return None
         if isinstance(msg, (OSCPut, OSCGet, OSCAccumulate)):
-            return self._serve(msg)
+            return self.serve(msg)
         raise RMAError(f"unexpected OSC message {msg!r}")
 
-    def _serve(self, msg):
+    def serve(self, msg, local: bool = False):
+        """The target-side body of put, get and accumulate.
+
+        The handler runs it for an emulated request: handler dispatch,
+        the operation, then the origin's event succeeds.  A put or
+        accumulate to this rank's own window runs the same body with
+        ``local=True``: no dispatch charge and no acknowledgement.
+        Returns the fetched bytes (accumulate's previous contents).
+        """
         device = self.device
-        params = device.node.params
-        win = self.windows[msg.win_id]
-        part = win.parts[device.rank]
-        # Handler dispatch after the remote interrupt.
-        yield device.engine.timeout(params.adapter.handler_dispatch)
+        engine = device.engine
+        memory = device.node.memory
+        if not local:
+            # Handler dispatch after the remote interrupt.
+            yield engine.timeout(device.node.params.adapter.handler_dispatch)
+        view = self.windows[msg.win_id].parts[device.rank].local_view()
+        plan = msg.plan
 
+        if isinstance(msg, OSCGet):
+            # Remote-put: write the window data into the origin's response
+            # region ("the target process writes the data into the origin
+            # process' address space", Sec. 4.2).
+            if plan is not None:
+                # Non-contiguous target layout: pack this chunk's stream
+                # range along the plan (an ff loop).
+                groups = device.scheduler.chunk_groups(
+                    TransferMode.DIRECT, plan, msg.pos, msg.nbytes)
+                yield engine.timeout(
+                    pack_cost_direct(memory, groups, device.config))
+            data = _load(view, msg.disp, plan, msg.pos, msg.nbytes)
+            origin_device = device.world.device(msg.origin)
+            yield from device.store.respond_remote_put(
+                msg.origin, origin_device.response_region,
+                msg.response_offset, data,
+            )
+            msg.done.succeed()
+            return None
+
+        n = msg.data.nbytes
+        fetched = None
         if isinstance(msg, OSCPut):
-            n = msg.data.nbytes
-            yield device.engine.timeout(
-                device.node.memory.copy_cost(n).duration
-            )
-            if msg.apply is not None:
-                msg.apply(part.local_view())
-            else:
-                part.local_view()[msg.disp : msg.disp + n] = msg.data
-            msg.ack.succeed()
-            return
-
-        if isinstance(msg, OSCAccumulate):
-            n = msg.data.nbytes
-            view = part.local_view()
-            if msg.plan is not None:
-                # Non-contiguous target layout: gather the previous
-                # contents along the packing plan, combine element-wise,
-                # scatter the result back (two ff pack loops on top of
-                # the read-modify-write).
-                groups = device.scheduler.plan_groups(msg.plan)
-                yield device.engine.timeout(
-                    device.node.memory.copy_cost(n).duration * 1.5
-                    + 2 * pack_cost_direct(device.node.memory, groups,
-                                           device.config)
-                )
-                fetched = msg.plan.execute_pack(view, msg.disp)
-                typed_prev = fetched.view(msg.np_dtype)
-                typed_incoming = msg.data.view(msg.np_dtype)
-                if msg.op == "replace":
-                    result = typed_incoming
-                else:
-                    result = OPS[msg.op](typed_prev, typed_incoming)
-                msg.plan.execute_unpack(
-                    view, msg.disp, 0,
-                    np.ascontiguousarray(result).view(np.uint8),
-                )
-                msg.ack.succeed(fetched)
-                return
-            target = view[msg.disp : msg.disp + n]
-            typed_target = target.view(msg.np_dtype)
-            typed_incoming = msg.data.view(msg.np_dtype)
-            yield device.engine.timeout(
-                device.node.memory.copy_cost(n).duration * 1.5
-            )
-            fetched = np.array(typed_target, copy=True)
-            if msg.op == "replace":
-                typed_target[:] = typed_incoming
-            else:
-                typed_target[:] = OPS[msg.op](fetched, typed_incoming)
-            msg.ack.succeed(fetched)
-            return
-
-        assert isinstance(msg, OSCGet)
-        # Remote-put: write the window data into the origin's response
-        # region ("the target process writes the data into the origin
-        # process' address space", Sec. 4.2).
-        view = part.local_view()
-        if msg.plan is None:
-            start = msg.disp + msg.pos
-            data = np.array(view[start : start + msg.nbytes], copy=True)
+            yield engine.timeout(memory.copy_cost(n).duration)
+            _store(view, msg.disp, plan, msg.data)
         else:
-            # Non-contiguous target layout: pack this chunk's stream range
-            # along the plan (the ff loop of the accumulate handler's
-            # gather).
-            groups = device.scheduler.chunk_groups(
-                TransferMode.DIRECT, msg.plan, msg.pos, msg.nbytes)
-            yield device.engine.timeout(
-                pack_cost_direct(device.node.memory, groups, device.config)
-            )
-            data = msg.plan.execute_pack(view, msg.disp, msg.pos, msg.nbytes)
-        origin_device = device.world.device(msg.origin)
-        yield from device.store.respond_remote_put(
-            msg.origin, origin_device.response_region, msg.response_offset, data
-        )
-        msg.done.succeed()
+            cost = memory.copy_cost(n).duration * 1.5
+            if plan is not None:
+                # Gather along the plan, scatter the result back: two ff
+                # pack loops on top of the read-modify-write.
+                cost += 2 * pack_cost_direct(
+                    memory, device.scheduler.plan_groups(plan), device.config)
+            yield engine.timeout(cost)
+            fetched = _load(view, msg.disp, plan, 0, n).view(msg.np_dtype)
+            result = msg.data
+            if msg.op != "replace":
+                result = OPS[msg.op](
+                    fetched, msg.data.view(msg.np_dtype)).view(np.uint8)
+            _store(view, msg.disp, plan, result)
+        if not local:
+            msg.ack.succeed(fetched)
+        return fetched
 
 
 def _osc_engine(device: "RankDevice") -> OSCEngine:
@@ -239,6 +231,8 @@ class Win:
         self.config = self.device.config
         self.policy = self.device.policy
         self.store = self.device.store
+        #: This rank's handler; local puts and accumulates run its body.
+        self.osc_engine = _osc_engine(self.device)
         #: World ranks touched by direct stores since the last sync (need
         #: a store barrier at the synchronization point).
         self._dirty_targets: set[int] = set()
@@ -285,28 +279,6 @@ class Win:
         """This rank's own window memory (direct load/store)."""
         return self.parts[self.world_rank].local_view()
 
-    def _check(self, part: WinPart, disp: int, nbytes: int) -> None:
-        if disp < 0 or disp + nbytes > part.nbytes:
-            raise RMAError(
-                f"RMA access [{disp}, {disp + nbytes}) outside window part of "
-                f"{part.nbytes} B at world rank {part.world_rank}"
-            )
-
-    def _check_layout(self, part: WinPart, disp: int, run,
-                      target_datatype: Optional[Datatype],
-                      target_count: int) -> None:
-        """Bounds-check the target footprint: the strided run, or the byte
-        interval all ``target_count`` instances of the layout touch."""
-        if run is not None:
-            end = (
-                run.base + (run.count - 1) * run.stride + run.size
-                if run.count else run.base
-            )
-            self._check(part, run.base, max(0, end - run.base))
-        else:
-            low, high = get_plan(target_datatype.flattened, target_count).bounds
-            self._check(part, disp + low, high - low)
-
     @staticmethod
     def _as_bytes(data) -> np.ndarray:
         if isinstance(data, np.ndarray):
@@ -327,19 +299,16 @@ class Win:
         wtarget = part.world_rank
         self.device._trace("osc.put.begin", target=wtarget, nbytes=n)
         yield self.engine.timeout(self.config.osc_call_overhead)
-
-        run = resolve_target_run(target_disp, n, target_datatype, target_count)
-        self._check_layout(part, target_disp, run, target_datatype, target_count)
+        run, plan = resolve_target(part, target_disp, n, target_datatype,
+                                   target_count)
 
         if wtarget == self.world_rank:
-            # Local window: a plain store.
-            yield self.engine.timeout(self.device.node.memory.copy_cost(n).duration)
-            if run is None:
-                plan = get_plan(target_datatype.flattened, target_count)
-                plan.execute_unpack(part.local_view(), target_disp, 0, payload)
-            else:
-                from ...hardware.sci.segments import scatter_run
-                scatter_run(part.local_view(), run, payload)
+            # Local window: the handler's body, without dispatch or ack.
+            yield from self.osc_engine.serve(
+                OSCPut(self.state.win_id, self.world_rank, target_disp,
+                       payload, None, plan),
+                local=True,
+            )
             self.device._trace("osc.put.end", target=wtarget, strategy="local")
             return
 
@@ -366,9 +335,8 @@ class Win:
                 strategy = self._degrade(wtarget)
                 self.device._trace("recover.fallback.begin", peer=wtarget,
                                    action="emulate")
-                yield from self._emulated_put(part, payload, wtarget,
-                                              target_disp, target_datatype,
-                                              target_count, run)
+                yield from self._emulated_put(wtarget, target_disp, payload,
+                                              plan)
                 self.device._trace("recover.fallback.end", peer=wtarget)
             else:
                 self._dirty_targets.add(wtarget)
@@ -376,8 +344,7 @@ class Win:
         else:
             # Emulation (private window memory, or a target layout too
             # complex for a single strided store run).
-            yield from self._emulated_put(part, payload, wtarget, target_disp,
-                                          target_datatype, target_count, run)
+            yield from self._emulated_put(wtarget, target_disp, payload, plan)
         self.device._trace("osc.put.end", target=wtarget, strategy=strategy)
 
     def _degrade(self, wtarget: int) -> str:
@@ -386,24 +353,15 @@ class Win:
         self.device.recovery["fallbacks"] += 1
         return self.policy.degraded_strategy(OSCStrategy.DIRECT)
 
-    def _emulated_put(self, part, payload, wtarget, target_disp,
-                      target_datatype, target_count, run):
+    def _emulated_put(self, wtarget, target_disp, payload, plan):
         n = payload.nbytes
-        device = self.device
         ack = Event(self.engine, "osc-put-ack")
-        plan = self._target_plan(n, target_datatype, target_count, run)
-        msg = OSCPut(self.state.win_id, self.world_rank,
-                     run.base if plan is None else target_disp, payload, ack)
-        if plan is not None:
-            # The handler scatters into the non-contiguous target layout.
-            def apply(view, plan=plan, disp=target_disp, payload=payload):
-                plan.execute_unpack(view, disp, 0, payload)
-
-            msg.apply = apply
+        msg = OSCPut(self.state.win_id, self.world_rank, target_disp, payload,
+                     ack, plan)
         # Ship the payload (a data transfer on the ring) + remote interrupt.
         yield from self.store.ship_emulated(
             wtarget, target_disp, n, msg,
-            src_cached=self.policy.src_cached(n, device.node),
+            src_cached=self.policy.src_cached(n, self.device.node),
         )
         self._pending_acks.append(ack)
         self.counters["emulated_puts"] += 1
@@ -415,18 +373,12 @@ class Win:
         wtarget = part.world_rank
         self.device._trace("osc.get.begin", target=wtarget, nbytes=nbytes)
         yield self.engine.timeout(self.config.osc_call_overhead)
-        run = resolve_target_run(target_disp, nbytes, target_datatype,
-                                 target_count)
-        self._check_layout(part, target_disp, run, target_datatype, target_count)
+        run, plan = resolve_target(part, target_disp, nbytes, target_datatype,
+                                   target_count)
 
         if wtarget == self.world_rank:
             yield self.engine.timeout(self.device.node.memory.copy_cost(nbytes).duration)
-            if run is None:
-                plan = get_plan(target_datatype.flattened, target_count)
-                data = plan.execute_pack(part.local_view(), target_disp)
-            else:
-                from ...hardware.sci.segments import gather_run
-                data = gather_run(part.local_view(), run)
+            data = _load(part.local_view(), target_disp, plan, 0, nbytes)
             self.device._trace("osc.get.end", target=wtarget, strategy="local")
             return data
 
@@ -449,9 +401,8 @@ class Win:
                 strategy = self._degrade(wtarget)
                 self.device._trace("recover.fallback.begin", peer=wtarget,
                                    action="emulate")
-                data = yield from self._emulated_get(
-                    part, nbytes, wtarget, target_disp, target_datatype,
-                    target_count, run)
+                data = yield from self._emulated_get(wtarget, target_disp,
+                                                     nbytes, run, plan)
                 self.device._trace("recover.fallback.end", peer=wtarget)
                 self.counters["emulated_gets"] += 1
             else:
@@ -459,9 +410,8 @@ class Win:
         else:
             # Remote-put conversion (shared, large) or full emulation
             # (private): the target pushes into our response region.
-            data = yield from self._emulated_get(
-                part, nbytes, wtarget, target_disp, target_datatype,
-                target_count, run)
+            data = yield from self._emulated_get(wtarget, target_disp, nbytes,
+                                                 run, plan)
             if strategy == OSCStrategy.REMOTE_PUT:
                 self.counters["remote_puts"] += 1
             else:
@@ -469,15 +419,15 @@ class Win:
         self.device._trace("osc.get.end", target=wtarget, strategy=strategy)
         return data
 
-    def _emulated_get(self, part, nbytes, wtarget, target_disp,
-                      target_datatype, target_count, run):
-        plan = self._target_plan(nbytes, target_datatype, target_count, run)
-        disp = run.base if plan is None else target_disp
+    def _emulated_get(self, wtarget, target_disp, nbytes, run, plan):
+        if run is not None and run.stride == run.size:
+            # One contiguous run: the response copies bytes, no pack loop.
+            target_disp, plan = run.base, None
 
         def make_request(pos, n):
             done = Event(self.engine, "osc-get-done")
-            msg = OSCGet(self.state.win_id, self.world_rank, disp, pos, n, 0,
-                         done, plan)
+            msg = OSCGet(self.state.win_id, self.world_rank, target_disp, pos,
+                         n, 0, done, plan)
             yield from self.store.request_emulated(wtarget, msg)
             return done
 
@@ -486,21 +436,6 @@ class Win:
         )
         return data
 
-    @staticmethod
-    def _target_plan(nbytes, target_datatype, target_count, run):
-        """Packing plan the target's handler walks for a non-contiguous
-        target layout; ``None`` when the bytes are one contiguous run."""
-        if target_datatype is None or (run is not None
-                                       and run.stride == run.size):
-            return None
-        plan = get_plan(target_datatype.flattened, target_count)
-        if plan.total != nbytes:
-            raise RMAError(
-                f"origin data of {nbytes} B does not match target type of "
-                f"{plan.total} B"
-            )
-        return plan
-
     def accumulate(self, data, target: int, target_disp: int = 0,
                    op: str = "sum", datatype=None, fetch: bool = False,
                    target_datatype: Optional[Datatype] = None,
@@ -508,10 +443,11 @@ class Win:
         """MPI_Accumulate / MPI_Get_accumulate: combine origin data into the
         target window.
 
-        Always executed by the target's handler (read-modify-write needs
-        the target CPU; SCI has no remote atomics on commodity adapters).
-        With ``fetch=True`` behaves like MPI_Get_accumulate and returns the
-        target's *previous* contents (the call then blocks until applied).
+        Always executed by the target's handler body (read-modify-write
+        needs the target CPU; SCI has no remote atomics on commodity
+        adapters).  With ``fetch=True`` behaves like MPI_Get_accumulate
+        and returns the target's *previous* contents as ``datatype``
+        elements (the call then blocks until applied).
         ``target_datatype``/``target_count`` describe a (possibly
         non-contiguous) target layout; the handler gathers / scatters
         along its packing plan and the fetched result is the previous
@@ -526,60 +462,19 @@ class Win:
         n = payload.nbytes
         part = self.part(target)
         wtarget = part.world_rank
-        plan = None
-        if target_datatype is not None:
-            target_datatype.commit()
-            plan = get_plan(target_datatype.flattened, target_count)
-            if plan.total != n:
-                raise RMAError(
-                    f"origin data of {n} B does not match target type of "
-                    f"{plan.total} B"
-                )
-            low, high = plan.bounds
-            self._check(part, target_disp + low, high - low)
-        else:
-            self._check(part, target_disp, n)
+        _, plan = resolve_target(part, target_disp, n, target_datatype,
+                                 target_count)
         self.device._trace("osc.acc.begin", target=wtarget, nbytes=n, op=op)
         yield self.engine.timeout(self.config.osc_call_overhead)
-        device = self.device
-        if wtarget == self.world_rank:
-            view = part.local_view()
-            if plan is not None:
-                groups = device.scheduler.plan_groups(plan)
-                yield self.engine.timeout(
-                    device.node.memory.copy_cost(n).duration * 1.5
-                    + 2 * pack_cost_direct(device.node.memory, groups,
-                                           self.config)
-                )
-                fetched = plan.execute_pack(view, target_disp)
-                typed_prev = fetched.view(basic.np_dtype)
-                incoming = payload.view(basic.np_dtype)
-                result = (
-                    incoming if op == "replace"
-                    else OPS[op](typed_prev, incoming)
-                )
-                plan.execute_unpack(
-                    view, target_disp, 0,
-                    np.ascontiguousarray(result).view(np.uint8),
-                )
-            else:
-                target_view = view[target_disp : target_disp + n]
-                typed = target_view.view(basic.np_dtype)
-                incoming = payload.view(basic.np_dtype)
-                yield self.engine.timeout(
-                    device.node.memory.copy_cost(n).duration * 1.5
-                )
-                fetched = np.array(typed, copy=True)
-                if op == "replace":
-                    typed[:] = incoming
-                else:
-                    typed[:] = OPS[op](fetched, incoming)
+        local = wtarget == self.world_rank
+        ack = None if local else Event(self.engine, "osc-acc-ack")
+        msg = OSCAccumulate(self.state.win_id, self.world_rank, target_disp,
+                            payload, op, basic.np_dtype, ack, plan)
+        if local:
+            fetched = yield from self.osc_engine.serve(msg, local=True)
             self.counters["accumulates"] += 1
             self.device._trace("osc.acc.end", target=wtarget, strategy="local")
             return fetched if fetch else None
-        ack = Event(self.engine, "osc-acc-ack")
-        msg = OSCAccumulate(self.state.win_id, self.world_rank, target_disp,
-                            payload, op, basic.np_dtype, ack, plan=plan)
         yield from self.store.ship_emulated(
             wtarget, target_disp, n, msg, src_cached=True
         )

@@ -1,7 +1,8 @@
 """The per-rank MPI device: short / eager / rendezvous protocols.
 
 This mirrors the SCI-MPICH device architecture ([7], Sec. 2): every rank
-exports packet buffers (control ring, eager slots, one rendezvous buffer);
+exports packet buffers (control ring, one rendezvous buffer, and each
+sender's eager slots on its first eager send);
 senders write payloads *into the receiver's memory* with transparent PIO
 stores and then post a control packet.  Three protocols by packed size:
 
@@ -47,6 +48,7 @@ from .messages import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...memlib import Buffer
+    from ...smi import SharedRegion
 
 __all__ = ["MPIWorld", "RankDevice", "Status", "TransferMode"]
 
@@ -74,6 +76,8 @@ class MPIWorld:
         #: Locality groups of the collectives, by communicator group.
         self.locality_groups: dict[tuple[int, ...], Optional[tuple]] = {}
         self.devices = [RankDevice(self, rank) for rank in range(smi.n_ranks)]
+        #: The world group, one tuple every rank's world communicator shares.
+        self.group = tuple(range(smi.n_ranks))
 
     @property
     def n_ranks(self) -> int:
@@ -98,11 +102,10 @@ class RankDevice:
         self.service: Channel = Channel(self.engine, name=f"svc-r{rank}")
 
         cfg = self.config
-        n = world.smi.n_ranks
-        #: Eager slots: per sender, ``eager_slots`` slots of eager_threshold.
-        self.eager_region = world.smi.create_region(
-            rank, n * cfg.eager_slots * cfg.eager_threshold, label=f"eager-r{rank}"
-        )
+        #: Eager slots in this rank's memory, per sender: ``eager_slots``
+        #: slots of eager_threshold, exported on the sender's first eager
+        #: send (see :meth:`_eager_pool`).
+        self.eager_regions: dict[int, "SharedRegion"] = {}
         #: Rendezvous buffer: one chunk, exclusively owned during a transfer.
         self.rndv_region = world.smi.create_region(
             rank, cfg.rendezvous_chunk, label=f"rndv-r{rank}"
@@ -181,12 +184,34 @@ class RankDevice:
         target.try_put(msg)  # unbounded channel, nobody waits: no heap event
 
     def _eager_pool(self, dst: int) -> tuple[Resource, list[int]]:
+        """Credits and free slot indices towards ``dst``; the first call
+        also exports this rank's slots in ``dst``'s memory."""
         if dst not in self._eager_credits:
+            cfg = self.config
             self._eager_credits[dst] = Resource(
-                self.engine, capacity=self.config.eager_slots, name=f"eager-{self.rank}->{dst}"
+                self.engine, capacity=cfg.eager_slots, name=f"eager-{self.rank}->{dst}"
             )
-            self._eager_free[dst] = list(range(self.config.eager_slots))
+            self._eager_free[dst] = list(range(cfg.eager_slots))
+            # One past the last slot: the region's size.
+            self.world.device(dst).eager_regions[self.rank] = self.smi.create_region(
+                dst, self.eager_slot_offset(cfg.eager_slots),
+                label=f"eager-r{dst}-from-r{self.rank}",
+            )
         return self._eager_credits[dst], self._eager_free[dst]
+
+    def eager_slot_offset(self, slot: int) -> int:
+        """Offset of this sender's eager ``slot`` in its region at a receiver.
+
+        Congruent modulo ``write_alignment`` (all the write cost sees of
+        an offset) to the slot's place in one region that held every
+        sender's slots side by side, ``(rank * eager_slots + slot) *
+        eager_threshold``; the lead-in below that modulus is the only
+        padding.
+        """
+        cfg = self.config
+        lead = (self.rank * cfg.eager_slots * cfg.eager_threshold
+                % self.node.params.write_alignment)
+        return lead + slot * cfg.eager_threshold
 
     # -- message geometry ------------------------------------------------------------
 

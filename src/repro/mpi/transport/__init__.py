@@ -16,15 +16,16 @@ them) the collectives.  This package is that mechanism's home:
 * :class:`~repro.mpi.transport.store.RemoteStore` — the single primitive
   that moves payload bytes off-rank, wrapping direct-store vs. emulated
   (control message + interrupt handler) delivery;
-* :func:`~repro.mpi.transport.layout.resolve_target_run` — the one place
-  that decides whether a one-sided target layout is streamable.
+* :func:`~repro.mpi.transport.layout.resolve_target` — the one place
+  that resolves a one-sided target layout (size, bounds, strided run and
+  packing plan) for local and remote targets alike.
 
 ``mpi/pt2pt``, ``mpi/osc`` and ``mpi/coll`` contain protocol logic only;
 every payload byte they move goes through this package.
 """
 
 from .fastpath import CostTable, StreamWindow, fastpath_disabled
-from .layout import resolve_target_run
+from .layout import resolve_target
 from .policy import (
     DEFAULT_POLICY,
     DEFAULT_RECOVERY,
@@ -55,5 +56,5 @@ __all__ = [
     "TransferPolicy",
     "TransferScheduler",
     "fastpath_disabled",
-    "resolve_target_run",
+    "resolve_target",
 ]

@@ -3,8 +3,9 @@
 Whether a one-sided operation can use direct remote stores depends on the
 *target* datatype collapsing to a single strided access run the SCI
 adapter can stream (``as_access_run``); anything richer goes through the
-emulated path with a full packing plan.  This is the transport layer's
-one place that makes the call — ``osc/window.py`` used to duplicate it.
+emulated path with a full packing plan.  :func:`resolve_target` is the
+one place that resolves a target layout: size check, bounds check, run
+and plan, for local and remote targets alike.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from typing import TYPE_CHECKING, Optional
 
 from ...hardware.sci.transactions import AccessRun
 from ..errors import RMAError
+from ..flatten import get_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..datatypes.base import Datatype
-    from ..flatten import FlattenedType
+    from ..flatten import FlattenedType, PackPlan
 
-__all__ = ["as_access_run", "resolve_target_run"]
+__all__ = ["as_access_run", "resolve_target"]
 
 
 def as_access_run(
@@ -58,24 +60,38 @@ def as_access_run(
     return None
 
 
-def resolve_target_run(disp: int, nbytes: int,
-                       target_datatype: Optional["Datatype"],
-                       target_count: int) -> Optional[AccessRun]:
-    """The single strided run of a one-sided target layout, if one exists.
+def resolve_target(part, disp: int, nbytes: int,
+                   target_datatype: Optional["Datatype"],
+                   target_count: int
+                   ) -> tuple[Optional[AccessRun], Optional["PackPlan"]]:
+    """Resolve a one-sided target layout: the one check every put, get and
+    accumulate makes, whether its target is local or remote.
 
-    Returns a contiguous run for untyped targets, a strided run when the
-    (committed) target datatype collapses to one, and ``None`` when the
-    layout is too complex for transparent stores (emulation required).
-    Raises :class:`RMAError` when the origin byte count does not match the
-    target type's packed size.
+    Commits the target type, rejects an origin byte count that differs
+    from the type's packed size, and bounds-checks the footprint against
+    ``part`` (the target's window part: its ``nbytes`` and
+    ``world_rank``).  Returns ``(run, plan)``: ``run`` is the single
+    strided run direct stores and loads stream (``None`` when the layout
+    needs emulation); ``plan`` is the packing plan of a typed target
+    (``None`` for an untyped one, whose bytes are the contiguous run).
     """
     if target_datatype is None:
-        return AccessRun.contiguous(disp, nbytes)
-    target_datatype.commit()
-    run = as_access_run(target_datatype.flattened, target_count, base=disp)
-    if run is not None and run.total_bytes != nbytes:
+        run, plan = AccessRun.contiguous(disp, nbytes), None
+        low, high = disp, disp + nbytes
+    else:
+        target_datatype.commit()
+        ft = target_datatype.flattened
+        plan = get_plan(ft, target_count)
+        if plan.total != nbytes:
+            raise RMAError(
+                f"origin data of {nbytes} B does not match target type of "
+                f"{plan.total} B"
+            )
+        run = as_access_run(ft, target_count, base=disp)
+        low, high = disp + plan.bounds[0], disp + plan.bounds[1]
+    if low < 0 or high > part.nbytes:
         raise RMAError(
-            f"origin data of {nbytes} B does not match target type of "
-            f"{run.total_bytes} B"
+            f"RMA access [{low}, {high}) outside window part of "
+            f"{part.nbytes} B at world rank {part.world_rank}"
         )
-    return run
+    return run, plan

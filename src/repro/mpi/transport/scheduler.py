@@ -393,8 +393,8 @@ class TransferScheduler:
         credits, free = device._eager_pool(dest)
         yield credits.request()
         slot = free.pop()
-        peer_region = device.world.device(dest).eager_region
-        slot_offset = (device.rank * cfg.eager_slots + slot) * cfg.eager_threshold
+        peer_region = device.world.device(dest).eager_regions[device.rank]
+        slot_offset = device.eager_slot_offset(slot)
 
         if mode == TransferMode.GENERIC:
             groups = self.message_groups(plan, ft, count, seg_off, total)
@@ -619,7 +619,7 @@ class TransferScheduler:
             yield device.engine.timeout(
                 pack_cost_generic(device.node.memory, groups, device.config))
         # Drained in place: the slot is this sender's until the CreditReturn.
-        slot = device.eager_region.local_view()
+        slot = device.eager_regions[msg.envelope.source].local_view()
         plan.execute_unpack(mem, base, seg_off,
                             slot[msg.slot_offset : msg.slot_offset + n])
         # Credit keyed by *this* rank at the sender's pool.

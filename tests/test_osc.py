@@ -5,7 +5,7 @@ import pytest
 
 from repro._units import KiB
 from repro.cluster import Cluster
-from repro.mpi.datatypes import DOUBLE, Vector
+from repro.mpi.datatypes import DOUBLE, INT, Indexed, Vector
 from repro.mpi.errors import RMAError
 
 
@@ -262,3 +262,93 @@ class TestOSCTiming:
         t_put = make_cluster().run(lambda c: program(c, "put")).results[0]
         t_get = make_cluster().run(lambda c: program(c, "get")).results[0]
         assert t_get > 1.5 * t_put
+
+
+class TestLocalTargetAgreesWithRemote:
+    """A put, get or accumulate behaves the same whether its target is
+    this rank's own window or another rank's: one layout resolution
+    (size, bounds, run, plan) and one target-side body serve both."""
+
+    #: 12 B targets: two blocks and no single strided run (remote targets
+    #: take the emulated path on shared windows too), or one strided run.
+    TARGETS_12B = {
+        "indexed": lambda: Indexed([1, 2], [0, 2], INT).commit(),
+        "vector": lambda: Vector(3, 1, 2, INT).commit(),
+    }
+
+    LAYOUTS = {
+        "contiguous": lambda: None,
+        "vector": lambda: Vector(3, 1, 2, DOUBLE).commit(),
+        "indexed": lambda: Indexed([1, 2], [0, 3], DOUBLE).commit(),
+    }
+    WIN = 256
+    DISP = 16
+
+    @pytest.mark.parametrize("layout", list(TARGETS_12B))
+    @pytest.mark.parametrize("target", [0, 1], ids=["local", "remote"])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("op", ["put", "get", "accumulate"])
+    def test_size_mismatch_raises_alike(self, op, shared, target, layout):
+        dtype = self.TARGETS_12B[layout]()
+
+        def program(ctx):
+            win = yield from ctx.comm.win_create(self.WIN, shared=shared)
+            yield from win.fence()
+            if ctx.comm.rank == 0:
+                if op == "put":
+                    yield from win.put(np.zeros(8, dtype=np.uint8), target,
+                                       0, target_datatype=dtype)
+                elif op == "get":
+                    yield from win.get(8, target, 0, target_datatype=dtype)
+                else:
+                    yield from win.accumulate(np.zeros(1), target, 0,
+                                              target_datatype=dtype)
+            yield from win.fence()
+
+        with pytest.raises(
+                RMAError,
+                match=r"origin data of 8 B does not match target type of 12 B"):
+            make_cluster().run(program)
+
+    def _run(self, op, layout, target, shared):
+        """Rank 0's fetched bytes and the target window after one op."""
+        dtype = self.LAYOUTS[layout]()
+        nbytes = 24
+        window = (np.arange(self.WIN // 8, dtype=np.float64) * 0.5).view(
+            np.uint8)
+        origin = (np.arange(nbytes // 8, dtype=np.float64) + 3.0).view(
+            np.uint8)
+
+        def program(ctx):
+            win = yield from ctx.comm.win_create(self.WIN, shared=shared)
+            win.local_view()[:] = window
+            yield from win.fence()
+            fetched = None
+            if ctx.comm.rank == 0:
+                if op == "put":
+                    yield from win.put(origin, target, self.DISP,
+                                       target_datatype=dtype)
+                elif op == "get":
+                    fetched = yield from win.get(nbytes, target, self.DISP,
+                                                 target_datatype=dtype)
+                else:
+                    fetched = yield from win.accumulate(
+                        origin, target, self.DISP, fetch=True,
+                        target_datatype=dtype)
+            yield from win.fence()
+            return (None if fetched is None else fetched.tobytes(),
+                    win.local_view().tobytes())
+
+        run = make_cluster().run(program)
+        return run.results[0][0], run.results[target][1]
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("op", ["put", "get", "accumulate"])
+    @pytest.mark.parametrize("shared_local", [True, False])
+    def test_local_equals_emulated(self, op, layout, shared_local):
+        local = self._run(op, layout, 0, shared_local)
+        emulated = self._run(op, layout, 1, False)
+        assert local[0] == emulated[0]
+        assert local[1] == emulated[1]
+        if op != "put":
+            assert local[0] is not None and len(local[0]) == 24

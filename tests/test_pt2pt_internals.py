@@ -198,3 +198,56 @@ class TestContextInternals:
 
         run = cluster.run(program)
         assert run.results[1] == 1
+
+
+class TestEagerSlotRegions:
+    """Each sender's eager slots are exported in the receiver's memory on
+    its first eager send, so construction is O(ranks), not O(ranks²)."""
+
+    def test_footprint_after_construction_does_not_depend_on_ranks(self):
+        from repro.hardware.sci import RingOfRings
+
+        def footprint(n):
+            cluster = Cluster(n_nodes=n, topology=RingOfRings(n // 8, 8))
+            return cluster.nodes[0].space.allocated
+
+        assert footprint(64) == footprint(1024)
+
+    def test_paper_outlook_constructs(self):
+        """512 ringlets of 8 nodes (the paper's outlook): one region for
+        every sender's slots took 128 MiB per rank, twice a node's memory."""
+        from repro.hardware.sci import RingOfRings
+
+        cluster = Cluster(n_nodes=4096, topology=RingOfRings(512, 8))
+        assert cluster.world.n_ranks == 4096
+
+    def test_first_send_exports_the_slots_at_a_kept_alignment(self):
+        """An eager threshold that is no multiple of the write alignment:
+        each slot keeps the offset residue it had when every sender's
+        slots sat side by side in one region, the residue the write-cost
+        tables key on."""
+        protocol = ProtocolConfig(eager_threshold=1000, eager_slots=3)
+        cluster = Cluster(n_nodes=4, protocol=protocol)
+        align = cluster.nodes[0].params.write_alignment
+        exports = cluster.smi.directory.counters["exports"]
+
+        def program(ctx):
+            comm = ctx.comm
+            buf = ctx.alloc(600)
+            if comm.rank == 3:
+                buf.fill(9)
+                yield from comm.send(buf, dest=1, tag=0)
+            elif comm.rank == 1:
+                yield from comm.recv(buf, source=3, tag=0)
+                return buf.read(0, 1)[0]
+
+        run = cluster.run(program)
+        assert run.results[1] == 9
+        devices = cluster.world.devices
+        assert list(devices[1].eager_regions) == [3]
+        assert not any(d.eager_regions for d in (devices[0], devices[2], devices[3]))
+        assert cluster.smi.directory.counters["exports"] == exports + 1
+        for slot in range(3):
+            offset = devices[3].eager_slot_offset(slot)
+            assert offset % align == (3 * 3 + slot) * 1000 % align
+        assert devices[1].eager_regions[3].nbytes == devices[3].eager_slot_offset(3)

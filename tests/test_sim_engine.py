@@ -649,3 +649,45 @@ class TestEngineContract:
             return cluster.engine.events_processed
 
         assert events(5) - events(1) == 4 * per_put
+
+    @pytest.mark.parametrize("op, target, per_op", [
+        ("accumulate", 0, 2),
+        ("accumulate", 1, 10),
+        ("fetch", 0, 2),
+        ("fetch", 1, 10),
+        ("get", 1, 13),
+    ], ids=["acc-local", "acc-emulated", "fetch-local", "fetch-emulated",
+            "get-emulated"])
+    def test_heap_events_per_osc_op_are_fixed(self, op, target, per_op):
+        """The same pin for accumulate and get, 64 B each.
+
+        A local accumulate (``target`` 0) is the call overhead and the
+        target body's read-modify-write; the body allocates no
+        acknowledgement.  A remote one is emulated with the same ten
+        events as an emulated put, with or without ``fetch``.  An
+        emulated get (private window) is the request packet, the handler,
+        the remote-put response into the origin and its drain.
+        """
+        import numpy as np
+
+        from repro.cluster import Cluster
+
+        def events(n_ops):
+            def program(ctx):
+                win = yield from ctx.comm.win_create(4096, shared=op != "get")
+                yield from win.fence()
+                if ctx.comm.rank == 0:
+                    for i in range(n_ops):
+                        if op == "get":
+                            yield from win.get(64, target, 128 * i)
+                        else:
+                            yield from win.accumulate(
+                                np.zeros(8), target, 128 * i,
+                                fetch=op == "fetch")
+                yield from win.fence()
+
+            cluster = Cluster(n_nodes=2)
+            cluster.run(program)
+            return cluster.engine.events_processed
+
+        assert events(5) - events(1) == 4 * per_op
