@@ -1,32 +1,31 @@
 """Collective operations built on the point-to-point device.
 
-Classic algorithms: binomial trees for barrier/bcast/reduce, ring
-allgather, recursive structure kept simple — these exist to support the
-examples and benchmarks (the paper's focus is pt2pt datatypes and
-one-sided), but they are real implementations exercising the full
-protocol stack: every payload byte moves through the transport layer's
-scheduler via ``comm.send``/``comm.recv``.
+Classic algorithms — binomial trees for barrier/bcast/reduce, a ring
+allgather, a pairwise alltoall — that support the examples and
+benchmarks (the paper's focus is pt2pt datatypes and one-sided); every
+payload byte moves through the transport layer's scheduler via
+``comm.send``/``comm.recv``.
 
-When the world's :class:`~repro.mpi.transport.policy.TransferPolicy`
-asks for it (``collective_chunk``), large broadcasts are split into
-packed-stream *segments* and pipelined down a chain of ranks — the
-plan-aware chunked data path (each segment packs straight out of user
-memory; no staging copy).  The ring allgather and the pairwise alltoall
-are already pipelined at message granularity, so the default policy
-keeps them monolithic.
+One member-list body, :func:`_member_bcast`, issues every broadcast
+message: the flat tree, the chain-pipelined stream and both stages of
+the hierarchical broadcast, which ``allreduce`` ends with too.  It
+chains when the world's
+:class:`~repro.mpi.transport.policy.TransferPolicy` returns a chunk
+(``collective_chunk``, ``cross_switch_chunk``): the payload then moves
+down a chain of ranks as packed-stream *segments*, each packed straight
+out of user memory.
 
-On switched multi-ringlet fabrics (any
+On switched multi-ringlet fabrics (a
 :class:`~repro.hardware.sci.topology.Topology` with more than one
-locality domain), ``bcast`` and ``allreduce`` switch to *hierarchical*
-algorithms when the policy's ``hierarchical_collective`` approves:
-ranks aggregate within their ringlet first, group leaders exchange
-across the switch (one message per ringlet instead of one per rank on
-the scarce crossbar links, chunk-pipelined past
-``policy.cross_chunk``), and leaders fan the result back out
-ringlet-locally.  Single-domain topologies — the plain ring — always
-take the flat algorithms, bit-identically to the pre-topology code.
+locality domain) ``bcast`` and ``allreduce`` run *hierarchically* when
+``policy.hierarchical_collective`` approves: ranks aggregate within
+their ringlet, group leaders exchange across the switch (one message
+per ringlet on the scarce crossbar links) and fan the result back out
+ringlet-locally.  The plain ring always takes the flat algorithms.
 
-All functions are DES generators taking the caller's Communicator.
+All functions are DES generators taking the caller's Communicator; they
+reject a buffer too small for their blocks with
+:class:`~repro.mpi.errors.MPIError` before the first message.
 Reductions fold in place inside the address space — in ``recvbuf`` where
 it is output, else in scratch borrowed from the rank's free list and
 handed back — and leaf ranks send ``sendbuf`` itself.  Aliasing user
@@ -101,23 +100,6 @@ def barrier(comm: "Communicator"):
         comm.free_scratch(token)
 
 
-def _collective_chunk(comm: "Communicator", buf: "Buffer", datatype,
-                      count: Optional[int]):
-    """Policy decision for one collective payload: ``(dtype, count,
-    total_bytes, chunk_or_None)``."""
-    dtype = datatype if datatype is not None else BYTE
-    dtype.commit()
-    if count is None:
-        if not dtype.is_contiguous or not dtype.size:
-            return dtype, count, 0, None
-        count = buf.nbytes // dtype.size
-    total = dtype.flattened.size * count
-    chunk = comm.device.policy.collective_chunk(total, comm.size)
-    if chunk is not None and chunk >= total:
-        chunk = None
-    return dtype, count, total, chunk
-
-
 def _topology_groups(comm: "Communicator") -> Optional[tuple[tuple[int, ...], ...]]:
     """Comm-local ranks per fabric locality domain, ordered by group id.
 
@@ -140,35 +122,34 @@ def _topology_groups(comm: "Communicator") -> Optional[tuple[tuple[int, ...], ..
     return memo[comm.group]
 
 
-def _hier_groups(comm: "Communicator", kind: str,
-                 nbytes: int) -> Optional[tuple[tuple[int, ...], ...]]:
-    """The locality groups if this collective should run hierarchically."""
+def _hier_groups(comm: "Communicator") -> Optional[tuple[tuple[int, ...], ...]]:
+    """The locality groups if bcast / allreduce should run hierarchically."""
     groups = _topology_groups(comm)
-    if groups is None:
-        return None
-    policy = comm.device.policy
-    if not policy.hierarchical_collective(kind, nbytes, comm.size, len(groups)):
+    if groups is None or not comm.device.policy.hierarchical_collective(
+            comm.size, len(groups)):
         return None
     return groups
 
 
 def _member_bcast(comm: "Communicator", buf: "Buffer", members: Sequence[int],
-                  root: int, tag: int, datatype=None,
-                  count: Optional[int] = None, chunk: Optional[int] = None,
-                  total: Optional[int] = None):
-    """Broadcast over an explicit member list (comm-local ranks).
+                  root: int, tag: int, datatype, count: Optional[int],
+                  total: int, chunk: Optional[int] = None):
+    """The one body that moves a broadcast's bytes, over an explicit
+    member list (comm-local ranks).
 
-    Binomial tree by default; with ``chunk`` (and at least three members
-    to pipeline through), a chain-pipelined segment stream like
-    :func:`_bcast_chained` but confined to ``members``.
+    Binomial tree; or, given a ``chunk`` below the ``total`` packed bytes
+    and at least three members, a chain from the root: each member
+    receives segment ``k`` from its predecessor while its forward of
+    segment ``k - 1`` is still in flight (one outstanding send — the
+    rendezvous handshake cycle, but across ranks).  Segments travel as
+    ``segment=(offset, nbytes)`` sends, packed straight out of (and
+    unpacked straight into) user memory.
     """
     m = len(members)
-    if m == 1:
-        return
     idx = members.index(comm.rank)
     root_idx = members.index(root)
     relative = (idx - root_idx) % m
-    if chunk is not None and m >= 3 and total is not None and chunk < total:
+    if chunk is not None and m >= 3 and chunk < total:
         prev = members[(idx - 1) % m]
         nxt = members[(idx + 1) % m]
         pending = None
@@ -189,6 +170,7 @@ def _member_bcast(comm: "Communicator", buf: "Buffer", members: Sequence[int],
         if pending is not None:
             yield from pending.wait()
         return
+    # Climb masks until our lowest set bit: that's where our parent is.
     mask = 1
     while mask < m:
         if relative & mask:
@@ -197,6 +179,7 @@ def _member_bcast(comm: "Communicator", buf: "Buffer", members: Sequence[int],
                                  datatype=datatype, count=count)
             break
         mask <<= 1
+    # Forward to children below the bit where we received.
     mask >>= 1
     while mask > 0:
         child_rel = relative | mask
@@ -205,6 +188,43 @@ def _member_bcast(comm: "Communicator", buf: "Buffer", members: Sequence[int],
             yield from comm.send(buf, child, tag=tag, datatype=datatype,
                                  count=count)
         mask >>= 1
+
+
+def _bcast(comm: "Communicator", buf: "Buffer", root: int, datatype,
+           count: Optional[int], total: int,
+           groups: Optional[Sequence[Sequence[int]]]):
+    """Broadcast ``total`` packed bytes from ``root``: flat over every
+    rank in the policy's ``collective_chunk``, or, given locality
+    ``groups``, root -> group leaders across the switch (one message per
+    ringlet, chunked past ``policy.cross_chunk``) -> ringlet-local,
+    unchunked."""
+    policy = comm.device.policy
+    if groups is None:
+        yield from _member_bcast(comm, buf, range(comm.size), root,
+                                 COLL_TAG + 2, datatype, count, total,
+                                 policy.collective_chunk(total))
+        return
+    rank = comm.rank
+    my_group = next(g for g in groups if rank in g)
+    root_group = next(g for g in groups if root in g)
+    # The root speaks for its own group on the cross-switch stage.
+    leaders = [root if g is root_group else g[0] for g in groups]
+    if rank in leaders:
+        yield from _member_bcast(comm, buf, leaders, root, COLL_TAG + 9,
+                                 datatype, count, total,
+                                 policy.cross_switch_chunk(total))
+    yield from _member_bcast(comm, buf, my_group,
+                             leaders[groups.index(my_group)], COLL_TAG + 10,
+                             datatype, count, total)
+
+
+def _check_holds(name: str, buf: Optional["Buffer"], need: int,
+                 what: str) -> None:
+    """Reject ``buf`` unless it is given and holds ``need`` bytes."""
+    if buf is None:
+        raise MPIError(f"{name} is required ({what})")
+    if not 0 <= need <= buf.nbytes:
+        raise MPIError(f"{name} of {buf.nbytes} B cannot hold {need} B ({what})")
 
 
 def _check_reduction(op: str, datatype: BasicType, count: int,
@@ -219,12 +239,12 @@ def _check_reduction(op: str, datatype: BasicType, count: int,
     if op not in OPS:
         raise ValueError(f"unknown reduction op {op!r}")
     nbytes = count * datatype.size
-    for name, buf, need in (("sendbuf", sendbuf, blocks * nbytes),
-                            ("recvbuf", recvbuf, nbytes)):
-        if buf is not None and not 0 <= need <= buf.nbytes:
-            raise MPIError(f"{name} of {buf.nbytes} B cannot hold {need} B "
-                           f"(count={count}, {datatype.size} B each)")
-    if recvbuf is not None and recvbuf.space is sendbuf.space:
+    what = f"count={count}, {datatype.size} B each"
+    _check_holds("sendbuf", sendbuf, blocks * nbytes, what)
+    if recvbuf is None:
+        return
+    _check_holds("recvbuf", recvbuf, nbytes, what)
+    if recvbuf.space is sendbuf.space:
         lo, rlo = sendbuf.base, recvbuf.base
         if (lo < rlo + nbytes and rlo < lo + blocks * nbytes
                 and (lo != rlo or blocks > 1)):
@@ -277,100 +297,22 @@ def _member_reduce(comm: "Communicator", sendbuf: "Buffer",
         comm.free_scratch(scratch, own)
 
 
-def _bcast_hier(comm: "Communicator", buf: "Buffer", root: int, datatype,
-                count: Optional[int], total: int, groups: Sequence[Sequence[int]]):
-    """Hierarchical broadcast: root -> group leaders -> ringlet-local.
-
-    The cross-switch stage moves one message per ringlet over the scarce
-    crossbar/spine links (chunk-pipelined when the payload warrants it);
-    each leader then fans out inside its own ringlet.
-    """
-    rank = comm.rank
-    my_group = next(g for g in groups if rank in g)
-    root_group = next(g for g in groups if root in g)
-    # The root speaks for its own group on the cross-switch stage.
-    leaders = [root if g is root_group else g[0] for g in groups]
-    if rank in leaders:
-        chunk = comm.device.policy.cross_switch_chunk(total)
-        yield from _member_bcast(comm, buf, leaders, root, COLL_TAG + 9,
-                                 datatype=datatype, count=count,
-                                 chunk=chunk, total=total)
-    my_leader = leaders[groups.index(my_group)]
-    yield from _member_bcast(comm, buf, my_group, my_leader, COLL_TAG + 10,
-                             datatype=datatype, count=count)
-
-
 def bcast(comm: "Communicator", buf: "Buffer", root: int = 0,
           datatype=None, count: Optional[int] = None):
     """Broadcast: binomial tree, a chain-pipelined segment stream when
     the transfer policy asks for chunking, or the hierarchical algorithm
-    on multi-ringlet topologies."""
-    size = comm.size
-    if size == 1:
+    on multi-ringlet topologies (see :func:`_bcast`)."""
+    if comm.size == 1:
         return
         yield  # pragma: no cover - generator marker
-    dtype, rcount, total, chunk = _collective_chunk(comm, buf, datatype, count)
-    groups = _hier_groups(comm, "bcast", total) if total > 0 else None
-    if groups is not None:
-        yield from _bcast_hier(comm, buf, root, dtype, rcount, total, groups)
-        return
-    if chunk is not None:
-        yield from _bcast_chained(comm, buf, root, dtype, rcount, total, chunk)
-        return
-    rank = comm.rank
-    relative = (rank - root) % size
-    # Climb masks until our lowest set bit: that's where our parent is.
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            parent = ((relative & ~mask) + root) % size
-            yield from comm.recv(buf, source=parent, tag=COLL_TAG + 2,
-                                 datatype=datatype, count=count)
-            break
-        mask <<= 1
-    # Forward to children below the bit where we received.
-    mask >>= 1
-    while mask > 0:
-        child_rel = relative | mask
-        if child_rel != relative and child_rel < size:
-            child = (child_rel + root) % size
-            yield from comm.send(buf, child, tag=COLL_TAG + 2,
-                                 datatype=datatype, count=count)
-        mask >>= 1
-
-
-def _bcast_chained(comm: "Communicator", buf: "Buffer", root: int,
-                   datatype, count: int, total: int, chunk: int):
-    """Chain-pipelined chunked broadcast.
-
-    Ranks form a chain starting at the root; each rank receives segment
-    ``k`` of the packed stream from its predecessor while its forward of
-    segment ``k - 1`` to the successor is still in flight (one
-    outstanding send — the transport-level analogue of the rendezvous
-    handshake cycle, but across ranks).  Segments travel as
-    ``segment=(offset, nbytes)`` sends: the packing plan packs each range
-    straight out of (and unpacks straight into) user memory.
-    """
-    size, rank = comm.size, comm.rank
-    relative = (rank - root) % size
-    prev = (rank - 1) % size
-    nxt = (rank + 1) % size
-    pending = None
-    pos = 0
-    while pos < total:
-        n = min(chunk, total - pos)
-        seg = (pos, n)
-        if relative != 0:
-            yield from comm.recv(buf, source=prev, tag=COLL_TAG + 2,
-                                 datatype=datatype, count=count, segment=seg)
-        if relative != size - 1:
-            if pending is not None:
-                yield from pending.wait()
-            pending = comm.isend(buf, nxt, tag=COLL_TAG + 2,
-                                 datatype=datatype, count=count, segment=seg)
-        pos += n
-    if pending is not None:
-        yield from pending.wait()
+    dtype = datatype if datatype is not None else BYTE
+    dtype.commit()
+    if count is None and dtype.is_contiguous and dtype.size:
+        count = buf.nbytes // dtype.size
+    # Without a count a non-contiguous type is comm.send's to reject.
+    total = 0 if count is None else dtype.flattened.size * count
+    groups = _hier_groups(comm) if total > 0 else None
+    yield from _bcast(comm, buf, root, dtype, count, total, groups)
 
 
 def reduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
@@ -389,60 +331,47 @@ def reduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
                               COLL_TAG + 3)
 
 
-def _allreduce_hier(comm: "Communicator", sendbuf: "Buffer",
-                    recvbuf: "Buffer", op: str, datatype: BasicType,
-                    nbytes: int, groups: Sequence[Sequence[int]]):
-    """Hierarchical allreduce: ringlet-local reduce, leader exchange,
-    ringlet-local bcast.
-
-    Each ringlet reduces to its leader without touching a cross-switch
-    link; leaders then allreduce among themselves (one payload per
-    ringlet across the crossbar, chunk-pipelined when large) and fan the
-    result back out locally.  ``recvbuf`` is the accumulator of every
-    stage: it is output on every rank.
-    """
-    rank = comm.rank
-    my_group = next(g for g in groups if rank in g)
-    leader = my_group[0]
-    leaders = [g[0] for g in groups]
-    yield from _member_reduce(comm, sendbuf, recvbuf, nbytes, my_group,
-                              leader, op, datatype, COLL_TAG + 8)
-    if rank == leader:
-        yield from _member_reduce(comm, recvbuf, recvbuf, nbytes, leaders,
-                                  leaders[0], op, datatype, COLL_TAG + 9)
-        chunk = comm.device.policy.cross_switch_chunk(nbytes)
-        yield from _member_bcast(comm, recvbuf, leaders, leaders[0],
-                                 COLL_TAG + 9, datatype=BYTE, count=nbytes,
-                                 chunk=chunk, total=nbytes)
-    yield from _member_bcast(comm, recvbuf, my_group, leader, COLL_TAG + 10,
-                             datatype=BYTE, count=nbytes)
-
-
 def allreduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: "Buffer",
               op: str = "sum", datatype: BasicType = DOUBLE,
               count: Optional[int] = None):
-    """Reduce to rank 0 then broadcast; hierarchical on multi-ringlet
-    topologies (see :func:`_allreduce_hier`)."""
+    """Reduce, then broadcast from the reduce root (see :func:`_bcast`).
+
+    Flat: a binomial reduce over every rank to rank 0.  On multi-ringlet
+    topologies each ringlet reduces to its first rank without touching a
+    cross-switch link, and those leaders reduce to the first group's
+    (one payload per ringlet across the crossbar).  ``recvbuf`` is the
+    accumulator of every stage: it is output on every rank.
+    """
     if count is None:
         count = sendbuf.nbytes // datatype.size
     _check_reduction(op, datatype, count, sendbuf, recvbuf)
     nbytes = count * datatype.size
-    groups = _hier_groups(comm, "allreduce", nbytes)
-    if groups is not None:
-        yield from _allreduce_hier(comm, sendbuf, recvbuf, op, datatype,
-                                   nbytes, groups)
-        return
-    yield from _member_reduce(comm, sendbuf, recvbuf, nbytes,
-                              range(comm.size), 0, op, datatype, COLL_TAG + 3)
-    yield from bcast(comm, recvbuf, root=0, datatype=BYTE, count=nbytes)
+    groups = _hier_groups(comm)
+    if groups is None:
+        root = 0
+        yield from _member_reduce(comm, sendbuf, recvbuf, nbytes,
+                                  range(comm.size), root, op, datatype,
+                                  COLL_TAG + 3)
+    else:
+        my_group = next(g for g in groups if comm.rank in g)
+        leaders = [g[0] for g in groups]
+        root = leaders[0]
+        yield from _member_reduce(comm, sendbuf, recvbuf, nbytes, my_group,
+                                  my_group[0], op, datatype, COLL_TAG + 8)
+        if comm.rank == my_group[0]:
+            yield from _member_reduce(comm, recvbuf, recvbuf, nbytes, leaders,
+                                      root, op, datatype, COLL_TAG + 9)
+    yield from _bcast(comm, recvbuf, root, BYTE, nbytes, nbytes, groups)
 
 
 def gather(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
            root: int = 0, count: Optional[int] = None):
     """Linear gather of equal-sized contributions (bytes)."""
     n = count if count is not None else sendbuf.nbytes
+    what = f"count={n}, {comm.size} ranks"
+    _check_holds("sendbuf", sendbuf, n, what)
     if comm.rank == root:
-        assert recvbuf is not None and recvbuf.nbytes >= n * comm.size
+        _check_holds("recvbuf", recvbuf, n * comm.size, what)
         recvbuf.write(sendbuf.read(0, n), offset=comm.rank * n)
         for peer in range(comm.size):
             if peer == root:
@@ -457,8 +386,10 @@ def scatter(comm: "Communicator", sendbuf: Optional["Buffer"], recvbuf: "Buffer"
             root: int = 0, count: Optional[int] = None):
     """Linear scatter of equal-sized pieces (bytes)."""
     n = count if count is not None else recvbuf.nbytes
+    what = f"count={n}, {comm.size} ranks"
+    _check_holds("recvbuf", recvbuf, n, what)
     if comm.rank == root:
-        assert sendbuf is not None and sendbuf.nbytes >= n * comm.size
+        _check_holds("sendbuf", sendbuf, n * comm.size, what)
         recvbuf.write(sendbuf.read(root * n, n))
         for peer in range(comm.size):
             if peer == root:
@@ -471,13 +402,13 @@ def scatter(comm: "Communicator", sendbuf: Optional["Buffer"], recvbuf: "Buffer"
 
 def alltoall(comm: "Communicator", sendbuf: "Buffer", recvbuf: "Buffer",
              count: Optional[int] = None):
-    """Pairwise-exchange all-to-all of equal-sized pieces (bytes).
-
-    Round k: exchange with partner ``rank XOR k``-style shifted peer; the
-    classic pairwise algorithm for full exchanges.
-    """
+    """Pairwise-exchange all-to-all of equal-sized pieces (bytes): round
+    ``k`` sends to ``rank + k`` and receives from ``rank - k``."""
     size, rank = comm.size, comm.rank
     n = count if count is not None else sendbuf.nbytes // size
+    what = f"count={n}, {size} ranks"
+    _check_holds("sendbuf", sendbuf, n * size, what)
+    _check_holds("recvbuf", recvbuf, n * size, what)
     recvbuf.write(sendbuf.read(rank * n, n), offset=rank * n)
     if size == 1:
         return
@@ -517,6 +448,9 @@ def allgather(comm: "Communicator", sendbuf: "Buffer", recvbuf: "Buffer",
     """Ring allgather of equal-sized contributions (bytes)."""
     n = count if count is not None else sendbuf.nbytes
     size, rank = comm.size, comm.rank
+    what = f"count={n}, {size} ranks"
+    _check_holds("sendbuf", sendbuf, n, what)
+    _check_holds("recvbuf", recvbuf, n * size, what)
     recvbuf.write(sendbuf.read(0, n), offset=rank * n)
     if size == 1:
         return

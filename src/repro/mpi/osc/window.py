@@ -155,8 +155,8 @@ class OSCEngine:
             if plan is not None:
                 # Gather along the plan, scatter the result back: two ff
                 # pack loops on top of the read-modify-write.
-                cost += 2 * pack_cost_direct(
-                    memory, device.scheduler.plan_groups(plan), device.config)
+                groups = device.scheduler.message_groups(plan, 0, plan.total)
+                cost += 2 * pack_cost_direct(memory, groups, device.config)
             yield engine.timeout(cost)
             fetched = _load(view, msg.disp, plan, 0, n).view(msg.np_dtype)
             result = msg.data
@@ -241,8 +241,9 @@ class Win:
         #: Mode of each held passive-target lock (world rank -> exclusive).
         self._held_locks: dict[int, bool] = {}
         #: World ranks whose window segment became unmappable mid-epoch:
-        #: direct access is permanently degraded to the emulated path for
-        #: them (the :meth:`TransferPolicy.degraded_strategy` decision).
+        #: direct access and remote-put both need a valid mapping, so they
+        #: are permanently degraded to the emulated path, which maps
+        #: nothing remotely.
         self._degraded: set[int] = set()
         self.counters = {
             "direct_puts": 0,
@@ -315,7 +316,7 @@ class Win:
         strategy = self.policy.osc_op_strategy("put", n, part.shared,
                                                run is not None)
         if strategy == OSCStrategy.DIRECT and wtarget in self._degraded:
-            strategy = self.policy.degraded_strategy(strategy)
+            strategy = OSCStrategy.EMULATED
         if strategy == OSCStrategy.DIRECT:
             # Direct path: transparent remote stores (retransmitted on
             # injected transient faults).
@@ -351,7 +352,7 @@ class Win:
         """Record the fallback decision for an unmappable target segment."""
         self._degraded.add(wtarget)
         self.device.recovery["fallbacks"] += 1
-        return self.policy.degraded_strategy(OSCStrategy.DIRECT)
+        return OSCStrategy.EMULATED
 
     def _emulated_put(self, wtarget, target_disp, payload, plan):
         n = payload.nbytes
@@ -385,7 +386,7 @@ class Win:
         strategy = self.policy.osc_op_strategy("get", nbytes, part.shared,
                                                run is not None)
         if strategy != OSCStrategy.EMULATED and wtarget in self._degraded:
-            strategy = self.policy.degraded_strategy(strategy)
+            strategy = OSCStrategy.EMULATED
         if strategy == OSCStrategy.DIRECT:
             # Small direct read: transparent remote loads (CPU stalls),
             # retransmitted on injected transient faults.

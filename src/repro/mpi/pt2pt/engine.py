@@ -235,14 +235,13 @@ class RankDevice:
 
         dtype = datatype if datatype is not None else BYTE
         dtype.commit()
-        ft = dtype.flattened
         if count is None:
             if not dtype.is_contiguous:
                 raise MPIError("count is required for non-contiguous datatypes")
             count = buf.nbytes // dtype.size if dtype.size else 0
         plan = dtype.buffer_plan(buf, count)
         seg_off, total = self._resolve_segment(plan, segment)
-        return dtype, ft, count, plan, seg_off, total
+        return dtype, plan, seg_off, total
 
     # -- send ------------------------------------------------------------------------
 
@@ -259,7 +258,7 @@ class RankDevice:
         """
         if not 0 <= dest < self.world.n_ranks:
             raise MPIError(f"invalid destination rank {dest}")
-        dtype, ft, count, plan, seg_off, total = self._message(
+        dtype, plan, seg_off, total = self._message(
             buf, datatype, count, segment
         )
         mem = buf.space.mem
@@ -279,21 +278,20 @@ class RankDevice:
 
         if protocol == Protocol.SHORT:
             yield from scheduler.send_short(
-                dest, env, mem, base, ft, plan, count, seg_off, total,
+                dest, env, mem, base, plan, seg_off, total,
                 dtype.is_contiguous, sync_reply,
             )
             self.counters["short"] += 1
         elif protocol == Protocol.EAGER:
             yield from scheduler.send_eager(
-                dest, env, mem, base, ft, plan, count, seg_off, total, mode,
+                dest, env, mem, base, plan, seg_off, total, mode,
                 src_cached, sync_reply,
             )
             self.counters["eager"] += 1
         else:
             # Rendezvous is inherently synchronous.
             yield from scheduler.send_rndv(
-                dest, env, mem, base, ft, plan, count, seg_off, total, mode,
-                src_cached,
+                dest, env, mem, base, plan, seg_off, total, mode, src_cached,
             )
             self.counters["rndv"] += 1
             sync_reply = None
@@ -319,7 +317,7 @@ class RankDevice:
              datatype: Optional[Datatype] = None, count: Optional[int] = None,
              context: int = 0, segment: Optional[tuple[int, int]] = None):
         """Blocking receive (DES generator); returns a Status."""
-        dtype, ft, count, plan, seg_off, capacity = self._message(
+        dtype, plan, seg_off, capacity = self._message(
             buf, datatype, count, segment
         )
         mem = buf.space.mem
@@ -336,7 +334,7 @@ class RankDevice:
 
         if isinstance(msg, ShortMsg):
             n = yield from scheduler.recv_short(
-                msg, mem, base, ft, plan, count, seg_off, capacity, contiguous
+                msg, mem, base, plan, seg_off, capacity, contiguous
             )
             self._trace("recv.end", source=msg.envelope.source,
                         protocol="short", nbytes=n)
@@ -351,8 +349,7 @@ class RankDevice:
                                       msg.envelope.source, False))
         if isinstance(msg, EagerMsg):
             n = yield from scheduler.recv_eager(
-                msg, mem, base, ft, plan, count, seg_off, capacity, mode,
-                contiguous,
+                msg, mem, base, plan, seg_off, capacity, mode, contiguous,
             )
             self._trace("recv.end", source=msg.envelope.source,
                         protocol="eager", nbytes=n)
@@ -360,7 +357,7 @@ class RankDevice:
 
         assert isinstance(msg, RndvRequest)
         total = yield from scheduler.recv_rndv(
-            msg, mem, base, ft, plan, count, seg_off, capacity, mode, contiguous
+            msg, mem, base, plan, seg_off, capacity, mode, contiguous
         )
         self._trace("recv.end", source=msg.envelope.source,
                     protocol="rndv", nbytes=total)

@@ -167,14 +167,6 @@ class TransferPolicy:
             return TransferMode.DIRECT
         return verdict()
 
-    def chunk_size(self) -> int:
-        """Rendezvous handshake-cycle size (kept below L2, Sec. 3.3.2)."""
-        return self.config.rendezvous_chunk
-
-    def eager_slots(self) -> int:
-        """Credit window: eager slots per (sender, receiver) pair."""
-        return self.config.eager_slots
-
     def src_cached(self, total: int, node: "Node") -> bool:
         """Is the source likely still in L2 while being fed to the wire?"""
         return 2 * total <= node.params.memory.caches.l2_size
@@ -223,33 +215,24 @@ class TransferPolicy:
             return self.get_strategy(nbytes, shared, simple_run)
         raise ValueError(f"unknown RMA operation {op!r}")
 
-    def degraded_strategy(self, strategy: str) -> str:
-        """Fallback strategy once a target segment became unmappable.
-
-        Direct stores/loads and remote-put all need a valid mapping of
-        the peer's window; when the mapping is revoked mid-epoch the only
-        path that still works is emulation (control message + interrupt +
-        target-side handler), which maps nothing remotely.
-        """
-        del strategy  # every degraded path lands on emulation
-        return OSCStrategy.EMULATED
-
     # -- collectives ---------------------------------------------------------------
 
-    def collective_chunk(self, nbytes: int, size: int) -> Optional[int]:
-        """Segment size for chunked collectives; ``None`` keeps the
-        monolithic algorithms.
+    def collective_chunk(self, nbytes: int) -> Optional[int]:
+        """Segment size for a flat broadcast of ``nbytes``; ``None``
+        keeps the binomial tree.
 
         The base policy never chunks — the seed behaviour.  Chunking only
         pays where segments *pipeline* across ranks (see
         :class:`ChunkedCollectivesPolicy`); the ring allgather and the
         pairwise alltoall are already pipelined at message granularity.
+        Whether a chain can pipeline at all (three members, a chunk
+        below the payload) is the broadcast's own test.
         """
         return None
 
-    def hierarchical_collective(self, kind: str, nbytes: int, size: int,
-                                n_groups: int) -> bool:
-        """Run ``kind`` (``bcast`` / ``allreduce``) hierarchically?
+    def hierarchical_collective(self, size: int, n_groups: int) -> bool:
+        """Run bcast / allreduce over ``size`` ranks in ``n_groups``
+        locality domains hierarchically?
 
         Hierarchical algorithms aggregate within each locality domain
         (ringlet, leaf switch) before touching a cross-switch link, so
@@ -260,7 +243,6 @@ class TransferPolicy:
         pre-topology code.  A group must also be non-trivial on average
         (``size > n_groups``) for local aggregation to save anything.
         """
-        del kind, nbytes
         if not self.hier_collectives or n_groups <= 1:
             return False
         return size > n_groups
@@ -307,14 +289,14 @@ class ChunkedCollectivesPolicy(TransferPolicy):
     of ranks, so rank ``r`` forwards segment ``k`` while receiving segment
     ``k + 1`` — the transport-level analogue of the rendezvous handshake
     cycle, but across ranks.  With fewer than three ranks there is nothing
-    to pipeline and the policy falls back to monolithic sends.
+    to pipeline and the broadcast keeps its binomial tree.
     """
 
     coll_chunk: int = 64 * 1024
     coll_pipeline_threshold: int = 64 * 1024
 
-    def collective_chunk(self, nbytes: int, size: int) -> Optional[int]:
-        if size < 3 or nbytes <= self.coll_pipeline_threshold:
+    def collective_chunk(self, nbytes: int) -> Optional[int]:
+        if nbytes <= self.coll_pipeline_threshold:
             return None
         return self.coll_chunk
 

@@ -53,7 +53,7 @@ from .policy import VERDICT_CANDIDATES, TransferMode
 from .store import RemoteStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..flatten import FlattenedType, PackPlan
+    from ..flatten import PackPlan
     from ..pt2pt.engine import RankDevice
 
 __all__ = ["ChunkCredit", "ChunkReady", "RndvAck", "TransferScheduler"]
@@ -180,7 +180,7 @@ class TransferScheduler:
         step = total if eager else cfg.rendezvous_chunk
         chunks = [(seg_off + pos, min(step, total - pos))
                   for pos in range(0, total, step)]
-        whole = self.message_groups(plan, plan.ft, plan.count, seg_off, total)
+        whole = self.message_groups(plan, seg_off, total)
         if not sending:
             cost = sum(self.chunk_drain_cost(mode, False, plan, pos, n)
                        for pos, n in chunks)
@@ -235,13 +235,8 @@ class TransferScheduler:
         return plan.groups_in_range(pos, nbytes)
 
     @staticmethod
-    def plan_groups(plan: "PackPlan") -> list[tuple[int, int]]:
-        """Whole-plan block groups (what the generic traversal walks)."""
-        return plan.ft.block_length_groups(plan.count)
-
-    @staticmethod
-    def message_groups(plan: "PackPlan", ft: "FlattenedType", count: int,
-                       seg_off: int, total: int) -> list[tuple[int, int]]:
+    def message_groups(plan: "PackPlan", seg_off: int,
+                       total: int) -> list[tuple[int, int]]:
         """Block groups of a whole message (or of one stream segment).
 
         Whole messages use the flattened type's per-leaf grouping (what
@@ -249,7 +244,7 @@ class TransferScheduler:
         coalesced range view.
         """
         if seg_off == 0 and total == plan.total:
-            return ft.block_length_groups(count)
+            return plan.ft.block_length_groups(plan.count)
         return plan.groups_in_range(seg_off, total)
 
     # -- chunk write with accounting -------------------------------------------------
@@ -368,20 +363,20 @@ class TransferScheduler:
 
     # -- send protocols ---------------------------------------------------------------
 
-    def send_short(self, dest, env, mem, base, ft, plan, count, seg_off,
+    def send_short(self, dest, env, mem, base, plan, seg_off,
                    total, contiguous, sync_reply):
         """Short protocol: pack inline (tiny either way) + one ctrl packet."""
         device = self.device
         # A copy even when contiguous: the ShortMsg outlives this send.
         payload = plan.execute_pack(mem, base, seg_off, total)
         if not contiguous:
-            groups = self.message_groups(plan, ft, count, seg_off, total)
+            groups = self.message_groups(plan, seg_off, total)
             yield device.engine.timeout(
                 pack_cost_direct(device.node.memory, groups, device.config)
             )
         yield from device.send_ctrl(dest, ShortMsg(env, payload, sync_reply))
 
-    def send_eager(self, dest, env, mem, base, ft, plan, count, seg_off,
+    def send_eager(self, dest, env, mem, base, plan, seg_off,
                    total, mode, src_cached, sync_reply=None):
         """Eager protocol: one credited slot write + control packet."""
         device = self.device
@@ -397,7 +392,7 @@ class TransferScheduler:
         slot_offset = device.eager_slot_offset(slot)
 
         if mode == TransferMode.GENERIC:
-            groups = self.message_groups(plan, ft, count, seg_off, total)
+            groups = self.message_groups(plan, seg_off, total)
             yield device.engine.timeout(
                 pack_cost_generic(device.node.memory, groups, cfg)
             )
@@ -529,7 +524,7 @@ class TransferScheduler:
         yield engine.wake_at(end, name="stream-window")
         return pos + k * n, index + k
 
-    def send_rndv(self, dest, env, mem, base, ft, plan, count, seg_off,
+    def send_rndv(self, dest, env, mem, base, plan, seg_off,
                   total, mode, src_cached):
         """Rendezvous protocol: handshake, then credit-paced chunk stream."""
         device = self.device
@@ -545,7 +540,7 @@ class TransferScheduler:
             # registered memory with the fast ff loop, then DMA the chunks.
             pack_cost = (pack_cost_generic if mode == TransferMode.GENERIC
                          else pack_cost_direct)
-            groups = self.message_groups(plan, ft, count, seg_off, total)
+            groups = self.message_groups(plan, seg_off, total)
             yield device.engine.timeout(
                 pack_cost(device.node.memory, groups, cfg))
             packed = plan.execute_pack(mem, base, seg_off, total)
@@ -589,7 +584,7 @@ class TransferScheduler:
 
     # -- receive protocols -------------------------------------------------------------
 
-    def recv_short(self, msg: ShortMsg, mem, base, ft, plan, count, seg_off,
+    def recv_short(self, msg: ShortMsg, mem, base, plan, seg_off,
                    capacity, contiguous):
         device = self.device
         n = msg.data.nbytes
@@ -606,7 +601,7 @@ class TransferScheduler:
                                         to_channel=msg.sync_reply)
         return n
 
-    def recv_eager(self, msg: EagerMsg, mem, base, ft, plan, count, seg_off,
+    def recv_eager(self, msg: EagerMsg, mem, base, plan, seg_off,
                    capacity, mode, contiguous):
         device = self.device
         n = msg.nbytes
@@ -676,7 +671,7 @@ class TransferScheduler:
         node = self.device.smi.node_of(source).node_id
         return 0 if qos.lane_of_node(node) == LANE_RESERVED else 1
 
-    def recv_rndv(self, msg: RndvRequest, mem, base, ft, plan, count, seg_off,
+    def recv_rndv(self, msg: RndvRequest, mem, base, plan, seg_off,
                   capacity, mode, contiguous):
         """Receiver side of the chunk stream: drain, unpack, credit."""
         device = self.device
@@ -735,7 +730,7 @@ class TransferScheduler:
                 )
             if packed_tmp is not None:
                 # Generic: the final recursive unpack of the whole message.
-                groups = self.message_groups(plan, ft, count, seg_off, total)
+                groups = self.message_groups(plan, seg_off, total)
                 yield device.engine.timeout(
                     pack_cost_generic(memory, groups, cfg)
                 )

@@ -29,6 +29,22 @@ class TestScatter:
         assert run.results == [1, 2, 3, 4]
 
 
+class TestGather:
+    @pytest.mark.parametrize("root", [0, 2])
+    def test_gather_pieces(self, root):
+        def program(ctx, root=root):
+            comm = ctx.comm
+            send = ctx.alloc(16)
+            send.fill(comm.rank + 1)
+            recv = ctx.alloc(16 * comm.size) if comm.rank == root else None
+            yield from comm.gather(send, recv, root=root)
+            return None if recv is None else recv.tobytes()
+
+        run = Cluster(n_nodes=4).run(program)
+        assert run.results[root] == b"".join(bytes([r + 1]) * 16 for r in range(4))
+        assert [r for i, r in enumerate(run.results) if i != root] == [None] * 3
+
+
 class TestAlltoall:
     def test_full_exchange(self):
         def program(ctx):
@@ -137,18 +153,6 @@ class TestLocalityGroups:
     """The collectives' locality groups are resolved once per communicator
     group and shared; results and timings are what the per-call walk gave."""
 
-    @staticmethod
-    def _run(hierarchical, program):
-        from repro.hardware.sci.topology import RingOfRings
-        from repro.mpi.flatten import reset_plan_cache
-        from repro.mpi.transport.policy import ChunkedCollectivesPolicy
-
-        reset_plan_cache()
-        topology = RingOfRings(3, 4)
-        cluster = Cluster(n_nodes=topology.n_nodes, topology=topology,
-                          policy=ChunkedCollectivesPolicy(hier_collectives=hierarchical))
-        return cluster, cluster.run(program)
-
     def test_groups_are_shared_and_per_communicator(self):
         from repro.mpi.coll.collectives import _topology_groups
 
@@ -163,7 +167,8 @@ class TestLocalityGroups:
             assert _topology_groups(ringlet) is None  # a single domain
             return world_groups, sub.group, sub_groups
 
-        cluster, run = self._run(True, program)
+        cluster = self._cluster("hier-3x4")
+        run = cluster.run(program)
         world_groups = run.results[0][0]
         assert world_groups == ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11))
         assert all(groups is world_groups for groups, _, _ in run.results)
@@ -176,14 +181,36 @@ class TestLocalityGroups:
         assert set(memo) == {tuple(range(12)), evens[1], odds[1],
                              (0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)}
 
-    @pytest.mark.parametrize("hierarchical, bcast_us, allreduce_us", [
-        # Simulated µs measured with the per-call walk (parent commit).
-        (True, 3828.5009638554207, 8615.477168674703),
-        (False, 7339.086847389551, 14356.103614457861),
+    @staticmethod
+    def _cluster(case):
+        from repro.mpi.transport.policy import ChunkedCollectivesPolicy
+
+        if case == "default-ring8":
+            return Cluster(n_nodes=8)
+        if case.endswith("-2"):
+            policy = ChunkedCollectivesPolicy() if case == "chunked-2" else None
+            return Cluster(n_nodes=2, policy=policy)
+        topology = RingOfRings(3, 4)
+        return Cluster(n_nodes=topology.n_nodes, topology=topology,
+                       policy=ChunkedCollectivesPolicy(
+                           hier_collectives=not case.startswith("flat")))
+
+    @pytest.mark.parametrize("case, root, count, bcast_us, allreduce_us, events", [
+        # Simulated µs and engine events measured at the parent commit.
+        ("hier-3x4", 5, 96 * KiB, 3828.5009638554207, 8615.477168674703, 861),
+        ("flat-3x4", 5, 96 * KiB, 7339.086847389551, 14356.103614457861, 1147),
+        # The default policy's binomial tree.
+        ("default-ring8", 3, 96 * KiB, 2870.5357228915664, 5819.826923543965, 549),
+        # Two ranks have no chain to pipeline: the chunked policy's
+        # broadcast is the binomial tree.
+        ("default-2", 1, 96 * KiB, 956.5252409638556, 1913.0504819277107, 81),
+        ("chunked-2", 1, 96 * KiB, 956.5252409638556, 1913.0504819277107, 81),
+        # An empty allreduce keeps the hierarchical message pattern.
+        ("hier-3x4", 5, 0, 5.500000000000001, 11.2, 234),
     ])
-    def test_bcast_and_allreduce_are_unchanged(self, hierarchical, bcast_us,
-                                               allreduce_us):
-        from repro.mpi.datatypes import BYTE
+    def test_bcast_and_allreduce_are_unchanged(self, case, root, count,
+                                               bcast_us, allreduce_us, events):
+        from repro.mpi.flatten import reset_plan_cache
 
         nbytes = 96 * KiB
         pattern = (np.arange(nbytes) % 251).astype(np.uint8)
@@ -192,24 +219,28 @@ class TestLocalityGroups:
             comm = ctx.comm
             buf = ctx.alloc(nbytes)
             recv = ctx.alloc(nbytes)
-            if comm.rank == 5:
+            if comm.rank == root:
                 buf.read()[:] = pattern
             t0 = ctx.now
-            yield from comm.bcast(buf, root=5)
+            yield from comm.bcast(buf, root=root, datatype=BYTE, count=count)
             t1 = ctx.now
             got = buf.read().copy()
             buf.read()[:] = pattern + np.uint8(comm.rank)  # wraps mod 256
-            yield from comm.allreduce(buf, recv, op="sum", datatype=BYTE)
+            yield from comm.allreduce(buf, recv, op="sum", datatype=BYTE,
+                                      count=count)
             return got, recv.read().copy(), t1 - t0, ctx.now - t1
 
-        _, run = self._run(hierarchical, program)
-        n = 12
+        reset_plan_cache()
+        cluster = self._cluster(case)
+        run = cluster.run(program)
+        n = len(run.results)
         total = (n * pattern.astype(np.int64) + n * (n - 1) // 2) % 256
         for got, reduced, _, _ in run.results:
-            assert np.array_equal(got, pattern)
-            assert np.array_equal(reduced, total.astype(np.uint8))
+            assert np.array_equal(got[:count], pattern[:count])
+            assert np.array_equal(reduced[:count], total[:count].astype(np.uint8))
         assert max(r[2] for r in run.results) == bcast_us
         assert max(r[3] for r in run.results) == allreduce_us
+        assert cluster.engine.events_processed == events
 
 
 # -- reductions that borrow memory and give it back ---------------------------
@@ -606,3 +637,63 @@ class TestReductionArguments:
         assert first == bytes([3]) * 32 + bytes([1]) * 32
         assert second[32:] == bytes([2]) * 32
         assert second[:32] == bytes([3 if name == "allreduce" else 2]) * 32
+
+
+class TestBlockArguments:
+    """Gather, scatter, allgather and alltoall refuse a buffer too small
+    for their blocks (or a missing root buffer) with an MPIError before
+    the first message, not an assertion or an out-of-bounds slice in the
+    middle of the exchange."""
+
+    N = 256  # bytes per block; two ranks
+
+    #: name -> (call, blocks in ``sendbuf``, blocks in ``recvbuf``).
+    CALLS = {
+        "gather": (lambda comm, send, recv, count: comm.gather(
+            send, recv, root=0, count=count), 1, 2),
+        "scatter": (lambda comm, send, recv, count: comm.scatter(
+            send, recv, root=0, count=count), 2, 1),
+        "allgather": (lambda comm, send, recv, count: comm.allgather(
+            send, recv, count=count), 1, 2),
+        "alltoall": (lambda comm, send, recv, count: comm.alltoall(
+            send, recv, count=count), 2, 2),
+    }
+
+    #: (call, case, what the error names, checked on the root only).
+    CASES = [
+        ("gather", "short-sendbuf", r"sendbuf of 255 B cannot hold 256 B", False),
+        ("gather", "short-recvbuf", r"recvbuf of 511 B cannot hold 512 B", True),
+        ("gather", "missing-recvbuf", r"recvbuf is required", True),
+        ("gather", "negative-count", r"sendbuf of 256 B cannot hold -8 B", False),
+        ("scatter", "short-sendbuf", r"sendbuf of 511 B cannot hold 512 B", True),
+        ("scatter", "missing-sendbuf", r"sendbuf is required", True),
+        ("scatter", "short-recvbuf", r"recvbuf of 255 B cannot hold 256 B", False),
+        ("scatter", "negative-count", r"recvbuf of 256 B cannot hold -8 B", False),
+        ("allgather", "short-sendbuf", r"sendbuf of 255 B cannot hold 256 B", False),
+        ("allgather", "short-recvbuf", r"recvbuf of 511 B cannot hold 512 B", False),
+        ("allgather", "negative-count", r"sendbuf of 256 B cannot hold -8 B", False),
+        ("alltoall", "short-sendbuf", r"sendbuf of 511 B cannot hold 512 B", False),
+        ("alltoall", "short-recvbuf", r"recvbuf of 511 B cannot hold 512 B", False),
+        ("alltoall", "negative-count", r"sendbuf of 512 B cannot hold -16 B", False),
+    ]
+
+    @pytest.mark.parametrize("name, case, error, root_only", CASES,
+                             ids=[f"{n}-{c}" for n, c, _, _ in CASES])
+    def test_rejected_before_the_first_message(self, name, case, error,
+                                               root_only):
+        call, send_blocks, recv_blocks = self.CALLS[name]
+        n = self.N
+
+        def program(ctx):
+            if root_only and ctx.comm.rank != 0:
+                return 0  # the root fails before any message reaches it
+            send = ctx.alloc(send_blocks * n - (case == "short-sendbuf"))
+            recv = ctx.alloc(recv_blocks * n - (case == "short-recvbuf"))
+            send = None if case == "missing-sendbuf" else send
+            recv = None if case == "missing-recvbuf" else recv
+            count = -8 if case == "negative-count" else n
+            with pytest.raises(MPIError, match=error):
+                yield from call(ctx.comm, send, recv, count)
+            return ctx.comm.device.counters["sends"]
+
+        assert Cluster(n_nodes=2).run(program).results == [0, 0]

@@ -359,13 +359,13 @@ class TestPerLinkAccounting:
 class TestTopologyAwarePolicy:
     def test_hierarchical_wants_multiple_groups(self):
         policy = TransferPolicy()
-        assert policy.hierarchical_collective("bcast", 64 * KiB, 64, 8)
-        assert not policy.hierarchical_collective("bcast", 64 * KiB, 64, 1)
-        assert not policy.hierarchical_collective("bcast", 64 * KiB, 8, 8)
+        assert policy.hierarchical_collective(64, 8)
+        assert not policy.hierarchical_collective(64, 1)
+        assert not policy.hierarchical_collective(8, 8)
 
     def test_hierarchical_can_be_disabled(self):
         policy = TransferPolicy(hier_collectives=False)
-        assert not policy.hierarchical_collective("allreduce", 64 * KiB, 64, 8)
+        assert not policy.hierarchical_collective(64, 8)
         assert policy.describe()["hier_collectives"] == 0
 
     def test_cross_switch_chunk(self):
