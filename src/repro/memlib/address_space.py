@@ -2,7 +2,9 @@
 
 Each simulated MPI rank owns one :class:`AddressSpace`.  All message data,
 packet buffers and RMA windows live inside these arrays, so every transfer
-in the simulation moves real bytes and tests can assert byte-exact delivery.
+moves real bytes and tests can assert byte-exact delivery.  Only eager slots
+and the OSC response region stage bytes on their way; rendezvous packet
+buffers set what a chunk costs, but no transfer writes their pages.
 
 Allocation is a simple bump allocator with alignment — fragmentation never
 matters because simulated programs allocate a fixed set of buffers up front,

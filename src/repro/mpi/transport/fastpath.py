@@ -30,8 +30,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ...hardware.sci.transactions import CostTable
 
 __all__ = [
@@ -70,23 +68,18 @@ class RecvWindowCosts:
 
 @dataclass
 class StreamWindow:
-    """``count`` steady-state rendezvous chunks collapsed into one message.
+    """Steady-state rendezvous chunks collapsed into one message.
 
     The sender has already advanced the engine clock through every
     handshake cycle of the window (analytically, bit-identical to the
-    event-stepped path) and carries the packed payload of all chunks;
-    the receiver unpacks in one pass and returns **no** credits — the
-    window protocol replaces them (see ``docs/ENGINE.md``).
-    ``end_time`` is the simulated instant the last cycle completes
-    (receiver-side sanity checks only).
+    event-stepped path) and landed the window's bytes through
+    ``RndvAck.land``; the receiver advances its stream position and
+    returns **no** credits — the window protocol replaces them (see
+    ``docs/ENGINE.md``).
     """
 
-    start_index: int
-    pos: int            # stream position (message-relative) of the first chunk
-    count: int          # number of chunks in the window
-    nbytes: int         # payload bytes per chunk (all full-size)
-    payload: np.ndarray  # all chunks' packed bytes; may alias the sender
-    end_time: float
+    pos: int     # stream position (message-relative) of the first chunk
+    nbytes: int  # bytes of all the window's chunks
 
 
 @contextmanager

@@ -29,7 +29,8 @@ rank's transfers consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
@@ -66,6 +67,9 @@ class RndvAck:
     chunk_channel: Channel
     region: Any  # the receiver's rendezvous SharedRegion
     chunk_size: int
+    #: ``land(pos, data)`` puts stream bytes at message position ``pos``
+    #: where the receive wants them; the sender's chunk writes call it.
+    land: Callable[[int, np.ndarray], None]
     #: Receiver-side stream-window support (``None`` = event path only).
     window: Optional[RecvWindowCosts] = None
 
@@ -251,8 +255,7 @@ class TransferScheduler:
 
     def _write_chunk(self, dst: int, region, offset: int, data: np.ndarray,
                      mode: str, groups: list[tuple[int, int]],
-                     src_cached: bool, plan: Optional["PackPlan"] = None,
-                     stream_off: int = 0):
+                     src_cached: bool, land, plan: "PackPlan", stream_off: int):
         """Deliver one packet-buffer chunk, recovering from injected faults.
 
         On a clean fabric this is a single :meth:`RemoteStore.write_packed`
@@ -277,15 +280,14 @@ class TransferScheduler:
             nonlocal writes
             writes += 1
             if pos == 0:
-                part, part_groups = data, groups
-            elif plan is not None and mode == TransferMode.DIRECT:
-                part = data[pos:]
+                part_groups = groups
+            elif mode == TransferMode.DIRECT:
                 part_groups = plan.groups_in_range(stream_off + pos, n - pos)
             else:
-                part = data[pos:]
                 part_groups = [(n - pos, 1)]
             yield from self.store.write_packed(
-                dst, region, offset + pos, part, mode, part_groups, src_cached)
+                dst, region, offset + pos, data[pos:], mode, part_groups,
+                src_cached, land)
 
         def resume(delivered: int) -> dict:
             # Torn mid-stream: the prefix landed; resume the remaining
@@ -390,6 +392,7 @@ class TransferScheduler:
         slot = free.pop()
         peer_region = device.world.device(dest).eager_regions[device.rank]
         slot_offset = device.eager_slot_offset(slot)
+        slots = peer_region.local_view()
 
         if mode == TransferMode.GENERIC:
             groups = self.message_groups(plan, seg_off, total)
@@ -400,6 +403,7 @@ class TransferScheduler:
         groups = self.chunk_groups(mode, plan, seg_off, total)
         yield from self._write_chunk(
             dest, peer_region, slot_offset, data, mode, groups, src_cached,
+            lambda offset, part: np.copyto(slots[offset : offset + part.nbytes], part),
             plan=plan, stream_off=seg_off,
         )
         yield from device.send_ctrl(
@@ -507,11 +511,8 @@ class TransferScheduler:
             end = end + ctrl_send + drain_cost + ctrl_credit
         engine.events_coalesced += 5 * k
 
-        payload = (packed[pos : pos + k * n] if packed is not None
-                   else plan.stream_view(mem, base, seg_off + pos, k * n))
-        # The event path leaves the last-written chunk in the packet
-        # buffer; mirror that so memory state cannot diverge either.
-        ack.region.local_view()[:n] = payload[(k - 1) * n :]
+        ack.land(pos, packed[pos : pos + k * n] if packed is not None
+                 else plan.stream_view(mem, base, seg_off + pos, k * n))
         fabric.counters["pio_writes"] += k
         fabric.counters["bytes_written"] += k * n
         self.stats["chunks"] += k
@@ -519,8 +520,7 @@ class TransferScheduler:
         self.fastpath["windows"] += 1
         self.fastpath["window_chunks"] += k
 
-        ack.chunk_channel.try_put(
-            StreamWindow(index, pos, k, n, payload, end))
+        ack.chunk_channel.try_put(StreamWindow(pos, k * n))
         yield engine.wake_at(end, name="stream-window")
         return pos + k * n, index + k
 
@@ -569,6 +569,7 @@ class TransferScheduler:
                 chunk_mode = mode
             yield from self._write_chunk(
                 dest, ack.region, 0, data, chunk_mode, groups, src_cached,
+                lambda offset, part: ack.land(pos + offset, part),
                 plan=plan, stream_off=seg_off + pos,
             )
             last = pos + n >= total
@@ -645,10 +646,10 @@ class TransferScheduler:
             ctrl_cost=self.device.config.ctrl_send_cost)
 
     @staticmethod
-    def _land(data, mem, base, plan, packed_tmp, seg_off: int,
-              pos: int) -> None:
-        """Put drained stream bytes at ``pos`` where they belong: the
-        generic receiver's packed temp, or straight into user memory."""
+    def _land(mem, base, plan, seg_off: int, packed_tmp, pos: int,
+              data) -> None:
+        """Put stream bytes at ``pos`` where they belong: the generic
+        receiver's packed temp, or straight into user memory."""
         if packed_tmp is not None:
             packed_tmp[pos : pos + data.nbytes] = data
         else:
@@ -686,28 +687,30 @@ class TransferScheduler:
             chunk_channel: Channel = Channel(
                 device.engine, name=f"rndv-chunks-r{device.rank}"
             )
-            ack = RndvAck(chunk_channel, device.rndv_region, cfg.rendezvous_chunk,
-                          window=self._window_support(mode, contiguous, plan,
-                                                      seg_off))
-            yield from device.send_ctrl(msg.envelope.source, ack,
-                                        to_channel=msg.reply)
-
             packed_tmp: Optional[np.ndarray] = (
                 np.empty(total, dtype=np.uint8)
                 if mode == TransferMode.GENERIC
                 else None
             )
+            # The sender's chunk writes land the bytes: the packet buffer
+            # sets their cost, never holds them.
+            ack = RndvAck(chunk_channel, device.rndv_region, cfg.rendezvous_chunk,
+                          partial(self._land, mem, base, plan, seg_off,
+                                  packed_tmp),
+                          window=self._window_support(mode, contiguous, plan,
+                                                      seg_off))
+            yield from device.send_ctrl(msg.envelope.source, ack,
+                                        to_channel=msg.reply)
+
             fault_plan = device.world.smi.fabric.fault_plan
             pos = 0
             while pos < total:
                 ready = yield chunk_channel.get()
                 if isinstance(ready, StreamWindow):
-                    # One pass, no simulated time and no credits: the
-                    # sender's replay already ran every cycle's clock.
+                    # No simulated time and no credits: the sender's replay
+                    # ran every cycle's clock and landed the window's bytes.
                     assert ready.pos == pos, (ready.pos, pos)
-                    self._land(ready.payload, mem, base, plan, packed_tmp,
-                               seg_off, pos)
-                    pos += ready.count * ready.nbytes
+                    pos += ready.nbytes
                     continue
                 if fault_plan is not None:
                     # Injected node stall: this rank's receive path is
@@ -719,10 +722,6 @@ class TransferScheduler:
                 n = ready.nbytes
                 yield device.engine.timeout(self.chunk_drain_cost(
                     mode, contiguous, plan, seg_off + pos, n))
-                # Drained in place: the sender rewrites the packet buffer
-                # only after this chunk's credit.
-                self._land(device.rndv_region.local_view()[:n], mem, base,
-                           plan, packed_tmp, seg_off, pos)
                 pos += n
                 yield from device.send_ctrl(
                     msg.envelope.source, ChunkCredit(ready.index),

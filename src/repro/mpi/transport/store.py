@@ -97,18 +97,20 @@ class RemoteStore:
 
     def write_packed(self, dst: int, region: "SharedRegion", offset: int,
                      data: np.ndarray, mode: str,
-                     groups: list[tuple[int, int]], src_cached: bool):
-        """Ship ``data`` into ``region[offset:]`` at rank ``dst``.
+                     groups: list[tuple[int, int]], src_cached: bool, land):
+        """Ship ``data`` to rank ``dst`` as a write into ``region[offset:]``.
 
         Remote: transparent PIO stores (or the DMA engine), costed by the
-        transfer technique.  Local: the pack loop / protocol copy *is* the
-        delivery.
+        transfer technique and by ``region`` (its mapping, the offset's
+        alignment).  Local: the pack loop / protocol copy *is* the
+        delivery.  The bytes go to ``land(offset, data)``: an eager slot,
+        or the rendezvous receive's destination (``RndvAck.land``).
 
         Injected fabric faults surface as
-        :class:`~repro.mpi.errors.TransferFault`; a torn transfer places
-        its intact prefix in the packet buffer first (the receiver never
-        sees it — no control packet was posted yet), so the caller can
-        resume at byte ``fault.delivered``.
+        :class:`~repro.mpi.errors.TransferFault`; a torn transfer lands
+        its intact prefix first (no control packet was posted yet, so the
+        receive cannot complete on it), and the caller resumes at byte
+        ``fault.delivered``.
         """
         device = self.device
         n = data.nbytes
@@ -132,10 +134,8 @@ class RemoteStore:
                         n, duration, tearable=True,
                     )
             except TornTransferError as exc:
-                delivered = exc.delivered
-                view = region.local_view()
-                view[offset : offset + delivered] = data[:delivered]
-                raise TransferFault(str(exc), delivered=delivered) from exc
+                land(offset, data[: exc.delivered])
+                raise TransferFault(str(exc), delivered=exc.delivered) from exc
             except SCITransientError as exc:
                 raise TransferFault(str(exc)) from exc
         else:
@@ -145,7 +145,7 @@ class RemoteStore:
             else:
                 yield device.engine.timeout(
                     device.scheduler.chunk_copy_cost(n))
-        region.local_view()[offset : offset + n] = data
+        land(offset, data)
 
     # -- direct one-sided access ------------------------------------------------------
 

@@ -6,6 +6,7 @@ against the monolithic paths — and a grep-based guard that chunk-group
 computation stays inside the transport / flatten packages.
 """
 
+import dataclasses
 import pathlib
 import re
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro._units import KiB
 from repro.bench.noncontig import measure_point
 from repro.cluster import Cluster
+from repro.hardware.sci.faults import FaultPlan
 from repro.mpi.datatypes import DOUBLE, Indexed, Subarray, Vector
 from repro.mpi.flatten import get_plan
 from repro.hardware.params import DEFAULT_NODE
@@ -386,6 +388,98 @@ class TestBufferOwnership:
         assert received == payload.tobytes()
         assert before_return == writes and len(writes) == chunks
         assert all(aliased and at <= returned_at for aliased, at in writes)
+
+
+LANDING_BYTES = 192 * KiB
+#: 8 B blocks at a 16 B stride: ``LANDING_BYTES`` of payload spread over
+#: twice that extent.
+LANDING_VECTOR = Vector(LANDING_BYTES // 8, 1, 2, DOUBLE).commit()
+
+
+def _landing_extent(datatype) -> int:
+    return LANDING_BYTES if datatype is None else 2 * LANDING_BYTES
+
+
+def _packed(raw: np.ndarray, datatype) -> np.ndarray:
+    """The stream bytes a buffer holds under ``datatype`` (or contiguous)."""
+    if datatype is None:
+        return raw
+    return raw.reshape(-1, 16)[:, :8].ravel()
+
+
+class TestSingleLanding:
+    """Rendezvous bytes land once, in the receive's destination: the
+    receiver's packet buffer sets what a chunk write costs, but its pages
+    never hold the chunk (see ``docs/PROTOCOLS.md``, "What a transfer
+    copies on the host")."""
+
+    SENTINEL = 0xA5
+
+    def _deliver(self, cluster, send_type=None, recv_type=None,
+                 exchange=False):
+        for rank in range(cluster.n_ranks):
+            device = cluster.world.device(rank)
+            device.rndv_region.local_view()[:] = self.SENTINEL
+        source = (np.arange(_landing_extent(send_type)) % 251).astype(np.uint8)
+
+        def program(ctx):
+            comm = ctx.comm
+            out = ctx.alloc(source.nbytes)
+            into = ctx.alloc(_landing_extent(recv_type))
+            out.write(source)
+            peer = 1 - comm.rank
+            send = dict(send_datatype=send_type, send_count=send_type and 1)
+            recv = dict(recv_datatype=recv_type, recv_count=recv_type and 1)
+            if exchange:
+                yield from comm.sendrecv(out, peer, into, peer, **send, **recv)
+            elif comm.rank == 0:
+                yield from comm.send(out, 1, datatype=send_type,
+                                     count=send_type and 1)
+                return None
+            else:
+                yield from comm.recv(into, 0, datatype=recv_type,
+                                     count=recv_type and 1)
+            return _packed(into.read(), recv_type).copy()
+
+        result = cluster.run(program)
+        expected = _packed(source, send_type)
+        for got in result.results:
+            if got is not None:
+                assert np.array_equal(got, expected)
+        for rank in range(cluster.n_ranks):
+            buffer = cluster.world.device(rank).rndv_region.local_view()
+            assert (buffer == self.SENTINEL).all(), rank
+        return [cluster.world.device(rank) for rank in range(cluster.n_ranks)]
+
+    def test_event_stepped_chunks(self):
+        # Two streams in flight keep the engine busy: no window engages.
+        devices = self._deliver(Cluster(n_nodes=2), exchange=True)
+        assert sum(d.scheduler.fastpath["windows"] for d in devices) == 0
+        assert sum(d.scheduler.stats["chunks"] for d in devices) == 6
+
+    def test_stream_window(self):
+        protocol = dataclasses.replace(DEFAULT_PROTOCOL,
+                                       rendezvous_chunk=16 * KiB)
+        devices = self._deliver(Cluster(n_nodes=2, protocol=protocol))
+        assert devices[0].scheduler.fastpath["windows"] == 1
+
+    @pytest.mark.parametrize("mode", [NonContigMode.GENERIC,
+                                      NonContigMode.DMA])
+    def test_forced_mode(self, mode):
+        protocol = dataclasses.replace(DEFAULT_PROTOCOL, noncontig_mode=mode)
+        self._deliver(Cluster(n_nodes=2, protocol=protocol),
+                      send_type=LANDING_VECTOR, recv_type=LANDING_VECTOR)
+
+    def test_vector_receive(self):
+        self._deliver(Cluster(n_nodes=2), recv_type=LANDING_VECTOR)
+
+    def test_same_node(self):
+        self._deliver(Cluster(n_nodes=1, procs_per_node=2))
+
+    def test_torn_and_resumed(self):
+        devices = self._deliver(Cluster(
+            n_nodes=2, faults=FaultPlan(seed=3, torn_rate=0.5)))
+        assert devices[0].recovery["resumes"] > 0
 
 
 def _run_bcast(policy, nbytes, n_nodes=4, datatype=None, count=None,
