@@ -323,7 +323,8 @@ class TransferScheduler:
         monitoring") and keeps waiting — control packets and credits are
         never lost, only late, so re-waiting on the *same* pending get
         keeps credit accounting exact.  Gives up after
-        ``max_retransmits`` consecutive timeouts.
+        ``max_retransmits`` consecutive timeouts.  A timer that loses its
+        race is cancelled, so it cannot move the clock past the transfer.
         """
         device = self.device
         if device.world.smi.fabric.fault_plan is None:
@@ -334,7 +335,9 @@ class TransferScheduler:
         recovery = device.policy.recovery
         get_ev = reply.get()
         timeout = recovery.chunk_timeout
-        yield engine.any_of([get_ev, engine.timeout(timeout)])
+        timer = engine.timeout(timeout)
+        yield engine.any_of([get_ev, timer])
+        timer.cancel()
         attempt = 0
         while not get_ev.processed:
             attempt += 1
@@ -357,7 +360,9 @@ class TransferScheduler:
             timeout *= recovery.backoff_factor
             device._trace("recover.retry.begin", peer=dest,
                           cause="credit-timeout", attempt=attempt)
-            yield engine.any_of([get_ev, engine.timeout(timeout)])
+            timer = engine.timeout(timeout)
+            yield engine.any_of([get_ev, timer])
+            timer.cancel()
             device._trace("recover.retry.end", peer=dest)
         credit = get_ev.value
         assert isinstance(credit, ChunkCredit)

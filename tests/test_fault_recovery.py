@@ -240,8 +240,7 @@ class TestPt2ptRecovery:
 
     def test_pt2pt_fault_free_timing_untouched(self):
         """A plan that injects nothing must not change the transfer's
-        simulated duration (the receiver's observed completion time);
-        only the engine drains a trailing watchdog timer afterwards."""
+        simulated duration (the receiver's observed completion time)."""
         dtype, count, extent = datatype_case("strided")
 
         def program(ctx):
@@ -261,6 +260,22 @@ class TestPt2ptRecovery:
         t_silent = Cluster(n_nodes=2, faults=silent_plan).run(program).results
         assert silent_plan.total_injected == 0
         assert t_silent == t_clean
+
+    def test_credit_timers_leave_no_phantom_time(self):
+        """The chunk-credit timeout a credit beats is withdrawn: after the
+        last rank returns the clock does not move on to a dead timer."""
+
+        def program(ctx):
+            buf = ctx.alloc(256 * KiB)
+            if ctx.comm.rank == 0:
+                yield from ctx.comm.send(buf, dest=1)
+            else:
+                yield from ctx.comm.recv(buf, source=0)
+            return ctx.now
+
+        cluster = Cluster(n_nodes=2, faults=FaultPlan(seed=1))
+        results = cluster.run(program).results
+        assert cluster.engine.now == max(results)
 
     def test_pt2pt_gives_up_after_bounded_retransmits(self):
         from repro.mpi.errors import TransferAborted
