@@ -26,12 +26,14 @@ ringlet-locally.  The plain ring always takes the flat algorithms.
 All functions are DES generators taking the caller's Communicator; they
 reject a buffer too small for their blocks with
 :class:`~repro.mpi.errors.MPIError` before the first message.
-Reductions fold in place inside the address space — in ``recvbuf`` where
-it is output, else in scratch borrowed from the rank's free list and
-handed back — and leaf ranks send ``sendbuf`` itself.  Aliasing user
-memory across yields is safe: a blocking collective owns its buffers
-until it returns, and no other rank holds a handle to private memory
-(docs/PROTOCOLS.md, "What a collective allocates").
+Reductions fold each child's contribution where it lands: the receive
+folds into the accumulator instead of copying, each element once — into
+``recvbuf`` where it is output, else into scratch borrowed from the
+rank's free list and handed back — and leaf ranks send ``sendbuf``
+itself.  Aliasing user memory across yields is safe: a blocking
+collective owns its buffers until it returns, and no other rank holds a
+handle to private memory (docs/PROTOCOLS.md, "What a collective
+allocates").
 """
 
 from __future__ import annotations
@@ -77,6 +79,13 @@ OPS: dict[str, np.ufunc] = {
     "bor": np.bitwise_or,
     "bxor": np.bitwise_xor,
 }
+
+
+def op_folds(op: str, np_dtype) -> bool:
+    """Does ``OPS[op]`` fold ``np_dtype`` elements: a ``(T, T) -> T`` loop?
+    The bitwise ops have none for floating point."""
+    char = np.dtype(np_dtype).char
+    return f"{char}{char}->{char}" in getattr(OPS.get(op), "types", ())
 
 
 def barrier(comm: "Communicator"):
@@ -236,8 +245,8 @@ def _check_reduction(op: str, datatype: BasicType, count: int,
     ``count``; they may be the same range (in place) but not overlap
     otherwise: the fold would overwrite input it has yet to send.
     """
-    if op not in OPS:
-        raise ValueError(f"unknown reduction op {op!r}")
+    if not op_folds(op, datatype.np_dtype):
+        raise ValueError(f"reduction op {op!r} is not defined on {datatype.name}")
     nbytes = count * datatype.size
     what = f"count={count}, {datatype.size} B each"
     _check_holds("sendbuf", sendbuf, blocks * nbytes, what)
@@ -259,17 +268,17 @@ def _member_reduce(comm: "Communicator", sendbuf: "Buffer",
     """Binomial reduction of ``sendbuf`` over ``members`` to ``root``.
 
     A rank without children (odd position, or last of an odd count: half
-    of all ranks) sends ``sendbuf`` as it is and allocates nothing.  A
-    rank with children borrows one receive scratch, folds each child in
-    place into its accumulator and sends that on: ``acc`` — memory the
-    caller lets it overwrite, required on the root, where the reduction
-    ends up — or, given none, a second borrowed scratch.
+    of all ranks) sends ``sendbuf`` as it is.  A rank with children
+    copies ``sendbuf`` into its accumulator, receives each child straight
+    into it — the receive folds every element as it lands, no staging
+    buffer — and sends that on.  The accumulator is ``acc``, memory the
+    caller lets it overwrite (required on the root, where the reduction
+    ends up), or, given none, one borrowed scratch.
     """
     m = len(members)
     root_idx = members.index(root)
     relative = (members.index(comm.rank) - root_idx) % m
     inner = not relative & 1 and relative + 1 < m
-    scratch = comm.alloc_scratch(nbytes) if inner else None
     own = comm.alloc_scratch(nbytes) if inner and acc is None else None
     try:
         out = sendbuf
@@ -286,15 +295,12 @@ def _member_reduce(comm: "Communicator", sendbuf: "Buffer",
                 break
             child_rel = relative | mask
             if child_rel < m:
-                child = members[(child_rel + root_idx) % m]
-                yield from comm.recv(scratch, source=child, tag=tag,
-                                     datatype=BYTE, count=nbytes)
-                total = out.read(0, nbytes).view(datatype.np_dtype)
-                OPS[op](total, scratch.read(0, nbytes).view(datatype.np_dtype),
-                        out=total)
+                child = comm.group[members[(child_rel + root_idx) % m]]
+                yield from comm.device.recv(out, child, tag, BYTE, nbytes, comm.context,
+                                            fold=(OPS[op], datatype.np_dtype))
             mask <<= 1
     finally:
-        comm.free_scratch(scratch, own)
+        comm.free_scratch(own)
 
 
 def bcast(comm: "Communicator", buf: "Buffer", root: int = 0,

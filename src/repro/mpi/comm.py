@@ -93,8 +93,11 @@ class Communicator:
 
     def alloc_scratch(self, nbytes: int) -> Buffer:
         """Borrow at least ``nbytes`` of private scratch on this rank's
-        node — the smallest free buffer that fits, else a new allocation;
-        hand it back with :meth:`free_scratch` in a ``finally``."""
+        node (the smallest free buffer that fits, else a new allocation);
+        hand it back with :meth:`free_scratch` in a ``finally``.  Only the
+        barrier's token, a non-root ``reduce`` rank's accumulator and
+        ``reduce_scatter_block``'s rank-0 vector are borrowed: reduction
+        receives fold straight into the accumulator."""
         free = self.device.free_scratch
         fit = min((b for b in free if b.nbytes >= nbytes), key=len, default=None)
         if fit is None:

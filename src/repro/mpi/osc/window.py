@@ -38,7 +38,7 @@ import numpy as np
 
 from ...sim import Channel, Event
 from ...smi import SMIBarrier, SMIRWLock
-from ..coll.collectives import OPS
+from ..coll.collectives import OPS, op_folds
 from ..datatypes.base import Datatype
 from ..errors import RMAError, TransferFault
 from ..pt2pt.costs import pack_cost_direct
@@ -457,8 +457,8 @@ class Win:
         from ..datatypes.basic import DOUBLE
 
         basic = datatype or DOUBLE
-        if op != "replace" and op not in OPS:
-            raise RMAError(f"unknown accumulate op {op!r}")
+        if op != "replace" and not op_folds(op, basic.np_dtype):
+            raise RMAError(f"accumulate op {op!r} is not defined on {basic.name}")
         payload = self._as_bytes(data)
         n = payload.nbytes
         part = self.part(target)

@@ -33,7 +33,7 @@ from ...smi import SMIContext
 from ..datatypes.base import Datatype
 from ..errors import MPIError
 from ..transport.policy import Protocol, TransferMode, TransferPolicy
-from ..transport.scheduler import TransferScheduler
+from ..transport.scheduler import Fold, TransferScheduler
 from .config import DEFAULT_PROTOCOL, ProtocolConfig
 from .messages import (
     ANY_SOURCE,
@@ -281,20 +281,18 @@ class RankDevice:
                 dest, env, mem, base, plan, seg_off, total,
                 dtype.is_contiguous, sync_reply,
             )
-            self.counters["short"] += 1
         elif protocol == Protocol.EAGER:
             yield from scheduler.send_eager(
                 dest, env, mem, base, plan, seg_off, total, mode,
                 src_cached, sync_reply,
             )
-            self.counters["eager"] += 1
         else:
             # Rendezvous is inherently synchronous.
             yield from scheduler.send_rndv(
                 dest, env, mem, base, plan, seg_off, total, mode, src_cached,
             )
-            self.counters["rndv"] += 1
             sync_reply = None
+        self.counters[protocol] += 1
         if sync_reply is not None:
             yield sync_reply.get()
         self._trace("send.end", dest=dest, protocol=protocol, nbytes=total)
@@ -315,13 +313,20 @@ class RankDevice:
 
     def recv(self, buf: "Buffer", source: int = ANY_SOURCE, tag: int = ANY_TAG,
              datatype: Optional[Datatype] = None, count: Optional[int] = None,
-             context: int = 0, segment: Optional[tuple[int, int]] = None):
-        """Blocking receive (DES generator); returns a Status."""
+             context: int = 0, segment: Optional[tuple[int, int]] = None,
+             fold: Optional[tuple[Any, Any]] = None):
+        """Blocking receive (DES generator); returns a Status.  Given
+        ``fold=(ufunc, np_dtype)`` (the binomial reduction's receives) the
+        message folds into ``buf`` as it lands (:class:`Fold`)."""
         dtype, plan, seg_off, capacity = self._message(
             buf, datatype, count, segment
         )
         mem = buf.space.mem
         base = buf.base
+        if fold is not None:
+            if plan.n_runs > 1:
+                raise MPIError("a folding receive needs a single-run packed stream")
+            fold = Fold(*fold, plan.stream_view(mem, base, seg_off, capacity))
         self.counters["recvs"] += 1
         self._trace("recv.begin", source=source, tag=tag)
         yield self.engine.timeout(self.config.call_overhead)
@@ -331,34 +336,26 @@ class RankDevice:
                     message=type(msg).__name__)
         contiguous = dtype.is_contiguous
         scheduler = self.scheduler
-
         if isinstance(msg, ShortMsg):
+            protocol = Protocol.SHORT
             n = yield from scheduler.recv_short(
-                msg, mem, base, plan, seg_off, capacity, contiguous
+                msg, mem, base, plan, seg_off, capacity, contiguous, fold
             )
-            self._trace("recv.end", source=msg.envelope.source,
-                        protocol="short", nbytes=n)
-            return Status(msg.envelope.source, msg.envelope.tag, n)
-
-        # An oversized message is priced at the capacity: it raises
-        # MessageTruncated before a byte moves.
-        protocol = Protocol.EAGER if isinstance(msg, EagerMsg) else Protocol.RNDV
-        mode = self.policy.transfer_mode(
-            dtype, protocol,
-            lambda: scheduler.verdict(plan, seg_off, min(msg.nbytes, capacity),
-                                      msg.envelope.source, False))
-        if isinstance(msg, EagerMsg):
-            n = yield from scheduler.recv_eager(
-                msg, mem, base, plan, seg_off, capacity, mode, contiguous,
-            )
-            self._trace("recv.end", source=msg.envelope.source,
-                        protocol="eager", nbytes=n)
-            return Status(msg.envelope.source, msg.envelope.tag, n)
-
-        assert isinstance(msg, RndvRequest)
-        total = yield from scheduler.recv_rndv(
-            msg, mem, base, plan, seg_off, capacity, mode, contiguous
-        )
-        self._trace("recv.end", source=msg.envelope.source,
-                    protocol="rndv", nbytes=total)
-        return Status(msg.envelope.source, msg.envelope.tag, total)
+        else:
+            # An oversized message is priced at the capacity: it raises
+            # MessageTruncated before a byte moves.
+            eager = isinstance(msg, EagerMsg)
+            protocol = Protocol.EAGER if eager else Protocol.RNDV
+            mode = self.policy.transfer_mode(
+                dtype, protocol,
+                lambda: scheduler.verdict(plan, seg_off, min(msg.nbytes, capacity),
+                                          msg.envelope.source, False))
+            body = scheduler.recv_eager if eager else scheduler.recv_rndv
+            n = yield from body(msg, mem, base, plan, seg_off, capacity, mode,
+                                contiguous, fold)
+        if not isinstance(msg, RndvRequest) and msg.sync_reply is not None:
+            yield from self.send_ctrl(msg.envelope.source, True,
+                                      to_channel=msg.sync_reply)
+        self._trace("recv.end", source=msg.envelope.source, protocol=protocol,
+                    nbytes=n)
+        return Status(msg.envelope.source, msg.envelope.tag, n)

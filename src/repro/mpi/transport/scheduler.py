@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..flatten import PackPlan
     from ..pt2pt.engine import RankDevice
 
-__all__ = ["ChunkCredit", "ChunkReady", "RndvAck", "TransferScheduler"]
+__all__ = ["ChunkCredit", "ChunkReady", "Fold", "RndvAck", "TransferScheduler"]
 
 
 @dataclass
@@ -72,6 +72,25 @@ class RndvAck:
     land: Callable[[int, np.ndarray], None]
     #: Receiver-side stream-window support (``None`` = event path only).
     window: Optional[RecvWindowCosts] = None
+
+
+class Fold:
+    """A reduction receive's landing: ``ufunc(acc, x, out=acc)`` on the
+    destination's elements, no copy.  Stream bytes ``[0, mark)`` are
+    folded; a landing folds only the whole elements past that mark, so
+    bytes that land again (a torn chunk resumed below its tear, or resent
+    whole) fold once, and a torn element waits for its resend."""
+
+    def __init__(self, ufunc: np.ufunc, dtype, dst: np.ndarray):
+        self.ufunc, self.dtype, self.dst, self.mark = ufunc, np.dtype(dtype), dst, 0
+
+    def __call__(self, pos: int, data: np.ndarray) -> None:
+        lo, size = self.mark, self.dtype.itemsize
+        hi = (pos + data.nbytes) // size * size
+        if hi > lo:
+            acc = self.dst[lo:hi].view(self.dtype)
+            self.ufunc(acc, data[lo - pos : hi - pos].view(self.dtype), out=acc)
+            self.mark = hi
 
 
 @dataclass
@@ -591,7 +610,7 @@ class TransferScheduler:
     # -- receive protocols -------------------------------------------------------------
 
     def recv_short(self, msg: ShortMsg, mem, base, plan, seg_off,
-                   capacity, contiguous):
+                   capacity, contiguous, fold):
         device = self.device
         n = msg.data.nbytes
         if n > capacity:
@@ -601,14 +620,11 @@ class TransferScheduler:
             yield device.engine.timeout(
                 pack_cost_direct(device.node.memory, groups, device.config)
             )
-        plan.execute_unpack(mem, base, seg_off, msg.data)
-        if msg.sync_reply is not None:
-            yield from device.send_ctrl(msg.envelope.source, True,
-                                        to_channel=msg.sync_reply)
+        self._land(mem, base, plan, seg_off, None, fold, 0, msg.data)
         return n
 
     def recv_eager(self, msg: EagerMsg, mem, base, plan, seg_off,
-                   capacity, mode, contiguous):
+                   capacity, mode, contiguous, fold):
         device = self.device
         n = msg.nbytes
         if n > capacity:
@@ -621,15 +637,12 @@ class TransferScheduler:
                 pack_cost_generic(device.node.memory, groups, device.config))
         # Drained in place: the slot is this sender's until the CreditReturn.
         slot = device.eager_regions[msg.envelope.source].local_view()
-        plan.execute_unpack(mem, base, seg_off,
-                            slot[msg.slot_offset : msg.slot_offset + n])
+        self._land(mem, base, plan, seg_off, None, fold, 0,
+                   slot[msg.slot_offset : msg.slot_offset + n])
         # Credit keyed by *this* rank at the sender's pool.
         yield from device.send_ctrl(
             msg.envelope.source, CreditReturn((device.rank, msg.slot_index))
         )
-        if msg.sync_reply is not None:
-            yield from device.send_ctrl(msg.envelope.source, True,
-                                        to_channel=msg.sync_reply)
         return n
 
     def _window_support(self, mode, contiguous, plan,
@@ -651,12 +664,15 @@ class TransferScheduler:
             ctrl_cost=self.device.config.ctrl_send_cost)
 
     @staticmethod
-    def _land(mem, base, plan, seg_off: int, packed_tmp, pos: int,
-              data) -> None:
+    def _land(mem, base, plan, seg_off: int, packed_tmp,
+              fold: Optional[Fold], pos: int, data) -> None:
         """Put stream bytes at ``pos`` where they belong: the generic
-        receiver's packed temp, or straight into user memory."""
+        receiver's packed temp, else straight into user memory — folded
+        there by a reduction receive's :class:`Fold`."""
         if packed_tmp is not None:
             packed_tmp[pos : pos + data.nbytes] = data
+        elif fold is not None:
+            fold(pos, data)
         else:
             plan.execute_unpack(mem, base, seg_off + pos, data)
 
@@ -678,7 +694,7 @@ class TransferScheduler:
         return 0 if qos.lane_of_node(node) == LANE_RESERVED else 1
 
     def recv_rndv(self, msg: RndvRequest, mem, base, plan, seg_off,
-                  capacity, mode, contiguous):
+                  capacity, mode, contiguous, fold):
         """Receiver side of the chunk stream: drain, unpack, credit."""
         device = self.device
         memory = device.node.memory
@@ -701,7 +717,7 @@ class TransferScheduler:
             # sets their cost, never holds them.
             ack = RndvAck(chunk_channel, device.rndv_region, cfg.rendezvous_chunk,
                           partial(self._land, mem, base, plan, seg_off,
-                                  packed_tmp),
+                                  packed_tmp, fold),
                           window=self._window_support(mode, contiguous, plan,
                                                       seg_off))
             yield from device.send_ctrl(msg.envelope.source, ack,
@@ -738,7 +754,7 @@ class TransferScheduler:
                 yield device.engine.timeout(
                     pack_cost_generic(memory, groups, cfg)
                 )
-                plan.execute_unpack(mem, base, seg_off, packed_tmp)
+                self._land(mem, base, plan, seg_off, None, fold, 0, packed_tmp)
         finally:
             device.rndv_lock.release()
         return total

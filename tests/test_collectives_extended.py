@@ -1,5 +1,7 @@
 """Tests for scatter / alltoall / reduce_scatter_block and collective edges."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from repro._units import KiB
 from repro.cluster import Cluster
 from repro.hardware.sci.topology import RingOfRings
 from repro.mpi.coll import OPS
-from repro.mpi.datatypes import BYTE, DOUBLE, INT
+from repro.mpi.datatypes import BYTE, DOUBLE, INT, Vector
 from repro.mpi.errors import MPIError
+from repro.mpi.pt2pt.config import DEFAULT_PROTOCOL, NonContigMode
 
 
 class TestScatter:
@@ -253,8 +256,9 @@ CLUSTERS = {
     "ringlets-2x4": lambda: Cluster(n_nodes=8, topology=RingOfRings(*RINGLETS)),
 }
 
-#: One call of each collective that borrows scratch; ``part`` is one
-#: rank's block of ``send``.
+#: One call of each collective that borrows scratch (``allreduce`` no
+#: longer does, and stays as the case that must not start); ``part`` is
+#: one rank's block of ``send``.
 BORROWERS = {
     "barrier": lambda comm, send, recv, part: comm.barrier(),
     "reduce-root0": lambda comm, send, recv, part: comm.reduce(send, recv, root=0),
@@ -310,12 +314,11 @@ class TestBorrowedScratch:
         total = (4 * pattern.astype(np.int64) + 6) % 256
         for reduced in cluster.run(program).results:
             assert np.array_equal(reduced, total.astype(np.uint8))
-        # Two user buffers and at most one receive scratch per node.
+        # The two user buffers and nothing else: children fold into recv.
         user = cluster.nodes[1].space.allocated
-        assert [n.space.allocated - user for n in cluster.nodes] == [
-            nbytes, 0, nbytes, 0]
+        assert [n.space.allocated - user for n in cluster.nodes] == [0] * 4
 
-    def test_leaf_ranks_borrow_nothing(self):
+    def test_allreduce_borrows_nothing(self):
         nbytes = 64 * KiB
 
         def program(ctx):
@@ -326,12 +329,13 @@ class TestBorrowedScratch:
             return ctx.node.space.allocated - before, len(comm.device.free_scratch)
 
         results = Cluster(n_nodes=8).run(program).results
-        # Odd ranks have no children; the others received into one scratch.
-        assert results == [(nbytes, 1), (0, 0)] * 4
+        # Odd ranks have no children; the others fold theirs into recv.
+        assert results == [(0, 0)] * 8
 
     def test_scratch_comes_back_when_a_send_aborts(self):
-        """Rank 2 of a 4-rank reduce holds both of its scratch buffers
-        when its send to the root is given up on."""
+        """Rank 2 of a 4-rank reduce holds its accumulator scratch (it
+        may not write ``sendbuf``) when its send to the root is given up
+        on; its child folded straight into that scratch."""
         from repro.hardware.sci.faults import FaultPlan
         from repro.mpi.errors import TransferAborted
         from repro.sim import Deadlock
@@ -363,7 +367,7 @@ class TestBorrowedScratch:
         procs = cluster.launch(program)
         with pytest.raises(Deadlock):       # the root waits for rank 2 for ever
             cluster.engine.run()
-        assert procs[2].value == (2 * nbytes, [nbytes, nbytes])
+        assert procs[2].value == (nbytes, [nbytes])
         assert procs[1].value == procs[3].value == "completed"
 
     @pytest.mark.parametrize("name", sorted(BORROWERS))
@@ -382,7 +386,9 @@ class TestBorrowedScratch:
             call = BORROWERS[name](comm, send, recv, part)
             next(call)                      # rank 0 now waits for a child
             held = ctx.node.space.allocated - before
-            assert held > 0 and not comm.device.free_scratch
+            # Rank 0 accumulates in recv when it is the reduction's root.
+            assert (held == 0) == (name in ("allreduce", "reduce-root0"))
+            assert not comm.device.free_scratch
             with pytest.raises(Boom):
                 call.throw(Boom())
             assert ctx.node.space.allocated - before == held
@@ -575,6 +581,122 @@ class TestReductionSemantics:
         assert peak < 2 * nbytes
 
 
+class TestFoldOnLanding:
+    """A reduction receive folds each child's contribution into the
+    accumulator where its bytes land, each element exactly once: torn
+    chunks resumed below the tear, or resent whole, must not fold their
+    repeated bytes twice (see ``docs/FAULTS.md``)."""
+
+    #: (datatype, message bytes): four 64 KiB chunks and a 24 B tail of
+    #: doubles, whose torn prefixes end mid-element; an odd byte count.
+    CASES = [(DOUBLE, 256 * KiB + 24), (BYTE, 200 * KiB + 3)]
+
+    @staticmethod
+    def _contribution(rank, dtype, nbytes):
+        rng = np.random.default_rng([29, rank])
+        count = nbytes // dtype.size
+        if dtype is DOUBLE:     # mixed magnitudes: the order shows
+            return rng.standard_normal(count) * 10.0 ** rng.integers(-6, 7, count)
+        return rng.integers(0, 256, count).astype(np.uint8)
+
+    @classmethod
+    def _allreduce(cls, dtype, nbytes, **cluster):
+        def program(ctx):
+            comm = ctx.comm
+            send, recv = ctx.alloc(max(nbytes, 1)), ctx.alloc(max(nbytes, 1))
+            send.write(cls._contribution(comm.rank, dtype, nbytes).view(np.uint8))
+            recv.fill(0xA5)
+            yield from comm.allreduce(send, recv, datatype=dtype,
+                                      count=nbytes // dtype.size)
+            return recv.read(0, nbytes).copy()
+
+        cluster = Cluster(n_nodes=4, **cluster)
+        return cluster, cluster.run(program).results
+
+    @classmethod
+    def _expected(cls, dtype, nbytes):
+        parts = [cls._contribution(r, dtype, nbytes) for r in range(4)]
+        return _binomial(np.add, parts).view(np.uint8)
+
+    @pytest.mark.parametrize("resume", [True, False], ids=["resume", "whole"])
+    @pytest.mark.parametrize("dtype, nbytes", CASES,
+                             ids=[d.name for d, _ in CASES])
+    def test_torn_chunks_fold_once(self, dtype, nbytes, resume):
+        from repro.hardware.sci.faults import FaultKind, FaultPlan
+        from repro.mpi.transport import RecoveryPolicy, TransferPolicy
+
+        _, clean = self._allreduce(dtype, nbytes)
+        expected = self._expected(dtype, nbytes)
+        assert all(np.array_equal(got, expected) for got in clean)
+        policy = TransferPolicy(recovery=RecoveryPolicy(resume_torn=resume))
+        for seed in range(6):
+            plan = FaultPlan(seed=seed, torn_rate=0.5)
+            cluster, faulty = self._allreduce(dtype, nbytes, faults=plan,
+                                              policy=policy)
+            assert plan.counters[FaultKind.TORN] > 0
+            recovery = [d.recovery for d in cluster.world.devices]
+            assert sum(r["resumes" if resume else "retries"]
+                       for r in recovery) > 0
+            for got in faulty:
+                assert np.array_equal(got, expected), seed
+
+    @pytest.mark.parametrize("nbytes", [0, 104, 8000],
+                             ids=["count-0", "short", "eager"])
+    def test_short_and_eager_reductions(self, nbytes):
+        from repro.hardware.sci.faults import FaultPlan
+
+        expected = self._expected(DOUBLE, nbytes)
+        for faults in (None, FaultPlan(seed=3, torn_rate=0.5)):
+            _, results = self._allreduce(DOUBLE, nbytes, faults=faults)
+            assert all(np.array_equal(got, expected) for got in results)
+
+    def test_forced_dma(self):
+        protocol = dataclasses.replace(DEFAULT_PROTOCOL,
+                                       noncontig_mode=NonContigMode.DMA)
+        _, results = self._allreduce(DOUBLE, 256 * KiB + 24, protocol=protocol)
+        expected = self._expected(DOUBLE, 256 * KiB + 24)
+        assert all(np.array_equal(got, expected) for got in results)
+
+    def test_dma_chunks_fold_into_the_receive(self):
+        """A strided send under forced DMA packs and DMAs its chunks; they
+        fold into the receive's one run as they land."""
+        protocol = dataclasses.replace(DEFAULT_PROTOCOL,
+                                       noncontig_mode=NonContigMode.DMA)
+        count = 3 * 8 * KiB + 5                 # doubles: 3 chunks and a tail
+        strided = Vector(count, 1, 2, DOUBLE)
+        source = np.arange(2 * count, dtype=np.float64)
+
+        def program(ctx):
+            buf = ctx.alloc(2 * count * 8)
+            if ctx.comm.rank == 0:
+                buf.write(source.view(np.uint8))
+                yield from ctx.comm.send(buf, 1, datatype=strided, count=1)
+                return None
+            buf.as_array(np.float64)[:] = 0.5
+            yield from ctx.comm.device.recv(
+                buf, 0, 0, BYTE, count * 8, fold=(np.add, np.float64))
+            return buf.as_array(np.float64).copy()
+
+        got = Cluster(n_nodes=2, protocol=protocol).run(program).results[1]
+        assert np.array_equal(got[:count], source[::2] + 0.5)
+        assert (got[count:] == 0.5).all()
+
+    def test_a_fold_needs_one_run(self):
+        def program(ctx):
+            buf = ctx.alloc(256)
+            if ctx.comm.rank == 0:
+                yield from ctx.comm.send(buf, 1, count=64)
+                return None
+            with pytest.raises(MPIError, match="single-run packed stream"):
+                yield from ctx.comm.device.recv(
+                    buf, 0, 0, Vector(8, 1, 2, DOUBLE), 1,
+                    fold=(np.add, np.float64))
+            yield from ctx.comm.recv(buf, 0, count=64)
+            return "refused"
+
+        assert Cluster(n_nodes=2).run(program).results[1] == "refused"
+
+
 class TestReductionArguments:
     """Bad counts and buffers are refused on every rank before the first
     message; in place (the same range twice) stays legal."""
@@ -620,6 +742,22 @@ class TestReductionArguments:
             send, recv, count = self._arguments(ctx, blocks, case)
             with pytest.raises(MPIError, match=self.CASES[case]):
                 yield from call(ctx.comm, send, recv, count)
+            return ctx.comm.device.counters["sends"]
+
+        assert Cluster(n_nodes=2).run(program).results == [0, 0]
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_an_op_the_datatype_cannot_take(self, name):
+        """``band`` has no floating-point loop: refused on every rank,
+        where the parent raised numpy's TypeError from an inner rank's
+        fold after the leaves had sent."""
+        blocks = self.CALLS[name][1]
+
+        def program(ctx):
+            send, recv = ctx.alloc(blocks * 512), ctx.alloc(512)
+            with pytest.raises(ValueError, match="'band' is not defined on MPI_DOUBLE"):
+                yield from getattr(ctx.comm, name)(
+                    send, recv, op="band", datatype=DOUBLE, count=64)
             return ctx.comm.device.counters["sends"]
 
         assert Cluster(n_nodes=2).run(program).results == [0, 0]

@@ -188,6 +188,29 @@ class TestRMAValidation:
         with pytest.raises(RMAError):
             Cluster(n_nodes=1).run(program)
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "private"])
+    @pytest.mark.parametrize("fetch", [False, True], ids=["accumulate", "fetch_and_op"])
+    def test_op_the_datatype_cannot_take(self, fetch, shared):
+        """``band`` has no floating-point loop: refused at the origin,
+        where the parent raised numpy's TypeError in the target's service
+        loop."""
+        def program(ctx):
+            comm = ctx.comm
+            win = yield from comm.win_create(64, shared=shared)
+            yield from win.fence()
+            if comm.rank == 0:
+                with pytest.raises(RMAError, match="'band' is not defined on MPI_DOUBLE"):
+                    if fetch:
+                        yield from win.fetch_and_op(np.ones(1), 1, 0, op="band",
+                                                    datatype=DOUBLE)
+                    else:
+                        yield from win.accumulate(np.ones(8), 1, 0, op="band",
+                                                  datatype=DOUBLE)
+            yield from win.fence()
+            return win.counters["accumulates"], bytes(win.local_view())
+
+        assert Cluster(n_nodes=2).run(program).results == [(0, bytes(64))] * 2
+
     def test_unknown_accumulate_op(self):
         def program(ctx):
             comm = ctx.comm
