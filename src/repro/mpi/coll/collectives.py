@@ -26,14 +26,13 @@ ringlet-locally.  The plain ring always takes the flat algorithms.
 All functions are DES generators taking the caller's Communicator; they
 reject a buffer too small for their blocks with
 :class:`~repro.mpi.errors.MPIError` before the first message.
-Reductions fold each child's contribution where it lands: the receive
-folds into the accumulator instead of copying, each element once — into
-``recvbuf`` where it is output, else into scratch borrowed from the
-rank's free list and handed back — and leaf ranks send ``sendbuf``
-itself.  Aliasing user memory across yields is safe: a blocking
-collective owns its buffers until it returns, and no other rank holds a
-handle to private memory (docs/PROTOCOLS.md, "What a collective
-allocates").
+Reductions receive each child straight into the accumulator, folding
+every element once as it lands — ``recvbuf`` where it is output, else
+scratch borrowed from the rank's free list and handed back — and leaf
+ranks send ``sendbuf`` itself.  Aliasing user memory across yields is
+safe: a blocking collective owns its buffers until it returns, and no
+other rank holds a handle to private memory (docs/PROTOCOLS.md, "What a
+collective allocates").
 """
 
 from __future__ import annotations
@@ -269,11 +268,10 @@ def _member_reduce(comm: "Communicator", sendbuf: "Buffer",
 
     A rank without children (odd position, or last of an odd count: half
     of all ranks) sends ``sendbuf`` as it is.  A rank with children
-    copies ``sendbuf`` into its accumulator, receives each child straight
-    into it — the receive folds every element as it lands, no staging
-    buffer — and sends that on.  The accumulator is ``acc``, memory the
-    caller lets it overwrite (required on the root, where the reduction
-    ends up), or, given none, one borrowed scratch.
+    copies ``sendbuf`` into its accumulator, receives each child into it
+    with a folding receive and sends that on: ``acc`` — memory the caller
+    lets it overwrite, required on the root, where the reduction ends up
+    — or, given none, one borrowed scratch.
     """
     m = len(members)
     root_idx = members.index(root)

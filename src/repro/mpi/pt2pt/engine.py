@@ -281,18 +281,20 @@ class RankDevice:
                 dest, env, mem, base, plan, seg_off, total,
                 dtype.is_contiguous, sync_reply,
             )
+            self.counters["short"] += 1
         elif protocol == Protocol.EAGER:
             yield from scheduler.send_eager(
                 dest, env, mem, base, plan, seg_off, total, mode,
                 src_cached, sync_reply,
             )
+            self.counters["eager"] += 1
         else:
             # Rendezvous is inherently synchronous.
             yield from scheduler.send_rndv(
                 dest, env, mem, base, plan, seg_off, total, mode, src_cached,
             )
+            self.counters["rndv"] += 1
             sync_reply = None
-        self.counters[protocol] += 1
         if sync_reply is not None:
             yield sync_reply.get()
         self._trace("send.end", dest=dest, protocol=protocol, nbytes=total)
