@@ -257,8 +257,8 @@ CLUSTERS = {
 }
 
 #: One call of each collective that borrows scratch (``allreduce`` no
-#: longer does, and stays as the case that must not start); ``part`` is
-#: one rank's block of ``send``.
+#: longer does; it stays so that a borrow it starts again would show);
+#: ``part`` is one rank's block of ``send``.
 BORROWERS = {
     "barrier": lambda comm, send, recv, part: comm.barrier(),
     "reduce-root0": lambda comm, send, recv, part: comm.reduce(send, recv, root=0),
