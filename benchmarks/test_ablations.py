@@ -231,16 +231,24 @@ def test_ablation_plan_cache(once):
 
 
 def test_ablation_transport_policy(once):
-    """Transport-policy ablation: chunked, plan-aware collectives are never
-    slower than the monolithic algorithms at identical byte counts.
+    """Transport-policy ablation: the chained broadcast is never slower
+    than the binomial tree at identical byte counts.
 
-    The :class:`ChunkedCollectivesPolicy` pipelines large broadcasts down a
-    chain of ranks in packed-stream segments (strictly faster once the
-    payload spans several rendezvous handshakes) and deliberately keeps
-    the already message-pipelined ring allgather and pairwise alltoall
-    monolithic (identical time).
+    The :class:`ChunkedCollectivesPolicy` forces the chain: each rank
+    forwards every rendezvous chunk to the next as it lands (strictly
+    faster once the payload spans several rendezvous handshakes).  A
+    local policy forces the tree, since the default picks the chain
+    here too.  The already message-pipelined ring allgather and pairwise
+    alltoall never ask (identical time).
     """
-    from repro.mpi.transport import ChunkedCollectivesPolicy
+    from dataclasses import dataclass
+
+    from repro.mpi.transport import ChunkedCollectivesPolicy, TransferPolicy
+
+    @dataclass(frozen=True)
+    class TreePolicy(TransferPolicy):
+        def chain_collective(self, flat):
+            return False
 
     nbytes = 256 * KiB
     n_nodes = 4
@@ -273,21 +281,21 @@ def test_ablation_transport_policy(once):
         return Cluster(n_nodes=n_nodes, policy=policy).run(program).results[0]
 
     def sweep():
-        chunked = ChunkedCollectivesPolicy()
+        tree, chunked = TreePolicy(), ChunkedCollectivesPolicy()
         return {
-            "bcast": (bcast_time(None), bcast_time(chunked)),
-            "allgather/alltoall": (ring_times(None), ring_times(chunked)),
+            "bcast": (bcast_time(tree), bcast_time(chunked)),
+            "allgather/alltoall": (ring_times(tree), ring_times(chunked)),
         }
 
     results = once(sweep)
     mono_b, chunk_b = results["bcast"]
     print()
-    print(f"  bcast {nbytes // KiB} kiB x{n_nodes}: monolithic {mono_b:9.1f} µs"
-          f"  chunked {chunk_b:9.1f} µs  ({mono_b / chunk_b:.2f}x)")
+    print(f"  bcast {nbytes // KiB} kiB x{n_nodes}: tree {mono_b:9.1f} µs"
+          f"  chain {chunk_b:9.1f} µs  ({mono_b / chunk_b:.2f}x)")
     (mono_ag, mono_a2a), (chunk_ag, chunk_a2a) = results["allgather/alltoall"]
     print(f"  allgather: {mono_ag:9.1f} µs vs {chunk_ag:9.1f} µs; "
           f"alltoall: {mono_a2a:9.1f} µs vs {chunk_a2a:9.1f} µs")
-    # Chunked collectives are identical-or-better, never slower.
+    # The chain is identical-or-better, never slower.
     assert chunk_b < mono_b
     assert chunk_ag == pytest.approx(mono_ag)
     assert chunk_a2a == pytest.approx(mono_a2a)

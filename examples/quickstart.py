@@ -66,7 +66,7 @@ def main() -> None:
     cluster = Cluster(n_nodes=4)
     run = cluster.run(program)
     print(f"simulated time: {run.elapsed:.1f} µs "
-          f"({run.elapsed_seconds * 1e3:.3f} ms)")
+          f"({run.elapsed / 1e3:.3f} ms)")
     for result in run.results:
         print(
             f"rank {result['rank']}: contiguous {result['contiguous_MiB_s']:7.1f} MiB/s,"

@@ -35,34 +35,11 @@ def to_mib_s(bytes_per_usec: float) -> float:
     return bytes_per_usec * SEC / MiB
 
 
-def transfer_time(nbytes: int, bandwidth_bpus: float) -> float:
-    """Time in µs to move ``nbytes`` at ``bandwidth_bpus`` B/µs."""
-    if nbytes == 0:
-        return 0.0
-    if bandwidth_bpus <= 0.0:
-        raise ValueError(f"non-positive bandwidth: {bandwidth_bpus!r}")
-    return nbytes / bandwidth_bpus
-
-
 def align_up(value: int, alignment: int) -> int:
     """Round ``value`` up to the next multiple of ``alignment`` (a power of 2)."""
     if alignment <= 0 or alignment & (alignment - 1):
         raise ValueError(f"alignment must be a positive power of two: {alignment}")
     return (value + alignment - 1) & ~(alignment - 1)
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to the previous multiple of ``alignment``."""
-    if alignment <= 0 or alignment & (alignment - 1):
-        raise ValueError(f"alignment must be a positive power of two: {alignment}")
-    return value & ~(alignment - 1)
-
-
-def is_aligned(value: int, alignment: int) -> bool:
-    """True when ``value`` is a multiple of ``alignment`` (a power of 2)."""
-    if alignment <= 0 or alignment & (alignment - 1):
-        raise ValueError(f"alignment must be a positive power of two: {alignment}")
-    return (value & (alignment - 1)) == 0
 
 
 def fmt_size(nbytes: int) -> str:

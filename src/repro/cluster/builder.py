@@ -81,10 +81,6 @@ class ClusterRun:
     results: list[Any]
     elapsed: float  # µs of simulated time
 
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.elapsed * 1e-6
-
 
 class Cluster:
     """A simulated SCI cluster ready to run MPI programs."""

@@ -7,13 +7,14 @@ payload byte moves through the transport layer's scheduler via
 ``comm.send``/``comm.recv``.
 
 One member-list body, :func:`_member_bcast`, issues every broadcast
-message: the flat tree, the chain-pipelined stream and both stages of
-the hierarchical broadcast, which ``allreduce`` ends with too.  It
-chains when the world's
-:class:`~repro.mpi.transport.policy.TransferPolicy` returns a chunk
-(``collective_chunk``, ``cross_switch_chunk``): the payload then moves
-down a chain of ranks as packed-stream *segments*, each packed straight
-out of user memory.
+message: the flat stage and both stages of the hierarchical broadcast,
+which ``allreduce`` ends with too.  Each stage is a binomial tree or a
+chain by one memoised verdict, priced in rendezvous cycles from the
+payload and the member count (:func:`_chain_wins`), unless the world's
+:class:`~repro.mpi.transport.policy.TransferPolicy` forces one
+(``chain_collective``).  A chain hop is a single rendezvous message
+that each member forwards chunk by chunk as the chunks land in its
+buffer.
 
 On switched multi-ringlet fabrics (a
 :class:`~repro.hardware.sci.topology.Topology` with more than one
@@ -37,6 +38,7 @@ collective allocates").
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -139,44 +141,47 @@ def _hier_groups(comm: "Communicator") -> Optional[tuple[tuple[int, ...], ...]]:
     return groups
 
 
+@lru_cache(maxsize=1024)
+def _chain_wins(total: int, members: int, chunk: int) -> bool:
+    """The broadcast verdict, priced in rendezvous cycles of ``chunk``
+    bytes: a chain's last member holds ``total`` after ``members - 2 +
+    chunks`` cycles, a tree's after ``ceil(log2 members) x chunks``.
+    Ties go to the tree."""
+    chunks = -(-total // chunk)
+    return members - 2 + chunks < (members - 1).bit_length() * chunks
+
+
 def _member_bcast(comm: "Communicator", buf: "Buffer", members: Sequence[int],
                   root: int, tag: int, datatype, count: Optional[int],
-                  total: int, chunk: Optional[int] = None):
+                  total: int, flat: bool = False):
     """The one body that moves a broadcast's bytes, over an explicit
     member list (comm-local ranks).
 
-    Binomial tree; or, given a ``chunk`` below the ``total`` packed bytes
-    and at least three members, a chain from the root: each member
-    receives segment ``k`` from its predecessor while its forward of
-    segment ``k - 1`` is still in flight (one outstanding send — the
-    rendezvous handshake cycle, but across ranks).  Segments travel as
-    ``segment=(offset, nbytes)`` sends, packed straight out of (and
-    unpacked straight into) user memory.
+    A binomial tree, or a chain from the root, as the policy forces
+    (``chain_collective(flat)``) or else as :func:`_chain_wins` prices
+    them; a chain needs three members and more than one rendezvous chunk.
+    Each member inside the chain forwards (``RankDevice.forward``): one
+    message per hop, whose chunk ``k`` crosses hop ``i + 1`` while chunk
+    ``k + 1`` crosses hop ``i``.
     """
     m = len(members)
     idx = members.index(comm.rank)
     root_idx = members.index(root)
     relative = (idx - root_idx) % m
-    if chunk is not None and m >= 3 and chunk < total:
+    device = comm.device
+    chunk = device.config.rendezvous_chunk
+    forced = device.policy.chain_collective(flat)
+    if m > 2 and total > chunk and (
+            _chain_wins(total, m, chunk) if forced is None else forced):
         prev = members[(idx - 1) % m]
         nxt = members[(idx + 1) % m]
-        pending = None
-        pos = 0
-        while pos < total:
-            n = min(chunk, total - pos)
-            seg = (pos, n)
-            if relative != 0:
-                yield from comm.recv(buf, source=prev, tag=tag,
-                                     datatype=datatype, count=count,
-                                     segment=seg)
-            if relative != m - 1:
-                if pending is not None:
-                    yield from pending.wait()
-                pending = comm.isend(buf, nxt, tag=tag, datatype=datatype,
-                                     count=count, segment=seg)
-            pos += n
-        if pending is not None:
-            yield from pending.wait()
+        if relative == 0:
+            yield from comm.send(buf, nxt, tag=tag, datatype=datatype, count=count)
+        elif relative == m - 1:
+            yield from comm.recv(buf, source=prev, tag=tag, datatype=datatype, count=count)
+        else:
+            yield from device.forward(buf, comm.group[prev], comm.group[nxt],
+                                      tag, datatype, count, comm.context)
         return
     # Climb masks until our lowest set bit: that's where our parent is.
     mask = 1
@@ -202,15 +207,13 @@ def _bcast(comm: "Communicator", buf: "Buffer", root: int, datatype,
            count: Optional[int], total: int,
            groups: Optional[Sequence[Sequence[int]]]):
     """Broadcast ``total`` packed bytes from ``root``: flat over every
-    rank in the policy's ``collective_chunk``, or, given locality
-    ``groups``, root -> group leaders across the switch (one message per
-    ringlet, chunked past ``policy.cross_chunk``) -> ringlet-local,
-    unchunked."""
-    policy = comm.device.policy
+    rank, or, given locality ``groups``, root -> group leaders across the
+    switch (one message per ringlet) -> ringlet-local.  Each stage is
+    one :func:`_member_bcast`, tree or chain by its own verdict."""
     if groups is None:
         yield from _member_bcast(comm, buf, range(comm.size), root,
                                  COLL_TAG + 2, datatype, count, total,
-                                 policy.collective_chunk(total))
+                                 flat=True)
         return
     rank = comm.rank
     my_group = next(g for g in groups if rank in g)
@@ -219,8 +222,7 @@ def _bcast(comm: "Communicator", buf: "Buffer", root: int, datatype,
     leaders = [root if g is root_group else g[0] for g in groups]
     if rank in leaders:
         yield from _member_bcast(comm, buf, leaders, root, COLL_TAG + 9,
-                                 datatype, count, total,
-                                 policy.cross_switch_chunk(total))
+                                 datatype, count, total)
     yield from _member_bcast(comm, buf, my_group,
                              leaders[groups.index(my_group)], COLL_TAG + 10,
                              datatype, count, total)
@@ -303,9 +305,9 @@ def _member_reduce(comm: "Communicator", sendbuf: "Buffer",
 
 def bcast(comm: "Communicator", buf: "Buffer", root: int = 0,
           datatype=None, count: Optional[int] = None):
-    """Broadcast: binomial tree, a chain-pipelined segment stream when
-    the transfer policy asks for chunking, or the hierarchical algorithm
-    on multi-ringlet topologies (see :func:`_bcast`)."""
+    """Broadcast: a binomial tree or a chain of forwarding ranks, flat or
+    by the hierarchical algorithm on multi-ringlet topologies (see
+    :func:`_bcast`)."""
     if comm.size == 1:
         return
         yield  # pragma: no cover - generator marker

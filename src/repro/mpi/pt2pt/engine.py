@@ -26,6 +26,7 @@ byte moves through :class:`~repro.mpi.transport.scheduler.TransferScheduler`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ...sim import Channel, Engine, Lock, Resource
@@ -33,7 +34,7 @@ from ...smi import SMIContext
 from ..datatypes.base import Datatype
 from ..errors import MPIError
 from ..transport.policy import Protocol, TransferMode, TransferPolicy
-from ..transport.scheduler import Fold, TransferScheduler
+from ..transport.scheduler import Fold, Gate, TransferScheduler
 from .config import DEFAULT_PROTOCOL, ProtocolConfig
 from .messages import (
     ANY_SOURCE,
@@ -248,13 +249,15 @@ class RankDevice:
     def send(self, buf: "Buffer", dest: int, tag: int = 0,
              datatype: Optional[Datatype] = None, count: Optional[int] = None,
              context: int = 0, sync: bool = False,
-             segment: Optional[tuple[int, int]] = None):
+             segment: Optional[tuple[int, int]] = None,
+             gate: Optional[Gate] = None):
         """Blocking send (DES generator).
 
         ``sync=True`` gives MPI_Ssend semantics: the call completes only
         once the receiver has matched the message.  ``segment`` restricts
-        the transfer to a byte range of the packed stream (used by the
-        chunked collectives; both sides must agree on the range).
+        the transfer to a byte range of the packed stream (both sides
+        must agree on the range).  A ``gate`` holds the bytes until they
+        have landed (:meth:`forward`).
         """
         if not 0 <= dest < self.world.n_ranks:
             raise MPIError(f"invalid destination rank {dest}")
@@ -271,6 +274,11 @@ class RankDevice:
         mode = self.policy.transfer_mode(
             dtype, protocol,
             lambda: scheduler.verdict(plan, seg_off, total, dest, True))
+        if gate is not None:
+            if mode in (TransferMode.GENERIC, TransferMode.DMA):
+                mode = TransferMode.DIRECT  # streams from user memory
+            if protocol != Protocol.RNDV:
+                yield from gate.wait(total)
         env = Envelope(self.rank, tag, context)
         src_cached = self.policy.src_cached(total, self.node)
         sync_reply = Channel(self.engine, name="ssend-ack") if sync else None
@@ -291,13 +299,27 @@ class RankDevice:
         else:
             # Rendezvous is inherently synchronous.
             yield from scheduler.send_rndv(
-                dest, env, mem, base, plan, seg_off, total, mode, src_cached,
-            )
+                dest, env, mem, base, plan, seg_off, total, mode, src_cached, gate)
             self.counters["rndv"] += 1
             sync_reply = None
         if sync_reply is not None:
             yield sync_reply.get()
         self._trace("send.end", dest=dest, protocol=protocol, nbytes=total)
+
+    def forward(self, buf: "Buffer", source: int, dest: int, tag: int,
+                datatype: Optional[Datatype], count: Optional[int],
+                context: int = 0):
+        """A chained broadcast's hop (DES generator): receive ``buf`` from
+        ``source`` and send it on to ``dest`` at once, each rendezvous
+        chunk once it is in ``buf`` (:class:`Gate`); a smaller message
+        once all of it is."""
+        gate = Gate(self.engine)
+        receive = self.engine.process(
+            self.recv(buf, source, tag, datatype, count, context, gate=gate),
+            name=f"forward-r{self.rank}")
+        yield from self.send(buf, dest, tag, datatype, count, context,
+                             gate=gate)
+        yield receive
 
     # -- receive -----------------------------------------------------------------------
 
@@ -316,10 +338,12 @@ class RankDevice:
     def recv(self, buf: "Buffer", source: int = ANY_SOURCE, tag: int = ANY_TAG,
              datatype: Optional[Datatype] = None, count: Optional[int] = None,
              context: int = 0, segment: Optional[tuple[int, int]] = None,
-             fold: Optional[tuple[Any, Any]] = None):
+             fold: Optional[tuple[Any, Any]] = None,
+             gate: Optional[Gate] = None):
         """Blocking receive (DES generator); returns a Status.  Given
         ``fold=(ufunc, np_dtype)`` (the binomial reduction's receives) the
-        message folds into ``buf`` as it lands (:class:`Fold`)."""
+        message folds into ``buf`` as it lands (:class:`Fold`); a ``gate``
+        is raised as the bytes reach ``buf`` (:meth:`forward`)."""
         dtype, plan, seg_off, capacity = self._message(
             buf, datatype, count, segment
         )
@@ -352,9 +376,11 @@ class RankDevice:
                 dtype, protocol,
                 lambda: scheduler.verdict(plan, seg_off, min(msg.nbytes, capacity),
                                           msg.envelope.source, False))
-            body = scheduler.recv_eager if eager else scheduler.recv_rndv
+            body = scheduler.recv_eager if eager else partial(scheduler.recv_rndv, gate=gate)
             n = yield from body(msg, mem, base, plan, seg_off, capacity, mode,
                                 contiguous, fold)
+        if gate is not None:
+            gate.raise_to(n)
         if not isinstance(msg, RndvRequest) and msg.sync_reply is not None:
             yield from self.send_ctrl(msg.envelope.source, True,
                                       to_channel=msg.sync_reply)

@@ -117,10 +117,6 @@ class TransferPolicy:
     #: locality domain.  Single-domain topologies (plain ring) always
     #: run the flat algorithms regardless of this flag.
     hier_collectives: bool = True
-    #: Segment size for the cross-switch leader stage of hierarchical
-    #: collectives: crossbar/spine hops are the scarce links, so leader
-    #: exchanges pipeline in chunks of this size once payloads exceed it.
-    cross_chunk: int = 128 * 1024
     #: QoS lane knobs (reserved-share budget, best-effort throttle floor,
     #: credit priority; see ``docs/QOS.md``).  Only consulted while a
     #: :class:`~repro.qos.QosManager` is installed on the fabric *and*
@@ -217,17 +213,11 @@ class TransferPolicy:
 
     # -- collectives ---------------------------------------------------------------
 
-    def collective_chunk(self, nbytes: int) -> Optional[int]:
-        """Segment size for a flat broadcast of ``nbytes``; ``None``
-        keeps the binomial tree.
-
-        The base policy never chunks — the seed behaviour.  Chunking only
-        pays where segments *pipeline* across ranks (see
-        :class:`ChunkedCollectivesPolicy`); the ring allgather and the
-        pairwise alltoall are already pipelined at message granularity.
-        Whether a chain can pipeline at all (three members, a chunk
-        below the payload) is the broadcast's own test.
-        """
+    def chain_collective(self, flat: bool) -> Optional[bool]:
+        """Force a broadcast stage onto the chain (``True``) or the
+        binomial tree (``False``); ``None`` leaves it to the broadcast's
+        verdict (``_member_bcast`` in ``mpi/coll``).  ``flat`` is the
+        stage over every rank, not a hierarchical one."""
         return None
 
     def hierarchical_collective(self, size: int, n_groups: int) -> bool:
@@ -247,17 +237,6 @@ class TransferPolicy:
             return False
         return size > n_groups
 
-    def cross_switch_chunk(self, nbytes: int) -> Optional[int]:
-        """Pipeline chunk for cross-switch leader exchanges, or ``None``.
-
-        Below ``cross_chunk`` the handshake overhead of segmenting beats
-        any overlap; above it, chunking lets a leader forward segment
-        ``k`` while receiving ``k + 1`` across the switch.
-        """
-        if nbytes <= self.cross_chunk:
-            return None
-        return self.cross_chunk
-
     # -- observability -------------------------------------------------------------
 
     def describe(self) -> dict[str, int]:
@@ -275,30 +254,18 @@ class TransferPolicy:
             "remote_put_threshold": cfg.remote_put_threshold,
             "small_rma_threshold": self.small_rma_threshold,
             "hier_collectives": int(self.hier_collectives),
-            "cross_chunk": self.cross_chunk,
             **self.qos.describe(),
         }
 
 
 @dataclass(frozen=True)
 class ChunkedCollectivesPolicy(TransferPolicy):
-    """Chunk large collective payloads through the transport scheduler.
+    """The flat broadcast chains wherever a chain can pipeline, whatever
+    the verdict: each rank forwards every rendezvous chunk as it lands.
+    The benchmarks' flat baseline against the hierarchical algorithm."""
 
-    Broadcasts above ``coll_pipeline_threshold`` are split into
-    ``coll_chunk``-sized packed-stream segments and streamed down a chain
-    of ranks, so rank ``r`` forwards segment ``k`` while receiving segment
-    ``k + 1`` — the transport-level analogue of the rendezvous handshake
-    cycle, but across ranks.  With fewer than three ranks there is nothing
-    to pipeline and the broadcast keeps its binomial tree.
-    """
-
-    coll_chunk: int = 64 * 1024
-    coll_pipeline_threshold: int = 64 * 1024
-
-    def collective_chunk(self, nbytes: int) -> Optional[int]:
-        if nbytes <= self.coll_pipeline_threshold:
-            return None
-        return self.coll_chunk
+    def chain_collective(self, flat: bool) -> Optional[bool]:
+        return True if flat else None
 
 
 DEFAULT_POLICY = TransferPolicy()

@@ -16,10 +16,10 @@ credit-based flow control:
 
 All protocol bodies take a *stream segment* ``(seg_off, total)``: the
 byte range of the packed stream they move.  Whole-message transfers use
-``(0, plan.total)``; chunked collectives hand in sub-ranges, which makes
-plan-aware segmentation free — each segment packs straight out of (and
-unpacks straight into) user memory via the plan's prefix-sum range
-lookup, with no staging copy.
+``(0, plan.total)``; a ``segment=`` send or receive hands in a
+sub-range, which packs straight out of (and unpacks straight into) user
+memory via the plan's prefix-sum range lookup, with no staging copy.
+A :class:`Gate` pipelines a chained broadcast's hops.
 
 The scheduler also keeps the per-chunk cost accounting (``stats``): how
 many packet-buffer chunks, payload bytes and simulated microseconds this
@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..flatten import PackPlan
     from ..pt2pt.engine import RankDevice
 
-__all__ = ["ChunkCredit", "ChunkReady", "Fold", "RndvAck", "TransferScheduler"]
+__all__ = ["ChunkCredit", "ChunkReady", "Fold", "Gate", "RndvAck", "TransferScheduler"]
 
 
 @dataclass
@@ -91,6 +91,28 @@ class Fold:
             acc = self.dst[lo:hi].view(self.dtype)
             self.ufunc(acc, data[lo - pos : hi - pos].view(self.dtype), out=acc)
             self.mark = hi
+
+
+class Gate:
+    """How much of a forwarding member's stream is in user memory: bytes
+    ``[0, mark)``.  Its receive raises the mark after each chunk drain (a
+    generic receive, whose chunks land in a packed temp, only at its
+    final unpack); its send waits on :meth:`wait` before each chunk."""
+
+    def __init__(self, engine):
+        self.engine, self.mark, self._waiter = engine, 0, None
+
+    def raise_to(self, mark: int) -> None:
+        self.mark = mark
+        if self._waiter is not None and self._waiter[0] <= mark:
+            self._waiter[1].succeed()
+            self._waiter = None
+
+    def wait(self, upto: int):
+        """DES generator: return once the mark covers ``upto``."""
+        if self.mark < upto:
+            self._waiter = (upto, self.engine.event("gate"))
+            yield self._waiter[1]
 
 
 @dataclass
@@ -549,8 +571,10 @@ class TransferScheduler:
         return pos + k * n, index + k
 
     def send_rndv(self, dest, env, mem, base, plan, seg_off,
-                  total, mode, src_cached):
-        """Rendezvous protocol: handshake, then credit-paced chunk stream."""
+                  total, mode, src_cached, gate: Optional[Gate] = None):
+        """Rendezvous protocol: handshake, then credit-paced chunk stream.
+        A ``gate`` holds each chunk until its mark covers it, and any
+        window until it is fully open."""
         device = self.device
         cfg = device.config
         reply: Channel = Channel(device.engine, name=f"rndv-reply-r{device.rank}")
@@ -572,14 +596,17 @@ class TransferScheduler:
         pos = 0
         index = 0
         while pos < total:
-            advanced = yield from self._stream_window(
-                dest, ack, mem, base, plan, packed, mode, seg_off, pos,
-                index, total, src_cached,
-            )
-            if advanced is not None:
-                pos, index = advanced
-                continue
+            if gate is None or gate.mark >= total:
+                advanced = yield from self._stream_window(
+                    dest, ack, mem, base, plan, packed, mode, seg_off, pos,
+                    index, total, src_cached,
+                )
+                if advanced is not None:
+                    pos, index = advanced
+                    continue
             n = min(ack.chunk_size, total - pos)
+            if gate is not None:
+                yield from gate.wait(pos + n)
             if packed is not None:
                 data = packed[pos : pos + n]
                 groups = [(n, 1)]
@@ -694,8 +721,10 @@ class TransferScheduler:
         return 0 if qos.lane_of_node(node) == LANE_RESERVED else 1
 
     def recv_rndv(self, msg: RndvRequest, mem, base, plan, seg_off,
-                  capacity, mode, contiguous, fold):
-        """Receiver side of the chunk stream: drain, unpack, credit."""
+                  capacity, mode, contiguous, fold, gate: Optional[Gate] = None):
+        """Receiver side of the chunk stream: drain, unpack, credit.  A
+        drain into user memory raises the ``gate``, if given, and the ack
+        then offers no window (it would land chunks ahead of their time)."""
         device = self.device
         memory = device.node.memory
         cfg = device.config
@@ -718,8 +747,8 @@ class TransferScheduler:
             ack = RndvAck(chunk_channel, device.rndv_region, cfg.rendezvous_chunk,
                           partial(self._land, mem, base, plan, seg_off,
                                   packed_tmp, fold),
-                          window=self._window_support(mode, contiguous, plan,
-                                                      seg_off))
+                          window=None if gate is not None else
+                          self._window_support(mode, contiguous, plan, seg_off))
             yield from device.send_ctrl(msg.envelope.source, ack,
                                         to_channel=msg.reply)
 
@@ -744,6 +773,8 @@ class TransferScheduler:
                 yield device.engine.timeout(self.chunk_drain_cost(
                     mode, contiguous, plan, seg_off + pos, n))
                 pos += n
+                if gate is not None and packed_tmp is None:
+                    gate.raise_to(pos)
                 yield from device.send_ctrl(
                     msg.envelope.source, ChunkCredit(ready.index),
                     to_channel=msg.reply,

@@ -368,11 +368,6 @@ class TestTopologyAwarePolicy:
         assert not policy.hierarchical_collective(64, 8)
         assert policy.describe()["hier_collectives"] == 0
 
-    def test_cross_switch_chunk(self):
-        policy = TransferPolicy(cross_chunk=4 * KiB)
-        assert policy.cross_switch_chunk(1 * KiB) is None
-        assert policy.cross_switch_chunk(64 * KiB) == 4 * KiB
-
 
 class TestHierarchicalCollectives:
     @staticmethod
@@ -415,10 +410,11 @@ class TestHierarchicalCollectives:
     def test_hierarchical_beats_flat_chain(self):
         """The tentpole's payoff, cheap enough for tier-1: at 16 nodes on
         two 8-node ringlets, the hierarchical allreduce must beat the
-        flat chain-pipelined algorithm (the pre-topology behaviour).
-        The payload sits above the chain's 64 KiB pipeline threshold —
-        below it the flat binomial tree on block rank placement is
-        already hierarchy-aligned and the timings tie exactly."""
+        flat chain (``ChunkedCollectivesPolicy``).
+        The payload spans two rendezvous chunks, so the flat stage
+        chains — at one chunk it is the binomial tree, which on block
+        rank placement is already hierarchy-aligned, and the timings tie
+        exactly."""
         from repro.bench.hier import run_hier_allreduce
 
         flat = run_hier_allreduce(16, hierarchical=False, payload=128 * KiB)

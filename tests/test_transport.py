@@ -1,7 +1,7 @@
 """Tests for the unified transport layer (repro.mpi.transport).
 
 Covers the policy decision table, the scheduler's per-chunk accounting,
-segmented (plan-aware) sends, chunked collectives — all byte-for-byte
+segmented (plan-aware) sends, the chained broadcast — all byte-for-byte
 against the monolithic paths — and a grep-based guard that chunk-group
 computation stays inside the transport / flatten packages.
 """
@@ -38,6 +38,7 @@ from repro.mpi.transport import (
 )
 from repro.mpi.transport.store import RemoteStore
 
+from .test_bcast_chain import TreePolicy
 from .test_flatten_engine import datatype_strategy
 
 
@@ -94,21 +95,22 @@ class TestTransferPolicy:
         assert pol.get_strategy(64, True, False) == OSCStrategy.REMOTE_PUT
         assert pol.get_strategy(64, False, True) == OSCStrategy.EMULATED
 
-    def test_collective_chunk(self):
-        base = TransferPolicy(DEFAULT_PROTOCOL)
-        assert base.collective_chunk(1 << 20) is None
-        chunked = ChunkedCollectivesPolicy(DEFAULT_PROTOCOL)
-        assert chunked.collective_chunk(1 << 20) == 64 * KiB
-        # Nothing to pipeline below the size threshold.  Below three
-        # ranks the broadcast keeps its binomial tree whatever the chunk
+    def test_chain_collective(self):
+        # The base policy leaves every stage to the broadcast's verdict;
+        # the chunked policy forces the flat stage onto the chain.  Below
+        # three ranks, or at one rendezvous chunk, the chain is the tree
         # (pinned in tests/test_collectives_extended.py).
-        assert chunked.collective_chunk(32 * KiB) is None
+        base = TransferPolicy(DEFAULT_PROTOCOL)
+        assert base.chain_collective(True) is base.chain_collective(False) is None
+        chunked = ChunkedCollectivesPolicy(DEFAULT_PROTOCOL)
+        assert chunked.chain_collective(True) is True
+        assert chunked.chain_collective(False) is None
 
     def test_bind_keeps_subclass(self):
         cfg = DEFAULT_PROTOCOL.replace(eager_threshold=4 * KiB)
-        pol = ChunkedCollectivesPolicy(coll_chunk=32 * KiB).bind(cfg)
+        pol = ChunkedCollectivesPolicy(hier_collectives=False).bind(cfg)
         assert isinstance(pol, ChunkedCollectivesPolicy)
-        assert pol.coll_chunk == 32 * KiB
+        assert pol.hier_collectives is False
         assert pol.config.eager_threshold == 4 * KiB
 
 
@@ -498,18 +500,21 @@ def _run_bcast(policy, nbytes, n_nodes=4, datatype=None, count=None,
 
 
 class TestChunkedCollectives:
+    """The chained broadcast (one gated rendezvous message per hop)
+    against the binomial tree, both forced."""
+
     def test_chunked_bcast_bytes_equal_monolithic(self):
         nbytes = 300 * KiB
-        mono = _run_bcast(None, nbytes)
+        mono = _run_bcast(TreePolicy(), nbytes)
         chunk = _run_bcast(ChunkedCollectivesPolicy(), nbytes)
         assert mono.results == chunk.results
         assert len(set(chunk.results)) == 1
 
     def test_chunked_bcast_noncontiguous(self):
         dtype = Vector(16, 4, 8, DOUBLE).commit()
-        count = 80
+        count = 400  # 200 KiB packed: four rendezvous chunks
         extent, total = dtype.extent * count, dtype.size * count
-        mono = _run_bcast(None, total, datatype=dtype, count=count,
+        mono = _run_bcast(TreePolicy(), total, datatype=dtype, count=count,
                           extent=extent)
         chunk = _run_bcast(ChunkedCollectivesPolicy(), total, datatype=dtype,
                            count=count, extent=extent)
@@ -522,7 +527,7 @@ class TestChunkedCollectives:
 
     def test_chunked_bcast_faster(self):
         nbytes = 512 * KiB
-        mono = _run_bcast(None, nbytes)
+        mono = _run_bcast(TreePolicy(), nbytes)
         chunk = _run_bcast(ChunkedCollectivesPolicy(), nbytes)
         assert chunk.elapsed < mono.elapsed
 

@@ -5,13 +5,10 @@ import pytest
 from repro._units import (
     KiB,
     MiB,
-    align_down,
     align_up,
     fmt_size,
-    is_aligned,
     mib_s,
     to_mib_s,
-    transfer_time,
 )
 
 
@@ -24,23 +21,13 @@ def test_mib_s_value():
     assert mib_s(1.0) == pytest.approx(1.048576)
 
 
-def test_transfer_time():
-    assert transfer_time(0, 100.0) == 0.0
-    assert transfer_time(1000, 100.0) == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        transfer_time(10, 0.0)
-
-
-def test_align_helpers():
+def test_align_up():
     assert align_up(13, 8) == 16
     assert align_up(16, 8) == 16
-    assert align_down(13, 8) == 8
-    assert is_aligned(64, 32)
-    assert not is_aligned(65, 32)
     with pytest.raises(ValueError):
         align_up(3, 6)  # not a power of two
     with pytest.raises(ValueError):
-        is_aligned(3, 0)
+        align_up(3, 0)
 
 
 def test_fmt_size():
