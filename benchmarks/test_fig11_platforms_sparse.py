@@ -14,6 +14,7 @@ Acceptance (Sec. 5.3):
 from repro._units import KiB
 from repro.bench.series import render_series
 from repro.bench.sparse import DEFAULT_ACCESS_SIZES, fig11_platform_series, run_sparse
+from repro.mpi.transport import PaperThresholdPolicy
 from repro.platforms import platform_by_id
 
 
@@ -33,11 +34,13 @@ def test_fig11(once):
         bw = Series("M-S")
         lat_i = Series("M-s", y_unit="µs")
         bw_i = Series("M-s")
+        paper = PaperThresholdPolicy()  # SCI-MPICH's one-sided rule, named
         for size in DEFAULT_ACCESS_SIZES:
-            result = run_sparse(size, op="put", shared=True)
+            result = run_sparse(size, op="put", shared=True, policy=paper)
             lat.add(size, result.latency)
             bw.add(size, result.bandwidth)
-            result = run_sparse(size, op="put", shared=True, intranode=True)
+            result = run_sparse(size, op="put", shared=True, intranode=True,
+                                policy=paper)
             lat_i.add(size, result.latency)
             bw_i.add(size, result.bandwidth)
         sci = {"latency": lat, "bandwidth": bw,

@@ -17,13 +17,15 @@ from repro.bench.ring import (
     fig12_sci_series,
 )
 from repro.bench.series import render_series
+from repro.mpi.transport import PaperThresholdPolicy
 from repro.platforms import platform_by_id
 
 
 def test_fig12(once):
     def build():
-        sci = fig12_sci_series()
-        intra = fig12_intranode_series()
+        paper = PaperThresholdPolicy()  # SCI-MPICH's one-sided rule, named
+        sci = fig12_sci_series(policy=paper)
+        intra = fig12_intranode_series(policy=paper)
         others = {
             pid: fig12_platform_series(
                 platform_by_id(pid).model,

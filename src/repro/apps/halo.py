@@ -176,7 +176,3 @@ class HaloExchanger:
             ))
         for req in requests:
             yield from req.wait()
-
-    def face_count(self) -> int:
-        """Number of active (non-boundary) faces of this rank."""
-        return sum(1 for _, _, peer, _, _ in self._faces if peer is not None)

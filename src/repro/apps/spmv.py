@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..mpi.datatypes import DOUBLE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.builder import RankContext
@@ -117,20 +116,3 @@ class DistributedSpMV:
         y_local = self.local_rows @ x
         return y_local
 
-    def multiply_transpose(self, x_global: np.ndarray):
-        """DES generator: y = A^T x via one-sided accumulation;
-        returns this rank's slice of y."""
-        comm = self.comm
-        self.y_win.local_view().view(np.float64)[:] = 0.0
-        yield from self.y_win.fence()
-        x_slice = np.asarray(x_global[self.lo : self.hi], dtype=np.float64)
-        contrib = self.local_rows.T @ x_slice
-        for owner in range(comm.size):
-            o_lo, o_hi = self.owner_bounds(owner)
-            piece = contrib[o_lo:o_hi]
-            if not piece.any():
-                continue
-            yield from self.y_win.accumulate(piece, owner, 0, op="sum",
-                                             datatype=DOUBLE)
-        yield from self.y_win.fence()
-        return np.array(self.y_win.local_view().view(np.float64), copy=True)

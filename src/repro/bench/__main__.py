@@ -24,7 +24,11 @@ from .ring import (
 from .series import render_series, render_table
 from .sparse import fig9_series, fig11_platform_series
 from .strided import access_size_table, stride_sweep
+from ..mpi.transport.policy import PaperThresholdPolicy
 from ..platforms import TABLE1, platform_by_id
+
+#: The sparse figures name SCI-MPICH's one-sided rule, as the benchmarks do.
+PAPER = PaperThresholdPolicy()
 
 
 def run_fig1() -> None:
@@ -54,7 +58,7 @@ def run_sec43() -> None:
 
 
 def run_fig9() -> None:
-    out = fig9_series()
+    out = fig9_series(policy=PAPER)
     keys = ("put-shared", "get-shared", "put-private", "get-private")
     print(render_series("Figure 9 (top): sparse per-call latency [µs]",
                         [out[k]["latency"] for k in keys]))
@@ -85,7 +89,8 @@ def run_fig11() -> None:
                                         op="get")["bandwidth"])
     sci = Series("M-S")
     for size in DEFAULT_ACCESS_SIZES:
-        sci.add(size, run_sparse(size, op="put", shared=True).bandwidth)
+        sci.add(size, run_sparse(size, op="put", shared=True,
+                                 policy=PAPER).bandwidth)
     curves.append(sci)
     print(render_series("Figure 11: sparse one-sided bandwidth [MiB/s]", curves))
 
@@ -93,7 +98,8 @@ def run_fig11() -> None:
 def run_fig12() -> None:
     from .ring import fig12_intranode_series
 
-    curves = [fig12_sci_series(), fig12_intranode_series()]
+    curves = [fig12_sci_series(policy=PAPER),
+              fig12_intranode_series(policy=PAPER)]
     for pid in ("C", "F-s", "X-s"):
         curves.append(fig12_platform_series(platform_by_id(pid).model))
     print(render_series("Figure 12: per-process put bandwidth vs processes "

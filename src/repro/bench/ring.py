@@ -26,6 +26,7 @@ from ..hardware.sci.flows import FlowNetwork
 from ..hardware.sci.ringlet import RingTopology, Route
 from ..platforms.base import AnalyticPlatform
 from ..sim import Engine
+from ..mpi.transport.policy import TransferPolicy
 from .series import Series, Table
 
 __all__ = [
@@ -47,12 +48,14 @@ PAPER_DEMAND_MIB_S: float = 120.83
 def measure_put_rate(
     access_size: int = 4 * KiB,
     node_params: NodeParams = DEFAULT_NODE,
+    policy: Optional[TransferPolicy] = None,
 ) -> float:
     """Solo per-node MPI_Put streaming rate (MiB/s), via the simulator."""
     from .sparse import run_sparse
 
     result = run_sparse(access_size, op="put", shared=True,
-                        winsize=256 * KiB, node_params=node_params)
+                        winsize=256 * KiB, node_params=node_params,
+                        policy=policy)
     return result.bandwidth
 
 
@@ -145,10 +148,12 @@ def fig12_sci_series(
     node_counts: Optional[list[int]] = None,
     node_params: NodeParams = DEFAULT_NODE,
     access_size: int = 4 * KiB,
+    policy: Optional[TransferPolicy] = None,
 ) -> Series:
-    """SCI curve of Fig. 12: min per-process put bandwidth vs. process count."""
+    """SCI curve of Fig. 12: min per-process put bandwidth vs. process
+    count (``policy`` as in :func:`~repro.bench.sparse.run_sparse`)."""
     node_counts = node_counts or [2, 3, 4, 5, 6, 7, 8]
-    demand_mib = measure_put_rate(access_size, node_params)
+    demand_mib = measure_put_rate(access_size, node_params, policy)
     demand = mib_s(demand_mib)
     series = Series("M-S (SCI)", x_unit="processes")
     for n in node_counts:
@@ -161,12 +166,14 @@ def fig12_intranode_series(
     node_counts: Optional[list[int]] = None,
     node_params: NodeParams = DEFAULT_NODE,
     access_size: int = 4 * KiB,
+    policy: Optional[TransferPolicy] = None,
 ) -> Series:
     """M-s curve of Fig. 12: SCI-MPICH intra-node put scaling.
 
     All ranks share one node; concurrent window writes contend on the
     node's memory bus — the mechanism behind "shared-memory platforms
     ... scale very badly for coarse-grained accesses" (Sec. 5.3).
+    ``policy`` as in :func:`~repro.bench.sparse.run_sparse`.
     """
     from .sparse import run_sparse
 
@@ -175,7 +182,7 @@ def fig12_intranode_series(
     for n in node_counts:
         result = run_sparse(access_size, op="put", shared=True,
                             winsize=64 * KiB, node_params=node_params,
-                            nprocs=n, intranode=True)
+                            nprocs=n, intranode=True, policy=policy)
         series.add(n, result.bandwidth)
     return series
 

@@ -33,20 +33,6 @@ class Series:
         """y value at exactly x (raises if absent)."""
         return self.y[self.x.index(x)]
 
-    def interpolate(self, x: float) -> float:
-        """Piecewise-linear interpolation (x values must be sorted)."""
-        xs, ys = self.x, self.y
-        if not xs:
-            raise ValueError(f"empty series {self.label!r}")
-        if x <= xs[0]:
-            return ys[0]
-        if x >= xs[-1]:
-            return ys[-1]
-        for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
-
     @property
     def peak(self) -> float:
         return max(self.y)

@@ -21,6 +21,7 @@ import numpy as np
 from .._units import KiB, to_mib_s
 from ..cluster import Cluster
 from ..hardware.params import DEFAULT_NODE, NodeParams
+from ..mpi.transport.policy import TransferPolicy
 from ..platforms.base import AnalyticPlatform
 from .series import Series
 
@@ -66,6 +67,7 @@ def run_sparse(
     node_params: NodeParams = DEFAULT_NODE,
     nprocs: int = 2,
     intranode: bool = False,
+    policy: Optional[TransferPolicy] = None,
 ) -> SparseResult:
     """Run the sparse benchmark between ``nprocs`` ranks.
 
@@ -73,7 +75,9 @@ def run_sparse(
     (``intranode=True``, the M-s shared-memory row).  Each rank accesses
     the window part of its partner (rank+1 mod n) with stride 2 (paper:
     "after each data element, a gap of the same size follows which is not
-    accessed").  Returns rank 0's measurement.
+    accessed").  ``policy`` forces the one-sided strategy (the paper
+    figures name :class:`~repro.mpi.transport.PaperThresholdPolicy`).
+    Returns rank 0's measurement.
     """
     if op not in ("put", "get"):
         raise ValueError(f"op must be 'put' or 'get', got {op!r}")
@@ -102,9 +106,10 @@ def run_sparse(
 
     if intranode:
         cluster = Cluster(n_nodes=1, procs_per_node=max(nprocs, 2),
-                          node_params=node_params)
+                          node_params=node_params, policy=policy)
     else:
-        cluster = Cluster(n_nodes=max(nprocs, 2), node_params=node_params)
+        cluster = Cluster(n_nodes=max(nprocs, 2), node_params=node_params,
+                          policy=policy)
     run = cluster.run_on_ranks({r: program for r in range(nprocs)})
     ncalls, elapsed = run.results[0]
     return SparseResult(
@@ -119,11 +124,12 @@ def fig9_series(
     access_sizes: Optional[list[int]] = None,
     winsize: int = 128 * KiB,
     node_params: NodeParams = DEFAULT_NODE,
+    policy: Optional[TransferPolicy] = None,
 ) -> dict[str, dict[str, Series]]:
     """The four Fig. 9 curve families: {variant: {latency, bandwidth}}.
 
     Variants: ``put-shared``, ``get-shared``, ``put-private``,
-    ``get-private``.
+    ``get-private``; ``policy`` as in :func:`run_sparse`.
     """
     access_sizes = access_sizes or DEFAULT_ACCESS_SIZES
     out: dict[str, dict[str, Series]] = {}
@@ -134,7 +140,8 @@ def fig9_series(
             bandwidth = Series(key)
             for size in access_sizes:
                 result = run_sparse(size, op=op, shared=shared,
-                                    winsize=winsize, node_params=node_params)
+                                    winsize=winsize, node_params=node_params,
+                                    policy=policy)
                 latency.add(size, result.latency)
                 bandwidth.add(size, result.bandwidth)
             out[key] = {"latency": latency, "bandwidth": bandwidth}

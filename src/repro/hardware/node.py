@@ -46,12 +46,17 @@ class Node:
         if self._bus is None:
             from .sci.flows import FlowNetwork, fair_share
 
-            capacity = self.params.memory.main_copy_bw * BUS_HEADROOM
             self._bus = FlowNetwork(
-                engine, {("bus", self.node_id): capacity}, echo_ratio=0.0,
-                name=f"bus-node{self.node_id}", response=fair_share,
+                engine, {("bus", self.node_id): self.bus_capacity},
+                echo_ratio=0.0, name=f"bus-node{self.node_id}",
+                response=fair_share,
             )
         return self._bus
+
+    @property
+    def bus_capacity(self) -> float:
+        """Memory-bus bandwidth (B/µs) that concurrent copies share."""
+        return self.params.memory.main_copy_bw * BUS_HEADROOM
 
     def bus_transfer(self, engine: "Engine", nbytes: int, duration: float):
         """DES generator: a local copy of ``nbytes`` that would take

@@ -213,13 +213,14 @@ class NodeParams:
 
     @cached_property
     def write_alignment(self) -> int:
-        """Modulus under which equal-geometry remote writes cost the same.
+        """Modulus under which equal-geometry remote accesses cost the same.
 
-        Store decomposition, WC-line flushes and stream-window gathering
-        see a target address only modulo these three widths, so cost
-        memos key on ``offset % write_alignment``, not on the offset.
+        Stores, WC-line flushes, stream gathering and read transactions
+        see a target address only modulo these widths, so cost memos key
+        on ``offset % write_alignment``, not on the offset.
         """
         return math.lcm(self.adapter.stream_txn_size,
+                        self.adapter.read_txn_size,
                         self.write_combine.line_size,
                         self.write_combine.store_width)
 

@@ -336,21 +336,28 @@ class SCIFabric:
         self._trace_xfer("pio_write", src, dst, nbytes, t0, route)
         return cost
 
-    def pio_read(self, src: int, dst: int, run: AccessRun):
-        """Transparent remote read; the CPU stalls per read transaction."""
-        if src == dst:
-            raise ValueError("pio_read is for remote targets; use the memory model locally")
-        route = self._check_route(src, dst)
+    def read_duration(self, src: int, run: AccessRun, route: Route) -> float:
+        """Stand-alone duration of a remote read of ``run`` along ``route``:
+        a stalled round trip per read transaction (0.0 for none)."""
         params = self.params_for(src)
         txns = remote_read_txns(run, params)
-        nbytes = run.total_bytes
-        if txns == 0 or nbytes == 0:
+        if txns == 0:
             return 0.0
         per_txn = (
             params.adapter.read_roundtrip
             + 2 * max(0, route.hops - 1) * params.link.hop_latency
         )
-        duration = txns * per_txn + params.adapter.pio_op_overhead
+        return txns * per_txn + params.adapter.pio_op_overhead
+
+    def pio_read(self, src: int, dst: int, run: AccessRun):
+        """Transparent remote read; the CPU stalls per read transaction."""
+        if src == dst:
+            raise ValueError("pio_read is for remote targets; use the memory model locally")
+        route = self._check_route(src, dst)
+        duration = self.read_duration(src, run, route)
+        nbytes = run.total_bytes
+        if duration == 0.0 or nbytes == 0:
+            return 0.0
         if self.qos is not None:
             duration = self.qos.shape_duration(src, route, nbytes, duration)
         t0 = self.engine.now
@@ -429,10 +436,14 @@ class SCIFabric:
         one loop around the ring in the worst case.
         """
         self._check_route(src, dst)
-        params = self.params_for(src)
-        ring_latency = self.topology.n_nodes * params.link.hop_latency
-        yield self.engine.timeout(params.adapter.store_barrier_cost + ring_latency)
+        yield self.engine.timeout(self.barrier_time(src))
         self.counters["barriers"] += 1
+
+    def barrier_time(self, src: int) -> float:
+        """What a store barrier from node ``src`` waits."""
+        params = self.params_for(src)
+        return (params.adapter.store_barrier_cost
+                + self.topology.n_nodes * params.link.hop_latency)
 
     def post_interrupt(self, src: int, dst: int):
         """Deliver a remote interrupt at dst (emulated-access doorbell)."""

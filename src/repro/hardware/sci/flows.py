@@ -164,14 +164,6 @@ class FlowNetwork:
         self._retime(links, flow)
         return done
 
-    def link_demand(self) -> dict[object, float]:
-        """Current demand (B/µs) per link, data + echo."""
-        return {seg: link.demand for seg, link in self._links.items()}
-
-    def link_load(self) -> dict[object, float]:
-        """Demand relative to capacity per link."""
-        return {seg: link.demand / link.capacity for seg, link in self._links.items()}
-
     def link_peak(self) -> dict[object, float]:
         """Highest relative load each link has seen so far."""
         return {seg: link.peak for seg, link in self._links.items()}

@@ -6,13 +6,10 @@ in the simulation move real bytes between these arrays, which is what lets
 the test suite check byte-exact delivery of every protocol path.
 """
 
-from .address_space import AddressSpace, OutOfMemory, copy_between
+from .address_space import AddressSpace, OutOfMemory
 from .buffer import Buffer
 from .layout import (
     Block,
-    double_strided_blocks,
-    iter_span,
-    merge_adjacent,
     strided_blocks,
     strided_view,
     total_bytes,
@@ -23,10 +20,6 @@ __all__ = [
     "Block",
     "Buffer",
     "OutOfMemory",
-    "copy_between",
-    "double_strided_blocks",
-    "iter_span",
-    "merge_adjacent",
     "strided_blocks",
     "strided_view",
     "total_bytes",

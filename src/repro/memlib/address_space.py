@@ -94,16 +94,3 @@ class AddressSpace:
             f"<AddressSpace {self.owner!r} size={self.size} "
             f"allocated={self._brk}>"
         )
-
-
-def copy_between(
-    dst_space: AddressSpace,
-    dst_offset: int,
-    src_space: AddressSpace,
-    src_offset: int,
-    nbytes: int,
-) -> None:
-    """Copy bytes across address spaces (the data plane of every transfer)."""
-    if nbytes == 0:
-        return
-    dst_space.write(dst_offset, src_space.read(src_offset, nbytes))

@@ -176,18 +176,6 @@ class Datatype:
             (leaf.size, leaf.block_count) for leaf in self.flattened.leaves
         )
 
-    def signature_compatible(self, other: "Datatype") -> bool:
-        """Whether packed data of ``self`` unpacks correctly as ``other``.
-
-        Equal signatures always match; a contiguous stream of the same
-        total size matches anything (one side fully flat).
-        """
-        if self.size != other.size:
-            return False
-        if self.signature() == other.signature():
-            return True
-        return self.is_contiguous or other.is_contiguous
-
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} {self.combiner} size={self.size} "

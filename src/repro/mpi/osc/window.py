@@ -1,32 +1,26 @@
 """MPI-2 one-sided communication on SCI (Sec. 4 of the paper).
 
 A *window* exposes a contiguous memory area of each rank of a
-communicator to every other rank of that communicator.  SCI-MPICH's
-implementation strategy, reproduced here:
+communicator to every other rank of it.  A remote put or get takes the
+cheapest of three ways (``TransferScheduler.osc_verdict``, unless the
+world's :class:`~repro.mpi.transport.policy.TransferPolicy` forces one):
 
-* window memory allocated from SCI shared segments (``shared=True``, the
-  ``MPI_Alloc_mem`` path) is accessed **directly**: puts are transparent
-  remote stores, small gets are transparent remote loads;
-* because SCI remote reads are much slower than writes, gets larger than
-  ``remote_put_threshold`` are converted into a **remote-put**: the target
-  writes the data into the origin's response region;
-* windows in **private** process memory are accessed by **emulation**: a
-  control message plus remote interrupt invoke a handler at the target
-  that accepts or delivers the data;
-* ``MPI_Accumulate`` always runs at the target (read-modify-write needs
-  the target CPU);
-* synchronization: fence (store barriers + SMI barrier), general active
-  target (post/start/complete/wait) and passive target (lock/unlock with
-  SMI shared-memory locks).
+* **direct** — transparent remote stores or loads into window memory
+  from an SCI shared segment (``shared=True``, the ``MPI_Alloc_mem``
+  path); a put to a target of several runs stores direct_pack_ff along
+  its plan;
+* **remote-put** — a get the target answers by writing into the
+  origin's response region (SCI remote reads stall the CPU);
+* **emulated** — a control message and remote interrupt invoke a handler
+  at the target; the only way into *private* window memory.
 
-Strategy selection (direct vs. remote-put vs. emulated) comes from the
-world's :class:`~repro.mpi.transport.policy.TransferPolicy`; every payload
-byte moves through the device's
-:class:`~repro.mpi.transport.store.RemoteStore` /
-:class:`~repro.mpi.transport.scheduler.TransferScheduler`.
-
-Ranks in the public :class:`Win` API are communicator-local; internal
-messages carry world ranks.
+``MPI_Accumulate`` always runs at the target (read-modify-write needs
+its CPU).  Synchronization: fence, general active target
+(post/start/complete/wait) and passive target (lock/unlock with SMI
+shared-memory locks).  Every payload byte moves through the device's
+:class:`~repro.mpi.transport.store.RemoteStore`.  Ranks in the public
+:class:`Win` API are communicator-local; internal messages carry world
+ranks.
 """
 
 from __future__ import annotations
@@ -42,7 +36,8 @@ from ..coll.collectives import OPS, op_folds
 from ..datatypes.base import Datatype
 from ..errors import RMAError, TransferFault
 from ..pt2pt.costs import pack_cost_direct
-from ..transport import OSCStrategy, TransferMode, resolve_target
+from ..transport import OSCStrategy, TransferMode, fastpath, resolve_target
+from ..transport.scheduler import Fold
 from .messages import OSCAccumulate, OSCGet, OSCNotice, OSCPut
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,6 +61,12 @@ class WinPart:
         if self.shared:
             return self.region.local_view()
         return self.buffer.read()
+
+
+#: The ``Win.counters`` entry of each way a remote get went.
+_GET_COUNTERS = {OSCStrategy.DIRECT: "direct_gets",
+                 OSCStrategy.REMOTE_PUT: "remote_puts",
+                 OSCStrategy.EMULATED: "emulated_gets"}
 
 
 def _load(view: np.ndarray, disp: int, plan, pos: int,
@@ -159,11 +160,16 @@ class OSCEngine:
                 cost += 2 * pack_cost_direct(memory, groups, device.config)
             yield engine.timeout(cost)
             fetched = _load(view, msg.disp, plan, 0, n).view(msg.np_dtype)
-            result = msg.data
-            if msg.op != "replace":
-                result = OPS[msg.op](
-                    fetched, msg.data.view(msg.np_dtype)).view(np.uint8)
-            _store(view, msg.disp, plan, result)
+            if msg.op == "replace":
+                _store(view, msg.disp, plan, msg.data)
+            else:
+                # Fold where the bytes land: in the window itself for an
+                # untyped target, else in a packed copy scattered back.
+                acc = (view[msg.disp : msg.disp + n] if plan is None
+                       else fetched.view(np.uint8).copy())
+                Fold(OPS[msg.op], msg.np_dtype, acc)(0, msg.data)
+                if plan is not None:
+                    _store(view, msg.disp, plan, acc)
         if not local:
             msg.ack.succeed(fetched)
         return fetched
@@ -245,6 +251,10 @@ class Win:
         #: are permanently degraded to the emulated path, which maps
         #: nothing remotely.
         self._degraded: set[int] = set()
+        #: The strategy of each untyped (op, size, alignment, target) asked
+        #: so far: the verdict is a pure function of them.
+        self._verdicts: dict[tuple, str] = {}
+        self._align = self.device.node.params.write_alignment
         self.counters = {
             "direct_puts": 0,
             "direct_gets": 0,
@@ -313,46 +323,64 @@ class Win:
             self.device._trace("osc.put.end", target=wtarget, strategy="local")
             return
 
-        strategy = self.policy.osc_op_strategy("put", n, part.shared,
-                                               run is not None)
-        if strategy == OSCStrategy.DIRECT and wtarget in self._degraded:
-            strategy = OSCStrategy.EMULATED
+        strategy = self._strategy("put", run, plan, target_disp, n, part)
         if strategy == OSCStrategy.DIRECT:
-            # Direct path: transparent remote stores (retransmitted on
-            # injected transient faults).
-            def attempt():
-                yield from self.store.write_run(
-                    part.region, run, payload,
-                    src_cached=self.policy.src_cached(n, self.device.node),
-                )
-
+            # Transparent remote stores: along one strided run, or
+            # direct_pack_ff through the target plan.
+            src_cached = self.policy.src_cached(n, self.device.node)
             try:
-                yield from self.store.deliver_with_retry(wtarget, attempt)
+                if run is None:
+                    yield from self.store.write_plan(
+                        wtarget, part.region, target_disp, plan, payload,
+                        src_cached)
+                else:
+                    yield from self.store.deliver_with_retry(
+                        wtarget, lambda: self.store.write_run(
+                            part.region, run, payload, src_cached))
             except TransferFault as fault:
-                if not fault.unmapped:
-                    raise
-                # Window segment revoked mid-epoch: degrade this target to
-                # emulation (sticky) and redo the operation that way.
-                strategy = self._degrade(wtarget)
-                self.device._trace("recover.fallback.begin", peer=wtarget,
-                                   action="emulate")
-                yield from self._emulated_put(wtarget, target_disp, payload,
-                                              plan)
-                self.device._trace("recover.fallback.end", peer=wtarget)
+                strategy, _ = yield from self._fallback(
+                    fault, wtarget, lambda: self._emulated_put(
+                        wtarget, target_disp, payload, plan))
             else:
                 self._dirty_targets.add(wtarget)
                 self.counters["direct_puts"] += 1
         else:
-            # Emulation (private window memory, or a target layout too
-            # complex for a single strided store run).
             yield from self._emulated_put(wtarget, target_disp, payload, plan)
         self.device._trace("osc.put.end", target=wtarget, strategy=strategy)
 
-    def _degrade(self, wtarget: int) -> str:
-        """Record the fallback decision for an unmappable target segment."""
+    def _strategy(self, op: str, run, plan, disp: int, nbytes: int,
+                  part: WinPart) -> str:
+        """How a remote put or get reaches ``part``: emulated into private
+        memory or a degraded target, else what the policy forces, else
+        the verdict, asked once per untyped size, alignment and target."""
+        if not part.shared or part.world_rank in self._degraded:
+            return OSCStrategy.EMULATED
+        key = (op, nbytes, disp % self._align, part.world_rank) if plan is None else None
+        strategy = self._verdicts.get(key)
+        if strategy is None:
+            strategy = (self.policy.osc_strategy(op, nbytes, run is not None)
+                        or self.device.scheduler.osc_verdict(
+                            op, run, plan, disp, nbytes, part.world_rank))
+            if key is not None and fastpath.enabled:
+                if len(self._verdicts) >= 4096:  # bound it; entries are recomputable
+                    self._verdicts.clear()
+                self._verdicts[key] = strategy
+        return strategy
+
+    def _fallback(self, fault: TransferFault, wtarget: int, emulated):
+        """A direct access failed with ``fault``: a window segment revoked
+        mid-epoch degrades its target to emulation (sticky) and redoes
+        the operation as ``emulated()``; anything else propagates.
+        Returns ``(strategy, value)``."""
+        if not fault.unmapped:
+            raise fault
         self._degraded.add(wtarget)
         self.device.recovery["fallbacks"] += 1
-        return OSCStrategy.EMULATED
+        self.device._trace("recover.fallback.begin", peer=wtarget,
+                           action="emulate")
+        value = yield from emulated()
+        self.device._trace("recover.fallback.end", peer=wtarget)
+        return OSCStrategy.EMULATED, value
 
     def _emulated_put(self, wtarget, target_disp, payload, plan):
         n = payload.nbytes
@@ -383,40 +411,22 @@ class Win:
             self.device._trace("osc.get.end", target=wtarget, strategy="local")
             return data
 
-        strategy = self.policy.osc_op_strategy("get", nbytes, part.shared,
-                                               run is not None)
-        if strategy != OSCStrategy.EMULATED and wtarget in self._degraded:
-            strategy = OSCStrategy.EMULATED
+        strategy = self._strategy("get", run, plan, target_disp, nbytes, part)
         if strategy == OSCStrategy.DIRECT:
-            # Small direct read: transparent remote loads (CPU stalls),
-            # retransmitted on injected transient faults.
-            def attempt():
-                fetched = yield from self.store.read_run(part.region, run)
-                return fetched
-
+            # Transparent remote loads (the CPU stalls).
             try:
-                data = yield from self.store.deliver_with_retry(wtarget, attempt)
+                data = yield from self.store.deliver_with_retry(
+                    wtarget, lambda: self.store.read_run(part.region, run))
             except TransferFault as fault:
-                if not fault.unmapped:
-                    raise
-                strategy = self._degrade(wtarget)
-                self.device._trace("recover.fallback.begin", peer=wtarget,
-                                   action="emulate")
-                data = yield from self._emulated_get(wtarget, target_disp,
-                                                     nbytes, run, plan)
-                self.device._trace("recover.fallback.end", peer=wtarget)
-                self.counters["emulated_gets"] += 1
-            else:
-                self.counters["direct_gets"] += 1
+                strategy, data = yield from self._fallback(
+                    fault, wtarget, lambda: self._emulated_get(
+                        wtarget, target_disp, nbytes, run, plan))
         else:
-            # Remote-put conversion (shared, large) or full emulation
-            # (private): the target pushes into our response region.
+            # Remote-put (shared) or emulation (private): the target
+            # pushes into our response region.
             data = yield from self._emulated_get(wtarget, target_disp, nbytes,
                                                  run, plan)
-            if strategy == OSCStrategy.REMOTE_PUT:
-                self.counters["remote_puts"] += 1
-            else:
-                self.counters["emulated_gets"] += 1
+        self.counters[_GET_COUNTERS[strategy]] += 1
         self.device._trace("osc.get.end", target=wtarget, strategy=strategy)
         return data
 
@@ -432,10 +442,8 @@ class Win:
             yield from self.store.request_emulated(wtarget, msg)
             return done
 
-        data = yield from self.device.scheduler.fetch_via_response(
-            nbytes, make_request
-        )
-        return data
+        return (yield from self.device.scheduler.fetch_via_response(
+            nbytes, make_request))
 
     def accumulate(self, data, target: int, target_disp: int = 0,
                    op: str = "sum", datatype=None, fetch: bool = False,

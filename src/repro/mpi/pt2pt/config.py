@@ -87,10 +87,6 @@ class ProtocolConfig:
     # -- one-sided communication (Sec. 4.2) ------------------------------------------
     #: Per-RMA-call software overhead (window checks, address translation).
     osc_call_overhead: float = 0.30
-    #: Above this size a direct MPI_Get is converted into a *remote-put*
-    #: performed by the target ("direct reading will only be effective up
-    #: to a certain amount of data").
-    remote_put_threshold: int = 2 * KiB
     #: Size of each rank's response staging region for emulated/remote-put
     #: transfers (bigger gets are chunked through it).
     osc_response_size: int = 256 * KiB

@@ -31,6 +31,7 @@ from .policy import (
     DEFAULT_RECOVERY,
     ChunkedCollectivesPolicy,
     OSCStrategy,
+    PaperThresholdPolicy,
     Protocol,
     RecoveryPolicy,
     TransferMode,
@@ -47,6 +48,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "DEFAULT_RECOVERY",
     "OSCStrategy",
+    "PaperThresholdPolicy",
     "Protocol",
     "RecoveryPolicy",
     "RemoteStore",

@@ -12,7 +12,7 @@ fields themselves, so the paper's threshold experiments (and
 
 Policies are frozen dataclasses around a :class:`ProtocolConfig`;
 subclasses override individual decisions (see
-:class:`ChunkedCollectivesPolicy`).
+:class:`ChunkedCollectivesPolicy` and :class:`PaperThresholdPolicy`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
+from ..._units import KiB
 from ...qos.lanes import DEFAULT_LANES, QosLanePolicy
 from ..pt2pt.config import DEFAULT_PROTOCOL, NonContigMode, ProtocolConfig
 
@@ -32,6 +33,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "DEFAULT_RECOVERY",
     "OSCStrategy",
+    "PaperThresholdPolicy",
     "Protocol",
     "QosLanePolicy",
     "RecoveryPolicy",
@@ -108,10 +110,6 @@ class TransferPolicy:
 
     config: ProtocolConfig = DEFAULT_PROTOCOL
     recovery: RecoveryPolicy = DEFAULT_RECOVERY
-    #: RMA payloads at or below this size are latency-bound: one PIO
-    #: transaction beats an interrupt round-trip regardless of the
-    #: coarse put/get split (the ``repro.svc`` slot accesses live here).
-    small_rma_threshold: int = 256
     #: Use hierarchical collective algorithms (ringlet-local aggregation
     #: before cross-switch hops) on topologies with more than one
     #: locality domain.  Single-domain topologies (plain ring) always
@@ -169,47 +167,13 @@ class TransferPolicy:
 
     # -- one-sided -----------------------------------------------------------------
 
-    def put_strategy(self, shared: bool, simple_run: bool) -> str:
-        """Direct remote stores, or emulation via the target's handler."""
-        if shared and simple_run:
-            return OSCStrategy.DIRECT
-        return OSCStrategy.EMULATED
-
-    def get_strategy(self, nbytes: int, shared: bool, simple_run: bool) -> str:
-        """Direct remote loads, remote-put conversion, or emulation.
-
-        SCI remote reads stall the CPU per transaction, so direct reading
-        "will only be effective up to a certain amount of data".
-        """
-        if shared and simple_run and nbytes <= self.config.remote_put_threshold:
-            return OSCStrategy.DIRECT
-        if shared:
-            return OSCStrategy.REMOTE_PUT
-        return OSCStrategy.EMULATED
-
-    def osc_op_strategy(self, op: str, nbytes: int, shared: bool,
-                        simple_run: bool) -> str:
-        """Per-operation strategy for one RMA access.
-
-        The window layer (and the ``repro.svc`` hot path) ask here instead
-        of the coarse put/get split: accumulate-class operations always
-        run at the target (read-modify-write needs the target CPU, SCI has
-        no remote atomics); small single-run accesses on shared windows
-        (``nbytes <= small_rma_threshold``) always go DIRECT — at that
-        size the per-transaction CPU stall of a remote load is cheaper
-        than an interrupt round-trip, for reads as well as writes;
-        everything else falls through to :meth:`put_strategy` /
-        :meth:`get_strategy`.
-        """
-        if op in ("accumulate", "fetch_and_op"):
-            return OSCStrategy.EMULATED
-        if shared and simple_run and nbytes <= self.small_rma_threshold:
-            return OSCStrategy.DIRECT
-        if op == "put":
-            return self.put_strategy(shared, simple_run)
-        if op == "get":
-            return self.get_strategy(nbytes, shared, simple_run)
-        raise ValueError(f"unknown RMA operation {op!r}")
+    def osc_strategy(self, op: str, nbytes: int,
+                     single_run: bool) -> Optional[str]:
+        """Force a remote ``"put"`` or ``"get"`` on a shared window (its
+        target one strided run if ``single_run``) onto one
+        :class:`OSCStrategy`; ``None`` leaves it to the priced verdict
+        (``TransferScheduler.osc_verdict``)."""
+        return None
 
     # -- collectives ---------------------------------------------------------------
 
@@ -251,8 +215,6 @@ class TransferPolicy:
             "eager_threshold": cfg.eager_threshold,
             "eager_slots": cfg.eager_slots,
             "rendezvous_chunk": cfg.rendezvous_chunk,
-            "remote_put_threshold": cfg.remote_put_threshold,
-            "small_rma_threshold": self.small_rma_threshold,
             "hier_collectives": int(self.hier_collectives),
             **self.qos.describe(),
         }
@@ -266,6 +228,25 @@ class ChunkedCollectivesPolicy(TransferPolicy):
 
     def chain_collective(self, flat: bool) -> Optional[bool]:
         return True if flat else None
+
+
+@dataclass(frozen=True)
+class PaperThresholdPolicy(TransferPolicy):
+    """SCI-MPICH's one-sided rule (Sec. 4.2), whatever the verdict: a put
+    to a shared window stores directly into one strided run; a get loads
+    directly up to ``remote_put_threshold`` and becomes a remote-put
+    above it or for a richer target.  The paper-figure benchmarks name
+    it."""
+
+    remote_put_threshold: int = 2 * KiB
+
+    def osc_strategy(self, op: str, nbytes: int,
+                     single_run: bool) -> Optional[str]:
+        if op == "put":
+            return OSCStrategy.DIRECT if single_run else OSCStrategy.EMULATED
+        if single_run and nbytes <= self.remote_put_threshold:
+            return OSCStrategy.DIRECT
+        return OSCStrategy.REMOTE_PUT
 
 
 DEFAULT_POLICY = TransferPolicy()

@@ -36,7 +36,7 @@ import numpy as np
 
 from ...hardware.sci.fabric import SCIConnectionError
 from ...hardware.sci.segments import SegmentUnmappedError
-from ...hardware.sci.transactions import dma_cost
+from ...hardware.sci.transactions import AccessRun, dma_cost, remote_write_cost
 from ...sim import Channel
 from ..errors import MessageTruncated, TransferAborted
 from ..pt2pt.costs import (
@@ -50,7 +50,7 @@ from ..pt2pt.messages import CreditReturn, EagerMsg, RndvRequest, ShortMsg
 from ...qos.lanes import LANE_RESERVED
 from . import fastpath
 from .fastpath import CostTable, RecvWindowCosts, StreamWindow
-from .policy import VERDICT_CANDIDATES, TransferMode
+from .policy import VERDICT_CANDIDATES, OSCStrategy, TransferMode
 from .store import RemoteStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -268,6 +268,102 @@ class TransferScheduler:
             lambda: min(VERDICT_CANDIDATES, key=lambda mode: self.price(
                 mode, plan, seg_off, total, local, sending)),
         )
+
+    # -- the one-sided verdict ------------------------------------------------------------
+
+    def osc_price(self, strategy: str, op: str, run: Optional[AccessRun],
+                  plan: Optional["PackPlan"], disp: int, nbytes: int,
+                  peer: int) -> float:
+        """What one lone put or get of ``nbytes`` at ``disp`` of rank
+        ``peer``'s shared window part costs under ``strategy``: the time
+        until the get returns or the closing fence may pass, plus a
+        remote-put handler's hold on the target's service loop, which the
+        origin's interrupt hides.  Built from what ``RemoteStore``,
+        ``OSCEngine.serve`` and :meth:`fetch_via_response` charge."""
+        device, cfg = self.device, self.device.config
+        fabric = device.world.smi.fabric
+        target = device.world.device(peer)
+        src, dst = device.node.node_id, target.node.node_id
+        local = src == dst
+        adapter, memory, tmemory = (fabric.params_for(src).adapter,
+                                    device.node.memory, target.node.memory)
+        hop = 0.0 if local else (fabric.topology.route(src, dst).hops
+                                 * fabric.params_for(src).link.hop_latency)
+        handler = target.config.poll_latency + target.node.params.adapter.handler_dispatch
+        src_cached = device.policy.src_cached(nbytes, device.node)
+        fence = cfg.osc_call_overhead + (0.0 if local else fabric.barrier_time(src))
+        if op == "put" and strategy == OSCStrategy.EMULATED:
+            ship = (memory.copy_cost(nbytes).duration if local else
+                    2 * hop + adapter.interrupt_latency + self.chunk_write_duration(
+                        TransferMode.CONTIGUOUS, disp, nbytes, [(nbytes, 1)],
+                        src_cached))
+            return ship + max(cfg.osc_call_overhead,
+                              handler + tmemory.copy_cost(nbytes).duration)
+        if strategy == OSCStrategy.DIRECT and run is not None:
+            if local:
+                copy = memory.copy_cost(nbytes, chunk_len=run.size or 1).duration
+                return copy if op == "get" else fence + max(  # the bus to itself
+                    copy, nbytes / device.node.bus_capacity)
+            if op == "get":
+                return fabric.read_duration(src, run, fabric.topology.route(src, dst))
+            return (hop + remote_write_cost(run, fabric.params_for(src),
+                                            src_cached).duration
+                    + adapter.pio_op_overhead + fence)
+        cost = 0.0
+        if op == "put":  # direct_pack_ff stores along the target plan
+            for pos in range(0, nbytes, cfg.rendezvous_chunk):
+                n = min(cfg.rendezvous_chunk, nbytes - pos)
+                groups = plan.groups_in_range(pos, n)
+                cost += (self.chunk_pack_cost(groups) if local else
+                         hop + self.chunk_write_duration(
+                             TransferMode.DIRECT, pos, n, groups, src_cached))
+            return cost + fence
+        # Remote-put, per response-region chunk: a request; the handler
+        # packs along a strided plan, writes the chunk back and fences it
+        # (``busy``); the origin drains the chunk.
+        back = 0.0 if local else (fabric.topology.route(dst, src).hops
+                                  * fabric.params_for(dst).link.hop_latency)
+        strided = plan is not None and (run is None or run.stride != run.size)
+        for pos in range(0, nbytes, cfg.osc_response_size):
+            n = min(cfg.osc_response_size, nbytes - pos)
+            busy = handler + (pack_cost_direct(
+                tmemory, plan.groups_in_range(pos, n), target.config) if strided else 0.0)
+            busy += (tmemory.copy_cost(n).duration if local else back + remote_write_cost(
+                AccessRun.contiguous(0, n), fabric.params_for(dst), False).duration
+                + fabric.params_for(dst).adapter.pio_op_overhead + fabric.barrier_time(dst))
+            wait = (cfg.ctrl_send_cost_local + busy if local else cfg.ctrl_send_cost
+                    + max(adapter.interrupt_latency + hop, busy))
+            cost += wait + busy + self.chunk_copy_cost(n)
+        return cost
+
+    def osc_verdict(self, op: str, run: Optional[AccessRun],
+                    plan: Optional["PackPlan"], disp: int, nbytes: int,
+                    peer: int) -> str:
+        """The default :class:`~repro.mpi.transport.policy.OSCStrategy` of a
+        remote ``"put"`` or ``"get"`` on a shared window (private memory
+        has one way in, emulation): the cheaper :meth:`osc_price` of
+        DIRECT (ties) and the alternative, memoized per op, target shape
+        (which fixes the size), alignment of ``disp`` and target rank,
+        never ``disp`` itself.  Unpriced: a typed get of several runs is a
+        remote-put, and an untyped remote put stores directly; emulating
+        that put ships the same write, then pays an interrupt and a
+        handler, which outweigh the store barrier it would save on rings
+        up to 88 nodes, and on any ring once an epoch holds a dozen puts."""
+        device = self.device
+        if op == "put":
+            if plan is None and not device.smi.same_node(device.rank, peer):
+                return OSCStrategy.DIRECT
+            other = OSCStrategy.EMULATED
+        elif run is None:
+            return OSCStrategy.REMOTE_PUT
+        else:
+            other = OSCStrategy.REMOTE_PUT
+        shape = ((run.size, run.stride, run.count, run.base - disp)
+                 if run is not None else (plan.ft, plan.count))
+        return self._costed(
+            ("osc", op, shape, disp % device.node.params.write_alignment, peer),
+            lambda: min((OSCStrategy.DIRECT, other), key=lambda s: self.osc_price(
+                s, op, run, plan, disp, nbytes, peer)))
 
     # -- grouping (the single chunk-group implementation) ---------------------------
 

@@ -15,6 +15,7 @@ seed paths charged; none of them changes simulated timing.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -27,6 +28,7 @@ from .policy import TransferMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...smi.regions import SharedRegion
+    from ..flatten import PackPlan
     from ..pt2pt.engine import RankDevice
 
 __all__ = ["RemoteStore"]
@@ -148,6 +150,22 @@ class RemoteStore:
         land(offset, data)
 
     # -- direct one-sided access ------------------------------------------------------
+
+    def write_plan(self, dst: int, region: "SharedRegion", disp: int,
+                   plan: "PackPlan", data: np.ndarray, src_cached: bool):
+        """Direct typed put: :meth:`write_packed` streams the packed
+        ``data`` through ``plan`` into the window ``region`` at ``disp``
+        with direct_pack_ff stores, one rendezvous chunk at a time.  A
+        faulted chunk is rewritten whole (idempotent); a revoked window
+        segment raises ``TransferFault(unmapped=True)``."""
+        view, step = region.local_view(), self.device.config.rendezvous_chunk
+        land = partial(plan.execute_unpack, view, disp)
+        for pos in range(0, data.nbytes, step):
+            part = data[pos : pos + step]
+            groups = plan.groups_in_range(pos, part.nbytes)
+            yield from self.deliver_with_retry(dst, lambda: self.write_packed(
+                dst, region, pos, part, TransferMode.DIRECT, groups,
+                src_cached, land))
 
     def write_run(self, region: "SharedRegion", run: AccessRun,
                   data: np.ndarray, src_cached: bool):

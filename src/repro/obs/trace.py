@@ -99,9 +99,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.events)
 
-    def for_rank(self, rank: int) -> list[TraceEvent]:
-        return [ev for ev in self.events if ev.rank == rank]
-
     def spans(self, kind: Optional[str] = None) -> Iterator[TraceSpan]:
         """Matched ``<op>.begin`` / ``<op>.end`` pairs, in closing order.
 
@@ -124,10 +121,6 @@ class Tracer:
             out[count] = out.get(count, 0) + 1
             out[time_us] = out.get(time_us, 0) + (end.time - begin.time)
         return out
-
-    def time_in(self, rank: int, op: str) -> float:
-        """Total simulated time rank spent inside ``op`` calls."""
-        return sum(s.duration for s in self.spans(op) if s.rank == rank)
 
     def summary(self) -> str:
         """Per-rank, per-op time table, then the pack-plan cache and (when

@@ -66,14 +66,6 @@ class Channel:
             self._getters.append(ev)
         return ev
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
-        return False, None
-
     # -- internals ------------------------------------------------------------
 
     def _deliver(self, item: Any) -> None:

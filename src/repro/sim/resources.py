@@ -60,13 +60,6 @@ class Resource:
             heapq.heappush(self._waiters, (priority, self._arrivals, ev))
         return ev
 
-    def try_request(self) -> bool:
-        """Non-blocking request; True when a slot was granted."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
-
     def release(self) -> None:
         """Release a granted slot, waking the best-ranked waiter."""
         if self._in_use <= 0:

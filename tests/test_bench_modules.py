@@ -25,18 +25,6 @@ class TestSeries:
         with pytest.raises(ValueError):
             s.at(99)
 
-    def test_interpolate(self):
-        s = Series("x")
-        s.add(0, 0.0)
-        s.add(10, 10.0)
-        assert s.interpolate(5) == 5.0
-        assert s.interpolate(-1) == 0.0
-        assert s.interpolate(99) == 10.0
-
-    def test_interpolate_empty(self):
-        with pytest.raises(ValueError):
-            Series("empty").interpolate(1.0)
-
     def test_render_series(self):
         a = Series("alpha")
         b = Series("beta")

@@ -161,9 +161,6 @@ class RecomputeEverythingNetwork:
         flows = ((f.route, f.rate_cap) for f in self._flows.values())
         return {**dict.fromkeys(self.capacities, 0.0), **self._demand(flows)}
 
-    def link_load(self):
-        return {seg: d / self.capacities[seg] for seg, d in self.link_demand().items()}
-
     def link_peak(self):
         return dict(self._peak_load)
 
@@ -310,8 +307,10 @@ def _drive(network_cls, topology, response, arrivals):
     def snapshot(tag):
         nonlocal max_live_timers
         max_live_timers = max(max_live_timers, _live_flow_timers(eng, net))
+        demand = (net.link_demand() if network_cls is not FlowNetwork
+                  else {seg: link.demand for seg, link in net._links.items()})
         log.append((tag, eng.now, [f.rate for f in net._flows.values()],
-                    net.link_demand(), net.link_load()))
+                    demand, {seg: d / capacities[seg] for seg, d in demand.items()}))
 
     def sender(i, start, src, dst, nbytes, cap):
         yield eng.timeout(start)
@@ -394,7 +393,7 @@ class TestFlowOracle:
             with pytest.raises(KeyError, match="unknown segment 'nowhere'"):
                 net.transfer(bad, 100.0, 10.0)
         assert net.active_flows == 0
-        assert all(d == 0.0 for d in net.link_demand().values())
+        assert all(link.demand == 0.0 for link in net._links.values())
         good = ring.route(0, 2)
         for _ in range(2):
             net.transfer(good, 100.0, 10.0)

@@ -9,13 +9,37 @@ from repro.memlib import (
     AddressSpace,
     Block,
     OutOfMemory,
-    copy_between,
-    double_strided_blocks,
-    merge_adjacent,
     strided_blocks,
     strided_view,
     total_bytes,
 )
+
+
+def copy_between(dst_space, dst_offset, src_space, src_offset, nbytes):
+    """Copy bytes across address spaces."""
+    if nbytes:
+        dst_space.write(dst_offset, src_space.read(src_offset, nbytes))
+
+
+def double_strided_blocks(outer_count, outer_stride, inner_count,
+                          inner_stride, blocklen, base=0):
+    """Blocks of a double-strided pattern (a 2-D face of a 3-D array)."""
+    return [block for outer in range(outer_count)
+            for block in strided_blocks(inner_count, blocklen, inner_stride,
+                                        base + outer * outer_stride)]
+
+
+def merge_adjacent(blocks):
+    """Coalesce blocks that touch (sorted by offset); overlaps rejected."""
+    merged = []
+    for block in sorted(blocks, key=lambda b: b.offset):
+        if merged and block.offset < merged[-1].end:
+            raise ValueError(f"overlapping blocks: {merged[-1]} and {block}")
+        if merged and block.offset == merged[-1].end:
+            merged[-1] = Block(merged[-1].offset, merged[-1].length + block.length)
+        else:
+            merged.append(block)
+    return merged
 
 
 def copy_within(space: AddressSpace, dst: int, src: int, nbytes: int) -> None:

@@ -18,6 +18,7 @@ from repro.mpi.datatypes import (
 )
 from repro.mpi.errors import RMAError
 from repro.mpi.pt2pt import ProtocolConfig
+from repro.mpi.transport import PaperThresholdPolicy
 
 
 class TestFlush:
@@ -365,30 +366,34 @@ class TestLayoutBounds:
 
 class TestTypedRemoteGet:
     """A typed get returns the bytes of its target layout on every path:
-    direct remote loads, remote-put conversion (shared, above
-    ``remote_put_threshold``), private-window emulation, and a response
-    chunked through a small ``osc_response_size``.  Expected bytes come
-    from the target window's contents by numpy indexing."""
+    direct remote loads, remote-put (shared), private-window emulation,
+    and a response chunked through a small ``osc_response_size``.  The
+    default verdict and the paper's 2 KiB rule (``PaperThresholdPolicy``)
+    each take their own shared-window path.  Expected bytes come from the
+    target window's contents by numpy indexing."""
 
     WIN = 16 * KiB
     DISP = 40
 
     #: name -> (type, count, instance-relative (offset, length) blocks,
-    #: counter of the shared-window path)
+    #: counter of the shared-window path under the verdict, under the
+    #: paper's rule).  64 stalled 8 B reads lose to one remote-put.
     LAYOUTS = {
         "vector-512B": (lambda: Vector(64, 1, 2, DOUBLE), 1,
-                        [(16 * i, 8) for i in range(64)], "direct_gets"),
+                        [(16 * i, 8) for i in range(64)],
+                        ("remote_puts", "direct_gets")),
         "vector-4KiB": (lambda: Vector(512, 1, 2, DOUBLE), 1,
-                        [(16 * i, 8) for i in range(512)], "remote_puts"),
+                        [(16 * i, 8) for i in range(512)],
+                        ("remote_puts", "remote_puts")),
         "indexed-x3": (lambda: Indexed([2, 1], [0, 3], DOUBLE), 3,
-                       [(0, 16), (24, 8)], "remote_puts"),
+                       [(0, 16), (24, 8)], ("remote_puts", "remote_puts")),
         "struct-x2": (lambda: Struct([1, 1], [0, 12], [INT, DOUBLE]), 2,
-                      [(0, 4), (12, 8)], "remote_puts"),
+                      [(0, 4), (12, 8)], ("remote_puts", "remote_puts")),
         "offset-block": (lambda: Hindexed([64], [24], BYTE), 1,
-                         [(24, 64)], "direct_gets"),
+                         [(24, 64)], ("direct_gets", "direct_gets")),
     }
 
-    def _get(self, shared, name, protocol=None):
+    def _get(self, shared, name, protocol=None, policy=None):
         make_type, count, _, _ = self.LAYOUTS[name]
         dtype = make_type().commit()
         window = np.random.default_rng(7).integers(
@@ -407,7 +412,8 @@ class TestTypedRemoteGet:
             yield from win.fence()
             return data, dict(win.counters)
 
-        cluster = Cluster(n_nodes=2, protocol=protocol or ProtocolConfig())
+        cluster = Cluster(n_nodes=2, protocol=protocol or ProtocolConfig(),
+                          policy=policy)
         return cluster.run(program).results[0], self._expected(
             window, dtype, name)
 
@@ -417,12 +423,14 @@ class TestTypedRemoteGet:
         idx = self.DISP + np.arange(count)[:, None] * dtype.extent + rel
         return window[idx.reshape(-1)]
 
+    @pytest.mark.parametrize("paper", [False, True])
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("name", list(LAYOUTS))
-    def test_returns_the_layout_bytes(self, shared, name):
-        (data, counters), expected = self._get(shared, name)
+    def test_returns_the_layout_bytes(self, shared, name, paper):
+        (data, counters), expected = self._get(
+            shared, name, policy=PaperThresholdPolicy() if paper else None)
         assert data.tobytes() == expected.tobytes()
-        path = self.LAYOUTS[name][3] if shared else "emulated_gets"
+        path = self.LAYOUTS[name][3][paper] if shared else "emulated_gets"
         assert counters[path] == 1
 
     @pytest.mark.parametrize("shared", [True, False])

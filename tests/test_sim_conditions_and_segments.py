@@ -7,7 +7,7 @@ from repro._units import KiB, MiB
 from repro.hardware import Node
 from repro.hardware.sci import AccessRun, RingTopology, SCIFabric
 from repro.hardware.sci.segments import SegmentDirectory
-from repro.memlib import iter_span, strided_blocks
+from repro.memlib import strided_blocks
 from repro.sim import Engine
 
 
@@ -200,4 +200,4 @@ class TestRunViews:
 class TestLayoutHelpers:
     def test_iter_span(self):
         blocks = strided_blocks(count=2, blocklen=3, stride=8, base=1)
-        assert list(iter_span(blocks)) == [1, 2, 3, 9, 10, 11]
+        assert [i for b in blocks for i in range(b.offset, b.end)] == [1, 2, 3, 9, 10, 11]

@@ -323,15 +323,14 @@ class TestChannel:
         assert eng.run_process(consumer()) == ["a", "b"]
         assert progress == [("put-a", 0.0), ("put-b", 10.0)]
 
-    def test_try_put_try_get(self):
+    def test_try_put(self):
         eng = Engine()
         chan = Channel(eng, capacity=1)
         assert chan.try_put(1)
         assert not chan.try_put(2)
-        ok, item = chan.try_get()
-        assert ok and item == 1
-        ok, _ = chan.try_get()
-        assert not ok
+        got = chan.get()
+        assert got.triggered and got.value == 1
+        assert chan.try_put(2)
 
     def test_capacity_validation(self):
         eng = Engine()
@@ -377,14 +376,6 @@ class TestResource:
         res = Resource(eng)
         with pytest.raises(RuntimeError):
             res.release()
-
-    def test_try_request(self):
-        eng = Engine()
-        lock = Lock(eng)
-        assert lock.try_request()
-        assert not lock.try_request()
-        lock.release()
-        assert lock.try_request()
 
     def test_held_combinator_releases_on_error(self):
         eng = Engine()

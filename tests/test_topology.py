@@ -36,7 +36,8 @@ from repro.hardware.sci.topology import (
 )
 from repro.mpi.datatypes import BYTE, Vector
 from repro.mpi.flatten import reset_plan_cache
-from repro.mpi.transport.policy import ChunkedCollectivesPolicy, TransferPolicy
+from repro.mpi.transport.policy import (ChunkedCollectivesPolicy,
+                                        PaperThresholdPolicy, TransferPolicy)
 from repro.sim import Engine
 
 # -- the differential oracle ---------------------------------------------------
@@ -86,7 +87,10 @@ class TestRingDifferentialOracle:
             yield from win.fence()
             return ctx.now
 
-        assert Cluster(n_nodes=4).run(program).results == GOLDEN_OSC
+        # The golden predates the one-sided verdict, which reads 1 KiB by
+        # remote-put: the paper's 2 KiB rule reproduces its direct loads.
+        assert Cluster(n_nodes=4, policy=PaperThresholdPolicy()).run(
+            program).results == GOLDEN_OSC
 
     def test_collective_timings_unchanged(self):
         reset_plan_cache()
@@ -313,7 +317,7 @@ class TestPerLinkAccounting:
         net = FlowNetwork(eng, {s: 10.0 for s in ring.segments()},
                           echo_ratio=0.5)
         net.transfer(ring.route(0, 2), 100.0, 8.0)  # echo links 2, 3
-        demand = net.link_demand()
+        demand = {seg: link.demand for seg, link in net._links.items()}
         assert demand[0] == demand[1] == pytest.approx(8.0)
         assert demand[2] == demand[3] == pytest.approx(4.0)
 

@@ -32,6 +32,7 @@ from repro.mpi.pt2pt.costs import (
 from repro.mpi.transport import (
     ChunkedCollectivesPolicy,
     OSCStrategy,
+    PaperThresholdPolicy,
     Protocol,
     TransferMode,
     TransferPolicy,
@@ -84,16 +85,19 @@ class TestTransferPolicy:
             assert pol.transfer_mode(strided, protocol,
                                      lambda: TransferMode.DMA) == TransferMode.DMA
 
-    def test_osc_strategies(self):
-        pol = TransferPolicy(DEFAULT_PROTOCOL)
-        thr = DEFAULT_PROTOCOL.remote_put_threshold
-        assert pol.put_strategy(True, True) == OSCStrategy.DIRECT
-        assert pol.put_strategy(True, False) == OSCStrategy.EMULATED
-        assert pol.put_strategy(False, True) == OSCStrategy.EMULATED
-        assert pol.get_strategy(thr, True, True) == OSCStrategy.DIRECT
-        assert pol.get_strategy(thr + 1, True, True) == OSCStrategy.REMOTE_PUT
-        assert pol.get_strategy(64, True, False) == OSCStrategy.REMOTE_PUT
-        assert pol.get_strategy(64, False, True) == OSCStrategy.EMULATED
+    def test_osc_strategy(self):
+        # The base policy forces nothing: the priced verdict decides
+        # (tests/test_osc_verdict.py).  The paper's policy is its 2 KiB rule.
+        # A private window is emulated before any policy is asked.
+        assert TransferPolicy().osc_strategy("get", 8, True) is None
+        pol = PaperThresholdPolicy(DEFAULT_PROTOCOL)
+        thr = pol.remote_put_threshold
+        assert thr == 2 * KiB
+        assert pol.osc_strategy("put", 8, True) == OSCStrategy.DIRECT
+        assert pol.osc_strategy("put", 8, False) == OSCStrategy.EMULATED
+        assert pol.osc_strategy("get", thr, True) == OSCStrategy.DIRECT
+        assert pol.osc_strategy("get", thr + 1, True) == OSCStrategy.REMOTE_PUT
+        assert pol.osc_strategy("get", 64, False) == OSCStrategy.REMOTE_PUT
 
     def test_chain_collective(self):
         # The base policy leaves every stage to the broadcast's verdict;
