@@ -89,8 +89,9 @@ class SCIFabric:
         #: installed manager with no ACTIVE reservation — leave every
         #: duration untouched.
         self.qos = None
-        #: PIO write costs by (origin node, target alignment, run geometry).
-        self._write_costs = CostTable()
+        #: PIO write costs by (origin node, target alignment, run geometry),
+        #: and read transaction counts by ``("read", ...)`` of the same.
+        self._pio_costs = CostTable()
         self._ringlet_ids: dict = {}
         #: Dense ringlet id -> human-readable track name, for topologies
         #: that name their rings (the timeline exporter falls back to
@@ -299,23 +300,17 @@ class SCIFabric:
         dst: int,
         run: AccessRun,
         src_cached: bool = True,
-        cpu_extra: float = 0.0,
     ):
-        """Transparent remote write of an access run; returns its WriteCost.
-
-        ``cpu_extra`` adds CPU time spent *feeding* the stores (e.g. the
-        per-block loop of direct_pack_ff reading a strided source) to the
-        CPU pipeline stage.
-        """
+        """Transparent remote write of an access run; returns its WriteCost."""
         if src == dst:
             raise ValueError("pio_write is for remote targets; use the memory model locally")
         route = self._check_route(src, dst)
         params = self.params_for(src)
-        cost = self._write_costs.lookup(
+        cost = self._pio_costs.lookup(
             (src, run.base % params.write_alignment, run.size, run.stride,
              run.count, src_cached),
             lambda: remote_write_cost(run, params, src_cached=src_cached))
-        duration = max(cost.cpu_time + cpu_extra, cost.pci_time, cost.sci_time, cost.src_read_time)
+        duration = max(cost.cpu_time, cost.pci_time, cost.sci_time, cost.src_read_time)
         duration += params.adapter.pio_op_overhead
         duration *= self._retry_factor()
         nbytes = run.total_bytes
@@ -340,7 +335,10 @@ class SCIFabric:
         """Stand-alone duration of a remote read of ``run`` along ``route``:
         a stalled round trip per read transaction (0.0 for none)."""
         params = self.params_for(src)
-        txns = remote_read_txns(run, params)
+        txns = self._pio_costs.lookup(
+            ("read", src, run.base % params.adapter.read_txn_size, run.size,
+             run.stride, run.count),
+            lambda: remote_read_txns(run, params))
         if txns == 0:
             return 0.0
         per_txn = (

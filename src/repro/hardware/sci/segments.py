@@ -19,7 +19,7 @@ equally be applied to intra-node shared memory communication").
 from __future__ import annotations
 
 from itertools import count as _counter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -162,17 +162,12 @@ class ImportedSegment:
         data: np.ndarray,
         run: AccessRun,
         src_cached: bool = True,
-        cpu_extra: float = 0.0,
-        src_block_lengths: Optional[list[int]] = None,
     ):
         """Write ``data`` (block-order bytes) into the segment along ``run``.
 
         Remote path: transparent PIO stores, costed by the write-combine /
         stream-buffer model, sharing ring bandwidth.  Local path: a plain
-        memory copy costed by the cache model.  ``cpu_extra`` adds CPU time
-        for feeding the stores (per-block loops); ``src_block_lengths``
-        instead derives that cost from the local copy model for a
-        block-wise-sourced write (used by direct_pack_ff).
+        memory copy costed by the cache model.
         """
         self._check_run(run)
         if data.dtype != np.uint8:
@@ -182,20 +177,12 @@ class ImportedSegment:
                 f"payload {data.nbytes} B vs run {run.total_bytes} B"
             )
         snapshot = np.array(data, copy=True)  # data leaves the origin now
-        extra = cpu_extra
-        if src_block_lengths is not None:
-            extra += self.origin.memory.blocks_copy_cost(src_block_lengths).duration
         if self.is_local:
-            if src_block_lengths is None:
-                cost = self.origin.memory.copy_cost(run.total_bytes, chunk_len=run.size)
-                duration = cost.duration + cpu_extra
-            else:
-                # Block-wise local copy: the block loop *is* the copy.
-                duration = extra
+            cost = self.origin.memory.copy_cost(run.total_bytes, chunk_len=run.size)
             # Local copies share the node's memory bus with concurrent
             # copies (the SMP scaling effect of the paper's Fig. 12).
             yield from self.origin.bus_transfer(
-                self.fabric.engine, run.total_bytes, duration
+                self.fabric.engine, run.total_bytes, cost.duration
             )
         else:
             self.ensure_mapped()
@@ -204,7 +191,6 @@ class ImportedSegment:
                 self.segment.node.node_id,
                 run,
                 src_cached=src_cached,
-                cpu_extra=extra,
             )
         scatter_run(self.segment.local_view(), run, snapshot)
 
@@ -223,8 +209,8 @@ class ImportedSegment:
         self._check_run(run)
         if self.is_local:
             cost = self.origin.memory.copy_cost(run.total_bytes, chunk_len=run.size or 1)
-            if run.total_bytes:
-                yield self.fabric.engine.timeout(cost.duration)
+            yield from self.origin.bus_transfer(
+                self.fabric.engine, run.total_bytes, cost.duration)
         else:
             self.ensure_mapped()
             yield from self.fabric.pio_read(

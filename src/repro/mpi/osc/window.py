@@ -36,8 +36,7 @@ from ..coll.collectives import OPS, op_folds
 from ..datatypes.base import Datatype
 from ..errors import RMAError, TransferFault
 from ..pt2pt.costs import pack_cost_direct
-from ..transport import OSCStrategy, TransferMode, fastpath, resolve_target
-from ..transport.scheduler import Fold
+from ..transport import OSCStrategy, TransferMode, resolve_target
 from .messages import OSCAccumulate, OSCGet, OSCNotice, OSCPut
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -149,7 +148,11 @@ class OSCEngine:
         n = msg.data.nbytes
         fetched = None
         if isinstance(msg, OSCPut):
-            yield engine.timeout(memory.copy_cost(n).duration)
+            copy = memory.copy_cost(n).duration
+            if local or not device.smi.same_node(device.rank, msg.origin):
+                yield engine.timeout(copy)
+            else:  # out of staging memory a rank of this node filled
+                yield from device.node.bus_transfer(engine, n, copy)
             _store(view, msg.disp, plan, msg.data)
         else:
             cost = memory.copy_cost(n).duration * 1.5
@@ -160,16 +163,11 @@ class OSCEngine:
                 cost += 2 * pack_cost_direct(memory, groups, device.config)
             yield engine.timeout(cost)
             fetched = _load(view, msg.disp, plan, 0, n).view(msg.np_dtype)
-            if msg.op == "replace":
-                _store(view, msg.disp, plan, msg.data)
-            else:
-                # Fold where the bytes land: in the window itself for an
-                # untyped target, else in a packed copy scattered back.
-                acc = (view[msg.disp : msg.disp + n] if plan is None
-                       else fetched.view(np.uint8).copy())
-                Fold(OPS[msg.op], msg.np_dtype, acc)(0, msg.data)
-                if plan is not None:
-                    _store(view, msg.disp, plan, acc)
+            result = msg.data
+            if msg.op != "replace":
+                result = OPS[msg.op](
+                    fetched, msg.data.view(msg.np_dtype)).view(np.uint8)
+            _store(view, msg.disp, plan, result)
         if not local:
             msg.ack.succeed(fetched)
         return fetched
@@ -251,10 +249,7 @@ class Win:
         #: are permanently degraded to the emulated path, which maps
         #: nothing remotely.
         self._degraded: set[int] = set()
-        #: The strategy of each untyped (op, size, alignment, target) asked
-        #: so far: the verdict is a pure function of them.
-        self._verdicts: dict[tuple, str] = {}
-        self._align = self.device.node.params.write_alignment
+        self._verdict = self.device.scheduler.osc_verdict
         self.counters = {
             "direct_puts": 0,
             "direct_gets": 0,
@@ -351,21 +346,11 @@ class Win:
     def _strategy(self, op: str, run, plan, disp: int, nbytes: int,
                   part: WinPart) -> str:
         """How a remote put or get reaches ``part``: emulated into private
-        memory or a degraded target, else what the policy forces, else
-        the verdict, asked once per untyped size, alignment and target."""
+        memory or a degraded target, else the verdict (which asks the
+        policy first)."""
         if not part.shared or part.world_rank in self._degraded:
             return OSCStrategy.EMULATED
-        key = (op, nbytes, disp % self._align, part.world_rank) if plan is None else None
-        strategy = self._verdicts.get(key)
-        if strategy is None:
-            strategy = (self.policy.osc_strategy(op, nbytes, run is not None)
-                        or self.device.scheduler.osc_verdict(
-                            op, run, plan, disp, nbytes, part.world_rank))
-            if key is not None and fastpath.enabled:
-                if len(self._verdicts) >= 4096:  # bound it; entries are recomputable
-                    self._verdicts.clear()
-                self._verdicts[key] = strategy
-        return strategy
+        return self._verdict(op, run, plan, disp, nbytes, part.world_rank)
 
     def _fallback(self, fault: TransferFault, wtarget: int, emulated):
         """A direct access failed with ``fault``: a window segment revoked

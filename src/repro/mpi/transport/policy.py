@@ -18,7 +18,7 @@ subclasses override individual decisions (see
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
 from ..._units import KiB
 from ...qos.lanes import DEFAULT_LANES, QosLanePolicy
@@ -171,8 +171,9 @@ class TransferPolicy:
                      single_run: bool) -> Optional[str]:
         """Force a remote ``"put"`` or ``"get"`` on a shared window (its
         target one strided run if ``single_run``) onto one
-        :class:`OSCStrategy`; ``None`` leaves it to the priced verdict
-        (``TransferScheduler.osc_verdict``)."""
+        :class:`OSCStrategy`; ``None`` leaves it to the priced verdict.
+        ``TransferScheduler.osc_verdict`` memoizes the answer, so it may
+        depend on nothing else."""
         return None
 
     # -- collectives ---------------------------------------------------------------
@@ -238,7 +239,7 @@ class PaperThresholdPolicy(TransferPolicy):
     above it or for a richer target.  The paper-figure benchmarks name
     it."""
 
-    remote_put_threshold: int = 2 * KiB
+    remote_put_threshold: ClassVar[int] = 2 * KiB
 
     def osc_strategy(self, op: str, nbytes: int,
                      single_run: bool) -> Optional[str]:

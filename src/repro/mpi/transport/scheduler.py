@@ -141,6 +141,11 @@ class TransferScheduler:
         #: Closed-form window counters: engaged windows and the chunks
         #: they collapsed (sender side).
         self.fastpath = {"windows": 0, "window_chunks": 0}
+        #: :meth:`osc_verdict`'s memo: a plain dict, as every put and get
+        #: asks it and the cost table's LRU upkeep would double that.
+        self._osc_verdicts: dict[tuple, str] = {}
+        self._align = device.node.params.write_alignment
+        self._node_of = device.smi.rank_to_node
 
     # -- memoized chunk costs (fast path: cost tables) --------------------------------
 
@@ -185,6 +190,13 @@ class TransferScheduler:
             lambda: pack_cost_direct(self.device.node.memory, groups,
                                      self.device.config),
         )
+
+    def chunk_blocks_copy_cost(self, groups: list[tuple[int, int]]) -> float:
+        """Block-wise local copy of one chunk's blocks (memoized)."""
+        return self._costed(("blocks", tuple(groups)), lambda: (
+            self.device.node.memory.blocks_copy_cost(
+                [length for length, count in groups for _ in range(count)])
+        ).duration)
 
     def chunk_copy_cost(self, nbytes: int) -> float:
         """Protocol-copy cost of one cache-cold chunk (memoized)."""
@@ -279,7 +291,8 @@ class TransferScheduler:
         until the get returns or the closing fence may pass, plus a
         remote-put handler's hold on the target's service loop, which the
         origin's interrupt hides.  Built from what ``RemoteStore``,
-        ``OSCEngine.serve`` and :meth:`fetch_via_response` charge."""
+        ``OSCEngine.serve`` and :meth:`fetch_via_response` charge; on one
+        node every copy between the two ranks shares the memory bus."""
         device, cfg = self.device, self.device.config
         fabric = device.world.smi.fabric
         target = device.world.device(peer)
@@ -292,18 +305,22 @@ class TransferScheduler:
         handler = target.config.poll_latency + target.node.params.adapter.handler_dispatch
         src_cached = device.policy.src_cached(nbytes, device.node)
         fence = cfg.osc_call_overhead + (0.0 if local else fabric.barrier_time(src))
+
+        def on_bus(n: int, duration: float) -> float:  # a copy alone on the bus
+            return max(duration, n / device.node.bus_capacity)
+
         if op == "put" and strategy == OSCStrategy.EMULATED:
-            ship = (memory.copy_cost(nbytes).duration if local else
-                    2 * hop + adapter.interrupt_latency + self.chunk_write_duration(
+            ship = (on_bus(nbytes, memory.copy_cost(nbytes).duration) if local
+                    else 2 * hop + adapter.interrupt_latency + self.chunk_write_duration(
                         TransferMode.CONTIGUOUS, disp, nbytes, [(nbytes, 1)],
                         src_cached))
+            copy = tmemory.copy_cost(nbytes).duration
             return ship + max(cfg.osc_call_overhead,
-                              handler + tmemory.copy_cost(nbytes).duration)
+                              handler + (on_bus(nbytes, copy) if local else copy))
         if strategy == OSCStrategy.DIRECT and run is not None:
             if local:
                 copy = memory.copy_cost(nbytes, chunk_len=run.size or 1).duration
-                return copy if op == "get" else fence + max(  # the bus to itself
-                    copy, nbytes / device.node.bus_capacity)
+                return on_bus(nbytes, copy) + (0.0 if op == "get" else fence)
             if op == "get":
                 return fabric.read_duration(src, run, fabric.topology.route(src, dst))
             return (hop + remote_write_cost(run, fabric.params_for(src),
@@ -314,8 +331,8 @@ class TransferScheduler:
             for pos in range(0, nbytes, cfg.rendezvous_chunk):
                 n = min(cfg.rendezvous_chunk, nbytes - pos)
                 groups = plan.groups_in_range(pos, n)
-                cost += (self.chunk_pack_cost(groups) if local else
-                         hop + self.chunk_write_duration(
+                cost += (on_bus(n, self.chunk_blocks_copy_cost(groups)) if local
+                         else hop + self.chunk_write_duration(
                              TransferMode.DIRECT, pos, n, groups, src_cached))
             return cost + fence
         # Remote-put, per response-region chunk: a request; the handler
@@ -328,7 +345,7 @@ class TransferScheduler:
             n = min(cfg.osc_response_size, nbytes - pos)
             busy = handler + (pack_cost_direct(
                 tmemory, plan.groups_in_range(pos, n), target.config) if strided else 0.0)
-            busy += (tmemory.copy_cost(n).duration if local else back + remote_write_cost(
+            busy += (on_bus(n, tmemory.copy_cost(n).duration) if local else back + remote_write_cost(
                 AccessRun.contiguous(0, n), fabric.params_for(dst), False).duration
                 + fabric.params_for(dst).adapter.pio_op_overhead + fabric.barrier_time(dst))
             wait = (cfg.ctrl_send_cost_local + busy if local else cfg.ctrl_send_cost
@@ -339,31 +356,35 @@ class TransferScheduler:
     def osc_verdict(self, op: str, run: Optional[AccessRun],
                     plan: Optional["PackPlan"], disp: int, nbytes: int,
                     peer: int) -> str:
-        """The default :class:`~repro.mpi.transport.policy.OSCStrategy` of a
-        remote ``"put"`` or ``"get"`` on a shared window (private memory
-        has one way in, emulation): the cheaper :meth:`osc_price` of
-        DIRECT (ties) and the alternative, memoized per op, target shape
-        (which fixes the size), alignment of ``disp`` and target rank,
-        never ``disp`` itself.  Unpriced: a typed get of several runs is a
-        remote-put, and an untyped remote put stores directly; emulating
-        that put ships the same write, then pays an interrupt and a
-        handler, which outweigh the store barrier it would save on rings
-        up to 88 nodes, and on any ring once an epoch holds a dozen puts."""
-        device = self.device
-        if op == "put":
-            if plan is None and not device.smi.same_node(device.rank, peer):
-                return OSCStrategy.DIRECT
-            other = OSCStrategy.EMULATED
-        elif run is None:
-            return OSCStrategy.REMOTE_PUT
-        else:
-            other = OSCStrategy.REMOTE_PUT
-        shape = ((run.size, run.stride, run.count, run.base - disp)
-                 if run is not None else (plan.ft, plan.count))
-        return self._costed(
-            ("osc", op, shape, disp % device.node.params.write_alignment, peer),
-            lambda: min((OSCStrategy.DIRECT, other), key=lambda s: self.osc_price(
-                s, op, run, plan, disp, nbytes, peer)))
+        """The :class:`~repro.mpi.transport.policy.OSCStrategy` of a remote
+        ``"put"`` or ``"get"`` on a shared window (private memory has one
+        way in, emulation): what the policy forces (``osc_strategy``),
+        else the cheaper :meth:`osc_price` of DIRECT (ties) and the
+        alternative.  Memoized per op, target shape
+        (a size or a plan), alignment of ``disp`` and destination node
+        (which fixes the route), never ``disp`` itself.  Unpriced: a
+        typed get of several runs is a remote-put, and an untyped put
+        stores directly; emulating it ships the same bytes, then pays a
+        handler and a second copy (one node) or an interrupt, which
+        outweighs the store barrier it saves on rings up to 88 nodes, and
+        on any ring once an epoch holds a dozen puts."""
+        key = (op, nbytes if plan is None else (plan.ft, plan.count),
+               disp % self._align, self._node_of[peer])
+        strategy = self._osc_verdicts.get(key)
+        if strategy is None:
+            put = op == "put"
+            strategy = self.device.policy.osc_strategy(op, nbytes, run is not None)
+            if strategy is None and (plan if put else run) is None:
+                strategy = OSCStrategy.DIRECT if put else OSCStrategy.REMOTE_PUT
+            elif strategy is None:
+                other = OSCStrategy.EMULATED if put else OSCStrategy.REMOTE_PUT
+                strategy = min((OSCStrategy.DIRECT, other), key=lambda s: self.osc_price(
+                    s, op, run, plan, disp, nbytes, peer))
+            if fastpath.enabled:
+                if len(self._osc_verdicts) >= 4096:  # entries are recomputable
+                    self._osc_verdicts.clear()
+                self._osc_verdicts[key] = strategy
+        return strategy
 
     # -- grouping (the single chunk-group implementation) ---------------------------
 

@@ -157,12 +157,20 @@ class RemoteStore:
         ``data`` through ``plan`` into the window ``region`` at ``disp``
         with direct_pack_ff stores, one rendezvous chunk at a time.  A
         faulted chunk is rewritten whole (idempotent); a revoked window
-        segment raises ``TransferFault(unmapped=True)``."""
-        view, step = region.local_view(), self.device.config.rendezvous_chunk
+        segment raises ``TransferFault(unmapped=True)``.  On one node each
+        chunk is a block-wise copy on the node's memory bus, as any direct
+        local store is (``SharedSegment.write``)."""
+        device = self.device
+        view, step = region.local_view(), device.config.rendezvous_chunk
         land = partial(plan.execute_unpack, view, disp)
         for pos in range(0, data.nbytes, step):
             part = data[pos : pos + step]
             groups = plan.groups_in_range(pos, part.nbytes)
+            if device.smi.same_node(device.rank, dst):
+                yield from device.node.bus_transfer(device.engine, part.nbytes,
+                    device.scheduler.chunk_blocks_copy_cost(groups))
+                land(pos, part)
+                continue
             yield from self.deliver_with_retry(dst, lambda: self.write_packed(
                 dst, region, pos, part, TransferMode.DIRECT, groups,
                 src_cached, land))
@@ -207,7 +215,8 @@ class RemoteStore:
 
         The payload travels as one contiguous remote write into the
         target's staging memory, followed by a remote interrupt that kicks
-        the target's handler; intra-node it is a plain protocol copy.
+        the target's handler; intra-node it is a copy into the target's
+        staging memory on the node's shared memory bus.
         ``msg`` lands in the target's service queue either way.
         """
         device = self.device
@@ -232,9 +241,9 @@ class RemoteStore:
                 device.node.node_id, device.smi.node_of(wtarget).node_id
             )
         else:
-            yield device.engine.timeout(
-                device.node.memory.copy_cost(nbytes).duration
-            )
+            yield from device.node.bus_transfer(
+                device.engine, nbytes,
+                device.node.memory.copy_cost(nbytes).duration)
         device._trace("store.emulated", target=wtarget, nbytes=nbytes,
                       message=type(msg).__name__)
         device.world.device(wtarget).service.try_put(msg)
@@ -257,7 +266,8 @@ class RemoteStore:
         device = self.device
         n = data.nbytes
         if device.smi.same_node(device.rank, origin):
-            yield device.engine.timeout(device.node.memory.copy_cost(n).duration)
+            yield from device.node.bus_transfer(
+                device.engine, n, device.node.memory.copy_cost(n).duration)
             response.local_view()[offset : offset + n] = data
         else:
             def attempt():

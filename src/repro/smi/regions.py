@@ -15,7 +15,7 @@ operations either through the SCI fabric or the local memory model.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -158,17 +158,9 @@ class RegionHandle:
         data: np.ndarray,
         run: AccessRun,
         src_cached: bool = True,
-        cpu_extra: float = 0.0,
-        src_block_lengths: Optional[list[int]] = None,
     ):
         """Write ``data`` along ``run`` (see :class:`ImportedSegment`)."""
-        return self._imported.write(
-            data,
-            run,
-            src_cached=src_cached,
-            cpu_extra=cpu_extra,
-            src_block_lengths=src_block_lengths,
-        )
+        return self._imported.write(data, run, src_cached=src_cached)
 
     def write_bytes(self, offset: int, data, **kw):
         return self._imported.write_bytes(offset, data, **kw)

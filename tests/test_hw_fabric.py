@@ -342,7 +342,7 @@ class TestFabricOps:
                 assert eng.now - t0 >= fresh.duration
 
         eng.run_process(body())
-        stats = fabric._write_costs.stats()
+        stats = fabric._pio_costs.stats()
         assert stats["hits"] > stats["misses"]
 
 
