@@ -247,7 +247,7 @@ def test_ablation_transport_policy(once):
 
     @dataclass(frozen=True)
     class TreePolicy(TransferPolicy):
-        def chain_collective(self, flat):
+        def chain_collective(self, flat, reduction):
             return False
 
     nbytes = 256 * KiB

@@ -101,7 +101,7 @@ def _osc(size: int):
 
 
 def _collectives(size: int):
-    """Broadcast + allgather across the whole cluster."""
+    """Broadcast, allgather and allreduce across the whole cluster."""
 
     def program(ctx):
         comm = ctx.comm
@@ -114,7 +114,9 @@ def _collectives(size: int):
         send.read()[:] = (np.arange(piece, dtype=np.uint8) + comm.rank) % 227
         gathered = ctx.alloc(piece * comm.size)
         yield from comm.allgather(send, gathered)
-        return bytes(buf.read()) + bytes(gathered.read())
+        reduced = ctx.alloc(size)
+        yield from comm.allreduce(buf, reduced, op="sum", datatype=BYTE)
+        return b"".join(bytes(b.read()) for b in (buf, gathered, reduced))
 
     return program, 4
 

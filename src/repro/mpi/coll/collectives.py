@@ -1,20 +1,18 @@
 """Collective operations built on the point-to-point device.
 
-Classic algorithms — binomial trees for barrier/bcast/reduce, a ring
-allgather, a pairwise alltoall — that support the examples and
-benchmarks (the paper's focus is pt2pt datatypes and one-sided); every
-payload byte moves through the transport layer's scheduler via
-``comm.send``/``comm.recv``.
+Classic algorithms — binomial trees or chains for bcast/reduce, a
+dissemination barrier, a ring allgather, a pairwise alltoall — that
+support the examples and benchmarks (the paper's focus is pt2pt
+datatypes and one-sided); every payload byte moves through the
+transport layer's scheduler.
 
-One member-list body, :func:`_member_bcast`, issues every broadcast
-message: the flat stage and both stages of the hierarchical broadcast,
-which ``allreduce`` ends with too.  Each stage is a binomial tree or a
-chain by one memoised verdict, priced in rendezvous cycles from the
-payload and the member count (:func:`_chain_wins`), unless the world's
-:class:`~repro.mpi.transport.policy.TransferPolicy` forces one
-(``chain_collective``).  A chain hop is a single rendezvous message
-that each member forwards chunk by chunk as the chunks land in its
-buffer.
+One body, :func:`_stage`, issues every broadcast and reduction message,
+flat or in any hierarchical stage.  Each stage is a binomial tree or a
+chain by one memoised verdict in rendezvous cycles (:func:`_chain_wins`)
+unless the world's :class:`~repro.mpi.transport.policy.TransferPolicy`
+forces one (``chain_collective``).  A chain hop is one rendezvous
+message that each member forwards chunk by chunk as the chunks land in
+its buffer, on a reduction's way to the root folded into its own first.
 
 On switched multi-ringlet fabrics (a
 :class:`~repro.hardware.sci.topology.Topology` with more than one
@@ -27,13 +25,13 @@ ringlet-locally.  The plain ring always takes the flat algorithms.
 All functions are DES generators taking the caller's Communicator; they
 reject a buffer too small for their blocks with
 :class:`~repro.mpi.errors.MPIError` before the first message.
-Reductions receive each child straight into the accumulator, folding
-every element once as it lands — ``recvbuf`` where it is output, else
-scratch borrowed from the rank's free list and handed back — and leaf
-ranks send ``sendbuf`` itself.  Aliasing user memory across yields is
-safe: a blocking collective owns its buffers until it returns, and no
-other rank holds a handle to private memory (docs/PROTOCOLS.md, "What a
-collective allocates").
+Reductions receive straight into the accumulator, folding every
+element once as it lands — ``recvbuf`` where it is output, else scratch
+borrowed from the rank's free list and handed back — and a rank that
+receives nothing sends ``sendbuf`` itself.  Aliasing user memory across
+yields is safe: a blocking collective owns its buffers until it returns,
+and no other rank holds a handle to private memory (docs/PROTOCOLS.md,
+"What a collective allocates").
 """
 
 from __future__ import annotations
@@ -143,7 +141,7 @@ def _hier_groups(comm: "Communicator") -> Optional[tuple[tuple[int, ...], ...]]:
 
 @lru_cache(maxsize=1024)
 def _chain_wins(total: int, members: int, chunk: int) -> bool:
-    """The broadcast verdict, priced in rendezvous cycles of ``chunk``
+    """A stage's verdict, priced in rendezvous cycles of ``chunk``
     bytes: a chain's last member holds ``total`` after ``members - 2 +
     chunks`` cycles, a tree's after ``ceil(log2 members) x chunks``.
     Ties go to the tree."""
@@ -151,56 +149,63 @@ def _chain_wins(total: int, members: int, chunk: int) -> bool:
     return members - 2 + chunks < (members - 1).bit_length() * chunks
 
 
+def _peers(comm: "Communicator", members: Sequence[int], root: int,
+           total: int, flat: bool, reduction: bool):
+    """``(chain, sources, dests)`` of this member in a stage of ``total``
+    bytes over ``members`` (comm-local ranks), away from ``root`` or, as a
+    ``reduction``, towards it: the world ranks it receives from and sends
+    to, in order.  The stage chains as the policy forces it
+    (``chain_collective``), else as :func:`_chain_wins` prices it, given
+    three members and more than one rendezvous chunk: along the ring from
+    the root, or from the member after the root round to it.  A binomial
+    tree's children are ``relative + mask`` for each mask below the
+    member's lowest set bit: a reduction folds them nearest first, a
+    broadcast serves them farthest first."""
+    m, chunk = len(members), comm.device.config.rendezvous_chunk
+    idx, root = members.index(comm.rank), members.index(root)
+    forced = comm.device.policy.chain_collective(flat, reduction)
+    chain = m > 2 and total > chunk and (
+        _chain_wins(total, m, chunk) if forced is None else forced)
+    if chain:
+        place = (idx - root - reduction) % m
+        sources = [idx - 1] if place else []
+        dests = [idx + 1] if place < m - 1 else []
+    else:
+        relative = (idx - root) % m
+        low = relative & -relative or 1 << m.bit_length()
+        kids = [idx + (1 << bit) for bit in range(low.bit_length() - 1)
+                if relative + (1 << bit) < m]
+        parent = [idx - low] if relative else []
+        sources, dests = (kids, parent) if reduction else (parent, kids[::-1])
+    return (chain, [comm.group[members[i % m]] for i in sources],
+            [comm.group[members[i % m]] for i in dests])
+
+
+def _stage(comm: "Communicator", buf: "Buffer", peers, tag: int, datatype,
+           count: Optional[int], fold=None):
+    """The one body that moves a broadcast's or a reduction's bytes: from
+    the :func:`_peers` sources into ``buf`` (folded, given a ``fold``),
+    then on to their destinations.  A chain member between both forwards
+    (``RankDevice.forward``): one message per hop, whose chunk ``k``
+    crosses hop ``i + 1`` while chunk ``k + 1`` crosses hop ``i``."""
+    (chain, sources, dests), device = peers, comm.device
+    if chain and sources and dests:
+        yield from device.forward(buf, *sources, *dests, tag, datatype, count,
+                                  comm.context, fold=fold)
+        return
+    for source in sources:
+        yield from device.recv(buf, source, tag, datatype, count, comm.context,
+                               fold=fold)
+    for dest in dests:
+        yield from device.send(buf, dest, tag, datatype, count, comm.context)
+
+
 def _member_bcast(comm: "Communicator", buf: "Buffer", members: Sequence[int],
                   root: int, tag: int, datatype, count: Optional[int],
                   total: int, flat: bool = False):
-    """The one body that moves a broadcast's bytes, over an explicit
-    member list (comm-local ranks).
-
-    A binomial tree, or a chain from the root, as the policy forces
-    (``chain_collective(flat)``) or else as :func:`_chain_wins` prices
-    them; a chain needs three members and more than one rendezvous chunk.
-    Each member inside the chain forwards (``RankDevice.forward``): one
-    message per hop, whose chunk ``k`` crosses hop ``i + 1`` while chunk
-    ``k + 1`` crosses hop ``i``.
-    """
-    m = len(members)
-    idx = members.index(comm.rank)
-    root_idx = members.index(root)
-    relative = (idx - root_idx) % m
-    device = comm.device
-    chunk = device.config.rendezvous_chunk
-    forced = device.policy.chain_collective(flat)
-    if m > 2 and total > chunk and (
-            _chain_wins(total, m, chunk) if forced is None else forced):
-        prev = members[(idx - 1) % m]
-        nxt = members[(idx + 1) % m]
-        if relative == 0:
-            yield from comm.send(buf, nxt, tag=tag, datatype=datatype, count=count)
-        elif relative == m - 1:
-            yield from comm.recv(buf, source=prev, tag=tag, datatype=datatype, count=count)
-        else:
-            yield from device.forward(buf, comm.group[prev], comm.group[nxt],
-                                      tag, datatype, count, comm.context)
-        return
-    # Climb masks until our lowest set bit: that's where our parent is.
-    mask = 1
-    while mask < m:
-        if relative & mask:
-            parent = members[((relative & ~mask) + root_idx) % m]
-            yield from comm.recv(buf, source=parent, tag=tag,
-                                 datatype=datatype, count=count)
-            break
-        mask <<= 1
-    # Forward to children below the bit where we received.
-    mask >>= 1
-    while mask > 0:
-        child_rel = relative | mask
-        if child_rel != relative and child_rel < m:
-            child = members[(child_rel + root_idx) % m]
-            yield from comm.send(buf, child, tag=tag, datatype=datatype,
-                                 count=count)
-        mask >>= 1
+    """A broadcast stage over ``members`` from ``root`` (its generator)."""
+    return _stage(comm, buf, _peers(comm, members, root, total, flat, False),
+                  tag, datatype, count)
 
 
 def _bcast(comm: "Communicator", buf: "Buffer", root: int, datatype,
@@ -265,40 +270,23 @@ def _check_reduction(op: str, datatype: BasicType, count: int,
 def _member_reduce(comm: "Communicator", sendbuf: "Buffer",
                    acc: Optional["Buffer"], nbytes: int,
                    members: Sequence[int], root: int, op: str,
-                   datatype: BasicType, tag: int):
-    """Binomial reduction of ``sendbuf`` over ``members`` to ``root``.
-
-    A rank without children (odd position, or last of an odd count: half
-    of all ranks) sends ``sendbuf`` as it is.  A rank with children
-    copies ``sendbuf`` into its accumulator, receives each child into it
-    with a folding receive and sends that on: ``acc`` — memory the caller
+                   datatype: BasicType, tag: int, flat: bool = False):
+    """A reduction stage of ``sendbuf`` over ``members`` to ``root``.  A
+    rank that receives nothing (a tree's odd position or the last of an
+    odd count; the chain's head) sends ``sendbuf`` as it is.  Every other
+    rank copies ``sendbuf`` into its accumulator, folds what it receives
+    into that as it lands and sends it on: ``acc`` — memory the caller
     lets it overwrite, required on the root, where the reduction ends up
-    — or, given none, one borrowed scratch.
-    """
-    m = len(members)
-    root_idx = members.index(root)
-    relative = (members.index(comm.rank) - root_idx) % m
-    inner = not relative & 1 and relative + 1 < m
-    own = comm.alloc_scratch(nbytes) if inner and acc is None else None
+    — or, given none, one borrowed scratch."""
+    peers = _peers(comm, members, root, nbytes, flat, True)
+    folds = bool(peers[1]) or comm.rank == root
+    own = comm.alloc_scratch(nbytes) if folds and acc is None else None
+    out = sendbuf if not folds else acc if acc is not None else own
     try:
-        out = sendbuf
-        if inner or relative == 0:
-            out = acc if acc is not None else own
-            if (out.space, out.base) != (sendbuf.space, sendbuf.base):
-                out.write(sendbuf.read(0, nbytes))
-        mask = 1
-        while mask < m:
-            if relative & mask:
-                parent = members[((relative & ~mask) + root_idx) % m]
-                yield from comm.send(out, parent, tag=tag,
-                                     datatype=BYTE, count=nbytes)
-                break
-            child_rel = relative | mask
-            if child_rel < m:
-                child = comm.group[members[(child_rel + root_idx) % m]]
-                yield from comm.device.recv(out, child, tag, BYTE, nbytes, comm.context,
-                                            fold=(OPS[op], datatype.np_dtype))
-            mask <<= 1
+        if (out.space, out.base) != (sendbuf.space, sendbuf.base):
+            out.write(sendbuf.read(0, nbytes))
+        yield from _stage(comm, out, peers, tag, BYTE, nbytes,
+                          (OPS[op], datatype.np_dtype))
     finally:
         comm.free_scratch(own)
 
@@ -324,8 +312,8 @@ def bcast(comm: "Communicator", buf: "Buffer", root: int = 0,
 def reduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
            root: int = 0, op: str = "sum", datatype: BasicType = DOUBLE,
            count: Optional[int] = None):
-    """Binomial-tree reduction to ``root`` (into its ``sendbuf`` when it
-    passes no ``recvbuf``)."""
+    """Reduction to ``root``, a binomial tree or a chain of folding
+    ranks (into its ``sendbuf`` when it passes no ``recvbuf``)."""
     if count is None:
         count = sendbuf.nbytes // datatype.size
     _check_reduction(op, datatype, count, sendbuf, recvbuf)
@@ -334,7 +322,7 @@ def reduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: Optional["Buffer"],
         acc = recvbuf if recvbuf is not None else sendbuf
     yield from _member_reduce(comm, sendbuf, acc, count * datatype.size,
                               range(comm.size), root, op, datatype,
-                              COLL_TAG + 3)
+                              COLL_TAG + 3, flat=True)
 
 
 def allreduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: "Buffer",
@@ -342,11 +330,12 @@ def allreduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: "Buffer",
               count: Optional[int] = None):
     """Reduce, then broadcast from the reduce root (see :func:`_bcast`).
 
-    Flat: a binomial reduce over every rank to rank 0.  On multi-ringlet
+    Flat: a reduce over every rank to rank 0.  On multi-ringlet
     topologies each ringlet reduces to its first rank without touching a
     cross-switch link, and those leaders reduce to the first group's
-    (one payload per ringlet across the crossbar).  ``recvbuf`` is the
-    accumulator of every stage: it is output on every rank.
+    (one payload per ringlet across the crossbar).  Each stage is a tree
+    or a chain by its own verdict.  ``recvbuf`` is the accumulator of
+    every stage: it is output on every rank.
     """
     if count is None:
         count = sendbuf.nbytes // datatype.size
@@ -357,7 +346,7 @@ def allreduce(comm: "Communicator", sendbuf: "Buffer", recvbuf: "Buffer",
         root = 0
         yield from _member_reduce(comm, sendbuf, recvbuf, nbytes,
                                   range(comm.size), root, op, datatype,
-                                  COLL_TAG + 3)
+                                  COLL_TAG + 3, flat=True)
     else:
         my_group = next(g for g in groups if comm.rank in g)
         leaders = [g[0] for g in groups]

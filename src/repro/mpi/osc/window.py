@@ -148,7 +148,9 @@ class OSCEngine:
         n = msg.data.nbytes
         fetched = None
         if isinstance(msg, OSCPut):
-            copy = memory.copy_cost(n).duration
+            # Along a target plan the copy is an ff loop: per-run cost on top.
+            copy = memory.copy_cost(n).duration + (
+                0 if plan is None else plan.n_runs * device.config.direct_pack_block_cost)
             if local or not device.smi.same_node(device.rank, msg.origin):
                 yield engine.timeout(copy)
             else:  # out of staging memory a rank of this node filled

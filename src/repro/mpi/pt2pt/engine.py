@@ -308,17 +308,23 @@ class RankDevice:
 
     def forward(self, buf: "Buffer", source: int, dest: int, tag: int,
                 datatype: Optional[Datatype], count: Optional[int],
-                context: int = 0):
-        """A chained broadcast's hop (DES generator): receive ``buf`` from
-        ``source`` and send it on to ``dest`` at once, each rendezvous
-        chunk once it is in ``buf`` (:class:`Gate`); a smaller message
-        once all of it is."""
+                context: int = 0, fold: Optional[tuple[Any, Any]] = None):
+        """A chain hop (DES generator): receive ``buf`` from ``source`` —
+        folding into it, given a ``fold`` (a chained reduction) — and send
+        it on to ``dest`` at once, each rendezvous chunk once it is in
+        ``buf`` (:class:`Gate`); a smaller message once all of it is.  A
+        send that fails, or a hop thrown into, stops its receive."""
         gate = Gate(self.engine)
         receive = self.engine.process(
-            self.recv(buf, source, tag, datatype, count, context, gate=gate),
+            self.recv(buf, source, tag, datatype, count, context, fold=fold,
+                      gate=gate),
             name=f"forward-r{self.rank}")
-        yield from self.send(buf, dest, tag, datatype, count, context,
-                             gate=gate)
+        try:
+            yield from self.send(buf, dest, tag, datatype, count, context,
+                                 gate=gate)
+        except BaseException:
+            receive.stop()
+            raise
         yield receive
 
     # -- receive -----------------------------------------------------------------------

@@ -178,11 +178,12 @@ class TransferPolicy:
 
     # -- collectives ---------------------------------------------------------------
 
-    def chain_collective(self, flat: bool) -> Optional[bool]:
-        """Force a broadcast stage onto the chain (``True``) or the
-        binomial tree (``False``); ``None`` leaves it to the broadcast's
-        verdict (``_member_bcast`` in ``mpi/coll``).  ``flat`` is the
-        stage over every rank, not a hierarchical one."""
+    def chain_collective(self, flat: bool, reduction: bool) -> Optional[bool]:
+        """Force a collective stage onto the chain (``True``) or the
+        binomial tree (``False``); ``None`` leaves it to the stage's
+        verdict (``_peers`` in ``mpi/coll``).  ``flat`` is the stage
+        over every rank, not a hierarchical one; ``reduction`` runs
+        towards the root, a broadcast away from it."""
         return None
 
     def hierarchical_collective(self, size: int, n_groups: int) -> bool:
@@ -227,8 +228,8 @@ class ChunkedCollectivesPolicy(TransferPolicy):
     the verdict: each rank forwards every rendezvous chunk as it lands.
     The benchmarks' flat baseline against the hierarchical algorithm."""
 
-    def chain_collective(self, flat: bool) -> Optional[bool]:
-        return True if flat else None
+    def chain_collective(self, flat: bool, reduction: bool) -> Optional[bool]:
+        return True if flat and not reduction else None
 
 
 @dataclass(frozen=True)

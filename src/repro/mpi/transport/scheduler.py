@@ -314,7 +314,8 @@ class TransferScheduler:
                     else 2 * hop + adapter.interrupt_latency + self.chunk_write_duration(
                         TransferMode.CONTIGUOUS, disp, nbytes, [(nbytes, 1)],
                         src_cached))
-            copy = tmemory.copy_cost(nbytes).duration
+            copy = tmemory.copy_cost(nbytes).duration + (
+                0 if plan is None else plan.n_runs * target.config.direct_pack_block_cost)
             return ship + max(cfg.osc_call_overhead,
                               handler + (on_bus(nbytes, copy) if local else copy))
         if strategy == OSCStrategy.DIRECT and run is not None:

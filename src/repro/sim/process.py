@@ -45,7 +45,7 @@ class Process(Event):
         engine._register_process(self)
         # Kick the process off via an immediate initialisation event so that
         # the body only starts executing inside engine.run().
-        init = Event(engine, "init")
+        init = self._waiting_on = Event(engine, "init")
         init.callbacks.append(self._resume)
         init.succeed()
 
@@ -53,6 +53,14 @@ class Process(Event):
     def waiting_on(self) -> Event | None:
         """The event this process is currently suspended on (for diagnostics)."""
         return self._waiting_on
+
+    def stop(self) -> None:
+        """End the process where it waits, started or not: its generator
+        closes (``finally`` blocks run), and it never fires."""
+        if self._waiting_on is not None and self._waiting_on.callbacks:
+            self._waiting_on.callbacks.remove(self._resume)
+        self._generator.close()
+        self.engine._unregister_process(self)
 
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the trigger event's outcome."""

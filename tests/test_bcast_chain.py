@@ -29,17 +29,18 @@ SENTINEL = 0xA5
 
 @dataclass(frozen=True)
 class TreePolicy(TransferPolicy):
-    """Every broadcast stage keeps the binomial tree."""
+    """Every broadcast and reduction stage keeps the binomial tree."""
 
-    def chain_collective(self, flat):
+    def chain_collective(self, flat, reduction):
         return False
 
 
 @dataclass(frozen=True)
 class ChainPolicy(TransferPolicy):
-    """Every broadcast stage chains (where a chain can pipeline)."""
+    """Every broadcast and reduction stage chains (where a chain can
+    pipeline)."""
 
-    def chain_collective(self, flat):
+    def chain_collective(self, flat, reduction):
         return True
 
 
@@ -169,20 +170,29 @@ TOPOLOGIES.update({
 SIZES = (16 * KiB, 64 * KiB, 128 * KiB, 192 * KiB, 256 * KiB, 1 * MiB)
 
 
+OPS = ("bcast", "reduce", "allreduce")
+
+
 def _times(cluster_args, nbytes, policy):
-    """Simulated µs of one bcast and one allreduce, barrier to barrier."""
+    """Simulated µs of one bcast, one reduce (to the last rank, so the
+    chain wraps round) and one allreduce, barrier to barrier."""
     def program(ctx):
         comm = ctx.comm
         buf, recv = ctx.alloc(nbytes), ctx.alloc(nbytes)
+        calls = (
+            lambda: comm.bcast(buf, root=0, datatype=BYTE, count=nbytes),
+            lambda: comm.reduce(buf, recv, root=comm.size - 1, op="sum",
+                                datatype=BYTE, count=nbytes),
+            lambda: comm.allreduce(buf, recv, op="sum", datatype=BYTE,
+                                   count=nbytes))
+        times = []
         yield from comm.barrier()
-        t0 = ctx.now
-        yield from comm.bcast(buf, root=0, datatype=BYTE, count=nbytes)
-        yield from comm.barrier()
-        t1 = ctx.now
-        yield from comm.allreduce(buf, recv, op="sum", datatype=BYTE,
-                                  count=nbytes)
-        yield from comm.barrier()
-        return t1 - t0, ctx.now - t1
+        for call in calls:
+            t0 = ctx.now
+            yield from call()
+            yield from comm.barrier()
+            times.append(ctx.now - t0)
+        return times
 
     reset_plan_cache()
     return Cluster(policy=policy, **cluster_args).run(program).results[0]
@@ -192,7 +202,7 @@ def _assert_self_consistent(cluster_args, nbytes):
     default = _times(cluster_args, nbytes, None)
     tree = _times(cluster_args, nbytes, TreePolicy())
     chain = _times(cluster_args, nbytes, ChainPolicy())
-    for op, d, t, c in zip(("bcast", "allreduce"), default, tree, chain):
+    for op, d, t, c in zip(OPS, default, tree, chain):
         assert d <= 1.05 * min(t, c), (op, nbytes, d, t, c)
 
 

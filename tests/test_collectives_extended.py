@@ -200,9 +200,9 @@ class TestLocalityGroups:
 
     @pytest.mark.parametrize("case, root, count, bcast_us, allreduce_us, events", [
         # Simulated µs and engine events.  The two 96 KiB rows on
-        # RingOfRings(3, 4) chain: the three leaders by the verdict, the
-        # flat stage because the policy forces it.
-        ("hier-3x4", 5, 96 * KiB, 3506.9508835341358, 7970.247008032131, 869),
+        # RingOfRings(3, 4) chain: the three leaders by the verdict (their
+        # reduce too), the flat broadcast because the policy forces it.
+        ("hier-3x4", 5, 96 * KiB, 3506.9508835341358, 7649.926927710847, 873),
         ("flat-3x4", 5, 96 * KiB, 7312.036847389557, 14316.55361445784, 941),
         # The default policy's binomial tree.
         ("default-ring8", 3, 96 * KiB, 2870.5357228915664, 5819.826923543965, 549),
@@ -258,14 +258,24 @@ CLUSTERS = {
     "ringlets-2x4": lambda: Cluster(n_nodes=8, topology=RingOfRings(*RINGLETS)),
 }
 
+#: Bytes of ``send`` and ``recv``: four rendezvous chunks, so a reduction
+#: of all of them chains on four and on eight ranks.
+CHAINED = 256 * KiB
+
 #: One call of each collective that borrows scratch (``allreduce`` no
 #: longer does; it stays so that a borrow it starts again would show);
-#: ``part`` is one rank's block of ``send``.
+#: ``part`` is one rank's block of ``send``.  Each reduces 64 doubles per
+#: rank but the chained reduce, whose forwarders borrow one accumulator.
 BORROWERS = {
     "barrier": lambda comm, send, recv, part: comm.barrier(),
-    "reduce-root0": lambda comm, send, recv, part: comm.reduce(send, recv, root=0),
-    "reduce-root2": lambda comm, send, recv, part: comm.reduce(send, recv, root=2),
-    "allreduce": lambda comm, send, recv, part: comm.allreduce(send, recv),
+    "reduce-root0": lambda comm, send, recv, part: comm.reduce(
+        send, recv, root=0, count=64 * comm.size),
+    "reduce-root2": lambda comm, send, recv, part: comm.reduce(
+        send, recv, root=2, count=64 * comm.size),
+    "reduce-root2-chained":
+        lambda comm, send, recv, part: comm.reduce(send, recv, root=2),
+    "allreduce": lambda comm, send, recv, part: comm.allreduce(
+        send, recv, count=64 * comm.size),
     "reduce_scatter_block":
         lambda comm, send, recv, part: comm.reduce_scatter_block(send, part),
 }
@@ -281,7 +291,7 @@ class TestBorrowedScratch:
         def program(ctx):
             comm = ctx.comm
             part = ctx.alloc(512)
-            send, recv = ctx.alloc(512 * comm.size), ctx.alloc(512 * comm.size)
+            send, recv = ctx.alloc(CHAINED), ctx.alloc(CHAINED)
             send.as_array(np.float64)[:] = comm.rank + 1.0
             for _ in range(calls):
                 yield from call(comm, send, recv, part)
@@ -380,7 +390,7 @@ class TestBorrowedScratch:
         def program(ctx):
             comm = ctx.comm
             part = ctx.alloc(512)
-            send, recv = ctx.alloc(512 * comm.size), ctx.alloc(512 * comm.size)
+            send, recv = ctx.alloc(CHAINED), ctx.alloc(CHAINED)
             if comm.rank:
                 return None
                 yield
@@ -415,6 +425,16 @@ def _binomial(ufunc, parts):
         return acc
 
     return subtree(0)
+
+
+def _chain(ufunc, parts):
+    """Fold ``parts`` (the root's first) in the chain's order: it starts
+    after the root, and every member, the root last, folds what it
+    receives into its own."""
+    acc = parts[1 % len(parts)].copy()
+    for part in parts[2:] + parts[:1]:
+        acc = ufunc(part, acc)
+    return acc
 
 
 class TestReductionSemantics:
@@ -495,6 +515,50 @@ class TestReductionSemantics:
                 yield from comm.allreduce(both, both, op=op, datatype=dtype)
                 assert np.array_equal(both.read(), expected)
             return True
+
+        assert all(CLUSTERS[shape]().run(program).results)
+
+    #: Four rendezvous chunks and a tail: every stage of four or more
+    #: members chains, the two leaders of ``ringlets-2x4`` keep the tree.
+    CHAINED = 256 * KiB + 24
+
+    @pytest.mark.parametrize("shape", ["ring-8", "ringlets-2x4"])
+    @pytest.mark.parametrize("op, dtype", [("sum", DOUBLE), ("bxor", INT)],
+                             ids=["sum-MPI_DOUBLE", "bxor-MPI_INT"])
+    def test_chained_stages_fold_in_the_chain_order(self, op, dtype, shape):
+        ufunc = OPS[op]
+        count = self.CHAINED // dtype.size
+        rng = np.random.default_rng(23)
+        if dtype is DOUBLE:
+            parts = [rng.standard_normal(count) * 10.0 ** rng.integers(-6, 7, count)
+                     for _ in range(8)]
+        else:
+            parts = [rng.integers(0, 1 << 30, count).astype(np.int32)
+                     for _ in range(8)]
+        if shape == "ring-8":
+            allreduced = _chain(ufunc, parts)
+        else:
+            allreduced = _binomial(ufunc, [_chain(ufunc, parts[:4]),
+                                           _chain(ufunc, parts[4:])])
+
+        def program(ctx):
+            comm = ctx.comm
+            mine = parts[comm.rank].view(np.uint8)
+            send, recv = ctx.alloc(self.CHAINED), ctx.alloc(self.CHAINED)
+            send.write(mine)
+            for root in (0, 5):
+                recv.fill(0xA5)
+                yield from comm.reduce(send, recv, root=root, op=op,
+                                       datatype=dtype)
+                expected = _chain(ufunc, parts[root:] + parts[:root])
+                assert np.array_equal(send.read(), mine)
+                if comm.rank == root:
+                    assert np.array_equal(recv.read(), expected.view(np.uint8))
+                else:
+                    assert (recv.read() == 0xA5).all()
+            yield from comm.allreduce(send, recv, op=op, datatype=dtype)
+            assert np.array_equal(send.read(), mine)
+            return np.array_equal(recv.read(), allreduced.view(np.uint8))
 
         assert all(CLUSTERS[shape]().run(program).results)
 
@@ -616,31 +680,42 @@ class TestFoldOnLanding:
         return cluster, cluster.run(program).results
 
     @classmethod
-    def _expected(cls, dtype, nbytes):
+    def _expected(cls, dtype, nbytes, oracle=_binomial):
         parts = [cls._contribution(r, dtype, nbytes) for r in range(4)]
-        return _binomial(np.add, parts).view(np.uint8)
+        return oracle(np.add, parts).view(np.uint8)
 
     @pytest.mark.parametrize("resume", [True, False], ids=["resume", "whole"])
     @pytest.mark.parametrize("dtype, nbytes", CASES,
                              ids=[d.name for d, _ in CASES])
     def test_torn_chunks_fold_once(self, dtype, nbytes, resume):
+        """Four chunks over four ranks: the default reduce chains, each
+        forwarder folding its predecessor's chunks as they land and
+        sending them on; the forced tree folds its children.  Each must
+        equal its own association order exactly."""
         from repro.hardware.sci.faults import FaultKind, FaultPlan
         from repro.mpi.transport import RecoveryPolicy, TransferPolicy
 
-        _, clean = self._allreduce(dtype, nbytes)
-        expected = self._expected(dtype, nbytes)
-        assert all(np.array_equal(got, expected) for got in clean)
-        policy = TransferPolicy(recovery=RecoveryPolicy(resume_torn=resume))
-        for seed in range(6):
-            plan = FaultPlan(seed=seed, torn_rate=0.5)
-            cluster, faulty = self._allreduce(dtype, nbytes, faults=plan,
-                                              policy=policy)
-            assert plan.counters[FaultKind.TORN] > 0
-            recovery = [d.recovery for d in cluster.world.devices]
-            assert sum(r["resumes" if resume else "retries"]
-                       for r in recovery) > 0
-            for got in faulty:
-                assert np.array_equal(got, expected), seed
+        from .test_bcast_chain import TreePolicy
+
+        if dtype is DOUBLE:     # the two orders round differently
+            assert not np.array_equal(self._expected(dtype, nbytes, _chain),
+                                      self._expected(dtype, nbytes))
+        recovery = RecoveryPolicy(resume_torn=resume)
+        for policy, oracle in ((TransferPolicy(recovery=recovery), _chain),
+                               (TreePolicy(recovery=recovery), _binomial)):
+            expected = self._expected(dtype, nbytes, oracle)
+            _, clean = self._allreduce(dtype, nbytes, policy=policy)
+            assert all(np.array_equal(got, expected) for got in clean)
+            for seed in range(6):
+                plan = FaultPlan(seed=seed, torn_rate=0.5)
+                cluster, faulty = self._allreduce(dtype, nbytes, faults=plan,
+                                                  policy=policy)
+                assert plan.counters[FaultKind.TORN] > 0
+                counts = [d.recovery for d in cluster.world.devices]
+                assert sum(r["resumes" if resume else "retries"]
+                           for r in counts) > 0
+                for got in faulty:
+                    assert np.array_equal(got, expected), (oracle, seed)
 
     @pytest.mark.parametrize("nbytes", [0, 104, 8000],
                              ids=["count-0", "short", "eager"])

@@ -2,7 +2,7 @@
 
 The windows are the one analytic fast path (``docs/ENGINE.md``).  Every
 guard clause that keeps them honest is also a way for them to stop
-engaging without anyone noticing, so the engagement counts of four
+engaging without anyone noticing, so the engagement counts of five
 streams are pinned here, each next to its event-stepped twin
 (``fastpath_disabled()``): the counts must not drift, and the simulated
 clock, per-link accounting and per-chunk time must be ``==`` in both.
@@ -62,6 +62,13 @@ def ring_bcast(ctx):
     return int(buf.read().sum())
 
 
+def ring_allreduce(ctx):
+    send, recv = ctx.alloc(4 * MiB), ctx.alloc(4 * MiB)
+    send.read()[:] = np.arange(4 * MiB, dtype=np.uint8) + np.uint8(ctx.rank)
+    yield from ctx.comm.allreduce(send, recv, datatype=BYTE)
+    return int(recv.read().sum())
+
+
 def run(program, n_nodes, traced=False, **cluster_args):
     reset_plan_cache()
     cluster = Cluster(n_nodes=n_nodes, **cluster_args)
@@ -82,6 +89,8 @@ CASES = {
     # The default chains 4 MiB over 8 ranks.  Its hops overlap and a
     # forwarded stream offers no window, so none engages.
     "ring-chain-8n": (ring_bcast, 8, {}, 0, 0, 0, 3711),
+    # Its reduce chains too, each hop folding as the chunks land: no window.
+    "ring-allreduce-8n": (ring_allreduce, 8, {}, 0, 0, 0, 7382),
 }
 
 

@@ -194,6 +194,30 @@ def test_deadlock_detection():
     assert "stuck-proc" in str(info.value)
 
 
+@pytest.mark.parametrize("started", [True, False])
+def test_a_stopped_process_runs_its_finally_and_is_no_deadlock(started):
+    eng = Engine()
+    ev = eng.event()
+    trail = []
+
+    def waiter():
+        try:
+            trail.append("waits")
+            yield ev
+            trail.append("resumed")
+        finally:
+            trail.append("closed")
+
+    proc = eng.process(waiter())
+    if started:
+        eng.step()      # the process starts and waits on ev
+    proc.stop()
+    ev.succeed()
+    eng.run()           # no Deadlock, and ev resumes nobody
+    assert trail == (["waits", "closed"] if started else [])
+    assert not proc.triggered
+
+
 def test_run_until_stops_before_events():
     eng = Engine()
     fired = []

@@ -100,15 +100,19 @@ class TestTransferPolicy:
         assert pol.osc_strategy("get", 64, False) == OSCStrategy.REMOTE_PUT
 
     def test_chain_collective(self):
-        # The base policy leaves every stage to the broadcast's verdict;
-        # the chunked policy forces the flat stage onto the chain.  Below
-        # three ranks, or at one rendezvous chunk, the chain is the tree
-        # (pinned in tests/test_collectives_extended.py).
+        # The base policy leaves every stage to its verdict; the chunked
+        # policy forces the flat broadcast onto the chain and leaves every
+        # reduction stage alone.  Below three ranks, or at one rendezvous
+        # chunk, the chain is the tree (pinned in
+        # tests/test_collectives_extended.py).
         base = TransferPolicy(DEFAULT_PROTOCOL)
-        assert base.chain_collective(True) is base.chain_collective(False) is None
+        stages = [(flat, reduction) for flat in (True, False)
+                  for reduction in (True, False)]
+        assert {base.chain_collective(*stage) for stage in stages} == {None}
         chunked = ChunkedCollectivesPolicy(DEFAULT_PROTOCOL)
-        assert chunked.chain_collective(True) is True
-        assert chunked.chain_collective(False) is None
+        assert chunked.chain_collective(True, False) is True
+        assert {chunked.chain_collective(*stage) for stage in stages
+                if stage != (True, False)} == {None}
 
     def test_bind_keeps_subclass(self):
         cfg = DEFAULT_PROTOCOL.replace(eager_threshold=4 * KiB)
