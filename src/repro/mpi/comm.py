@@ -113,15 +113,10 @@ class Communicator:
     # -- point-to-point -------------------------------------------------------------
 
     def send(self, buf: Buffer, dest: int, tag: int = 0,
-             datatype: Optional[Datatype] = None, count: Optional[int] = None,
-             segment: Optional[tuple[int, int]] = None):
-        """Blocking standard-mode send (generator).
-
-        ``segment=(offset, nbytes)`` restricts the transfer to a byte
-        range of the packed stream (both sides must agree on the range).
-        """
+             datatype: Optional[Datatype] = None, count: Optional[int] = None):
+        """Blocking standard-mode send (generator)."""
         return self.device.send(buf, self._to_world(dest), tag, datatype,
-                                count, context=self.context, segment=segment)
+                                count, context=self.context)
 
     def ssend(self, buf: Buffer, dest: int, tag: int = 0,
               datatype: Optional[Datatype] = None, count: Optional[int] = None):
@@ -130,12 +125,11 @@ class Communicator:
                                 count, context=self.context, sync=True)
 
     def recv(self, buf: Buffer, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             datatype: Optional[Datatype] = None, count: Optional[int] = None,
-             segment: Optional[tuple[int, int]] = None):
+             datatype: Optional[Datatype] = None, count: Optional[int] = None):
         """Blocking receive (generator); returns a Status (local source)."""
         status = yield from self.device.recv(
             buf, self._to_world(source), tag, datatype, count,
-            context=self.context, segment=segment,
+            context=self.context,
         )
         return self._localized(status)
 
@@ -156,25 +150,23 @@ class Communicator:
 
     def isend(self, buf: Buffer, dest: int, tag: int = 0,
               datatype: Optional[Datatype] = None,
-              count: Optional[int] = None,
-              segment: Optional[tuple[int, int]] = None) -> Request:
+              count: Optional[int] = None) -> Request:
         """Nonblocking send; returns a Request immediately."""
         proc = self.engine.process(
             self.device.send(buf, self._to_world(dest), tag, datatype, count,
-                             context=self.context, segment=segment),
+                             context=self.context),
             name=f"isend-w{self._world_rank}->{dest}",
         )
         return Request(self.engine, proc)
 
     def irecv(self, buf: Buffer, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               datatype: Optional[Datatype] = None,
-              count: Optional[int] = None,
-              segment: Optional[tuple[int, int]] = None) -> Request:
+              count: Optional[int] = None) -> Request:
         """Nonblocking receive; returns a Request immediately."""
         def body():
             status = yield from self.device.recv(
                 buf, self._to_world(source), tag, datatype, count,
-                context=self.context, segment=segment,
+                context=self.context,
             )
             return self._localized(status)
 

@@ -4,7 +4,7 @@ The ff-stacks of :mod:`stack` are deliberately compact — O(leaves x
 depth) — and re-deriving block offsets from them on every chunk of every
 send of the same datatype is exactly the datatype-path overhead the
 paper's ``direct_pack_ff`` sets out to eliminate.  Every pack and unpack
-in the library — pt2pt chunks, stream segments, one-sided targets,
+in the library — pt2pt chunks, one-sided targets,
 ``Datatype.pack_from``/``unpack_into`` — therefore runs from a plan.
 
 A :class:`PackPlan` materializes, once per ``(FlattenedType, count)``,

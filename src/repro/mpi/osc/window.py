@@ -161,7 +161,7 @@ class OSCEngine:
             if plan is not None:
                 # Gather along the plan, scatter the result back: two ff
                 # pack loops on top of the read-modify-write.
-                groups = device.scheduler.message_groups(plan, 0, plan.total)
+                groups = device.scheduler.message_groups(plan, plan.total)
                 cost += 2 * pack_cost_direct(memory, groups, device.config)
             yield engine.timeout(cost)
             fetched = _load(view, msg.disp, plan, 0, n).view(msg.np_dtype)

@@ -33,7 +33,7 @@ from ...sim import Channel, Engine, Lock, Resource
 from ...smi import SMIContext
 from ..datatypes.base import Datatype
 from ..errors import MPIError
-from ..transport.policy import Protocol, TransferMode, TransferPolicy
+from ..transport.policy import DEFAULT_POLICY, Protocol, TransferMode, TransferPolicy
 from ..transport.scheduler import Fold, Gate, TransferScheduler
 from .config import DEFAULT_PROTOCOL, ProtocolConfig
 from .messages import (
@@ -71,9 +71,9 @@ class MPIWorld:
         self.smi = smi
         self.engine: Engine = smi.engine
         self.config = config
-        #: The transport policy every device consults (pluggable; bound to
-        #: this world's protocol config).
-        self.policy = (policy or TransferPolicy(config)).bind(config)
+        #: The transport policy every device consults (pluggable; its
+        #: decisions read this world's protocol config).
+        self.policy = policy if policy is not None else DEFAULT_POLICY
         #: Locality groups of the collectives, by communicator group.
         self.locality_groups: dict[tuple[int, ...], Optional[tuple]] = {}
         self.devices = [RankDevice(self, rank) for rank in range(smi.n_ranks)]
@@ -216,22 +216,9 @@ class RankDevice:
 
     # -- message geometry ------------------------------------------------------------
 
-    @staticmethod
-    def _resolve_segment(plan, segment: Optional[tuple[int, int]]) -> tuple[int, int]:
-        """Validated ``(stream offset, nbytes)`` of the transfer."""
-        if segment is None:
-            return 0, plan.total
-        seg_off, seg_len = segment
-        if seg_off < 0 or seg_len < 0 or seg_off + seg_len > plan.total:
-            raise MPIError(
-                f"segment [{seg_off}, {seg_off + seg_len}) outside packed "
-                f"stream of {plan.total} B"
-            )
-        return seg_off, seg_len
-
     def _message(self, buf: "Buffer", datatype: Optional[Datatype],
-                 count: Optional[int], segment: Optional[tuple[int, int]]):
-        """Common send/recv prologue: plan + stream segment geometry."""
+                 count: Optional[int]):
+        """Common send/recv prologue: the datatype and the message's plan."""
         from ..datatypes.basic import BYTE
 
         dtype = datatype if datatype is not None else BYTE
@@ -240,40 +227,34 @@ class RankDevice:
             if not dtype.is_contiguous:
                 raise MPIError("count is required for non-contiguous datatypes")
             count = buf.nbytes // dtype.size if dtype.size else 0
-        plan = dtype.buffer_plan(buf, count)
-        seg_off, total = self._resolve_segment(plan, segment)
-        return dtype, plan, seg_off, total
+        return dtype, dtype.buffer_plan(buf, count)
 
     # -- send ------------------------------------------------------------------------
 
     def send(self, buf: "Buffer", dest: int, tag: int = 0,
              datatype: Optional[Datatype] = None, count: Optional[int] = None,
              context: int = 0, sync: bool = False,
-             segment: Optional[tuple[int, int]] = None,
              gate: Optional[Gate] = None):
         """Blocking send (DES generator).
 
         ``sync=True`` gives MPI_Ssend semantics: the call completes only
-        once the receiver has matched the message.  ``segment`` restricts
-        the transfer to a byte range of the packed stream (both sides
-        must agree on the range).  A ``gate`` holds the bytes until they
-        have landed (:meth:`forward`).
+        once the receiver has matched the message.  A ``gate`` holds the
+        bytes until they have landed (:meth:`forward`).
         """
         if not 0 <= dest < self.world.n_ranks:
             raise MPIError(f"invalid destination rank {dest}")
-        dtype, plan, seg_off, total = self._message(
-            buf, datatype, count, segment
-        )
+        dtype, plan = self._message(buf, datatype, count)
+        total = plan.total
         mem = buf.space.mem
         base = buf.base
         self.counters["sends"] += 1
         yield self.engine.timeout(self.config.call_overhead)
 
         scheduler = self.scheduler
-        protocol = self.policy.protocol(total)
+        protocol = self.policy.protocol(self.config, total)
         mode = self.policy.transfer_mode(
-            dtype, protocol,
-            lambda: scheduler.verdict(plan, seg_off, total, dest, True))
+            self.config, dtype, protocol,
+            lambda: scheduler.verdict(plan, total, dest, True))
         if gate is not None:
             if mode in (TransferMode.GENERIC, TransferMode.DMA):
                 mode = TransferMode.DIRECT  # streams from user memory
@@ -286,20 +267,20 @@ class RankDevice:
 
         if protocol == Protocol.SHORT:
             yield from scheduler.send_short(
-                dest, env, mem, base, plan, seg_off, total,
-                dtype.is_contiguous, sync_reply,
+                dest, env, mem, base, plan, total, dtype.is_contiguous,
+                sync_reply,
             )
             self.counters["short"] += 1
         elif protocol == Protocol.EAGER:
             yield from scheduler.send_eager(
-                dest, env, mem, base, plan, seg_off, total, mode,
-                src_cached, sync_reply,
+                dest, env, mem, base, plan, total, mode, src_cached,
+                sync_reply,
             )
             self.counters["eager"] += 1
         else:
             # Rendezvous is inherently synchronous.
             yield from scheduler.send_rndv(
-                dest, env, mem, base, plan, seg_off, total, mode, src_cached, gate)
+                dest, env, mem, base, plan, total, mode, src_cached, gate)
             self.counters["rndv"] += 1
             sync_reply = None
         if sync_reply is not None:
@@ -343,22 +324,20 @@ class RankDevice:
 
     def recv(self, buf: "Buffer", source: int = ANY_SOURCE, tag: int = ANY_TAG,
              datatype: Optional[Datatype] = None, count: Optional[int] = None,
-             context: int = 0, segment: Optional[tuple[int, int]] = None,
-             fold: Optional[tuple[Any, Any]] = None,
+             context: int = 0, fold: Optional[tuple[Any, Any]] = None,
              gate: Optional[Gate] = None):
         """Blocking receive (DES generator); returns a Status.  Given
         ``fold=(ufunc, np_dtype)`` (the binomial reduction's receives) the
         message folds into ``buf`` as it lands (:class:`Fold`); a ``gate``
         is raised as the bytes reach ``buf`` (:meth:`forward`)."""
-        dtype, plan, seg_off, capacity = self._message(
-            buf, datatype, count, segment
-        )
+        dtype, plan = self._message(buf, datatype, count)
+        capacity = plan.total
         mem = buf.space.mem
         base = buf.base
         if fold is not None:
             if plan.n_runs > 1:
                 raise MPIError("a folding receive needs a single-run packed stream")
-            fold = Fold(*fold, plan.stream_view(mem, base, seg_off, capacity))
+            fold = Fold(*fold, plan.stream_view(mem, base, 0, capacity))
         self.counters["recvs"] += 1
         self._trace("recv.begin", source=source, tag=tag)
         yield self.engine.timeout(self.config.call_overhead)
@@ -371,7 +350,7 @@ class RankDevice:
         if isinstance(msg, ShortMsg):
             protocol = Protocol.SHORT
             n = yield from scheduler.recv_short(
-                msg, mem, base, plan, seg_off, capacity, contiguous, fold
+                msg, mem, base, plan, capacity, contiguous, fold
             )
         else:
             # An oversized message is priced at the capacity: it raises
@@ -379,11 +358,11 @@ class RankDevice:
             eager = isinstance(msg, EagerMsg)
             protocol = Protocol.EAGER if eager else Protocol.RNDV
             mode = self.policy.transfer_mode(
-                dtype, protocol,
-                lambda: scheduler.verdict(plan, seg_off, min(msg.nbytes, capacity),
+                self.config, dtype, protocol,
+                lambda: scheduler.verdict(plan, min(msg.nbytes, capacity),
                                           msg.envelope.source, False))
             body = scheduler.recv_eager if eager else partial(scheduler.recv_rndv, gate=gate)
-            n = yield from body(msg, mem, base, plan, seg_off, capacity, mode,
+            n = yield from body(msg, mem, base, plan, capacity, mode,
                                 contiguous, fold)
         if gate is not None:
             gate.raise_to(n)

@@ -10,19 +10,20 @@ collectives all *ask the policy* instead of comparing against config
 fields themselves, so the paper's threshold experiments (and
 ``benchmarks/test_ablations.py``) become one-line policy swaps.
 
-Policies are frozen dataclasses around a :class:`ProtocolConfig`;
-subclasses override individual decisions (see
+Policies are frozen, keyword-only dataclasses of decision knobs; the
+protocol thresholds they apply are the world's :class:`ProtocolConfig`,
+handed to each decision.  Subclasses override individual decisions (see
 :class:`ChunkedCollectivesPolicy` and :class:`PaperThresholdPolicy`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
 from ..._units import KiB
 from ...qos.lanes import DEFAULT_LANES, QosLanePolicy
-from ..pt2pt.config import DEFAULT_PROTOCOL, NonContigMode, ProtocolConfig
+from ..pt2pt.config import NonContigMode, ProtocolConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...hardware.node import Node
@@ -100,7 +101,7 @@ class RecoveryPolicy:
 DEFAULT_RECOVERY = RecoveryPolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TransferPolicy:
     """The decision table of the unified transport layer.
 
@@ -108,7 +109,6 @@ class TransferPolicy:
     it is stateless (all state lives in the scheduler and the device).
     """
 
-    config: ProtocolConfig = DEFAULT_PROTOCOL
     recovery: RecoveryPolicy = DEFAULT_RECOVERY
     #: Use hierarchical collective algorithms (ringlet-local aggregation
     #: before cross-switch hops) on topologies with more than one
@@ -122,25 +122,18 @@ class TransferPolicy:
     #: bit-identical to a QoS-free build.
     qos: QosLanePolicy = DEFAULT_LANES
 
-    def bind(self, config: ProtocolConfig) -> "TransferPolicy":
-        """This policy rebound to another protocol config (keeps subclass)."""
-        if config is self.config:
-            return self
-        return replace(self, config=config)
-
     # -- point-to-point ------------------------------------------------------------
 
-    def protocol(self, total: int) -> str:
+    def protocol(self, cfg: ProtocolConfig, total: int) -> str:
         """Short / eager / rendezvous selection by packed payload size."""
-        cfg = self.config
         if total <= cfg.short_threshold:
             return Protocol.SHORT
         if total <= cfg.eager_threshold:
             return Protocol.EAGER
         return Protocol.RNDV
 
-    def transfer_mode(self, dtype: "Datatype", protocol: str,
-                      verdict: Callable[[], str]) -> str:
+    def transfer_mode(self, cfg: ProtocolConfig, dtype: "Datatype",
+                      protocol: str, verdict: Callable[[], str]) -> str:
         """Generic / direct_pack_ff / DMA for one side of one message.
 
         A forced ``noncontig_mode`` answers itself.  AUTO (the default)
@@ -154,7 +147,7 @@ class TransferPolicy:
         """
         if dtype.is_contiguous:
             return TransferMode.CONTIGUOUS
-        mode = self.config.noncontig_mode
+        mode = cfg.noncontig_mode
         if mode != NonContigMode.AUTO:
             return mode
         if protocol == Protocol.SHORT:
@@ -205,13 +198,13 @@ class TransferPolicy:
 
     # -- observability -------------------------------------------------------------
 
-    def describe(self) -> dict[str, int]:
-        """The numeric decision knobs, for the metrics registry.
+    def describe(self, cfg: ProtocolConfig) -> dict[str, int]:
+        """The numeric decision knobs under protocol config ``cfg``, for
+        the metrics registry.
 
         Exported as ``policy.*`` gauges (bytes unless noted) so every
         metrics snapshot records which threshold regime produced it.
         """
-        cfg = self.config
         return {
             "short_threshold": cfg.short_threshold,
             "eager_threshold": cfg.eager_threshold,

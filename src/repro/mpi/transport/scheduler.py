@@ -1,8 +1,8 @@
 """TransferScheduler: streams packing-plan runs through bounded buffers.
 
 This is the chunked data path of the unified transport layer.  Whatever
-the communication mode — a pt2pt send, a one-sided response, a collective
-segment — the bytes of a message are described by a
+the communication mode — a pt2pt send, a one-sided response, a
+collective's message — the bytes of a message are described by a
 :class:`~repro.mpi.flatten.plan.PackPlan` (coalesced run tables over the
 packed stream) and streamed through bounded SCI packet buffers with
 credit-based flow control:
@@ -14,12 +14,10 @@ credit-based flow control:
   receiver's rendezvous buffer, one credit per chunk ("handshake
   cycles", Sec. 3.3.2).
 
-All protocol bodies take a *stream segment* ``(seg_off, total)``: the
-byte range of the packed stream they move.  Whole-message transfers use
-``(0, plan.total)``; a ``segment=`` send or receive hands in a
-sub-range, which packs straight out of (and unpacks straight into) user
-memory via the plan's prefix-sum range lookup, with no staging copy.
-A :class:`Gate` pipelines a chained broadcast's hops.
+Every protocol body moves one whole message: the first ``total`` bytes
+of the packed stream, all of it except where a message is shorter than
+its receive buffer.  A :class:`Gate` pipelines a chained collective's
+hops.
 
 The scheduler also keeps the per-chunk cost accounting (``stats``): how
 many packet-buffer chunks, payload bytes and simulated microseconds this
@@ -217,10 +215,10 @@ class TransferScheduler:
 
     # -- the AUTO verdict ---------------------------------------------------------------
 
-    def price(self, mode: str, plan: "PackPlan", seg_off: int, total: int,
+    def price(self, mode: str, plan: "PackPlan", total: int,
               local: bool, sending: bool) -> float:
-        """This side's share of an eager or rendezvous transfer of stream
-        bytes ``[seg_off, seg_off + total)`` of ``plan`` under ``mode``.
+        """This side's share of an eager or rendezvous transfer of the
+        first ``total`` stream bytes of ``plan`` under ``mode``.
 
         The sum of what the protocol bodies below charge that depends on
         the mode, built from the memoized chunk costs they charge: the
@@ -235,14 +233,13 @@ class TransferScheduler:
         memory = device.node.memory
         eager = total <= cfg.eager_threshold
         step = total if eager else cfg.rendezvous_chunk
-        chunks = [(seg_off + pos, min(step, total - pos))
-                  for pos in range(0, total, step)]
-        whole = self.message_groups(plan, seg_off, total)
+        chunks = [(pos, min(step, total - pos)) for pos in range(0, total, step)]
+        whole = self.message_groups(plan, total)
         if not sending:
             cost = sum(self.chunk_drain_cost(mode, False, plan, pos, n)
                        for pos, n in chunks)
             if mode == TransferMode.GENERIC:
-                groups = plan.groups_in_range(seg_off, total) if eager else whole
+                groups = plan.groups_in_range(0, total) if eager else whole
                 cost += pack_cost_generic(memory, groups, cfg)
             return cost
         if eager and mode == TransferMode.DMA:
@@ -266,19 +263,19 @@ class TransferScheduler:
                                                   src_cached)
         return cost
 
-    def verdict(self, plan: "PackPlan", seg_off: int, total: int, peer: int,
+    def verdict(self, plan: "PackPlan", total: int, peer: int,
                 sending: bool) -> str:
         """AUTO's mode for this side: the cheapest :meth:`price` among
         :data:`~repro.mpi.transport.policy.VERDICT_CANDIDATES` (ties to
-        the first), memoized per (plan, stream range, route, side).  The
+        the first), memoized per (plan, message size, route, side).  The
         plan is keyed as the plan cache keys it, by ``(ft, count)``, so
         the table keeps no run table alive."""
         device = self.device
         local = device.smi.same_node(device.rank, peer)
         return self._costed(
-            ("verdict", plan.ft, plan.count, seg_off, total, local, sending),
+            ("verdict", plan.ft, plan.count, total, local, sending),
             lambda: min(VERDICT_CANDIDATES, key=lambda mode: self.price(
-                mode, plan, seg_off, total, local, sending)),
+                mode, plan, total, local, sending)),
         )
 
     # -- the one-sided verdict ------------------------------------------------------------
@@ -398,17 +395,16 @@ class TransferScheduler:
         return plan.groups_in_range(pos, nbytes)
 
     @staticmethod
-    def message_groups(plan: "PackPlan", seg_off: int,
-                       total: int) -> list[tuple[int, int]]:
-        """Block groups of a whole message (or of one stream segment).
+    def message_groups(plan: "PackPlan", total: int) -> list[tuple[int, int]]:
+        """Block groups of the first ``total`` bytes of ``plan``'s stream.
 
-        Whole messages use the flattened type's per-leaf grouping (what
-        the generic recursive traversal walks); segments use the plan's
-        coalesced range view.
+        A whole message uses the flattened type's per-leaf grouping (what
+        the generic recursive traversal walks); a message shorter than its
+        receive buffer uses the plan's coalesced range view of its prefix.
         """
-        if seg_off == 0 and total == plan.total:
+        if total == plan.total:
             return plan.ft.block_length_groups(plan.count)
-        return plan.groups_in_range(seg_off, total)
+        return plan.groups_in_range(0, total)
 
     # -- chunk write with accounting -------------------------------------------------
 
@@ -529,21 +525,21 @@ class TransferScheduler:
 
     # -- send protocols ---------------------------------------------------------------
 
-    def send_short(self, dest, env, mem, base, plan, seg_off,
-                   total, contiguous, sync_reply):
+    def send_short(self, dest, env, mem, base, plan, total, contiguous,
+                   sync_reply):
         """Short protocol: pack inline (tiny either way) + one ctrl packet."""
         device = self.device
         # A copy even when contiguous: the ShortMsg outlives this send.
-        payload = plan.execute_pack(mem, base, seg_off, total)
+        payload = plan.execute_pack(mem, base, 0, total)
         if not contiguous:
-            groups = self.message_groups(plan, seg_off, total)
+            groups = self.message_groups(plan, total)
             yield device.engine.timeout(
                 pack_cost_direct(device.node.memory, groups, device.config)
             )
         yield from device.send_ctrl(dest, ShortMsg(env, payload, sync_reply))
 
-    def send_eager(self, dest, env, mem, base, plan, seg_off,
-                   total, mode, src_cached, sync_reply=None):
+    def send_eager(self, dest, env, mem, base, plan, total, mode,
+                   src_cached, sync_reply=None):
         """Eager protocol: one credited slot write + control packet."""
         device = self.device
         cfg = device.config
@@ -559,16 +555,16 @@ class TransferScheduler:
         slots = peer_region.local_view()
 
         if mode == TransferMode.GENERIC:
-            groups = self.message_groups(plan, seg_off, total)
+            groups = self.message_groups(plan, total)
             yield device.engine.timeout(
                 pack_cost_generic(device.node.memory, groups, cfg)
             )
-        data = plan.stream_view(mem, base, seg_off, total)
-        groups = self.chunk_groups(mode, plan, seg_off, total)
+        data = plan.stream_view(mem, base, 0, total)
+        groups = self.chunk_groups(mode, plan, 0, total)
         yield from self._write_chunk(
             dest, peer_region, slot_offset, data, mode, groups, src_cached,
             lambda offset, part: np.copyto(slots[offset : offset + part.nbytes], part),
-            plan=plan, stream_off=seg_off,
+            plan=plan, stream_off=0,
         )
         yield from device.send_ctrl(
             dest, EagerMsg(env, slot_offset, data.nbytes, slot_index=slot,
@@ -588,7 +584,7 @@ class TransferScheduler:
         return full - 1 if remaining % chunk == 0 else full
 
     def _stream_window(self, dest, ack: RndvAck, mem, base, plan, packed,
-                       mode, seg_off, pos, index, total, src_cached):
+                       mode, pos, index, total, src_cached):
         """Collapse the steady-state tail of a rendezvous stream.
 
         When the engine is otherwise quiescent — no scheduled events, no
@@ -647,7 +643,7 @@ class TransferScheduler:
             write_durs = [
                 self.chunk_write_duration(
                     chunk_mode, 0, n,
-                    plan.groups_in_range(seg_off + pos + i * n, n), src_cached)
+                    plan.groups_in_range(pos + i * n, n), src_cached)
                 for i in range(k)
             ]
         else:
@@ -676,7 +672,7 @@ class TransferScheduler:
         engine.events_coalesced += 5 * k
 
         ack.land(pos, packed[pos : pos + k * n] if packed is not None
-                 else plan.stream_view(mem, base, seg_off + pos, k * n))
+                 else plan.stream_view(mem, base, pos, k * n))
         fabric.counters["pio_writes"] += k
         fabric.counters["bytes_written"] += k * n
         self.stats["chunks"] += k
@@ -688,8 +684,8 @@ class TransferScheduler:
         yield engine.wake_at(end, name="stream-window")
         return pos + k * n, index + k
 
-    def send_rndv(self, dest, env, mem, base, plan, seg_off,
-                  total, mode, src_cached, gate: Optional[Gate] = None):
+    def send_rndv(self, dest, env, mem, base, plan, total, mode, src_cached,
+                  gate: Optional[Gate] = None):
         """Rendezvous protocol: handshake, then credit-paced chunk stream.
         A ``gate`` holds each chunk until its mark covers it, and any
         window until it is fully open."""
@@ -706,18 +702,18 @@ class TransferScheduler:
             # registered memory with the fast ff loop, then DMA the chunks.
             pack_cost = (pack_cost_generic if mode == TransferMode.GENERIC
                          else pack_cost_direct)
-            groups = self.message_groups(plan, seg_off, total)
+            groups = self.message_groups(plan, total)
             yield device.engine.timeout(
                 pack_cost(device.node.memory, groups, cfg))
-            packed = plan.execute_pack(mem, base, seg_off, total)
+            packed = plan.execute_pack(mem, base, 0, total)
 
         pos = 0
         index = 0
         while pos < total:
             if gate is None or gate.mark >= total:
                 advanced = yield from self._stream_window(
-                    dest, ack, mem, base, plan, packed, mode, seg_off, pos,
-                    index, total, src_cached,
+                    dest, ack, mem, base, plan, packed, mode, pos, index,
+                    total, src_cached,
                 )
                 if advanced is not None:
                     pos, index = advanced
@@ -733,13 +729,13 @@ class TransferScheduler:
                     else TransferMode.CONTIGUOUS
                 )
             else:  # contiguous or direct_pack_ff: straight from user memory
-                data = plan.stream_view(mem, base, seg_off + pos, n)
-                groups = self.chunk_groups(mode, plan, seg_off + pos, n)
+                data = plan.stream_view(mem, base, pos, n)
+                groups = self.chunk_groups(mode, plan, pos, n)
                 chunk_mode = mode
             yield from self._write_chunk(
                 dest, ack.region, 0, data, chunk_mode, groups, src_cached,
                 lambda offset, part: ack.land(pos + offset, part),
-                plan=plan, stream_off=seg_off + pos,
+                plan=plan, stream_off=pos,
             )
             last = pos + n >= total
             yield from device.send_ctrl(
@@ -754,35 +750,35 @@ class TransferScheduler:
 
     # -- receive protocols -------------------------------------------------------------
 
-    def recv_short(self, msg: ShortMsg, mem, base, plan, seg_off,
-                   capacity, contiguous, fold):
+    def recv_short(self, msg: ShortMsg, mem, base, plan, capacity,
+                   contiguous, fold):
         device = self.device
         n = msg.data.nbytes
         if n > capacity:
             raise MessageTruncated(f"short message of {n} B > buffer {capacity} B")
         if not contiguous:
-            groups = plan.groups_in_range(seg_off, n)
+            groups = plan.groups_in_range(0, n)
             yield device.engine.timeout(
                 pack_cost_direct(device.node.memory, groups, device.config)
             )
-        self._land(mem, base, plan, seg_off, None, fold, 0, msg.data)
+        self._land(mem, base, plan, None, fold, 0, msg.data)
         return n
 
-    def recv_eager(self, msg: EagerMsg, mem, base, plan, seg_off,
-                   capacity, mode, contiguous, fold):
+    def recv_eager(self, msg: EagerMsg, mem, base, plan, capacity, mode,
+                   contiguous, fold):
         device = self.device
         n = msg.nbytes
         if n > capacity:
             raise MessageTruncated(f"eager message of {n} B > buffer {capacity} B")
         yield device.engine.timeout(
-            self.chunk_drain_cost(mode, contiguous, plan, seg_off, n))
+            self.chunk_drain_cost(mode, contiguous, plan, 0, n))
         if mode == TransferMode.GENERIC:
-            groups = plan.groups_in_range(seg_off, n)
+            groups = plan.groups_in_range(0, n)
             yield device.engine.timeout(
                 pack_cost_generic(device.node.memory, groups, device.config))
         # Drained in place: the slot is this sender's until the CreditReturn.
         slot = device.eager_regions[msg.envelope.source].local_view()
-        self._land(mem, base, plan, seg_off, None, fold, 0,
+        self._land(mem, base, plan, None, fold, 0,
                    slot[msg.slot_offset : msg.slot_offset + n])
         # Credit keyed by *this* rank at the sender's pool.
         yield from device.send_ctrl(
@@ -790,8 +786,8 @@ class TransferScheduler:
         )
         return n
 
-    def _window_support(self, mode, contiguous, plan,
-                        seg_off) -> Optional[RecvWindowCosts]:
+    def _window_support(self, mode, contiguous,
+                        plan) -> Optional[RecvWindowCosts]:
         """This receiver's half of the stream-window cost structure.
 
         Advertised in the rendezvous ack; ``None`` when the closed-form
@@ -805,12 +801,12 @@ class TransferScheduler:
             return None
         return RecvWindowCosts(
             chunk_cost=lambda pos, n: self.chunk_drain_cost(
-                mode, contiguous, plan, seg_off + pos, n),
+                mode, contiguous, plan, pos, n),
             ctrl_cost=self.device.config.ctrl_send_cost)
 
     @staticmethod
-    def _land(mem, base, plan, seg_off: int, packed_tmp,
-              fold: Optional[Fold], pos: int, data) -> None:
+    def _land(mem, base, plan, packed_tmp, fold: Optional[Fold], pos: int,
+              data) -> None:
         """Put stream bytes at ``pos`` where they belong: the generic
         receiver's packed temp, else straight into user memory — folded
         there by a reduction receive's :class:`Fold`."""
@@ -819,7 +815,7 @@ class TransferScheduler:
         elif fold is not None:
             fold(pos, data)
         else:
-            plan.execute_unpack(mem, base, seg_off + pos, data)
+            plan.execute_unpack(mem, base, pos, data)
 
     def _rndv_priority(self, source: int) -> int:
         """Queue priority of ``source``'s rendezvous stream at this
@@ -838,8 +834,8 @@ class TransferScheduler:
         node = self.device.smi.node_of(source).node_id
         return 0 if qos.lane_of_node(node) == LANE_RESERVED else 1
 
-    def recv_rndv(self, msg: RndvRequest, mem, base, plan, seg_off,
-                  capacity, mode, contiguous, fold, gate: Optional[Gate] = None):
+    def recv_rndv(self, msg: RndvRequest, mem, base, plan, capacity, mode,
+                  contiguous, fold, gate: Optional[Gate] = None):
         """Receiver side of the chunk stream: drain, unpack, credit.  A
         drain into user memory raises the ``gate``, if given, and the ack
         then offers no window (it would land chunks ahead of their time)."""
@@ -863,10 +859,9 @@ class TransferScheduler:
             # The sender's chunk writes land the bytes: the packet buffer
             # sets their cost, never holds them.
             ack = RndvAck(chunk_channel, device.rndv_region, cfg.rendezvous_chunk,
-                          partial(self._land, mem, base, plan, seg_off,
-                                  packed_tmp, fold),
+                          partial(self._land, mem, base, plan, packed_tmp, fold),
                           window=None if gate is not None else
-                          self._window_support(mode, contiguous, plan, seg_off))
+                          self._window_support(mode, contiguous, plan))
             yield from device.send_ctrl(msg.envelope.source, ack,
                                         to_channel=msg.reply)
 
@@ -889,7 +884,7 @@ class TransferScheduler:
                         yield device.engine.timeout(stall)
                 n = ready.nbytes
                 yield device.engine.timeout(self.chunk_drain_cost(
-                    mode, contiguous, plan, seg_off + pos, n))
+                    mode, contiguous, plan, pos, n))
                 pos += n
                 if gate is not None and packed_tmp is None:
                     gate.raise_to(pos)
@@ -899,11 +894,11 @@ class TransferScheduler:
                 )
             if packed_tmp is not None:
                 # Generic: the final recursive unpack of the whole message.
-                groups = self.message_groups(plan, seg_off, total)
+                groups = self.message_groups(plan, total)
                 yield device.engine.timeout(
                     pack_cost_generic(memory, groups, cfg)
                 )
-                self._land(mem, base, plan, seg_off, None, fold, 0, packed_tmp)
+                self._land(mem, base, plan, None, fold, 0, packed_tmp)
         finally:
             device.rndv_lock.release()
         return total

@@ -131,7 +131,7 @@ def build_registry(cluster: "Cluster") -> MetricsRegistry:
     registry.register_collector(
         [f"policy.{knob}" for knob in _POLICY_KNOBS],
         lambda: {f"policy.{knob}": value
-                 for knob, value in world.policy.describe().items()},
+                 for knob, value in world.policy.describe(world.config).items()},
     )
     registry.register_collector(
         ["sim.events", "sim.time_us"],

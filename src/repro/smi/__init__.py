@@ -6,14 +6,13 @@ uses for one-sided synchronization.
 """
 
 from .regions import RegionHandle, SharedRegion, SMIContext, SMIError
-from .sync import SMIBarrier, SMILock, SMIRWLock
+from .sync import SMIBarrier, SMIRWLock
 
 __all__ = [
     "RegionHandle",
     "SMIBarrier",
     "SMIContext",
     "SMIError",
-    "SMILock",
     "SMIRWLock",
     "SharedRegion",
 ]

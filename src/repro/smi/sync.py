@@ -20,66 +20,16 @@ The cost model here reflects that characterisation:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
 
-from ..sim import Broadcast, Event, Lock
+from ..sim import Broadcast, Event
 from .regions import SMIContext, SMIError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
-
-__all__ = ["SMILock", "SMIRWLock", "SMIBarrier", "LOCAL_ACCESS_COST",
-           "POLL_INTERVAL"]
+__all__ = ["SMIRWLock", "SMIBarrier", "LOCAL_ACCESS_COST", "POLL_INTERVAL"]
 
 #: Cost of one cache-coherent local lock access (test or set).
 LOCAL_ACCESS_COST: float = 0.05
 #: How often a spinning process re-polls a remote flag.
 POLL_INTERVAL: float = 1.0
-
-
-class SMILock:
-    """A spinlock living in the shared region of its home rank."""
-
-    def __init__(self, context: SMIContext, home_rank: int, name: str = ""):
-        self.context = context
-        self.home_rank = home_rank
-        self.name = name or f"smilock@r{home_rank}"
-        self._lock = Lock(context.engine, name=self.name)
-        #: number of acquisitions that found the lock held (contention stat).
-        self.contended_acquires = 0
-
-    def _access_cost(self, rank: int) -> float:
-        """Cost of one lock-word access (read or write) from ``rank``."""
-        if self.context.same_node(rank, self.home_rank):
-            return LOCAL_ACCESS_COST
-        params = self.context.node_of(rank).params
-        return params.adapter.read_roundtrip
-
-    def acquire(self, rank: int):
-        """DES generator: acquire the lock for ``rank``."""
-        eng = self.context.engine
-        cost = self._access_cost(rank)
-        # Test (read the lock word) ...
-        yield eng.timeout(cost)
-        if self._lock.locked:
-            self.contended_acquires += 1
-            yield self._lock.request()
-            # Spinning: we notice the release only at the next poll.
-            yield eng.timeout(POLL_INTERVAL if not self.context.same_node(
-                rank, self.home_rank) else LOCAL_ACCESS_COST)
-        else:
-            yield self._lock.request()
-        # ... and set (write the lock word).
-        yield eng.timeout(cost)
-
-    def release(self, rank: int):
-        """DES generator: release the lock."""
-        yield self.context.engine.timeout(self._access_cost(rank))
-        self._lock.release()
-
-    @property
-    def locked(self) -> bool:
-        return self._lock.locked
 
 
 class SMIRWLock:

@@ -7,7 +7,7 @@ from repro._units import KiB, MiB
 from repro.hardware import Node
 from repro.hardware.sci import AccessRun, RingTopology, SCIFabric
 from repro.sim import Engine
-from repro.smi import SMIBarrier, SMIContext, SMIError, SMILock, SMIRWLock
+from repro.smi import SMIBarrier, SMIContext, SMIError, SMIRWLock
 
 
 def make_context(rank_to_node=(0, 1, 2, 3), n_nodes=4):
@@ -74,10 +74,13 @@ class TestRegions:
             ctx.create_region(owner_rank=9, nbytes=64)
 
 
-class TestSMILock:
+class TestSMIRWLock:
+    # Exclusive mode (the default) is the SMI spinlock the paper
+    # describes: test and set word accesses, FIFO hand-over, poll latency.
+
     def test_exclusion_and_fifo(self):
         eng, ctx = make_context()
-        lock = SMILock(ctx, home_rank=0)
+        lock = SMIRWLock(ctx, home_rank=0)
         trace = []
 
         def worker(rank, hold):
@@ -95,7 +98,7 @@ class TestSMILock:
 
     def test_local_acquire_cheaper_than_remote(self):
         eng, ctx = make_context(rank_to_node=(0, 0, 1), n_nodes=2)
-        lock = SMILock(ctx, home_rank=0)
+        lock = SMIRWLock(ctx, home_rank=0)
 
         def timed(rank):
             t0 = eng.now
@@ -110,7 +113,7 @@ class TestSMILock:
 
     def test_not_locked_after_release(self):
         eng, ctx = make_context()
-        lock = SMILock(ctx, home_rank=0)
+        lock = SMIRWLock(ctx, home_rank=0)
 
         def body():
             yield from lock.acquire(3)
@@ -120,8 +123,6 @@ class TestSMILock:
         eng.run_process(body())
         assert not lock.locked
 
-
-class TestSMIRWLock:
     def test_shared_holders_overlap(self):
         eng, ctx = make_context()
         lock = SMIRWLock(ctx, home_rank=0)

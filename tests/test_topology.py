@@ -36,6 +36,7 @@ from repro.hardware.sci.topology import (
 )
 from repro.mpi.datatypes import BYTE, Vector
 from repro.mpi.flatten import reset_plan_cache
+from repro.mpi.pt2pt import DEFAULT_PROTOCOL
 from repro.mpi.transport.policy import (ChunkedCollectivesPolicy,
                                         PaperThresholdPolicy, TransferPolicy)
 from repro.sim import Engine
@@ -370,7 +371,7 @@ class TestTopologyAwarePolicy:
     def test_hierarchical_can_be_disabled(self):
         policy = TransferPolicy(hier_collectives=False)
         assert not policy.hierarchical_collective(64, 8)
-        assert policy.describe()["hier_collectives"] == 0
+        assert policy.describe(DEFAULT_PROTOCOL)["hier_collectives"] == 0
 
 
 class TestHierarchicalCollectives:

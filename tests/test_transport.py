@@ -1,9 +1,9 @@
 """Tests for the unified transport layer (repro.mpi.transport).
 
 Covers the policy decision table, the scheduler's per-chunk accounting,
-segmented (plan-aware) sends, the chained broadcast — all byte-for-byte
-against the monolithic paths — and a grep-based guard that chunk-group
-computation stays inside the transport / flatten packages.
+messages shorter than their receive buffer, the chained broadcast — all
+byte-for-byte against the monolithic paths — and a grep-based guard that
+chunk-group computation stays inside the transport / flatten packages.
 """
 
 import dataclasses
@@ -22,8 +22,7 @@ from repro.hardware.sci.faults import FaultPlan
 from repro.mpi.datatypes import DOUBLE, Indexed, Subarray, Vector
 from repro.mpi.flatten import get_plan
 from repro.hardware.params import DEFAULT_NODE
-from repro.mpi.errors import MPIError
-from repro.mpi.pt2pt import DEFAULT_PROTOCOL, NonContigMode
+from repro.mpi.pt2pt import DEFAULT_PROTOCOL, NonContigMode, ProtocolConfig
 from repro.mpi.pt2pt.costs import (
     _group_sums,
     contiguous_remote_chunk_duration,
@@ -49,40 +48,42 @@ def _no_verdict():
 
 class TestTransferPolicy:
     def test_protocol_thresholds(self):
-        pol = TransferPolicy(DEFAULT_PROTOCOL)
+        pol = TransferPolicy()
         cfg = DEFAULT_PROTOCOL
-        assert pol.protocol(0) == Protocol.SHORT
-        assert pol.protocol(cfg.short_threshold) == Protocol.SHORT
-        assert pol.protocol(cfg.short_threshold + 1) == Protocol.EAGER
-        assert pol.protocol(cfg.eager_threshold) == Protocol.EAGER
-        assert pol.protocol(cfg.eager_threshold + 1) == Protocol.RNDV
+        assert pol.protocol(cfg, 0) == Protocol.SHORT
+        assert pol.protocol(cfg, cfg.short_threshold) == Protocol.SHORT
+        assert pol.protocol(cfg, cfg.short_threshold + 1) == Protocol.EAGER
+        assert pol.protocol(cfg, cfg.eager_threshold) == Protocol.EAGER
+        assert pol.protocol(cfg, cfg.eager_threshold + 1) == Protocol.RNDV
 
     def test_transfer_mode_forced(self):
         contig = DOUBLE.commit()
         strided = Vector(4, 1, 3, DOUBLE).commit()
+        pol = TransferPolicy()
         for mode, expect in [
             (NonContigMode.GENERIC, TransferMode.GENERIC),
             (NonContigMode.DIRECT, TransferMode.DIRECT),
             (NonContigMode.DMA, TransferMode.DMA),
         ]:
-            pol = TransferPolicy(DEFAULT_PROTOCOL.with_mode(mode))
+            cfg = DEFAULT_PROTOCOL.with_mode(mode)
             for protocol in (Protocol.SHORT, Protocol.EAGER, Protocol.RNDV):
-                assert pol.transfer_mode(contig, protocol,
+                assert pol.transfer_mode(cfg, contig, protocol,
                                          _no_verdict) == TransferMode.CONTIGUOUS
                 # A forced mode never asks for the verdict.
-                assert pol.transfer_mode(strided, protocol, _no_verdict) == expect
+                assert pol.transfer_mode(cfg, strided, protocol,
+                                         _no_verdict) == expect
 
     def test_auto_is_the_default_verdict(self):
         assert DEFAULT_PROTOCOL.noncontig_mode == NonContigMode.AUTO
-        pol = TransferPolicy()
+        pol, cfg = TransferPolicy(), DEFAULT_PROTOCOL
         strided = Vector(4, 1, 3, DOUBLE).commit()
-        assert pol.transfer_mode(DOUBLE.commit(), Protocol.RNDV,
+        assert pol.transfer_mode(cfg, DOUBLE.commit(), Protocol.RNDV,
                                  _no_verdict) == TransferMode.CONTIGUOUS
         # Short messages pack inline in every mode: DIRECT, unpriced.
-        assert pol.transfer_mode(strided, Protocol.SHORT,
+        assert pol.transfer_mode(cfg, strided, Protocol.SHORT,
                                  _no_verdict) == TransferMode.DIRECT
         for protocol in (Protocol.EAGER, Protocol.RNDV):
-            assert pol.transfer_mode(strided, protocol,
+            assert pol.transfer_mode(cfg, strided, protocol,
                                      lambda: TransferMode.DMA) == TransferMode.DMA
 
     def test_osc_strategy(self):
@@ -90,7 +91,7 @@ class TestTransferPolicy:
         # (tests/test_osc_verdict.py).  The paper's policy is its 2 KiB rule.
         # A private window is emulated before any policy is asked.
         assert TransferPolicy().osc_strategy("get", 8, True) is None
-        pol = PaperThresholdPolicy(DEFAULT_PROTOCOL)
+        pol = PaperThresholdPolicy()
         thr = pol.remote_put_threshold
         assert thr == 2 * KiB
         assert pol.osc_strategy("put", 8, True) == OSCStrategy.DIRECT
@@ -105,21 +106,27 @@ class TestTransferPolicy:
         # reduction stage alone.  Below three ranks, or at one rendezvous
         # chunk, the chain is the tree (pinned in
         # tests/test_collectives_extended.py).
-        base = TransferPolicy(DEFAULT_PROTOCOL)
+        base = TransferPolicy()
         stages = [(flat, reduction) for flat in (True, False)
                   for reduction in (True, False)]
         assert {base.chain_collective(*stage) for stage in stages} == {None}
-        chunked = ChunkedCollectivesPolicy(DEFAULT_PROTOCOL)
+        chunked = ChunkedCollectivesPolicy()
         assert chunked.chain_collective(True, False) is True
         assert {chunked.chain_collective(*stage) for stage in stages
                 if stage != (True, False)} == {None}
 
-    def test_bind_keeps_subclass(self):
-        cfg = DEFAULT_PROTOCOL.replace(eager_threshold=4 * KiB)
-        pol = ChunkedCollectivesPolicy(hier_collectives=False).bind(cfg)
-        assert isinstance(pol, ChunkedCollectivesPolicy)
-        assert pol.hier_collectives is False
-        assert pol.config.eager_threshold == 4 * KiB
+    def test_a_policy_carries_no_protocol_config(self):
+        """The thresholds a policy applies are the world's config; a
+        policy that tried to carry its own is refused, not ignored."""
+        cfg = ProtocolConfig(eager_threshold=4 * KiB)
+        with pytest.raises(TypeError):
+            Cluster(2, policy=TransferPolicy(config=cfg))
+        with pytest.raises(TypeError):
+            TransferPolicy(cfg)
+        pol = ChunkedCollectivesPolicy(hier_collectives=False)
+        assert pol.protocol(cfg, 4 * KiB + 1) == Protocol.RNDV
+        assert pol.describe(cfg)["eager_threshold"] == 4 * KiB
+        assert pol.describe(cfg)["hier_collectives"] == 0
 
 
 def _one_way(dtype, count=1, mode=None, internode=True):
@@ -175,8 +182,8 @@ class TestVerdict:
         cluster = (Cluster(n_nodes=2) if internode else
                    Cluster(n_nodes=1, procs_per_node=2))
         tx, rx = (cluster.world.device(r).scheduler for r in (0, 1))
-        assert tx.verdict(plan, 0, plan.total, 1, True) == sender
-        assert rx.verdict(plan, 0, plan.total, 0, False) == receiver
+        assert tx.verdict(plan, plan.total, 1, True) == sender
+        assert rx.verdict(plan, plan.total, 0, False) == receiver
 
     def test_one_small_leaf_does_not_flip_the_message(self):
         """4096 leaves of 16 B with one of 8 B: the verdict prices every
@@ -188,7 +195,7 @@ class TestVerdict:
         cluster = Cluster(n_nodes=2)
         for rank, peer, sending in ((0, 1, True), (1, 0, False)):
             verdict = cluster.world.device(rank).scheduler.verdict(
-                plan, 0, plan.total, peer, sending)
+                plan, plan.total, peer, sending)
             assert verdict == TransferMode.DIRECT
 
     def test_halo_x_face_forced_dma_is_the_eager_hybrid(self):
@@ -249,96 +256,56 @@ class TestSchedulerAccounting:
         assert cluster.world.device(1).scheduler.stats["chunks"] == 0
 
 
-class TestSegmentedSends:
-    @pytest.mark.parametrize("seg_size", [100, 4 * KiB, 24 * KiB])
-    def test_segments_equal_whole_message(self, seg_size):
-        """A message sent as packed-stream segments arrives byte-identical
-        to the same message sent whole, for every protocol the segment
-        size lands in."""
-        total = 48 * KiB
-        payload = (np.arange(total, dtype=np.int64) % 251).astype(np.uint8)
+class TestMessageShorterThanItsBuffer:
+    """A message fills the packed prefix of a larger typed receive; the
+    receive prices that prefix (``message_groups``' range branch)."""
 
-        def whole(ctx):
-            comm = ctx.comm
-            buf = ctx.alloc(total)
-            if comm.rank == 0:
-                buf.write(payload)
-                yield from comm.send(buf, dest=1, tag=1)
-            else:
-                yield from comm.recv(buf, source=0, tag=1)
-                return buf.read().tobytes()
-
-        def segmented(ctx):
-            comm = ctx.comm
-            buf = ctx.alloc(total)
-            if comm.rank == 0:
-                buf.write(payload)
-            pos = 0
-            while pos < total:
-                n = min(seg_size, total - pos)
-                if comm.rank == 0:
-                    yield from comm.send(buf, dest=1, tag=1, segment=(pos, n))
-                else:
-                    yield from comm.recv(buf, source=0, tag=1, segment=(pos, n))
-                pos += n
-            if comm.rank == 1:
-                return buf.read().tobytes()
-
-        expected = Cluster(n_nodes=2).run(whole).results[1]
-        got = Cluster(n_nodes=2).run(segmented).results[1]
-        assert got == expected == payload.tobytes()
-
-    @pytest.mark.parametrize("mode", [NonContigMode.GENERIC, NonContigMode.DIRECT])
-    def test_segments_noncontiguous(self, mode):
-        """Plan-aware segments of a strided datatype land in the right
-        strided positions (no staging copy to get wrong)."""
-        dtype = Vector(8, 2, 4, DOUBLE).commit()
-        count = 64
-        extent = dtype.extent * count
-        total = dtype.size * count
-        seg = 1000  # deliberately unaligned with block boundaries
+    @pytest.mark.parametrize("mode, n, elapsed", [
+        (None, 1, 2.2986263020833335),
+        (None, 200, 135.359015750502),
+        (None, 2000, 1334.1401575050202),
+        (NonContigMode.GENERIC, 1, 2.2986263020833335),
+        (NonContigMode.GENERIC, 200, 444.1792761671686),
+        (NonContigMode.GENERIC, 2000, 4421.4727616716855),
+        (NonContigMode.DIRECT, 1, 2.2986263020833335),
+        (NonContigMode.DIRECT, 200, 135.359015750502),
+        (NonContigMode.DIRECT, 2000, 1334.1401575050202),
+        (NonContigMode.DMA, 1, 2.2986263020833335),
+        (NonContigMode.DMA, 200, 298.25664595883535),
+        (NonContigMode.DMA, 2000, 1834.3426609848486),
+    ])
+    def test_prefix_lands_and_the_rest_is_untouched(self, mode, n, elapsed):
+        """Short, eager and rendezvous sends of ``n`` 64 B elements into
+        ``2n + 3`` under AUTO (``None``) and each forced mode, timed at
+        the receiver."""
+        vec = Vector(4, 2, 3, DOUBLE).commit()
+        capacity = 2 * n + 3
+        span = vec.extent * capacity
+        sent = (np.arange(span) % 251).astype(np.uint8)
+        before = np.full(span, 0xA5, dtype=np.uint8)
+        protocol = DEFAULT_PROTOCOL if mode is None else DEFAULT_PROTOCOL.with_mode(mode)
 
         def program(ctx):
             comm = ctx.comm
-            buf = ctx.alloc(extent)
+            buf = ctx.alloc(span)
+            buf.write(sent if comm.rank == 0 else before)
+            yield from comm.barrier()
+            t0 = ctx.now
             if comm.rank == 0:
-                buf.write((np.arange(extent, dtype=np.int64) % 241).astype(np.uint8))
-                pos = 0
-                while pos < total:
-                    n = min(seg, total - pos)
-                    yield from comm.send(buf, dest=1, tag=1, datatype=dtype,
-                                         count=count, segment=(pos, n))
-                    pos += n
-                return buf.read().tobytes()
-            pos = 0
-            while pos < total:
-                n = min(seg, total - pos)
-                yield from comm.recv(buf, source=0, tag=1, datatype=dtype,
-                                     count=count, segment=(pos, n))
-                pos += n
-            return buf.read().tobytes()
+                yield from comm.send(buf, dest=1, tag=0, datatype=vec, count=n)
+                return None
+            status = yield from comm.recv(buf, source=0, tag=0, datatype=vec,
+                                          count=capacity)
+            return ctx.now - t0, status.nbytes, buf.read().copy()
 
-        protocol = DEFAULT_PROTOCOL.with_mode(mode)
-        run = Cluster(n_nodes=2, protocol=protocol).run(program)
-        sent = np.frombuffer(run.results[0], dtype=np.uint8)
-        recvd = np.frombuffer(run.results[1], dtype=np.uint8)
-        # Only the datatype's data bytes were transferred.
-        plan = get_plan(dtype.flattened, count)
-        np.testing.assert_array_equal(
-            plan.execute_pack(recvd, 0), plan.execute_pack(sent, 0)
-        )
-
-    def test_segment_out_of_range_rejected(self):
-        def program(ctx):
-            comm = ctx.comm
-            buf = ctx.alloc(1 * KiB)
-            if comm.rank == 0:
-                with pytest.raises(MPIError):
-                    yield from comm.send(buf, dest=1, tag=1,
-                                         segment=(512, 1024))
-            return True
-
-        assert Cluster(n_nodes=2).run(program).results[0]
+        _, (took, nbytes, got) = Cluster(n_nodes=2, protocol=protocol).run(
+            program).results
+        payload = get_plan(vec.flattened, n).execute_pack(sent, 0)
+        expected = before.copy()
+        get_plan(vec.flattened, capacity).execute_unpack(expected, 0, 0, payload)
+        assert nbytes == payload.nbytes == n * vec.size
+        np.testing.assert_array_equal(got, expected)
+        assert took == pytest.approx(elapsed, rel=1e-12)
 
 
 class TestBufferOwnership:
