@@ -247,8 +247,8 @@ def test_ablation_transport_policy(once):
 
     @dataclass(frozen=True)
     class TreePolicy(TransferPolicy):
-        def chain_collective(self, flat, reduction):
-            return False
+        def force(self, key):
+            return "tree" if key[0] == "coll" else None
 
     nbytes = 256 * KiB
     n_nodes = 4

@@ -8,6 +8,7 @@ curves everything else in the paper builds on.
 from __future__ import annotations
 
 from .._units import KiB, MiB, to_mib_s
+from ..hardware.memory import MemorySystem
 from ..hardware.params import DEFAULT_NODE, NodeParams
 from ..hardware.sci.transactions import (
     AccessRun,
@@ -32,8 +33,8 @@ def _hop(params: NodeParams) -> float:
 
 
 def _pio_write_time(size: int, params: NodeParams) -> float:
-    src_cached = 2 * size <= params.memory.caches.l2_size
-    cost = remote_write_cost(AccessRun.contiguous(0, size), params, src_cached=src_cached)
+    cost = remote_write_cost(AccessRun.contiguous(0, size), params,
+                             src_cached=MemorySystem(params.memory).src_cached(size))
     return cost.duration + params.adapter.pio_op_overhead + _hop(params)
 
 

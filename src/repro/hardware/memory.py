@@ -59,6 +59,11 @@ class MemorySystem:
             return p.l2_copy_bw
         return p.main_copy_bw
 
+    def src_cached(self, nbytes: int) -> bool:
+        """Is a source of ``nbytes`` still in L2 while it is fed to the
+        wire: does it fit there next to its destination?"""
+        return 2 * nbytes <= self.params.caches.l2_size
+
     def copy_cost(self, nbytes: int, chunk_len: int | None = None) -> CopyCost:
         """Cost of one contiguous copy of ``nbytes``.
 

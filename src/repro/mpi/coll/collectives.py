@@ -8,9 +8,9 @@ transport layer's scheduler.
 
 One body, :func:`_stage`, issues every broadcast and reduction message,
 flat or in any hierarchical stage.  Each stage is a binomial tree or a
-chain by one memoised verdict in rendezvous cycles (:func:`_chain_wins`)
-unless the world's :class:`~repro.mpi.transport.policy.TransferPolicy`
-forces one (``chain_collective``).  A chain hop is one rendezvous
+chain, the cheaper in rendezvous cycles (:func:`_stage_cycles`), unless
+the world's :class:`~repro.mpi.transport.policy.TransferPolicy` forces
+one (its ``"coll"`` verdict).  A chain hop is one rendezvous
 message that each member forwards chunk by chunk as the chunks land in
 its buffer, on a reduction's way to the root folded into its own first.
 
@@ -36,7 +36,7 @@ and no other rank holds a handle to private memory (docs/PROTOCOLS.md,
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -139,14 +139,16 @@ def _hier_groups(comm: "Communicator") -> Optional[tuple[tuple[int, ...], ...]]:
     return groups
 
 
-@lru_cache(maxsize=1024)
-def _chain_wins(total: int, members: int, chunk: int) -> bool:
-    """A stage's verdict, priced in rendezvous cycles of ``chunk``
-    bytes: a chain's last member holds ``total`` after ``members - 2 +
-    chunks`` cycles, a tree's after ``ceil(log2 members) x chunks``.
-    Ties go to the tree."""
+#: A stage's candidates: the tree first, so ties keep it.
+_ALGORITHMS = ("tree", "chain")
+
+
+def _stage_cycles(total: int, members: int, chunk: int, algorithm: str) -> int:
+    """A stage's price in rendezvous cycles of ``chunk`` bytes: a chain's
+    last member holds ``total`` after ``members - 2 + chunks`` cycles, a
+    tree's after ``ceil(log2 members) x chunks``."""
     chunks = -(-total // chunk)
-    return members - 2 + chunks < (members - 1).bit_length() * chunks
+    return members - 2 + chunks if algorithm == "chain" else (members - 1).bit_length() * chunks
 
 
 def _peers(comm: "Communicator", members: Sequence[int], root: int,
@@ -154,18 +156,17 @@ def _peers(comm: "Communicator", members: Sequence[int], root: int,
     """``(chain, sources, dests)`` of this member in a stage of ``total``
     bytes over ``members`` (comm-local ranks), away from ``root`` or, as a
     ``reduction``, towards it: the world ranks it receives from and sends
-    to, in order.  The stage chains as the policy forces it
-    (``chain_collective``), else as :func:`_chain_wins` prices it, given
-    three members and more than one rendezvous chunk: along the ring from
-    the root, or from the member after the root round to it.  A binomial
-    tree's children are ``relative + mask`` for each mask below the
-    member's lowest set bit: a reduction folds them nearest first, a
-    broadcast serves them farthest first."""
+    to, in order.  Given three members and more than one rendezvous
+    chunk, the stage chains if its ``"coll"`` verdict says so: along
+    the ring from the root, or from the member after the root round to
+    it.  A binomial tree's children are ``relative + mask`` for each mask
+    below the member's lowest set bit: a reduction folds them nearest
+    first, a broadcast serves them farthest first."""
     m, chunk = len(members), comm.device.config.rendezvous_chunk
     idx, root = members.index(comm.rank), members.index(root)
-    forced = comm.device.policy.chain_collective(flat, reduction)
-    chain = m > 2 and total > chunk and (
-        _chain_wins(total, m, chunk) if forced is None else forced)
+    scheduler, key = comm.device.scheduler, ("coll", flat, reduction, total, m)
+    chain = m > 2 and total > chunk and scheduler.cheapest(
+        key, _ALGORITHMS, partial(_stage_cycles, total, m, chunk)) == "chain"
     if chain:
         place = (idx - root - reduction) % m
         sources = [idx - 1] if place else []

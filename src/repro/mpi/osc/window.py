@@ -235,7 +235,6 @@ class Win:
         self.device = comm.device
         self.engine = comm.engine
         self.config = self.device.config
-        self.policy = self.device.policy
         self.store = self.device.store
         #: This rank's handler; local puts and accumulates run its body.
         self.osc_engine = _osc_engine(self.device)
@@ -324,7 +323,7 @@ class Win:
         if strategy == OSCStrategy.DIRECT:
             # Transparent remote stores: along one strided run, or
             # direct_pack_ff through the target plan.
-            src_cached = self.policy.src_cached(n, self.device.node)
+            src_cached = self.device.node.memory.src_cached(n)
             try:
                 if run is None:
                     yield from self.store.write_plan(
@@ -348,8 +347,8 @@ class Win:
     def _strategy(self, op: str, run, plan, disp: int, nbytes: int,
                   part: WinPart) -> str:
         """How a remote put or get reaches ``part``: emulated into private
-        memory or a degraded target, else the verdict (which asks the
-        policy first)."""
+        memory or a degraded target, else the verdict (which the
+        policy may force)."""
         if not part.shared or part.world_rank in self._degraded:
             return OSCStrategy.EMULATED
         return self._verdict(op, run, plan, disp, nbytes, part.world_rank)
@@ -377,7 +376,7 @@ class Win:
         # Ship the payload (a data transfer on the ring) + remote interrupt.
         yield from self.store.ship_emulated(
             wtarget, target_disp, n, msg,
-            src_cached=self.policy.src_cached(n, self.device.node),
+            src_cached=self.device.node.memory.src_cached(n),
         )
         self._pending_acks.append(ack)
         self.counters["emulated_puts"] += 1

@@ -252,16 +252,15 @@ class RankDevice:
 
         scheduler = self.scheduler
         protocol = self.policy.protocol(self.config, total)
-        mode = self.policy.transfer_mode(
-            self.config, dtype, protocol,
-            lambda: scheduler.verdict(plan, total, dest, True))
+        mode = (self.policy.transfer_mode(self.config, dtype, protocol)
+                or scheduler.verdict(plan, total, dest, True))
         if gate is not None:
             if mode in (TransferMode.GENERIC, TransferMode.DMA):
                 mode = TransferMode.DIRECT  # streams from user memory
             if protocol != Protocol.RNDV:
                 yield from gate.wait(total)
         env = Envelope(self.rank, tag, context)
-        src_cached = self.policy.src_cached(total, self.node)
+        src_cached = self.node.memory.src_cached(total)
         sync_reply = Channel(self.engine, name="ssend-ack") if sync else None
         self._trace("send.begin", dest=dest, tag=tag, nbytes=total, mode=mode)
 
@@ -357,10 +356,9 @@ class RankDevice:
             # MessageTruncated before a byte moves.
             eager = isinstance(msg, EagerMsg)
             protocol = Protocol.EAGER if eager else Protocol.RNDV
-            mode = self.policy.transfer_mode(
-                self.config, dtype, protocol,
-                lambda: scheduler.verdict(plan, min(msg.nbytes, capacity),
-                                          msg.envelope.source, False))
+            mode = (self.policy.transfer_mode(self.config, dtype, protocol)
+                    or scheduler.verdict(plan, min(msg.nbytes, capacity),
+                                         msg.envelope.source, False))
             body = scheduler.recv_eager if eager else partial(scheduler.recv_rndv, gate=gate)
             n = yield from body(msg, mem, base, plan, capacity, mode,
                                 contiguous, fold)

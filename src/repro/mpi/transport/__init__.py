@@ -7,8 +7,8 @@ them) the collectives.  This package is that mechanism's home:
 
 * :class:`~repro.mpi.transport.policy.TransferPolicy` — every data-path
   decision (short/eager/rendezvous thresholds, generic vs. direct_pack_ff
-  vs. DMA, direct vs. remote-put vs. emulated one-sided access, a forced
-  broadcast algorithm) in one pluggable object;
+  vs. DMA, direct vs. remote-put vs. emulated one-sided access, tree vs.
+  chain collectives) in one pluggable object, with one ``force`` hook;
 * :class:`~repro.mpi.transport.scheduler.TransferScheduler` — streams a
   :class:`~repro.mpi.flatten.plan.PackPlan`'s coalesced runs through the
   bounded SCI buffers with credit-based flow control and per-chunk cost

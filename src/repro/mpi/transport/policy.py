@@ -12,21 +12,21 @@ fields themselves, so the paper's threshold experiments (and
 
 Policies are frozen, keyword-only dataclasses of decision knobs; the
 protocol thresholds they apply are the world's :class:`ProtocolConfig`,
-handed to each decision.  Subclasses override individual decisions (see
+handed to each decision.  Subclasses force a priced decision through
+the one hook :meth:`TransferPolicy.force` (see
 :class:`ChunkedCollectivesPolicy` and :class:`PaperThresholdPolicy`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from ..._units import KiB
 from ...qos.lanes import DEFAULT_LANES, QosLanePolicy
 from ..pt2pt.config import NonContigMode, ProtocolConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...hardware.node import Node
     from ..datatypes.base import Datatype
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "RecoveryPolicy",
     "TransferMode",
     "TransferPolicy",
-    "VERDICT_CANDIDATES",
 ]
 
 
@@ -59,11 +58,6 @@ class TransferMode:
     GENERIC = NonContigMode.GENERIC
     DIRECT = NonContigMode.DIRECT
     DMA = NonContigMode.DMA
-
-
-#: The modes AUTO prices, in tie-break order: an exact tie goes to DIRECT.
-VERDICT_CANDIDATES = (TransferMode.DIRECT, TransferMode.GENERIC,
-                      TransferMode.DMA)
 
 
 class OSCStrategy:
@@ -133,17 +127,16 @@ class TransferPolicy:
         return Protocol.RNDV
 
     def transfer_mode(self, cfg: ProtocolConfig, dtype: "Datatype",
-                      protocol: str, verdict: Callable[[], str]) -> str:
+                      protocol: str) -> Optional[str]:
         """Generic / direct_pack_ff / DMA for one side of one message.
 
-        A forced ``noncontig_mode`` answers itself.  AUTO (the default)
-        returns ``verdict()``: this side's cheapest of
-        :data:`VERDICT_CANDIDATES`, priced and memoised by
-        :meth:`TransferScheduler.verdict
-        <repro.mpi.transport.scheduler.TransferScheduler.verdict>`.  A
-        short message packs inline whatever the mode, so AUTO calls it
-        DIRECT unpriced.  The packed stream is the same in every mode, so
-        sender and receiver each decide their own half.
+        A forced ``noncontig_mode`` answers itself.  Under AUTO (the
+        default) a short message packs inline whatever the mode, so it is
+        DIRECT unpriced; any other returns ``None``, and the caller takes
+        this side's cheapest mode from :meth:`TransferScheduler.verdict
+        <repro.mpi.transport.scheduler.TransferScheduler.verdict>`.  The
+        packed stream is the same in every mode, so sender and receiver
+        each decide their own half.
         """
         if dtype.is_contiguous:
             return TransferMode.CONTIGUOUS
@@ -152,32 +145,21 @@ class TransferPolicy:
             return mode
         if protocol == Protocol.SHORT:
             return TransferMode.DIRECT
-        return verdict()
+        return None
 
-    def src_cached(self, total: int, node: "Node") -> bool:
-        """Is the source likely still in L2 while being fed to the wire?"""
-        return 2 * total <= node.params.memory.caches.l2_size
+    # -- verdicts ------------------------------------------------------------------
 
-    # -- one-sided -----------------------------------------------------------------
-
-    def osc_strategy(self, op: str, nbytes: int,
-                     single_run: bool) -> Optional[str]:
-        """Force a remote ``"put"`` or ``"get"`` on a shared window (its
-        target one strided run if ``single_run``) onto one
-        :class:`OSCStrategy`; ``None`` leaves it to the priced verdict.
-        ``TransferScheduler.osc_verdict`` memoizes the answer, so it may
-        depend on nothing else."""
+    def force(self, key: tuple) -> Optional[Any]:
+        """The candidate the verdict at ``key`` takes, or ``None`` to price
+        it.  The key starts with the decision's name.  Asked on a memo
+        miss only, so it may depend on the key alone (docs/PROTOCOLS.md,
+        "Verdicts"): ``("mode", ft, count, total, local, sending)`` for a
+        :class:`TransferMode`, ``("osc", op, nbytes, single_run, shape,
+        align, node)`` for an :class:`OSCStrategy`, ``("coll", flat,
+        reduction, total, members)`` for ``"tree"`` or ``"chain"``."""
         return None
 
     # -- collectives ---------------------------------------------------------------
-
-    def chain_collective(self, flat: bool, reduction: bool) -> Optional[bool]:
-        """Force a collective stage onto the chain (``True``) or the
-        binomial tree (``False``); ``None`` leaves it to the stage's
-        verdict (``_peers`` in ``mpi/coll``).  ``flat`` is the stage
-        over every rank, not a hierarchical one; ``reduction`` runs
-        towards the root, a broadcast away from it."""
-        return None
 
     def hierarchical_collective(self, size: int, n_groups: int) -> bool:
         """Run bcast / allreduce over ``size`` ranks in ``n_groups``
@@ -221,8 +203,8 @@ class ChunkedCollectivesPolicy(TransferPolicy):
     the verdict: each rank forwards every rendezvous chunk as it lands.
     The benchmarks' flat baseline against the hierarchical algorithm."""
 
-    def chain_collective(self, flat: bool, reduction: bool) -> Optional[bool]:
-        return True if flat and not reduction else None
+    def force(self, key: tuple) -> Optional[str]:
+        return "chain" if key[:3] == ("coll", True, False) else None
 
 
 @dataclass(frozen=True)
@@ -235,13 +217,14 @@ class PaperThresholdPolicy(TransferPolicy):
 
     remote_put_threshold: ClassVar[int] = 2 * KiB
 
-    def osc_strategy(self, op: str, nbytes: int,
-                     single_run: bool) -> Optional[str]:
+    def force(self, key: tuple) -> Optional[str]:
+        if key[0] != "osc":
+            return None
+        _, op, nbytes, single_run = key[:4]
         if op == "put":
             return OSCStrategy.DIRECT if single_run else OSCStrategy.EMULATED
-        if single_run and nbytes <= self.remote_put_threshold:
-            return OSCStrategy.DIRECT
-        return OSCStrategy.REMOTE_PUT
+        direct = single_run and nbytes <= self.remote_put_threshold
+        return OSCStrategy.DIRECT if direct else OSCStrategy.REMOTE_PUT
 
 
 DEFAULT_POLICY = TransferPolicy()

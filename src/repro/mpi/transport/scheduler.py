@@ -21,7 +21,8 @@ hops.
 
 The scheduler also keeps the per-chunk cost accounting (``stats``): how
 many packet-buffer chunks, payload bytes and simulated microseconds this
-rank's transfers consumed.
+rank's transfers consumed, and reaches every priced decision on one
+per-rank memo (:meth:`TransferScheduler.cheapest`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from ..pt2pt.messages import CreditReturn, EagerMsg, RndvRequest, ShortMsg
 from ...qos.lanes import LANE_RESERVED
 from . import fastpath
 from .fastpath import CostTable, RecvWindowCosts, StreamWindow
-from .policy import VERDICT_CANDIDATES, OSCStrategy, TransferMode
+from .policy import OSCStrategy, TransferMode
 from .store import RemoteStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,6 +57,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..pt2pt.engine import RankDevice
 
 __all__ = ["ChunkCredit", "ChunkReady", "Fold", "Gate", "RndvAck", "TransferScheduler"]
+
+#: The candidates of the mode and one-sided verdicts, DIRECT first so that
+#: ties take it: AUTO's modes; a remote put's or get's strategies on a
+#: shared window, priced, and unpriced (an untyped put, a several-run get).
+_MODE_CANDIDATES = (TransferMode.DIRECT, TransferMode.GENERIC, TransferMode.DMA)
+_OSC_CANDIDATES = {
+    "put": ((OSCStrategy.DIRECT, OSCStrategy.EMULATED), (OSCStrategy.DIRECT,)),
+    "get": ((OSCStrategy.DIRECT, OSCStrategy.REMOTE_PUT), (OSCStrategy.REMOTE_PUT,)),
+}
 
 
 @dataclass
@@ -139,9 +149,9 @@ class TransferScheduler:
         #: Closed-form window counters: engaged windows and the chunks
         #: they collapsed (sender side).
         self.fastpath = {"windows": 0, "window_chunks": 0}
-        #: :meth:`osc_verdict`'s memo: a plain dict, as every put and get
-        #: asks it and the cost table's LRU upkeep would double that.
-        self._osc_verdicts: dict[tuple, str] = {}
+        #: Every verdict this rank reached (:meth:`cheapest`), by key.  No size
+        #: limit: at most 115 entries per ledger repeat (re-check for new traffic).
+        self.verdicts: dict[tuple, Any] = {}
         self._align = device.node.params.write_alignment
         self._node_of = device.smi.rank_to_node
 
@@ -249,7 +259,7 @@ class TransferScheduler:
             cost = pack_cost_generic(memory, whole, cfg)
         elif mode == TransferMode.DMA:
             cost = pack_cost_direct(memory, whole, cfg)
-        src_cached = device.policy.src_cached(total, device.node)
+        src_cached = memory.src_cached(total)
         for pos, n in chunks:
             if mode == TransferMode.DIRECT:
                 groups = plan.groups_in_range(pos, n)
@@ -265,18 +275,31 @@ class TransferScheduler:
 
     def verdict(self, plan: "PackPlan", total: int, peer: int,
                 sending: bool) -> str:
-        """AUTO's mode for this side: the cheapest :meth:`price` among
-        :data:`~repro.mpi.transport.policy.VERDICT_CANDIDATES` (ties to
-        the first), memoized per (plan, message size, route, side).  The
-        plan is keyed as the plan cache keys it, by ``(ft, count)``, so
-        the table keeps no run table alive."""
+        """AUTO's mode for this side: the cheapest :meth:`price` of DIRECT
+        (ties), GENERIC and DMA per (plan, message size, route, side), the
+        plan keyed as the plan cache keys it, by ``(ft, count)``, so the
+        memo keeps no run table alive."""
         device = self.device
-        local = device.smi.same_node(device.rank, peer)
-        return self._costed(
-            ("verdict", plan.ft, plan.count, total, local, sending),
-            lambda: min(VERDICT_CANDIDATES, key=lambda mode: self.price(
-                mode, plan, total, local, sending)),
-        )
+        key = ("mode", plan.ft, plan.count, total,
+               device.smi.same_node(device.rank, peer), sending)
+        return (fastpath.enabled and self.verdicts.get(key)) or self.cheapest(
+            key, _MODE_CANDIDATES, partial(self.price, plan=plan, total=total,
+                                           local=key[4], sending=sending))
+
+    def cheapest(self, key: tuple, candidates: tuple,
+                 price: Callable[[Any], float]) -> Any:
+        """The per-rank memo :attr:`verdicts` at ``key`` (neither read nor
+        written under ``fastpath_disabled()``, so a key must fix its price);
+        on a miss, ``TransferPolicy.force(key)``, else a lone candidate
+        unpriced, else the candidate of least ``price``, ties to the first.
+        The mode and one-sided callers read the memo first, so that their
+        hit builds neither ``candidates`` nor ``price``."""
+        verdict = (fastpath.enabled and self.verdicts.get(key)) or self.device.policy.force(key)
+        if verdict is None:
+            verdict = candidates[0] if len(candidates) == 1 else min(candidates, key=price)
+        if fastpath.enabled:
+            self.verdicts[key] = verdict
+        return verdict
 
     # -- the one-sided verdict ------------------------------------------------------------
 
@@ -300,7 +323,7 @@ class TransferScheduler:
         hop = 0.0 if local else (fabric.topology.route(src, dst).hops
                                  * fabric.params_for(src).link.hop_latency)
         handler = target.config.poll_latency + target.node.params.adapter.handler_dispatch
-        src_cached = device.policy.src_cached(nbytes, device.node)
+        src_cached = memory.src_cached(nbytes)
         fence = cfg.osc_call_overhead + (0.0 if local else fabric.barrier_time(src))
 
         def on_bus(n: int, duration: float) -> float:  # a copy alone on the bus
@@ -356,33 +379,22 @@ class TransferScheduler:
                     peer: int) -> str:
         """The :class:`~repro.mpi.transport.policy.OSCStrategy` of a remote
         ``"put"`` or ``"get"`` on a shared window (private memory has one
-        way in, emulation): what the policy forces (``osc_strategy``),
-        else the cheaper :meth:`osc_price` of DIRECT (ties) and the
-        alternative.  Memoized per op, target shape
-        (a size or a plan), alignment of ``disp`` and destination node
+        way in, emulation): the cheaper :meth:`osc_price` of DIRECT (ties)
+        and the alternative, per op, size, target shape (one strided run
+        or not, a plan), alignment of ``disp`` and destination node
         (which fixes the route), never ``disp`` itself.  Unpriced: a
         typed get of several runs is a remote-put, and an untyped put
         stores directly; emulating it ships the same bytes, then pays a
         handler and a second copy (one node) or an interrupt, which
         outweighs the store barrier it saves on rings up to 88 nodes, and
         on any ring once an epoch holds a dozen puts."""
-        key = (op, nbytes if plan is None else (plan.ft, plan.count),
+        key = ("osc", op, nbytes, run is not None,
+               None if plan is None else (plan.ft, plan.count),
                disp % self._align, self._node_of[peer])
-        strategy = self._osc_verdicts.get(key)
-        if strategy is None:
-            put = op == "put"
-            strategy = self.device.policy.osc_strategy(op, nbytes, run is not None)
-            if strategy is None and (plan if put else run) is None:
-                strategy = OSCStrategy.DIRECT if put else OSCStrategy.REMOTE_PUT
-            elif strategy is None:
-                other = OSCStrategy.EMULATED if put else OSCStrategy.REMOTE_PUT
-                strategy = min((OSCStrategy.DIRECT, other), key=lambda s: self.osc_price(
-                    s, op, run, plan, disp, nbytes, peer))
-            if fastpath.enabled:
-                if len(self._osc_verdicts) >= 4096:  # entries are recomputable
-                    self._osc_verdicts.clear()
-                self._osc_verdicts[key] = strategy
-        return strategy
+        return (fastpath.enabled and self.verdicts.get(key)) or self.cheapest(
+            key, _OSC_CANDIDATES[op][(plan if op == "put" else run) is None],
+            partial(self.osc_price, op=op, run=run, plan=plan, disp=disp,
+                    nbytes=nbytes, peer=peer))
 
     # -- grouping (the single chunk-group implementation) ---------------------------
 

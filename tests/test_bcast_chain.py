@@ -9,7 +9,7 @@ two forced algorithms on a grid of rings, ringlets and sizes: the
 collective form of the self-consistent performance guidelines.
 """
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,30 +18,15 @@ from repro import BYTE, DOUBLE, Cluster, NonContigMode, ProtocolConfig, Vector
 from repro._units import KiB, MiB
 from repro.hardware.sci.faults import FaultPlan
 from repro.hardware.sci.topology import RingOfRings
-from repro.mpi.coll.collectives import _chain_wins
+from repro.mpi.coll.collectives import _ALGORITHMS, _stage_cycles
 from repro.mpi.flatten import get_plan, reset_plan_cache
 from repro.mpi.pt2pt.engine import RankDevice
-from repro.mpi.transport import ChunkedCollectivesPolicy, TransferPolicy
+from repro.mpi.transport import ChunkedCollectivesPolicy
 from repro.mpi.transport.scheduler import Gate, TransferScheduler
 
+from ._guidelines import Forced, assert_within_bound
+
 SENTINEL = 0xA5
-
-
-@dataclass(frozen=True)
-class TreePolicy(TransferPolicy):
-    """Every broadcast and reduction stage keeps the binomial tree."""
-
-    def chain_collective(self, flat, reduction):
-        return False
-
-
-@dataclass(frozen=True)
-class ChainPolicy(TransferPolicy):
-    """Every broadcast and reduction stage chains (where a chain can
-    pipeline)."""
-
-    def chain_collective(self, flat, reduction):
-        return True
 
 
 class TestVerdict:
@@ -54,7 +39,10 @@ class TestVerdict:
         (128 * KiB, 4, False),   # 2 + 2 == 2 x 2
     ])
     def test_priced_in_rendezvous_cycles(self, total, members, chain):
-        assert _chain_wins(total, members, 64 * KiB) is chain
+        scheduler = Cluster(n_nodes=2).world.device(0).scheduler
+        key = ("coll", True, False, total, members)
+        assert scheduler.cheapest(key, _ALGORITHMS, partial(
+            _stage_cycles, total, members, 64 * KiB)) == ("chain" if chain else "tree")
 
 
 def _bcast(cluster, nbytes, datatype=BYTE, count=None):
@@ -200,10 +188,10 @@ def _times(cluster_args, nbytes, policy):
 
 def _assert_self_consistent(cluster_args, nbytes):
     default = _times(cluster_args, nbytes, None)
-    tree = _times(cluster_args, nbytes, TreePolicy())
-    chain = _times(cluster_args, nbytes, ChainPolicy())
+    tree = _times(cluster_args, nbytes, Forced(coll="tree"))
+    chain = _times(cluster_args, nbytes, Forced(coll="chain"))
     for op, d, t, c in zip(OPS, default, tree, chain):
-        assert d <= 1.05 * min(t, c), (op, nbytes, d, t, c)
+        assert_within_bound(d, min(t, c), op, nbytes, d, t, c)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)

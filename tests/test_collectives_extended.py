@@ -695,14 +695,14 @@ class TestFoldOnLanding:
         from repro.hardware.sci.faults import FaultKind, FaultPlan
         from repro.mpi.transport import RecoveryPolicy, TransferPolicy
 
-        from .test_bcast_chain import TreePolicy
+        from ._guidelines import Forced
 
         if dtype is DOUBLE:     # the two orders round differently
             assert not np.array_equal(self._expected(dtype, nbytes, _chain),
                                       self._expected(dtype, nbytes))
         recovery = RecoveryPolicy(resume_torn=resume)
         for policy, oracle in ((TransferPolicy(recovery=recovery), _chain),
-                               (TreePolicy(recovery=recovery), _binomial)):
+                               (Forced(coll="tree", recovery=recovery), _binomial)):
             expected = self._expected(dtype, nbytes, oracle)
             _, clean = self._allreduce(dtype, nbytes, policy=policy)
             assert all(np.array_equal(got, expected) for got in clean)

@@ -20,7 +20,7 @@ from repro.mpi.transport import fastpath_disabled
 from repro.obs import attach_tracer
 from repro.cluster.cli import SCENARIOS
 
-from .test_bcast_chain import TreePolicy
+from ._guidelines import Forced
 
 PINNED = ("engine.fastpath_windows", "engine.fastpath_window_chunks",
           "engine.fastpath_coalesced_events", "sim.events")
@@ -85,7 +85,7 @@ CASES = {
     "contiguous-2n": (contiguous_stream, 2, {}, 1, 63, 315, 25),
     "direct-vector-2n": (direct_vector_stream, 2, DIRECT, 1, 16, 80, 25),
     # The binomial tree's last hop runs alone and collapses into a window.
-    "ring-bcast-8n": (ring_bcast, 8, {"policy": TreePolicy()}, 1, 63, 315, 3169),
+    "ring-bcast-8n": (ring_bcast, 8, {"policy": Forced(coll="tree")}, 1, 63, 315, 3169),
     # The default chains 4 MiB over 8 ranks.  Its hops overlap and a
     # forwarded stream offers no window, so none engages.
     "ring-chain-8n": (ring_bcast, 8, {}, 0, 0, 0, 3711),

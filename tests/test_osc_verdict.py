@@ -6,10 +6,8 @@ memoizes the answer per target shape.  These tests hold the default to
 the best forced strategy and to the per-block decomposition of the same
 bytes (the self-consistent performance guidelines of Traff, Hunold and
 Carpen-Amarie), pin the pricing work the hot path pays, and pin the
-event counts of the direct put and the emulated get.
+event counts of the direct and the emulated put and of the emulated get.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,21 +21,11 @@ from repro.mpi.datatypes import DOUBLE, Indexed, Vector
 from repro.mpi.flatten import get_plan
 from repro.mpi.osc.messages import OSCGet
 from repro.mpi.osc.window import OSCEngine
-from repro.mpi.transport import OSCStrategy, TransferPolicy
+from repro.mpi.transport import OSCStrategy, TransferPolicy, fastpath_disabled
 from repro.mpi.transport.layout import as_access_run
 from repro.mpi.transport.scheduler import TransferScheduler
 
-BOUND = 1.05
-
-
-@dataclass(frozen=True)
-class ForcedOSC(TransferPolicy):
-    """Every remote put and get takes ``strategy``."""
-
-    strategy: str = OSCStrategy.DIRECT
-
-    def osc_strategy(self, op, nbytes, single_run):
-        return self.strategy
+from ._guidelines import BOUND, Forced, assert_within_bound
 
 
 def _blocks(dtype, nbytes):
@@ -181,16 +169,16 @@ class TestSelfConsistency:
         single = dtype is None or as_access_run(dtype.flattened, 1) is not None
         for strategy in _forced(op, single) if shared else ():
             forced, _, held = _run(op, nbytes, shared, local, dtype, disp,
-                                   ForcedOSC(strategy=strategy), False)
+                                   Forced(osc=strategy), False)
             if (not pinned and op == "get" and counters["direct_gets"]
                     and default <= BOUND * (forced + held)):
                 continue  # the hold the price charges
-            assert default <= BOUND * forced, (strategy, default / forced)
+            assert_within_bound(default, forced, strategy)
         if not pinned and op == "get" and len(_blocks(dtype, nbytes)) > 1:
             return  # packs at the target
         split, _ = _epoch(op, nbytes, shared, local, dtype, disp,
                           decompose=True)
-        assert default <= BOUND * split, ("split", default / split)
+        assert_within_bound(default, split, "split")
 
 
 class TestVerdict:
@@ -218,7 +206,7 @@ class TestVerdict:
         split, _ = _epoch("put", dtype.size, True, local, dtype,
                           decompose=True)
         assert counters["direct_puts"] == 1
-        assert typed <= BOUND * split
+        assert_within_bound(typed, split)
         window = _typed_put_bytes(dtype, local)
         expected = np.zeros_like(window)
         for offset, length in _blocks(dtype, dtype.size):
@@ -234,7 +222,7 @@ class TestVerdict:
         SCI (emulated 124.6)."""
         dtype = _irregular(32, 512)
         plan = get_plan(dtype.flattened, 1)
-        emulate = ForcedOSC(strategy=OSCStrategy.EMULATED)
+        emulate = Forced(osc=OSCStrategy.EMULATED)
         typed, _ = _epoch("put", dtype.size, True, local, dtype,
                           policy=emulate)
         cluster = (Cluster(n_nodes=1, procs_per_node=2) if local
@@ -285,7 +273,7 @@ def _typed_put_bytes(dtype, local):
 
 
 def _forbid_pricing(monkeypatch):
-    def price(*args):
+    def price(*args, **target):
         raise AssertionError("the verdict was priced")
 
     monkeypatch.setattr(TransferScheduler, "osc_price", price)
@@ -293,8 +281,47 @@ def _forbid_pricing(monkeypatch):
 
 class TestPricingWork:
     """The hot path pays one dict lookup per call: a price is built once
-    per distinct verdict key (op, target shape, alignment of the
-    displacement, destination node), never per call."""
+    per rank and distinct verdict key (for a one-sided call: op, size,
+    target shape, alignment of the displacement, destination node),
+    never per call."""
+
+    def test_each_decision_is_priced_once_per_rank_and_key(self,
+                                                            monkeypatch):
+        """All three decisions, each asked twice per rank: a miss asks
+        ``force`` once and prices each candidate once; a hit does
+        neither."""
+        asked, priced = _spy_verdicts(monkeypatch)
+        cluster = Cluster(n_nodes=4)
+        cluster.run(_each_decision_twice)
+        assert {key[0] for _, key in asked} == {"mode", "osc", "coll"}
+        assert len(asked) == len(set(asked))
+        assert len(priced) == len(set(priced))
+        assert {(rank, key) for rank, key, _ in priced} == set(asked)
+        assert sum(len(d.scheduler.verdicts)
+                   for d in cluster.world.devices) == len(asked)
+
+    def test_nothing_is_memoized_without_the_fast_path(self, monkeypatch):
+        asked, _ = _spy_verdicts(monkeypatch)
+        cluster = Cluster(n_nodes=4)
+        with fastpath_disabled():
+            cluster.run(_each_decision_twice)
+        assert all(not d.scheduler.verdicts for d in cluster.world.devices)
+        assert len(asked) == 2 * len(set(asked))
+
+    def test_the_reference_engine_reads_no_memo(self, monkeypatch):
+        """A memo that a fast-path run filled is not read by a later
+        event-stepped run: each call decides afresh, to the same
+        verdict."""
+        asked, _ = _spy_verdicts(monkeypatch)
+        cluster = Cluster(n_nodes=4)
+        cluster.run(_each_decision_twice)
+        memo = [dict(d.scheduler.verdicts) for d in cluster.world.devices]
+        fast = len(asked)
+        with fastpath_disabled():
+            cluster.run(_each_decision_twice)
+        assert len(asked) - fast == 2 * fast
+        assert set(asked[fast:]) == set(asked[:fast])
+        assert [d.scheduler.verdicts for d in cluster.world.devices] == memo
 
     @pytest.mark.parametrize("access, alignments", [(8, 4), (64, 1)])
     def test_sparse_get_sweep_prices_each_key_once(self, monkeypatch, access,
@@ -326,8 +353,55 @@ class TestPricingWork:
     def test_direct_remote_put_is_4_events(self):
         assert _marginal_events("put", True) == 4
 
+    def test_emulated_remote_put_is_10_events(self):
+        assert _marginal_events("put", False) == 10
+
     def test_emulated_get_is_13_events(self):
         assert _marginal_events("get", False) == 13
+
+
+def _each_decision_twice(ctx):
+    """Twice over: a 32 KiB Vector message from rank 0 to 1 (the transfer
+    mode of both sides), a 64 B get on rank 1's shared window (the
+    one-sided strategy) and a 256 KiB broadcast over four ranks (the
+    collective algorithm)."""
+    comm = ctx.comm
+    vec = Vector(4096, 1, 2, DOUBLE).commit()
+    buf, big = ctx.alloc(vec.extent), ctx.alloc(256 * KiB)
+    win = yield from comm.win_create(4 * KiB, shared=True)
+    for _ in range(2):
+        if comm.rank == 0:
+            yield from comm.send(buf, dest=1, tag=0, datatype=vec, count=1)
+        elif comm.rank == 1:
+            yield from comm.recv(buf, source=0, tag=0, datatype=vec, count=1)
+        yield from win.fence()
+        if comm.rank == 0:
+            yield from win.get(64, 1, 128)
+        yield from win.fence()
+        yield from comm.bcast(big, root=0, count=256 * KiB)
+
+
+def _spy_verdicts(monkeypatch):
+    """The ``(rank, key)`` of every ``force`` asked and the ``(rank, key,
+    candidate)`` of every price built from now on."""
+    asked, priced, cheapest = [], [], TransferScheduler.cheapest
+    state = {}
+
+    def spied(self, key, candidates, price):
+        rank = state["rank"] = self.device.rank
+
+        def counted(candidate):
+            priced.append((rank, key, candidate))
+            return price(candidate)
+
+        return cheapest(self, key, candidates, counted)
+
+    def force(self, key):
+        asked.append((state["rank"], key))
+
+    monkeypatch.setattr(TransferScheduler, "cheapest", spied)
+    monkeypatch.setattr(TransferPolicy, "force", force)
+    return asked, priced
 
 
 def _count_prices(monkeypatch):
@@ -335,9 +409,9 @@ def _count_prices(monkeypatch):
     prices = []
     price = TransferScheduler.osc_price
 
-    def counted(self, strategy, *args):
+    def counted(self, strategy, **target):
         prices.append((self.device.rank, strategy))
-        return price(self, strategy, *args)
+        return price(self, strategy, **target)
 
     monkeypatch.setattr(TransferScheduler, "osc_price", counted)
     return prices
