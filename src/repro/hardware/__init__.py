@@ -3,7 +3,7 @@
 The interconnect-side models live in :mod:`repro.hardware.sci`.
 """
 
-from .memory import CopyCost, MemorySystem
+from .memory import MemorySystem
 from .node import Node
 from .params import (
     DEFAULT_NODE,
@@ -19,7 +19,6 @@ from .params import (
 
 __all__ = [
     "CacheSpec",
-    "CopyCost",
     "DEFAULT_NODE",
     "MemoryParams",
     "MemorySystem",

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ...memlib import Buffer, strided_view
+from ..memory import MemorySystem
 from ..node import Node
 from .fabric import SCIFabric
 from .transactions import AccessRun
@@ -39,6 +40,7 @@ __all__ = [
     "SegmentUnmappedError",
     "scatter_run",
     "gather_run",
+    "local_run_cost",
 ]
 
 
@@ -78,6 +80,15 @@ def gather_run(mem: np.ndarray, run: AccessRun) -> np.ndarray:
         return np.empty(0, dtype=np.uint8)
     view = _run_view(mem, run)
     return np.ascontiguousarray(view).reshape(-1)
+
+
+def local_run_cost(memory: MemorySystem, run: AccessRun) -> float:
+    """A store or load along ``run`` inside one node: a warm block-wise
+    copy walk, one block when the run is contiguous.  What a local
+    :class:`ImportedSegment` access and the one-sided verdict charge."""
+    if run.stride == run.size:
+        return memory.walk_cost([(run.total_bytes, 1)], "copy", False)
+    return memory.walk_cost([(run.size, run.count)], "copy", False)
 
 
 class SCISegment:
@@ -178,12 +189,11 @@ class ImportedSegment:
             )
         snapshot = np.array(data, copy=True)  # data leaves the origin now
         if self.is_local:
-            cost = self.origin.memory.copy_cost(run.total_bytes, chunk_len=run.size)
             # Local copies share the node's memory bus with concurrent
             # copies (the SMP scaling effect of the paper's Fig. 12).
             yield from self.origin.bus_transfer(
-                self.fabric.engine, run.total_bytes, cost.duration
-            )
+                self.fabric.engine, run.total_bytes,
+                local_run_cost(self.origin.memory, run))
         else:
             self.ensure_mapped()
             yield from self.fabric.pio_write(
@@ -208,9 +218,9 @@ class ImportedSegment:
         """Read along ``run``; returns block-order bytes (as of completion)."""
         self._check_run(run)
         if self.is_local:
-            cost = self.origin.memory.copy_cost(run.total_bytes, chunk_len=run.size or 1)
             yield from self.origin.bus_transfer(
-                self.fabric.engine, run.total_bytes, cost.duration)
+                self.fabric.engine, run.total_bytes,
+                local_run_cost(self.origin.memory, run))
         else:
             self.ensure_mapped()
             yield from self.fabric.pio_read(
@@ -231,8 +241,8 @@ class ImportedSegment:
         self._check_run(run)
         snapshot = np.array(data, copy=True)
         if self.is_local:
-            cost = self.origin.memory.copy_cost(data.nbytes)
-            yield self.fabric.engine.timeout(cost.duration)
+            yield self.fabric.engine.timeout(self.origin.memory.walk_cost(
+                [(data.nbytes, 1)], "copy", False))
         else:
             self.ensure_mapped()
             yield from self.fabric.dma_transfer(

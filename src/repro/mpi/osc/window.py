@@ -35,7 +35,6 @@ from ...smi import SMIBarrier, SMIRWLock
 from ..coll.collectives import OPS, op_folds
 from ..datatypes.base import Datatype
 from ..errors import RMAError, TransferFault
-from ..pt2pt.costs import pack_cost_direct
 from ..transport import OSCStrategy, TransferMode, resolve_target
 from .messages import OSCAccumulate, OSCGet, OSCNotice, OSCPut
 
@@ -135,7 +134,7 @@ class OSCEngine:
                 groups = device.scheduler.chunk_groups(
                     TransferMode.DIRECT, plan, msg.pos, msg.nbytes)
                 yield engine.timeout(
-                    pack_cost_direct(memory, groups, device.config))
+                    memory.walk_cost(groups, "ff", True, device.config))
             data = _load(view, msg.disp, plan, msg.pos, msg.nbytes)
             origin_device = device.world.device(msg.origin)
             yield from device.store.respond_remote_put(
@@ -149,7 +148,7 @@ class OSCEngine:
         fetched = None
         if isinstance(msg, OSCPut):
             # Along a target plan the copy is an ff loop: per-run cost on top.
-            copy = memory.copy_cost(n).duration + (
+            copy = memory.walk_cost([(n, 1)], "copy", False) + (
                 0 if plan is None else plan.n_runs * device.config.direct_pack_block_cost)
             if local or not device.smi.same_node(device.rank, msg.origin):
                 yield engine.timeout(copy)
@@ -157,12 +156,12 @@ class OSCEngine:
                 yield from device.node.bus_transfer(engine, n, copy)
             _store(view, msg.disp, plan, msg.data)
         else:
-            cost = memory.copy_cost(n).duration * 1.5
+            cost = memory.walk_cost([(n, 1)], "copy", False) * 1.5
             if plan is not None:
                 # Gather along the plan, scatter the result back: two ff
                 # pack loops on top of the read-modify-write.
                 groups = device.scheduler.message_groups(plan, plan.total)
-                cost += 2 * pack_cost_direct(memory, groups, device.config)
+                cost += 2 * memory.walk_cost(groups, "ff", True, device.config)
             yield engine.timeout(cost)
             fetched = _load(view, msg.disp, plan, 0, n).view(msg.np_dtype)
             result = msg.data
@@ -392,7 +391,8 @@ class Win:
                                    target_count)
 
         if wtarget == self.world_rank:
-            yield self.engine.timeout(self.device.node.memory.copy_cost(nbytes).duration)
+            yield self.engine.timeout(
+                self.device.node.memory.walk_cost([(nbytes, 1)], "copy", False))
             data = _load(part.local_view(), target_disp, plan, 0, nbytes)
             self.device._trace("osc.get.end", target=wtarget, strategy="local")
             return data

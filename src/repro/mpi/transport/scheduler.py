@@ -34,16 +34,13 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 import numpy as np
 
 from ...hardware.sci.fabric import SCIConnectionError
-from ...hardware.sci.segments import SegmentUnmappedError
+from ...hardware.sci.segments import SegmentUnmappedError, local_run_cost
 from ...hardware.sci.transactions import AccessRun, dma_cost, remote_write_cost
 from ...sim import Channel
 from ..errors import MessageTruncated, TransferAborted
 from ..pt2pt.costs import (
     contiguous_remote_chunk_duration,
     direct_remote_chunk_duration,
-    local_chunk_copy_cost,
-    pack_cost_direct,
-    pack_cost_generic,
 )
 from ..pt2pt.messages import CreditReturn, EagerMsg, RndvRequest, ShortMsg
 from ...qos.lanes import LANE_RESERVED
@@ -62,6 +59,9 @@ __all__ = ["ChunkCredit", "ChunkReady", "Fold", "Gate", "RndvAck", "TransferSche
 #: ties take it: AUTO's modes; a remote put's or get's strategies on a
 #: shared window, priced, and unpriced (an untyped put, a several-run get).
 _MODE_CANDIDATES = (TransferMode.DIRECT, TransferMode.GENERIC, TransferMode.DMA)
+#: The copy loop of a sender's up-front pack (``MemorySystem.walk_cost``):
+#: generic packs recursively, DMA flatten-packs with the ff loop.
+_PACK_LOOP = {TransferMode.GENERIC: "generic", TransferMode.DMA: "ff"}
 _OSC_CANDIDATES = {
     "put": ((OSCStrategy.DIRECT, OSCStrategy.EMULATED), (OSCStrategy.DIRECT,)),
     "get": ((OSCStrategy.DIRECT, OSCStrategy.REMOTE_PUT), (OSCStrategy.REMOTE_PUT,)),
@@ -191,26 +191,16 @@ class TransferScheduler:
                 params, offset, nbytes, src_cached),
         )
 
-    def chunk_pack_cost(self, groups: list[tuple[int, int]]) -> float:
-        """direct_pack_ff loop cost of one chunk's blocks (memoized)."""
+    def chunk_walk(self, groups: list[tuple[int, int]], loop: str,
+                   cold: bool) -> float:
+        """``MemorySystem.walk_cost`` of one chunk's blocks (memoized): the
+        ff loop and the protocol copy of a chunk are ``cold`` (the peer
+        just produced it), a one-node direct store's copy is warm."""
+        device = self.device
         return self._costed(
-            ("pack", tuple(groups)),
-            lambda: pack_cost_direct(self.device.node.memory, groups,
-                                     self.device.config),
-        )
-
-    def chunk_blocks_copy_cost(self, groups: list[tuple[int, int]]) -> float:
-        """Block-wise local copy of one chunk's blocks (memoized)."""
-        return self._costed(("blocks", tuple(groups)), lambda: (
-            self.device.node.memory.blocks_copy_cost(
-                [length for length, count in groups for _ in range(count)])
-        ).duration)
-
-    def chunk_copy_cost(self, nbytes: int) -> float:
-        """Protocol-copy cost of one cache-cold chunk (memoized)."""
-        return self._costed(
-            ("copy", nbytes),
-            lambda: local_chunk_copy_cost(self.device.node.memory, nbytes),
+            ("walk", loop, cold, tuple(groups)),
+            lambda: device.node.memory.walk_cost(groups, loop, cold,
+                                                 device.config),
         )
 
     def chunk_drain_cost(self, mode: str, contiguous: bool, plan: "PackPlan",
@@ -220,8 +210,8 @@ class TransferScheduler:
         non-contiguous type with the ff loop, everyone else pays a
         protocol copy."""
         if mode in (TransferMode.DIRECT, TransferMode.DMA) and not contiguous:
-            return self.chunk_pack_cost(plan.groups_in_range(pos, nbytes))
-        return self.chunk_copy_cost(nbytes)
+            return self.chunk_walk(plan.groups_in_range(pos, nbytes), "ff", True)
+        return self.chunk_walk([(nbytes, 1)], "copy", True)
 
     # -- the AUTO verdict ---------------------------------------------------------------
 
@@ -249,25 +239,22 @@ class TransferScheduler:
             cost = sum(self.chunk_drain_cost(mode, False, plan, pos, n)
                        for pos, n in chunks)
             if mode == TransferMode.GENERIC:
-                groups = plan.groups_in_range(0, total) if eager else whole
-                cost += pack_cost_generic(memory, groups, cfg)
+                cost += memory.walk_cost(whole, "generic", True, cfg)
             return cost
         if eager and mode == TransferMode.DMA:
             mode = TransferMode.GENERIC  # send_eager's PIO fallback
         cost = 0.0
-        if mode == TransferMode.GENERIC:
-            cost = pack_cost_generic(memory, whole, cfg)
-        elif mode == TransferMode.DMA:
-            cost = pack_cost_direct(memory, whole, cfg)
+        if mode in _PACK_LOOP:
+            cost = memory.walk_cost(whole, _PACK_LOOP[mode], True, cfg)
         src_cached = memory.src_cached(total)
         for pos, n in chunks:
             if mode == TransferMode.DIRECT:
                 groups = plan.groups_in_range(pos, n)
-                cost += (self.chunk_pack_cost(groups) if local else
+                cost += (self.chunk_walk(groups, "ff", True) if local else
                          self.chunk_write_duration(mode, 0, n, groups,
                                                    src_cached))
             elif local:
-                cost += self.chunk_copy_cost(n)
+                cost += self.chunk_walk([(n, 1)], "copy", True)
             else:
                 cost += self.chunk_write_duration(mode, 0, n, [(n, 1)],
                                                   src_cached)
@@ -330,18 +317,18 @@ class TransferScheduler:
             return max(duration, n / device.node.bus_capacity)
 
         if op == "put" and strategy == OSCStrategy.EMULATED:
-            ship = (on_bus(nbytes, memory.copy_cost(nbytes).duration) if local
+            ship = (on_bus(nbytes, memory.walk_cost([(nbytes, 1)], "copy", False)) if local
                     else 2 * hop + adapter.interrupt_latency + self.chunk_write_duration(
                         TransferMode.CONTIGUOUS, disp, nbytes, [(nbytes, 1)],
                         src_cached))
-            copy = tmemory.copy_cost(nbytes).duration + (
+            copy = tmemory.walk_cost([(nbytes, 1)], "copy", False) + (
                 0 if plan is None else plan.n_runs * target.config.direct_pack_block_cost)
             return ship + max(cfg.osc_call_overhead,
                               handler + (on_bus(nbytes, copy) if local else copy))
         if strategy == OSCStrategy.DIRECT and run is not None:
             if local:
-                copy = memory.copy_cost(nbytes, chunk_len=run.size or 1).duration
-                return on_bus(nbytes, copy) + (0.0 if op == "get" else fence)
+                return (on_bus(nbytes, local_run_cost(memory, run))
+                        + (0.0 if op == "get" else fence))
             if op == "get":
                 return fabric.read_duration(src, run, fabric.topology.route(src, dst))
             return (hop + remote_write_cost(run, fabric.params_for(src),
@@ -352,7 +339,7 @@ class TransferScheduler:
             for pos in range(0, nbytes, cfg.rendezvous_chunk):
                 n = min(cfg.rendezvous_chunk, nbytes - pos)
                 groups = plan.groups_in_range(pos, n)
-                cost += (on_bus(n, self.chunk_blocks_copy_cost(groups)) if local
+                cost += (on_bus(n, self.chunk_walk(groups, "copy", False)) if local
                          else hop + self.chunk_write_duration(
                              TransferMode.DIRECT, pos, n, groups, src_cached))
             return cost + fence
@@ -364,14 +351,15 @@ class TransferScheduler:
         strided = plan is not None and (run is None or run.stride != run.size)
         for pos in range(0, nbytes, cfg.osc_response_size):
             n = min(cfg.osc_response_size, nbytes - pos)
-            busy = handler + (pack_cost_direct(
-                tmemory, plan.groups_in_range(pos, n), target.config) if strided else 0.0)
-            busy += (on_bus(n, tmemory.copy_cost(n).duration) if local else back + remote_write_cost(
-                AccessRun.contiguous(0, n), fabric.params_for(dst), False).duration
-                + fabric.params_for(dst).adapter.pio_op_overhead + fabric.barrier_time(dst))
+            busy = handler + (tmemory.walk_cost(plan.groups_in_range(pos, n), "ff", True,
+                                                target.config) if strided else 0.0)
+            busy += (on_bus(n, tmemory.walk_cost([(n, 1)], "copy", False)) if local
+                     else back + remote_write_cost(AccessRun.contiguous(0, n),
+                                                   fabric.params_for(dst), False).duration
+                     + fabric.params_for(dst).adapter.pio_op_overhead + fabric.barrier_time(dst))
             wait = (cfg.ctrl_send_cost_local + busy if local else cfg.ctrl_send_cost
                     + max(adapter.interrupt_latency + hop, busy))
-            cost += wait + busy + self.chunk_copy_cost(n)
+            cost += wait + busy + self.chunk_walk([(n, 1)], "copy", True)
         return cost
 
     def osc_verdict(self, op: str, run: Optional[AccessRun],
@@ -544,10 +532,8 @@ class TransferScheduler:
         # A copy even when contiguous: the ShortMsg outlives this send.
         payload = plan.execute_pack(mem, base, 0, total)
         if not contiguous:
-            groups = self.message_groups(plan, total)
-            yield device.engine.timeout(
-                pack_cost_direct(device.node.memory, groups, device.config)
-            )
+            yield device.engine.timeout(device.node.memory.walk_cost(
+                self.message_groups(plan, total), "ff", True, device.config))
         yield from device.send_ctrl(dest, ShortMsg(env, payload, sync_reply))
 
     def send_eager(self, dest, env, mem, base, plan, total, mode,
@@ -567,10 +553,8 @@ class TransferScheduler:
         slots = peer_region.local_view()
 
         if mode == TransferMode.GENERIC:
-            groups = self.message_groups(plan, total)
-            yield device.engine.timeout(
-                pack_cost_generic(device.node.memory, groups, cfg)
-            )
+            yield device.engine.timeout(device.node.memory.walk_cost(
+                self.message_groups(plan, total), "generic", True, cfg))
         data = plan.stream_view(mem, base, 0, total)
         groups = self.chunk_groups(mode, plan, 0, total)
         yield from self._write_chunk(
@@ -712,11 +696,8 @@ class TransferScheduler:
             # Generic: recursive pack of the whole message up front (Fig. 4
             # top).  DMA (the paper's Sec. 6 outlook): flatten-pack into
             # registered memory with the fast ff loop, then DMA the chunks.
-            pack_cost = (pack_cost_generic if mode == TransferMode.GENERIC
-                         else pack_cost_direct)
-            groups = self.message_groups(plan, total)
-            yield device.engine.timeout(
-                pack_cost(device.node.memory, groups, cfg))
+            yield device.engine.timeout(device.node.memory.walk_cost(
+                self.message_groups(plan, total), _PACK_LOOP[mode], True, cfg))
             packed = plan.execute_pack(mem, base, 0, total)
 
         pos = 0
@@ -769,10 +750,8 @@ class TransferScheduler:
         if n > capacity:
             raise MessageTruncated(f"short message of {n} B > buffer {capacity} B")
         if not contiguous:
-            groups = plan.groups_in_range(0, n)
-            yield device.engine.timeout(
-                pack_cost_direct(device.node.memory, groups, device.config)
-            )
+            yield device.engine.timeout(device.node.memory.walk_cost(
+                plan.groups_in_range(0, n), "ff", True, device.config))
         self._land(mem, base, plan, None, fold, 0, msg.data)
         return n
 
@@ -785,9 +764,8 @@ class TransferScheduler:
         yield device.engine.timeout(
             self.chunk_drain_cost(mode, contiguous, plan, 0, n))
         if mode == TransferMode.GENERIC:
-            groups = plan.groups_in_range(0, n)
-            yield device.engine.timeout(
-                pack_cost_generic(device.node.memory, groups, device.config))
+            yield device.engine.timeout(device.node.memory.walk_cost(
+                self.message_groups(plan, n), "generic", True, device.config))
         # Drained in place: the slot is this sender's until the CreditReturn.
         slot = device.eager_regions[msg.envelope.source].local_view()
         self._land(mem, base, plan, None, fold, 0,
@@ -906,10 +884,8 @@ class TransferScheduler:
                 )
             if packed_tmp is not None:
                 # Generic: the final recursive unpack of the whole message.
-                groups = self.message_groups(plan, total)
-                yield device.engine.timeout(
-                    pack_cost_generic(memory, groups, cfg)
-                )
+                yield device.engine.timeout(memory.walk_cost(
+                    self.message_groups(plan, total), "generic", True, cfg))
                 self._land(mem, base, plan, None, fold, 0, packed_tmp)
         finally:
             device.rndv_lock.release()
@@ -935,7 +911,7 @@ class TransferScheduler:
             n = min(chunk, nbytes - pos)
             done = yield from make_request(pos, n)
             yield done
-            yield device.engine.timeout(self.chunk_copy_cost(n))
+            yield device.engine.timeout(self.chunk_walk([(n, 1)], "copy", True))
             out[pos : pos + n] = response.local_view()[:n]
             pos += n
         return out

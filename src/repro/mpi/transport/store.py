@@ -140,13 +140,12 @@ class RemoteStore:
                 raise TransferFault(str(exc), delivered=exc.delivered) from exc
             except SCITransientError as exc:
                 raise TransferFault(str(exc)) from exc
+        elif mode == TransferMode.DIRECT:
+            yield device.engine.timeout(
+                device.scheduler.chunk_walk(groups, "ff", True))
         else:
-            if mode == TransferMode.DIRECT:
-                yield device.engine.timeout(
-                    device.scheduler.chunk_pack_cost(groups))
-            else:
-                yield device.engine.timeout(
-                    device.scheduler.chunk_copy_cost(n))
+            yield device.engine.timeout(
+                device.scheduler.chunk_walk([(n, 1)], "copy", True))
         land(offset, data)
 
     # -- direct one-sided access ------------------------------------------------------
@@ -168,7 +167,7 @@ class RemoteStore:
             groups = plan.groups_in_range(pos, part.nbytes)
             if device.smi.same_node(device.rank, dst):
                 yield from device.node.bus_transfer(device.engine, part.nbytes,
-                    device.scheduler.chunk_blocks_copy_cost(groups))
+                    device.scheduler.chunk_walk(groups, "copy", False))
                 land(pos, part)
                 continue
             yield from self.deliver_with_retry(dst, lambda: self.write_packed(
@@ -243,7 +242,7 @@ class RemoteStore:
         else:
             yield from device.node.bus_transfer(
                 device.engine, nbytes,
-                device.node.memory.copy_cost(nbytes).duration)
+                device.node.memory.walk_cost([(nbytes, 1)], "copy", False))
         device._trace("store.emulated", target=wtarget, nbytes=nbytes,
                       message=type(msg).__name__)
         device.world.device(wtarget).service.try_put(msg)
@@ -267,7 +266,7 @@ class RemoteStore:
         n = data.nbytes
         if device.smi.same_node(device.rank, origin):
             yield from device.node.bus_transfer(
-                device.engine, n, device.node.memory.copy_cost(n).duration)
+                device.engine, n, device.node.memory.walk_cost([(n, 1)], "copy", False))
             response.local_view()[offset : offset + n] = data
         else:
             def attempt():

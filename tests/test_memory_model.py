@@ -1,4 +1,5 @@
-"""Tests for the cache-aware local memory-copy model (repro.hardware.memory)."""
+"""Tests for the cache-aware local memory-copy model (repro.hardware.memory):
+one function, ``MemorySystem.walk_cost``, prices every copy inside a node."""
 
 import pytest
 from hypothesis import given
@@ -6,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro._units import KiB, MiB
 from repro.hardware import MemorySystem
-from repro.hardware.memory import CopyCost
 from repro.hardware.params import MemoryParams
+from repro.mpi.pt2pt import DEFAULT_PROTOCOL
+
+LOOPS = ("copy", "ff", "generic")
 
 
 @pytest.fixture
@@ -15,53 +18,8 @@ def mem():
     return MemorySystem(MemoryParams())
 
 
-# -- per-block copy costs: reference models the tests exercise -----------------
-
-
-def blockwise_copy_cost(memory: MemorySystem, block_count: int,
-                        block_len: int) -> CopyCost:
-    """Cost of copying ``block_count`` blocks of ``block_len`` bytes each.
-
-    This is the pack/unpack cost model: per-block loop overhead plus
-    streaming at the bandwidth the *block length* allows.
-    """
-    if block_count < 0 or block_len < 0:
-        raise ValueError("block_count and block_len must be non-negative")
-    if block_count == 0 or block_len == 0:
-        return CopyCost(0.0, 0, block_count)
-    total = block_count * block_len
-    bw = memory.copy_bandwidth(block_len)
-    duration = (
-        memory.params.copy_call_overhead
-        + block_count * memory.params.per_block_overhead
-        + total / bw
-    )
-    return CopyCost(duration, total, block_count)
-
-
-def grouped_blocks_cost(memory: MemorySystem,
-                        groups: list[tuple[int, int]]) -> CopyCost:
-    """Cost of copying blocks given as ``(block_len, count)`` groups.
-
-    Closed-form version of :meth:`MemorySystem.blocks_copy_cost` for the
-    flattened datatype representation, which naturally yields uniform
-    groups.
-    """
-    total = 0
-    blocks = 0
-    duration = memory.params.copy_call_overhead
-    for block_len, count in groups:
-        if block_len < 0 or count < 0:
-            raise ValueError("negative block length or count")
-        if block_len == 0 or count == 0:
-            continue
-        duration += count * memory.params.per_block_overhead
-        duration += count * block_len / memory.copy_bandwidth(block_len)
-        total += count * block_len
-        blocks += count
-    if blocks == 0:
-        return CopyCost(0.0, 0, 0)
-    return CopyCost(duration, total, blocks)
+def walk(mem, groups, loop, cold):
+    return mem.walk_cost(groups, loop, cold, DEFAULT_PROTOCOL)
 
 
 class TestCopyBandwidth:
@@ -72,80 +30,104 @@ class TestCopyBandwidth:
         assert l1 > l2 > main
 
     def test_thresholds_use_double_working_set(self, mem):
-        # 2 * chunk must fit the cache: exactly half the L1 is the edge.
+        # 2 * bytes must fit the cache: exactly half the L1 is the edge.
         l1_size = mem.params.caches.l1_size
         assert mem.copy_bandwidth(l1_size // 2) == mem.params.l1_copy_bw
         assert mem.copy_bandwidth(l1_size // 2 + 1) == mem.params.l2_copy_bw
 
-    def test_invalid_chunk(self, mem):
+    def test_invalid_size(self, mem):
         with pytest.raises(ValueError):
             mem.copy_bandwidth(0)
 
 
-class TestCopyCost:
-    def test_zero_copy_free(self, mem):
-        assert mem.copy_cost(0).duration == 0.0
+class TestWalkCost:
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_empty_walk_free(self, mem, loop):
+        assert walk(mem, [], loop, False) == 0.0
+        assert walk(mem, [(128, 0), (0, 3)], loop, True) == 0.0
 
-    def test_includes_call_overhead(self, mem):
-        tiny = mem.copy_cost(1)
-        assert tiny.duration >= mem.params.copy_call_overhead
+    def test_contiguous_copy(self, mem):
+        """One block: the call overhead plus the bytes at the rate of the
+        working set, or of main memory when cold."""
+        p = mem.params
+        for n in (1, 4 * KiB, 64 * KiB, 1 * MiB):
+            assert mem.walk_cost([(n, 1)], "copy", False) == (
+                p.copy_call_overhead + n / mem.copy_bandwidth(n))
+            assert mem.walk_cost([(n, 1)], "copy", True) == (
+                p.copy_call_overhead + n / p.main_copy_bw)
 
-    def test_chunked_copy_uses_chunk_bandwidth(self, mem):
-        whole = mem.copy_cost(1 * MiB)
-        chunked = mem.copy_cost(1 * MiB, chunk_len=4 * KiB)
-        assert chunked.duration < whole.duration  # L1-friendly chunks
+    def test_blocked_copy_rated_by_its_bytes(self, mem):
+        """A 256 kiB walk in 4 kiB blocks streams at the rate of 256 kiB,
+        not of one block, and pays a per-block term after the first."""
+        p = mem.params
+        assert mem.walk_cost([(4 * KiB, 64)], "copy", False) == (
+            p.copy_call_overhead + 63 * p.per_block_overhead
+            + 256 * KiB / p.main_copy_bw)
 
-    def test_negative_rejected(self, mem):
-        with pytest.raises(ValueError):
-            mem.copy_cost(-1)
-
-
-class TestBlockwiseCost:
     def test_per_block_overhead_dominates_tiny_blocks(self, mem):
-        many_small = blockwise_copy_cost(mem, 8192, 8)
-        few_large = blockwise_copy_cost(mem, 8, 8192)
-        assert many_small.bytes_copied == few_large.bytes_copied
-        assert many_small.duration > few_large.duration
+        for loop in LOOPS:
+            assert walk(mem, [(8, 8192)], loop, False) > walk(
+                mem, [(8192, 8)], loop, False)
 
-    def test_bandwidth_property(self, mem):
-        cost = blockwise_copy_cost(mem, 16, 4 * KiB)
-        assert cost.bandwidth == pytest.approx(
-            cost.bytes_copied / cost.duration
-        )
+    def test_ff_rate_terms(self, mem):
+        """The ff loop's two constants: x1.1 for 64 B-4 kiB blocks (the
+        intra-node surpass), x0.5 for mixed lengths beyond L2 (thrash)."""
+        p, cfg = mem.params, DEFAULT_PROTOCOL
+        bw = p.main_copy_bw
+        assert walk(mem, [(512, 32)], "ff", True) == (
+            p.copy_call_overhead + 32 * cfg.direct_pack_block_cost
+            + 16 * KiB / (bw * 1.1))
+        groups = [(8, 1), (8 * KiB, 64)]
+        nbytes = 8 + 512 * KiB
+        assert walk(mem, groups, "ff", True) == (
+            p.copy_call_overhead + 65 * cfg.direct_pack_block_cost
+            + nbytes / (bw * 0.5))
 
-    def test_empty(self, mem):
-        assert blockwise_copy_cost(mem, 0, 128).duration == 0.0
-        assert blockwise_copy_cost(mem, 128, 0).duration == 0.0
-
-    def test_grouped_matches_blockwise_for_uniform(self, mem):
-        grouped = grouped_blocks_cost(mem, [(256, 100)])
-        blockwise = blockwise_copy_cost(mem, 100, 256)
-        assert grouped.duration == pytest.approx(blockwise.duration)
-
-    def test_grouped_mixed_lengths(self, mem):
-        cost = grouped_blocks_cost(mem, [(8, 10), (4096, 2)])
-        assert cost.blocks == 12
-        assert cost.bytes_copied == 80 + 8192
-
-    def test_blocks_copy_cost_list(self, mem):
-        cost = mem.blocks_copy_cost([8, 0, 4096, 8])
-        assert cost.blocks == 3
-        assert cost.bytes_copied == 8 + 4096 + 8
-
-    def test_negative_rejected(self, mem):
-        with pytest.raises(ValueError):
-            blockwise_copy_cost(mem, -1, 8)
-        with pytest.raises(ValueError):
-            grouped_blocks_cost(mem, [(-1, 2)])
+    def test_unknown_loop(self, mem):
+        with pytest.raises(ValueError, match="copy loop"):
+            mem.walk_cost([(8, 1)], "memcpy", False)
 
 
-@given(
-    nblocks=st.integers(min_value=1, max_value=1000),
-    blocklen=st.integers(min_value=1, max_value=8192),
-)
-def test_property_blockwise_cost_positive_and_monotone(nblocks, blocklen):
+# -- properties over drawn ``(block, count)`` groups ----------------------------
+
+_groups = st.lists(st.tuples(st.integers(1, 8 * KiB), st.integers(1, 64)),
+                   min_size=1, max_size=4)
+
+
+@given(groups=_groups, extra=st.tuples(st.integers(1, 8 * KiB),
+                                       st.integers(1, 64)),
+       cold=st.booleans())
+def test_property_more_bytes_never_cost_less(groups, extra, cold):
     mem = MemorySystem(MemoryParams())
-    cost = blockwise_copy_cost(mem, nblocks, blocklen)
-    assert cost.duration > 0
-    more = blockwise_copy_cost(mem, nblocks + 1, blocklen)
-    assert more.duration > cost.duration
+    for loop in LOOPS:
+        cost = walk(mem, groups, loop, cold)
+        assert 0 < cost <= walk(mem, groups + [extra], loop, cold), loop
+
+
+@given(groups=_groups, cold=st.booleans())
+def test_property_contiguous_never_dearer(groups, cold):
+    """For the copy and generic loops a contiguous walk of the same bytes
+    in the same cache state is never dearer than the blocked walk; the ff
+    loop's only exception is its x1.1 rate term for 64 B-4 kiB blocks."""
+    mem = MemorySystem(MemoryParams())
+    nbytes = sum(length * count for length, count in groups)
+    for loop in LOOPS:
+        contiguous = walk(mem, [(nbytes, 1)], loop, cold)
+        if loop == "ff" and all(64 <= n <= 4 * KiB for n, _ in groups) and not (
+                64 <= nbytes <= 4 * KiB):
+            bw = mem.params.main_copy_bw if cold else mem.copy_bandwidth(nbytes)
+            contiguous -= nbytes / bw - nbytes / (bw * 1.1)
+        assert walk(mem, groups, loop, cold) >= contiguous * (1 - 1e-12), loop
+
+
+@given(groups=_groups, cold=st.booleans())
+def test_property_ff_never_dearer_than_generic(groups, cold):
+    mem = MemorySystem(MemoryParams())
+    assert walk(mem, groups, "ff", cold) <= walk(mem, groups, "generic", cold)
+
+
+@given(groups=_groups)
+def test_property_cold_never_cheaper_than_warm(groups):
+    mem = MemorySystem(MemoryParams())
+    for loop in LOOPS:
+        assert walk(mem, groups, loop, True) >= walk(mem, groups, loop, False)

@@ -139,6 +139,10 @@ class TestSelfConsistency:
     * a get the verdict reads directly although a forced remote-put
       returns sooner: the price charges the remote-put handler's hold on
       the target's service loop, which one call's time does not show.
+
+    So does a typed put over SCI above 128 kiB, beyond the drawn 64 kiB
+    targets: ``src_cached`` is decided per message, so its source is
+    read cold while each 4 kiB call of the decomposition reads warm.
     """
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -149,6 +153,9 @@ class TestSelfConsistency:
              local=False, disp=0, pinned=True)
     @example(target=_typed(_irregular(32, 4 * KiB)), op="put", shared=True,
              local=True, disp=0, pinned=True)
+    @example(target=_typed(_irregular(33, 4 * KiB)), op="put", shared=True,
+             local=False, disp=0, pinned=True).xfail(
+                 raises=AssertionError, reason="1.164x its decomposition")
     @example(target=(None, 320), op="get", shared=True, local=False,
              disp=0, pinned=True).xfail(raises=AssertionError, reason=(
                  "read directly, 1.42x a lone remote-put"))
@@ -212,6 +219,17 @@ class TestVerdict:
         for offset, length in _blocks(dtype, dtype.size):
             expected[offset:offset + length] = 7
         assert np.array_equal(window, expected)
+
+    def test_one_node_strided_put_no_cheaper_than_contiguous(self):
+        """A strided walk copies the same bytes as a contiguous one, at the
+        rate of its working set: 256 kiB in 4 kiB blocks on one node is
+        1,043.1 us against 1,042.4 for one contiguous put (the per-block
+        terms), not 651.7 at the rate of one block."""
+        vec = Vector(64, 512, 1024, DOUBLE).commit()
+        strided, counters = _epoch("put", vec.size, True, True, vec)
+        contiguous, _ = _epoch("put", vec.size, True, True)
+        assert counters["direct_puts"] == 1
+        assert contiguous <= strided == pytest.approx(1043.1, abs=0.05)
 
     @pytest.mark.parametrize("local", [False, True])
     def test_emulated_typed_put_scatters_in_an_ff_loop(self, local):

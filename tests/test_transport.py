@@ -23,8 +23,8 @@ from repro.mpi.datatypes import DOUBLE, Indexed, Subarray, Vector
 from repro.mpi.flatten import get_plan
 from repro.hardware.params import DEFAULT_NODE
 from repro.mpi.pt2pt import DEFAULT_PROTOCOL, NonContigMode, ProtocolConfig
+from repro.hardware import MemorySystem
 from repro.mpi.pt2pt.costs import (
-    _group_sums,
     contiguous_remote_chunk_duration,
     direct_remote_chunk_duration,
 )
@@ -305,6 +305,49 @@ class TestMessageShorterThanItsBuffer:
         assert nbytes == payload.nbytes == n * vec.size
         np.testing.assert_array_equal(got, expected)
         assert took == pytest.approx(elapsed, rel=1e-12)
+
+
+class TestOneGenericGrouping:
+    """A generic receive unpacks a whole message along the flattened
+    type's per-leaf grouping (``message_groups``, what the recursive walk
+    traverses), eager as rendezvous, and ``price`` charges the same walk:
+    200 x ``Vector(4, 2, 3, DOUBLE)`` (12,800 B, blocks that abut across
+    instances) is ``[(16, 800)]``, 162.90 us, not the plan's 399
+    coalesced runs (154.94 us)."""
+
+    def test_eager_unpack_equals_rendezvous_unpack(self, monkeypatch):
+        vec = Vector(4, 2, 3, DOUBLE).commit()
+        plan = get_plan(vec.flattened, 200)
+        charged = []
+        walk = MemorySystem.walk_cost
+
+        def recording(self, groups, loop, cold, config=None):
+            cost = walk(self, groups, loop, cold, config)
+            if loop == "generic":
+                charged.append(cost)
+            return cost
+
+        def program(ctx):
+            buf = ctx.alloc(vec.extent * 200)
+            if ctx.comm.rank == 0:
+                yield from ctx.comm.send(buf, dest=1, tag=0, datatype=vec,
+                                         count=200)
+            else:
+                yield from ctx.comm.recv(buf, source=0, tag=0, datatype=vec,
+                                         count=200)
+
+        monkeypatch.setattr(MemorySystem, "walk_cost", recording)
+        for eager_threshold in (16 * KiB, 4 * KiB):  # eager, rendezvous
+            protocol = ProtocolConfig(eager_threshold=eager_threshold,
+                                      noncontig_mode=NonContigMode.GENERIC)
+            cluster = Cluster(n_nodes=2, protocol=protocol)
+            cluster.run(program)
+            assert cluster.metrics.snapshot()["pt2pt.eager"] == (
+                eager_threshold > plan.total)
+        rx = Cluster(n_nodes=2).world.device(1).scheduler
+        rx.price(TransferMode.GENERIC, plan, plan.total, False, False)
+        # Per run the sender's pack and the receiver's unpack, then price.
+        assert charged == pytest.approx([162.90] * 5, abs=0.005)
 
 
 class TestBufferOwnership:
@@ -615,17 +658,21 @@ class TestCostTableKeys:
 
 
 class TestGroupSums:
-    """The cost models' one-pass totals equal the three separate sums
-    exactly, over few groups and over thousands."""
+    """``MemorySystem.walk_cost``'s one-pass totals equal the three
+    separate sums exactly, over few groups and over thousands."""
 
     @pytest.mark.parametrize("n", [0, 1, 4096])
     def test_equal_to_the_loop(self, n):
         rng = np.random.default_rng(n)
         groups = [(int(length), int(count)) for length, count in zip(
             rng.integers(0, 5000, n), rng.integers(1, 1 << 30, n))]
-        assert _group_sums(groups, 8) == (
-            sum(length * count for length, count in groups),
-            sum(count for _, count in groups),
-            sum(count * max(1, -(-length // 8)) for length, count in groups),
-        )
-        assert _group_sums(groups)[2] == 0
+        memory, cfg = MemorySystem(DEFAULT_NODE.memory), DEFAULT_PROTOCOL
+        nbytes = sum(length * count for length, count in groups)
+        elements = sum(count * max(1, -(-length // cfg.generic_element_size))
+                       for length, count in groups)
+        expected = nbytes and (
+            memory.params.copy_call_overhead
+            + elements * cfg.generic_pack_element_cost
+            + sum(count for _, count in groups) * cfg.generic_pack_block_cost
+            + nbytes / memory.params.main_copy_bw)
+        assert memory.walk_cost(groups, "generic", True, cfg) == expected
