@@ -108,9 +108,13 @@ def _materialize_runs(ft: FlattenedType, count: int) -> tuple[np.ndarray, np.nda
         )
     inst_starts = np.arange(count, dtype=np.int64) * ft.extent
     offs = (inst_starts[:, None] + inst_offs[None, :]).reshape(-1)
-    lens = np.tile(inst_lens, count)
+    return _coalesce(offs, np.tile(inst_lens, count))
 
-    # Coalesce runs adjacent in both the packed stream and memory.
+
+def _coalesce(offs: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge runs adjacent in both the packed stream and memory."""
+    if not len(offs):
+        return offs, lens
     keep = np.empty(len(offs), dtype=bool)
     keep[0] = True
     np.not_equal(offs[1:], offs[:-1] + lens[:-1], out=keep[1:])
@@ -194,7 +198,9 @@ def _strided_view(
 
 
 class PackPlan:
-    """The resolved run table of ``count`` instances of one datatype.
+    """The resolved run table of ``count`` instances of one datatype, or
+    of explicit ``runs`` (``(offsets, lengths)`` in stream order, no
+    ``ft``).
 
     ``run_offsets``/``run_lengths`` hold the coalesced runs in packed
     order (offsets relative to the base address the plan is executed at);
@@ -210,18 +216,20 @@ class PackPlan:
         "segments", "_seg_first", "bounds",
     )
 
-    def __init__(self, ft: FlattenedType, count: int):
+    def __init__(self, ft: Optional[FlattenedType], count: int,
+                 runs: Optional[tuple[np.ndarray, np.ndarray]] = None):
         if count < 0:
             raise PackError(f"negative count: {count}")
         global _BUILDS
         _BUILDS += 1
         self.ft = ft
         self.count = count
-        self.total = ft.size * count
-        self.run_offsets, self.run_lengths = _materialize_runs(ft, count)
+        self.run_offsets, self.run_lengths = (
+            _materialize_runs(ft, count) if runs is None else _coalesce(*runs))
         self.run_starts = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(self.run_lengths))
         )
+        self.total = int(self.run_starts[-1])
         self.segments = _segment_runs(self.run_offsets, self.run_lengths)
         #: First run of every segment, for the run -> segment lookup.
         self._seg_first = self.segments[:, 0].tolist()

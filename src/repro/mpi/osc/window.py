@@ -2,7 +2,7 @@
 
 A *window* exposes a contiguous memory area of each rank of a
 communicator to every other rank of it.  A remote put or get takes the
-cheapest of three ways (``TransferScheduler.osc_verdict``, unless the
+cheapest of four ways (``TransferScheduler.osc_verdict``, unless the
 world's :class:`~repro.mpi.transport.policy.TransferPolicy` forces one):
 
 * **direct** — transparent remote stores or loads into window memory
@@ -12,7 +12,11 @@ world's :class:`~repro.mpi.transport.policy.TransferPolicy` forces one):
 * **remote-put** — a get the target answers by writing into the
   origin's response region (SCI remote reads stall the CPU);
 * **emulated** — a control message and remote interrupt invoke a handler
-  at the target; the only way into *private* window memory.
+  at the target; the only way of a get into *private* window memory;
+* **batched** — a put into private memory (or a degraded target) waits
+  in its target's queue until fence, complete, unlock, flush, or a get,
+  accumulate or emulated put to that target ships the queue as one
+  emulated put, its runs applied in call order.
 
 ``MPI_Accumulate`` always runs at the target (read-modify-write needs
 its CPU).  Synchronization: fence, general active target
@@ -25,6 +29,7 @@ ranks.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -35,6 +40,7 @@ from ...smi import SMIBarrier, SMIRWLock
 from ..coll.collectives import OPS, op_folds
 from ..datatypes.base import Datatype
 from ..errors import RMAError, TransferFault
+from ..flatten import PackPlan
 from ..transport import OSCStrategy, TransferMode, resolve_target
 from .messages import OSCAccumulate, OSCGet, OSCNotice, OSCPut
 
@@ -65,6 +71,49 @@ class WinPart:
 _GET_COUNTERS = {OSCStrategy.DIRECT: "direct_gets",
                  OSCStrategy.REMOTE_PUT: "remote_puts",
                  OSCStrategy.EMULATED: "emulated_gets"}
+
+
+class _Batch:
+    """The puts queued for one target: their bytes back to back in one
+    staging buffer (grown by doubling, reused), their target runs in call
+    order, the count of each put size and the first put's ``(disp,
+    plan)``."""
+
+    def __init__(self):
+        self.data, self.used, self.sizes = np.empty(64, np.uint8), 0, {}
+        self.offsets, self.lengths, self.first = array("q"), array("q"), None
+
+    def __bool__(self) -> bool:
+        return bool(self.sizes)
+
+    def add(self, disp: int, payload: np.ndarray, plan) -> None:
+        n, end = payload.nbytes, self.used + payload.nbytes
+        if end > self.data.nbytes:
+            self.data.resize(max(end, 2 * self.data.nbytes), refcheck=False)
+        self.data[self.used : end] = payload
+        self.used = end
+        self.first = self.first if self.sizes else (disp, plan)
+        self.sizes[n] = self.sizes.get(n, 0) + 1
+        if plan is not None:
+            self.offsets.extend(plan.run_offsets + disp)
+            self.lengths.extend(plan.run_lengths)
+        elif n:
+            self.offsets.append(disp)
+            self.lengths.append(n)
+
+    def take(self):
+        """Empty the queue into ``(disp, bytes, plan, groups)`` of its one
+        shipment: a lone put as it was called, several at 0 along a plan
+        of their runs, with the ``(size, count)`` groups of the blocks
+        their staging copy packs."""
+        data, groups = self.data[: self.used].copy(), list(self.sizes.items())
+        runs = (np.frombuffer(self.offsets, np.int64),
+                np.frombuffer(self.lengths, np.int64))
+        self.used, self.sizes = 0, {}
+        self.offsets, self.lengths = array("q"), array("q")
+        if [count for _, count in groups] == [1]:
+            return self.first[0], data, self.first[1], None
+        return 0, data, PackPlan(None, 1, runs), groups
 
 
 def _load(view: np.ndarray, disp: int, plan, pos: int,
@@ -240,8 +289,10 @@ class Win:
         #: World ranks touched by direct stores since the last sync (need
         #: a store barrier at the synchronization point).
         self._dirty_targets: set[int] = set()
-        #: Outstanding emulated-operation acknowledgements.
-        self._pending_acks: list[Event] = []
+        #: Outstanding emulated-operation acknowledgements, per world rank.
+        self._pending_acks: dict[int, list[Event]] = {}
+        #: Queued (batched) puts, per world rank.
+        self._batches: dict[int, _Batch] = {}
         #: Mode of each held passive-target lock (world rank -> exclusive).
         self._held_locks: dict[int, bool] = {}
         #: World ranks whose window segment became unmappable mid-epoch:
@@ -319,7 +370,10 @@ class Win:
             return
 
         strategy = self._strategy("put", run, plan, target_disp, n, part)
-        if strategy == OSCStrategy.DIRECT:
+        if strategy == OSCStrategy.BATCHED:
+            self._batches.setdefault(wtarget, _Batch()).add(target_disp,
+                                                            payload, plan)
+        elif strategy == OSCStrategy.DIRECT:
             # Transparent remote stores: along one strided run, or
             # direct_pack_ff through the target plan.
             src_cached = self.device.node.memory.src_cached(n)
@@ -338,19 +392,22 @@ class Win:
                         wtarget, target_disp, payload, plan))
             else:
                 self._dirty_targets.add(wtarget)
-                self.counters["direct_puts"] += 1
         else:
             yield from self._emulated_put(wtarget, target_disp, payload, plan)
+        self.counters["direct_puts" if strategy == OSCStrategy.DIRECT
+                      else "emulated_puts"] += 1
         self.device._trace("osc.put.end", target=wtarget, strategy=strategy)
 
     def _strategy(self, op: str, run, plan, disp: int, nbytes: int,
                   part: WinPart) -> str:
-        """How a remote put or get reaches ``part``: emulated into private
-        memory or a degraded target, else the verdict (which the
-        policy may force)."""
-        if not part.shared or part.world_rank in self._degraded:
+        """How a remote put or get reaches ``part``: a get from private
+        memory or a degraded target is emulated, anything else asks the
+        verdict (which the policy may force)."""
+        mapped = part.shared and part.world_rank not in self._degraded
+        if not mapped and op == "get":
             return OSCStrategy.EMULATED
-        return self._verdict(op, run, plan, disp, nbytes, part.world_rank)
+        return self._verdict(op, run, plan, disp, nbytes, part.world_rank,
+                             mapped)
 
     def _fallback(self, fault: TransferFault, wtarget: int, emulated):
         """A direct access failed with ``fault``: a window segment revoked
@@ -368,6 +425,10 @@ class Win:
         return OSCStrategy.EMULATED, value
 
     def _emulated_put(self, wtarget, target_disp, payload, plan):
+        """Ship one put to ``wtarget``'s handler, after the puts queued
+        for it (call order)."""
+        if self._batches.get(wtarget):
+            yield from self._ship_batch(wtarget)
         n = payload.nbytes
         ack = Event(self.engine, "osc-put-ack")
         msg = OSCPut(self.state.win_id, self.world_rank, target_disp, payload,
@@ -377,8 +438,16 @@ class Win:
             wtarget, target_disp, n, msg,
             src_cached=self.device.node.memory.src_cached(n),
         )
-        self._pending_acks.append(ack)
-        self.counters["emulated_puts"] += 1
+        self._pending_acks.setdefault(wtarget, []).append(ack)
+
+    def _ship_batch(self, wtarget: int):
+        """Ship the puts queued for ``wtarget`` as one emulated put, two or
+        more packed first (one copy loop over their blocks)."""
+        disp, data, plan, groups = self._batches[wtarget].take()
+        if groups is not None:
+            yield self.engine.timeout(self.device.node.memory.walk_cost(
+                groups, "copy", False))
+        yield from self._emulated_put(wtarget, disp, data, plan)
 
     def get(self, nbytes: int, target: int, target_disp: int = 0,
             target_datatype: Optional[Datatype] = None, target_count: int = 1):
@@ -397,6 +466,8 @@ class Win:
             self.device._trace("osc.get.end", target=wtarget, strategy="local")
             return data
 
+        if self._batches.get(wtarget):
+            yield from self._ship_batch(wtarget)
         strategy = self._strategy("get", run, plan, target_disp, nbytes, part)
         if strategy == OSCStrategy.DIRECT:
             # Transparent remote loads (the CPU stalls).
@@ -470,6 +541,8 @@ class Win:
             self.counters["accumulates"] += 1
             self.device._trace("osc.acc.end", target=wtarget, strategy="local")
             return fetched if fetch else None
+        if self._batches.get(wtarget):
+            yield from self._ship_batch(wtarget)
         yield from self.store.ship_emulated(
             wtarget, target_disp, n, msg, src_cached=True
         )
@@ -479,7 +552,7 @@ class Win:
             self.device._trace("osc.acc.end", target=wtarget,
                                strategy="emulated")
             return fetched
-        self._pending_acks.append(ack)
+        self._pending_acks.setdefault(wtarget, []).append(ack)
         self.device._trace("osc.acc.end", target=wtarget, strategy="emulated")
         return None
 
@@ -496,42 +569,34 @@ class Win:
 
     # -- synchronization -------------------------------------------------------------------
 
-    def _complete_outstanding(self):
-        """Finish every outstanding access: store barriers + emulation acks."""
-        for wtarget in sorted(self._dirty_targets):
-            part = self.parts[wtarget]
-            if part.shared:
-                yield from self.store.store_barrier(part.region)
-        self._dirty_targets.clear()
-        if self._pending_acks:
-            yield self.engine.all_of(self._pending_acks)
-            self._pending_acks.clear()
-
-    def flush(self, target: Optional[int] = None):
-        """MPI_Win_flush(_all): complete outstanding accesses now.
-
-        ``target=None`` flushes everything; a specific local target flushes
-        that target's direct stores (emulated-op acks are always drained —
-        they are not tracked per target).
-        """
-        if target is None:
-            yield from self._complete_outstanding()
-            return
-        wtarget = self._world(target)
-        if wtarget in self._dirty_targets:
+    def _complete(self, wtargets, overhead: Optional[float] = None):
+        """Finish the outstanding accesses to ``wtargets``: ship their
+        queued puts, pay the sync call's ``overhead`` (if any) while the
+        handlers run, then store barriers + emulation acks."""
+        for wtarget in wtargets:
+            if self._batches.get(wtarget):
+                yield from self._ship_batch(wtarget)
+        if overhead is not None:
+            yield self.engine.timeout(overhead)
+        for wtarget in sorted(self._dirty_targets.intersection(wtargets)):
             part = self.parts[wtarget]
             if part.shared:
                 yield from self.store.store_barrier(part.region)
             self._dirty_targets.discard(wtarget)
-        if self._pending_acks:
-            yield self.engine.all_of(self._pending_acks)
-            self._pending_acks.clear()
+        acks = [ack for w in wtargets for ack in self._pending_acks.pop(w, ())]
+        if acks:
+            yield self.engine.all_of(acks)
+
+    def flush(self, target: Optional[int] = None):
+        """MPI_Win_flush(_all): complete the outstanding accesses to every
+        target (``target=None``) or to ``target`` alone now."""
+        yield from self._complete(self.state.group if target is None
+                                  else (self._world(target),))
 
     def fence(self):
         """MPI_Win_fence: complete all accesses, then synchronize everyone."""
         self.device._trace("osc.fence.begin")
-        yield self.engine.timeout(self.config.osc_call_overhead)
-        yield from self._complete_outstanding()
+        yield from self._complete(self.state.group, self.config.osc_call_overhead)
         yield from self.state.fence_barrier.enter(self.world_rank)
         self.device._trace("osc.fence.end")
 
@@ -554,7 +619,7 @@ class Win:
 
     def complete(self, target_group: list[int]):
         """End the access epoch (MPI_Win_complete)."""
-        yield from self._complete_outstanding()
+        yield from self._complete(self.state.group)
         for target in target_group:
             yield from self.device.send_ctrl(
                 self._world(target),
@@ -590,7 +655,7 @@ class Win:
         """Release the passive-target lock after completing accesses."""
         wtarget = self._world(target)
         self.device._trace("osc.unlock.begin", target=wtarget)
-        yield from self._complete_outstanding()
+        yield from self._complete(self.state.group)
         try:
             exclusive = self._held_locks.pop(wtarget)
         except KeyError:

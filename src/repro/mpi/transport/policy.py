@@ -66,6 +66,8 @@ class OSCStrategy:
     DIRECT = "direct"          # transparent remote stores / loads
     REMOTE_PUT = "remote_put"  # target pushes into the origin's response region
     EMULATED = "emulated"      # control message + remote interrupt + handler
+    BATCHED = "batched"        # emulated at the next completion point, with
+                               # the target's other queued puts
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,9 @@ class TransferPolicy:
         miss only, so it may depend on the key alone (docs/PROTOCOLS.md,
         "Verdicts"): ``("mode", ft, count, total, local, sending)`` for a
         :class:`TransferMode`, ``("osc", op, nbytes, single_run, shape,
-        align, node)`` for an :class:`OSCStrategy`, ``("coll", flat,
-        reduction, total, members)`` for ``"tree"`` or ``"chain"``."""
+        align, node, mapped)`` for an :class:`OSCStrategy`, ``("coll",
+        flat, reduction, total, members)`` for ``"tree"`` or ``"chain"``.
+        A forced answer is one of the key's candidates."""
         return None
 
     # -- collectives ---------------------------------------------------------------
@@ -210,19 +213,19 @@ class ChunkedCollectivesPolicy(TransferPolicy):
 @dataclass(frozen=True)
 class PaperThresholdPolicy(TransferPolicy):
     """SCI-MPICH's one-sided rule (Sec. 4.2), whatever the verdict: a put
-    to a shared window stores directly into one strided run; a get loads
-    directly up to ``remote_put_threshold`` and becomes a remote-put
-    above it or for a richer target.  The paper-figure benchmarks name
-    it."""
+    to a shared window stores directly into one strided run, any other
+    put is emulated on its own call; a get loads directly up to
+    ``remote_put_threshold`` and becomes a remote-put above it or for a
+    richer target.  The paper-figure benchmarks name it."""
 
     remote_put_threshold: ClassVar[int] = 2 * KiB
 
     def force(self, key: tuple) -> Optional[str]:
         if key[0] != "osc":
             return None
-        _, op, nbytes, single_run = key[:4]
+        _, op, nbytes, single_run, *_, mapped = key
         if op == "put":
-            return OSCStrategy.DIRECT if single_run else OSCStrategy.EMULATED
+            return OSCStrategy.DIRECT if single_run and mapped else OSCStrategy.EMULATED
         direct = single_run and nbytes <= self.remote_put_threshold
         return OSCStrategy.DIRECT if direct else OSCStrategy.REMOTE_PUT
 

@@ -55,16 +55,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ChunkCredit", "ChunkReady", "Fold", "Gate", "RndvAck", "TransferScheduler"]
 
-#: The candidates of the mode and one-sided verdicts, DIRECT first so that
-#: ties take it: AUTO's modes; a remote put's or get's strategies on a
-#: shared window, priced, and unpriced (an untyped put, a several-run get).
+#: The candidates of the mode and one-sided verdicts, first to take ties:
+#: AUTO's modes; by op and mapped target, a remote put's or get's
+#: strategies, priced, and unpriced (an untyped put, a several-run get).
 _MODE_CANDIDATES = (TransferMode.DIRECT, TransferMode.GENERIC, TransferMode.DMA)
 #: The copy loop of a sender's up-front pack (``MemorySystem.walk_cost``):
 #: generic packs recursively, DMA flatten-packs with the ff loop.
 _PACK_LOOP = {TransferMode.GENERIC: "generic", TransferMode.DMA: "ff"}
 _OSC_CANDIDATES = {
-    "put": ((OSCStrategy.DIRECT, OSCStrategy.EMULATED), (OSCStrategy.DIRECT,)),
-    "get": ((OSCStrategy.DIRECT, OSCStrategy.REMOTE_PUT), (OSCStrategy.REMOTE_PUT,)),
+    ("put", True): ((OSCStrategy.DIRECT, OSCStrategy.EMULATED), (OSCStrategy.DIRECT,)),
+    ("get", True): ((OSCStrategy.DIRECT, OSCStrategy.REMOTE_PUT), (OSCStrategy.REMOTE_PUT,)),
+    ("put", False): ((OSCStrategy.EMULATED, OSCStrategy.BATCHED),) * 2,
 }
 
 
@@ -294,12 +295,14 @@ class TransferScheduler:
                   plan: Optional["PackPlan"], disp: int, nbytes: int,
                   peer: int) -> float:
         """What one lone put or get of ``nbytes`` at ``disp`` of rank
-        ``peer``'s shared window part costs under ``strategy``: the time
-        until the get returns or the closing fence may pass, plus a
-        remote-put handler's hold on the target's service loop, which the
-        origin's interrupt hides.  Built from what ``RemoteStore``,
-        ``OSCEngine.serve`` and :meth:`fetch_via_response` charge; on one
-        node every copy between the two ranks shares the memory bus."""
+        ``peer``'s window part costs under ``strategy``: the time until the
+        get returns or the closing fence may pass, plus a remote-put
+        handler's hold on the target's service loop, which the origin's
+        interrupt hides; a batched put, what it adds to its target's one
+        shipment (staging copy, bytes on the write, runs in the scatter).
+        Built from what ``RemoteStore``, ``OSCEngine.serve``, ``Win`` and
+        :meth:`fetch_via_response` charge; on one node every copy between
+        the two ranks shares the memory bus."""
         device, cfg = self.device, self.device.config
         fabric = device.world.smi.fabric
         target = device.world.device(peer)
@@ -316,6 +319,14 @@ class TransferScheduler:
         def on_bus(n: int, duration: float) -> float:  # a copy alone on the bus
             return max(duration, n / device.node.bus_capacity)
 
+        if strategy == OSCStrategy.BATCHED:
+            stage = memory.walk_cost([(nbytes, 1)], "copy", False)
+            copy = tmemory.walk_cost([(nbytes, 1)], "copy", False) + (
+                1 if plan is None else plan.n_runs) * target.config.direct_pack_block_cost
+            if local:
+                return stage + on_bus(nbytes, stage) + on_bus(nbytes, copy)
+            return stage + copy + remote_write_cost(AccessRun.contiguous(disp, nbytes),
+                                                    fabric.params_for(src), True).duration
         if op == "put" and strategy == OSCStrategy.EMULATED:
             ship = (on_bus(nbytes, memory.walk_cost([(nbytes, 1)], "copy", False)) if local
                     else 2 * hop + adapter.interrupt_latency + self.chunk_write_duration(
@@ -364,23 +375,25 @@ class TransferScheduler:
 
     def osc_verdict(self, op: str, run: Optional[AccessRun],
                     plan: Optional["PackPlan"], disp: int, nbytes: int,
-                    peer: int) -> str:
+                    peer: int, mapped: bool) -> str:
         """The :class:`~repro.mpi.transport.policy.OSCStrategy` of a remote
-        ``"put"`` or ``"get"`` on a shared window (private memory has one
-        way in, emulation): the cheaper :meth:`osc_price` of DIRECT (ties)
-        and the alternative, per op, size, target shape (one strided run
-        or not, a plan), alignment of ``disp`` and destination node
-        (which fixes the route), never ``disp`` itself.  Unpriced: a
-        typed get of several runs is a remote-put, and an untyped put
-        stores directly; emulating it ships the same bytes, then pays a
-        handler and a second copy (one node) or an interrupt, which
-        outweighs the store barrier it saves on rings up to 88 nodes, and
-        on any ring once an epoch holds a dozen puts."""
+        ``"put"`` or ``"get"``: the cheaper :meth:`osc_price` of DIRECT
+        (ties) and the alternative on a ``mapped`` target (a shared window
+        this rank still maps), of EMULATED (ties) and BATCHED for a put
+        into private memory or a degraded target; per op, size, target
+        shape (one strided run or not, a plan), alignment of ``disp``,
+        destination node (which fixes the route) and mapping, never
+        ``disp`` itself.  Unpriced: a typed get of several runs is a
+        remote-put, and an untyped put to a mapped target stores directly;
+        emulating it ships the same bytes, then pays a handler and a
+        second copy (one node) or an interrupt, which outweighs the store
+        barrier it saves on rings up to 88 nodes, and on any ring once an
+        epoch holds a dozen puts."""
         key = ("osc", op, nbytes, run is not None,
                None if plan is None else (plan.ft, plan.count),
-               disp % self._align, self._node_of[peer])
+               disp % self._align, self._node_of[peer], mapped)
         return (fastpath.enabled and self.verdicts.get(key)) or self.cheapest(
-            key, _OSC_CANDIDATES[op][(plan if op == "put" else run) is None],
+            key, _OSC_CANDIDATES[op, mapped][(plan if op == "put" else run) is None],
             partial(self.osc_price, op=op, run=run, plan=plan, disp=disp,
                     nbytes=nbytes, peer=peer))
 

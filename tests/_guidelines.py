@@ -24,7 +24,8 @@ class Forced(TransferPolicy):
     """Every verdict of a named decision takes the given candidate:
     ``Forced(coll="tree")`` keeps every collective stage a binomial tree,
     ``Forced(osc=OSCStrategy.EMULATED)`` emulates every remote put and
-    get on a shared window."""
+    get on a shared window and every put into private memory on its own
+    call."""
 
     osc: Optional[str] = None
     coll: Optional[str] = None

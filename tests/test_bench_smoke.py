@@ -89,15 +89,21 @@ class TestBenchCompare:
         bc = load_bench_compare()
         assert bc.classify("x_us", 100.0, 130.0, 0.2)[0] == "regression"
         assert bc.classify("x_us", 100.0, 110.0, 0.2)[0] == "ok"
-        assert bc.classify("x_us", 100.0, 50.0, 0.2)[0] == "improved"
+        assert bc.classify("x_us", 100.0, 50.0, 0.2)[0] == "moved"
+        assert bc.classify("x_us", 100.0, 90.0, 0.2)[0] == "ok"
         assert bc.classify("x_mibs", 100.0, 70.0, 0.2)[0] == "regression"
-        assert bc.classify("x_mibs", 100.0, 300.0, 0.2)[0] == "improved"
+        assert bc.classify("x_mibs", 100.0, 300.0, 0.2)[0] == "moved"
         assert bc.classify("x_ops", 100.0, 70.0, 0.2)[0] == "regression"
-        assert bc.classify("x_ops", 100.0, 300.0, 0.2)[0] == "improved"
+        assert bc.classify("x_ops", 100.0, 300.0, 0.2)[0] == "moved"
         assert bc.classify("x_ops", 100.0, 95.0, 0.2)[0] == "ok"
         assert bc.classify("x_other", 100.0, 130.0, 0.2)[0] == "regression"
         assert bc.classify("x_other", 100.0, 70.0, 0.2)[0] == "regression"
         assert bc.classify("x_other", 100.0, 110.0, 0.2)[0] == "ok"
+        # The price gate's tolerance: any move beyond it fails.
+        assert bc.classify("x_us", 100.0, 100.0 - 1e-3, 1e-6)[0] == "moved"
+        assert bc.classify("x_mibs", 100.0, 100.0, 1e-6)[0] == "ok"
+        lines, failed = bc.compare({"a_us": 100.0}, {"a_us": 50.0}, 1e-6)
+        assert failed and any("regenerate the baseline" in l for l in lines)
 
     def test_missing_metric_fails(self):
         bc = load_bench_compare()

@@ -291,15 +291,21 @@ class TestOscRecovery:
     """One-sided differential oracle: direct, degraded, and torn paths."""
 
     @staticmethod
-    def osc_program(nbytes=8 * KiB, rounds=6):
+    def osc_program(nbytes=8 * KiB, rounds=6, shared=True, pieces=1):
+        """Each round rank 0 puts ``nbytes`` into rank 1's window in
+        ``pieces`` puts, then fences twice."""
+        step = nbytes // pieces
+
         def program(ctx):
             comm = ctx.comm
-            win = yield from comm.win_create(nbytes, shared=True)
+            win = yield from comm.win_create(nbytes, shared=shared)
             yield from win.fence()
             if comm.rank == 0:
                 for i in range(rounds):
                     data = (np.arange(nbytes, dtype=np.uint8) + i) % 241
-                    yield from win.put(data, target=1, target_disp=0)
+                    for at in range(0, nbytes, step):
+                        yield from win.put(data[at : at + step], target=1,
+                                           target_disp=at)
                     yield from win.fence()
                     yield from win.fence()
                 return None
@@ -322,6 +328,20 @@ class TestOscRecovery:
         assert got == reference
         assert plan.total_injected > 0
         assert total_recovery(faulty)["retries"] > 0
+
+    @seeds
+    def test_osc_private_batch_differential_oracle(self, seed):
+        """Private memory: each round's 128 puts of 64 B ship at the fence
+        as one emulated put; a lost or torn shipment is resent whole."""
+        program = self.osc_program(shared=False, pieces=128)
+        reference = Cluster(n_nodes=2).run(program).results[1]
+        plan = FaultPlan(seed=seed, transient_rate=0.25, torn_rate=0.25)
+        faulty = Cluster(n_nodes=2, faults=plan)
+        got = faulty.run(program).results[1]
+        assert got == reference
+        assert plan.total_injected > 0
+        assert total_recovery(faulty)["retries"] > 0
+        assert faulty.metrics.snapshot()["fabric.interrupts"] == 6
 
     @seeds
     def test_osc_unmap_degrades_to_emulation(self, seed):

@@ -7,6 +7,7 @@ from repro._units import KiB
 from repro.cluster import Cluster
 from repro.mpi.datatypes import DOUBLE, INT, Indexed, Vector
 from repro.mpi.errors import RMAError
+from repro.mpi.transport import PaperThresholdPolicy
 
 
 def make_cluster(n=2, **kw):
@@ -238,9 +239,16 @@ class TestOSCTiming:
             yield from win.fence()
             return ctx.now - t0
 
-        t_shared = make_cluster().run(lambda c: program(c, True)).results[0]
-        t_private = make_cluster().run(lambda c: program(c, False)).results[0]
+        paper = PaperThresholdPolicy()
+        t_shared = make_cluster(policy=paper).run(
+            lambda c: program(c, True)).results[0]
+        t_private = make_cluster(policy=paper).run(
+            lambda c: program(c, False)).results[0]
         assert t_private > 2 * t_shared
+        # The default batches the 16 private puts: one shipment, one
+        # interrupt and one handler pass at the closing fence.
+        t_batched = make_cluster().run(lambda c: program(c, False)).results[0]
+        assert t_shared < t_batched < t_private / 4
 
     def test_direct_get_slower_than_direct_put(self):
         """Read/write asymmetry shows through MPI_Get vs MPI_Put."""

@@ -1,12 +1,14 @@
 """The one-sided verdict: every remote put and get takes its cheapest way.
 
 ``TransferScheduler.osc_verdict`` prices DIRECT against EMULATED (a put)
-or REMOTE_PUT (a get) from the costs the protocol bodies charge and
-memoizes the answer per target shape.  These tests hold the default to
-the best forced strategy and to the per-block decomposition of the same
-bytes (the self-consistent performance guidelines of Traff, Hunold and
-Carpen-Amarie), pin the pricing work the hot path pays, and pin the
-event counts of the direct and the emulated put and of the emulated get.
+or REMOTE_PUT (a get) on a shared window, and EMULATED against BATCHED
+for a put into private memory, from the costs the protocol bodies charge
+and memoizes the answer per target shape.  These tests hold the default
+to the best forced strategy and to the per-block decomposition of the
+same bytes (the self-consistent performance guidelines of Traff, Hunold
+and Carpen-Amarie), pin the pricing work the hot path pays, and pin the
+event counts of the direct, the emulated and the batched put and of the
+emulated get.
 """
 
 import numpy as np
@@ -21,7 +23,12 @@ from repro.mpi.datatypes import DOUBLE, Indexed, Vector
 from repro.mpi.flatten import get_plan
 from repro.mpi.osc.messages import OSCGet
 from repro.mpi.osc.window import OSCEngine
-from repro.mpi.transport import OSCStrategy, TransferPolicy, fastpath_disabled
+from repro.mpi.transport import (
+    OSCStrategy,
+    PaperThresholdPolicy,
+    TransferPolicy,
+    fastpath_disabled,
+)
 from repro.mpi.transport.layout import as_access_run
 from repro.mpi.transport.scheduler import TransferScheduler
 
@@ -87,9 +94,12 @@ def _run(op, nbytes, shared, local, dtype, disp, policy, decompose):
     return elapsed, counters, sum(held)
 
 
-def _forced(op, single_run):
+def _forced(op, single_run, shared):
     if op == "put":
-        return (OSCStrategy.DIRECT, OSCStrategy.EMULATED)
+        return (OSCStrategy.DIRECT if shared else OSCStrategy.BATCHED,
+                OSCStrategy.EMULATED)
+    if not shared:
+        return ()
     if single_run:
         return (OSCStrategy.DIRECT, OSCStrategy.REMOTE_PUT)
     return (OSCStrategy.REMOTE_PUT,)
@@ -128,8 +138,9 @@ def _typed(dtype):
 
 
 class TestSelfConsistency:
-    """The default's call time is within 5 % of each forced strategy and
-    of the per-block decomposition of the same bytes.  Two kinds of get
+    """The default's call time is within 5 % of each forced strategy (on a
+    private window: per-call emulation and batching) and of the
+    per-block decomposition of the same bytes.  Two kinds of get
     are known to lose; a drawn case of either kind is not asserted, and
     each kind is pinned by strict ``xfail`` examples at its measured
     ratio (EXPERIMENTS.md, "One-sided verdict"):
@@ -174,7 +185,7 @@ class TestSelfConsistency:
         default, counters, _ = _run(op, nbytes, shared, local, dtype, disp,
                                     None, False)
         single = dtype is None or as_access_run(dtype.flattened, 1) is not None
-        for strategy in _forced(op, single) if shared else ():
+        for strategy in _forced(op, single, shared):
             forced, _, held = _run(op, nbytes, shared, local, dtype, disp,
                                    Forced(osc=strategy), False)
             if (not pinned and op == "get" and counters["direct_gets"]
@@ -372,7 +383,13 @@ class TestPricingWork:
         assert _marginal_events("put", True) == 4
 
     def test_emulated_remote_put_is_10_events(self):
-        assert _marginal_events("put", False) == 10
+        """A private put emulated on its own call (the paper's policy)."""
+        assert _marginal_events("put", False, PaperThresholdPolicy()) == 10
+
+    def test_batched_remote_put_is_at_most_3_events(self):
+        """The default queues a private 64 B put until the fence: its
+        call, and its block in the staging copy of the one shipment."""
+        assert _marginal_events("put", False) <= 3
 
     def test_emulated_get_is_13_events(self):
         assert _marginal_events("get", False) == 13
@@ -435,7 +452,7 @@ def _count_prices(monkeypatch):
     return prices
 
 
-def _marginal_events(op, shared):
+def _marginal_events(op, shared, policy=None):
     """``sim.events`` one more 64 B call adds to a sweep."""
     def total(calls):
         def program(ctx):
@@ -449,7 +466,7 @@ def _marginal_events(op, shared):
                         yield from win.get(64, 1, 128 * i)
             yield from win.fence()
 
-        cluster = Cluster(n_nodes=2)
+        cluster = Cluster(n_nodes=2, policy=policy)
         cluster.run(program)
         return cluster.metrics.snapshot()["sim.events"]
 

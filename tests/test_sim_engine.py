@@ -639,16 +639,17 @@ class TestEngineContract:
         """A remote 64 B put costs a fixed number of heap events.
 
         Direct (shared window): call overhead, hop latency, flow timer,
-        flow completion.  Emulated (private window): the same four for the
-        payload, plus the interrupt, the service loop's wake-up and poll
-        latency, handler dispatch, the handler's copy and the
-        acknowledgement — and nothing for the fire-and-forget delivery
-        into the service queue.  A never-awaited event that creeps back
-        in changes these numbers.
+        flow completion.  Emulated call by call (private window, the
+        paper's policy): the same four for the payload, plus the
+        interrupt, the service loop's wake-up and poll latency, handler
+        dispatch, the handler's copy and the acknowledgement — and
+        nothing for the fire-and-forget delivery into the service queue.
+        A never-awaited event that creeps back in changes these numbers.
         """
         import numpy as np
 
         from repro.cluster import Cluster
+        from repro.mpi.transport import PaperThresholdPolicy
 
         def events(n_puts):
             def program(ctx):
@@ -659,7 +660,7 @@ class TestEngineContract:
                         yield from win.put(np.zeros(64, dtype=np.uint8), 1, 128 * i)
                 yield from win.fence()
 
-            cluster = Cluster(n_nodes=2)
+            cluster = Cluster(n_nodes=2, policy=PaperThresholdPolicy())
             cluster.run(program)
             return cluster.engine.events_processed
 

@@ -146,7 +146,7 @@ class TestOSCSpans:
         assert acc.detail["strategy"] == "emulated"
         tracer = run_osc_traced(shared=False)
         (put,) = tracer.spans("osc.put")
-        assert put.detail["strategy"] == "emulated"
+        assert put.detail["strategy"] == "batched"  # shipped at the fence
         (get,) = tracer.spans("osc.get")
         assert get.detail["strategy"] == "emulated"
 

@@ -86,21 +86,26 @@ class TestTransferPolicy:
     # 2 KiB rule; the chunked policy forces the flat broadcast onto the
     # chain and leaves every reduction stage alone.  Below three ranks, or
     # at one rendezvous chunk, no stage asks (the chain is the tree there,
-    # pinned in tests/test_collectives_extended.py), and a private window
-    # is emulated before any verdict.
+    # pinned in tests/test_collectives_extended.py), and a get from a
+    # private window is emulated before any verdict.  A put to one (key
+    # ends ``mapped=False``) is priced, emulated or batched, and the
+    # paper's policy emulates it call by call.
     @pytest.mark.parametrize("policy, key, forced", [
         (TransferPolicy(), ("mode", None, 1, 4 * KiB, False, True), None),
-        (TransferPolicy(), ("osc", "get", 8, True, None, 0, 1), None),
+        (TransferPolicy(), ("osc", "get", 8, True, None, 0, 1, True), None),
         (TransferPolicy(), ("coll", True, False, 256 * KiB, 4), None),
-        (PaperThresholdPolicy(), ("osc", "put", 8, True, None, 0, 1),
+        (PaperThresholdPolicy(), ("osc", "put", 8, True, None, 0, 1, True),
          OSCStrategy.DIRECT),
-        (PaperThresholdPolicy(), ("osc", "put", 8, False, (None, 1), 0, 1),
+        (PaperThresholdPolicy(), ("osc", "put", 8, False, (None, 1), 0, 1, True),
          OSCStrategy.EMULATED),
-        (PaperThresholdPolicy(), ("osc", "get", 2 * KiB, True, None, 0, 1),
+        (PaperThresholdPolicy(), ("osc", "put", 8, True, None, 0, 1, False),
+         OSCStrategy.EMULATED),
+        (TransferPolicy(), ("osc", "put", 8, True, None, 0, 1, False), None),
+        (PaperThresholdPolicy(), ("osc", "get", 2 * KiB, True, None, 0, 1, True),
          OSCStrategy.DIRECT),
-        (PaperThresholdPolicy(), ("osc", "get", 2 * KiB + 1, True, None, 0, 1),
+        (PaperThresholdPolicy(), ("osc", "get", 2 * KiB + 1, True, None, 0, 1, True),
          OSCStrategy.REMOTE_PUT),
-        (PaperThresholdPolicy(), ("osc", "get", 64, False, (None, 1), 0, 1),
+        (PaperThresholdPolicy(), ("osc", "get", 64, False, (None, 1), 0, 1, True),
          OSCStrategy.REMOTE_PUT),
         (PaperThresholdPolicy(), ("mode", None, 1, 4 * KiB, False, True), None),
         (PaperThresholdPolicy(), ("coll", True, False, 256 * KiB, 4), None),
@@ -109,7 +114,7 @@ class TestTransferPolicy:
         (ChunkedCollectivesPolicy(), ("coll", False, False, 256 * KiB, 4),
          None),
         (ChunkedCollectivesPolicy(), ("coll", False, True, 256 * KiB, 4), None),
-        (ChunkedCollectivesPolicy(), ("osc", "get", 8, True, None, 0, 1), None),
+        (ChunkedCollectivesPolicy(), ("osc", "get", 8, True, None, 0, 1, True), None),
     ])
     def test_force(self, policy, key, forced):
         assert policy.force(key) == forced
@@ -638,6 +643,9 @@ class TestCostTableKeys:
         assert stats["hits"] > stats["misses"]
 
     def test_strided_put_sweep_reuses_one_entry_per_alignment(self):
+        """Puts emulated call by call (the paper's policy; the default
+        ships the sweep as one batch) price each shipment from one cost
+        table entry per alignment."""
         access, window = 1 * KiB, 128 * KiB
 
         def program(ctx):
@@ -648,7 +656,7 @@ class TestCostTableKeys:
                 yield from win.put(data, 1 - ctx.comm.rank, offset)
             yield from win.fence()
 
-        cluster = Cluster(n_nodes=2)
+        cluster = Cluster(n_nodes=2, policy=PaperThresholdPolicy())
         cluster.run(program)
         counts = cluster.metrics.snapshot()
         hits = counts["engine.fastpath_table_hits"]

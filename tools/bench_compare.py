@@ -21,6 +21,10 @@ convention set by :mod:`repro.bench.smoke`);
 * anything else — direction unknown; a regression is the relative
   difference exceeding the tolerance either way.
 
+A move beyond the tolerance in the better direction fails too, as
+``moved``: a gauge that changed is not gated by a stale baseline, so the
+baseline must be regenerated on purpose, in the change that moves it.
+
 Exit status: 0 if every baseline metric is present and within tolerance,
 1 otherwise.  Metrics present only in the current run are reported but
 never fail the comparison (they become regressions only once a new
@@ -58,32 +62,27 @@ def direction(name: str) -> str | None:
 
 def classify(name: str, baseline: float, current: float,
              tolerance: float) -> tuple[str, float]:
-    """Return ``(verdict, rel)`` where verdict is ``ok`` / ``regression``
-    / ``improved`` and ``rel`` is the signed relative change (positive =
-    current is larger)."""
+    """Return ``(verdict, rel)`` where verdict is ``ok``, ``regression``
+    (worse beyond the tolerance) or ``moved`` (better beyond it) and
+    ``rel`` is the signed relative change (positive = current is
+    larger)."""
     if baseline == 0:
         rel = 0.0 if current == 0 else float("inf")
     else:
         rel = (current - baseline) / abs(baseline)
     sense = direction(name)
-    if sense == "lower":
-        worse, better = rel > tolerance, rel < 0
-    elif sense == "higher":
-        worse, better = rel < -tolerance, rel > 0
-    else:
-        worse, better = abs(rel) > tolerance, False
-    if worse:
+    if abs(rel) <= tolerance:
+        return "ok", rel
+    if sense is None or (rel > 0) == (sense == "lower"):
         return "regression", rel
-    if better and abs(rel) > tolerance:
-        return "improved", rel
-    return "ok", rel
+    return "moved", rel
 
 
 def compare(baseline: dict, current: dict,
             tolerance: float = DEFAULT_TOLERANCE) -> tuple[list[str], bool]:
     """Diff two metric dicts; returns (report lines, any_regression)."""
     lines = []
-    failed = False
+    failed = moved = False
     width = max((len(k) for k in {**baseline, **current}), default=1)
     for name, base_value in baseline.items():
         if name not in current:
@@ -91,7 +90,8 @@ def compare(baseline: dict, current: dict,
             failed = True
             continue
         verdict, rel = classify(name, base_value, current[name], tolerance)
-        failed |= verdict == "regression"
+        failed |= verdict != "ok"
+        moved |= verdict == "moved"
         lines.append(
             f"{name:<{width}}  {base_value:12.3f} -> {current[name]:12.3f} "
             f"({rel:+7.1%})  {verdict}"
@@ -100,6 +100,8 @@ def compare(baseline: dict, current: dict,
         if name not in baseline:
             lines.append(f"{name:<{width}}  {current[name]:12.3f}  "
                          "new metric (not in baseline)")
+    if moved:
+        lines.append("a gauge moved: regenerate the baseline on purpose")
     return lines, failed
 
 
