@@ -11,9 +11,12 @@ Layers, bottom-up:
 * :mod:`~repro.hardware.sci.flows` — fluid bandwidth sharing with the
   congestion-response curve calibrated from the paper's Table 2.
 * :mod:`~repro.hardware.sci.fabric` — the operation facade (pio_write,
-  pio_read, dma_transfer, store_barrier, post_interrupt) used by SMI/MPI.
+  pio_read, dma_transfer, transfer_raw, store_barrier, post_interrupt)
+  used by SMI/MPI; the four data operations price a transfer and hand it
+  to one wire body (shaping, faults, propagation, shared flow, counters).
 * :mod:`~repro.hardware.sci.segments` — exported/imported shared segments
-  that move the actual bytes.
+  that move the actual bytes; an :class:`ImportedSegment` is the one
+  access object SMI hands a rank for a region, remote or on its node.
 """
 
 from .fabric import SCIConnectionError, SCIFabric

@@ -5,6 +5,12 @@ to.  All its operations are DES generators — a process performs a remote
 write by ``yield from fabric.pio_write(...)`` and resumes when the data has
 been delivered (sharing ring bandwidth with every concurrent transfer).
 
+The four data operations (``pio_write``, ``pio_read``, ``dma_transfer``,
+``transfer_raw``) differ only in how they price a transfer; every byte
+then goes through one body, ``_wire``: QoS shaping, fault injection,
+propagation, the shared flow, the counters and the ``fabric.xfer``
+record.
+
 Data *placement* is the caller's job: the fabric deals in costs and
 completion times, the segment layer (:mod:`repro.hardware.sci.segments`)
 moves the actual bytes at completion.  This separation keeps the cost
@@ -15,17 +21,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ...memlib import CostTable
 from ..params import DEFAULT_NODE, NodeParams
 from .faults import FaultKind, FaultPlan, SCITransientError, TornTransferError
 from .flows import FlowNetwork
 from .topology import Route, Topology
-from .transactions import (
-    AccessRun,
-    CostTable,
-    dma_cost,
-    remote_read_txns,
-    remote_write_cost,
-)
+from .transactions import AccessRun, dma_cost, remote_read_txns, remote_write_cost
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...sim import Engine
@@ -89,8 +90,9 @@ class SCIFabric:
         #: installed manager with no ACTIVE reservation — leave every
         #: duration untouched.
         self.qos = None
-        #: PIO write costs by (origin node, target alignment, run geometry),
-        #: and read transaction counts by ``("read", ...)`` of the same.
+        #: PIO write durations by (origin node, target alignment, run
+        #: geometry, source cache state), and read transaction counts by
+        #: ``("read", ...)`` of the same.
         self._pio_costs = CostTable()
         self._ringlet_ids: dict = {}
         #: Dense ringlet id -> human-readable track name, for topologies
@@ -147,6 +149,13 @@ class SCIFabric:
             self.counters["retries"] += 1
             return 1.0 + self._error_penalty
         return 1.0
+
+    @property
+    def exact(self) -> bool:
+        """Does every transfer take exactly its priced duration: no fault
+        plan, no retry draws and no enforcing QoS?"""
+        return (self.fault_plan is None and self._error_rate == 0.0
+                and (self.qos is None or not self.qos.enforcing))
 
     def install_fault_plan(self, plan: Optional[FaultPlan]) -> None:
         """Attach (or clear) the deterministic fault-injection plan.
@@ -225,12 +234,6 @@ class SCIFabric:
                                duration=end - start,
                                ringlet=self._ringlet_of(route))
 
-    def _draw_fault(self, src: int, dst: int, nbytes: int,
-                    tearable: bool = False):
-        if self.fault_plan is None:
-            return None
-        return self.fault_plan.draw_transfer(src, dst, nbytes, tearable)
-
     def _abort_transfer(self, src: int, route: Route, nbytes: int,
                         duration: float, fault: tuple[str, int]):
         """Charge the failed attempt's wire time, then raise the fault.
@@ -294,42 +297,61 @@ class SCIFabric:
 
     # -- operations (DES generators) -------------------------------------------
 
-    def pio_write(
-        self,
-        src: int,
-        dst: int,
-        run: AccessRun,
-        src_cached: bool = True,
-    ):
-        """Transparent remote write of an access run; returns its WriteCost."""
-        if src == dst:
-            raise ValueError("pio_write is for remote targets; use the memory model locally")
-        route = self._check_route(src, dst)
-        params = self.params_for(src)
-        cost = self._pio_costs.lookup(
-            (src, run.base % params.write_alignment, run.size, run.stride,
-             run.count, src_cached),
-            lambda: remote_write_cost(run, params, src_cached=src_cached))
-        duration = max(cost.cpu_time, cost.pci_time, cost.sci_time, cost.src_read_time)
-        duration += params.adapter.pio_op_overhead
-        duration *= self._retry_factor()
-        nbytes = run.total_bytes
+    #: The counters a completed transfer bumps, by op: (transfers, bytes).
+    _COUNTERS = {"pio_write": ("pio_writes", "bytes_written"),
+                 "pio_read": ("pio_reads", "bytes_read"),
+                 "dma": ("dma_transfers", "bytes_written"),
+                 "raw": ("pio_writes", "bytes_written")}
+
+    def _wire(self, op: str, src: int, dst: int, route: Route, nbytes: int,
+              duration: float, tearable: bool = False, hops: int = 0):
+        """The one body every byte the fabric moves goes through.
+
+        QoS shapes the stand-alone ``duration``; an installed fault plan
+        may fail the attempt (charged, then raised); the data propagates
+        ``hops`` links and streams at ``nbytes / duration``, sharing the
+        ring with concurrent flows; then the op's counters and its
+        ``fabric.xfer`` record.  Returns the shaped duration.
+        """
         if nbytes == 0:
-            return cost
+            return duration
         if self.qos is not None:
             duration = self.qos.shape_duration(src, route, nbytes, duration)
         t0 = self.engine.now
-        fault = self._draw_fault(src, dst, nbytes)
-        if fault is not None:
-            yield from self._abort_transfer(src, route, nbytes, duration, fault)
-        # Propagation to the target, then stream at the modelled rate
-        # (shared with concurrent flows by the network).
-        yield self.engine.timeout(route.hops * params.link.hop_latency)
+        if self.fault_plan is not None:
+            fault = self.fault_plan.draw_transfer(src, dst, nbytes, tearable)
+            if fault is not None:
+                yield from self._abort_transfer(src, route, nbytes, duration, fault)
+        if hops:
+            yield self.engine.timeout(hops * self.params_for(src).link.hop_latency)
         yield self.network.transfer(route, nbytes, nbytes / duration)
-        self.counters["pio_writes"] += 1
-        self.counters["bytes_written"] += nbytes
-        self._trace_xfer("pio_write", src, dst, nbytes, t0, route)
-        return cost
+        transfers, moved = self._COUNTERS[op]
+        self.counters[transfers] += 1
+        self.counters[moved] += nbytes
+        self._trace_xfer(op, src, dst, nbytes, t0, route)
+        return duration
+
+    def write_duration(self, src: int, run: AccessRun,
+                       src_cached: bool = True) -> float:
+        """Stand-alone duration of a remote write of ``run`` from node
+        ``src``: the slowest stage of the store pipeline plus the
+        per-operation overhead, memoized by target alignment and geometry."""
+        params = self.params_for(src)
+        return self._pio_costs.lookup(
+            (src, run.base % params.write_alignment, run.size, run.stride,
+             run.count, src_cached),
+            lambda: (remote_write_cost(run, params, src_cached=src_cached).duration
+                     + params.adapter.pio_op_overhead))
+
+    def pio_write(self, src: int, dst: int, run: AccessRun,
+                  src_cached: bool = True):
+        """Transparent remote write of an access run."""
+        if src == dst:
+            raise ValueError("pio_write is for remote targets; use the memory model locally")
+        route = self._check_route(src, dst)
+        duration = self.write_duration(src, run, src_cached) * self._retry_factor()
+        return self._wire("pio_write", src, dst, route, run.total_bytes,
+                          duration, hops=route.hops)
 
     def read_duration(self, src: int, run: AccessRun, route: Route) -> float:
         """Stand-alone duration of a remote read of ``run`` along ``route``:
@@ -348,47 +370,22 @@ class SCIFabric:
         return txns * per_txn + params.adapter.pio_op_overhead
 
     def pio_read(self, src: int, dst: int, run: AccessRun):
-        """Transparent remote read; the CPU stalls per read transaction."""
+        """Transparent remote read; the CPU stalls per read transaction.
+        Its round trips include the propagation, so none is added."""
         if src == dst:
             raise ValueError("pio_read is for remote targets; use the memory model locally")
         route = self._check_route(src, dst)
-        duration = self.read_duration(src, run, route)
-        nbytes = run.total_bytes
-        if duration == 0.0 or nbytes == 0:
-            return 0.0
-        if self.qos is not None:
-            duration = self.qos.shape_duration(src, route, nbytes, duration)
-        t0 = self.engine.now
-        fault = self._draw_fault(src, dst, nbytes)
-        if fault is not None:
-            yield from self._abort_transfer(src, route, nbytes, duration, fault)
-        yield self.network.transfer(route, nbytes, nbytes / duration)
-        self.counters["pio_reads"] += 1
-        self.counters["bytes_read"] += nbytes
-        self._trace_xfer("pio_read", src, dst, nbytes, t0, route)
-        return duration
+        return self._wire("pio_read", src, dst, route, run.total_bytes,
+                          self.read_duration(src, run, route))
 
     def dma_transfer(self, src: int, dst: int, nbytes: int):
         """DMA-engine transfer of a contiguous block (no CPU involvement)."""
         if src == dst:
             raise ValueError("dma_transfer is for remote targets")
         route = self._check_route(src, dst)
-        params = self.params_for(src)
-        duration = dma_cost(nbytes, params) * self._retry_factor()
-        if nbytes == 0:
-            return 0.0
-        if self.qos is not None:
-            duration = self.qos.shape_duration(src, route, nbytes, duration)
-        t0 = self.engine.now
-        fault = self._draw_fault(src, dst, nbytes)
-        if fault is not None:
-            yield from self._abort_transfer(src, route, nbytes, duration, fault)
-        yield self.engine.timeout(route.hops * params.link.hop_latency)
-        yield self.network.transfer(route, nbytes, nbytes / duration)
-        self.counters["dma_transfers"] += 1
-        self.counters["bytes_written"] += nbytes
-        self._trace_xfer("dma", src, dst, nbytes, t0, route)
-        return duration
+        duration = dma_cost(nbytes, self.params_for(src)) * self._retry_factor()
+        return self._wire("dma", src, dst, route, nbytes, duration,
+                          hops=route.hops)
 
     def transfer_raw(self, src: int, dst: int, nbytes: int, duration: float,
                      tearable: bool = False):
@@ -409,21 +406,10 @@ class SCIFabric:
         if duration <= 0:
             raise ValueError(f"non-positive duration: {duration}")
         route = self._check_route(src, dst)
-        params = self.params_for(src)
-        if nbytes == 0:
-            return
-        duration *= self._retry_factor()
-        if self.qos is not None:
-            duration = self.qos.shape_duration(src, route, nbytes, duration)
-        t0 = self.engine.now
-        fault = self._draw_fault(src, dst, nbytes, tearable=tearable)
-        if fault is not None:
-            yield from self._abort_transfer(src, route, nbytes, duration, fault)
-        yield self.engine.timeout(route.hops * params.link.hop_latency)
-        yield self.network.transfer(route, nbytes, nbytes / duration)
-        self.counters["pio_writes"] += 1
-        self.counters["bytes_written"] += nbytes
-        self._trace_xfer("raw", src, dst, nbytes, t0, route)
+        if nbytes:
+            duration *= self._retry_factor()
+        return self._wire("raw", src, dst, route, nbytes, duration, tearable,
+                          route.hops)
 
     def store_barrier(self, src: int, dst: int):
         """Wait until all writes issued by src towards dst have arrived.

@@ -7,9 +7,10 @@ reproduces that model:
 
 * :class:`SegmentDirectory` plays the role of the SCI driver / segment
   manager (export, lookup, import).
-* :class:`ImportedSegment` is the origin-side mapping; its ``write``,
-  ``read``, ``dma_write`` and ``barrier`` methods are DES generators that
-  charge fabric costs and move real bytes.
+* :class:`ImportedSegment` is the origin-side mapping and the one access
+  object above the fabric (SMI hands it out per rank); its ``write``,
+  ``read`` and ``barrier`` methods are DES generators that charge fabric
+  costs and move real bytes.
 
 Same-node imports short-circuit to the local memory model — the symmetry
 the paper exploits through the SMI library ("all of the work ... can
@@ -19,7 +20,6 @@ equally be applied to intra-node shared memory communication").
 from __future__ import annotations
 
 from itertools import count as _counter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from ..memory import MemorySystem
 from ..node import Node
 from .fabric import SCIFabric
 from .transactions import AccessRun
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
 
 __all__ = [
     "SCISegment",
@@ -197,20 +194,9 @@ class ImportedSegment:
         else:
             self.ensure_mapped()
             yield from self.fabric.pio_write(
-                self.origin.node_id,
-                self.segment.node.node_id,
-                run,
-                src_cached=src_cached,
-            )
+                self.origin.node_id, self.segment.node.node_id, run,
+                src_cached=src_cached)
         scatter_run(self.segment.local_view(), run, snapshot)
-
-    def write_bytes(self, offset: int, data: np.ndarray, **kw):
-        """Contiguous write convenience wrapper."""
-        nbytes = data.nbytes if isinstance(data, np.ndarray) else len(data)
-        if isinstance(data, (bytes, bytearray)):
-            data = np.frombuffer(bytes(data), dtype=np.uint8)
-        run = AccessRun.contiguous(offset, nbytes)
-        return self.write(data, run, **kw)
 
     # -- read -------------------------------------------------------------------
 
@@ -224,31 +210,8 @@ class ImportedSegment:
         else:
             self.ensure_mapped()
             yield from self.fabric.pio_read(
-                self.origin.node_id, self.segment.node.node_id, run
-            )
+                self.origin.node_id, self.segment.node.node_id, run)
         return gather_run(self.segment.local_view(), run)
-
-    def read_bytes(self, offset: int, nbytes: int):
-        return self.read(AccessRun.contiguous(offset, nbytes))
-
-    # -- other operations ---------------------------------------------------------
-
-    def dma_write(self, offset: int, data: np.ndarray):
-        """DMA-engine contiguous write (no CPU stores)."""
-        if data.dtype != np.uint8:
-            data = data.reshape(-1).view(np.uint8)
-        run = AccessRun.contiguous(offset, data.nbytes)
-        self._check_run(run)
-        snapshot = np.array(data, copy=True)
-        if self.is_local:
-            yield self.fabric.engine.timeout(self.origin.memory.walk_cost(
-                [(data.nbytes, 1)], "copy", False))
-        else:
-            self.ensure_mapped()
-            yield from self.fabric.dma_transfer(
-                self.origin.node_id, self.segment.node.node_id, data.nbytes
-            )
-        scatter_run(self.segment.local_view(), run, snapshot)
 
     def barrier(self):
         """Store barrier: all previous writes are visible at the owner."""

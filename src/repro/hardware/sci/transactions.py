@@ -21,16 +21,13 @@ on the store and write-combine primitives of :mod:`repro.hardware.cpu`
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from ..cpu import count_store_units
 from ..params import NodeParams
 
 __all__ = [
     "AccessRun",
-    "CostTable",
     "TxnSummary",
     "summarize_block",
     "summarize_run",
@@ -330,54 +327,3 @@ def dma_cost(nbytes: int, params: NodeParams) -> float:
     if nbytes == 0:
         return 0.0
     return adapter.dma_setup + nbytes / adapter.dma_bw
-
-
-class CostTable:
-    """Bounded LRU of transaction costs keyed by geometry.
-
-    Keys are hashable tuples built by the owner (a rank's transfer
-    scheduler, the fabric's PIO write path) — ``(kind, alignment, block
-    groups, src_cached)``, where *alignment* is the target offset modulo
-    :attr:`~repro.hardware.params.NodeParams.write_alignment`, never the
-    absolute offset — and values are exactly what the pure cost functions
-    return, so a hit is indistinguishable from a recomputation.
-    """
-
-    def __init__(self, maxsize: int = 512):
-        if maxsize < 1:
-            raise ValueError(f"cost table maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._costs: "OrderedDict[tuple, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._costs)
-
-    def lookup(self, key: tuple, compute: Callable[[], Any]) -> Any:
-        value = self._costs.get(key)
-        if value is not None:
-            self._costs.move_to_end(key)
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = compute()
-        self._costs[key] = value
-        while len(self._costs) > self.maxsize:
-            self._costs.popitem(last=False)
-            self.evictions += 1
-        return value
-
-    def clear(self) -> None:
-        self._costs.clear()
-        self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._costs),
-            "maxsize": self.maxsize,
-        }

@@ -26,17 +26,13 @@ class CommunicationError(MPIError):
 
 
 class TransferFault(CommunicationError):
-    """A single transfer attempt failed recoverably.
+    """A transfer failed recoverably and its sender must choose the
+    recovery: ``RemoteStore.deliver_with_retry`` raises it with
+    ``unmapped`` set for a revoked segment mapping it was given no way to
+    remap (a window then falls back to emulation)."""
 
-    ``delivered`` is how many payload bytes of the attempt arrived intact
-    (nonzero for torn transfers — the resume point); ``unmapped`` is set
-    when the failure was a revoked segment mapping rather than a lost
-    transfer (recover by remapping or falling back to emulation).
-    """
-
-    def __init__(self, msg: str, delivered: int = 0, unmapped: bool = False):
+    def __init__(self, msg: str, unmapped: bool = False):
         super().__init__(msg)
-        self.delivered = delivered
         self.unmapped = unmapped
 
 

@@ -10,7 +10,6 @@ from .build import build_flattened, leaves_of
 from .plan import (
     PackError,
     PackPlan,
-    PlanCache,
     get_plan,
     plan_cache_disabled,
     plan_cache_stats,
@@ -24,7 +23,6 @@ __all__ = [
     "Level",
     "PackError",
     "PackPlan",
-    "PlanCache",
     "build_flattened",
     "get_plan",
     "leaves_of",

@@ -28,29 +28,28 @@ Coalescing is sound because runs are merged only when they are adjacent
 in *both* the packed stream and memory — the byte order of the stream is
 unchanged, only the grouping is coarser (fewer, larger copies).
 
-Plans are memoized in a bounded LRU :class:`PlanCache` with hit/miss
-counters (surfaced through :meth:`repro.obs.Tracer.summary`).  The cache can
-be disabled globally — :func:`plan_cache_disabled` — which is the
-ablation toggle ``benchmarks/test_ablations.py`` uses to measure how many
-offset-table constructions the cache saves.
+Plans are memoized in a bounded LRU (:class:`~repro.memlib.memo.CostTable`
+keyed by ``(ft, count)``) with hit/miss counters (surfaced through
+:meth:`repro.obs.Tracer.summary`).  The cache can be disabled globally —
+:func:`plan_cache_disabled` — which is the ablation toggle
+``benchmarks/test_ablations.py`` uses to measure how many offset-table
+constructions the cache saves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 import numpy as np
 
-from ...memlib import strided_view
+from ...memlib import CostTable, strided_view
 from .stack import FlattenedType
 
 __all__ = [
     "PackError",
     "PackPlan",
-    "PlanCache",
     "get_plan",
     "plan_cache_disabled",
     "plan_cache_stats",
@@ -454,64 +453,20 @@ class PackPlan:
             raise AssertionError(f"unpacked {pos} of {data.nbytes} bytes")
 
 
-class PlanCache:
-    """Bounded LRU cache of :class:`PackPlan` keyed by ``(ft, count)``."""
-
-    def __init__(self, maxsize: int = 64):
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._plans: "OrderedDict[tuple[FlattenedType, int], PackPlan]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def get(self, ft: FlattenedType, count: int) -> PackPlan:
-        key = (ft, count)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
-            self.hits += 1
-            return plan
-        self.misses += 1
-        plan = PackPlan(ft, count)
-        self._plans[key] = plan
-        while len(self._plans) > self.maxsize:
-            self._plans.popitem(last=False)
-            self.evictions += 1
-        return plan
-
-    def clear(self) -> None:
-        self._plans.clear()
-        self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._plans),
-            "maxsize": self.maxsize,
-        }
-
-
 #: The process-wide default cache used by all pack/unpack call sites.
-_default_cache = PlanCache()
+_default_cache = CostTable(maxsize=64)
 _enabled = True
 
 
 def get_plan(
-    ft: FlattenedType, count: int, cache: Optional[PlanCache] = None
+    ft: FlattenedType, count: int, cache: Optional[CostTable] = None
 ) -> PackPlan:
     """The memoized plan for ``(ft, count)``; builds fresh when disabled."""
-    if cache is None:
-        cache = _default_cache
     if not _enabled:
         return PackPlan(ft, count)
-    return cache.get(ft, count)
+    if cache is None:
+        cache = _default_cache
+    return cache.lookup((ft, count), lambda: PackPlan(ft, count))
 
 
 @contextmanager

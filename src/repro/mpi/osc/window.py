@@ -386,9 +386,9 @@ class Win:
                     yield from self.store.deliver_with_retry(
                         wtarget, lambda: self.store.write_run(
                             part.region, run, payload, src_cached))
-            except TransferFault as fault:
+            except TransferFault:
                 strategy, _ = yield from self._fallback(
-                    fault, wtarget, lambda: self._emulated_put(
+                    wtarget, lambda: self._emulated_put(
                         wtarget, target_disp, payload, plan))
             else:
                 self._dirty_targets.add(wtarget)
@@ -409,13 +409,12 @@ class Win:
         return self._verdict(op, run, plan, disp, nbytes, part.world_rank,
                              mapped)
 
-    def _fallback(self, fault: TransferFault, wtarget: int, emulated):
-        """A direct access failed with ``fault``: a window segment revoked
-        mid-epoch degrades its target to emulation (sticky) and redoes
-        the operation as ``emulated()``; anything else propagates.
-        Returns ``(strategy, value)``."""
-        if not fault.unmapped:
-            raise fault
+    def _fallback(self, wtarget: int, emulated):
+        """A direct access raised ``TransferFault``: a window segment was
+        revoked mid-epoch (the recovery ladder raises it for nothing
+        else).  The target degrades to emulation (sticky) and the
+        operation is redone as ``emulated()``.  Returns ``(strategy,
+        value)``."""
         self._degraded.add(wtarget)
         self.device.recovery["fallbacks"] += 1
         self.device._trace("recover.fallback.begin", peer=wtarget,
@@ -474,9 +473,9 @@ class Win:
             try:
                 data = yield from self.store.deliver_with_retry(
                     wtarget, lambda: self.store.read_run(part.region, run))
-            except TransferFault as fault:
+            except TransferFault:
                 strategy, data = yield from self._fallback(
-                    fault, wtarget, lambda: self._emulated_get(
+                    wtarget, lambda: self._emulated_get(
                         wtarget, target_disp, nbytes, run, plan))
         else:
             # Remote-put (shared) or emulation (private): the target

@@ -1,17 +1,14 @@
-"""Cost composition for the three non-contiguous transfer techniques.
+"""Cost of a direct_pack_ff remote chunk write (Fig. 4).
 
-These helpers translate datatype layout information into the stage costs
-of the remote chunk writes of the copy pipelines shown in Fig. 4 (the
-local copy loops are :meth:`~repro.hardware.memory.MemorySystem.walk_cost`):
+**direct_pack_ff** packs straight into the remote packet buffer and
+unpacks straight out of the local one: no extra copies, but per-block
+loop cost and, for sub-line blocks, degraded stream gathering.  The
+contiguous chunk write that the **generic** (recursive pack, then a
+contiguous transfer) and **contiguous** techniques share is the fabric's
+own :meth:`~repro.hardware.sci.fabric.SCIFabric.write_duration`, and the
+local copy loops are :meth:`~repro.hardware.memory.MemorySystem.walk_cost`.
 
-* **generic** — recursive pack into a local buffer, contiguous transfer,
-  recursive unpack (two extra copies);
-* **direct_pack_ff** — pack straight into the remote packet buffer and
-  unpack straight out of the local one (no extra copies, but per-block
-  loop cost and, for sub-line blocks, degraded stream gathering);
-* **contiguous** — the plain reference path.
-
-All functions return durations in µs; none of them move bytes.
+Durations are in µs; nothing here moves bytes.
 """
 
 from __future__ import annotations
@@ -21,20 +18,7 @@ from ...hardware.params import NodeParams
 from ...hardware.sci.transactions import AccessRun, remote_write_cost
 from .config import ProtocolConfig
 
-__all__ = [
-    "direct_remote_chunk_duration",
-    "contiguous_remote_chunk_duration",
-]
-
-
-def contiguous_remote_chunk_duration(
-    params: NodeParams, dst_offset: int, nbytes: int, src_cached: bool
-) -> float:
-    """Stand-alone duration of a contiguous remote chunk write."""
-    cost = remote_write_cost(
-        AccessRun.contiguous(dst_offset, nbytes), params, src_cached=src_cached
-    )
-    return cost.duration + params.adapter.pio_op_overhead
+__all__ = ["direct_remote_chunk_duration"]
 
 
 def direct_remote_chunk_duration(

@@ -6,11 +6,10 @@ cache state) — yet a steady-state rendezvous stream recomputes it for
 every handshake cycle.  This module provides the two fast paths that
 exploit that (see ``docs/ENGINE.md``):
 
-* :class:`~repro.hardware.sci.transactions.CostTable` — a bounded LRU
-  (mirroring :class:`~repro.mpi.flatten.plan.PlanCache`) memoizing
-  per-chunk transaction costs, one per rank.  Pure memoization: the
-  cached value is the exact float the cost function returns, so
-  simulated time is unchanged by construction.
+* :class:`~repro.memlib.memo.CostTable` — the one bounded LRU (the plan
+  cache is another instance) memoizing per-chunk transaction costs, one
+  per rank.  Pure memoization: the cached value is the exact float the
+  cost function returns, so simulated time is unchanged by construction.
 * :class:`StreamWindow` / :class:`RecvWindowCosts` — the message types of
   the *closed-form window*: when a rendezvous chunk stream is in steady
   state on an otherwise idle engine, the sender replays the whole
@@ -30,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
-from ...hardware.sci.transactions import CostTable
+from ...memlib import CostTable
 
 __all__ = [
     "CostTable",

@@ -38,10 +38,7 @@ from ...hardware.sci.segments import SegmentUnmappedError, local_run_cost
 from ...hardware.sci.transactions import AccessRun, dma_cost, remote_write_cost
 from ...sim import Channel
 from ..errors import MessageTruncated, TransferAborted
-from ..pt2pt.costs import (
-    contiguous_remote_chunk_duration,
-    direct_remote_chunk_duration,
-)
+from ..pt2pt.costs import direct_remote_chunk_duration
 from ..pt2pt.messages import CreditReturn, EagerMsg, RndvRequest, ShortMsg
 from ...qos.lanes import LANE_RESERVED
 from . import fastpath
@@ -188,8 +185,9 @@ class TransferScheduler:
             )
         return self._costed(
             ("contig", align, nbytes, src_cached),
-            lambda: contiguous_remote_chunk_duration(
-                params, offset, nbytes, src_cached),
+            lambda: device.world.smi.fabric.write_duration(
+                device.node.node_id, AccessRun.contiguous(offset, nbytes),
+                src_cached),
         )
 
     def chunk_walk(self, groups: list[tuple[int, int]], loop: str,
@@ -342,9 +340,7 @@ class TransferScheduler:
                         + (0.0 if op == "get" else fence))
             if op == "get":
                 return fabric.read_duration(src, run, fabric.topology.route(src, dst))
-            return (hop + remote_write_cost(run, fabric.params_for(src),
-                                            src_cached).duration
-                    + adapter.pio_op_overhead + fence)
+            return hop + fabric.write_duration(src, run, src_cached) + fence
         cost = 0.0
         if op == "put":  # direct_pack_ff stores along the target plan
             for pos in range(0, nbytes, cfg.rendezvous_chunk):
@@ -365,9 +361,8 @@ class TransferScheduler:
             busy = handler + (tmemory.walk_cost(plan.groups_in_range(pos, n), "ff", True,
                                                 target.config) if strided else 0.0)
             busy += (on_bus(n, tmemory.walk_cost([(n, 1)], "copy", False)) if local
-                     else back + remote_write_cost(AccessRun.contiguous(0, n),
-                                                   fabric.params_for(dst), False).duration
-                     + fabric.params_for(dst).adapter.pio_op_overhead + fabric.barrier_time(dst))
+                     else back + fabric.write_duration(dst, AccessRun.contiguous(0, n), False)
+                     + fabric.barrier_time(dst))
             wait = (cfg.ctrl_send_cost_local + busy if local else cfg.ctrl_send_cost
                     + max(adapter.interrupt_latency + hop, busy))
             cost += wait + busy + self.chunk_walk([(n, 1)], "copy", True)
@@ -622,13 +617,9 @@ class TransferScheduler:
         if device.smi.same_node(device.rank, dest):
             return None
         fabric = device.world.smi.fabric
-        if fabric.fault_plan is not None or fabric._error_rate != 0.0:
-            return None
-        if fabric.qos is not None and fabric.qos.enforcing:
-            # Active reservations shape per-transfer durations; the
-            # closed-form replay assumes the unshaped cost model, so the
-            # event-stepped path (which consults the QoS hook on every
-            # wire op) must run instead.
+        if not fabric.exact:
+            # The replay assumes every chunk takes its priced duration:
+            # faults, retries and QoS shaping need the event-stepped path.
             return None
         network = fabric.network
         if network.active_flows != 0:

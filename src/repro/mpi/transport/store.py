@@ -10,7 +10,9 @@ emulation shipping); :class:`RemoteStore` is the one place left that
 touches the fabric on behalf of the MPI layers.
 
 Every method is a DES generator charging the same costs the scattered
-seed paths charged; none of them changes simulated timing.
+seed paths charged; none of them changes simulated timing.  The fabric's
+errors reach :meth:`RemoteStore.deliver_with_retry` untranslated, and it
+alone decides what each one means.
 """
 
 from __future__ import annotations
@@ -47,13 +49,16 @@ class RemoteStore:
         """Run ``make_attempt()`` (a fresh DES generator per call) until it
         succeeds, with bounded exponential-backoff retransmission.
 
-        Attempts signal recoverable failures by raising
-        :class:`~repro.mpi.errors.TransferFault`; ``on_unmap()`` (if given)
-        repairs a revoked segment mapping between attempts, and
-        ``on_torn(delivered)`` (if given) moves the caller's resume point
-        past a torn transfer's intact prefix and returns the span
-        attributes — the next attempt then sends the tail only.  Gives up
-        with :class:`~repro.mpi.errors.TransferAborted` after
+        The one place SCI faults are classified; attempts raise them
+        untranslated.  A ``SegmentUnmappedError`` is repaired by
+        ``on_unmap()`` between attempts, or escapes as
+        ``TransferFault(unmapped=True)`` when none is given.  A
+        ``TornTransferError`` with an intact prefix resumes when
+        ``on_torn(delivered)`` is given: it moves the caller's resume
+        point past the prefix and returns the span attributes, and the
+        next attempt sends the tail only.  Any other lost transfer is
+        retransmitted whole.  Gives up with
+        :class:`~repro.mpi.errors.TransferAborted` after
         ``RecoveryPolicy.max_retransmits`` failed retries.
         """
         device = self.device
@@ -62,7 +67,8 @@ class RemoteStore:
         while True:
             try:
                 result = yield from make_attempt()
-            except TransferFault as fault:
+            except (SegmentUnmappedError, TornTransferError,
+                    SCITransientError) as fault:
                 attempt += 1
                 if attempt > recovery.max_retransmits:
                     device.recovery["aborts"] += 1
@@ -70,9 +76,9 @@ class RemoteStore:
                         f"transfer to rank {peer} still failing after "
                         f"{recovery.max_retransmits} retransmissions"
                     ) from fault
-                if fault.unmapped:
+                if isinstance(fault, SegmentUnmappedError):
                     if on_unmap is None:
-                        raise
+                        raise TransferFault(str(fault), unmapped=True) from fault
                     device.recovery["remaps"] += 1
                     device._trace("recover.fallback.begin", peer=peer,
                                   action="remap")
@@ -80,7 +86,8 @@ class RemoteStore:
                     yield device.engine.timeout(recovery.remap_cost)
                     device._trace("recover.fallback.end", peer=peer)
                     continue
-                if fault.delivered and on_torn and recovery.resume_torn:
+                if (isinstance(fault, TornTransferError) and fault.delivered
+                        and on_torn and recovery.resume_torn):
                     device.recovery["resumes"] += 1
                     device._trace("recover.resume.begin", peer=peer,
                                   **on_torn(fault.delivered))
@@ -108,20 +115,15 @@ class RemoteStore:
         delivery.  The bytes go to ``land(offset, data)``: an eager slot,
         or the rendezvous receive's destination (``RndvAck.land``).
 
-        Injected fabric faults surface as
-        :class:`~repro.mpi.errors.TransferFault`; a torn transfer lands
-        its intact prefix first (no control packet was posted yet, so the
-        receive cannot complete on it), and the caller resumes at byte
-        ``fault.delivered``.
+        Injected fabric faults propagate to :meth:`deliver_with_retry`; a
+        torn transfer lands its intact prefix first (no control packet was
+        posted yet, so the receive cannot complete on it), and the caller
+        resumes at byte ``delivered``.
         """
         device = self.device
         n = data.nbytes
-        remote = not device.smi.same_node(device.rank, dst)
-        if remote:
-            try:
-                region.handle(device.rank).ensure_mapped()
-            except SegmentUnmappedError as exc:
-                raise TransferFault(str(exc), unmapped=True) from exc
+        if not device.smi.same_node(device.rank, dst):
+            region.handle(device.rank).ensure_mapped()
             try:
                 if mode == TransferMode.DMA:
                     yield from device.world.smi.fabric.dma_transfer(
@@ -137,9 +139,7 @@ class RemoteStore:
                     )
             except TornTransferError as exc:
                 land(offset, data[: exc.delivered])
-                raise TransferFault(str(exc), delivered=exc.delivered) from exc
-            except SCITransientError as exc:
-                raise TransferFault(str(exc)) from exc
+                raise
         elif mode == TransferMode.DIRECT:
             yield device.engine.timeout(
                 device.scheduler.chunk_walk(groups, "ff", True))
@@ -158,7 +158,7 @@ class RemoteStore:
         faulted chunk is rewritten whole (idempotent); a revoked window
         segment raises ``TransferFault(unmapped=True)``.  On one node each
         chunk is a block-wise copy on the node's memory bus, as any direct
-        local store is (``SharedSegment.write``)."""
+        local store is (``ImportedSegment.write``)."""
         device = self.device
         view, step = region.local_view(), device.config.rendezvous_chunk
         land = partial(plan.execute_unpack, view, disp)
@@ -176,35 +176,18 @@ class RemoteStore:
 
     def write_run(self, region: "SharedRegion", run: AccessRun,
                   data: np.ndarray, src_cached: bool):
-        """Direct put: transparent remote stores along a strided run.
-
-        Injected faults surface as :class:`TransferFault` — with
-        ``unmapped=True`` when the window segment was revoked (the OSC
-        layer then degrades to emulation).
-        """
-        handle = region.handle(self.device.rank)
-        try:
-            yield from handle.write(data, run, src_cached=src_cached)
-        except SegmentUnmappedError as exc:
-            raise TransferFault(str(exc), unmapped=True) from exc
-        except (SCITransientError, TornTransferError) as exc:
-            raise TransferFault(str(exc)) from exc
+        """Direct put: transparent remote stores along a strided run (a
+        revoked window segment raises ``SegmentUnmappedError``)."""
+        return region.handle(self.device.rank).write(data, run,
+                                                     src_cached=src_cached)
 
     def read_run(self, region: "SharedRegion", run: AccessRun):
         """Direct get: transparent remote loads (the CPU stalls per txn)."""
-        handle = region.handle(self.device.rank)
-        try:
-            data = yield from handle.read(run)
-        except SegmentUnmappedError as exc:
-            raise TransferFault(str(exc), unmapped=True) from exc
-        except (SCITransientError, TornTransferError) as exc:
-            raise TransferFault(str(exc)) from exc
-        return data
+        return region.handle(self.device.rank).read(run)
 
     def store_barrier(self, region: "SharedRegion"):
         """All previous direct stores into ``region`` are visible at the owner."""
-        handle = region.handle(self.device.rank)
-        yield from handle.barrier()
+        return region.handle(self.device.rank).barrier()
 
     # -- emulated delivery -----------------------------------------------------------
 
@@ -220,25 +203,15 @@ class RemoteStore:
         """
         device = self.device
         if not device.smi.same_node(device.rank, wtarget):
+            fabric = device.world.smi.fabric
+            src, dst = device.node.node_id, device.smi.node_of(wtarget).node_id
             duration = device.scheduler.chunk_write_duration(
                 TransferMode.CONTIGUOUS, dst_offset, nbytes, [(nbytes, 1)],
                 src_cached,
             )
-
-            def attempt():
-                try:
-                    yield from device.world.smi.fabric.transfer_raw(
-                        device.node.node_id,
-                        device.smi.node_of(wtarget).node_id,
-                        nbytes, duration,
-                    )
-                except SCITransientError as exc:
-                    raise TransferFault(str(exc)) from exc
-
-            yield from self.deliver_with_retry(wtarget, attempt)
-            yield from device.world.smi.fabric.post_interrupt(
-                device.node.node_id, device.smi.node_of(wtarget).node_id
-            )
+            yield from self.deliver_with_retry(wtarget, partial(
+                fabric.transfer_raw, src, dst, nbytes, duration))
+            yield from fabric.post_interrupt(src, dst)
         else:
             yield from device.node.bus_transfer(
                 device.engine, nbytes,
@@ -271,15 +244,10 @@ class RemoteStore:
         else:
             def attempt():
                 handle = response.handle(device.rank)
-                try:
-                    yield from handle.write(
-                        data, AccessRun.contiguous(offset, n), src_cached=False
-                    )
-                    yield from handle.barrier()
-                except SegmentUnmappedError as exc:
-                    raise TransferFault(str(exc), unmapped=True) from exc
-                except (SCITransientError, TornTransferError) as exc:
-                    raise TransferFault(str(exc)) from exc
+                yield from handle.write(
+                    data, AccessRun.contiguous(offset, n), src_cached=False
+                )
+                yield from handle.barrier()
 
             yield from self.deliver_with_retry(
                 origin, attempt, on_unmap=lambda: response.remap(device.rank)

@@ -5,11 +5,10 @@ the same node, plus the shared-memory spinlocks and barriers SCI-MPICH
 uses for one-sided synchronization.
 """
 
-from .regions import RegionHandle, SharedRegion, SMIContext, SMIError
+from .regions import SharedRegion, SMIContext, SMIError
 from .sync import SMIBarrier, SMIRWLock
 
 __all__ = [
-    "RegionHandle",
     "SMIBarrier",
     "SMIContext",
     "SMIError",

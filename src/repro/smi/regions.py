@@ -8,9 +8,11 @@ presented for the SCI interconnect can equally be applied to intra-node
 shared memory communication" (Sec. 6).
 
 :class:`SMIContext` owns the mapping of *ranks* (MPI processes) to *nodes*
-(simulated machines) and hands out :class:`SharedRegion` objects; a rank
-obtains a :class:`RegionHandle` to access a region, and the handle routes
-operations either through the SCI fabric or the local memory model.
+(simulated machines) and hands out :class:`SharedRegion` objects.  A rank
+accesses a region through its cached
+:class:`~repro.hardware.sci.segments.ImportedSegment` (``handle(rank)``),
+which routes every write, read and store barrier either through the SCI
+fabric or, on the owner's node, through the local memory bus.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ import numpy as np
 from ..hardware.node import Node
 from ..hardware.sci.fabric import SCIFabric
 from ..hardware.sci.segments import ImportedSegment, SegmentDirectory
-from ..hardware.sci.transactions import AccessRun
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim import Engine
 
-__all__ = ["SMIContext", "SharedRegion", "RegionHandle", "SMIError"]
+__all__ = ["SMIContext", "SharedRegion", "SMIError"]
 
 
 class SMIError(RuntimeError):
@@ -88,7 +89,7 @@ class SharedRegion:
         self.owner_rank = owner_rank
         self.segment = segment
         self.label = label
-        self._handles: dict[int, RegionHandle] = {}
+        self._handles: dict[int, ImportedSegment] = {}
 
     @property
     def nbytes(self) -> int:
@@ -98,18 +99,17 @@ class SharedRegion:
         """Direct (owner-side) numpy view — zero-cost, for the owner only."""
         return self.segment.local_view()
 
-    def handle(self, rank: int) -> "RegionHandle":
-        """This rank's mapping of the region (cached per rank)."""
+    def handle(self, rank: int) -> ImportedSegment:
+        """This rank's mapping of the region (imported once, cached)."""
         if rank not in self._handles:
-            node = self.context.node_of(rank)
-            imported = self.context.directory.import_segment(node, self.segment)
-            self._handles[rank] = RegionHandle(self, rank, imported)
+            self._handles[rank] = self.context.directory.import_segment(
+                self.context.node_of(rank), self.segment)
         return self._handles[rank]
 
-    def remap(self, rank: int) -> "RegionHandle":
+    def remap(self, rank: int) -> ImportedSegment:
         """Re-import the region for ``rank`` after a segment revocation.
 
-        Drops the cached (stale) handle and imports the segment afresh,
+        Drops the cached (stale) mapping and imports the segment afresh,
         picking up the current revocation epoch — the recovery action for
         :class:`~repro.hardware.sci.segments.SegmentUnmappedError`.
         """
@@ -121,59 +121,3 @@ class SharedRegion:
             f"<SharedRegion {self.label!r} owner=rank{self.owner_rank} "
             f"{self.nbytes} B>"
         )
-
-
-class RegionHandle:
-    """One rank's access path to a shared region.
-
-    All data operations are DES generators.  ``is_local`` is true when the
-    accessing rank lives on the owner's node — then accesses cost local
-    memory-copy time instead of SCI transactions.
-    """
-
-    def __init__(self, region: SharedRegion, rank: int, imported: ImportedSegment):
-        self.region = region
-        self.rank = rank
-        self._imported = imported
-
-    @property
-    def is_local(self) -> bool:
-        return self._imported.is_local
-
-    @property
-    def nbytes(self) -> int:
-        return self.region.nbytes
-
-    @property
-    def mapped(self) -> bool:
-        """Is the underlying import still valid (no revocation since)?"""
-        return self._imported.mapped
-
-    def ensure_mapped(self) -> None:
-        """Raise ``SegmentUnmappedError`` if the mapping went stale."""
-        self._imported.ensure_mapped()
-
-    def write(
-        self,
-        data: np.ndarray,
-        run: AccessRun,
-        src_cached: bool = True,
-    ):
-        """Write ``data`` along ``run`` (see :class:`ImportedSegment`)."""
-        return self._imported.write(data, run, src_cached=src_cached)
-
-    def write_bytes(self, offset: int, data, **kw):
-        return self._imported.write_bytes(offset, data, **kw)
-
-    def read(self, run: AccessRun):
-        return self._imported.read(run)
-
-    def read_bytes(self, offset: int, nbytes: int):
-        return self._imported.read_bytes(offset, nbytes)
-
-    def dma_write(self, offset: int, data: np.ndarray):
-        return self._imported.dma_write(offset, data)
-
-    def barrier(self):
-        """Store barrier towards the region owner."""
-        return self._imported.barrier()

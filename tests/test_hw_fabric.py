@@ -7,16 +7,21 @@ from repro._units import KiB, MiB
 from repro.hardware import DEFAULT_NODE, Node, congestion_fraction
 from repro.hardware.sci import (
     AccessRun,
+    FaultPlan,
     FlowNetwork,
+    RingOfRings,
     RingTopology,
     SCIConnectionError,
     SCIFabric,
+    SCITransientError,
     SegmentDirectory,
     SegmentError,
+    TornTransferError,
     TorusTopology,
     gather_run,
     scatter_run,
 )
+from repro.hardware.sci.transactions import remote_write_cost
 from repro.sim import Engine
 
 
@@ -316,10 +321,9 @@ class TestFabricOps:
 
     @pytest.mark.parametrize("write_combining", [True, False])
     def test_pio_write_cost_memo_equals_uncached(self, write_combining):
-        """The fabric memoises write costs by target alignment; what it
-        returns (and charges) is the uncached cost at the absolute base."""
-        from repro.hardware.sci.transactions import remote_write_cost
-
+        """The fabric memoises write durations by target alignment; what
+        it returns (and charges) is the uncached cost at the absolute
+        base."""
         slow = DEFAULT_NODE.with_write_combining(write_combining)
         eng = Engine()
         fabric = SCIFabric(eng, RingTopology(4), per_node_params={1: slow})
@@ -336,14 +340,110 @@ class TestFabricOps:
             for i, run in enumerate(runs):
                 src, cached = i % 2, bool(i % 3)
                 t0 = eng.now
-                cost = yield from fabric.pio_write(src, 2, run, src_cached=cached)
-                fresh = remote_write_cost(run, fabric.params_for(src), src_cached=cached)
-                assert cost == fresh
-                assert eng.now - t0 >= fresh.duration
+                charged = yield from fabric.pio_write(src, 2, run, src_cached=cached)
+                params = fabric.params_for(src)
+                fresh = (remote_write_cost(run, params, src_cached=cached).duration
+                         + params.adapter.pio_op_overhead)
+                assert charged == fresh == fabric.write_duration(src, run, cached)
+                assert eng.now - t0 >= fresh
 
         eng.run_process(body())
         stats = fabric._pio_costs.stats()
         assert stats["hits"] > stats["misses"]
+
+
+class _Records:
+    """A tracer stand-in keeping the fabric's ``fabric.xfer`` records."""
+
+    def __init__(self):
+        self.xfers = []
+
+    def record(self, time, rank, kind, **detail):
+        if kind == "fabric.xfer":
+            self.xfers.append(dict(detail, time=time))
+
+
+def _sweep_runs(seed: int, count: int = 60) -> list[tuple[AccessRun, bool]]:
+    """Seeded contiguous and strided runs, each with a source cache state."""
+    rng = np.random.default_rng(seed)
+    runs = []
+    for _ in range(count):
+        base = int(rng.integers(0, 4 * KiB))
+        size = int(rng.choice([1, 8, 24, 64, 100, 4 * KiB, 70 * KiB]))
+        if rng.integers(0, 2):
+            run = AccessRun.contiguous(base, size)
+        else:
+            run = AccessRun(base=base, size=size,
+                            stride=size + int(rng.choice([0, 8, 64, 1000])),
+                            count=int(rng.integers(1, 9)))
+        runs.append((run, bool(rng.integers(0, 2))))
+    return runs
+
+
+class TestWireBody:
+    """Every fabric op goes through one wire body: a PIO write is a raw
+    transfer of its own priced duration."""
+
+    @pytest.mark.parametrize("topology", [lambda: RingTopology(4),
+                                          lambda: RingOfRings(2, 4)],
+                             ids=["ring4", "ringofrings2x4"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pio_write_is_raw_transfer_of_its_duration(self, topology, seed):
+        engines = (Engine(), Engine())
+        fabrics = [SCIFabric(eng, topology()) for eng in engines]
+        records = [_Records(), _Records()]
+        for fabric, tracer in zip(fabrics, records):
+            fabric.tracer = tracer
+        pio, raw = fabrics
+        n = pio.n_nodes
+        rng = np.random.default_rng(seed + 100)
+        for run, cached in _sweep_runs(seed):
+            src = int(rng.integers(0, n))
+            dst = (src + 1 + int(rng.integers(0, n - 1))) % n
+            params = pio.params_for(src)
+            duration = raw.write_duration(src, run, cached)
+            assert duration == (remote_write_cost(run, params, src_cached=cached).duration
+                                + params.adapter.pio_op_overhead)
+            engines[0].run_process(pio.pio_write(src, dst, run, src_cached=cached))
+            engines[1].run_process(raw.transfer_raw(src, dst, run.total_bytes, duration))
+            assert engines[0].now == engines[1].now
+            assert pio.counters == raw.counters
+        strip = [[{k: v for k, v in x.items() if k != "op"} for x in r.xfers]
+                 for r in records]
+        assert strip[0] == strip[1] and len(strip[0]) == len(_sweep_runs(seed))
+        assert {x["op"] for x in records[0].xfers} == {"pio_write"}
+        assert {x["op"] for x in records[1].xfers} == {"raw"}
+
+    def test_non_tearable_transfer_never_tears(self):
+        """Under a plan that tears every transfer, only a tearable one
+        tears; every other op loses its transfer whole."""
+        eng = Engine()
+        fabric = SCIFabric(eng, RingTopology(4))
+        assert fabric.exact
+        fabric.install_fault_plan(FaultPlan(seed=5, torn_rate=1.0,
+                                            max_consecutive=100))
+        assert not fabric.exact
+        run = AccessRun.contiguous(0, 4 * KiB)
+        ops = [lambda: fabric.pio_write(0, 2, run),
+               lambda: fabric.pio_read(0, 2, run),
+               lambda: fabric.dma_transfer(0, 2, 4 * KiB),
+               lambda: fabric.transfer_raw(0, 2, 4 * KiB, 10.0)]
+        for op in ops:
+            with pytest.raises(SCITransientError):
+                eng.run_process(op())
+        assert fabric.counters["bytes_torn"] == 0
+        assert fabric.counters["faults"] == len(ops)
+        with pytest.raises(TornTransferError) as torn:
+            eng.run_process(fabric.transfer_raw(0, 2, 4 * KiB, 10.0, tearable=True))
+        assert 0 < torn.value.delivered < 4 * KiB
+        assert fabric.counters["bytes_torn"] == torn.value.delivered
+
+    def test_exact_tracks_retry_draws(self):
+        fabric = SCIFabric(Engine(), RingTopology(2))
+        fabric.set_error_rate(0.5, seed=1)
+        assert not fabric.exact
+        fabric.set_error_rate(0.0)
+        assert fabric.exact
 
 
 class TestScatterGather:
@@ -376,7 +476,7 @@ class TestSegments:
         payload = np.arange(256, dtype=np.uint8)
 
         def body():
-            yield from imported.write_bytes(100, payload)
+            yield from imported.write(payload, AccessRun.contiguous(100, 256))
             yield from imported.barrier()
 
         eng.run_process(body())
@@ -406,7 +506,7 @@ class TestSegments:
         payload = np.ones(32 * KiB, dtype=np.uint8)
 
         def body():
-            yield from local.write_bytes(0, payload)
+            yield from local.write(payload, AccessRun.contiguous(0, 32 * KiB))
             return eng.now
 
         t_local = eng.run_process(body())
@@ -423,7 +523,7 @@ class TestSegments:
         src.write(b"original-bytes!!")
 
         def writer():
-            yield from imported.write_bytes(0, src.read())
+            yield from imported.write(src.read(), AccessRun.contiguous(0, 16))
 
         def clobberer():
             yield eng.timeout(0.01)
@@ -435,19 +535,18 @@ class TestSegments:
         assert seg.local_view()[:16].tobytes() == b"original-bytes!!"
 
     def test_dma_write(self):
+        """The DMA engine's one path is the fabric op the DMA transfer
+        mode ships chunks with; it moves no bytes itself."""
         eng, nodes, fabric, directory = make_cluster()
-        seg = directory.export(nodes[1], nodes[1].space.alloc(1 * MiB))
-        imported = directory.import_segment(nodes[0], seg)
-        payload = np.full(512 * KiB, 7, dtype=np.uint8)
 
         def body():
-            yield from imported.dma_write(0, payload)
+            yield from fabric.dma_transfer(0, 1, 512 * KiB)
             return eng.now
 
         t = eng.run_process(body())
         assert t > 24.0  # at least the DMA setup cost
         assert fabric.counters["dma_transfers"] == 1
-        assert (seg.local_view()[: 512 * KiB] == 7).all()
+        assert fabric.counters["bytes_written"] == 512 * KiB
 
     def test_export_foreign_buffer_rejected(self):
         eng, nodes, fabric, directory = make_cluster()
@@ -460,7 +559,8 @@ class TestSegments:
         imported = directory.import_segment(nodes[0], seg)
 
         def body():
-            yield from imported.write_bytes(32, np.zeros(64, dtype=np.uint8))
+            yield from imported.write(np.zeros(64, dtype=np.uint8),
+                                      AccessRun.contiguous(32, 64))
 
         with pytest.raises(SegmentError):
             eng.run_process(body())

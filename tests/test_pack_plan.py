@@ -1,11 +1,12 @@
 """Unit and equivalence tests for the packing-plan subsystem.
 
 Covers the :class:`PackPlan` run tables (cross-leaf and cross-instance
-coalescing, prefix-sum range lookup), the bounded :class:`PlanCache`
-(hit/miss/eviction counters, LRU order, size bound, global toggle), and
-end-to-end equivalence: simulated pt2pt rendezvous transfers and OSC
-put/get/accumulate must produce byte-identical results and identical
-simulated times with the cache on and off.
+coalescing, prefix-sum range lookup), the bounded plan cache (a
+:class:`~repro.memlib.CostTable` keyed by ``(ft, count)``: hit/miss/
+eviction counters, LRU order, size bound, global toggle), and end-to-end
+equivalence: simulated pt2pt rendezvous transfers and OSC put/get/
+accumulate must produce byte-identical results and identical simulated
+times with the cache on and off.
 """
 
 import numpy as np
@@ -13,11 +14,11 @@ import pytest
 
 from repro._units import KiB
 from repro.cluster import Cluster
+from repro.memlib import CostTable
 from repro.mpi.datatypes import DOUBLE, Struct, Vector
 from repro.mpi.flatten import (
     PackError,
     PackPlan,
-    PlanCache,
     get_plan,
     plan_cache_disabled,
     plan_cache_stats,
@@ -120,7 +121,7 @@ class TestCoalescing:
 class TestPlanCache:
     def test_hit_miss_counters(self):
         vec = Vector(4, 1, 2, DOUBLE).commit()
-        cache = PlanCache(maxsize=8)
+        cache = CostTable(maxsize=8)
         p1 = get_plan(vec.flattened, 2, cache=cache)
         p2 = get_plan(vec.flattened, 2, cache=cache)
         assert p1 is p2
@@ -129,7 +130,7 @@ class TestPlanCache:
         assert cache.misses == 2
 
     def test_size_bound_and_evictions(self):
-        cache = PlanCache(maxsize=4)
+        cache = CostTable(maxsize=4)
         types = [Vector(n, 1, 2, DOUBLE).commit() for n in range(1, 8)]
         for t in types:
             get_plan(t.flattened, 1, cache=cache)
@@ -137,7 +138,7 @@ class TestPlanCache:
         assert cache.evictions == 3
 
     def test_lru_order(self):
-        cache = PlanCache(maxsize=2)
+        cache = CostTable(maxsize=2)
         a = Vector(2, 1, 2, DOUBLE).commit()
         b = Vector(3, 1, 2, DOUBLE).commit()
         c = Vector(4, 1, 2, DOUBLE).commit()

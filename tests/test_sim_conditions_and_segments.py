@@ -78,7 +78,7 @@ class TestSegmentHandleExtras:
         handle = directory.import_segment(nodes[0], seg)
 
         def body():
-            data = yield from handle.read_bytes(4, 8)
+            data = yield from handle.read(AccessRun.contiguous(4, 8))
             return data.tobytes()
 
         assert eng.run_process(body()) == bytes(range(4, 12))

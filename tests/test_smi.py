@@ -27,7 +27,7 @@ class TestRegions:
         payload = np.arange(128, dtype=np.uint8)
 
         def body():
-            yield from handle.write_bytes(64, payload)
+            yield from handle.write(payload, AccessRun.contiguous(64, 128))
             yield from handle.barrier()
 
         eng.run_process(body())
@@ -46,7 +46,7 @@ class TestRegions:
         handle = region.handle(0)
 
         def body():
-            data = yield from handle.read_bytes(0, 8)
+            data = yield from handle.read(AccessRun.contiguous(0, 8))
             return data
 
         data = eng.run_process(body())

@@ -18,21 +18,22 @@ from hypothesis import strategies as st
 from repro._units import KiB
 from repro.bench.noncontig import measure_point
 from repro.cluster import Cluster
-from repro.hardware.sci.faults import FaultPlan
+from repro.hardware.sci.faults import FaultPlan, SCITransientError, TornTransferError
+from repro.hardware.sci.segments import SegmentUnmappedError
 from repro.mpi.datatypes import DOUBLE, Indexed, Subarray, Vector
+from repro.mpi.errors import CommunicationError, TransferAborted, TransferFault
 from repro.mpi.flatten import get_plan
 from repro.hardware.params import DEFAULT_NODE
 from repro.mpi.pt2pt import DEFAULT_PROTOCOL, NonContigMode, ProtocolConfig
 from repro.hardware import MemorySystem
-from repro.mpi.pt2pt.costs import (
-    contiguous_remote_chunk_duration,
-    direct_remote_chunk_duration,
-)
+from repro.hardware.sci.transactions import AccessRun, remote_write_cost
+from repro.mpi.pt2pt.costs import direct_remote_chunk_duration
 from repro.mpi.transport import (
     ChunkedCollectivesPolicy,
     OSCStrategy,
     PaperThresholdPolicy,
     Protocol,
+    RecoveryPolicy,
     TransferMode,
     TransferPolicy,
 )
@@ -625,8 +626,10 @@ class TestCostTableKeys:
             if rng.integers(0, 2):
                 nbytes = int(rng.choice([8, 100, 4100]))
                 groups = [(nbytes, 1)]
-                expected = contiguous_remote_chunk_duration(
-                    params, offset, nbytes, src_cached)
+                expected = (remote_write_cost(
+                    AccessRun.contiguous(offset, nbytes), params,
+                    src_cached=src_cached).duration
+                    + params.adapter.pio_op_overhead)
                 mode = TransferMode.CONTIGUOUS
             else:
                 groups = [(int(rng.choice([8, 256])), int(rng.integers(1, 3))),
@@ -664,6 +667,77 @@ class TestCostTableKeys:
         assert hits + misses == 2 * (window // (2 * access))
         assert hits / (hits + misses) > 0.9
 
+
+class TestRecoveryLadder:
+    """``RemoteStore.deliver_with_retry`` classifies the fabric's errors
+    itself: attempts raise them untranslated."""
+
+    @staticmethod
+    def _ladder(errors, **hooks):
+        """Run the ladder over attempts that raise ``errors`` in turn and
+        then return ``"done"``.  Returns the outcome (the result, or the
+        error the ladder raised), the device's recovery counters and the
+        clock."""
+        cluster = Cluster(n_nodes=2)
+        device = cluster.world.device(0)
+        pending = list(errors)
+
+        def attempt():
+            if pending:
+                raise pending.pop(0)
+            return "done"
+            yield  # pragma: no cover - generator marker
+
+        try:
+            outcome = cluster.engine.run_process(
+                device.store.deliver_with_retry(1, attempt, **hooks))
+        except CommunicationError as error:
+            outcome = error
+        return outcome, device.recovery, cluster.engine.now
+
+    def test_lost_transfers_retry_with_backoff(self):
+        outcome, recovery, now = self._ladder(
+            [SCITransientError("lost"), SCITransientError("lost")])
+        assert outcome == "done"
+        assert recovery["retries"] == 2 and recovery["resumes"] == 0
+        assert now == 5.0 + 10.0  # RecoveryPolicy.backoff(1) + backoff(2)
+
+    def test_torn_transfer_resumes_past_its_prefix(self):
+        seen = []
+        outcome, recovery, _ = self._ladder(
+            [TornTransferError(300, 1000)],
+            on_torn=lambda delivered: seen.append(delivered) or {})
+        assert outcome == "done" and seen == [300]
+        assert recovery["resumes"] == 1 and recovery["retries"] == 0
+
+    def test_torn_transfer_without_resume_retries_whole(self):
+        outcome, recovery, _ = self._ladder([TornTransferError(300, 1000)])
+        assert outcome == "done"
+        assert recovery["retries"] == 1 and recovery["resumes"] == 0
+
+    def test_unmapped_segment_remaps(self):
+        remaps = []
+        outcome, recovery, now = self._ladder(
+            [SegmentUnmappedError("revoked")],
+            on_unmap=lambda: remaps.append(True))
+        assert outcome == "done" and remaps == [True]
+        assert recovery["remaps"] == 1 and recovery["retries"] == 0
+        assert now == 25.0  # RecoveryPolicy.remap_cost
+
+    def test_unmapped_segment_without_remap_escapes(self):
+        revoked = SegmentUnmappedError("revoked")
+        outcome, recovery, _ = self._ladder([revoked])
+        assert isinstance(outcome, TransferFault) and outcome.unmapped
+        assert outcome.__cause__ is revoked and recovery["remaps"] == 0
+
+    def test_gives_up_after_max_retransmits(self):
+        budget = RecoveryPolicy().max_retransmits
+        lost = [SCITransientError("lost")] * (budget + 1)
+        outcome, recovery, _ = self._ladder(lost[:budget])
+        assert outcome == "done" and recovery["retries"] == budget
+        outcome, recovery, _ = self._ladder(lost)
+        assert isinstance(outcome, TransferAborted)
+        assert recovery["retries"] == budget and recovery["aborts"] == 1
 
 class TestGroupSums:
     """``MemorySystem.walk_cost``'s one-pass totals equal the three
