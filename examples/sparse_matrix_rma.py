@@ -71,6 +71,7 @@ def program(ctx, shared):
     # Which remote columns do my rows touch?  Group them per owner.
     needed = np.unique(local_rows.indices)
     x_local = np.zeros(N)
+    fetched = []
     for owner in range(size):
         cols = needed[(needed >= owner * block) & (
             needed < (N if owner == size - 1 else (owner + 1) * block)
@@ -81,11 +82,14 @@ def program(ctx, shared):
             x_local[cols] = X[cols]
             continue
         # Fetch each needed entry one-sidedly (fine-grained gets, exactly
-        # the access pattern of the paper's *sparse* benchmark).
+        # the access pattern of the paper's *sparse* benchmark); a get's
+        # buffer holds its data once the fence has passed.
         for col in cols:
             data = yield from x_win.get(8, owner, int(col - owner * block) * 8)
-            x_local[col] = data.view(np.float64)[0]
+            fetched.append((col, data))
     yield from x_win.fence()
+    for col, data in fetched:
+        x_local[col] = data.view(np.float64)[0]
     gather_us = ctx.now - t0
 
     # Phase 1 result: my rows only need local accumulation.

@@ -78,6 +78,7 @@ class DistributedSpMV:
         comm = self.comm
         needed = np.unique(self.local_rows.indices)
         x = np.zeros(self.n)
+        fetched = []  # (first column, buffer): defined after the fence
         for owner in range(comm.size):
             o_lo, o_hi = self.owner_bounds(owner)
             cols = needed[(needed >= o_lo) & (needed < o_hi)]
@@ -105,8 +106,10 @@ class DistributedSpMV:
                 data = yield from self.x_win.get(
                     nbytes, owner, (run_lo - o_lo) * 8
                 )
-                x[run_lo : run_hi + 1] = data.view(np.float64)
+                fetched.append((run_lo, data))
         yield from self.x_win.fence()
+        for run_lo, data in fetched:
+            x[run_lo : run_lo + data.nbytes // 8] = data.view(np.float64)
         return x
 
     def multiply(self, x_global: np.ndarray):

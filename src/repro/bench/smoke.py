@@ -3,8 +3,8 @@
 The full figure suite takes minutes; CI wants seconds.  :func:`run_smoke`
 measures one representative point per subsystem — pt2pt latency and
 bandwidth, non-contiguous packing (generic vs. direct_pack_ff), sparse
-one-sided puts, and the fault-recovery path — and returns a flat
-``{metric: value}`` dict.  The simulation is a discrete-event model, so
+one-sided puts and gets from private memory, and the fault-recovery
+path — and returns a flat ``{metric: value}`` dict.  The simulation is a discrete-event model, so
 every value is bit-reproducible; ``tools/bench_compare.py`` diffs a fresh
 run against the committed ``benchmarks/BENCH_baseline.json`` and fails CI
 on regressions beyond its tolerance.
@@ -45,6 +45,7 @@ SMOKE_METRICS = (
     "noncontig_generic_1kib_mibs",
     "noncontig_direct_1kib_mibs",
     "sparse_put_64b_mibs",
+    "sparse_get_private_64b_mibs",
     "fault_clean_us",
     "fault_recovery_us",
     "svc_throughput_ops",
@@ -136,6 +137,8 @@ def smoke_registry() -> "MetricsRegistry":
         measure_point(1 * KiB, mode=NonContigMode.DIRECT))
     gauges["sparse_put_64b_mibs"].set(
         run_sparse(64, op="put", shared=True).bandwidth)
+    gauges["sparse_get_private_64b_mibs"].set(
+        run_sparse(64, op="get", shared=False).bandwidth)
     clean, faulty = _fault_pair()
     gauges["fault_clean_us"].set(clean)
     gauges["fault_recovery_us"].set(faulty)

@@ -235,17 +235,18 @@ class SCIFabric:
                                ringlet=self._ringlet_of(route))
 
     def _abort_transfer(self, src: int, route: Route, nbytes: int,
-                        duration: float, fault: tuple[str, int]):
+                        duration: float, fault: tuple[str, int], hops: int):
         """Charge the failed attempt's wire time, then raise the fault.
 
         Torn transfers charge only the delivered prefix; lost transfers
         went all the way out before the CRC check condemned them, so they
-        charge the full attempt.
+        charge the full attempt.  The propagation is the ``hops`` a clean
+        attempt pays (none for a read, whose round trips include it).
         """
         kind, delivered = fault
-        params = self.params_for(src)
         charged = delivered if delivered else nbytes
-        yield self.engine.timeout(route.hops * params.link.hop_latency)
+        if hops:
+            yield self.engine.timeout(hops * self.params_for(src).link.hop_latency)
         yield self.network.transfer(route, charged, nbytes / duration)
         self.counters["faults"] += 1
         self._trace("fabric.fault", fault=kind, src=src, nbytes=nbytes,
@@ -321,7 +322,8 @@ class SCIFabric:
         if self.fault_plan is not None:
             fault = self.fault_plan.draw_transfer(src, dst, nbytes, tearable)
             if fault is not None:
-                yield from self._abort_transfer(src, route, nbytes, duration, fault)
+                yield from self._abort_transfer(src, route, nbytes, duration,
+                                                fault, hops)
         if hops:
             yield self.engine.timeout(hops * self.params_for(src).link.hop_latency)
         yield self.network.transfer(route, nbytes, nbytes / duration)

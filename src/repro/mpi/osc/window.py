@@ -12,11 +12,14 @@ world's :class:`~repro.mpi.transport.policy.TransferPolicy` forces one):
 * **remote-put** — a get the target answers by writing into the
   origin's response region (SCI remote reads stall the CPU);
 * **emulated** — a control message and remote interrupt invoke a handler
-  at the target; the only way of a get into *private* window memory;
-* **batched** — a put into private memory (or a degraded target) waits
-  in its target's queue until fence, complete, unlock, flush, or a get,
-  accumulate or emulated put to that target ships the queue as one
-  emulated put, its runs applied in call order.
+  at the target; the way into *private* window memory;
+* **batched** — a put into or a get from private memory (or a degraded
+  target) waits in its target's queue, which holds puts or gets, until
+  fence, complete, unlock, flush, or a call to that target that does not
+  join the queue ships it: puts as one emulated put, their runs applied in
+  call order; gets as one emulated get, the handler gathering their runs
+  in one pass.  A get returns its buffer at once; its bytes are defined
+  once a completion point for its target has passed (MPI's rule).
 
 ``MPI_Accumulate`` always runs at the target (read-modify-write needs
 its CPU).  Synchronization: fence, general active target
@@ -30,6 +33,7 @@ ranks.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -70,29 +74,29 @@ class WinPart:
 #: The ``Win.counters`` entry of each way a remote get went.
 _GET_COUNTERS = {OSCStrategy.DIRECT: "direct_gets",
                  OSCStrategy.REMOTE_PUT: "remote_puts",
-                 OSCStrategy.EMULATED: "emulated_gets"}
+                 OSCStrategy.EMULATED: "emulated_gets",
+                 OSCStrategy.BATCHED: "emulated_gets"}
 
 
 class _Batch:
-    """The puts queued for one target: their bytes back to back in one
-    staging buffer (grown by doubling, reused), their target runs in call
-    order, the count of each put size and the first put's ``(disp,
-    plan)``."""
+    """The calls queued for one target, all puts or all gets (``kind``):
+    their target runs in call order, the count of each call size and the
+    first call's ``(disp, run, plan)``; the puts' bytes back to back in
+    one staging buffer (grown by doubling, reused), the gets' buffers."""
 
     def __init__(self):
         self.data, self.used, self.sizes = np.empty(64, np.uint8), 0, {}
         self.offsets, self.lengths, self.first = array("q"), array("q"), None
+        self.kind, self.outs = None, []
 
     def __bool__(self) -> bool:
         return bool(self.sizes)
 
-    def add(self, disp: int, payload: np.ndarray, plan) -> None:
-        n, end = payload.nbytes, self.used + payload.nbytes
-        if end > self.data.nbytes:
-            self.data.resize(max(end, 2 * self.data.nbytes), refcheck=False)
-        self.data[self.used : end] = payload
-        self.used = end
-        self.first = self.first if self.sizes else (disp, plan)
+    def add(self, kind: str, disp: int, n: int, run, plan, payload=None):
+        """Queue a put of ``payload`` or a get of ``n`` bytes; a get's
+        buffer is returned, filled when the queue ships."""
+        if not self.sizes:
+            self.kind, self.first = kind, (disp, run, plan)
         self.sizes[n] = self.sizes.get(n, 0) + 1
         if plan is not None:
             self.offsets.extend(plan.run_offsets + disp)
@@ -100,20 +104,30 @@ class _Batch:
         elif n:
             self.offsets.append(disp)
             self.lengths.append(n)
+        if kind == "get":
+            self.outs.append(np.zeros(n, np.uint8))
+            return self.outs[-1]
+        end = self.used + n
+        if end > self.data.nbytes:
+            self.data.resize(max(end, 2 * self.data.nbytes), refcheck=False)
+        self.data[self.used : end] = payload
+        self.used = end
+        return None
 
     def take(self):
-        """Empty the queue into ``(disp, bytes, plan, groups)`` of its one
-        shipment: a lone put as it was called, several at 0 along a plan
-        of their runs, with the ``(size, count)`` groups of the blocks
-        their staging copy packs."""
-        data, groups = self.data[: self.used].copy(), list(self.sizes.items())
+        """Empty the queue into ``(disp, run, plan, groups, data, outs)`` of
+        its one shipment: a lone call as it was made, several at 0 along a
+        plan of their runs, with the ``(size, count)`` groups of their
+        blocks; the puts' packed bytes, the gets' buffers."""
+        data, outs, groups = (self.data[: self.used].copy(), self.outs,
+                              list(self.sizes.items()))
         runs = (np.frombuffer(self.offsets, np.int64),
                 np.frombuffer(self.lengths, np.int64))
-        self.used, self.sizes = 0, {}
+        self.used, self.sizes, self.outs = 0, {}, []
         self.offsets, self.lengths = array("q"), array("q")
         if [count for _, count in groups] == [1]:
-            return self.first[0], data, self.first[1], None
-        return 0, data, PackPlan(None, 1, runs), groups
+            return (*self.first, None, data, outs)
+        return 0, None, PackPlan(None, 1, runs), groups, data, outs
 
 
 def _load(view: np.ndarray, disp: int, plan, pos: int,
@@ -291,8 +305,8 @@ class Win:
         self._dirty_targets: set[int] = set()
         #: Outstanding emulated-operation acknowledgements, per world rank.
         self._pending_acks: dict[int, list[Event]] = {}
-        #: Queued (batched) puts, per world rank.
-        self._batches: dict[int, _Batch] = {}
+        #: Queued (batched) puts or gets, per world rank.
+        self._batches: defaultdict[int, _Batch] = defaultdict(_Batch)
         #: Mode of each held passive-target lock (world rank -> exclusive).
         self._held_locks: dict[int, bool] = {}
         #: World ranks whose window segment became unmappable mid-epoch:
@@ -371,8 +385,9 @@ class Win:
 
         strategy = self._strategy("put", run, plan, target_disp, n, part)
         if strategy == OSCStrategy.BATCHED:
-            self._batches.setdefault(wtarget, _Batch()).add(target_disp,
-                                                            payload, plan)
+            yield from self._ship(wtarget, keep="put")
+            self._batches[wtarget].add("put", target_disp, n, run, plan,
+                                       payload)
         elif strategy == OSCStrategy.DIRECT:
             # Transparent remote stores: along one strided run, or
             # direct_pack_ff through the target plan.
@@ -400,14 +415,11 @@ class Win:
 
     def _strategy(self, op: str, run, plan, disp: int, nbytes: int,
                   part: WinPart) -> str:
-        """How a remote put or get reaches ``part``: a get from private
-        memory or a degraded target is emulated, anything else asks the
-        verdict (which the policy may force)."""
-        mapped = part.shared and part.world_rank not in self._degraded
-        if not mapped and op == "get":
-            return OSCStrategy.EMULATED
+        """How a remote put or get reaches ``part``: the verdict (which the
+        policy may force) for a target this rank maps or not (private
+        memory, a degraded target)."""
         return self._verdict(op, run, plan, disp, nbytes, part.world_rank,
-                             mapped)
+                             part.shared and part.world_rank not in self._degraded)
 
     def _fallback(self, wtarget: int, emulated):
         """A direct access raised ``TransferFault``: a window segment was
@@ -424,10 +436,9 @@ class Win:
         return OSCStrategy.EMULATED, value
 
     def _emulated_put(self, wtarget, target_disp, payload, plan):
-        """Ship one put to ``wtarget``'s handler, after the puts queued
+        """Ship one put to ``wtarget``'s handler, after the calls queued
         for it (call order)."""
-        if self._batches.get(wtarget):
-            yield from self._ship_batch(wtarget)
+        yield from self._ship(wtarget)
         n = payload.nbytes
         ack = Event(self.engine, "osc-put-ack")
         msg = OSCPut(self.state.win_id, self.world_rank, target_disp, payload,
@@ -439,18 +450,34 @@ class Win:
         )
         self._pending_acks.setdefault(wtarget, []).append(ack)
 
-    def _ship_batch(self, wtarget: int):
-        """Ship the puts queued for ``wtarget`` as one emulated put, two or
-        more packed first (one copy loop over their blocks)."""
-        disp, data, plan, groups = self._batches[wtarget].take()
-        if groups is not None:
-            yield self.engine.timeout(self.device.node.memory.walk_cost(
-                groups, "copy", False))
-        yield from self._emulated_put(wtarget, disp, data, plan)
+    def _ship(self, wtarget: int, keep: Optional[str] = None):
+        """Ship the calls queued for ``wtarget``, unless there are none or
+        they are ``keep`` calls (which the caller joins): puts as one
+        emulated put, two or more packed first (one copy loop over their
+        blocks); gets as one emulated get, whose bytes then fill the
+        callers' buffers."""
+        batch = self._batches.get(wtarget)
+        if not batch or batch.kind == keep:
+            return
+        disp, run, plan, groups, data, outs = batch.take()
+        if batch.kind == "put":
+            if groups is not None:
+                yield self.engine.timeout(self.device.node.memory.walk_cost(
+                    groups, "copy", False))
+            yield from self._emulated_put(wtarget, disp, data, plan)
+            return
+        data = yield from self._emulated_get(
+            wtarget, disp, sum(out.nbytes for out in outs), run, plan)
+        pos = 0
+        for out in outs:
+            out[:] = data[pos : pos + out.nbytes]
+            pos += out.nbytes
 
     def get(self, nbytes: int, target: int, target_disp: int = 0,
             target_datatype: Optional[Datatype] = None, target_count: int = 1):
-        """MPI_Get (DES generator): returns the fetched bytes."""
+        """MPI_Get (DES generator): returns the fetched bytes, in a buffer
+        that a batched get fills at the next completion point for
+        ``target``."""
         part = self.part(target)
         wtarget = part.world_rank
         self.device._trace("osc.get.begin", target=wtarget, nbytes=nbytes)
@@ -465,10 +492,13 @@ class Win:
             self.device._trace("osc.get.end", target=wtarget, strategy="local")
             return data
 
-        if self._batches.get(wtarget):
-            yield from self._ship_batch(wtarget)
         strategy = self._strategy("get", run, plan, target_disp, nbytes, part)
-        if strategy == OSCStrategy.DIRECT:
+        batched = strategy == OSCStrategy.BATCHED
+        yield from self._ship(wtarget, keep="get" if batched else None)
+        if batched:
+            data = self._batches[wtarget].add("get", target_disp, nbytes,
+                                              run, plan)
+        elif strategy == OSCStrategy.DIRECT:
             # Transparent remote loads (the CPU stalls).
             try:
                 data = yield from self.store.deliver_with_retry(
@@ -540,8 +570,7 @@ class Win:
             self.counters["accumulates"] += 1
             self.device._trace("osc.acc.end", target=wtarget, strategy="local")
             return fetched if fetch else None
-        if self._batches.get(wtarget):
-            yield from self._ship_batch(wtarget)
+        yield from self._ship(wtarget)
         yield from self.store.ship_emulated(
             wtarget, target_disp, n, msg, src_cached=True
         )
@@ -570,11 +599,10 @@ class Win:
 
     def _complete(self, wtargets, overhead: Optional[float] = None):
         """Finish the outstanding accesses to ``wtargets``: ship their
-        queued puts, pay the sync call's ``overhead`` (if any) while the
+        queued calls, pay the sync call's ``overhead`` (if any) while the
         handlers run, then store barriers + emulation acks."""
         for wtarget in wtargets:
-            if self._batches.get(wtarget):
-                yield from self._ship_batch(wtarget)
+            yield from self._ship(wtarget)
         if overhead is not None:
             yield self.engine.timeout(overhead)
         for wtarget in sorted(self._dirty_targets.intersection(wtargets)):

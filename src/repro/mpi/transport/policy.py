@@ -67,7 +67,7 @@ class OSCStrategy:
     REMOTE_PUT = "remote_put"  # target pushes into the origin's response region
     EMULATED = "emulated"      # control message + remote interrupt + handler
     BATCHED = "batched"        # emulated at the next completion point, with
-                               # the target's other queued puts
+                               # the target's other queued puts or gets
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,10 @@ class ChunkedCollectivesPolicy(TransferPolicy):
 
 @dataclass(frozen=True)
 class PaperThresholdPolicy(TransferPolicy):
-    """SCI-MPICH's one-sided rule (Sec. 4.2), whatever the verdict: a put
-    to a shared window stores directly into one strided run, any other
-    put is emulated on its own call; a get loads directly up to
+    """SCI-MPICH's one-sided rule (Sec. 4.2), whatever the verdict: any
+    access to private memory (or a degraded target) is emulated on its
+    own call; a put to a shared window stores directly into one strided
+    run and is emulated into anything richer; a get loads directly up to
     ``remote_put_threshold`` and becomes a remote-put above it or for a
     richer target.  The paper-figure benchmarks name it."""
 
@@ -224,8 +225,10 @@ class PaperThresholdPolicy(TransferPolicy):
         if key[0] != "osc":
             return None
         _, op, nbytes, single_run, *_, mapped = key
+        if not mapped:
+            return OSCStrategy.EMULATED
         if op == "put":
-            return OSCStrategy.DIRECT if single_run and mapped else OSCStrategy.EMULATED
+            return OSCStrategy.DIRECT if single_run else OSCStrategy.EMULATED
         direct = single_run and nbytes <= self.remote_put_threshold
         return OSCStrategy.DIRECT if direct else OSCStrategy.REMOTE_PUT
 

@@ -63,6 +63,7 @@ _OSC_CANDIDATES = {
     ("put", True): ((OSCStrategy.DIRECT, OSCStrategy.EMULATED), (OSCStrategy.DIRECT,)),
     ("get", True): ((OSCStrategy.DIRECT, OSCStrategy.REMOTE_PUT), (OSCStrategy.REMOTE_PUT,)),
     ("put", False): ((OSCStrategy.EMULATED, OSCStrategy.BATCHED),) * 2,
+    ("get", False): ((OSCStrategy.EMULATED, OSCStrategy.BATCHED),) * 2,
 }
 
 
@@ -297,10 +298,13 @@ class TransferScheduler:
         get returns or the closing fence may pass, plus a remote-put
         handler's hold on the target's service loop, which the origin's
         interrupt hides; a batched put, what it adds to its target's one
-        shipment (staging copy, bytes on the write, runs in the scatter).
-        Built from what ``RemoteStore``, ``OSCEngine.serve``, ``Win`` and
-        :meth:`fetch_via_response` charge; on one node every copy between
-        the two ranks shares the memory bus."""
+        shipment (staging copy, bytes on the write, runs in the scatter); a
+        batched get, what it adds to its target's one request (its runs in
+        the handler's gather and its bytes in the response, a hold as
+        above, and its cold drain).  Built from what ``RemoteStore``,
+        ``OSCEngine.serve``, ``Win`` and :meth:`fetch_via_response`
+        charge; on one node every copy between the two ranks shares the
+        memory bus."""
         device, cfg = self.device, self.device.config
         fabric = device.world.smi.fabric
         target = device.world.device(peer)
@@ -317,6 +321,15 @@ class TransferScheduler:
         def on_bus(n: int, duration: float) -> float:  # a copy alone on the bus
             return max(duration, n / device.node.bus_capacity)
 
+        if strategy == OSCStrategy.BATCHED and op == "get":
+            # The handler's gather and response write hold the target's
+            # service loop as a remote-put's do (below): counted twice.
+            gather = tmemory.walk_cost([(nbytes, 1)] if plan is None else plan.groups_in_range(0),
+                                       "ff", True, target.config)
+            back = (on_bus(nbytes, tmemory.walk_cost([(nbytes, 1)], "copy", False)) if local
+                    else remote_write_cost(AccessRun.contiguous(0, nbytes),
+                                           fabric.params_for(dst), False).duration)
+            return 2 * (gather + back) + self.chunk_walk([(nbytes, 1)], "copy", True)
         if strategy == OSCStrategy.BATCHED:
             stage = memory.walk_cost([(nbytes, 1)], "copy", False)
             copy = tmemory.walk_cost([(nbytes, 1)], "copy", False) + (
@@ -375,7 +388,7 @@ class TransferScheduler:
         ``"put"`` or ``"get"``: the cheaper :meth:`osc_price` of DIRECT
         (ties) and the alternative on a ``mapped`` target (a shared window
         this rank still maps), of EMULATED (ties) and BATCHED for a put
-        into private memory or a degraded target; per op, size, target
+        into or a get from private memory or a degraded target; per op, size, target
         shape (one strided run or not, a plan), alignment of ``disp``,
         destination node (which fixes the route) and mapping, never
         ``disp`` itself.  Unpriced: a typed get of several runs is a

@@ -170,6 +170,7 @@ class Rebalancer:
         """Stream one whole slot table src -> dst through the window."""
         data = yield from self.win.get(self.table_span, src.rank,
                                        src.table * self.table_span)
+        yield from self.win.flush(src.rank)
         raw = np.ascontiguousarray(np.asarray(data)).view(np.uint8)
         yield from self.win.put(raw, dst.rank, dst.table * self.table_span)
         yield from self.win.flush(dst.rank)

@@ -254,6 +254,7 @@ class KvStore:
     def _read_once(self, target: int, base: int, want: int):
         """One seqlock read attempt: (stable, value_or_None)."""
         blob = yield from self.win.get(self.slot_size, target, base)
+        yield from self.win.flush(target)  # a get's bytes are defined after it
         self.on_payload(self.slot_size)
         # One byte view for all three fields (``_word`` would re-wrap the
         # fetched array per word on this, the hottest path).
@@ -262,6 +263,7 @@ class KvStore:
         if v1 & 1:  # write in progress
             return False, None
         ver = yield from self.win.get(8, target, base + VER_OFF)
+        yield from self.win.flush(target)
         if _word(ver) != v1:  # slot changed underneath the read
             return False, None
         stored = int.from_bytes(raw[HASH_OFF:HASH_OFF + 8].tobytes(), "little")
@@ -348,6 +350,7 @@ class KvStore:
             applied = False
             if tag is not None:
                 current = yield from self.win.get(8, target, base + TAG_OFF)
+                yield from self.win.flush(target)
                 applied = _word(current) == tag
             if applied:
                 self.m.counters["replay_skips"].inc()
@@ -449,6 +452,7 @@ class KvStore:
         """Read a counter's current value (quiescent reads are exact)."""
         target, disp = self._counter_addr(counter_id)
         data = yield from self.win.get(8, target, disp)
+        yield from self.win.flush(target)
         return _word(data, signed=True)
 
     def check_counters(self, expected: dict[int, int]):

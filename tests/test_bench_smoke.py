@@ -54,7 +54,7 @@ class TestRunSmoke:
         keeps CI's artifact comparison readable.)"""
         baseline_path = REPO / "benchmarks" / "BENCH_baseline.json"
         baseline = json.loads(baseline_path.read_text())
-        assert len(baseline) == 22
+        assert len(baseline) == 23
         moved = {name: (baseline[name], metrics.get(name))
                  for name in baseline if metrics.get(name) != baseline[name]}
         assert not moved, f"(baseline, now) differ: {moved}"
@@ -64,7 +64,7 @@ class TestReferenceEngineSmoke:
     def test_event_stepped_reference_matches_baseline(self):
         """The whole smoke suite on the event-stepped reference (no
         stream window, no cost table) lands on the committed baseline
-        exactly, all 22 gauges — with ``test_matches_committed_baseline``
+        exactly, all 23 gauges — with ``test_matches_committed_baseline``
         above, the two engines agree on every simulated value."""
         from repro.bench.smoke import run_smoke
         from repro.mpi.transport import fastpath_disabled
@@ -73,7 +73,7 @@ class TestReferenceEngineSmoke:
             reference = run_smoke()
         baseline = json.loads(
             (REPO / "benchmarks" / "BENCH_baseline.json").read_text())
-        assert len(baseline) == 22
+        assert len(baseline) == 23
         assert reference == baseline
 
 

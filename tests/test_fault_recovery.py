@@ -344,6 +344,38 @@ class TestOscRecovery:
         assert faulty.metrics.snapshot()["fabric.interrupts"] == 6
 
     @seeds
+    def test_osc_private_get_batch_differential_oracle(self, seed):
+        """Private memory: each round's 128 gets of 64 B ship at the fence
+        as one emulated get; a lost response is resent whole, and every
+        buffer holds its round's bytes after the fence."""
+        nbytes, rounds, step = 8 * KiB, 6, 64
+        patterns = [((np.arange(nbytes) + 7 * i) % 241).astype(np.uint8)
+                    for i in range(rounds)]
+
+        def program(ctx):
+            win = yield from ctx.comm.win_create(nbytes, shared=False)
+            rounds_seen = []
+            for pattern in patterns:
+                win.local_view()[:] = pattern
+                yield from win.fence()
+                gets = []
+                if ctx.comm.rank == 0:
+                    for at in range(0, nbytes, step):
+                        gets.append((yield from win.get(step, 1, at)))
+                yield from win.fence()
+                rounds_seen.append(b"".join(map(bytes, gets)))
+            return rounds_seen
+
+        reference = Cluster(n_nodes=2).run(program).results[0]
+        assert reference == list(map(bytes, patterns))
+        plan = FaultPlan(seed=seed, transient_rate=0.25, torn_rate=0.25)
+        faulty = Cluster(n_nodes=2, faults=plan)
+        assert faulty.run(program).results[0] == reference
+        assert plan.total_injected > 0
+        assert total_recovery(faulty)["retries"] > 0
+        assert faulty.metrics.snapshot()["fabric.interrupts"] == rounds
+
+    @seeds
     def test_osc_unmap_degrades_to_emulation(self, seed):
         program = self.osc_program()
         reference = Cluster(n_nodes=2).run(program).results[1]

@@ -438,6 +438,25 @@ class TestWireBody:
         assert 0 < torn.value.delivered < 4 * KiB
         assert fabric.counters["bytes_torn"] == torn.value.delivered
 
+    @pytest.mark.parametrize("op", ["pio_read", "pio_write"])
+    def test_a_lost_attempt_is_charged_a_clean_attempt(self, op):
+        """A lost transfer went all the way out: the attempt charged before
+        the fault is raised takes what the clean op takes, propagation
+        once (a read's round trips already hold it: 256 B from node 0 to
+        node 2 of a 4-ring reads in 13.54 us, lost or not)."""
+        def elapsed(plan):
+            eng = Engine()
+            fabric = SCIFabric(eng, RingTopology(4))
+            if plan is not None:
+                fabric.install_fault_plan(plan)
+            try:
+                eng.run_process(getattr(fabric, op)(0, 2, AccessRun.contiguous(0, 256)))
+            except SCITransientError:
+                assert fabric.counters["faults"] == 1
+            return eng.now
+
+        assert elapsed(FaultPlan(seed=1, transient_rate=1.0)) == elapsed(None)
+
     def test_exact_tracks_retry_draws(self):
         fabric = SCIFabric(Engine(), RingTopology(2))
         fabric.set_error_rate(0.5, seed=1)

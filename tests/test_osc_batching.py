@@ -1,12 +1,15 @@
-"""Batched emulated puts: a put into private memory waits in its target's
-queue until a completion point, then ships with the target's other queued
-puts as one emulated put (one remote write, one interrupt, one handler
-scatter).
+"""Batched emulated puts and gets: a put into or a get from private
+memory waits in its target's queue until a completion point, then ships
+with the target's other queued calls of its kind: puts as one emulated
+put (one remote write, one interrupt, one handler scatter), gets as one
+emulated get (one request, one interrupt, one handler gather).
 
-The queue must be invisible to the program: every epoch type lands the
-same bytes as per-call emulation (``PaperThresholdPolicy``), puts to one
-location apply in call order, and a get or accumulate after a queued put
-to the same target sees it.
+The queue must be invisible to the program: every epoch type lands and
+fetches the same bytes as per-call emulation (``PaperThresholdPolicy``),
+puts to one location apply in call order, a get or accumulate after a
+queued put to the same target sees it, and a put after a queued get does
+not reach the get.  A get's buffer is read after a completion point for
+its target (MPI leaves it undefined before).
 """
 
 import numpy as np
@@ -25,10 +28,12 @@ WINDOW = 4 * KiB
 STRIDED = Vector(4, 8, 24, BYTE).commit()
 
 
-def _puts(seed, targets, count=40):
-    """``count`` seeded puts ``(target, disp, payload, typed)`` of 1-64 B
-    (a typed one writes ``STRIDED``'s 32 B) over ``targets``."""
-    rng = np.random.default_rng(seed)
+def _calls(seed, targets, count=40, gets=0.0):
+    """``count`` seeded calls of 1-64 B (a typed one moves ``STRIDED``'s
+    32 B) over ``targets``: puts ``(target, disp, payload, typed)``, each
+    a get ``(target, disp, nbytes, typed)`` instead with probability
+    ``gets``."""
+    rng, kinds = np.random.default_rng(seed), np.random.default_rng([seed, 1])
     out = []
     for _ in range(count):
         target = int(rng.choice(targets))
@@ -36,29 +41,39 @@ def _puts(seed, targets, count=40):
         n = STRIDED.size if typed else int(rng.integers(1, 65))
         span = STRIDED.extent if typed else n
         disp = int(rng.integers(0, WINDOW - span))
-        out.append((target, disp, rng.integers(0, 256, n, dtype=np.uint8),
+        payload = rng.integers(0, 256, n, dtype=np.uint8)
+        out.append((target, disp, n if kinds.random() < gets else payload,
                     typed))
     return out
 
 
+def _fill(rank):
+    """Rank ``rank``'s window before the epoch."""
+    return ((np.arange(WINDOW) * 7 + 3 * rank) % 251).astype(np.uint8)
+
+
+def _footprint(disp, n, typed):
+    """The window bytes a call of ``n`` bytes at ``disp`` touches."""
+    if typed:
+        return (disp + 24 * np.arange(4)[:, None] + np.arange(8)).ravel()
+    return np.arange(disp, disp + n)
+
+
 def _expected(puts, target):
     """``target``'s window after ``puts`` applied one by one."""
-    window = np.zeros(WINDOW, np.uint8)
+    window = _fill(target)
     for to, disp, payload, typed in puts:
-        if to != target:
-            continue
-        if typed:
-            for block in range(4):
-                window[disp + 24 * block : disp + 24 * block + 8] = \
-                    payload[8 * block : 8 * block + 8]
-        else:
-            window[disp : disp + payload.nbytes] = payload
+        if to == target:
+            window[_footprint(disp, payload.nbytes, typed)] = payload
     return window
 
 
-def _put(win, target, disp, payload, typed):
-    return win.put(payload, target, disp,
-                   target_datatype=STRIDED if typed else None)
+def _call(win, target, disp, data, typed):
+    """A put of ``data``, or a get of ``data`` bytes for an int."""
+    dtype = STRIDED if typed else None
+    if isinstance(data, int):
+        return win.get(data, target, disp, target_datatype=dtype)
+    return win.put(data, target, disp, target_datatype=dtype)
 
 
 def _cluster(local=False, policy=None, n=3):
@@ -67,25 +82,32 @@ def _cluster(local=False, policy=None, n=3):
     return Cluster(n_nodes=n, policy=policy)
 
 
-def _run(sync, puts, local=False, policy=None):
-    """Rank 0 issues ``puts`` to ranks 1 and 2 in one epoch closed by
-    ``sync``; returns every rank's window and the cluster."""
+def _run(sync, calls, local=False, policy=None):
+    """Rank 0 issues ``calls`` (:func:`_calls`) to ranks 1 and 2 in one
+    epoch closed by ``sync``; returns every rank's window, rank 0's
+    fetched buffers by call index (read after the sync) and the
+    cluster."""
 
     def program(ctx):
         comm = ctx.comm
         win = yield from comm.win_create(WINDOW, shared=False)
-        win.local_view()[:] = 0
+        win.local_view()[:] = _fill(comm.rank)
+        fetched = {}
+
+        def issue(target=None):
+            for i, call in enumerate(calls):
+                if target in (None, call[0]):
+                    fetched[i] = yield from _call(win, *call)
+
         if sync == "fence":
             yield from win.fence()
             if comm.rank == 0:
-                for put in puts:
-                    yield from _put(win, *put)
+                yield from issue()
             yield from win.fence()
         elif sync == "pscw":
             if comm.rank == 0:
                 yield from win.start([1, 2])
-                for put in puts:
-                    yield from _put(win, *put)
+                yield from issue()
                 yield from win.complete([1, 2])
             else:
                 yield from win.post([0])
@@ -95,35 +117,53 @@ def _run(sync, puts, local=False, policy=None):
             if comm.rank == 0:
                 for target in (1, 2):
                     yield from win.lock(target)
-                    for put in puts:
-                        if put[0] == target:
-                            yield from _put(win, *put)
+                    yield from issue(target)
                     yield from win.unlock(target)
             yield from comm.barrier()
-        return np.array(win.local_view())
+        return np.array(win.local_view()), fetched
 
     cluster = _cluster(local, policy)
-    return cluster.run(program).results, cluster
+    results = cluster.run(program).results
+    return [window for window, _ in results], results[0][1], cluster
 
 
 class TestEpochs:
     @pytest.mark.parametrize("local", [False, True], ids=["sci", "one-node"])
     @pytest.mark.parametrize("sync", ["fence", "pscw", "lock"])
     def test_epoch_lands_byte_exact(self, sync, local):
-        puts = _puts(7, [1, 2])
-        windows, cluster = _run(sync, puts, local)
+        puts = _calls(7, [1, 2])
+        windows, _, cluster = _run(sync, puts, local)
         for target in (1, 2):
             assert np.array_equal(windows[target], _expected(puts, target))
         if not local:
             # One shipment per target: one interrupt each, not forty.
             assert cluster.metrics.snapshot()["fabric.interrupts"] == 2
 
-    def test_the_paper_policy_ships_every_call(self):
-        puts = _puts(7, [1, 2])
-        windows, cluster = _run("fence", puts, policy=PaperThresholdPolicy())
-        for target in (1, 2):
-            assert np.array_equal(windows[target], _expected(puts, target))
-        assert cluster.metrics.snapshot()["fabric.interrupts"] == len(puts)
+    @pytest.mark.parametrize("local", [False, True], ids=["sci", "one-node"])
+    @pytest.mark.parametrize("sync", ["fence", "pscw", "lock"])
+    def test_epoch_fetches_byte_exact(self, sync, local):
+        gets = _calls(7, [1, 2], gets=1.0)
+        windows, fetched, cluster = _run(sync, gets, local)
+        for i, (target, disp, n, typed) in enumerate(gets):
+            assert np.array_equal(fetched[i],
+                                  _fill(target)[_footprint(disp, n, typed)])
+        for rank, window in enumerate(windows):
+            assert np.array_equal(window, _fill(rank))
+        snapshot = cluster.metrics.snapshot()
+        assert snapshot["osc.emulated_gets"] == len(gets)
+        if not local:
+            # One request per target: one interrupt each, not forty.
+            assert snapshot["fabric.interrupts"] == 2
+
+    @pytest.mark.parametrize("gets", [0.0, 1.0], ids=["puts", "gets"])
+    def test_the_paper_policy_ships_every_call(self, gets):
+        calls = _calls(7, [1, 2], gets=gets)
+        windows, fetched, cluster = _run("fence", calls,
+                                         policy=PaperThresholdPolicy())
+        batched, batched_fetched, _ = _run("fence", calls)
+        assert all(np.array_equal(a, b) for a, b in zip(windows, batched))
+        assert all(np.array_equal(fetched[i], batched_fetched[i]) for i in fetched)
+        assert cluster.metrics.snapshot()["fabric.interrupts"] == len(calls)
 
 
 def _one_target(calls, policy=None):
@@ -146,6 +186,49 @@ def _one_target(calls, policy=None):
 
 
 class TestOrder:
+    def test_a_typed_get_batches_along_its_plan(self):
+        """Three typed gets and an untyped one: one request, the handler
+        gathering their thirteen runs along one plan in call order."""
+        gets = [(1, 0, 32, True), (1, 200, 32, True), (1, 96, 32, True),
+                (1, 3, 8, False)]
+        _, fetched, cluster = _run("fence", gets)
+        for i, (target, disp, n, typed) in enumerate(gets):
+            assert np.array_equal(fetched[i],
+                                  _fill(target)[_footprint(disp, n, typed)])
+        assert cluster.metrics.snapshot()["fabric.interrupts"] == 1
+
+    def test_a_batch_past_the_response_region_ships_in_chunks(self):
+        """288 gets of 1 KiB queue 288 KiB, past the 256 KiB response
+        region: the one queue ships as two requests, each gathering its
+        range of the plan."""
+        window = (np.arange(576 * KiB) % 251).astype(np.uint8)
+
+        def program(ctx):
+            win = yield from ctx.comm.win_create(window.nbytes, shared=False)
+            win.local_view()[:] = window
+            yield from win.fence()
+            gets = []
+            if ctx.comm.rank == 0:
+                for i in range(288):
+                    gets.append((yield from win.get(KiB, 1, 2 * KiB * i)))
+            yield from win.fence()
+            return gets
+
+        cluster = Cluster(n_nodes=2)
+        for i, data in enumerate(cluster.run(program).results[0]):
+            assert np.array_equal(data, window[2 * KiB * i : 2 * KiB * i + KiB])
+        assert cluster.metrics.snapshot()["fabric.interrupts"] == 2
+
+    def test_a_put_after_a_queued_get_is_not_seen_by_it(self):
+        def calls(win):
+            data = yield from win.get(16, 1, 96)
+            yield from win.put(np.full(8, 9, np.uint8), 1, 100)
+            return data
+
+        fetched, window = _one_target(calls)
+        assert fetched.tolist() == [0] * 16
+        assert window[96:112].tolist() == [0] * 4 + [9] * 8 + [0] * 4
+
     def test_same_location_puts_apply_in_call_order(self):
         def calls(win):
             yield from win.put(np.full(16, 1, np.uint8), 1, 0)
@@ -175,11 +258,10 @@ class TestOrder:
     def test_a_get_sees_the_queued_put(self):
         def calls(win):
             yield from win.put(np.full(8, 9, np.uint8), 1, 100)
-            data = yield from win.get(16, 1, 96)
-            return data.tolist()
+            return (yield from win.get(16, 1, 96))
 
-        fetched, _ = _one_target(calls)
-        assert fetched == [0] * 4 + [9] * 8 + [0] * 4
+        fetched, _ = _one_target(calls)  # read after the closing fence
+        assert fetched.tolist() == [0] * 4 + [9] * 8 + [0] * 4
 
     def test_an_accumulate_sees_the_queued_put(self):
         def calls(win):
@@ -200,12 +282,30 @@ class TestOrder:
        sync=st.sampled_from(["fence", "pscw", "lock"]))
 def test_windows_equal_per_call_emulation(seed, local, sync):
     """Seeded put sequences land exactly what per-call emulation lands."""
-    puts = _puts(seed, [1, 2], count=int(np.random.default_rng(seed)
+    puts = _calls(seed, [1, 2], count=int(np.random.default_rng(seed)
                                          .integers(1, 60)))
-    batched, _ = _run(sync, puts, local)
-    per_call, _ = _run(sync, puts, local, PaperThresholdPolicy())
+    batched, _, _ = _run(sync, puts, local)
+    per_call, _, _ = _run(sync, puts, local, PaperThresholdPolicy())
     for got, want in zip(batched, per_call):
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), local=st.booleans(),
+       sync=st.sampled_from(["fence", "pscw", "lock"]))
+def test_gets_equal_per_call_emulation(seed, local, sync):
+    """Seeded sequences of gets among puts fetch and land exactly what
+    per-call emulation does."""
+    calls = _calls(seed, [1, 2], gets=0.5,
+                  count=int(np.random.default_rng(seed).integers(1, 60)))
+    windows, fetched, _ = _run(sync, calls, local)
+    per_call, reference, _ = _run(sync, calls, local, PaperThresholdPolicy())
+    for got, want in zip(windows, per_call):
+        assert np.array_equal(got, want)
+    assert fetched.keys() == reference.keys()
+    for i, want in reference.items():
+        assert (fetched[i] is None) == (want is None)
+        assert want is None or np.array_equal(fetched[i], want)
 
 
 class TestFlushTarget:
@@ -232,6 +332,28 @@ class TestFlushTarget:
         assert results[0][0] == {2: [False]}
         assert [value for _, value in results[1:]] == [2, 1]
 
+    def test_flush_of_one_target_completes_its_gets_only(self):
+        """Rank 0 queues gets to ranks 1 and 2: ``flush(1)`` fills rank 1's
+        buffers and leaves rank 2's queued until the fence."""
+
+        def program(ctx):
+            comm = ctx.comm
+            win = yield from comm.win_create(64, shared=False)
+            win.local_view()[:] = comm.rank
+            yield from win.fence()
+            seen, gets = None, []
+            if comm.rank == 0:
+                for target in (1, 2, 1):
+                    gets.append((yield from win.get(8, target, 8 * target)))
+                yield from win.flush(1)
+                seen = [data.tolist() for data in gets]
+            yield from win.fence()
+            return seen, [data.tolist() for data in gets]
+
+        seen, fenced = Cluster(n_nodes=3).run(program).results[0]
+        assert seen == [[1] * 8, [0] * 8, [1] * 8]
+        assert fenced == [[1] * 8, [2] * 8, [1] * 8]
+
 
 class TestVerdict:
     @pytest.mark.parametrize("local", [False, True], ids=["sci", "one-node"])
@@ -248,3 +370,19 @@ class TestVerdict:
             "put", AccessRun.contiguous(0, nbytes), None, 0, nbytes, 1,
             mapped=False)
         assert verdict == strategy
+
+    @pytest.mark.parametrize("local", [False, True], ids=["sci", "one-node"])
+    @pytest.mark.parametrize("nbytes", [8, 64, 512, 944, 952, 1576, 1584,
+                                        64 * KiB])
+    def test_private_get_verdict(self, nbytes, local):
+        """Batching saves a request, an interrupt (SCI) and a handler pass
+        per get and costs its bytes in the handler's ff gather: a get
+        batches up to 1,576 B over SCI and up to 944 B on one node, where
+        16 gets per epoch also turn (EXPERIMENTS.md, "One-sided
+        verdict")."""
+        cluster = _cluster(local, n=2)
+        verdict = cluster.world.device(0).scheduler.osc_verdict(
+            "get", AccessRun.contiguous(0, nbytes), None, 0, nbytes, 1,
+            mapped=False)
+        assert verdict == (OSCStrategy.BATCHED if nbytes <= (944 if local else 1576)
+                           else OSCStrategy.EMULATED)

@@ -2,13 +2,13 @@
 
 ``TransferScheduler.osc_verdict`` prices DIRECT against EMULATED (a put)
 or REMOTE_PUT (a get) on a shared window, and EMULATED against BATCHED
-for a put into private memory, from the costs the protocol bodies charge
-and memoizes the answer per target shape.  These tests hold the default
+for a put into or a get from private memory, from the costs the
+protocol bodies charge, and memoizes the answer per target shape.  These tests hold the default
 to the best forced strategy and to the per-block decomposition of the
 same bytes (the self-consistent performance guidelines of Traff, Hunold
 and Carpen-Amarie), pin the pricing work the hot path pays, and pin the
 event counts of the direct, the emulated and the batched put and of the
-emulated get.
+emulated and the batched get.
 """
 
 import numpy as np
@@ -95,11 +95,10 @@ def _run(op, nbytes, shared, local, dtype, disp, policy, decompose):
 
 
 def _forced(op, single_run, shared):
-    if op == "put":
-        return (OSCStrategy.DIRECT if shared else OSCStrategy.BATCHED,
-                OSCStrategy.EMULATED)
     if not shared:
-        return ()
+        return (OSCStrategy.BATCHED, OSCStrategy.EMULATED)
+    if op == "put":
+        return (OSCStrategy.DIRECT, OSCStrategy.EMULATED)
     if single_run:
         return (OSCStrategy.DIRECT, OSCStrategy.REMOTE_PUT)
     return (OSCStrategy.REMOTE_PUT,)
@@ -151,9 +150,12 @@ class TestSelfConsistency:
       returns sooner: the price charges the remote-put handler's hold on
       the target's service loop, which one call's time does not show.
 
-    So does a typed put over SCI above 128 kiB, beyond the drawn 64 kiB
-    targets: ``src_cached`` is decided per message, so its source is
-    read cold while each 4 kiB call of the decomposition reads warm.
+    So do two kinds of typed put, each pinned the same way: one over SCI
+    above 128 kiB, beyond the drawn 64 kiB targets (``src_cached`` is
+    decided per message, so its source is read cold while each 4 kiB
+    call of the decomposition reads warm); and an emulated one of a few
+    large blocks, whose one handler copies after its one shipment while
+    the decomposition's second shipment overlaps the first copy.
     """
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -179,6 +181,9 @@ class TestSelfConsistency:
     @example(target=_typed(Vector(2, 512, 520, DOUBLE).commit()), op="get",
              shared=False, local=False, disp=0, pinned=True).xfail(
                  raises=AssertionError, reason="1.23x its decomposition")
+    @example(target=_typed(Vector(2, 4000, 4003, DOUBLE).commit()), op="put",
+             shared=False, local=False, disp=0, pinned=True).xfail(
+                 raises=AssertionError, reason="1.055x its decomposition")
     def test_default_within_5pct_of_every_alternative(
             self, target, op, shared, local, disp, pinned):
         dtype, nbytes = target
@@ -266,11 +271,6 @@ class TestVerdict:
                 32 * cluster.world.config.direct_pack_block_cost)
         _, counters = _epoch("put", dtype.size, True, local, dtype)
         assert counters["direct_puts"] == 1
-
-    def test_private_window_is_emulated_unpriced(self, monkeypatch):
-        _forbid_pricing(monkeypatch)
-        _, counters = _epoch("get", 1 * KiB, False, False)
-        assert counters["emulated_gets"] == 1
 
     @pytest.mark.parametrize("local", [False, True])
     def test_untyped_put_is_direct_unpriced(self, monkeypatch, local):
@@ -392,7 +392,13 @@ class TestPricingWork:
         assert _marginal_events("put", False) <= 3
 
     def test_emulated_get_is_13_events(self):
-        assert _marginal_events("get", False) == 13
+        """A private get emulated on its own call (the paper's policy)."""
+        assert _marginal_events("get", False, PaperThresholdPolicy()) == 13
+
+    def test_batched_get_is_at_most_3_events(self):
+        """The default queues a private 64 B get until the fence: its call,
+        and its run in the handler's gather of the one request."""
+        assert _marginal_events("get", False) <= 3
 
 
 def _each_decision_twice(ctx):

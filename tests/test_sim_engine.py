@@ -680,13 +680,15 @@ class TestEngineContract:
         A local accumulate (``target`` 0) is the call overhead and the
         target body's read-modify-write; the body allocates no
         acknowledgement.  A remote one is emulated with the same ten
-        events as an emulated put, with or without ``fetch``.  An
-        emulated get (private window) is the request packet, the handler,
-        the remote-put response into the origin and its drain.
+        events as an emulated put, with or without ``fetch``.  A get
+        emulated on its own call (private window, the paper's policy) is
+        the request packet, the handler, the remote-put response into the
+        origin and its drain.
         """
         import numpy as np
 
         from repro.cluster import Cluster
+        from repro.mpi.transport import PaperThresholdPolicy
 
         def events(n_ops):
             def program(ctx):
@@ -702,7 +704,7 @@ class TestEngineContract:
                                 fetch=op == "fetch")
                 yield from win.fence()
 
-            cluster = Cluster(n_nodes=2)
+            cluster = Cluster(n_nodes=2, policy=PaperThresholdPolicy())
             cluster.run(program)
             return cluster.engine.events_processed
 

@@ -87,10 +87,10 @@ class TestTransferPolicy:
     # 2 KiB rule; the chunked policy forces the flat broadcast onto the
     # chain and leaves every reduction stage alone.  Below three ranks, or
     # at one rendezvous chunk, no stage asks (the chain is the tree there,
-    # pinned in tests/test_collectives_extended.py), and a get from a
-    # private window is emulated before any verdict.  A put to one (key
-    # ends ``mapped=False``) is priced, emulated or batched, and the
-    # paper's policy emulates it call by call.
+    # pinned in tests/test_collectives_extended.py).  A put to or a get
+    # from a private window (key ends ``mapped=False``) is priced,
+    # emulated or batched, and the paper's policy emulates it call by
+    # call, a get whatever its size or shape.
     @pytest.mark.parametrize("policy, key, forced", [
         (TransferPolicy(), ("mode", None, 1, 4 * KiB, False, True), None),
         (TransferPolicy(), ("osc", "get", 8, True, None, 0, 1, True), None),
@@ -102,6 +102,11 @@ class TestTransferPolicy:
         (PaperThresholdPolicy(), ("osc", "put", 8, True, None, 0, 1, False),
          OSCStrategy.EMULATED),
         (TransferPolicy(), ("osc", "put", 8, True, None, 0, 1, False), None),
+        (TransferPolicy(), ("osc", "get", 8, True, None, 0, 1, False), None),
+        (PaperThresholdPolicy(), ("osc", "get", 8, True, None, 0, 1, False),
+         OSCStrategy.EMULATED),
+        (PaperThresholdPolicy(), ("osc", "get", 64 * KiB, False, (None, 1), 0, 1,
+                                  False), OSCStrategy.EMULATED),
         (PaperThresholdPolicy(), ("osc", "get", 2 * KiB, True, None, 0, 1, True),
          OSCStrategy.DIRECT),
         (PaperThresholdPolicy(), ("osc", "get", 2 * KiB + 1, True, None, 0, 1, True),
