@@ -78,23 +78,28 @@ _GET_COUNTERS = {OSCStrategy.DIRECT: "direct_gets",
                  OSCStrategy.BATCHED: "emulated_gets"}
 
 
-class _Batch:
-    """The calls queued for one target, all puts or all gets (``kind``):
-    their target runs in call order, the count of each call size and the
-    first call's ``(disp, run, plan)``; the puts' bytes back to back in
-    one staging buffer (grown by doubling, reused), the gets' buffers."""
+class _Target:
+    """A window's state for one target world rank: the calls queued for
+    it, all puts or all gets (``kind``: their target runs in call order,
+    the count of each call size, the first call's ``(disp, run, plan)``,
+    the puts' bytes back to back in one staging buffer grown by doubling
+    and reused, the gets' buffers); its outstanding emulation ``acks``;
+    ``dirty`` while direct stores since the last sync need a store
+    barrier; ``degraded`` for good once its segment became unmappable
+    (direct access and remote-put need a mapping); ``lock``, the mode of
+    the passive-target lock held on it (exclusive or not; ``None``)."""
 
     def __init__(self):
         self.data, self.used, self.sizes = np.empty(64, np.uint8), 0, {}
         self.offsets, self.lengths, self.first = array("q"), array("q"), None
-        self.kind, self.outs = None, []
-
-    def __bool__(self) -> bool:
-        return bool(self.sizes)
+        self.kind, self.outs, self.acks = None, [], []
+        self.dirty = self.degraded = False
+        self.lock: Optional[bool] = None
 
     def add(self, kind: str, disp: int, n: int, run, plan, payload=None):
         """Queue a put of ``payload`` or a get of ``n`` bytes; a get's
-        buffer is returned, filled when the queue ships."""
+        buffer is returned, poisoned with ``0xA5`` until the queue ships
+        and fills it."""
         if not self.sizes:
             self.kind, self.first = kind, (disp, run, plan)
         self.sizes[n] = self.sizes.get(n, 0) + 1
@@ -105,7 +110,8 @@ class _Batch:
             self.offsets.append(disp)
             self.lengths.append(n)
         if kind == "get":
-            self.outs.append(np.zeros(n, np.uint8))
+            self.outs.append(np.empty(n, np.uint8))
+            self.outs[-1].fill(0xA5)  # cheaper per get than np.full
             return self.outs[-1]
         end = self.used + n
         if end > self.data.nbytes:
@@ -300,20 +306,8 @@ class Win:
         self.store = self.device.store
         #: This rank's handler; local puts and accumulates run its body.
         self.osc_engine = _osc_engine(self.device)
-        #: World ranks touched by direct stores since the last sync (need
-        #: a store barrier at the synchronization point).
-        self._dirty_targets: set[int] = set()
-        #: Outstanding emulated-operation acknowledgements, per world rank.
-        self._pending_acks: dict[int, list[Event]] = {}
-        #: Queued (batched) puts or gets, per world rank.
-        self._batches: defaultdict[int, _Batch] = defaultdict(_Batch)
-        #: Mode of each held passive-target lock (world rank -> exclusive).
-        self._held_locks: dict[int, bool] = {}
-        #: World ranks whose window segment became unmappable mid-epoch:
-        #: direct access and remote-put both need a valid mapping, so they
-        #: are permanently degraded to the emulated path, which maps
-        #: nothing remotely.
-        self._degraded: set[int] = set()
+        #: One record per world rank this rank accessed.
+        self._targets: defaultdict[int, _Target] = defaultdict(_Target)
         self._verdict = self.device.scheduler.osc_verdict
         self.counters = {
             "direct_puts": 0,
@@ -386,7 +380,7 @@ class Win:
         strategy = self._strategy("put", run, plan, target_disp, n, part)
         if strategy == OSCStrategy.BATCHED:
             yield from self._ship(wtarget, keep="put")
-            self._batches[wtarget].add("put", target_disp, n, run, plan,
+            self._targets[wtarget].add("put", target_disp, n, run, plan,
                                        payload)
         elif strategy == OSCStrategy.DIRECT:
             # Transparent remote stores: along one strided run, or
@@ -406,7 +400,7 @@ class Win:
                     wtarget, lambda: self._emulated_put(
                         wtarget, target_disp, payload, plan))
             else:
-                self._dirty_targets.add(wtarget)
+                self._targets[wtarget].dirty = True
         else:
             yield from self._emulated_put(wtarget, target_disp, payload, plan)
         self.counters["direct_puts" if strategy == OSCStrategy.DIRECT
@@ -419,7 +413,7 @@ class Win:
         policy may force) for a target this rank maps or not (private
         memory, a degraded target)."""
         return self._verdict(op, run, plan, disp, nbytes, part.world_rank,
-                             part.shared and part.world_rank not in self._degraded)
+                             part.shared and not self._targets[part.world_rank].degraded)
 
     def _fallback(self, wtarget: int, emulated):
         """A direct access raised ``TransferFault``: a window segment was
@@ -427,7 +421,7 @@ class Win:
         else).  The target degrades to emulation (sticky) and the
         operation is redone as ``emulated()``.  Returns ``(strategy,
         value)``."""
-        self._degraded.add(wtarget)
+        self._targets[wtarget].degraded = True
         self.device.recovery["fallbacks"] += 1
         self.device._trace("recover.fallback.begin", peer=wtarget,
                            action="emulate")
@@ -448,7 +442,7 @@ class Win:
             wtarget, target_disp, n, msg,
             src_cached=self.device.node.memory.src_cached(n),
         )
-        self._pending_acks.setdefault(wtarget, []).append(ack)
+        self._targets[wtarget].acks.append(ack)
 
     def _ship(self, wtarget: int, keep: Optional[str] = None):
         """Ship the calls queued for ``wtarget``, unless there are none or
@@ -456,11 +450,11 @@ class Win:
         emulated put, two or more packed first (one copy loop over their
         blocks); gets as one emulated get, whose bytes then fill the
         callers' buffers."""
-        batch = self._batches.get(wtarget)
-        if not batch or batch.kind == keep:
+        target = self._targets.get(wtarget)
+        if target is None or not target.sizes or target.kind == keep:
             return
-        disp, run, plan, groups, data, outs = batch.take()
-        if batch.kind == "put":
+        disp, run, plan, groups, data, outs = target.take()
+        if target.kind == "put":
             if groups is not None:
                 yield self.engine.timeout(self.device.node.memory.walk_cost(
                     groups, "copy", False))
@@ -496,7 +490,7 @@ class Win:
         batched = strategy == OSCStrategy.BATCHED
         yield from self._ship(wtarget, keep="get" if batched else None)
         if batched:
-            data = self._batches[wtarget].add("get", target_disp, nbytes,
+            data = self._targets[wtarget].add("get", target_disp, nbytes,
                                               run, plan)
         elif strategy == OSCStrategy.DIRECT:
             # Transparent remote loads (the CPU stalls).
@@ -580,7 +574,7 @@ class Win:
             self.device._trace("osc.acc.end", target=wtarget,
                                strategy="emulated")
             return fetched
-        self._pending_acks.setdefault(wtarget, []).append(ack)
+        self._targets[wtarget].acks.append(ack)
         self.device._trace("osc.acc.end", target=wtarget, strategy="emulated")
         return None
 
@@ -605,12 +599,14 @@ class Win:
             yield from self._ship(wtarget)
         if overhead is not None:
             yield self.engine.timeout(overhead)
-        for wtarget in sorted(self._dirty_targets.intersection(wtargets)):
-            part = self.parts[wtarget]
-            if part.shared:
-                yield from self.store.store_barrier(part.region)
-            self._dirty_targets.discard(wtarget)
-        acks = [ack for w in wtargets for ack in self._pending_acks.pop(w, ())]
+        targets = [(w, self._targets[w]) for w in wtargets if w in self._targets]
+        for wtarget, target in sorted(targets):  # ranks are distinct
+            if target.dirty and self.parts[wtarget].shared:
+                yield from self.store.store_barrier(self.parts[wtarget].region)
+            target.dirty = False
+        acks = [ack for _, target in targets for ack in target.acks]
+        for _, target in targets:
+            target.acks = []
         if acks:
             yield self.engine.all_of(acks)
 
@@ -675,7 +671,7 @@ class Win:
         yield from self.state.locks[wtarget].acquire(
             self.world_rank, exclusive=exclusive
         )
-        self._held_locks[wtarget] = exclusive
+        self._targets[wtarget].lock = exclusive
         self.device._trace("osc.lock.end", target=wtarget)
 
     def unlock(self, target: int):
@@ -683,12 +679,10 @@ class Win:
         wtarget = self._world(target)
         self.device._trace("osc.unlock.begin", target=wtarget)
         yield from self._complete(self.state.group)
-        try:
-            exclusive = self._held_locks.pop(wtarget)
-        except KeyError:
-            raise RMAError(
-                f"unlock of target {target} without a matching lock"
-            ) from None
+        record = self._targets[wtarget]
+        exclusive, record.lock = record.lock, None
+        if exclusive is None:
+            raise RMAError(f"unlock of target {target} without a matching lock")
         yield from self.state.locks[wtarget].release(
             self.world_rank, exclusive=exclusive
         )

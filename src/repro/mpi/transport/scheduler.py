@@ -292,19 +292,21 @@ class TransferScheduler:
 
     def osc_price(self, strategy: str, op: str, run: Optional[AccessRun],
                   plan: Optional["PackPlan"], disp: int, nbytes: int,
-                  peer: int) -> float:
-        """What one lone put or get of ``nbytes`` at ``disp`` of rank
-        ``peer``'s window part costs under ``strategy``: the time until the
-        get returns or the closing fence may pass, plus a remote-put
-        handler's hold on the target's service loop, which the origin's
-        interrupt hides; a batched put, what it adds to its target's one
-        shipment (staging copy, bytes on the write, runs in the scatter); a
-        batched get, what it adds to its target's one request (its runs in
-        the handler's gather and its bytes in the response, a hold as
-        above, and its cold drain).  Built from what ``RemoteStore``,
-        ``OSCEngine.serve``, ``Win`` and :meth:`fetch_via_response`
-        charge; on one node every copy between the two ranks shares the
-        memory bus."""
+                  peer: int) -> tuple[float, float]:
+        """``(origin, hold)`` of one lone put or get of ``nbytes`` at
+        ``disp`` of rank ``peer``'s window part under ``strategy``.
+        ``origin`` is the origin's time until the get returns (less its
+        call overhead) or the closing fence may pass; for a batched call,
+        what it adds to its target's one shipment (staging copy, bytes on
+        the write, runs in the scatter) or one request (runs in the
+        handler's gather, bytes in the response, its cold drain).
+        ``hold`` is the remote-put handler's occupation of the target's
+        service loop, which the origin's interrupt hides: non-zero for a
+        remote-put, an emulated get and a batched get.  :meth:`osc_verdict`
+        ranks by the sum.  Mirrors what ``RemoteStore``,
+        ``OSCEngine.serve``, ``Win`` and :meth:`fetch_via_response` charge
+        (``tests/test_price_agreement.py`` holds it to them); on one node
+        every copy between the two ranks shares the memory bus."""
         device, cfg = self.device, self.device.config
         fabric = device.world.smi.fabric
         target = device.world.device(peer)
@@ -322,22 +324,20 @@ class TransferScheduler:
             return max(duration, n / device.node.bus_capacity)
 
         if strategy == OSCStrategy.BATCHED and op == "get":
-            # The handler's gather and response write hold the target's
-            # service loop as a remote-put's do (below): counted twice.
             gather = tmemory.walk_cost([(nbytes, 1)] if plan is None else plan.groups_in_range(0),
                                        "ff", True, target.config)
             back = (on_bus(nbytes, tmemory.walk_cost([(nbytes, 1)], "copy", False)) if local
                     else remote_write_cost(AccessRun.contiguous(0, nbytes),
                                            fabric.params_for(dst), False).duration)
-            return 2 * (gather + back) + self.chunk_walk([(nbytes, 1)], "copy", True)
+            return gather + back + self.chunk_walk([(nbytes, 1)], "copy", True), gather + back
         if strategy == OSCStrategy.BATCHED:
             stage = memory.walk_cost([(nbytes, 1)], "copy", False)
             copy = tmemory.walk_cost([(nbytes, 1)], "copy", False) + (
                 1 if plan is None else plan.n_runs) * target.config.direct_pack_block_cost
             if local:
-                return stage + on_bus(nbytes, stage) + on_bus(nbytes, copy)
+                return stage + on_bus(nbytes, stage) + on_bus(nbytes, copy), 0.0
             return stage + copy + remote_write_cost(AccessRun.contiguous(disp, nbytes),
-                                                    fabric.params_for(src), True).duration
+                                                    fabric.params_for(src), True).duration, 0.0
         if op == "put" and strategy == OSCStrategy.EMULATED:
             ship = (on_bus(nbytes, memory.walk_cost([(nbytes, 1)], "copy", False)) if local
                     else 2 * hop + adapter.interrupt_latency + self.chunk_write_duration(
@@ -346,14 +346,14 @@ class TransferScheduler:
             copy = tmemory.walk_cost([(nbytes, 1)], "copy", False) + (
                 0 if plan is None else plan.n_runs * target.config.direct_pack_block_cost)
             return ship + max(cfg.osc_call_overhead,
-                              handler + (on_bus(nbytes, copy) if local else copy))
+                              handler + (on_bus(nbytes, copy) if local else copy)), 0.0
         if strategy == OSCStrategy.DIRECT and run is not None:
             if local:
                 return (on_bus(nbytes, local_run_cost(memory, run))
-                        + (0.0 if op == "get" else fence))
+                        + (0.0 if op == "get" else fence)), 0.0
             if op == "get":
-                return fabric.read_duration(src, run, fabric.topology.route(src, dst))
-            return hop + fabric.write_duration(src, run, src_cached) + fence
+                return fabric.read_duration(src, run, fabric.topology.route(src, dst)), 0.0
+            return hop + fabric.write_duration(src, run, src_cached) + fence, 0.0
         cost = 0.0
         if op == "put":  # direct_pack_ff stores along the target plan
             for pos in range(0, nbytes, cfg.rendezvous_chunk):
@@ -362,10 +362,11 @@ class TransferScheduler:
                 cost += (on_bus(n, self.chunk_walk(groups, "copy", False)) if local
                          else hop + self.chunk_write_duration(
                              TransferMode.DIRECT, pos, n, groups, src_cached))
-            return cost + fence
+            return cost + fence, 0.0
         # Remote-put, per response-region chunk: a request; the handler
         # packs along a strided plan, writes the chunk back and fences it
-        # (``busy``); the origin drains the chunk.
+        # (``busy``, the hold); the origin drains the chunk.
+        hold = 0.0
         back = 0.0 if local else (fabric.topology.route(dst, src).hops
                                   * fabric.params_for(dst).link.hop_latency)
         strided = plan is not None and (run is None or run.stride != run.size)
@@ -378,8 +379,9 @@ class TransferScheduler:
                      + fabric.barrier_time(dst))
             wait = (cfg.ctrl_send_cost_local + busy if local else cfg.ctrl_send_cost
                     + max(adapter.interrupt_latency + hop, busy))
-            cost += wait + busy + self.chunk_walk([(n, 1)], "copy", True)
-        return cost
+            cost += wait + self.chunk_walk([(n, 1)], "copy", True)
+            hold += busy
+        return cost, hold
 
     def osc_verdict(self, op: str, run: Optional[AccessRun],
                     plan: Optional["PackPlan"], disp: int, nbytes: int,
@@ -402,8 +404,8 @@ class TransferScheduler:
                disp % self._align, self._node_of[peer], mapped)
         return (fastpath.enabled and self.verdicts.get(key)) or self.cheapest(
             key, _OSC_CANDIDATES[op, mapped][(plan if op == "put" else run) is None],
-            partial(self.osc_price, op=op, run=run, plan=plan, disp=disp,
-                    nbytes=nbytes, peer=peer))
+            lambda strategy: sum(self.osc_price(strategy, op=op, run=run, plan=plan,
+                                                disp=disp, nbytes=nbytes, peer=peer)))
 
     # -- grouping (the single chunk-group implementation) ---------------------------
 

@@ -118,29 +118,41 @@ def test_metric_names_cover_every_source():
             "kv_overload_p99_us"} <= set(names)
 
 
-OBSERVABILITY = docs_check.OBSERVABILITY.read_text()
+#: The document of each generated block.
+BLOCKS = {"metric-names": docs_check.OBSERVABILITY,
+          "span-kinds": docs_check.OBSERVABILITY,
+          "verdicts": docs_check.PROTOCOLS}
 
 
-def test_generated_tables_pass_unchanged():
-    assert docs_check.check_generated(OBSERVABILITY) == []
+@pytest.mark.parametrize("doc", sorted(set(BLOCKS.values())),
+                         ids=lambda doc: doc.name)
+def test_generated_tables_pass_unchanged(doc):
+    assert docs_check.check_generated(doc, doc.read_text()) == []
 
 
-@pytest.mark.parametrize("block, prefix", [("metric-names", "| `pt2pt.*` |"),
-                                           ("span-kinds", "| `send` |")])
+@pytest.mark.parametrize("block, prefix", [
+    ("metric-names", "| `pt2pt.*` |"),
+    ("span-kinds", "| `send` |"),
+    ("verdicts", "| SCI, 2 nodes | get | shared |"),
+])
 def test_generated_tables_catch_a_missing_row(block, prefix):
-    row = next(line for line in OBSERVABILITY.splitlines()
-               if line.startswith(prefix))
-    tampered = OBSERVABILITY.replace(row + "\n", "")
-    assert docs_check.check_generated(tampered) == [
-        f"docs/OBSERVABILITY.md: {block}: row missing: {row}"]
+    doc = BLOCKS[block]
+    text = doc.read_text()
+    row = next(line for line in text.splitlines() if line.startswith(prefix))
+    tampered = text.replace(row + "\n", "")
+    assert docs_check.check_generated(doc, tampered) == [
+        f"{doc.relative_to(docs_check.ROOT)}: {block}: row missing: {row}"]
 
 
 @pytest.mark.parametrize("block, prefix, row", [
     ("metric-names", "| `sim.*` |", "| `bogus.*` | `bogus.metric` |"),
     ("span-kinds", "| `send` |", "| `bogus` | span | repro.bogus |"),
+    ("verdicts", "| one node | put | shared |",
+     "| one node | put | shared | `emulated` from 8 B |"),
 ])
 def test_generated_tables_catch_an_extra_row(block, prefix, row):
-    tampered = OBSERVABILITY.replace(prefix, f"{row}\n{prefix}", 1)
-    assert docs_check.check_generated(tampered) == [
-        f"docs/OBSERVABILITY.md: {block}: row not produced by the code: "
-        f"{row}"]
+    doc = BLOCKS[block]
+    tampered = doc.read_text().replace(prefix, f"{row}\n{prefix}", 1)
+    assert docs_check.check_generated(doc, tampered) == [
+        f"{doc.relative_to(docs_check.ROOT)}: {block}: row not produced by "
+        f"the code: {row}"]

@@ -323,8 +323,9 @@ class TestFlushTarget:
                 yield from win.put(np.full(16 * KiB, 1, np.uint8), 2, 0)
                 yield from win.put(np.full(8, 2, np.uint8), 1, 0)
                 yield from win.flush(1)
-                pending = {rank: [ack.processed for ack in acks]
-                           for rank, acks in win._pending_acks.items()}
+                pending = {rank: [ack.processed for ack in record.acks]
+                           for rank, record in win._targets.items()
+                           if record.acks}
             yield from win.fence()
             return pending, int(win.local_view()[0])
 
@@ -334,7 +335,8 @@ class TestFlushTarget:
 
     def test_flush_of_one_target_completes_its_gets_only(self):
         """Rank 0 queues gets to ranks 1 and 2: ``flush(1)`` fills rank 1's
-        buffers and leaves rank 2's queued until the fence."""
+        buffers and leaves rank 2's queued until the fence, poisoned with
+        ``0xA5`` until then."""
 
         def program(ctx):
             comm = ctx.comm
@@ -351,7 +353,7 @@ class TestFlushTarget:
             return seen, [data.tolist() for data in gets]
 
         seen, fenced = Cluster(n_nodes=3).run(program).results[0]
-        assert seen == [[1] * 8, [0] * 8, [1] * 8]
+        assert seen == [[1] * 8, [0xA5] * 8, [1] * 8]
         assert fenced == [[1] * 8, [2] * 8, [1] * 8]
 
 

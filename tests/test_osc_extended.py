@@ -52,7 +52,7 @@ class TestFlush:
                     yield from win.put(np.full(8, target, dtype=np.uint8),
                                        target, 0)
                 yield from win.flush()
-                assert not win._pending_acks
+                assert not any(record.acks for record in win._targets.values())
             yield from win.fence()
             return int(win.local_view()[0])
 

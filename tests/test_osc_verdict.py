@@ -21,15 +21,14 @@ from repro.bench.sparse import run_sparse
 from repro.cluster import Cluster
 from repro.mpi.datatypes import DOUBLE, Indexed, Vector
 from repro.mpi.flatten import get_plan
-from repro.mpi.osc.messages import OSCGet
-from repro.mpi.osc.window import OSCEngine
+from repro.mpi.osc.window import WinPart
 from repro.mpi.transport import (
     OSCStrategy,
     PaperThresholdPolicy,
     TransferPolicy,
     fastpath_disabled,
 )
-from repro.mpi.transport.layout import as_access_run
+from repro.mpi.transport.layout import as_access_run, resolve_target
 from repro.mpi.transport.scheduler import TransferScheduler
 
 from ._guidelines import BOUND, Forced, assert_within_bound
@@ -47,19 +46,11 @@ def _epoch(op, nbytes, shared, local, dtype=None, disp=0, policy=None,
            decompose=False):
     """Rank 0's time from its call to the end of the closing fence, and
     its window counters: one typed call, or one untyped call per block."""
-    elapsed, counters, _ = _run(op, nbytes, shared, local, dtype, disp,
-                                policy, decompose)
-    return elapsed, counters
-
-
-def _run(op, nbytes, shared, local, dtype, disp, policy, decompose):
-    """:func:`_epoch`, plus how long remote-put handlers held rank 1's
-    service loop (the hold the verdict's price adds)."""
     blocks = _blocks(dtype, nbytes)
-    size = disp + max(o + n for o, n in blocks) + 64
 
     def program(ctx):
-        win = yield from ctx.comm.win_create(size, shared=shared)
+        win = yield from ctx.comm.win_create(_size(dtype, nbytes, disp),
+                                             shared=shared)
         yield from win.fence()
         t0 = ctx.now
         if ctx.comm.rank == 0:
@@ -74,24 +65,26 @@ def _run(op, nbytes, shared, local, dtype, disp, policy, decompose):
         yield from win.fence()
         return ctx.now - t0, dict(win.counters)
 
-    cluster = (Cluster(n_nodes=1, procs_per_node=2, policy=policy) if local
-               else Cluster(n_nodes=2, policy=policy))
-    held = []
-    serve = OSCEngine.serve
+    return _cluster(local, policy).run(program).results[0]
 
-    def timed(self, msg, local=False):
-        t0 = self.device.engine.now - self.device.config.poll_latency
-        result = yield from serve(self, msg, local)
-        if isinstance(msg, OSCGet):
-            held.append(self.device.engine.now - t0)
-        return result
 
-    OSCEngine.serve = timed
-    try:
-        elapsed, counters = cluster.run(program).results[0]
-    finally:
-        OSCEngine.serve = serve
-    return elapsed, counters, sum(held)
+def _size(dtype, nbytes, disp):
+    return disp + max(o + n for o, n in _blocks(dtype, nbytes)) + 64
+
+
+def _cluster(local, policy=None):
+    return (Cluster(n_nodes=1, procs_per_node=2, policy=policy) if local
+            else Cluster(n_nodes=2, policy=policy))
+
+
+def _hold(nbytes, local, dtype, disp):
+    """The remote-put handler's hold on rank 1's service loop that the
+    verdict prices into a get (``osc_price(REMOTE_PUT, ...)[1]``), which
+    one call's time does not show."""
+    run, plan = resolve_target(WinPart(1, True, _size(dtype, nbytes, disp)),
+                               disp, nbytes, dtype, 1)
+    return _cluster(local).world.device(0).scheduler.osc_price(
+        OSCStrategy.REMOTE_PUT, "get", run, plan, disp, nbytes, 1)[1]
 
 
 def _forced(op, single_run, shared):
@@ -187,14 +180,14 @@ class TestSelfConsistency:
     def test_default_within_5pct_of_every_alternative(
             self, target, op, shared, local, disp, pinned):
         dtype, nbytes = target
-        default, counters, _ = _run(op, nbytes, shared, local, dtype, disp,
-                                    None, False)
+        default, counters = _epoch(op, nbytes, shared, local, dtype, disp)
         single = dtype is None or as_access_run(dtype.flattened, 1) is not None
         for strategy in _forced(op, single, shared):
-            forced, _, held = _run(op, nbytes, shared, local, dtype, disp,
-                                   Forced(osc=strategy), False)
+            forced, _ = _epoch(op, nbytes, shared, local, dtype, disp,
+                               Forced(osc=strategy))
             if (not pinned and op == "get" and counters["direct_gets"]
-                    and default <= BOUND * (forced + held)):
+                    and default <= BOUND * (forced + _hold(nbytes, local,
+                                                           dtype, disp))):
                 continue  # the hold the price charges
             assert_within_bound(default, forced, strategy)
         if not pinned and op == "get" and len(_blocks(dtype, nbytes)) > 1:
@@ -259,9 +252,8 @@ class TestVerdict:
         emulate = Forced(osc=OSCStrategy.EMULATED)
         typed, _ = _epoch("put", dtype.size, True, local, dtype,
                           policy=emulate)
-        cluster = (Cluster(n_nodes=1, procs_per_node=2) if local
-                   else Cluster(n_nodes=2))
-        price = cluster.world.device(0).scheduler.osc_price(
+        cluster = _cluster(local)
+        price, _ = cluster.world.device(0).scheduler.osc_price(
             OSCStrategy.EMULATED, "put", None, plan, 0, dtype.size, 1)
         assert typed == pytest.approx(price, rel=0.01)
         if not local:   # the handler's copy is alone on the target's CPU
@@ -296,9 +288,7 @@ def _typed_put_bytes(dtype, local):
         yield from win.fence()
         return np.array(win.local_view())
 
-    cluster = (Cluster(n_nodes=1, procs_per_node=2) if local
-               else Cluster(n_nodes=2))
-    return cluster.run(program).results[1]
+    return _cluster(local).run(program).results[1]
 
 
 def _forbid_pricing(monkeypatch):

@@ -27,15 +27,19 @@ Five checks, each with actionable per-item output:
   ``pyproject.toml`` (``repro`` and its aliases ``repro-trace``,
   ``repro-faults``, ``repro-svc``, ``repro-scenarios``) must appear in
   the documentation.
-* **generated name tables current** — the blocks between
-  ``<!-- generated: NAME -->`` and ``<!-- end generated -->`` in
-  ``docs/OBSERVABILITY.md`` must equal what the code produces today:
-  every metric name (``build_registry`` on a 2-node cluster, the
-  ``Instruments`` subclasses, the QoS collector, the
+* **generated tables current** — the blocks between
+  ``<!-- generated: NAME -->`` and ``<!-- end generated -->`` must equal
+  what the code produces today (:data:`GENERATED`).  In
+  ``docs/OBSERVABILITY.md``: every metric name (``build_registry`` on a
+  2-node cluster, the ``Instruments`` subclasses, the QoS collector, the
   ``*_COLLECTOR_METRICS`` tuples, span kinds x ``{count, time_us}``,
-  ``SMOKE_METRICS``) and every traced span kind.  A missing row and a row
-  the code no longer produces both fail, naming the row.  This check
-  imports ``repro`` (from ``src/`` when the package is not installed).
+  ``SMOKE_METRICS``) and every traced span kind.  In
+  ``docs/PROTOCOLS.md``: every size at which a one-sided verdict changes
+  (``osc_verdict`` on a 2-node and a 1-node cluster, untyped targets at
+  displacement 0, 8 B-64 KiB in 8 B steps).  A missing row and a row the
+  code no longer produces both fail, naming the document and the row.
+  This check imports ``repro`` (from ``src/`` when the package is not
+  installed).
 
 Exit status: 0 when all five checks pass, 1 otherwise.
 """
@@ -43,13 +47,14 @@ Exit status: 0 when all five checks pass, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import pathlib
 import re
 import sys
 import tomllib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(ROOT / "src") not in sys.path:  # the name tables import repro
+if str(ROOT / "src") not in sys.path:  # the generated tables import repro
     sys.path.append(str(ROOT / "src"))
 
 #: The documentation corpus, in scan order.
@@ -64,8 +69,9 @@ _LINK_RE = re.compile(r"\]\(([^)\s]+)\)")
 #: A backticked python file path: `tools/docs_check.py`, `flatten/plan.py`.
 _PY_PATH_RE = re.compile(r"`([\w./-]+\.py)`")
 
-#: The document whose name tables are generated from the code.
+#: The documents with blocks generated from the code (:data:`GENERATED`).
 OBSERVABILITY = ROOT / "docs" / "OBSERVABILITY.md"
+PROTOCOLS = ROOT / "docs" / "PROTOCOLS.md"
 
 _BLOCK_RE = re.compile(
     r"<!-- generated: ([a-z-]+) -->\n(.*?)<!-- end generated -->", re.S)
@@ -233,8 +239,8 @@ def metric_names() -> list[str]:
     return names
 
 
-def generated_blocks() -> dict[str, list[str]]:
-    """The rows of each generated block, as the code produces them."""
+def name_tables() -> dict[str, list[str]]:
+    """The rows of docs/OBSERVABILITY.md's generated blocks."""
     from repro.obs.metrics import _HISTOGRAM_FIELDS
 
     names = metric_names()
@@ -258,12 +264,44 @@ def generated_blocks() -> dict[str, list[str]]:
     return {"metric-names": metric_rows, "span-kinds": span_rows}
 
 
-def check_generated(text: str) -> list[str]:
-    """Failures of the generated blocks in ``text`` against the code."""
-    doc = OBSERVABILITY.relative_to(ROOT)
+@functools.cache
+def verdict_tables() -> dict[str, list[str]]:
+    """The rows of docs/PROTOCOLS.md's generated block: for each route, op
+    and window, the one-sided verdict of an untyped target at displacement
+    0 from 8 B on, and every size up to 64 KiB (in 8 B steps) at which it
+    changes."""
+    from repro.cluster import Cluster
+    from repro.hardware.sci.transactions import AccessRun
+
+    rows = ["| route | op | window | verdict, from each size on |",
+            "|---|---|---|---|"]
+    for route, cluster in (("SCI, 2 nodes", Cluster(n_nodes=2)),
+                           ("one node", Cluster(n_nodes=1, procs_per_node=2))):
+        verdict = cluster.world.device(0).scheduler.osc_verdict
+        for op in ("put", "get"):
+            for mapped, window in ((True, "shared"), (False, "private")):
+                changes, last = [], None
+                for n in range(8, 64 * 1024 + 1, 8):
+                    now = verdict(op, AccessRun.contiguous(0, n), None, 0, n, 1,
+                                  mapped)
+                    if now != last:
+                        changes.append(f"`{now}` from {n:,} B")
+                    last = now
+                rows.append(f"| {route} | {op} | {window} | {', '.join(changes)} |")
+    return {"verdicts": rows}
+
+
+#: Each document with generated blocks, and what generates its blocks.
+GENERATED = {OBSERVABILITY: name_tables, PROTOCOLS: verdict_tables}
+
+
+def check_generated(doc: pathlib.Path, text: str) -> list[str]:
+    """Failures of the generated blocks in ``text``, the contents of
+    ``doc`` (a key of :data:`GENERATED`), against the code."""
     found = {name: body.splitlines() for name, body in _BLOCK_RE.findall(text)}
     failures = []
-    for name, rows in generated_blocks().items():
+    doc, blocks = doc.relative_to(ROOT), GENERATED[doc]()
+    for name, rows in blocks.items():
         have = found.get(name)
         if have is None:
             failures.append(f"{doc}: generated block {name!r} is missing")
@@ -297,7 +335,8 @@ def main(argv=None) -> int:
                    for failure in check_file_references(
                        doc.relative_to(ROOT).as_posix(), doc.read_text())]
                 + check_cli_entry_points(corpus)
-                + check_generated(OBSERVABILITY.read_text()))
+                + [failure for doc in GENERATED
+                   for failure in check_generated(doc, doc.read_text())])
     for failure in failures:
         print(f"docs_check: {failure}", file=sys.stderr)
     n_docs, n_modules = len(doc_files()), len(source_modules())
@@ -307,7 +346,7 @@ def main(argv=None) -> int:
         return 1
     print(f"docs_check: ok ({n_modules} modules covered, every link in "
           f"{n_docs} docs resolves, every named file exists, all CLI entry "
-          "points documented, name tables current)")
+          "points documented, generated tables current)")
     return 0
 
 
