@@ -314,7 +314,7 @@ def test_ablation_fault_recovery(once):
 
     from repro.hardware.sci.faults import FaultPlan
     from repro.mpi.datatypes import BYTE
-    from repro.mpi.transport import RecoveryPolicy, TransferPolicy
+    from repro.mpi.transport import TransferPolicy
 
     dtype = Vector(3072, 64, 96, BYTE)
     extent = 3072 * 96
@@ -341,7 +341,7 @@ def test_ablation_fault_recovery(once):
             faults=FaultPlan(seed=2, torn_rate=0.5))
         t_whole, payload_whole = transfer(
             faults=FaultPlan(seed=2, torn_rate=0.5),
-            policy=TransferPolicy(recovery=RecoveryPolicy(resume_torn=False)),
+            policy=TransferPolicy(resume_torn=False),
         )
         t_lively, payload_lively = transfer(
             faults=FaultPlan(seed=1, transient_rate=0.25, torn_rate=0.25,

@@ -27,7 +27,7 @@ from repro.bench.ring import (
     table2,
 )
 from repro.bench.series import render_table
-from repro.hardware.sci.ringlet import TorusTopology
+from repro.hardware.sci.topology import TorusTopology
 
 
 def torus_utilization(dims=(8, 8, 8)) -> tuple[int, float]:

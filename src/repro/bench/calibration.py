@@ -23,6 +23,7 @@ from ..hardware.sci.transactions import (
     remote_read_cost,
     remote_write_cost,
 )
+from .strided import strided_write_bandwidth
 
 __all__ = ["CalibrationTarget", "TARGETS", "report", "check_all"]
 
@@ -48,13 +49,6 @@ class CalibrationTarget:
         return abs(measured - self.paper_value) <= self.rel_tol * self.paper_value
 
 
-def _strided_bw(access: int, stride: int, wc: bool = True) -> float:
-    params = DEFAULT_NODE if wc else DEFAULT_NODE.with_write_combining(False)
-    run = AccessRun(base=0, size=access, stride=stride, count=(256 * KiB) // access)
-    cost = remote_write_cost(run, params, src_cached=False)
-    return to_mib_s(run.total_bytes / cost.duration)
-
-
 def _contiguous_bw(nbytes: int, src_cached: bool = True) -> float:
     cost = remote_write_cost(
         AccessRun.contiguous(0, nbytes), DEFAULT_NODE, src_cached=src_cached
@@ -73,23 +67,26 @@ def _table2_per_node(nodes: int) -> float:
 
 
 def _wc_off_fraction() -> float:
-    return _strided_bw(4096, 8192, wc=False) / _strided_bw(4096, 8192, wc=True)
+    wc_off = DEFAULT_NODE.with_write_combining(False)
+    return (strided_write_bandwidth(4096, 8192, params=wc_off)
+            / strided_write_bandwidth(4096, 8192))
 
 
 TARGETS: list[CalibrationTarget] = [
     CalibrationTarget(
         "8 B strided write, best stride", 28.0, "MiB/s",
-        lambda: _strided_bw(8, 32), rel_tol=0.10,
+        lambda: strided_write_bandwidth(8, 32), rel_tol=0.10,
         source="Sec. 4.3: '28 MiB/s for 8 byte access size'",
     ),
     CalibrationTarget(
         "8 B strided write, worst stride", 5.0, "MiB/s",
-        lambda: min(_strided_bw(8, s) for s in range(9, 64)), rel_tol=1.0,
+        lambda: min(strided_write_bandwidth(8, s) for s in range(9, 64)),
+        rel_tol=1.0,
         source="Sec. 4.3: 'varying between 5 and 28 MiB/s'",
     ),
     CalibrationTarget(
         "256 B strided write, best stride", 162.0, "MiB/s",
-        lambda: _strided_bw(256, 512), rel_tol=0.15,
+        lambda: strided_write_bandwidth(256, 512), rel_tol=0.15,
         source="Sec. 4.3: '7 and 162 MiB/s for 256 byte access size'",
     ),
     CalibrationTarget(

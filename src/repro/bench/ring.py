@@ -23,7 +23,7 @@ from typing import Optional
 from .._units import KiB, MiB, mib_s, to_mib_s
 from ..hardware.params import DEFAULT_NODE, NodeParams
 from ..hardware.sci.flows import FlowNetwork
-from ..hardware.sci.ringlet import RingTopology, Route
+from ..hardware.sci.topology import RingTopology, Route
 from ..platforms.base import AnalyticPlatform
 from ..sim import Engine
 from ..mpi.transport.policy import TransferPolicy

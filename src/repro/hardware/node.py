@@ -65,7 +65,7 @@ class Node:
         if nbytes <= 0 or duration <= 0:
             return
             yield  # pragma: no cover - generator marker
-        from .sci.ringlet import Route
+        from .sci.topology import Route
 
         route = Route((("bus", self.node_id),), ())
         yield self.bus(engine).transfer(route, float(nbytes), nbytes / duration)

@@ -38,8 +38,8 @@ Boundedness
 ``max_consecutive`` caps the number of *consecutive* faults injected on
 one (src, dst) path: after that many back-to-back failures the next
 attempt is forced clean.  Together with the transport's bounded
-retransmission (``RecoveryPolicy.max_retransmits``) this guarantees
-every seeded plan converges — the differential oracle in
+retransmission (``repro.mpi.transport.store.MAX_RETRANSMITS``) this
+guarantees every seeded plan converges — the differential oracle in
 ``tests/test_fault_recovery.py`` relies on it.
 """
 

@@ -38,7 +38,7 @@ class TransferFault(CommunicationError):
 
 class TransferAborted(CommunicationError):
     """Recovery gave up: the bounded retransmission budget
-    (``RecoveryPolicy.max_retransmits``) was exhausted."""
+    (``repro.mpi.transport.store.MAX_RETRANSMITS``) was exhausted."""
 
 
 class RMAError(MPIError):

@@ -28,12 +28,10 @@ from .fastpath import CostTable, StreamWindow, fastpath_disabled
 from .layout import resolve_target
 from .policy import (
     DEFAULT_POLICY,
-    DEFAULT_RECOVERY,
     ChunkedCollectivesPolicy,
     OSCStrategy,
     PaperThresholdPolicy,
     Protocol,
-    RecoveryPolicy,
     TransferMode,
     TransferPolicy,
 )
@@ -46,11 +44,9 @@ __all__ = [
     "ChunkedCollectivesPolicy",
     "CostTable",
     "DEFAULT_POLICY",
-    "DEFAULT_RECOVERY",
     "OSCStrategy",
     "PaperThresholdPolicy",
     "Protocol",
-    "RecoveryPolicy",
     "RemoteStore",
     "RndvAck",
     "StreamWindow",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from ..._units import KiB
-from ...qos.lanes import DEFAULT_LANES, QosLanePolicy
 from ..pt2pt.config import NonContigMode, ProtocolConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,12 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ChunkedCollectivesPolicy",
     "DEFAULT_POLICY",
-    "DEFAULT_RECOVERY",
     "OSCStrategy",
     "PaperThresholdPolicy",
     "Protocol",
-    "QosLanePolicy",
-    "RecoveryPolicy",
     "TransferMode",
     "TransferPolicy",
 ]
@@ -70,33 +66,6 @@ class OSCStrategy:
                                # the target's other queued puts or gets
 
 
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Knobs of the fault-recovery state machine (see ``docs/FAULTS.md``).
-
-    All times are simulated µs.  ``max_retransmits`` bounds the retries
-    of one chunk/operation; together with
-    :attr:`~repro.hardware.sci.faults.FaultPlan.max_consecutive` it
-    guarantees convergence.  ``resume_torn=False`` disables the
-    range-resume optimisation (torn chunks retransmit whole) — the knob
-    the recovery-overhead ablation flips.
-    """
-
-    max_retransmits: int = 6
-    retry_backoff: float = 5.0       # first-retry delay
-    backoff_factor: float = 2.0      # exponential growth per retry
-    chunk_timeout: float = 2000.0    # rndv per-chunk credit timeout
-    remap_cost: float = 25.0         # driver cost of re-importing a segment
-    resume_torn: bool = True         # resume torn chunks at the tear offset
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based)."""
-        return self.retry_backoff * self.backoff_factor ** (attempt - 1)
-
-
-DEFAULT_RECOVERY = RecoveryPolicy()
-
-
 @dataclass(frozen=True, kw_only=True)
 class TransferPolicy:
     """The decision table of the unified transport layer.
@@ -105,18 +74,14 @@ class TransferPolicy:
     it is stateless (all state lives in the scheduler and the device).
     """
 
-    recovery: RecoveryPolicy = DEFAULT_RECOVERY
     #: Use hierarchical collective algorithms (ringlet-local aggregation
     #: before cross-switch hops) on topologies with more than one
     #: locality domain.  Single-domain topologies (plain ring) always
     #: run the flat algorithms regardless of this flag.
     hier_collectives: bool = True
-    #: QoS lane knobs (reserved-share budget, best-effort throttle floor,
-    #: credit priority; see ``docs/QOS.md``).  Only consulted while a
-    #: :class:`~repro.qos.QosManager` is installed on the fabric *and*
-    #: holds an ACTIVE reservation — otherwise the data path is
-    #: bit-identical to a QoS-free build.
-    qos: QosLanePolicy = DEFAULT_LANES
+    #: Resume a torn chunk at the tear offset; ``False`` retransmits it
+    #: whole (the recovery-overhead ablation; see ``docs/FAULTS.md``).
+    resume_torn: bool = True
 
     # -- point-to-point ------------------------------------------------------------
 
@@ -196,7 +161,6 @@ class TransferPolicy:
             "eager_slots": cfg.eager_slots,
             "rendezvous_chunk": cfg.rendezvous_chunk,
             "hier_collectives": int(self.hier_collectives),
-            **self.qos.describe(),
         }
 
 

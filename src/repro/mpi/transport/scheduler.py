@@ -44,7 +44,8 @@ from ...qos.lanes import LANE_RESERVED
 from . import fastpath
 from .fastpath import CostTable, RecvWindowCosts, StreamWindow
 from .policy import OSCStrategy, TransferMode
-from .store import RemoteStore
+from .store import (BACKOFF_FACTOR, CHUNK_TIMEOUT_US, MAX_RETRANSMITS,
+                    RemoteStore)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..flatten import PackPlan
@@ -444,7 +445,7 @@ class TransferScheduler:
         re-deriving the damaged tail's cost groups from the packing
         plan's range lookup (``plan``/``stream_off`` locate this chunk in
         the packed stream) — and a revoked packet-buffer mapping is
-        re-imported for ``RecoveryPolicy.remap_cost``.
+        re-imported for :data:`~repro.mpi.transport.store.REMAP_COST_US`.
         """
         device = self.device
         engine = device.engine
@@ -495,13 +496,13 @@ class TransferScheduler:
         """Wait for the receiver's :class:`ChunkCredit`.
 
         On a clean fabric this is a plain channel get.  Under a fault plan
-        the wait races a per-chunk timeout (``RecoveryPolicy.chunk_timeout``
+        the wait races a per-chunk timeout (``CHUNK_TIMEOUT_US``
         with exponential backoff): a stalled receiver trips the timeout,
         the sender probes the connection (the paper's Sec. 2 "connection
         monitoring") and keeps waiting — control packets and credits are
         never lost, only late, so re-waiting on the *same* pending get
         keeps credit accounting exact.  Gives up after
-        ``max_retransmits`` consecutive timeouts.  A timer that loses its
+        ``MAX_RETRANSMITS`` consecutive timeouts.  A timer that loses its
         race is cancelled, so it cannot move the clock past the transfer.
         """
         device = self.device
@@ -510,16 +511,15 @@ class TransferScheduler:
             assert isinstance(credit, ChunkCredit)
             return credit
         engine = device.engine
-        recovery = device.policy.recovery
         get_ev = reply.get()
-        timeout = recovery.chunk_timeout
+        timeout = CHUNK_TIMEOUT_US
         timer = engine.timeout(timeout)
         yield engine.any_of([get_ev, timer])
         timer.cancel()
         attempt = 0
         while not get_ev.processed:
             attempt += 1
-            if attempt > recovery.max_retransmits:
+            if attempt > MAX_RETRANSMITS:
                 device.recovery["aborts"] += 1
                 raise TransferAborted(
                     f"no chunk credit from rank {dest} after "
@@ -535,7 +535,7 @@ class TransferScheduler:
                 raise TransferAborted(
                     f"rank {dest} unreachable while awaiting chunk credit"
                 )
-            timeout *= recovery.backoff_factor
+            timeout *= BACKOFF_FACTOR
             device._trace("recover.retry.begin", peer=dest,
                           cause="credit-timeout", attempt=attempt)
             timer = engine.timeout(timeout)
@@ -830,15 +830,14 @@ class TransferScheduler:
         """Queue priority of ``source``'s rendezvous stream at this
         receiver's slot (lower wins).
 
-        With QoS enforcement active and ``credit_priority`` on,
-        reserved-lane senders rank ahead (0) of best-effort senders (1),
-        so a reserved stream is granted the rendezvous buffer before
-        best-effort streams that queued earlier.  In every other case all
-        requests rank 0 — exact FIFO, bit-identical to the QoS-free
-        scheduler.
+        With QoS enforcement active, reserved-lane senders rank ahead
+        (0) of best-effort senders (1), so a reserved stream is granted
+        the rendezvous buffer before best-effort streams that queued
+        earlier.  In every other case all requests rank 0 — exact FIFO,
+        bit-identical to the QoS-free scheduler.
         """
         qos = self.device.world.smi.fabric.qos
-        if qos is None or not qos.enforcing or not qos.lanes.credit_priority:
+        if qos is None or not qos.enforcing:
             return 0
         node = self.device.smi.node_of(source).node_id
         return 0 if qos.lane_of_node(node) == LANE_RESERVED else 1

@@ -33,7 +33,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..flatten import PackPlan
     from ..pt2pt.engine import RankDevice
 
-__all__ = ["RemoteStore"]
+__all__ = [
+    "BACKOFF_FACTOR",
+    "CHUNK_TIMEOUT_US",
+    "MAX_RETRANSMITS",
+    "REMAP_COST_US",
+    "RETRY_BACKOFF_US",
+    "RemoteStore",
+    "backoff",
+]
+
+# The recovery state machine's timings (simulated µs; see docs/FAULTS.md).
+#: Retries of one chunk or operation before it aborts; with
+#: :attr:`~repro.hardware.sci.faults.FaultPlan.max_consecutive` this
+#: bounds every recovery.
+MAX_RETRANSMITS = 6
+#: Delay before the first retry.
+RETRY_BACKOFF_US = 5.0
+#: Growth of the retry delay (and of the credit timeout) per retry.
+BACKOFF_FACTOR = 2.0
+#: A rendezvous sender's first wait for a chunk credit.
+CHUNK_TIMEOUT_US = 2000.0
+#: Driver cost of re-importing a revoked segment.
+REMAP_COST_US = 25.0
+
+
+def backoff(attempt: int) -> float:
+    """Delay before retry ``attempt`` (1-based)."""
+    return RETRY_BACKOFF_US * BACKOFF_FACTOR ** (attempt - 1)
 
 
 class RemoteStore:
@@ -59,10 +86,9 @@ class RemoteStore:
         next attempt sends the tail only.  Any other lost transfer is
         retransmitted whole.  Gives up with
         :class:`~repro.mpi.errors.TransferAborted` after
-        ``RecoveryPolicy.max_retransmits`` failed retries.
+        :data:`MAX_RETRANSMITS` failed retries.
         """
         device = self.device
-        recovery = device.policy.recovery
         attempt = 0
         while True:
             try:
@@ -70,11 +96,11 @@ class RemoteStore:
             except (SegmentUnmappedError, TornTransferError,
                     SCITransientError) as fault:
                 attempt += 1
-                if attempt > recovery.max_retransmits:
+                if attempt > MAX_RETRANSMITS:
                     device.recovery["aborts"] += 1
                     raise TransferAborted(
                         f"transfer to rank {peer} still failing after "
-                        f"{recovery.max_retransmits} retransmissions"
+                        f"{MAX_RETRANSMITS} retransmissions"
                     ) from fault
                 if isinstance(fault, SegmentUnmappedError):
                     if on_unmap is None:
@@ -83,11 +109,11 @@ class RemoteStore:
                     device._trace("recover.fallback.begin", peer=peer,
                                   action="remap")
                     on_unmap()
-                    yield device.engine.timeout(recovery.remap_cost)
+                    yield device.engine.timeout(REMAP_COST_US)
                     device._trace("recover.fallback.end", peer=peer)
                     continue
                 if (isinstance(fault, TornTransferError) and fault.delivered
-                        and on_torn and recovery.resume_torn):
+                        and on_torn and device.policy.resume_torn):
                     device.recovery["resumes"] += 1
                     device._trace("recover.resume.begin", peer=peer,
                                   **on_torn(fault.delivered))
@@ -97,7 +123,7 @@ class RemoteStore:
                     device._trace("recover.retry.begin", peer=peer,
                                   attempt=attempt)
                     end = "recover.retry.end"
-                yield device.engine.timeout(recovery.backoff(attempt))
+                yield device.engine.timeout(backoff(attempt))
                 device._trace(end, peer=peer)
                 continue
             return result

@@ -17,8 +17,8 @@ proof.
 """
 
 from .admission import AdmissionController, AdmissionDecision, AdmissionDenied
-from .lanes import (DEFAULT_LANES, LANE_BEST_EFFORT, LANE_RESERVED,
-                    QosLanePolicy)
+from .lanes import (BESTEFFORT_FLOOR, LANE_BEST_EFFORT, LANE_RESERVED,
+                    MAX_SHARE, throttle_factor)
 from .manager import (QOS_COUNTERS, QOS_GAUGES, QOS_HISTOGRAMS, TENANT_RANK,
                       QosInstruments, QosManager)
 from .reservation import Reservation, ReservationState, ReservationStateError
@@ -27,17 +27,18 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionDenied",
-    "DEFAULT_LANES",
+    "BESTEFFORT_FLOOR",
     "LANE_BEST_EFFORT",
     "LANE_RESERVED",
+    "MAX_SHARE",
     "QOS_COUNTERS",
     "QOS_GAUGES",
     "QOS_HISTOGRAMS",
     "QosInstruments",
-    "QosLanePolicy",
     "QosManager",
     "Reservation",
     "ReservationState",
     "ReservationStateError",
     "TENANT_RANK",
+    "throttle_factor",
 ]

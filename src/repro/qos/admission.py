@@ -5,7 +5,7 @@ style: a constraint table over link capacities, not a packet simulator).
 A reservation asking for ``rate`` B/µs across a set of links is granted
 iff *every* link still has headroom::
 
-    admitted[link] + rate  <=  max_share * capacity[link]
+    admitted[link] + rate  <=  MAX_SHARE * capacity[link]
 
 The comparison is inclusive — a request landing exactly on the boundary
 is admitted (the budget is a budget, not a strict bound), which the
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .lanes import MAX_SHARE
 from .reservation import Reservation, ReservationState, ReservationStateError
 
 __all__ = ["AdmissionController", "AdmissionDecision", "AdmissionDenied"]
@@ -32,7 +33,7 @@ class AdmissionDecision:
     """Outcome of one admission check, with per-link evidence."""
 
     granted: bool
-    #: Per-link evidence rows: link, capacity, budget (= max_share *
+    #: Per-link evidence rows: link, capacity, budget (= MAX_SHARE *
     #: capacity), already-admitted rate, requested rate, headroom.
     links: list[dict] = field(default_factory=list)
 
@@ -54,12 +55,8 @@ class AdmissionDenied(RuntimeError):
 class AdmissionController:
     """The per-link reservation budget of one fabric."""
 
-    def __init__(self, capacities: Mapping[object, float],
-                 max_share: float = 0.8):
-        if not 0.0 < max_share <= 1.0:
-            raise ValueError(f"max_share {max_share} outside (0, 1]")
+    def __init__(self, capacities: Mapping[object, float]):
         self.capacities = dict(capacities)
-        self.max_share = max_share
         self._admitted: dict[object, float] = {}
 
     def admitted(self, link: object) -> float:
@@ -67,8 +64,8 @@ class AdmissionController:
         return self._admitted.get(link, 0.0)
 
     def budget(self, link: object) -> float:
-        """Reservable budget of ``link``: ``max_share * capacity``."""
-        return self.max_share * self.capacities[link]
+        """Reservable budget of ``link``: ``MAX_SHARE * capacity``."""
+        return MAX_SHARE * self.capacities[link]
 
     def headroom(self, link: object) -> float:
         """Rate still grantable on ``link`` (B/µs)."""

@@ -1,30 +1,28 @@
-"""Priority lanes: the QoS knobs carried by the transfer policy.
+"""Priority lanes: the constants of QoS enforcement.
 
 Two lanes exist.  **Reserved** traffic belongs to a tenant holding an
 ACTIVE :class:`~repro.qos.reservation.Reservation` on the links it
 crosses; it is *policed* to its reservation's rate (the contract cuts
 both ways — an admitted tenant may not overdrive its promise and push
-the fabric past the congestion knee) and (when ``credit_priority`` is
-on) its rendezvous streams are granted the receiver's stream slot ahead
-of best-effort peers.  **Best-effort** traffic is everything else; while
-a link's reserved share is active, its injection rate over that link is
-scaled down — but never below ``besteffort_floor``, the documented
-starvation bound.
+the fabric past the congestion knee) and its rendezvous streams are
+granted the receiver's stream slot ahead of best-effort peers.
+**Best-effort** traffic is everything else; while a link's reserved
+share is active, its injection rate over that link is scaled down — but
+never below :data:`BESTEFFORT_FLOOR`, the documented starvation bound.
 
 This module is deliberately leaf-level (stdlib only) so both
-:mod:`repro.mpi.transport.policy` and :mod:`repro.qos.manager` can import
-it without a cycle.
+:mod:`repro.mpi.transport.scheduler` and :mod:`repro.qos.manager` can
+import it without a cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "DEFAULT_LANES",
+    "BESTEFFORT_FLOOR",
     "LANE_BEST_EFFORT",
     "LANE_RESERVED",
-    "QosLanePolicy",
+    "MAX_SHARE",
+    "throttle_factor",
 ]
 
 #: Lane of a node belonging to a tenant with reservations.
@@ -32,52 +30,18 @@ LANE_RESERVED = "reserved"
 #: Lane of every other node (including nodes of no tenant at all).
 LANE_BEST_EFFORT = "best_effort"
 
-
-@dataclass(frozen=True)
-class QosLanePolicy:
-    """Knobs of the bandwidth-reservation lanes (see ``docs/QOS.md``).
-
-    ``max_share`` bounds what the admission controller may promise away
-    on any single link: reservations are granted only while the sum of
-    admitted rates stays at or below ``max_share * capacity`` (the
-    remainder is the fabric's permanent best-effort headroom).
-    ``besteffort_floor`` bounds the throttle: while reservations are
-    active on a link, best-effort transfers crossing it are slowed by
-    ``max(besteffort_floor, 1 - active_reserved_share)`` — a reserved
-    tenant may not starve best-effort below that floor.
-    ``credit_priority`` lets reserved senders jump the receiver's
-    rendezvous-slot queue (best-effort requests keep FIFO order among
-    themselves).
-    """
-
-    #: 0.8 sits just below the knee of the SCI congestion-response curve
-    #: (delivered fraction is still ~0.98 at load 0.8), so a fully
-    #: admitted fabric never tips into retry collapse.
-    max_share: float = 0.8
-    #: The complement of ``max_share``: even a fully reserved link keeps
-    #: one fifth of each best-effort flow's injection rate alive.
-    besteffort_floor: float = 0.2
-    credit_priority: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.max_share <= 1.0:
-            raise ValueError(f"max_share {self.max_share} outside (0, 1]")
-        if not 0.0 < self.besteffort_floor <= 1.0:
-            raise ValueError(
-                f"besteffort_floor {self.besteffort_floor} outside (0, 1]")
-
-    def throttle_factor(self, active_share: float) -> float:
-        """Injection-rate factor for best-effort traffic on a link whose
-        active reserved share is ``active_share`` (1.0 = unthrottled)."""
-        return max(self.besteffort_floor, 1.0 - active_share)
-
-    def describe(self) -> dict[str, int]:
-        """Integer knob view for the ``policy.*`` gauges (percent)."""
-        return {
-            "qos_max_share_pct": int(round(self.max_share * 100)),
-            "qos_besteffort_floor_pct": int(round(self.besteffort_floor * 100)),
-            "qos_credit_priority": int(self.credit_priority),
-        }
+#: What admission may promise away on any single link: reservations are
+#: granted only while the sum of admitted rates stays at or below
+#: ``MAX_SHARE * capacity``.  0.8 sits just below the knee of the SCI
+#: congestion-response curve (delivered fraction is still ~0.98 at load
+#: 0.8), so a fully admitted fabric never tips into retry collapse.
+MAX_SHARE = 0.8
+#: The complement of :data:`MAX_SHARE`: even a fully reserved link keeps
+#: one fifth of each best-effort flow's injection rate alive.
+BESTEFFORT_FLOOR = 0.2
 
 
-DEFAULT_LANES = QosLanePolicy()
+def throttle_factor(active_share: float) -> float:
+    """Injection-rate factor for best-effort traffic on a link whose
+    active reserved share is ``active_share`` (1.0 = unthrottled)."""
+    return max(BESTEFFORT_FLOOR, 1.0 - active_share)

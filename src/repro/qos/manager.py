@@ -13,9 +13,9 @@ The manager is the single object the rest of the system talks to:
 * **enforcement** — the fabric calls :meth:`shape_duration` on every
   wire operation.  While at least one reservation is ACTIVE, best-effort
   transfers crossing a link with active reserved share are slowed by the
-  lane policy's throttle factor (never below ``besteffort_floor``), and
+  lanes' throttle factor (never below ``BESTEFFORT_FLOOR``), and
   reserved-lane transfers are *policed* down to their reservation's rate
-  — the admission budget (``max_share``, sitting below the SCI
+  — the admission budget (``MAX_SHARE``, sitting below the SCI
   congestion knee) only protects the fabric if admitted tenants cannot
   overdrive their promise.  With no ACTIVE reservation the hook is the
   identity and counts nothing, so an installed-but-idle manager is
@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from ..hardware.sci.faults import FaultKind
 from ..obs.metrics import Instruments
 from .admission import AdmissionController, AdmissionDenied
-from .lanes import DEFAULT_LANES, LANE_BEST_EFFORT, LANE_RESERVED, QosLanePolicy
+from .lanes import (BESTEFFORT_FLOOR, LANE_BEST_EFFORT, LANE_RESERVED,
+                    MAX_SHARE, throttle_factor)
 from .reservation import Reservation, ReservationState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,12 +92,9 @@ class QosInstruments(Instruments):
 class QosManager:
     """Bandwidth reservations and priority lanes over one fabric."""
 
-    def __init__(self, fabric: "SCIFabric",
-                 lanes: Optional[QosLanePolicy] = None):
+    def __init__(self, fabric: "SCIFabric"):
         self.fabric = fabric
-        self.lanes = lanes or DEFAULT_LANES
-        self.admission = AdmissionController(fabric.network.capacities,
-                                             max_share=self.lanes.max_share)
+        self.admission = AdmissionController(fabric.network.capacities)
         self._tenants: dict[str, frozenset[int]] = {}
         self._node_tenant: dict[int, str] = {}
         self.reservations: list[Reservation] = []
@@ -110,17 +108,9 @@ class QosManager:
     # -- installation ----------------------------------------------------------
 
     @classmethod
-    def install(cls, cluster: "Cluster",
-                lanes: Optional[QosLanePolicy] = None) -> "QosManager":
-        """Create a manager on ``cluster``'s fabric and hook it in.
-
-        ``lanes`` defaults to the cluster policy's ``qos`` field, so the
-        knobs flow policy -> manager -> enforcement and show up in the
-        ``policy.*`` gauges of the same run.
-        """
-        if lanes is None:
-            lanes = getattr(cluster.world.policy, "qos", None)
-        manager = cls(cluster.fabric, lanes=lanes)
+    def install(cls, cluster: "Cluster") -> "QosManager":
+        """Create a manager on ``cluster``'s fabric and hook it in."""
+        manager = cls(cluster.fabric)
         cluster.fabric.qos = manager
         return manager
 
@@ -317,7 +307,7 @@ class QosManager:
             if share is None:
                 continue
             frac = share / self.fabric.network.capacities[link]
-            factor = min(factor, self.lanes.throttle_factor(frac))
+            factor = min(factor, throttle_factor(frac))
         if factor >= 1.0:
             return duration
         self.counters["throttled_transfers"] += 1
@@ -350,9 +340,9 @@ class QosManager:
         return {
             "counters": dict(self.counters),
             "lanes": {
-                "besteffort_floor": self.lanes.besteffort_floor,
-                "credit_priority": self.lanes.credit_priority,
-                "max_share": self.lanes.max_share,
+                "besteffort_floor": BESTEFFORT_FLOOR,
+                "credit_priority": True,
+                "max_share": MAX_SHARE,
             },
             "reservations": [res.describe() for res in self.reservations],
             "tenants": {name: sorted(nodes)

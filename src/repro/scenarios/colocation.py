@@ -61,6 +61,9 @@ RINGLET_SIZE = 4
 #: saturates the switch while ringlet-local links stay below capacity.
 SWITCH_CAPACITY = 0.5
 
+#: Simulated µs of stencil compute per halo sweep.
+HALO_COMPUTE_US = 50.0
+
 
 @dataclass(frozen=True)
 class HaloConfig:
@@ -69,7 +72,6 @@ class HaloConfig:
     mesh: tuple[int, int, int] = (1, 2, 2)
     interior: tuple[int, int, int] = (4, 12, 12)
     steps: int = 2
-    compute_us: float = 50.0
 
     @property
     def n_ranks(self) -> int:
@@ -78,7 +80,7 @@ class HaloConfig:
 
     def describe(self) -> dict:
         return {
-            "compute_us": self.compute_us,
+            "compute_us": HALO_COMPUTE_US,
             "interior": list(self.interior),
             "mesh": list(self.mesh),
             "steps": self.steps,
@@ -151,7 +153,7 @@ def halo_program(comm, ctx, config: HaloConfig,
                 grid[1:-1, :-2, 1:-1] + grid[1:-1, 2:, 1:-1]
                 + grid[1:-1, 1:-1, :-2] + grid[1:-1, 1:-1, 2:]
             )
-            yield ctx.cluster.engine.timeout(config.compute_us)
+            yield ctx.cluster.engine.timeout(HALO_COMPUTE_US)
     return {
         "halo_elapsed_us": ctx.now - t0,
         "block": ex.interior_view(buf).copy(),

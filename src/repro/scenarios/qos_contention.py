@@ -22,8 +22,8 @@ Three phases run on *one* cluster, separated by barriers:
    the throughput the reservation promises (the SLO baseline);
 3. **protected** — tenant_b resumes streaming; tenant_r stays policed
    on the reserved lane (with credit priority) while tenant_b is
-   throttled on the crossbar — but never below the lane policy's
-   ``besteffort_floor``.
+   throttled on the crossbar — but never below the lanes'
+   ``BESTEFFORT_FLOOR``.
 
 The report's ``qos_checks`` are the isolation oracle: the reserved
 tenant keeps ≥ 90 % of its solo (reservation-promised) throughput with
@@ -48,7 +48,8 @@ import numpy as np
 from ..hardware.sci.faults import FaultPlan
 from ..hardware.sci.topology import RingOfRings, Topology
 from ..mpi.datatypes import BYTE
-from ..qos import AdmissionDenied, QosInstruments, QosManager
+from ..qos import (BESTEFFORT_FLOOR, AdmissionDenied, QosInstruments,
+                   QosManager)
 from .base import (Scenario, ScenarioError, ScenarioInstruments,
                    ScenarioParams, register_scenario, scenario_fault_plan)
 
@@ -65,7 +66,7 @@ BESTEFFORT_NODES = frozenset({2, 3, 6, 7})
 
 #: Fraction of the bottleneck (crossbar) capacity reserved per path; two
 #: paths share the cross links, so the active reserved share is twice
-#: this — landing *exactly* on the admission budget (``max_share`` =
+#: this — landing *exactly* on the admission budget (``MAX_SHARE`` =
 #: 0.8), which the inclusive boundary admits.
 SHARE_PER_PATH = 0.4
 
@@ -244,7 +245,6 @@ class QosContentionScenario(Scenario):
                        for v in r["lat"][phase]]
             return float(np.percentile(samples, 99)) if samples else 0.0
 
-        floor = manager.lanes.besteffort_floor
         iso = {
             "besteffort_contended_ops_per_sec": throughput("best_effort",
                                                            "contended"),
@@ -271,13 +271,13 @@ class QosContentionScenario(Scenario):
         checks = {
             "besteffort_floor": {
                 # The documented starvation bound: throttling scales the
-                # injection rate by >= besteffort_floor, and the
+                # injection rate by >= BESTEFFORT_FLOOR, and the
                 # protected phase's total offered load is lower than the
                 # contended phase's, so delivered best-effort throughput
                 # keeps at least the floor fraction of its unthrottled
                 # contended throughput.
-                "floor": floor,
-                "ok": iso["besteffort_floor_ratio"] >= floor,
+                "floor": BESTEFFORT_FLOOR,
+                "ok": iso["besteffort_floor_ratio"] >= BESTEFFORT_FLOOR,
                 "ratio": iso["besteffort_floor_ratio"],
             },
             "contention_hurts": {

@@ -23,7 +23,7 @@ Minimal example::
     result = eng.run_process(ponger(eng, chan))   # (5.0, "ping")
 """
 
-from .channel import Broadcast, Channel, callback_channel
+from .channel import Broadcast, Channel
 from .engine import Engine
 from .errors import Deadlock, EventAlreadyTriggered, InvalidYield, SimError
 from .events import AllOf, AnyOf, Condition, Event, Timeout
@@ -47,5 +47,4 @@ __all__ = [
     "Resource",
     "SimError",
     "Timeout",
-    "callback_channel",
 ]

@@ -10,7 +10,7 @@ finite packet buffers.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .events import Event
 
@@ -126,17 +126,3 @@ class Broadcast:
         """Re-arm the signal for another fire (waiters since fire stay woken)."""
         self._fired = False
         self._value = None
-
-
-def callback_channel(channel: Channel, handler: Callable[[Any], Any]):
-    """Generator body draining ``channel`` forever, calling ``handler`` per item.
-
-    ``handler`` may return a generator, in which case it is driven inline
-    (i.e. the drain loop yields from it) — this models a handler that itself
-    performs timed work, like an interrupt service routine doing a transfer.
-    """
-    while True:
-        item = yield channel.get()
-        result = handler(item)
-        if result is not None and hasattr(result, "send"):
-            yield from result

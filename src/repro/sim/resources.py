@@ -39,11 +39,6 @@ class Resource:
         self._waiters: list[tuple[int, int, Event]] = []
         self._arrivals = 0
 
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
     def request(self, priority: int = 0) -> Event:
         """Request a slot; the returned event fires when granted.
 

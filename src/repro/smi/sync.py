@@ -141,10 +141,6 @@ class SMIRWLock:
     def locked(self) -> bool:
         return self._writer or self._readers > 0
 
-    @property
-    def readers(self) -> int:
-        return self._readers
-
 
 class SMIBarrier:
     """A reusable barrier over a fixed set of ranks.

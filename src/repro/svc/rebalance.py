@@ -56,6 +56,10 @@ REBALANCE_COLLECTOR_METRICS = (
     "rebalance.blocked_ops", "rebalance.drained_ops", "rebalance.epoch",
 )
 
+#: Poll interval (simulated µs) of a freeze waiting for the shard's
+#: in-flight operations to drain.
+DRAIN_POLL_US = 5.0
+
 
 class Rebalancer:
     """Watches hot-shard accounting; migrates or splits hot shards."""
@@ -63,8 +67,7 @@ class Rebalancer:
     def __init__(self, replicas: ReplicaMap, value_size: int,
                  ledger: Optional[ApplyLedger] = None,
                  interval_us: float = 200.0, max_moves: int = 4,
-                 split_hot_imbalance: Optional[float] = None,
-                 drain_poll_us: float = 5.0):
+                 split_hot_imbalance: Optional[float] = None):
         self.replicas = replicas
         # Migration is a chain-driver feature, and chain stores are tagged.
         self.slot_size = slot_bytes(value_size, tagged=True)
@@ -76,7 +79,6 @@ class Rebalancer:
         #: instead of moved (None disables splitting — the migration
         #: determinism oracle requires move-only runs).
         self.split_hot_imbalance = split_hot_imbalance
-        self.drain_poll_us = drain_poll_us
         # -- copy accounting (pulled by the rebalance collector) --------------
         self.migrations = 0
         self.splits = 0
@@ -164,7 +166,7 @@ class Rebalancer:
         self.replicas.freeze(shard)
         self.replicas.drained_ops += self.replicas.inflight[shard]
         while self.replicas.inflight[shard] > 0:
-            yield self.engine.timeout(self.drain_poll_us)
+            yield self.engine.timeout(DRAIN_POLL_US)
 
     def _copy_table(self, src: Placement, dst: Placement):
         """Stream one whole slot table src -> dst through the window."""

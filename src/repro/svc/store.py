@@ -86,6 +86,17 @@ OPEN_LOOP_HISTOGRAMS = ("sojourn_latency_us",)
 KV_SPANS = ("get", "put", "incr")
 KV_INSTANTS = ("failover", "kill")
 
+#: Seqlock validations of one read before it escalates to a shared lock
+#: (and again under that lock before it gives up).
+MAX_READ_RETRIES = 4
+#: Optimistic busy-bit claims of one write before it takes the
+#: exclusive lock.
+MAX_CLAIM_RETRIES = 3
+#: Retry ``n`` waits ``n * BACKOFF_US`` simulated µs.
+BACKOFF_US = 2.0
+#: Poll interval of an operation waiting out a frozen shard.
+FREEZE_POLL_US = 5.0
+
 
 def value_offset(tagged: bool) -> int:
     """Header size: 16 bytes, or 24 with the tag word."""
@@ -142,9 +153,7 @@ class KvStore:
                  client_id: Optional[int] = None,
                  plan: Optional["FailoverPlan"] = None,
                  ledger: Optional["ApplyLedger"] = None,
-                 on_payload: Optional[Callable[[int], None]] = None,
-                 max_read_retries: int = 4, max_claim_retries: int = 3,
-                 backoff_us: float = 2.0, freeze_poll_us: float = 5.0):
+                 on_payload: Optional[Callable[[int], None]] = None):
         if value_size < 1:
             raise ValueError(f"value_size must be >= 1, got {value_size}")
         self.win = win
@@ -163,10 +172,6 @@ class KvStore:
         self.plan = plan
         self.ledger = ledger
         self.on_payload = on_payload or (lambda nbytes: None)
-        self.max_read_retries = max_read_retries
-        self.max_claim_retries = max_claim_retries
-        self.backoff_us = backoff_us
-        self.freeze_poll_us = freeze_poll_us
         self.engine = win.engine
         self._seq = 0
 
@@ -196,7 +201,7 @@ class KvStore:
                 waited = True
                 self.replicas.record(shard)
                 self.replicas.blocked_ops += 1
-            yield self.engine.timeout(self.freeze_poll_us)
+            yield self.engine.timeout(FREEZE_POLL_US)
 
     def _touch(self, rank: int):
         """Liveness gate before contacting ``rank``.
@@ -210,7 +215,7 @@ class KvStore:
             return True
         self.m.counters["dead_hops"].inc()
         yield self.engine.timeout(self.plan.detect_cost_us if self.plan
-                                  else self.backoff_us * 8)
+                                  else BACKOFF_US * 8)
         affected = self.replicas.fail_over(rank)
         if affected:
             self.m.counters["failovers"].inc()
@@ -272,14 +277,14 @@ class KvStore:
         return True, bytes(raw[self.val_off:self.val_off + self.value_size])
 
     def _read_slot(self, target: int, base: int, want: int):
-        for attempt in range(self.max_read_retries):
+        for attempt in range(MAX_READ_RETRIES):
             stable, value = yield from self._read_once(target, base, want)
             if stable:
                 if value is None:
                     self.m.counters["read_misses"].inc()
                 return value
             self.m.counters["read_retries"].inc()
-            yield self.engine.timeout(self.backoff_us * (attempt + 1))
+            yield self.engine.timeout(BACKOFF_US * (attempt + 1))
         # Persistently unstable slot: read under a shared passive-target
         # lock.  Lock-free fast-path writers may still bump the version,
         # so validation stays bounded; a slot unstable even here is
@@ -287,11 +292,11 @@ class KvStore:
         self.m.counters["read_fallbacks"].inc()
         yield from self.win.lock(target, exclusive=False)
         value = None
-        for attempt in range(self.max_read_retries):
+        for attempt in range(MAX_READ_RETRIES):
             stable, value = yield from self._read_once(target, base, want)
             if stable:
                 break
-            yield self.engine.timeout(self.backoff_us * (attempt + 1))
+            yield self.engine.timeout(BACKOFF_US * (attempt + 1))
         else:
             self.m.counters["read_giveups"].inc()
         yield from self.win.unlock(target)
@@ -378,15 +383,15 @@ class KvStore:
         lock; the claim loop remains (fast-path writers do not take the
         lock) but is now guaranteed to drain.
         """
-        for attempt in range(self.max_claim_retries):
+        for attempt in range(MAX_CLAIM_RETRIES):
             if (yield from self._try_claim(target, base)):
                 return True
             self.m.counters["write_conflicts"].inc()
-            yield self.engine.timeout(self.backoff_us * (attempt + 1))
+            yield self.engine.timeout(BACKOFF_US * (attempt + 1))
         self.m.counters["write_fallbacks"].inc()
         yield from self.win.lock(target, exclusive=True)
         while not (yield from self._try_claim(target, base)):
-            yield self.engine.timeout(self.backoff_us)
+            yield self.engine.timeout(BACKOFF_US)
         yield from self.win.unlock(target)
         return False
 

@@ -693,16 +693,16 @@ class TestFoldOnLanding:
         sending them on; the forced tree folds its children.  Each must
         equal its own association order exactly."""
         from repro.hardware.sci.faults import FaultKind, FaultPlan
-        from repro.mpi.transport import RecoveryPolicy, TransferPolicy
+        from repro.mpi.transport import TransferPolicy
 
         from ._guidelines import Forced
 
         if dtype is DOUBLE:     # the two orders round differently
             assert not np.array_equal(self._expected(dtype, nbytes, _chain),
                                       self._expected(dtype, nbytes))
-        recovery = RecoveryPolicy(resume_torn=resume)
-        for policy, oracle in ((TransferPolicy(recovery=recovery), _chain),
-                               (Forced(coll="tree", recovery=recovery), _binomial)):
+        for policy, oracle in ((TransferPolicy(resume_torn=resume), _chain),
+                               (Forced(coll="tree", resume_torn=resume),
+                                _binomial)):
             expected = self._expected(dtype, nbytes, oracle)
             _, clean = self._allreduce(dtype, nbytes, policy=policy)
             assert all(np.array_equal(got, expected) for got in clean)

@@ -15,7 +15,7 @@ import pytest
 from repro import BYTE, Cluster, FaultPlan, Indexed, Struct, Vector
 from repro._units import KiB
 from repro.hardware.sci.faults import FaultKind
-from repro.mpi.transport import RecoveryPolicy, TransferPolicy
+from repro.mpi.transport import TransferPolicy
 from repro.obs import attach_tracer
 
 pytestmark = pytest.mark.faults
@@ -190,7 +190,7 @@ class TestPt2ptRecovery:
         program = pt2pt_program("strided")
         reference = Cluster(n_nodes=2).run(program).results[1]
         plan = FaultPlan(seed=seed, torn_rate=0.5)
-        policy = TransferPolicy(recovery=RecoveryPolicy(resume_torn=False))
+        policy = TransferPolicy(resume_torn=False)
         faulty = Cluster(n_nodes=2, faults=plan, policy=policy)
         got = faulty.run(program).results[1]
         assert got == reference

@@ -10,6 +10,8 @@ and blob hashing of the plain service, and the chain routing, failover,
 split and epoch bookkeeping of the replicated one.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.cluster import Cluster
 from repro.svc import (ApplyLedger, KvStore, Placement, ReplicaMap,
                        ReplInstruments, SvcInstruments, hash_key,
                        hot_shard_indices, mix64, slot_bytes)
+from repro.svc.store import MAX_READ_RETRIES
 
 VALUE_SIZE = 16
 
@@ -394,12 +397,24 @@ class TestStoreProtocol:
             return (yield from store.get("stuck"))
 
         assert harness.run(body)[0] is None
-        retries = 4  # the store's max_read_retries default
-        assert harness.count("read_retries") == retries
+        assert harness.count("read_retries") == MAX_READ_RETRIES == 4
         assert harness.count("read_fallbacks") == 1
         assert harness.count("read_giveups") == 1
         assert harness.count("read_misses") == 0
         assert harness.m.prefix == ("repl" if harness.tagged else "svc")
+
+    def test_retry_timings_are_module_constants(self):
+        """The store's and the rebalancer's retry timings are constants
+        of their modules, not per-instance settings."""
+        from repro.svc import rebalance, store
+
+        assert (store.MAX_READ_RETRIES, store.MAX_CLAIM_RETRIES,
+                store.BACKOFF_US, store.FREEZE_POLL_US) == (4, 3, 2.0, 5.0)
+        assert rebalance.DRAIN_POLL_US == 5.0
+        taken = (set(inspect.signature(KvStore).parameters)
+                 | set(inspect.signature(rebalance.Rebalancer).parameters))
+        assert not taken & {"max_read_retries", "max_claim_retries",
+                            "backoff_us", "freeze_poll_us", "drain_poll_us"}
 
     def test_counter_increments_are_exact(self, harness):
         """Two clients increment disjoint counters concurrently; each

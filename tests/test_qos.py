@@ -7,7 +7,8 @@ Four layers, bottom-up:
 * the :class:`AdmissionController` ledger — in particular the
   *inclusive* boundary (a request landing exactly on the budget is
   granted) and charge withdrawal on release;
-* the :class:`QosLanePolicy` throttle law and its starvation floor;
+* the lanes' throttle law (:func:`throttle_factor`) and its starvation
+  floor;
 * the :class:`QosManager` on a real cluster fabric: lane assignment,
   enforcement shaping (identity when idle, policing for reserved,
   throttling for best-effort) and the fault-ladder sync.
@@ -22,17 +23,19 @@ import pytest
 from repro.cluster import Cluster
 from repro.hardware.sci.faults import FaultPlan
 from repro.qos import (
+    BESTEFFORT_FLOOR,
     LANE_BEST_EFFORT,
     LANE_RESERVED,
+    MAX_SHARE,
     QOS_COUNTERS,
     AdmissionController,
     AdmissionDenied,
     QosInstruments,
-    QosLanePolicy,
     QosManager,
     Reservation,
     ReservationState,
     ReservationStateError,
+    throttle_factor,
 )
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -97,13 +100,12 @@ class TestReservationLifecycle:
 
 
 class TestAdmission:
-    def make(self, cap=100.0, max_share=0.8):
-        return AdmissionController({"l0": cap, "l1": cap},
-                                   max_share=max_share)
+    def make(self, cap=100.0):
+        return AdmissionController({"l0": cap, "l1": cap})
 
     def test_exact_boundary_is_admitted(self):
         """The budget is inclusive: a request landing exactly on
-        max_share * capacity is granted, one epsilon above is not."""
+        MAX_SHARE * capacity is granted, one epsilon above is not."""
         ctl = self.make()
         exact = make_reservation(rate=80.0, links=("l0",))
         ctl.admit(exact)
@@ -161,38 +163,55 @@ class TestAdmission:
         with pytest.raises(KeyError):
             self.make().check(["nope"], 1.0)
 
-    def test_max_share_validated(self):
-        with pytest.raises(ValueError):
-            self.make(max_share=0.0)
-        with pytest.raises(ValueError):
-            self.make(max_share=1.5)
+    def test_budget_is_max_share_of_each_links_own_capacity(self):
+        ctl = AdmissionController({"l0": 100.0, "l1": 50.0})
+        assert ctl.budget("l0") == MAX_SHARE * 100.0
+        assert ctl.budget("l1") == MAX_SHARE * 50.0
+        ctl.admit(make_reservation(rate=MAX_SHARE * 50.0, links=("l1",)))
+        assert ctl.headroom("l1") == 0.0
+        assert ctl.headroom("l0") == MAX_SHARE * 100.0  # untouched
 
 
 class TestLanePolicy:
     def test_throttle_law_and_floor(self):
-        lanes = QosLanePolicy(max_share=0.8, besteffort_floor=0.2)
-        assert lanes.throttle_factor(0.0) == 1.0
-        assert lanes.throttle_factor(0.5) == 0.5
+        assert (MAX_SHARE, BESTEFFORT_FLOOR) == (0.8, 0.2)
+        assert throttle_factor(0.0) == 1.0
+        assert throttle_factor(0.5) == 0.5
         # The starvation bound: even a fully reserved link keeps the floor.
-        assert lanes.throttle_factor(0.9) == 0.2
-        assert lanes.throttle_factor(1.0) == 0.2
+        assert throttle_factor(0.9) == 0.2
+        assert throttle_factor(1.0) == 0.2
 
     def test_default_floor_is_complement_of_max_share(self):
-        lanes = QosLanePolicy()
-        assert lanes.besteffort_floor == pytest.approx(1.0 - lanes.max_share)
+        assert BESTEFFORT_FLOOR == pytest.approx(1.0 - MAX_SHARE)
+
+    def test_throttle_never_rises_with_share(self):
+        shares = [i / 20 for i in range(25)]  # 0.0 .. 1.2
+        factors = [throttle_factor(s) for s in shares]
+        assert all(a >= b for a, b in zip(factors, factors[1:]))
+        assert min(factors) == BESTEFFORT_FLOOR
+        for share, factor in zip(shares, factors):
+            if 1.0 - share > BESTEFFORT_FLOOR:
+                assert factor == 1.0 - share
 
     def test_describe_for_policy_gauges(self):
-        assert QosLanePolicy().describe() == {
-            "qos_max_share_pct": 80,
-            "qos_besteffort_floor_pct": 20,
-            "qos_credit_priority": 1,
+        """The policy gauges carry no lane values; the manager's report
+        states the lane constants, credit priority always on."""
+        cluster = Cluster(n_nodes=2)
+        qos = QosManager.install(cluster)
+        snap = cluster.metrics.snapshot()
+        assert "policy.hier_collectives" in snap
+        assert not [k for k in snap if k.startswith("policy.qos_")]
+        assert qos.describe()["lanes"] == {
+            "besteffort_floor": 0.2,
+            "credit_priority": True,
+            "max_share": 0.8,
         }
 
-    def test_knob_validation(self):
-        with pytest.raises(ValueError):
-            QosLanePolicy(besteffort_floor=0.0)
-        with pytest.raises(ValueError):
-            QosLanePolicy(max_share=1.0001)
+    def test_lane_constants_are_not_parameters(self):
+        with pytest.raises(TypeError):
+            QosManager.install(Cluster(n_nodes=2), lanes=None)
+        with pytest.raises(TypeError):
+            AdmissionController({"l0": 100.0}, max_share=0.5)
 
 
 class TestManagerOnCluster:
@@ -363,15 +382,17 @@ class TestSchedulingHooks:
         assert scheduler._rndv_priority(0) == 0
         assert scheduler._rndv_priority(1) == 1
 
-    def test_rndv_priority_respects_credit_priority_knob(self):
+    def test_rndv_priority_is_fifo_again_after_release(self):
+        """Reserved senders rank ahead only while a reservation is
+        active; releasing the last one restores exact FIFO."""
         cluster = Cluster(n_nodes=3)
-        qos = QosManager.install(cluster,
-                                 lanes=QosLanePolicy(credit_priority=False))
+        qos = QosManager.install(cluster)
         qos.add_tenant("r", [0])
-        rate = 0.4 * qos.route_capacity(0, 2)
-        res = qos.reserve("r", [(0, 2)], rate)
+        res = qos.reserve("r", [(0, 2)], 0.4 * qos.route_capacity(0, 2))
         qos.provision(res)
         qos.activate(res)
         scheduler = cluster.world.device(2).scheduler
+        assert scheduler._rndv_priority(1) == 1
+        qos.release(res)
         assert scheduler._rndv_priority(0) == 0
-        assert scheduler._rndv_priority(1) == 0  # knob off: FIFO for all
+        assert scheduler._rndv_priority(1) == 0

@@ -273,6 +273,14 @@ class TestColocationRings:
         with pytest.raises(ScenarioError, match="exactly 8 ranks"):
             run_scenario("colocation_rings", ranks=12)
 
+    def test_halo_compute_is_reported_from_its_constant(self):
+        from repro.scenarios.colocation import HALO_COMPUTE_US, HaloConfig
+
+        assert cell("colocation")["params"]["halo"]["compute_us"] == \
+            HALO_COMPUTE_US == 50.0
+        with pytest.raises(TypeError):
+            HaloConfig(compute_us=10.0)
+
     def test_default_colocation_still_runs_on_a_ring(self):
         """The base cell must be untouched by the topology hook."""
         assert "topology" not in cell("colocation")["params"]

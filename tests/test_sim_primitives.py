@@ -1,5 +1,5 @@
-"""Tests for the remaining sim primitives: Broadcast, callback_channel,
-daemon processes, and engine counters."""
+"""Tests for the remaining sim primitives: Broadcast, daemon processes,
+and engine counters."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.sim import (
     Channel,
     Deadlock,
     Engine,
-    callback_channel,
 )
 
 
@@ -68,39 +67,6 @@ class TestBroadcast:
 
         eng.process(firer())
         assert eng.run_process(waiter()) == 2
-
-
-class TestCallbackChannel:
-    def test_plain_handler(self):
-        eng = Engine()
-        chan = Channel(eng)
-        seen = []
-        eng.process(callback_channel(chan, seen.append), daemon=True)
-
-        def producer():
-            for i in range(3):
-                yield eng.timeout(1.0)
-                chan.put(i)
-
-        eng.process(producer())
-        eng.run()
-        assert seen == [0, 1, 2]
-
-    def test_generator_handler_is_driven(self):
-        eng = Engine()
-        chan = Channel(eng)
-        done = []
-
-        def handler(item):
-            yield eng.timeout(10.0)
-            done.append((item, eng.now))
-
-        eng.process(callback_channel(chan, handler), daemon=True)
-        chan.put("a")
-        chan.put("b")
-        eng.run()
-        # Handlers are serialized: second item handled after the first.
-        assert done == [("a", 10.0), ("b", 20.0)]
 
 
 class TestDaemons:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.params import congestion_fraction
-from repro.hardware.sci.ringlet import RingTopology, TorusTopology
+from repro.hardware.sci.topology import RingTopology, TorusTopology
 
 
 @given(

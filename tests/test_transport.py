@@ -33,11 +33,11 @@ from repro.mpi.transport import (
     OSCStrategy,
     PaperThresholdPolicy,
     Protocol,
-    RecoveryPolicy,
     TransferMode,
     TransferPolicy,
 )
-from repro.mpi.transport.store import RemoteStore
+from repro.mpi.transport.store import (MAX_RETRANSMITS, REMAP_COST_US,
+                                       RemoteStore, backoff)
 
 from ._guidelines import Forced, assert_within_bound
 from .test_flatten_engine import datatype_strategy
@@ -137,6 +137,22 @@ class TestTransferPolicy:
         assert pol.protocol(cfg, 4 * KiB + 1) == Protocol.RNDV
         assert pol.describe(cfg)["eager_threshold"] == 4 * KiB
         assert pol.describe(cfg)["hier_collectives"] == 0
+
+    def test_fields_are_the_two_callers_vary(self):
+        """A policy's fields are the settings some caller sets; a value
+        only its default reaches is a module constant instead."""
+        assert {f.name for f in dataclasses.fields(TransferPolicy)} == {
+            "hier_collectives", "resume_torn"}
+
+    def test_subclasses_carry_both_fields(self):
+        """Forced-decision subclasses keep the two fields: torn-transfer
+        resume defaults on and switches off independently."""
+        assert TransferPolicy().resume_torn is True
+        pol = ChunkedCollectivesPolicy(hier_collectives=True,
+                                       resume_torn=False)
+        assert (pol.hier_collectives, pol.resume_torn) == (True, False)
+        assert PaperThresholdPolicy(resume_torn=False).resume_torn is False
+        assert pol.force(("coll", True, False, 256 * KiB, 4)) == "chain"
 
 
 def _one_way(dtype, count=1, mode=None, internode=True):
@@ -705,7 +721,7 @@ class TestRecoveryLadder:
             [SCITransientError("lost"), SCITransientError("lost")])
         assert outcome == "done"
         assert recovery["retries"] == 2 and recovery["resumes"] == 0
-        assert now == 5.0 + 10.0  # RecoveryPolicy.backoff(1) + backoff(2)
+        assert now == backoff(1) + backoff(2) == 5.0 + 10.0
 
     def test_torn_transfer_resumes_past_its_prefix(self):
         seen = []
@@ -727,7 +743,7 @@ class TestRecoveryLadder:
             on_unmap=lambda: remaps.append(True))
         assert outcome == "done" and remaps == [True]
         assert recovery["remaps"] == 1 and recovery["retries"] == 0
-        assert now == 25.0  # RecoveryPolicy.remap_cost
+        assert now == REMAP_COST_US == 25.0
 
     def test_unmapped_segment_without_remap_escapes(self):
         revoked = SegmentUnmappedError("revoked")
@@ -736,7 +752,7 @@ class TestRecoveryLadder:
         assert outcome.__cause__ is revoked and recovery["remaps"] == 0
 
     def test_gives_up_after_max_retransmits(self):
-        budget = RecoveryPolicy().max_retransmits
+        budget = MAX_RETRANSMITS
         lost = [SCITransientError("lost")] * (budget + 1)
         outcome, recovery, _ = self._ladder(lost[:budget])
         assert outcome == "done" and recovery["retries"] == budget
